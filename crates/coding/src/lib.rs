@@ -23,7 +23,7 @@
 //! The decode hot path is the Viterbi add-compare-select recursion —
 //! ~70 % of burst decode time in the software model, and the block the
 //! paper spends an entire pipelined ACS array on in hardware. The
-//! default backend (module `butterfly`, private) restructures the
+//! butterfly backend (module `butterfly`, private) restructures the
 //! recursion the same way the silicon does:
 //!
 //! * one **branch-metric table** per trellis step (`2^n` correlations,
@@ -38,49 +38,40 @@
 //!   words (64-state K=7 ⇒ one word per branch — the survivor RAM), so
 //!   traceback is a shift-and-mask walk instead of a pointer chase.
 //!
-//! The scalar reference kernel is retained: the `decode_*_scalar*`
-//! methods always run it (differential testing), it serves as the
-//! automatic fallback for codes with more than 8 generators or LLRs
-//! beyond the `i32` exactness bound, and the `scalar-kernel` cargo
-//! feature forces it as the backend everywhere. Both kernels are
-//! bit-identical on every input the butterfly accepts — enforced by
-//! the property suite in `tests/proptests.rs`.
+//! The scalar reference kernel is retained as the differential-testing
+//! reference ([`ViterbiKernel::Scalar`]) and as the automatic fallback
+//! for codes with more than 8 generators or LLRs beyond the `i32`
+//! exactness bound. Both kernels are bit-identical on every input the
+//! butterfly accepts — enforced by the property suite in
+//! `tests/proptests.rs`.
 //!
 //! # The SIMD lane tier
 //!
-//! With the `simd` cargo feature (module `simd`, private), the
-//! butterfly walk runs eight butterflies per step in one `i32` register
-//! row: two contiguous loads pick up sixteen predecessor metrics, an
-//! in-register even/odd de-interleave forms the `2j`/`2j+1` vectors,
-//! the (≤ 8-entry) branch-metric table is gathered by an in-register
-//! permute over prebuilt label vectors, and the decision bits fall out
-//! of a sign-bit movemask straight into the survivor words. AVX2
-//! intrinsics are used when `is_x86_feature_detected!` reports support
-//! at run time; elsewhere a portable fixed-width-array tier (written
-//! for the autovectorizer) fills the same seam. Codes that do not fit
-//! the lanes — more than 3 output bits per input or fewer than 16
-//! states — stay on the scalar butterfly tier automatically.
-//! [`ViterbiKernel`] documents the full selection matrix, and
-//! `ViterbiDecoder::kernel_name` reports what `Auto` would dispatch.
+//! The SIMD tier (module `simd`, private) runs eight butterflies per
+//! step in one `i32` register row: two contiguous loads pick up sixteen
+//! predecessor metrics, an in-register even/odd de-interleave forms the
+//! `2j`/`2j+1` vectors, the (≤ 8-entry) branch-metric table is gathered
+//! by an in-register permute over prebuilt label vectors, and the
+//! decision bits fall out of a sign-bit movemask straight into the
+//! survivor words. AVX2 intrinsics are used when
+//! `is_x86_feature_detected!` reports support at run time; elsewhere a
+//! portable fixed-width-array tier (written for the autovectorizer)
+//! fills the same seam. Codes that do not fit the lanes — more than 3
+//! output bits per input or fewer than 16 states — stay on the scalar
+//! butterfly tier automatically.
 //!
-//! # The bitsliced batch kernel
+//! # Kernel selection
 //!
-//! [`ViterbiDecoder::decode_terminated_batch`] decodes up to 64
-//! independent same-code blocks simultaneously (module `bitslice`,
-//! private): path metrics lane-major (`metrics[s * W + w]`, lane `w` =
-//! block `w`), branch metrics a `2^n × W` plane refilled per step from
-//! each lane's own LLRs, and survivors transposed into bit-planes —
-//! word `t·S + s` carries one decision bit per *block*. The ACS
-//! recursion then vectorizes across blocks, which is the batch shape
-//! `BurstPipeline` produces (four spatial streams per burst, many
-//! bursts per batch). Dispatch is cost-aware ([`BatchKernel`]): the
-//! bitsliced tier pays per lane, so sparse groups — and any build
-//! whose per-block tier is the faster 8-lane SIMD kernel — run a
-//! per-block loop instead, as do ragged or otherwise ineligible
-//! groups; every output is bit-identical to decoding that block alone.
+//! Tier choice is made per decode at run time, never at build time:
+//! [`ViterbiKernel::Auto`] (the default) takes the SIMD tier where the
+//! code fits its lanes, then the butterfly kernel, then the scalar
+//! kernel. [`ViterbiDecoder::decode_terminated_with`] accepts an
+//! explicit request, which is how the differential suites pin every
+//! tier on any build, and `ViterbiDecoder::kernel_name` reports what
+//! `Auto` would dispatch. [`ViterbiDecoder::decode_terminated_batch`]
+//! decodes several blocks through one shared workspace, block by block.
 
 pub mod bits;
-mod bitslice;
 mod butterfly;
 mod conv;
 mod puncture;
@@ -88,11 +79,12 @@ mod scrambler;
 mod simd;
 mod viterbi;
 
-pub use bitslice::BatchViterbiWorkspace;
 pub use conv::{CodeSpec, CodingError, ConvolutionalEncoder};
 pub use puncture::{depuncture, depuncture_into, puncture, puncture_into, CodeRate};
 pub use scrambler::{pilot_polarity, Scrambler};
-pub use viterbi::{BatchKernel, DecodeProfile, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace};
+pub use viterbi::{
+    BatchViterbiWorkspace, DecodeProfile, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
+};
 
 /// A soft bit (log-likelihood ratio). Positive means "more likely 0",
 /// negative "more likely 1", zero is an erasure. Hard bits map to

@@ -1,10 +1,10 @@
 //! Property-based tests across the coding pipeline, including the
-//! differential suites pinning the butterfly, SIMD and bitsliced-batch
-//! ACS kernels bit-identical to the scalar reference kernel.
+//! differential suites pinning the butterfly and SIMD ACS kernels
+//! bit-identical to the scalar reference kernel.
 
 use mimo_coding::{
-    bits, depuncture, hard_to_llr, puncture, BatchKernel, BatchViterbiWorkspace, CodeRate,
-    CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
+    bits, depuncture, hard_to_llr, puncture, BatchViterbiWorkspace, CodeRate, CodeSpec,
+    CodingError, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
 };
 use proptest::prelude::*;
 
@@ -27,6 +27,22 @@ impl Noise {
     fn llr(&mut self, scale: i64) -> Llr {
         ((self.next() % (2 * scale as u64 + 1)) as i64 - scale) as Llr
     }
+}
+
+/// Decodes `soft` on the butterfly and SIMD tiers and asserts both
+/// equal the scalar reference.
+fn assert_fast_tiers_match_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCaseResult {
+    let mut ws = ViterbiWorkspace::new();
+    let mut reference = Vec::new();
+    let mut fast = Vec::new();
+    dec.decode_terminated_with(ViterbiKernel::Scalar, soft, &mut ws, &mut reference)
+        .unwrap();
+    for kernel in [ViterbiKernel::Butterfly, ViterbiKernel::Simd] {
+        dec.decode_terminated_with(kernel, soft, &mut ws, &mut fast)
+            .unwrap();
+        prop_assert_eq!(&fast, &reference, "kernel {:?}", kernel);
+    }
+    Ok(())
 }
 
 /// Adds seeded noise to every LLR. Small scales produce many exact
@@ -133,16 +149,18 @@ proptest! {
         let mut fast = Vec::new();
         let mut reference = Vec::new();
         dec.decode_terminated_into(&restored, &mut ws, &mut fast).unwrap();
-        dec.decode_terminated_scalar_into(&restored, &mut ws, &mut reference).unwrap();
+        dec.decode_terminated_with(ViterbiKernel::Scalar, &restored, &mut ws, &mut reference)
+            .unwrap();
         prop_assert_eq!(fast, reference);
     }
 
     /// Kernel equivalence on pure random LLRs (no codeword structure):
     /// tiny scales force constant metric ties, exercising the
-    /// tie-break and traceback corners hardest.
+    /// tie-break and traceback corners hardest. Six branches is the
+    /// shortest block that still carries the K=7 flush tail.
     #[test]
     fn butterfly_matches_scalar_on_random_llrs(
-        n_branches in 1usize..400,
+        n_branches in 6usize..400,
         seed in any::<u64>(),
         scale_idx in 0usize..4,
     ) {
@@ -150,28 +168,7 @@ proptest! {
         let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
         let mut noise = Noise(seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
-        let fast = dec.decode_stream(&soft).unwrap();
-        let reference = dec.decode_stream_scalar(&soft).unwrap();
-        prop_assert_eq!(fast, reference);
-    }
-
-    /// Windowed decoding: the butterfly survivor-mask ring commits the
-    /// same bits as the scalar ring for any window depth.
-    #[test]
-    fn windowed_butterfly_matches_scalar(
-        info in bitvec(300),
-        window in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let coded = enc.encode_terminated(&info);
-        let mut soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        perturb(&mut soft, seed, 80);
-        let fast = dec.decode_windowed(&soft, window).unwrap();
-        let reference = dec.decode_windowed_scalar(&soft, window).unwrap();
-        prop_assert_eq!(fast, reference);
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
     }
 
     /// Kernel equivalence holds for arbitrary valid codes, not just
@@ -194,9 +191,7 @@ proptest! {
         let dec = ViterbiDecoder::new(spec);
         let mut noise = Noise(llr_seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
-        let fast = dec.decode_stream(&soft).unwrap();
-        let reference = dec.decode_stream_scalar(&soft).unwrap();
-        prop_assert_eq!(fast, reference);
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
     }
 
     /// Explicit-kernel dispatch: the SIMD tier, the butterfly tier and
@@ -257,36 +252,12 @@ proptest! {
         prop_assert_eq!(simd, scalar);
     }
 
-    /// Windowed decoding commits the same bits on all three kernel
-    /// tiers for any window depth.
-    #[test]
-    fn windowed_simd_matches_butterfly_and_scalar(
-        info in bitvec(300),
-        window in 1usize..80,
-        seed in any::<u64>(),
-    ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let coded = enc.encode_terminated(&info);
-        let mut soft: Vec<Llr> = coded.iter().map(|&b| hard_to_llr(b)).collect();
-        perturb(&mut soft, seed, 80);
-        let simd = dec.decode_windowed_with(ViterbiKernel::Simd, &soft, window).unwrap();
-        let butterfly = dec.decode_windowed_with(ViterbiKernel::Butterfly, &soft, window).unwrap();
-        let scalar = dec.decode_windowed_scalar(&soft, window).unwrap();
-        prop_assert_eq!(&simd, &butterfly);
-        prop_assert_eq!(&simd, &scalar);
-    }
-
-    /// The batch entry point equals the per-block loop for every batch
-    /// width 1..=64, both under `Auto` dispatch and with the bitsliced
-    /// kernel explicitly requested — each lane bit-identical to
-    /// decoding its block alone, whatever the occupancy cost model
-    /// picks.
+    /// The batch entry point equals the per-block loop on equal and
+    /// ragged block lengths, an empty batch included.
     #[test]
     fn batch_matches_per_block_loop(
-        width in 1usize..65,
-        info_len in 16usize..64,
+        lens in proptest::collection::vec(8usize..48, 0..12),
+        ragged in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let spec = CodeSpec::ieee80211a();
@@ -294,8 +265,10 @@ proptest! {
         let dec = ViterbiDecoder::new(spec);
         let mut noise = Noise(seed | 1);
         let mut stored: Vec<Vec<Llr>> = Vec::new();
-        for b in 0..width {
-            let info: Vec<u8> = (0..info_len).map(|i| u8::from((i * 31 + b * 7) % 5 < 2)).collect();
+        for (b, &len) in lens.iter().enumerate() {
+            let info_len = if ragged { len } else { lens[0] };
+            let info: Vec<u8> =
+                (0..info_len).map(|i| u8::from((i * 31 + b * 7) % 5 < 2)).collect();
             let mut soft: Vec<Llr> =
                 enc.encode_terminated(&info).iter().map(|&b| hard_to_llr(b)).collect();
             for llr in soft.iter_mut() {
@@ -305,92 +278,85 @@ proptest! {
         }
         let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
         let mut batch_ws = BatchViterbiWorkspace::new();
+        dec.decode_terminated_batch(&blocks, &mut batch_ws).unwrap();
+        prop_assert_eq!(batch_ws.outputs().len(), blocks.len());
         let mut ws = ViterbiWorkspace::new();
         let mut one = Vec::new();
-        for kernel in [BatchKernel::Bitsliced, BatchKernel::Auto] {
-            dec.decode_terminated_batch_with(kernel, &blocks, &mut batch_ws).unwrap();
-            for (block, got) in blocks.iter().zip(batch_ws.outputs()) {
-                dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-                prop_assert_eq!(&one, got, "kernel {:?}", kernel);
-            }
+        for (block, got) in blocks.iter().zip(batch_ws.outputs()) {
+            dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
+            prop_assert_eq!(&one, got);
         }
     }
 
-    /// Ragged batches (mixed block lengths, so the bitsliced kernel
-    /// must decline) still equal the per-block loop through the
-    /// fallback path.
+    /// Ragged batches (every block its own length) equal the per-block
+    /// loop.
     #[test]
     fn ragged_batch_matches_per_block_loop(
         widths in proptest::collection::vec(8usize..48, 2..20),
         seed in any::<u64>(),
     ) {
-        let spec = CodeSpec::ieee80211a();
-        let mut enc = ConvolutionalEncoder::new(spec.clone());
-        let dec = ViterbiDecoder::new(spec);
-        let mut noise = Noise(seed | 1);
-        let mut stored: Vec<Vec<Llr>> = Vec::new();
-        for (b, &info_len) in widths.iter().enumerate() {
-            let info: Vec<u8> = (0..info_len).map(|i| u8::from((i * 13 + b) % 3 == 0)).collect();
-            let mut soft: Vec<Llr> =
-                enc.encode_terminated(&info).iter().map(|&b| hard_to_llr(b)).collect();
-            for llr in soft.iter_mut() {
-                *llr += noise.llr(70);
-            }
-            stored.push(soft);
-        }
-        let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
-        let batch = dec.decode_batch(&blocks).unwrap();
-        let mut ws = ViterbiWorkspace::new();
-        let mut one = Vec::new();
-        for (block, got) in blocks.iter().zip(&batch) {
-            dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-            prop_assert_eq!(&one, got);
-        }
+        assert_batch_matches_loop(&widths, seed)?;
     }
 }
 
-#[test]
-fn batch_wider_than_64_spans_groups() {
-    // 70 equal blocks: one full 64-lane group plus a 6-lane tail.
+/// Encodes one noisy terminated block per entry of `lens` (the info
+/// length) and asserts `decode_terminated_batch` returns, block by
+/// block, what `decode_terminated_into` returns.
+fn assert_batch_matches_loop(lens: &[usize], seed: u64) -> TestCaseResult {
     let spec = CodeSpec::ieee80211a();
     let mut enc = ConvolutionalEncoder::new(spec.clone());
     let dec = ViterbiDecoder::new(spec);
-    let mut noise = Noise(0x5eed_cafe);
-    let mut stored: Vec<Vec<Llr>> = Vec::new();
-    for b in 0..70 {
-        let info: Vec<u8> = (0..48).map(|i| u8::from((i * 29 + b * 3) % 7 < 3)).collect();
-        let mut soft: Vec<Llr> = enc
-            .encode_terminated(&info)
-            .iter()
-            .map(|&b| hard_to_llr(b))
-            .collect();
-        for llr in soft.iter_mut() {
-            *llr += noise.llr(60);
-        }
-        stored.push(soft);
-    }
+    let mut noise = Noise(seed | 1);
+    let stored: Vec<Vec<Llr>> = lens
+        .iter()
+        .enumerate()
+        .map(|(b, &len)| {
+            let info: Vec<u8> = (0..len).map(|i| u8::from((i * 13 + b) % 3 == 0)).collect();
+            let mut soft: Vec<Llr> = enc
+                .encode_terminated(&info)
+                .iter()
+                .map(|&b| hard_to_llr(b))
+                .collect();
+            perturb(&mut soft, noise.next(), 70);
+            soft
+        })
+        .collect();
     let blocks: Vec<&[Llr]> = stored.iter().map(|b| b.as_slice()).collect();
-    let batch = dec.decode_batch(&blocks).unwrap();
-    assert_eq!(batch.len(), 70);
+    let mut batch_ws = BatchViterbiWorkspace::new();
+    dec.decode_terminated_batch(&blocks, &mut batch_ws).unwrap();
+    prop_assert_eq!(batch_ws.outputs().len(), blocks.len());
     let mut ws = ViterbiWorkspace::new();
     let mut one = Vec::new();
-    for (block, got) in blocks.iter().zip(&batch) {
+    for (block, got) in blocks.iter().zip(batch_ws.outputs()) {
         dec.decode_terminated_into(block, &mut ws, &mut one).unwrap();
-        assert_eq!(&one, got);
+        prop_assert_eq!(&one, got);
     }
+    Ok(())
+}
+
+/// A batch of more than 64 blocks decodes every block, not just the
+/// first 64.
+#[test]
+fn batch_wider_than_64_spans_groups() {
+    assert_batch_matches_loop(&[48; 70], 0x5eed_cafe).unwrap();
 }
 
 #[test]
 fn batch_surfaces_bad_block_errors() {
     let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
-    // Ragged odd-length member forces the fallback loop, which must
-    // report the same error as the per-block entry point.
+    let mut ws = BatchViterbiWorkspace::new();
+    // A block that is not a whole number of branches fails the batch
+    // with the same error the per-block entry point reports.
     let good = vec![10 as Llr; 40];
     let bad = vec![10 as Llr; 7];
     let blocks: Vec<&[Llr]> = vec![&good, &bad];
-    assert!(dec.decode_batch(&blocks).is_err());
+    assert!(matches!(
+        dec.decode_terminated_batch(&blocks, &mut ws),
+        Err(CodingError::BadBlockLength { got: 7, .. })
+    ));
     // An empty batch is a no-op.
-    assert!(dec.decode_batch(&[]).unwrap().is_empty());
+    dec.decode_terminated_batch(&[], &mut ws).unwrap();
+    assert!(ws.outputs().is_empty());
 }
 
 #[test]
@@ -398,20 +364,12 @@ fn kernel_name_reflects_dispatch() {
     let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
     let soft = vec![10 as Llr; 48];
     let name = dec.kernel_name(&soft);
-    if cfg!(feature = "scalar-kernel") {
-        assert_eq!(name, "scalar");
-    } else if cfg!(feature = "simd") {
-        assert!(name.starts_with("simd-"), "got {name}");
-    } else {
-        assert_eq!(name, "butterfly");
-    }
+    assert!(name.starts_with("simd-"), "got {name}");
     // LLRs beyond the i32 exactness bound always fall back to scalar.
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
     // K=3 has too few states for the 8-lane tier: butterfly at best.
     let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
-    if !cfg!(feature = "scalar-kernel") {
-        assert_eq!(k3.kernel_name(&soft), "butterfly");
-    }
+    assert_eq!(k3.kernel_name(&soft), "butterfly");
 }
 
 #[test]

@@ -349,8 +349,7 @@ impl PhyConfig {
     /// four spatial channels in `transmit_burst` / `receive_burst`,
     /// overriding the default auto mode (parallel exactly when the
     /// host has more than one CPU — fan-out on a 1-CPU host is pure
-    /// overhead). Only effective when the `parallel` crate feature is
-    /// compiled in; both modes produce bit-identical results, mirroring
+    /// overhead). Both modes produce bit-identical results, mirroring
     /// the four independent hardware channel pipelines of the paper.
     pub fn with_parallelism(mut self, on: bool) -> Self {
         self.geometry = self.geometry.with_parallelism(on);

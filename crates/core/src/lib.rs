@@ -120,15 +120,16 @@
 //!   their capacity. (For single-kit embeddings the subsystem crates
 //!   also support in-place re-init: `SymbolMapper::reconfigure`,
 //!   `BlockInterleaver::reconfigure`.)
-//! * **Per-channel fan-out.** With the `parallel` feature (default
-//!   on) and [`PhyConfig::with_parallelism`], the transmitter runs one
-//!   scoped thread per spatial channel, and the receiver runs two
-//!   parallel stages: per-antenna FFT + carrier gather, then
-//!   per-stream zero-forcing detection (row `k` of `H⁻¹·r`), pilot
-//!   corrections, demap, de-interleave and Viterbi. The SIGNAL parse
-//!   runs between the stages on the already-gathered carriers. Each
-//!   output cell is computed by exactly one worker in a fixed order,
-//!   so parallel and serial schedules are **bit-identical** (asserted
+//! * **Per-channel fan-out.** When [`PhyConfig::parallelism`] is on
+//!   (a run-time choice, see [`PhyConfig::with_parallelism`]), the
+//!   transmitter runs one scoped thread per spatial channel, and the
+//!   receiver runs two parallel stages: per-antenna FFT + carrier
+//!   gather, then per-stream zero-forcing detection (row `k` of
+//!   `H⁻¹·r`), pilot corrections, demap, de-interleave and Viterbi.
+//!   The SIGNAL parse runs between the stages on the already-gathered
+//!   carriers. Each output cell is computed by exactly one worker in a
+//!   fixed order, so parallel and serial schedules are
+//!   **bit-identical** (asserted
 //!   by the `parallel_determinism` integration suite). The default is
 //!   *auto*: fan-out engages only when
 //!   `std::thread::available_parallelism()` reports more than one CPU.

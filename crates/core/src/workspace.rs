@@ -18,7 +18,7 @@
 //! per burst via `resize`/`reserve` and keep their capacity across
 //! bursts.
 
-use mimo_coding::{BatchViterbiWorkspace, Llr, ViterbiWorkspace};
+use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
 use mimo_ofdm::SymbolIngest;
 
@@ -135,9 +135,6 @@ pub(crate) struct RxWorkspace {
     pub antennas: Vec<RxAntennaWorkspace>,
     pub streams: Vec<RxStreamWorkspace>,
     pub header: RxStreamWorkspace,
-    /// Bitsliced many-burst Viterbi scratch: the serial burst-close
-    /// path decodes all four streams in one batch through it.
-    pub batch: BatchViterbiWorkspace,
 }
 
 impl RxWorkspace {
@@ -177,7 +174,6 @@ impl RxWorkspace {
                 .collect(),
             streams: (0..n).map(|_| make_stream()).collect(),
             header: make_stream(),
-            batch: BatchViterbiWorkspace::new(),
         }
     }
 }
@@ -191,7 +187,6 @@ pub(crate) fn run_four<T: Send, E: Send>(
     items: &mut [T],
     f: impl Fn(usize, &mut T) -> Result<(), E> + Sync,
 ) -> Result<(), E> {
-    #[cfg(feature = "parallel")]
     if parallel && items.len() > 1 {
         let f = &f;
         let results: Vec<Result<(), E>> = std::thread::scope(|scope| {
@@ -215,7 +210,6 @@ pub(crate) fn run_four<T: Send, E: Send>(
         }
         return Ok(());
     }
-    let _ = parallel;
     for (i, item) in items.iter_mut().enumerate() {
         f(i, item)?;
     }

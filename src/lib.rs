@@ -96,16 +96,23 @@
 //! # }
 //! ```
 //!
-//! ## Cargo features
+//! ## Kernel and schedule selection
 //!
-//! * `parallel` (default) — fan the four spatial channels out across
-//!   scoped threads; serial builds stay bit-identical.
-//! * `simd` (default) — 8-lane SIMD tier of the butterfly Viterbi ACS
-//!   kernel (AVX2 behind runtime CPU detection, a portable-array tier
-//!   elsewhere), decode-for-decode bit-identical to the scalar and
-//!   butterfly kernels. Disable it (or enable the coding crate's
-//!   `scalar-kernel`) to pin the dispatch for differential runs; the
-//!   bitsliced many-burst batch decoder is always available.
+//! The crate has no cargo features: every build carries the same code,
+//! and both choices below are made at run time.
+//!
+//! * **Viterbi kernel tier.** Each decode takes the fastest tier the
+//!   CPU, code and LLRs allow: the 8-lane SIMD tier of the butterfly
+//!   ACS (AVX2 behind run-time CPU detection, a portable-array tier
+//!   elsewhere), then the scalar butterfly, then the scalar reference
+//!   kernel. All tiers are decode-for-decode bit-identical;
+//!   [`coding::ViterbiKernel`] pins one for differential runs through
+//!   [`coding::ViterbiDecoder::decode_terminated_with`].
+//! * **Channel fan-out.** [`phy::PhyConfig::with_parallelism`] fans
+//!   the four spatial channels out across scoped threads (auto: on
+//!   exactly when the host has more than one CPU);
+//!   `with_parallelism(false)` runs the serial schedule, which stays
+//!   bit-identical.
 pub use mimo_fixed as fixed;
 
 /// CORDIC rotation/vectoring engines with the paper's 20-cycle pipeline.
