@@ -158,12 +158,7 @@ impl SystolicQrdArray {
         let mut next_arrival = 0usize;
         let mut now: u64 = 0;
         let mut last_commit: u64 = 0;
-        let mut committed = 0usize;
-        let total_ops = N_ANTENNAS * W; // one op per cell-visit per row
-        let _ = total_ops;
-        // Total commits: every row visits every array row: boundary
-        // commits N per row-k, internals W-1-k each... simply run until
-        // all queues drain and no op is in flight.
+        // Run until all queues drain and no op is in flight.
         loop {
             // Deliver top-of-array arrivals due this cycle.
             while next_arrival < arrivals.len() && arrivals[next_arrival].0 == now {
@@ -184,7 +179,6 @@ impl SystolicQrdArray {
                         for cell in &mut self.internal[k] {
                             cell.angles.push_back(angles);
                         }
-                        committed += 1;
                         last_commit = now;
                     }
                 }
@@ -198,7 +192,6 @@ impl SystolicQrdArray {
                             if k + 1 < N_ANTENNAS {
                                 self.deliver(k + 1, j, south);
                             }
-                            committed += 1;
                             last_commit = now;
                         }
                     }
@@ -263,7 +256,6 @@ impl SystolicQrdArray {
             now += 1;
             debug_assert!(now < 1_000_000, "array livelock");
         }
-        let _ = committed;
 
         let r = FxMat4::from_fn(|k, j| {
             if j == k {

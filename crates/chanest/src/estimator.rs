@@ -11,6 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
+use mimo_cordic::LANES;
 use mimo_fft::FixedFft;
 use mimo_fixed::{CFx, CQ15, Q16};
 use mimo_ofdm::preamble::lts_reference;
@@ -18,7 +19,7 @@ use mimo_ofdm::SubcarrierMap;
 
 use crate::matrix::FxMat4;
 use crate::rinv::invert_upper_triangular;
-use crate::systolic::CordicQrd;
+use crate::systolic::{CordicQrd, QrDecomposition};
 use crate::N_ANTENNAS;
 
 /// Errors from channel estimation and inversion.
@@ -93,20 +94,27 @@ impl ChannelEstimate {
     /// QRD → R⁻¹ → R⁻¹·Qᴴ, returning the per-subcarrier `H⁻¹`
     /// ("channel estimate inverted matrices" memories of Fig 5).
     ///
+    /// The QRD runs subcarriers in groups of [`LANES`] on the lane
+    /// CORDIC ([`CordicQrd`] documents the bit-exact contract); R⁻¹
+    /// and the product stay per carrier, in carrier order, so the
+    /// first singular carrier is the one reported.
+    ///
     /// # Errors
     ///
     /// Returns [`ChanestError::SingularChannel`] if any subcarrier's
     /// matrix cannot be inverted.
     pub fn invert_all(&self, qrd: &CordicQrd) -> Result<Vec<FxMat4>, ChanestError> {
-        self.h
-            .iter()
-            .map(|h| {
-                let decomp = qrd.decompose(h);
+        // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
+        let mut inverses = Vec::with_capacity(self.h.len());
+        let mut group = [QrDecomposition::default(); LANES];
+        for h in self.h.chunks(LANES) {
+            qrd.decompose_group(h, &mut group);
+            for decomp in &group[..h.len()] {
                 let r_inv = invert_upper_triangular(&decomp.r)?;
-                Ok(r_inv.mul_mat(&decomp.q_h))
-            })
-            // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
-            .collect()
+                inverses.push(r_inv.mul_mat(&decomp.q_h));
+            }
+        }
+        Ok(inverses)
     }
 }
 
@@ -408,6 +416,179 @@ mod tests {
         let ce_noisy = est.estimate(&noisy).unwrap();
         for (a, b) in ce_clean.h_matrices().iter().zip(ce_noisy.h_matrices()) {
             assert!(a.to_f64().max_distance(&b.to_f64()) < 1e-3);
+        }
+    }
+}
+
+/// Differential tests of the lane QRD: `invert_all` on each lane build
+/// against the per-carrier scalar pipeline.
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use mimo_cordic::{Cordic, CordicLanes};
+    use proptest::prelude::*;
+
+    /// The array on each lane build this CPU runs: the detected one
+    /// (AVX2 on AVX2 hosts) and the portable one.
+    fn qrds() -> Vec<CordicQrd> {
+        let cordic = Cordic::new();
+        let detected = CordicLanes::new(&cordic).unwrap();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(detected.build_name(), "avx2");
+        }
+        let portable = CordicLanes::portable(&cordic).unwrap();
+        [detected, portable]
+            .into_iter()
+            .map(|lanes| {
+                let mut qrd = CordicQrd::with_cordic(cordic.clone());
+                qrd.lanes = Some(lanes);
+                qrd
+            })
+            .collect()
+    }
+
+    fn estimate(h: Vec<FxMat4>) -> ChannelEstimate {
+        ChannelEstimate {
+            occupied: (0..h.len() as i32).collect(),
+            h,
+        }
+    }
+
+    fn scalar_invert_all(h: &[FxMat4], qrd: &CordicQrd) -> Result<Vec<FxMat4>, ChanestError> {
+        h.iter()
+            .map(|m| {
+                let d = qrd.decompose(m);
+                Ok(invert_upper_triangular(&d.r)?.mul_mat(&d.q_h))
+            })
+            .collect()
+    }
+
+    /// Checks every group decomposition and the whole pipeline against
+    /// the scalar path, on both builds.
+    fn check(h: Vec<FxMat4>) {
+        let ce = estimate(h);
+        for qrd in qrds() {
+            let name = qrd.lanes.as_ref().unwrap().build_name();
+            let mut group = [QrDecomposition::default(); LANES];
+            for (g, chunk) in ce.h.chunks(LANES).enumerate() {
+                qrd.decompose_group(chunk, &mut group);
+                for (s, m) in chunk.iter().enumerate() {
+                    assert_eq!(
+                        group[s],
+                        qrd.decompose(m),
+                        "{name}: carrier {}",
+                        g * LANES + s
+                    );
+                }
+            }
+            assert_eq!(
+                ce.invert_all(&qrd),
+                scalar_invert_all(&ce.h, &qrd),
+                "{name}"
+            );
+        }
+    }
+
+    fn raw_matrix(words: &[(i64, i64)]) -> FxMat4 {
+        FxMat4::from_fn(|r, c| {
+            let (re, im) = words[r * N_ANTENNAS + c];
+            CFx::new(Q16::from_raw(re), Q16::from_raw(im))
+        })
+    }
+
+    /// A full-rank matrix with column `col` zeroed: the R diagonal
+    /// `col` collapses.
+    fn without_column(col: usize, seed: i64) -> FxMat4 {
+        FxMat4::from_fn(|r, c| {
+            if c == col {
+                CFx::ZERO
+            } else {
+                let v = if r == c {
+                    40_000
+                } else {
+                    3_000 * (r as i64 - c as i64) + seed
+                };
+                CFx::new(Q16::from_raw(v), Q16::from_raw(seed - 1_000 * r as i64))
+            }
+        })
+    }
+
+    const EDGE: i64 = (1 << 24) - 1;
+
+    #[test]
+    fn identity_matches_scalar() {
+        check(vec![FxMat4::identity(); 52]);
+    }
+
+    #[test]
+    fn first_singular_carrier_is_reported() {
+        let good = FxMat4::from_fn(|r, c| {
+            if r == c {
+                CFx::ONE
+            } else {
+                CFx::new(Q16::from_raw(5_000), Q16::ZERO)
+            }
+        });
+        // Carriers 13 (diagonal 2) and 40 (diagonal 1): 13 wins.
+        let mut h = vec![good; 52];
+        h[13] = without_column(2, 7);
+        h[40] = without_column(1, -3);
+        check(h.clone());
+        assert_eq!(
+            estimate(h).invert_all(&CordicQrd::new()),
+            Err(ChanestError::SingularChannel { diagonal: 2 })
+        );
+        // Two in one group, the later one with the lower diagonal.
+        let mut h = vec![good; 20];
+        h[9] = without_column(3, 11);
+        h[10] = without_column(0, 5);
+        check(h.clone());
+        assert_eq!(
+            estimate(h).invert_all(&CordicQrd::new()),
+            Err(ChanestError::SingularChannel { diagonal: 3 })
+        );
+    }
+
+    #[test]
+    fn out_of_range_group_takes_the_scalar_path() {
+        assert!(!CordicLanes::accepts(1 << 24));
+        let base: Vec<(i64, i64)> = (0..16)
+            .map(|i| (4_000 * i - 30_000, 17_000 - 2_500 * i))
+            .collect();
+        let mut h = vec![raw_matrix(&base); 12];
+        // One element at 2²⁴ in the first group; one far past the i32
+        // range in the second, which the lanes could not hold at all.
+        let mut words = base.clone();
+        words[6] = (1 << 24, 0);
+        h[5] = raw_matrix(&words);
+        words[6] = (-(1 << 40), 1 << 33);
+        h[9] = raw_matrix(&words);
+        check(h);
+    }
+
+    fn arb_words(limit: i64) -> impl Strategy<Value = Vec<(i64, i64)>> {
+        proptest::collection::vec((-limit..limit + 1, -limit..limit + 1), 16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random channels at the receiver's scale, every carrier count
+        /// up to three groups, tail groups included.
+        #[test]
+        fn random_channels_match_scalar(
+            mats in proptest::collection::vec(arb_words(40_000), 1..25),
+        ) {
+            check(mats.iter().map(|w| raw_matrix(w)).collect());
+        }
+
+        /// Random channels filling the admitted range, up to 2²⁴ − 1.
+        #[test]
+        fn full_range_channels_match_scalar(
+            mats in proptest::collection::vec(arb_words(EDGE), 1..17),
+        ) {
+            check(mats.iter().map(|w| raw_matrix(w)).collect());
         }
     }
 }

@@ -22,6 +22,20 @@
 //!   implementing the paper's ten equations verbatim.
 //! * [`ChannelEstimator`] — LTS averaging (`+ ÷2`), per-subcarrier H
 //!   assembly, and the full H⁻¹ = R⁻¹·Qᵀ pipeline over all carriers.
+//!
+//! # Lane schedule
+//!
+//! The paper's scheduler streams 20 subcarriers back to back through
+//! every CORDIC element of one array (Fig 8). The software counterpart
+//! is [`ChannelEstimate::invert_all`]: it decomposes carriers in groups
+//! of eight, the whole Givens cell sequence running in lockstep on the
+//! lane CORDIC ([`mimo_cordic::CordicLanes`]), one carrier per lane,
+//! with a short tail group padded and its padding discarded. R⁻¹ and
+//! R⁻¹·Qᴴ stay per carrier, in carrier order. The result is
+//! bit-identical to [`CordicQrd::decompose`] on every carrier; a group
+//! enters the lanes only when every raw element of its matrices is
+//! below 2²⁴ ([`mimo_cordic::LANE_INPUT_LIMIT`]), and otherwise runs
+//! on the scalar array.
 
 mod cycle_array;
 mod estimator;

@@ -12,7 +12,7 @@
 //! internal cells (Fig 7) accumulates Qᴴ, so that after all four rows
 //! of H have entered, the cells hold `U·[H | I] = [R | Qᴴ]`.
 
-use mimo_cordic::Cordic;
+use mimo_cordic::{Cordic, CordicLanes, Lanes, LANES};
 use mimo_fixed::{CFx, CQ16, Q16};
 
 use crate::matrix::FxMat4;
@@ -21,7 +21,7 @@ use crate::N_ANTENNAS;
 /// Result of one QR decomposition: `r` upper triangular with real
 /// non-negative diagonal, `q_h` the conjugate-transposed Q, such that
 /// `q_h · h ≈ r` and `q_h` is unitary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QrDecomposition {
     /// The upper-triangular factor.
     pub r: FxMat4,
@@ -48,6 +48,9 @@ pub struct QrDecomposition {
 #[derive(Debug, Clone)]
 pub struct CordicQrd {
     cordic: Cordic,
+    /// The same CORDIC on [`LANES`] carriers per step; `None` when the
+    /// engine's iteration count does not fit the lanes.
+    pub(crate) lanes: Option<CordicLanes>,
 }
 
 impl Default for CordicQrd {
@@ -59,15 +62,14 @@ impl Default for CordicQrd {
 impl CordicQrd {
     /// Creates the array with the paper's 20-cycle CORDIC elements.
     pub fn new() -> Self {
-        Self {
-            cordic: Cordic::new(),
-        }
+        Self::with_cordic(Cordic::new())
     }
 
     /// Creates the array with custom CORDIC precision (the iteration
     /// count knob used by the accuracy-ablation experiment).
     pub fn with_cordic(cordic: Cordic) -> Self {
-        Self { cordic }
+        let lanes = CordicLanes::new(&cordic);
+        Self { cordic, lanes }
     }
 
     /// Number of boundary cells (diagonal): 4, each two vectoring
@@ -140,6 +142,36 @@ impl CordicQrd {
         QrDecomposition { r, q_h }
     }
 
+    /// Decomposes up to [`LANES`] channel matrices — one subcarrier
+    /// group — writing `out[s]` for `h[s]`; entries of `out` past
+    /// `h.len()` are left as they were.
+    ///
+    /// The group runs the whole Givens cell sequence in lockstep on the
+    /// lane CORDIC, carrier `s` in lane `s`; a short group leaves its
+    /// spare lanes at a zero channel and discards them. The result is
+    /// bit-identical to [`CordicQrd::decompose`] per carrier, which is
+    /// also the path taken when any element of the group is outside
+    /// the lanes' admitted range or the engine has no lane build.
+    pub(crate) fn decompose_group(&self, h: &[FxMat4], out: &mut [QrDecomposition; LANES]) {
+        debug_assert!(h.len() <= LANES);
+        let admitted = h.iter().all(|m| {
+            (0..N_ANTENNAS).all(|r| {
+                (0..N_ANTENNAS).all(|c| {
+                    CordicLanes::accepts(m[(r, c)].re.raw())
+                        && CordicLanes::accepts(m[(r, c)].im.raw())
+                })
+            })
+        });
+        match &self.lanes {
+            Some(lanes) if admitted => decompose_lanes(lanes, h, out),
+            _ => {
+                for (d, m) in out.iter_mut().zip(h) {
+                    *d = self.decompose(m);
+                }
+            }
+        }
+    }
+
     /// Event-driven latency measurement of the pipelined array, in
     /// clock cycles: every CORDIC is 20 cycles, matrix elements enter
     /// on the Fig 8 diagonal wavefront (one beat apart), the identity
@@ -184,6 +216,57 @@ impl CordicQrd {
             }
         }
         latest
+    }
+}
+
+/// The lane body of [`CordicQrd::decompose_group`]: the dataflow of
+/// [`CordicQrd::decompose`] with every word widened to a lane of
+/// carriers. The guard in the caller keeps every input below 2²⁴.
+fn decompose_lanes(lanes: &CordicLanes, h: &[FxMat4], out: &mut [QrDecomposition; LANES]) {
+    const W: usize = 2 * N_ANTENNAS;
+    const ZERO: Lanes = [0; LANES];
+    // cell_re[k][j] / cell_im[k][j]: array row k, columns 0..4 = R part,
+    // 4..8 = Q part; lane s holds carrier s.
+    let mut cell_re = [[ZERO; W]; N_ANTENNAS];
+    let mut cell_im = [[ZERO; W]; N_ANTENNAS];
+    let negated = |a: &Lanes| a.map(|v| -i64::from(v));
+
+    for i in 0..N_ANTENNAS {
+        // Input row i of [H | I] enters from the top of the array.
+        let mut x_re = [ZERO; W];
+        let mut x_im = [ZERO; W];
+        for (s, m) in h.iter().enumerate() {
+            for c in 0..N_ANTENNAS {
+                // Admitted words are below 2²⁴, so they fit an i32 lane.
+                x_re[c][s] = m[(i, c)].re.raw() as i32;
+                x_im[c][s] = m[(i, c)].im.raw() as i32;
+            }
+        }
+        x_re[N_ANTENNAS + i] = [Q16::ONE.raw() as i32; LANES];
+
+        for k in 0..N_ANTENNAS {
+            // Boundary cell (k, k): two vectoring CORDICs. The absorbed
+            // input x[k] is never read again.
+            let (magnitude, phi) = lanes.vector(&x_re[k], &x_im[k]);
+            let (r_kk, theta) = lanes.vector(&cell_re[k][k], &magnitude);
+            cell_re[k][k] = r_kk;
+
+            // Internal cells (k, k+1..W): de-phase every incoming value
+            // by −φ, then the real Givens by −θ on the (stored,
+            // incoming) re and im pairs.
+            let (neg_phi, neg_theta) = (negated(&phi), negated(&theta));
+            let tail = k + 1;
+            lanes.rotate(&neg_phi, &mut x_re[tail..], &mut x_im[tail..]);
+            lanes.rotate(&neg_theta, &mut cell_re[k][tail..], &mut x_re[tail..]);
+            lanes.rotate(&neg_theta, &mut cell_im[k][tail..], &mut x_im[tail..]);
+        }
+    }
+
+    let word = |lane: &Lanes, s: usize| Q16::from_raw(i64::from(lane[s]));
+    for (s, d) in out.iter_mut().enumerate().take(h.len()) {
+        let cell = |k: usize, j: usize| CFx::new(word(&cell_re[k][j], s), word(&cell_im[k][j], s));
+        d.r = FxMat4::from_fn(|k, j| if j >= k { cell(k, j) } else { CFx::ZERO });
+        d.q_h = FxMat4::from_fn(|k, j| cell(k, N_ANTENNAS + j));
     }
 }
 

@@ -4,6 +4,7 @@ use mimo_fixed::Q16;
 #[cfg(test)]
 use mimo_fixed::Fx;
 
+use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle};
 use crate::CORDIC_ITERATIONS;
 
 /// Result of a vectoring-mode CORDIC operation: the input vector rotated
@@ -48,9 +49,9 @@ pub struct Rotated {
 #[derive(Debug, Clone)]
 pub struct Cordic {
     /// atan(2^-i) table in Q16 radians, one entry per iteration.
-    atan_table: Vec<i64>,
+    pub(crate) atan_table: Vec<i64>,
     /// 1/K gain compensation in Q16.
-    inv_gain: Q16,
+    pub(crate) inv_gain: Q16,
     iterations: u32,
 }
 
@@ -110,20 +111,8 @@ impl Cordic {
     /// Handles all four quadrants via a pre-rotation by π when `x < 0`,
     /// like the quadrant-correction logic in front of a hardware CORDIC.
     pub fn vector(&self, x: Q16, y: Q16) -> Vectored {
-        let (mut xr, mut yr) = (x.raw(), y.raw());
         // Quadrant pre-rotation: CORDIC converges only for |angle| < ~1.74 rad.
-        let mut acc: i64 = 0;
-        if xr < 0 {
-            let pi = Q16::from_f64(std::f64::consts::PI).raw();
-            if yr >= 0 {
-                // Rotate by -π: angle accumulates +π.
-                acc = pi;
-            } else {
-                acc = -pi;
-            }
-            xr = -xr;
-            yr = -yr;
-        }
+        let (mut xr, mut yr, acc) = vector_quadrant(x.raw(), y.raw());
         // Micro-rotations drive y to zero.
         let mut z = acc;
         for i in 0..self.iterations {
@@ -151,31 +140,9 @@ impl Cordic {
     /// Angles of any magnitude are accepted; they are wrapped into
     /// (-π, π] and quadrant-corrected before the micro-rotations.
     pub fn rotate(&self, x: Q16, y: Q16, angle: Q16) -> Rotated {
-        let pi = Q16::from_f64(std::f64::consts::PI).raw();
-        let two_pi = 2 * pi;
-        let half_pi = pi / 2;
-
-        // Wrap into (-π, π].
-        let mut z = angle.raw() % two_pi;
-        if z > pi {
-            z -= two_pi;
-        } else if z < -pi {
-            z += two_pi;
-        }
-
-        let (mut xr, mut yr) = (x.raw(), y.raw());
-        // Pre-rotate by ±π/2 to bring the residual inside convergence.
-        if z > half_pi {
-            let t = xr;
-            xr = -yr;
-            yr = t;
-            z -= half_pi;
-        } else if z < -half_pi {
-            let t = xr;
-            xr = yr;
-            yr = -t;
-            z += half_pi;
-        }
+        // Wrap, then pre-rotate by ±π/2 to bring the residual inside
+        // convergence.
+        let (mut xr, mut yr, mut z) = rotate_quadrant(x.raw(), y.raw(), wrap_angle(angle.raw()));
 
         for i in 0..self.iterations {
             let (dx, dy) = (xr >> i, yr >> i);

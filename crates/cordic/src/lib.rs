@@ -15,6 +15,16 @@
 //! [`PipelinedRotator`]) whose latency matches the paper's 20 cycles
 //! (18 micro-rotations + input register + gain-compensation stage).
 //!
+//! [`CordicLanes`] is the software counterpart of the Fig 8 scheduler,
+//! which streams 20 subcarriers back to back through each CORDIC
+//! element: it runs [`LANES`] = 8 carriers through one micro-rotation
+//! sequence per step, bit-identical to [`Cordic`]. The QRD array and
+//! the pilot and timing de-rotations run their carriers through it.
+//! Data enters the lanes only while every raw word is below
+//! [`LANE_INPUT_LIMIT`] = 2²⁴, which keeps every `i32` lane
+//! intermediate far from overflow; anything larger stays on the scalar
+//! engine, which remains the oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,10 +37,13 @@
 //! assert!((v.angle.to_f64() - 0.8f64.atan2(0.6)).abs() < 1e-3);
 //! ```
 
+mod angle;
 mod engine;
+mod lanes;
 mod pipeline;
 
 pub use engine::{Cordic, Rotated, Vectored};
+pub use lanes::{CordicLanes, Lanes, LANES, LANE_INPUT_LIMIT};
 pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
 /// Pipeline latency, in clock cycles, of each CORDIC element in the

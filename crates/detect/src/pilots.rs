@@ -10,14 +10,72 @@
 //! incrementing subcarrier, the Tau value is also incremented using a
 //! feedback adder." (§IV.B)
 
-use mimo_cordic::Cordic;
+use mimo_cordic::{Cordic, CordicLanes, Lanes, LANES};
 use mimo_fixed::{CFx, CQ15, Cf64, Q16, SAMPLE_BITS};
+
+/// Narrows a rotated Q2.16 pair back onto the 16-bit sample bus.
+fn narrow(x: Q16, y: Q16) -> CQ15 {
+    let narrow: CFx<15> = CFx::new(x, y).convert();
+    narrow.saturate_bits(SAMPLE_BITS)
+}
+
+// phylint: hot
+/// De-rotates up to [`LANES`] carriers, carrier `k` by the raw Q2.16
+/// angle `angle[k]`, and narrows them back to samples.
+///
+/// The group runs on the lane CORDIC when there is one and every
+/// widened sample is inside its admitted range — always true for
+/// 16-bit samples — with a short tail group padded by zero lanes that
+/// are discarded. Otherwise each carrier goes through the scalar
+/// engine. Both paths give the same bits.
+fn rotate_group(
+    cordic: &Cordic,
+    lanes: Option<&CordicLanes>,
+    carriers: &mut [CQ15],
+    angle: &[i64; LANES],
+) {
+    debug_assert!(carriers.len() <= LANES);
+    let widened = |c: &CQ15| -> CFx<16> { c.convert() };
+    let admitted = carriers.iter().all(|c| {
+        let w = widened(c);
+        CordicLanes::accepts(w.re.raw()) && CordicLanes::accepts(w.im.raw())
+    });
+    match lanes {
+        Some(lanes) if admitted => {
+            let (mut x, mut y): (Lanes, Lanes) = ([0; LANES], [0; LANES]);
+            for (k, c) in carriers.iter().enumerate() {
+                let w = widened(c);
+                // Admitted words are below 2²⁴, so they fit an i32 lane.
+                x[k] = w.re.raw() as i32;
+                y[k] = w.im.raw() as i32;
+            }
+            lanes.rotate(
+                angle,
+                std::slice::from_mut(&mut x),
+                std::slice::from_mut(&mut y),
+            );
+            for (k, c) in carriers.iter_mut().enumerate() {
+                *c = narrow(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
+            }
+        }
+        _ => {
+            for (c, &a) in carriers.iter_mut().zip(angle) {
+                let w = widened(c);
+                let rotated = cordic.rotate(w.re, w.im, Q16::from_raw(a));
+                *c = narrow(rotated.x, rotated.y);
+            }
+        }
+    }
+}
+// phylint: end-hot
 
 /// Common (symbol-wide) phase correction from the de-scrambled pilot
 /// average.
 #[derive(Debug, Clone)]
 pub struct PilotPhaseCorrector {
     cordic: Cordic,
+    /// The de-rotation CORDIC on [`LANES`] carriers per step.
+    lanes: Option<CordicLanes>,
 }
 
 impl Default for PilotPhaseCorrector {
@@ -30,8 +88,10 @@ impl PilotPhaseCorrector {
     /// Creates the corrector (one CORDIC for the angle extraction, one
     /// rotation per subcarrier).
     pub fn new() -> Self {
+        let cordic = Cordic::new();
         Self {
-            cordic: Cordic::new(),
+            lanes: CordicLanes::new(&cordic),
+            cordic,
         }
     }
 
@@ -61,13 +121,12 @@ impl PilotPhaseCorrector {
     }
 
     /// In-place [`PilotPhaseCorrector::correct`]: the hot path rotates
-    /// the equalized symbol buffer it already owns, allocating nothing.
+    /// the equalized symbol buffer it already owns, allocating nothing,
+    /// [`LANES`] carriers per CORDIC step.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
-        for c in carriers.iter_mut() {
-            let wide: CFx<16> = c.convert();
-            let rotated = self.cordic.rotate(wide.re, wide.im, -phase);
-            let narrow: CFx<15> = CFx::new(rotated.x, rotated.y).convert();
-            *c = narrow.saturate_bits(SAMPLE_BITS);
+        let angle = [(-phase).raw(); LANES];
+        for group in carriers.chunks_mut(LANES) {
+            rotate_group(&self.cordic, self.lanes.as_ref(), group, &angle);
         }
     }
 }
@@ -82,6 +141,8 @@ impl PilotPhaseCorrector {
 #[derive(Debug, Clone)]
 pub struct TimingCorrector {
     cordic: Cordic,
+    /// The de-rotation CORDIC on [`LANES`] carriers per step.
+    lanes: Option<CordicLanes>,
     /// Replicate the paper's small-angle add/sub correction instead of
     /// an exact rotation.
     small_angle: bool,
@@ -96,8 +157,10 @@ impl Default for TimingCorrector {
 impl TimingCorrector {
     /// Creates a corrector using exact CORDIC de-rotation.
     pub fn new() -> Self {
+        let cordic = Cordic::new();
         Self {
-            cordic: Cordic::new(),
+            lanes: CordicLanes::new(&cordic),
+            cordic,
             small_angle: false,
         }
     }
@@ -107,8 +170,8 @@ impl TimingCorrector {
     /// component and by subtracting it from the imaginary component".
     pub fn small_angle() -> Self {
         Self {
-            cordic: Cordic::new(),
             small_angle: true,
+            ..Self::new()
         }
     }
 
@@ -151,27 +214,34 @@ impl TimingCorrector {
     }
 
     /// In-place [`TimingCorrector::correct`] for the allocation-free
-    /// hot path.
+    /// hot path. The exact mode de-rotates [`LANES`] carriers per
+    /// CORDIC step.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], indices: &[i32], tau: f64) {
         debug_assert_eq!(carriers.len(), indices.len());
+        let n = indices.len().min(carriers.len());
+        let carriers = &mut carriers[..n];
         let tau_q = Q16::from_f64(tau);
-        for (c, &l) in carriers.iter_mut().zip(indices) {
-            // Running adder: angle = l · tau accumulated in Q2.16.
-            let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
-            let wide: CFx<16> = c.convert();
-            *c = if self.small_angle {
+        // Running adder: angle = l · tau accumulated in Q2.16.
+        let angle_of = |l: i32| Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
+        if self.small_angle {
+            for (c, &l) in carriers.iter_mut().zip(indices) {
+                let angle = angle_of(l);
+                let wide: CFx<16> = c.convert();
                 // Paper's approximation: re += angle·im-ish terms
                 // reduce to adding tau_l to I and subtracting from
                 // Q scaled by the component magnitudes.
                 let re = wide.re + wide.im.mul(angle);
                 let im = wide.im - wide.re.mul(angle);
-                let narrow: CFx<15> = CFx::new(re, im).convert();
-                narrow.saturate_bits(SAMPLE_BITS)
-            } else {
-                let rotated = self.cordic.rotate(wide.re, wide.im, -angle);
-                let narrow: CFx<15> = CFx::new(rotated.x, rotated.y).convert();
-                narrow.saturate_bits(SAMPLE_BITS)
-            };
+                *c = narrow(re, im);
+            }
+            return;
+        }
+        for (group, idx) in carriers.chunks_mut(LANES).zip(indices.chunks(LANES)) {
+            let mut angle = [0; LANES];
+            for (a, &l) in angle.iter_mut().zip(idx) {
+                *a = (-angle_of(l)).raw();
+            }
+            rotate_group(&self.cordic, self.lanes.as_ref(), group, &angle);
         }
     }
 }
@@ -179,6 +249,7 @@ impl TimingCorrector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimo_fixed::Fx;
 
     fn rotate_all(carriers: &[CQ15], phase: f64) -> Vec<CQ15> {
         carriers
@@ -298,5 +369,109 @@ mod tests {
             &[0, 7],
         );
         assert!(tau.abs() < 1e-9);
+    }
+
+    /// Both correctors on each lane build this CPU runs: the detected
+    /// one (AVX2 on AVX2 hosts) and the portable one.
+    fn corrector_builds() -> Vec<(PilotPhaseCorrector, TimingCorrector)> {
+        let cordic = Cordic::new();
+        let detected = CordicLanes::new(&cordic).unwrap();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(detected.build_name(), "avx2");
+        }
+        [detected, CordicLanes::portable(&cordic).unwrap()]
+            .into_iter()
+            .map(|lanes| {
+                let phase = PilotPhaseCorrector {
+                    lanes: Some(lanes.clone()),
+                    ..PilotPhaseCorrector::new()
+                };
+                let timing = TimingCorrector {
+                    lanes: Some(lanes),
+                    ..TimingCorrector::new()
+                };
+                (phase, timing)
+            })
+            .collect()
+    }
+
+    /// Deterministic full-scale 16-bit samples, bus corners included.
+    fn samples(n: usize, seed: u64) -> Vec<CQ15> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 48) as i16
+        };
+        (0..n)
+            .map(|i| match i % 11 {
+                0 => CQ15::ZERO,
+                1 => CFx::new(Fx::from_raw(-32_768), Fx::from_raw(0)),
+                2 => CFx::new(Fx::from_raw(32_767), Fx::from_raw(-32_768)),
+                _ => CFx::new(Fx::from_raw(next().into()), Fx::from_raw(next().into())),
+            })
+            .collect()
+    }
+
+    /// The per-carrier scalar reference both correctors must equal.
+    fn scalar_rotate(carriers: &[CQ15], angle: impl Fn(usize) -> Q16) -> Vec<CQ15> {
+        let cordic = Cordic::new();
+        carriers
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                let wide: CFx<16> = c.convert();
+                let r = cordic.rotate(wide.re, wide.im, angle(k));
+                narrow(r.x, r.y)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn phase_lanes_match_scalar_at_every_carrier_count() {
+        let phases = [
+            0.0,
+            0.3,
+            -1.2,
+            2.9,
+            -3.1,
+            std::f64::consts::PI,
+            -std::f64::consts::FRAC_PI_2,
+        ];
+        for (phase_c, _) in corrector_builds() {
+            for n in (1..=64).chain([52]) {
+                for (p, &phase) in phases.iter().enumerate() {
+                    let phase = Q16::from_f64(phase);
+                    let rx = samples(n, (n * 7 + p) as u64);
+                    let mut got = rx.clone();
+                    phase_c.correct_in_place(&mut got, phase);
+                    assert_eq!(got, scalar_rotate(&rx, |_| -phase), "n {n} phase {phase:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timing_lanes_match_scalar_at_every_carrier_count() {
+        // Ordinary residuals, wrapping ramps, and taus whose `tau_q·l`
+        // saturates the i64 running adder.
+        let taus = [0.0, 0.015, -0.2, 1.7, 1e13, -1e13, f64::MAX, f64::MIN];
+        for (_, timing) in corrector_builds() {
+            for n in (1..=64).chain([52]) {
+                let indices: Vec<i32> = (0..n as i32).map(|k| k - n as i32 / 2).collect();
+                for (t, &tau) in taus.iter().enumerate() {
+                    let rx = samples(n, (n * 13 + t) as u64);
+                    let mut got = rx.clone();
+                    timing.correct_in_place(&mut got, &indices, tau);
+                    let tau_q = Q16::from_f64(tau);
+                    let want = scalar_rotate(&rx, |k| {
+                        -Q16::from_raw(tau_q.raw().saturating_mul(i64::from(indices[k])))
+                    });
+                    assert_eq!(got, want, "n {n} tau {tau}");
+                }
+            }
+        }
     }
 }
