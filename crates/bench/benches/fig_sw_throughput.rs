@@ -4,10 +4,9 @@
 //! the software model itself (bursts/sec and payload Mbit/s), at the
 //! paper's two named operating points, in three schedules: serial,
 //! parallel (4 scoped threads, one per spatial channel) and the
-//! batch-of-bursts `BurstPipeline` (persistent worker pool overlapping
-//! the antenna stage of burst *n+1* with the stream stage of burst
-//! *n*; on a 1-CPU host it degrades to the serial schedule, so its row
-//! then tracks the serial one).
+//! batch-of-bursts `BurstPipeline` (a scoped crew, the calling thread
+//! included, decoding whole bursts side by side; on a 1-CPU host the
+//! caller decodes alone, so its row then tracks the serial one).
 //!
 //! This is the trajectory metric for the ROADMAP's "as fast as the
 //! hardware allows" goal: the workspace + parallelism refactor is
@@ -97,7 +96,7 @@ fn measure_pipeline_bursts_per_sec(cfg: &PhyConfig, budget: Duration) -> f64 {
             })
             .collect()
     };
-    // Warm the workspace pool and pin correctness.
+    // Warm the crew's workspaces and pin correctness.
     for result in pipe.process_batch(make_batch(&mut chan)) {
         assert_eq!(result.expect("rx").payload, data, "loopback must be lossless");
     }

@@ -125,12 +125,6 @@ impl LinkGeometry {
         self
     }
 
-    /// Restores the default auto parallelism mode.
-    pub fn with_auto_parallelism(mut self) -> Self {
-        self.parallel = None;
-        self
-    }
-
     /// Validates the geometry.
     ///
     /// # Errors
@@ -186,11 +180,6 @@ impl LinkGeometry {
     /// otherwise auto (parallel exactly on multi-CPU hosts).
     pub fn parallelism(&self) -> bool {
         self.parallel.unwrap_or_else(|| host_parallelism() > 1)
-    }
-
-    /// The explicit parallelism override, or `None` in auto mode.
-    pub fn parallelism_override(&self) -> Option<bool> {
-        self.parallel
     }
 
     /// Data carriers per OFDM symbol (48 per 64-point unit).
@@ -356,14 +345,6 @@ impl PhyConfig {
         self
     }
 
-    /// Restores the default auto parallelism mode: fan out exactly
-    /// when `std::thread::available_parallelism()` reports more than
-    /// one CPU.
-    pub fn with_auto_parallelism(mut self) -> Self {
-        self.geometry = self.geometry.with_auto_parallelism();
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -427,11 +408,6 @@ impl PhyConfig {
     /// otherwise auto (parallel exactly on multi-CPU hosts).
     pub fn parallelism(&self) -> bool {
         self.geometry.parallelism()
-    }
-
-    /// The explicit parallelism override, or `None` in auto mode.
-    pub fn parallelism_override(&self) -> Option<bool> {
-        self.geometry.parallelism_override()
     }
 
     /// Baseband clock (= sample rate), Hz. The paper achieves 100 MHz.
@@ -550,7 +526,6 @@ mod tests {
     #[test]
     fn auto_parallelism_tracks_host_cpus() {
         let auto = PhyConfig::paper_synthesis();
-        assert_eq!(auto.parallelism_override(), None);
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -558,10 +533,6 @@ mod tests {
         // Explicit overrides win regardless of host shape.
         assert!(PhyConfig::paper_synthesis().with_parallelism(true).parallelism());
         assert!(!PhyConfig::paper_synthesis().with_parallelism(false).parallelism());
-        let restored = PhyConfig::paper_synthesis()
-            .with_parallelism(true)
-            .with_auto_parallelism();
-        assert_eq!(restored.parallelism_override(), None);
     }
 
     #[test]

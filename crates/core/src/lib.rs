@@ -54,11 +54,10 @@
 //!   bit-identical to concatenated batch bursts; pair it with the
 //!   `mimo_transport` crate to carry the chunks over framed links
 //!   (rings, files, sockets) with CRC, sequencing and fault recovery.
-//! * [`BurstPipeline`] — persistent worker-pool batch receiver that
-//!   overlaps the antenna stage of burst *n+1* with the stream stage
-//!   of burst *n*, recycling workspaces through a pool; batches may
-//!   freely mix rates, and [`BurstPipeline::process_batch_ref`]
-//!   decodes borrowed stream views without copying.
+//! * [`BurstPipeline`] — batch receiver: the calling thread and a
+//!   scoped crew of helpers claim whole bursts by index, each member
+//!   decoding on its own recycled workspace; batches may freely mix
+//!   rates.
 //! * [`LinkSimulation`] — end-to-end BER/PER measurement harness, with
 //!   [`LinkSimulation::sweep_mcs`] covering the whole rate grid
 //!   through one transceiver pair and
@@ -133,12 +132,13 @@
 //!   by the `parallel_determinism` integration suite). The default is
 //!   *auto*: fan-out engages only when
 //!   `std::thread::available_parallelism()` reports more than one CPU.
-//! * **Batch-of-bursts pipelining.** [`BurstPipeline`] keeps a
-//!   persistent worker pool fed with whole-burst stages, recycles
-//!   `RxWorkspace`s through a pool, decodes mixed-rate batches on one
-//!   pool, and degrades to the serial schedule on a single CPU —
-//!   bit-identical to `receive_burst` in every schedule (asserted by
-//!   the `burst_pipeline` and `signal_field` suites).
+//! * **Batch-of-bursts parallelism.** [`BurstPipeline`] decodes whole
+//!   bursts on a scoped work-claiming crew that includes the calling
+//!   thread, recycles one `RxWorkspace` per crew member across batches,
+//!   decodes mixed-rate batches, and runs the same code with a crew of
+//!   one on a single CPU — bit-identical to `receive_burst` in every
+//!   schedule (asserted by the `burst_pipeline` and `signal_field`
+//!   suites).
 //!
 //! Throughput of the software model is tracked by the
 //! `fig_sw_throughput` bench (`cargo bench -p mimo_bench --bench

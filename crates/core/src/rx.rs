@@ -58,10 +58,10 @@
 //! The two stages are also the receiver's pipeline seam: `front_stage`
 //! (sync + estimation + stage 1) and `back_stage` (header parse +
 //! stage 2 + reassembly) take the sync FSM and workspace as explicit
-//! arguments, so [`BurstPipeline`](crate::BurstPipeline) can overlap
-//! the front stage of burst *n+1* with the back stage of burst *n*
-//! across a persistent worker pool — including **mixed-rate batches**,
-//! since every burst announces its own rate.
+//! arguments, so [`BurstPipeline`](crate::BurstPipeline) can run
+//! whole bursts side by side, one sync FSM and workspace per crew
+//! member — including **mixed-rate batches**, since every burst
+//! announces its own rate.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
@@ -179,8 +179,8 @@ pub struct RxResult {
 
 /// Mutable per-burst receiver state: the time-sync FSM and the scratch
 /// workspace. It lives apart from the receiver's immutable tables so
-/// the [`BurstPipeline`](crate::BurstPipeline) can run many states
-/// against one shared receiver across worker threads.
+/// the [`BurstPipeline`](crate::BurstPipeline) can run one state per
+/// crew member against one shared receiver.
 #[derive(Debug, Clone)]
 pub(crate) struct RxState {
     pub(crate) sync: TimeSynchronizer,
@@ -416,7 +416,7 @@ impl MimoReceiver {
 
     /// Builds a fresh sync FSM + workspace pair for this receiver's
     /// geometry (used at construction, after a mid-burst panic, and by
-    /// the [`BurstPipeline`](crate::BurstPipeline) workspace pool).
+    /// the [`BurstPipeline`](crate::BurstPipeline) crew members).
     pub(crate) fn new_state(&self) -> RxState {
         RxState {
             sync: self.sync.clone(),

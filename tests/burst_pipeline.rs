@@ -1,14 +1,14 @@
 //! The batch-of-bursts pipeline must be bit-identical to serial
 //! per-burst processing.
 //!
-//! `BurstPipeline` overlaps the antenna stage of burst *n+1* with the
-//! stream stage of burst *n* across a persistent worker pool, recycling
-//! workspaces between bursts. Every burst still runs the exact
+//! `BurstPipeline` decodes whole bursts on a scoped crew (the calling
+//! thread plus helpers claiming burst indices), each member recycling
+//! its own workspace between bursts. Every burst still runs the exact
 //! front/back code of the serial receiver, so for any batch size and
 //! any worker count the payloads and diagnostics must match
 //! `receive_burst` exactly — this suite pins that, including the
-//! degraded 1-worker (serial in-caller) schedule and per-burst error
-//! isolation.
+//! 1-worker (caller-only) schedule, a crew wider than the batch and
+//! per-burst error isolation.
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
 use mimo_baseband::fixed::CQ15;
@@ -92,9 +92,10 @@ fn assert_results_identical(got: &[Result<RxResult, mimo_baseband::phy::PhyError
 #[test]
 fn pipeline_matches_serial_for_any_batch_size() {
     let cfg = PhyConfig::paper_synthesis();
-    // 4 workers forces the threaded stage-overlap schedule even on a
-    // 1-CPU host; 1 worker forces the degraded serial schedule.
-    for workers in [1usize, 4] {
+    // 4 workers forces helper threads even on a 1-CPU host; 1 worker
+    // leaves the caller alone; 64 makes the crew wider than every
+    // batch, the empty one included.
+    for workers in [1usize, 4, 64] {
         let mut pipe = BurstPipeline::with_workers(cfg.clone(), workers).unwrap();
         for batch in [0usize, 1, 2, 5] {
             let (_, bursts) = make_batch(&cfg, batch);
@@ -136,7 +137,7 @@ fn pipeline_reuses_state_across_batches() {
 #[test]
 fn pipeline_isolates_per_burst_failures() {
     let cfg = PhyConfig::paper_synthesis();
-    // Both the threaded pool and the degraded serial schedule must
+    // Both a crew with helpers and the caller-only schedule must
     // contain a bad burst to its own result slot.
     for workers in [1usize, 4] {
         let (payloads, mut bursts) = make_batch(&cfg, 3);
@@ -151,25 +152,6 @@ fn pipeline_isolates_per_burst_failures() {
 }
 
 #[test]
-fn borrowed_views_match_owned_batches() {
-    // `process_batch_ref` decodes slices borrowed from the owned
-    // bursts (no samples copied) and must be bit-identical to both
-    // `process_batch` and the serial reference, in every schedule.
-    let cfg = PhyConfig::paper_synthesis();
-    let (_, bursts) = make_batch(&cfg, 4);
-    let want = serial_reference(&cfg, &bursts);
-    for workers in [0usize, 1, 3] {
-        let mut pipe = BurstPipeline::with_workers(cfg.clone(), workers).unwrap();
-        let views: Vec<Vec<&[CQ15]>> = bursts
-            .iter()
-            .map(|b| b.iter().map(Vec::as_slice).collect())
-            .collect();
-        let got = pipe.process_batch_ref(&views);
-        assert_results_identical(&got, &want);
-    }
-}
-
-#[test]
 fn auto_worker_count_degrades_on_single_cpu() {
     let pipe = BurstPipeline::new(PhyConfig::paper_synthesis()).unwrap();
     let threads = std::thread::available_parallelism()
@@ -179,5 +161,11 @@ fn auto_worker_count_degrades_on_single_cpu() {
         assert_eq!(pipe.workers(), 0, "1-CPU host must use the serial schedule");
     } else {
         assert_eq!(pipe.workers(), threads.min(64));
+    }
+    // Explicit counts: 0 and 1 both mean the caller decodes alone;
+    // large counts are capped at 64.
+    for (asked, got) in [(0usize, 0usize), (1, 0), (100, 64)] {
+        let pipe = BurstPipeline::with_workers(PhyConfig::paper_synthesis(), asked).unwrap();
+        assert_eq!(pipe.workers(), got, "with_workers({asked})");
     }
 }
