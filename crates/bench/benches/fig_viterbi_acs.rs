@@ -7,9 +7,10 @@
 //! burst-representative sizes, with hard (±`HARD_LLR`) and noisy soft
 //! inputs.
 //!
-//! The ACS recursion is ~70 % of burst decode time in the software
-//! model, so this microbench isolates the kernel the `fig_sw_throughput`
-//! trajectory rides on. The run also reports the ACS/traceback phase
+//! The ACS recursion is the largest stage of burst decode time in the
+//! software model, so this microbench isolates the kernel that the
+//! end-to-end `gigabit_bulk` workload of the repository benchmark
+//! (`perfbench/`) rides on. The run also reports the ACS/traceback phase
 //! split (via `decode_terminated_profiled`) and which kernel the
 //! decoder's auto dispatch actually selected on this machine. Alongside
 //! the criterion timings, the run writes a `BENCH_viterbi_acs.json`

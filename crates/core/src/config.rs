@@ -16,10 +16,11 @@ use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::signal::{FLUSH_BITS, SIGNAL_BITS};
 
-/// Cached `std::thread::available_parallelism()` (1 when unknown).
-/// Scoped-thread fan-out on a 1-CPU host is pure overhead — measurably
-/// *slower* than the serial schedule — so the auto mode consults this
-/// once per process.
+/// Cached `std::thread::available_parallelism()` (1 when unknown), the
+/// crew width of the per-channel fan-out and of
+/// [`BurstPipeline::new`](crate::BurstPipeline::new). On a 1-CPU host
+/// it is 1, so every crew is the caller alone: helper threads there are
+/// pure overhead. Read once per process.
 pub(crate) fn host_parallelism() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -117,9 +118,11 @@ impl LinkGeometry {
         self
     }
 
-    /// Explicitly enables or disables the scoped-thread fan-out of the
-    /// spatial channels, overriding the default auto mode (parallel
-    /// exactly when the host has more than one CPU).
+    /// Explicitly enables or disables the crew fan-out of the spatial
+    /// channels, overriding the default auto mode (on exactly when the
+    /// host has more than one CPU). On, the crew has one member per
+    /// host CPU, the calling thread included; off, it is the caller
+    /// alone.
     pub fn with_parallelism(mut self, on: bool) -> Self {
         self.parallel = Some(on);
         self
@@ -175,9 +178,10 @@ impl LinkGeometry {
         self.soft_decoding
     }
 
-    /// Whether the per-stream hot paths run on scoped threads: the
+    /// Whether the per-channel hot paths fan out on a crew as wide as
+    /// the host has CPUs (otherwise the caller runs them alone): the
     /// explicit [`LinkGeometry::with_parallelism`] override when set,
-    /// otherwise auto (parallel exactly on multi-CPU hosts).
+    /// otherwise auto (on exactly on hosts with more than one CPU).
     pub fn parallelism(&self) -> bool {
         self.parallel.unwrap_or_else(|| host_parallelism() > 1)
     }
@@ -334,12 +338,14 @@ impl PhyConfig {
         self
     }
 
-    /// Explicitly enables or disables the scoped-thread fan-out of the
-    /// four spatial channels in `transmit_burst` / `receive_burst`,
-    /// overriding the default auto mode (parallel exactly when the
-    /// host has more than one CPU — fan-out on a 1-CPU host is pure
-    /// overhead). Both modes produce bit-identical results, mirroring
-    /// the four independent hardware channel pipelines of the paper.
+    /// Explicitly enables or disables the crew fan-out of the four
+    /// spatial channels in `transmit_burst` / `receive_burst`,
+    /// overriding the default auto mode (on exactly when the host has
+    /// more than one CPU). On, the channels are split across one crew
+    /// member per host CPU, the calling thread included; off, the
+    /// caller runs them alone. Both modes produce bit-identical
+    /// results, mirroring the four independent hardware channel
+    /// pipelines of the paper.
     pub fn with_parallelism(mut self, on: bool) -> Self {
         self.geometry = self.geometry.with_parallelism(on);
         self
@@ -403,9 +409,10 @@ impl PhyConfig {
         self.geometry.soft_decoding()
     }
 
-    /// Whether the per-stream hot paths run on scoped threads: the
+    /// Whether the per-channel hot paths fan out on a crew as wide as
+    /// the host has CPUs (otherwise the caller runs them alone): the
     /// explicit [`PhyConfig::with_parallelism`] override when set,
-    /// otherwise auto (parallel exactly on multi-CPU hosts).
+    /// otherwise auto (on exactly on hosts with more than one CPU).
     pub fn parallelism(&self) -> bool {
         self.geometry.parallelism()
     }

@@ -84,11 +84,11 @@ pub enum PhyError {
     /// only reachable through hostile or discontinuous input). The
     /// receiver has re-armed; the burst in flight is lost.
     Desync(String),
-    /// The decode pipeline's worker infrastructure failed — a worker
-    /// thread could not be spawned (OS thread limit), or a burst's
-    /// result slot was never filled. Not a signal-path error: the
-    /// samples themselves may be fine; reconfigure the pipeline (e.g.
-    /// fewer workers) and resubmit.
+    /// Reserved for failures of the decode schedule itself rather than
+    /// the signal path. No receive path constructs it: a crew helper
+    /// that cannot be spawned runs on the caller instead, and a helper
+    /// panic unwinds to the caller. The variant stays because the
+    /// repository benchmark (`perfbench/`) matches on it.
     Pipeline(String),
 }
 

@@ -119,33 +119,35 @@
 //!   their capacity. (For single-kit embeddings the subsystem crates
 //!   also support in-place re-init: `SymbolMapper::reconfigure`,
 //!   `BlockInterleaver::reconfigure`.)
-//! * **Per-channel fan-out.** When [`PhyConfig::parallelism`] is on
-//!   (a run-time choice, see [`PhyConfig::with_parallelism`]), the
-//!   transmitter runs one scoped thread per spatial channel, and the
-//!   receiver runs two parallel stages: per-antenna FFT + carrier
-//!   gather, then per-stream zero-forcing detection (row `k` of
-//!   `H⁻¹·r`), pilot corrections, demap, de-interleave and Viterbi.
-//!   The SIGNAL parse runs between the stages on the already-gathered
-//!   carriers. Each output cell is computed by exactly one worker in a
-//!   fixed order, so parallel and serial schedules are
-//!   **bit-identical** (asserted
-//!   by the `parallel_determinism` integration suite). The default is
-//!   *auto*: fan-out engages only when
-//!   `std::thread::available_parallelism()` reports more than one CPU.
-//! * **Batch-of-bursts parallelism.** [`BurstPipeline`] decodes whole
-//!   bursts on a scoped work-claiming crew that includes the calling
-//!   thread, recycles one `RxWorkspace` per crew member across batches,
-//!   decodes mixed-rate batches, and runs the same code with a crew of
-//!   one on a single CPU — bit-identical to `receive_burst` in every
-//!   schedule (asserted by the `burst_pipeline` and `signal_field`
-//!   suites).
+//! * **One thread primitive.** Both schedules below run on one scoped
+//!   crew, the only code in this crate that starts a thread: the
+//!   calling thread is member 0, each other member runs on a scoped
+//!   helper, and a crew of one is the serial schedule, with no thread
+//!   started.
+//! * **Per-channel fan-out.** The transmitter's four channel pipelines
+//!   and the receiver's two stages — per-antenna FFT + carrier gather,
+//!   then per-stream zero-forcing detection (row `k` of `H⁻¹·r`),
+//!   pilot corrections, demap, de-interleave and Viterbi — split their
+//!   channel workspaces into contiguous runs, one per crew member.
+//!   The crew is as wide as the host has CPUs when
+//!   [`PhyConfig::parallelism`] is on (a run-time choice, see
+//!   [`PhyConfig::with_parallelism`]; the default is on exactly when
+//!   `std::thread::available_parallelism()` reports more than one
+//!   CPU), and a crew of one otherwise. The SIGNAL parse runs between
+//!   the receive stages on the already-gathered carriers. Each output
+//!   cell is computed by exactly one member in a fixed order, so every
+//!   crew width is **bit-identical** (asserted by the
+//!   `parallel_determinism` integration suite).
+//! * **Batch-of-bursts parallelism.** [`BurstPipeline`] runs one crew
+//!   member per CPU, each on its own recycled `RxWorkspace`; members
+//!   claim whole bursts and decode each with a fan-out of width one.
+//!   It decodes mixed-rate batches and is bit-identical to
+//!   `receive_burst` for every worker count (asserted by the
+//!   `burst_pipeline` and `signal_field` suites).
 //!
-//! Throughput of the software model is tracked by the
-//! `fig_sw_throughput` bench (`cargo bench -p mimo_bench --bench
-//! fig_sw_throughput`), which measures end-to-end bursts/sec at the
-//! paper's named operating points **and at the rate-grid extremes**
-//! (BPSK r=1/2, 64-QAM r=3/4 via the auto-rate path), snapshotting to
-//! `BENCH_sw_throughput.json` at the repo root.
+//! End-to-end throughput and per-stage times are measured by the
+//! repository benchmark in `perfbench/` (workload `gigabit_bulk` for
+//! the per-channel fan-out, `mixed_short_awgn` for [`BurstPipeline`]).
 //!
 //! # Examples
 //!
@@ -273,6 +275,7 @@
 
 pub mod adapt;
 mod config;
+mod crew;
 mod error;
 mod link;
 mod mcs;

@@ -1,40 +1,37 @@
 //! The batch-of-bursts receive pipeline.
 //!
-//! The per-burst `thread::scope` fan-out in [`MimoReceiver`] can keep
-//! at most four cores busy (one per spatial channel) and re-pays the
-//! thread spawn/join cost on every stage of every burst. A batch holds
+//! The per-burst fan-out in [`MimoReceiver`] can keep at most four
+//! cores busy (one per spatial channel) and re-pays the helper
+//! spawn/join cost on every stage of every burst. A batch holds
 //! independent bursts, so [`BurstPipeline`] parallelises across bursts
 //! instead: each core decodes whole bursts on memories it owns, the way
-//! the paper's four channel pipelines each own theirs. One schedule
-//! runs every batch, a **scoped work-claiming crew**:
+//! the paper's four channel pipelines each own theirs. Both levels run
+//! on the same scoped crew (the calling thread is member 0, helpers are
+//! scoped threads, a crew of one starts none); here its members are:
 //!
-//! * the **calling thread is a crew member**. With it run
-//!   `min(workers, batch) − 1` helpers started by
-//!   `std::thread::Builder::spawn_scoped`; every member claims burst
-//!   indices from one atomic counter and runs each claimed burst's
-//!   front stage (sync, channel estimation, per-antenna FFT + carrier
-//!   gather) then its back stage (per-stream detection through Viterbi,
-//!   reassembly);
-//! * **the caller drains** whatever the helpers do not claim. With no
-//!   helpers — `workers() == 0`, a one-burst batch — it decodes the
-//!   whole batch itself, so the serial schedule is the same code with a
-//!   crew of one. A helper that cannot be spawned only leaves more
-//!   bursts for the members that did start;
-//! * **workspaces are recycled per crew member**: each member decodes on
-//!   its own `RxState` (sync FSM + `RxWorkspace`), kept by the pipeline
-//!   between batches, so the steady state allocates nothing per burst
-//!   beyond the decoded payloads and the result list;
+//! * **one receive state per member** — `min(workers, batch)` of them,
+//!   at least one. Each `RxState` (sync FSM + `RxWorkspace`) is kept by
+//!   the pipeline between batches, so the steady state allocates
+//!   nothing per burst beyond the decoded payloads and the result list;
+//! * **claiming whole bursts**: every member takes burst indices from
+//!   one atomic counter and runs each claimed burst's front stage
+//!   (sync, channel estimation, per-antenna FFT + carrier gather) then
+//!   its back stage (per-stream detection through Viterbi, reassembly).
+//!   With `workers() == 0` or a one-burst batch the caller decodes the
+//!   whole batch alone, so the serial schedule is the same code with a
+//!   crew of one. A member whose helper cannot be spawned finds the
+//!   counter exhausted by the time the caller runs it;
 //! * every burst runs inside `catch_unwind`: a panic becomes that
 //!   burst's typed error and rebuilds the member's state, so one bad
 //!   burst cannot poison its neighbours.
 //!
-//! Members meet only at the claim counter and at scope exit, so the
-//! pipeline takes no lock. Each member returns `(index, result)` pairs
-//! and the caller sorts them back into submission order.
+//! Members meet only at the claim counter and at the crew's join, so
+//! the pipeline takes no lock. Each member returns `(index, result)`
+//! pairs and the caller sorts them back into submission order.
 //!
 //! Each burst runs the exact same front/back code the serial receiver
-//! runs (with the within-burst four-way fan-out disabled — parallelism
-//! comes from whole bursts instead), so pipeline output is
+//! runs (with a within-burst fan-out of width one — parallelism comes
+//! from whole bursts instead), so pipeline output is
 //! **bit-identical** to `receive_burst` for any batch size and any
 //! worker count; `tests/burst_pipeline.rs` pins this. Both stages are
 //! schedules over the same per-symbol core the chunk-driven
@@ -75,6 +72,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mimo_fixed::CQ15;
 
 use crate::config::{host_parallelism, PhyConfig};
+use crate::crew::crew;
 use crate::error::PhyError;
 use crate::rx::{MimoReceiver, RxResult, RxState};
 
@@ -154,53 +152,26 @@ impl BurstPipeline {
         &mut self,
         bursts: Vec<BurstStreams>,
     ) -> Vec<Result<RxResult, PhyError>> {
-        let n = bursts.len();
-        let crew = self.workers.min(n).max(1);
+        let members = self.workers.min(bursts.len()).max(1);
         let rx = &self.rx;
-        if self.states.len() < crew {
-            self.states.resize_with(crew, || rx.new_state());
+        if self.states.len() < members {
+            self.states.resize_with(members, || rx.new_state());
         }
-        let bursts = bursts.as_slice();
-        let next = &AtomicUsize::new(0);
-        let mut members = self.states.iter_mut().take(crew);
-        let own = members.next();
-        let mut claimed = std::thread::scope(|scope| {
-            // Stop at the first spawn failure: the members already
-            // running, the caller among them, drain the rest.
-            let helpers: Vec<_> = members
-                .map_while(|st| {
-                    std::thread::Builder::new()
-                        .name("burst-crew".into())
-                        .spawn_scoped(scope, move || drain(rx, next, bursts, st))
-                        .ok()
-                })
-                .collect();
-            let mut claimed = own.map(|st| drain(rx, next, bursts, st)).unwrap_or_default();
-            for helper in helpers {
-                // A helper can only die outside `catch_unwind`; its
-                // bursts then surface as unfilled slots below.
-                if let Ok(mut theirs) = helper.join() {
-                    claimed.append(&mut theirs);
-                }
-            }
-            claimed
-        });
+        let next = AtomicUsize::new(0);
+        let mut claimed: Vec<_> = crew(&mut self.states[..members], |st| {
+            drain(rx, &next, &bursts, st)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         claimed.sort_unstable_by_key(|&(i, _)| i);
-        let mut claimed = claimed.into_iter().peekable();
-        (0..n)
-            .map(|i| match claimed.next_if(|&(j, _)| j == i) {
-                Some((_, result)) => result,
-                None => Err(PhyError::Pipeline(
-                    "burst result never delivered by a crew member".into(),
-                )),
-            })
-            .collect()
+        claimed.into_iter().map(|(_, result)| result).collect()
     }
 }
 
 /// One crew member: claims burst indices until the batch runs out and
-/// decodes each whole burst on the member's own state, with the
-/// within-burst fan-out disabled. Returns `(burst index, result)`
+/// decodes each whole burst on the member's own state, with a
+/// within-burst fan-out of width one. Returns `(burst index, result)`
 /// pairs.
 fn drain(
     rx: &MimoReceiver,
@@ -215,8 +186,8 @@ fn drain(
             return claimed;
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rx.front_stage(&mut st.sync, &mut st.workspace, burst, false)
-                .and_then(|front| rx.back_stage(&mut st.workspace, &front, false))
+            rx.front_stage(&mut st.sync, &mut st.workspace, burst, 1)
+                .and_then(|front| rx.back_stage(&mut st.workspace, &front, 1))
         }));
         let result = outcome.unwrap_or_else(|_| {
             // The state may be mid-mutation; rebuild it before the

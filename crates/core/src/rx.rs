@@ -29,8 +29,8 @@
 //!   ([`assemble_payload`]) close a burst.
 //!
 //! [`MimoReceiver::receive_burst`] (whole capture, two parallel
-//! stages), [`BurstPipeline`](crate::BurstPipeline) (batched stage
-//! overlap) and [`StreamingReceiver`](crate::StreamingReceiver)
+//! stages), [`BurstPipeline`](crate::BurstPipeline) (whole bursts
+//! side by side) and [`StreamingReceiver`](crate::StreamingReceiver)
 //! (chunked ingest, per-symbol state machine) are all thin drivers of
 //! these pieces, so their outputs are bit-identical by construction —
 //! enforced by `tests/streaming_rx.rs`, `tests/burst_pipeline.rs` and
@@ -47,11 +47,12 @@
 //!    symbols, then that stream's Viterbi decode and descramble,
 //!    entirely inside stream `k`'s workspace at the burst's MCS.
 //!
-//! Both stages are embarrassingly parallel across the four channels;
-//! when [`PhyConfig::parallelism`] is on they fan out across scoped
-//! threads and produce bit-identical results to the serial schedule,
-//! because every output cell is computed by exactly one worker in a
-//! fixed order.
+//! Both stages are embarrassingly parallel across the four channels.
+//! Each runs on a crew that includes the calling thread, one member
+//! per host CPU when [`PhyConfig::parallelism`] is on and the caller
+//! alone otherwise; every member owns a contiguous run of the channel
+//! workspaces. All widths are bit-identical, because every output cell
+//! is computed by exactly one member in a fixed order.
 //! The SIGNAL-field decode runs between the stages, on the already
 //! gathered carriers, before the per-stream fan-out.
 //!
@@ -70,13 +71,14 @@ use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
 
-use crate::config::{LinkGeometry, PhyConfig};
+use crate::config::{host_parallelism, LinkGeometry, PhyConfig};
+use crate::crew::fan_out;
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
 use crate::signal::{parse_signal_field, SIGNAL_BITS};
 use crate::tx::SCRAMBLER_SEED;
-use crate::workspace::{run_four, RxStreamWorkspace, RxWorkspace};
+use crate::workspace::{RxStreamWorkspace, RxWorkspace};
 
 /// Samples the demodulation windows retreat into the cyclic
 /// prefix/guard. Multipath makes the correlator lock on the strongest
@@ -535,7 +537,7 @@ impl MimoReceiver {
         S: AsRef<[CQ15]> + Sync,
     {
         // The state leaves `self` for the duration of the burst so the
-        // per-channel workers can borrow it mutably while sharing
+        // crew members can borrow it mutably while sharing
         // `&self` (trellis tables, carrier maps, correctors). A panic
         // mid-stage leaves `None` behind; rebuild in that case rather
         // than indexing into zero-length slots.
@@ -543,10 +545,10 @@ impl MimoReceiver {
             Some(s) if s.workspace.antennas.len() == self.cfg.n_streams() => s,
             _ => self.new_state(),
         };
-        let parallel = self.cfg.parallelism();
+        let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
         let result = self
-            .front_stage(&mut state.sync, &mut state.workspace, streams, parallel)
-            .and_then(|front| self.back_stage(&mut state.workspace, &front, parallel));
+            .front_stage(&mut state.sync, &mut state.workspace, streams, width)
+            .and_then(|front| self.back_stage(&mut state.workspace, &front, width));
         self.state = Some(state);
         result
     }
@@ -554,16 +556,16 @@ impl MimoReceiver {
     /// The front (antenna) stage of one burst: time sync, channel
     /// estimation/inversion, then per-antenna symbol ingest + carrier
     /// gather into the workspace. Entirely rate-independent — it runs
-    /// before the SIGNAL field is parsed. `parallel` fans the antenna
-    /// loop out across scoped threads; the
-    /// [`BurstPipeline`](crate::BurstPipeline) passes `false` and
-    /// overlaps whole stages across bursts instead.
+    /// before the SIGNAL field is parsed. `width` is the size of the
+    /// crew the antenna loop fans out on (1 = the caller alone); the
+    /// [`BurstPipeline`](crate::BurstPipeline) passes 1 and runs whole
+    /// bursts side by side instead.
     pub(crate) fn front_stage<S>(
         &self,
         sync: &mut TimeSynchronizer,
         workspace: &mut RxWorkspace,
         streams: &[S],
-        parallel: bool,
+        width: usize,
     ) -> Result<FrontInfo, PhyError>
     where
         S: AsRef<[CQ15]> + Sync,
@@ -653,7 +655,7 @@ impl MimoReceiver {
             }
             Ok(())
         };
-        run_four(parallel, &mut workspace.antennas, run_antenna)?;
+        fan_out(width, &mut workspace.antennas, run_antenna)?;
 
         Ok(FrontInfo {
             event,
@@ -672,7 +674,7 @@ impl MimoReceiver {
         &self,
         workspace: &mut RxWorkspace,
         front: &FrontInfo,
-        parallel: bool,
+        width: usize,
     ) -> Result<RxResult, PhyError> {
         let geometry = self.cfg.geometry();
         let sym_len = geometry.symbol_samples();
@@ -710,7 +712,7 @@ impl MimoReceiver {
             self.run_stream_symbols(k, ws, &freq, &front.h_inv, kit, h, n_symbols, true)?;
             self.decode_stream(params.stream_bytes(k, n_streams), ws)
         };
-        run_four(parallel, stream_ws, run_stream)?;
+        fan_out(width, stream_ws, run_stream)?;
 
         let payload = assemble_payload(&params, n_streams, stream_ws)?;
         Ok(finish_result(front.event, params.mcs, n_symbols, stream_ws, payload))

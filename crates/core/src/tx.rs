@@ -15,12 +15,13 @@ use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
 use mimo_ofdm::OfdmModulator;
 
-use crate::config::PhyConfig;
+use crate::config::{host_parallelism, PhyConfig};
+use crate::crew::fan_out;
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
 use crate::signal::{encode_signal_field, FLUSH_BITS};
-use crate::workspace::{run_four, TxStreamWorkspace, TxWorkspace};
+use crate::workspace::{TxStreamWorkspace, TxWorkspace};
 
 /// Scrambler seed shared by transmitter and receiver.
 pub(crate) const SCRAMBLER_SEED: u8 = 0x5D;
@@ -74,9 +75,10 @@ impl TxBurst {
 /// Owns a preallocated `TxWorkspace` (one scratch set per spatial
 /// channel, sized for the max-MCS envelope) so the per-symbol
 /// interleave → map → IFFT → CP loop runs without heap allocation at
-/// **any** MCS, and — when [`PhyConfig::parallelism`] is on — fans the
-/// four channel pipelines out across scoped threads, mirroring the four
-/// parallel hardware chains of Fig 1.
+/// **any** MCS. The four channel pipelines, mirroring the four parallel
+/// hardware chains of Fig 1, run on a crew that includes the calling
+/// thread: one member per host CPU when [`PhyConfig::parallelism`] is
+/// on, the caller alone otherwise.
 #[derive(Debug)]
 pub struct MimoTransmitter {
     cfg: PhyConfig,
@@ -273,10 +275,9 @@ impl MimoTransmitter {
         )?;
 
         // Per-stream payload pipeline — "four separate and independent
-        // channels", each on its own workspace (and, in parallel mode,
-        // its own thread).
+        // channels", each on its own workspace, split across the crew.
         let kit = self.rates.kit(mcs);
-        let parallel = self.cfg.parallelism();
+        let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
         let mut work: Vec<(&mut [CQ15], &[u8], &mut TxStreamWorkspace)> = streams
             .iter_mut()
             .zip(&per_stream)
@@ -285,7 +286,7 @@ impl MimoTransmitter {
                 (&mut stream[pre_len + header_len..], bytes.as_slice(), ws)
             })
             .collect();
-        run_four(parallel, &mut work, |_, (out, bytes, ws)| {
+        fan_out(width, &mut work, |_, (out, bytes, ws)| {
             self.run_stream_pipeline(kit, bytes, n_symbols, header_symbols, out, ws)
         })?;
         drop(work);

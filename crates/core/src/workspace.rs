@@ -6,8 +6,8 @@
 //! touch lives in a workspace sized from [`LinkGeometry`], so the
 //! steady-state payload loops of `transmit_burst` / `receive_burst`
 //! perform **zero heap allocation**, and each spatial channel owns a
-//! private stream workspace so the four channels can run on scoped
-//! threads with no shared mutable state.
+//! private stream workspace, so the crew members that run the four
+//! channels share no mutable state.
 //!
 //! Rate agility does not change this: the per-symbol bit buffers are
 //! sized for the **max-MCS envelope** (64-QAM's N_CBPS, the widest the
@@ -176,42 +176,4 @@ impl RxWorkspace {
             header: make_stream(),
         }
     }
-}
-
-/// Runs `f(index, &mut items[index])` for the four channel slots —
-/// across scoped threads when `parallel`, in index order otherwise.
-/// Both schedules write disjoint state in identical per-item order, so
-/// the results are bit-identical.
-pub(crate) fn run_four<T: Send, E: Send>(
-    parallel: bool,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) -> Result<(), E> + Sync,
-) -> Result<(), E> {
-    if parallel && items.len() > 1 {
-        let f = &f;
-        let results: Vec<Result<(), E>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .iter_mut()
-                .enumerate()
-                .map(|(i, item)| scope.spawn(move || f(i, item)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // A worker panic is a bug in `f`; re-raise it on the
-                    // caller's thread with the original payload intact.
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        for result in results {
-            result?;
-        }
-        return Ok(());
-    }
-    for (i, item) in items.iter_mut().enumerate() {
-        f(i, item)?;
-    }
-    Ok(())
 }

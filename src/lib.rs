@@ -108,11 +108,11 @@
 //!   kernel. All tiers are decode-for-decode bit-identical;
 //!   [`coding::ViterbiKernel`] pins one for differential runs through
 //!   [`coding::ViterbiDecoder::decode_terminated_with`].
-//! * **Channel fan-out.** [`phy::PhyConfig::with_parallelism`] fans
-//!   the four spatial channels out across scoped threads (auto: on
-//!   exactly when the host has more than one CPU);
-//!   `with_parallelism(false)` runs the serial schedule, which stays
-//!   bit-identical.
+//! * **Channel fan-out.** [`phy::PhyConfig::with_parallelism`] splits
+//!   the four spatial channels across a crew with one member per host
+//!   CPU, the calling thread included (auto: on exactly when the host
+//!   has more than one CPU); `with_parallelism(false)` is a crew of
+//!   one, the caller alone, and stays bit-identical.
 pub use mimo_fixed as fixed;
 
 /// CORDIC rotation/vectoring engines with the paper's 20-cycle pipeline.

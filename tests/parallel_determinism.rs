@@ -1,9 +1,12 @@
 //! Parallel and serial schedules must be bit-identical.
 //!
 //! The receiver's two-stage fan-out (per-antenna FFT, then per-stream
-//! detect → demap → Viterbi) and the transmitter's per-channel workers
-//! partition every output cell to exactly one worker, so thread
-//! scheduling can never change a result. This suite pins that
+//! detect → demap → Viterbi) and the transmitter's channel pipelines
+//! run on a crew: the calling thread plus one scoped helper per extra
+//! host CPU, each member owning a contiguous run of channels;
+//! `with_parallelism(false)` is a crew of one. Every output cell
+//! belongs to exactly one member, so thread scheduling can never
+//! change a result. This suite pins that
 //! guarantee over a seeded sweep of payload sizes, modulations and
 //! channel impairments: payloads, diagnostics and raw TX samples all
 //! match exactly between `with_parallelism(true)` and `(false)`.
