@@ -1,16 +1,13 @@
 //! Transceiver configuration, split along the rate-agile seam:
 //!
 //! * [`LinkGeometry`] — the **static** parameter set fixed at
-//!   synthesis/link-bringup time (streams, FFT size, clock, processing
+//!   synthesis/link-bringup time (streams, FFT size, processing
 //!   options). Transmitters and receivers are built from this alone.
 //! * [`crate::BurstParams`] — the **per-burst** parameter set (MCS +
 //!   payload length), carried over the air in the SIGNAL-field header.
-//! * [`PhyConfig`] — the original monolithic view (geometry + a
-//!   default rate), kept as a thin wrapper so single-rate callers and
-//!   the paper's named operating points keep working unchanged.
-
-use mimo_coding::CodeRate;
-use mimo_modem::Modulation;
+//! * [`PhyConfig`] — a geometry plus a default [`Mcs`], the view
+//!   single-rate callers and the paper's named operating points use;
+//!   rate arithmetic lives on [`Mcs`] alone.
 
 use crate::error::PhyError;
 use crate::mcs::Mcs;
@@ -30,10 +27,14 @@ pub(crate) fn host_parallelism() -> usize {
     })
 }
 
+/// The paper's achieved baseband clock (= sample rate), Hz.
+const CLOCK_HZ: f64 = 100.0e6;
+
 /// The static link geometry: everything the paper's entities fix
 /// "prior to logic synthesis" that does **not** change per burst —
-/// spatial streams, FFT size, baseband clock, and the link-level
-/// processing options (scrambling, soft decoding, parallelism).
+/// spatial streams, FFT size and the link-level processing options
+/// (scrambling, soft decoding, parallelism). The baseband clock is the
+/// paper's achieved 100 MHz.
 ///
 /// A receiver built from a `LinkGeometry` alone decodes bursts at
 /// every [`Mcs`] in the table, learning each burst's rate from its
@@ -56,7 +57,6 @@ pub(crate) fn host_parallelism() -> usize {
 pub struct LinkGeometry {
     n_streams: usize,
     fft_size: usize,
-    clock_hz: f64,
     scramble: bool,
     soft_decoding: bool,
     /// `None` = auto: parallel exactly when the host has more than one
@@ -71,7 +71,6 @@ impl LinkGeometry {
         Self {
             n_streams: 4,
             fft_size: 64,
-            clock_hz: 100.0e6,
             scramble: true,
             soft_decoding: true,
             parallel: None,
@@ -95,12 +94,6 @@ impl LinkGeometry {
     /// Sets the FFT size (64, 128, 256 or 512).
     pub fn with_fft_size(mut self, n: usize) -> Self {
         self.fft_size = n;
-        self
-    }
-
-    /// Sets the baseband clock in Hz.
-    pub fn with_clock_hz(mut self, hz: f64) -> Self {
-        self.clock_hz = hz;
         self
     }
 
@@ -147,9 +140,6 @@ impl LinkGeometry {
                 self.fft_size
             )));
         }
-        if self.clock_hz <= 0.0 {
-            return Err(PhyError::BadConfig("clock must be positive".into()));
-        }
         Ok(())
     }
 
@@ -165,7 +155,7 @@ impl LinkGeometry {
 
     /// Baseband clock (= sample rate), Hz. The paper achieves 100 MHz.
     pub fn clock_hz(&self) -> f64 {
-        self.clock_hz
+        CLOCK_HZ
     }
 
     /// Whether the data scrambler is enabled.
@@ -199,7 +189,7 @@ impl LinkGeometry {
     /// OFDM symbol duration in seconds at the configured clock
     /// (one sample per cycle).
     pub fn symbol_duration_s(&self) -> f64 {
-        self.symbol_samples() as f64 / self.clock_hz
+        self.symbol_samples() as f64 / CLOCK_HZ
     }
 
     /// Information bits per SIGNAL-field symbol: the header is always
@@ -223,14 +213,13 @@ impl Default for LinkGeometry {
 }
 
 /// Configuration of the baseband transceiver: a [`LinkGeometry`] plus
-/// a *default* modulation and code rate.
+/// a *default* [`Mcs`].
 ///
 /// The paper's entities are parameterized "prior to logic synthesis";
-/// this struct is that parameter set, kept API-compatible from before
-/// the rate-agile split. The modulation/code-rate pair only selects
-/// the **default** [`Mcs`] that [`crate::MimoTransmitter::transmit_burst`]
-/// uses — receivers ignore it entirely and learn each burst's rate
-/// from the SIGNAL-field header.
+/// this struct is that parameter set. The MCS is only the **default**
+/// that [`crate::MimoTransmitter::transmit_burst`] uses — receivers
+/// ignore it entirely and learn each burst's rate from the SIGNAL-field
+/// header.
 ///
 /// # Examples
 ///
@@ -240,13 +229,12 @@ impl Default for LinkGeometry {
 /// let cfg = PhyConfig::gigabit();
 /// // 4 streams × 48 carriers × 6 bits × 3/4 over an 80-sample symbol
 /// // at 100 MHz = 1.08 Gbps: the paper's headline.
-/// assert!(cfg.throughput_bps() > 1.0e9);
+/// assert!(cfg.mcs().data_rate_bps(cfg.geometry()) > 1.0e9);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhyConfig {
     geometry: LinkGeometry,
-    modulation: Modulation,
-    code_rate: CodeRate,
+    mcs: Mcs,
 }
 
 impl PhyConfig {
@@ -255,8 +243,7 @@ impl PhyConfig {
     pub fn paper_synthesis() -> Self {
         Self {
             geometry: LinkGeometry::mimo(),
-            modulation: Modulation::Qam16,
-            code_rate: CodeRate::Half,
+            mcs: Mcs::Qam16R12,
         }
     }
 
@@ -264,8 +251,7 @@ impl PhyConfig {
     /// 64-point OFDM at the 100 MHz achieved clock.
     pub fn gigabit() -> Self {
         Self {
-            modulation: Modulation::Qam64,
-            code_rate: CodeRate::ThreeQuarters,
+            mcs: Mcs::Qam64R34,
             ..Self::paper_synthesis()
         }
     }
@@ -278,8 +264,8 @@ impl PhyConfig {
         }
     }
 
-    /// Builds a configuration from a geometry; the default modulation
-    /// and code rate are the paper's synthesis point (16-QAM r=1/2).
+    /// Builds a configuration from a geometry; the default MCS is the
+    /// paper's synthesis point (16-QAM r=1/2).
     /// Use [`PhyConfig::with_mcs`] to pick a different default.
     pub fn from_geometry(geometry: LinkGeometry) -> Self {
         Self {
@@ -305,23 +291,9 @@ impl PhyConfig {
         self
     }
 
-    /// Sets the default modulation scheme.
-    pub fn with_modulation(mut self, m: Modulation) -> Self {
-        self.modulation = m;
-        self
-    }
-
-    /// Sets the default code rate.
-    pub fn with_code_rate(mut self, r: CodeRate) -> Self {
-        self.code_rate = r;
-        self
-    }
-
-    /// Sets both the default modulation and code rate from a table
-    /// entry.
+    /// Sets the default MCS.
     pub fn with_mcs(mut self, mcs: Mcs) -> Self {
-        self.modulation = mcs.modulation();
-        self.code_rate = mcs.code_rate();
+        self.mcs = mcs;
         self
     }
 
@@ -361,22 +333,9 @@ impl PhyConfig {
         self.geometry.validate()
     }
 
-    /// The [`Mcs`] table entry matching this configuration's default
-    /// modulation × code rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::BadConfig`] when the pair is not a table
-    /// row (e.g. 64-QAM r=1/2): such points can still be *analyzed*
-    /// ([`PhyConfig::throughput_bps`]) but not transmitted, because
-    /// the SIGNAL field cannot signal them.
-    pub fn mcs(&self) -> Result<Mcs, PhyError> {
-        Mcs::from_parts(self.modulation, self.code_rate).ok_or_else(|| {
-            PhyError::BadConfig(format!(
-                "{} at rate {} is not an MCS table entry; see Mcs::ALL",
-                self.modulation, self.code_rate
-            ))
-        })
+    /// The default MCS.
+    pub fn mcs(&self) -> Mcs {
+        self.mcs
     }
 
     /// Number of spatial streams.
@@ -387,16 +346,6 @@ impl PhyConfig {
     /// FFT size.
     pub fn fft_size(&self) -> usize {
         self.geometry.fft_size()
-    }
-
-    /// Default modulation scheme.
-    pub fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    /// Default channel code rate.
-    pub fn code_rate(&self) -> CodeRate {
-        self.code_rate
     }
 
     /// Whether the data scrambler is enabled.
@@ -427,18 +376,6 @@ impl PhyConfig {
         self.geometry.data_carriers()
     }
 
-    /// Coded bits per OFDM symbol per stream (N_CBPS) at the default
-    /// rate.
-    pub fn coded_bits_per_symbol(&self) -> usize {
-        self.data_carriers() * self.modulation.bits_per_symbol()
-    }
-
-    /// Information bits per OFDM symbol per stream (N_DBPS) at the
-    /// default rate.
-    pub fn info_bits_per_symbol(&self) -> usize {
-        self.coded_bits_per_symbol() * self.code_rate.numerator() / self.code_rate.denominator()
-    }
-
     /// Samples per OFDM symbol on air (N + N/4).
     pub fn symbol_samples(&self) -> usize {
         self.geometry.symbol_samples()
@@ -448,13 +385,6 @@ impl PhyConfig {
     /// (one sample per cycle).
     pub fn symbol_duration_s(&self) -> f64 {
         self.geometry.symbol_duration_s()
-    }
-
-    /// Aggregate information throughput in bits per second at the
-    /// default rate: streams × N_DBPS / symbol duration. This is the
-    /// arithmetic behind the paper's 1 Gbps claim.
-    pub fn throughput_bps(&self) -> f64 {
-        (self.n_streams() * self.info_bits_per_symbol()) as f64 / self.symbol_duration_s()
     }
 }
 
@@ -468,58 +398,48 @@ mod tests {
         cfg.validate().unwrap();
         assert_eq!(cfg.n_streams(), 4);
         assert_eq!(cfg.data_carriers(), 48);
-        assert_eq!(cfg.coded_bits_per_symbol(), 192);
-        assert_eq!(cfg.info_bits_per_symbol(), 96);
+        let (mcs, geom) = (cfg.mcs(), cfg.geometry());
+        assert_eq!(mcs, Mcs::Qam16R12);
+        assert_eq!(mcs.coded_bits_per_symbol(geom), 192);
+        assert_eq!(mcs.info_bits_per_symbol(geom), 96);
         // 4 × 96 bits / 800 ns = 480 Mbps.
-        assert!((cfg.throughput_bps() - 480.0e6).abs() < 1.0);
-        // And the default rates are table members.
-        assert_eq!(cfg.mcs().unwrap(), Mcs::Qam16R12);
-        assert_eq!(PhyConfig::gigabit().mcs().unwrap(), Mcs::Qam64R34);
+        assert!((mcs.data_rate_bps(geom) - 480.0e6).abs() < 1.0);
+        assert_eq!(PhyConfig::default(), cfg);
+        assert_eq!(PhyConfig::gigabit().mcs(), Mcs::Qam64R34);
     }
 
     #[test]
     fn gigabit_point_exceeds_1gbps() {
         let cfg = PhyConfig::gigabit();
         // 4 × 216 / 800 ns = 1.08 Gbps.
-        assert!((cfg.throughput_bps() - 1.08e9).abs() < 1e3);
+        assert!((cfg.mcs().data_rate_bps(cfg.geometry()) - 1.08e9).abs() < 1e3);
+        assert_eq!(cfg.clock_hz(), 100.0e6);
     }
 
     #[test]
     fn info_bits_are_integral_for_all_rate_modulation_pairs() {
         use mimo_coding::CodeRate;
         use mimo_modem::Modulation;
+        // The 48 data carriers keep N_DBPS = N_CBPS · rate exact for
+        // every pair, table row or not.
+        let carriers = PhyConfig::paper_synthesis().data_carriers();
         for m in Modulation::ALL {
             for r in CodeRate::ALL {
-                let cfg = PhyConfig::paper_synthesis()
-                    .with_modulation(m)
-                    .with_code_rate(r);
-                let ncbps = cfg.coded_bits_per_symbol();
-                let ndbps = cfg.info_bits_per_symbol();
-                // N_DBPS = N_CBPS · rate must be exact.
-                assert_eq!(
-                    ndbps * r.denominator(),
-                    ncbps * r.numerator(),
-                    "{m} {r}"
-                );
+                let ncbps = carriers * m.bits_per_symbol();
+                assert_eq!(ncbps * r.numerator() % r.denominator(), 0, "{m} {r}");
             }
         }
-    }
-
-    #[test]
-    fn off_table_pairs_are_analyzable_but_not_signalable() {
-        let cfg = PhyConfig::paper_synthesis()
-            .with_modulation(Modulation::Qam64)
-            .with_code_rate(CodeRate::Half);
-        assert!(cfg.throughput_bps() > 0.0);
-        assert!(matches!(cfg.mcs(), Err(PhyError::BadConfig(_))));
+        for mcs in Mcs::ALL {
+            assert_eq!(PhyConfig::paper_synthesis().with_mcs(mcs).mcs(), mcs);
+        }
     }
 
     #[test]
     fn throughput_independent_of_fft_size() {
         // Carriers and symbol duration scale together.
-        let a = PhyConfig::gigabit().with_fft_size(64).throughput_bps();
-        let b = PhyConfig::gigabit().with_fft_size(512).throughput_bps();
-        assert!((a - b).abs() < 1.0);
+        let rate =
+            |n| Mcs::Qam64R34.data_rate_bps(PhyConfig::gigabit().with_fft_size(n).geometry());
+        assert!((rate(64) - rate(512)).abs() < 1.0);
     }
 
     #[test]
@@ -546,6 +466,5 @@ mod tests {
     fn validation_rejects_bad_configs() {
         assert!(PhyConfig::paper_synthesis().with_streams(2).validate().is_err());
         assert!(PhyConfig::paper_synthesis().with_fft_size(96).validate().is_err());
-        assert!(LinkGeometry::mimo().with_clock_hz(0.0).validate().is_err());
     }
 }

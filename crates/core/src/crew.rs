@@ -9,7 +9,7 @@
 //!   pipelines, RX per-antenna ingest, RX per-stream decode — into
 //!   contiguous runs, one per member;
 //! * [`BurstPipeline`](crate::BurstPipeline) gives each member a
-//!   receive state, and the members claim whole bursts.
+//!   receive workspace, and the members claim whole bursts.
 //!
 //! Each member borrows its own state mutably and shares everything
 //! else read-only, so every output cell is written by exactly one

@@ -6,8 +6,8 @@
 //! # The rate-agile API
 //!
 //! * [`LinkGeometry`] — the **static** link parameters (streams, FFT
-//!   size, clock, processing options). Transmitters, receivers and
-//!   pipelines are built from this alone.
+//!   size, processing options; the clock is the paper's 100 MHz).
+//!   Transmitters, receivers and pipelines are built from this alone.
 //! * [`Mcs`] — the typed modulation-and-coding table (BPSK r=1/2
 //!   through 64-QAM r=3/4) the SIGNAL-field rate index selects, with
 //!   [`Mcs::data_rate_bps`]/[`Mcs::bits_per_symbol`] derived methods.
@@ -56,8 +56,8 @@
 //!   (rings, files, sockets) with CRC, sequencing and fault recovery.
 //! * [`BurstPipeline`] — batch receiver: the calling thread and a
 //!   scoped crew of helpers claim whole bursts by index, each member
-//!   decoding on its own recycled workspace; batches may freely mix
-//!   rates.
+//!   decoding on its own recycled workspace against one shared set of
+//!   receiver tables; batches may freely mix rates.
 //! * [`LinkSimulation`] — end-to-end BER/PER measurement harness, with
 //!   [`LinkSimulation::sweep_mcs`] covering the whole rate grid
 //!   through one transceiver pair and
@@ -89,11 +89,14 @@
 //!   `process_symbol` path; header parse, per-stream Viterbi and
 //!   round-robin reassembly close a burst.
 //!
-//! [`MimoReceiver::receive_burst`] runs that core over a stored
-//! capture in two parallel stages; [`BurstPipeline`] overlaps those
-//! stages across bursts; [`StreamingReceiver`] advances a per-symbol
-//! state machine (`Searching → Estimating → HeaderDecode →
-//! Payload{symbol_idx}`) as chunks arrive. Because there is only one
+//! The receiver's immutable tables and stage methods live in one
+//! crate-private core; each receive mode is that core plus the
+//! workspaces it owns. [`MimoReceiver::receive_burst`] runs the core
+//! over a stored capture in two parallel stages on one workspace;
+//! [`BurstPipeline`] runs the same two stages on whole bursts side by
+//! side, one workspace per crew member; [`StreamingReceiver`] advances
+//! a per-symbol state machine (`Searching → Estimating → HeaderDecode
+//! → Payload{symbol_idx}`) as chunks arrive. Because there is only one
 //! implementation of each stage, the three modes are **bit-identical
 //! by construction** — enforced for every MCS row and chunk sizes
 //! {1, prime, symbol, whole-burst} (including preambles straddling
@@ -102,22 +105,28 @@
 //! # Workspace + parallelism architecture
 //!
 //! The paper's 1 Gbps headline comes from four baseband channels
-//! running in true hardware parallelism with fixed-size memories.
-//! This crate mirrors both properties in software:
+//! running in true hardware parallelism, each with its own fixed-size
+//! memories. This crate mirrors both properties in software:
 //!
-//! * **Zero-allocation hot paths at every rate.** Both chains own
-//!   preallocated scratch workspaces sized from [`LinkGeometry`] at
-//!   the **max-MCS envelope** (64-QAM's N_CBPS), and per-burst rate
+//! * **Plain endpoint state, no locks.** Every endpoint is immutable
+//!   tables plus scratch owned by whoever runs the channel. Receivers
+//!   own workspaces sized from [`LinkGeometry`] at the **max-MCS
+//!   envelope** (64-QAM's N_CBPS) and keep them across bursts; the
+//!   transmitter holds only tables, so
+//!   [`MimoTransmitter::transmit_burst_with`] takes `&self` and builds
+//!   one scratch set per channel for each burst, as it builds the
+//!   burst's output streams. No endpoint holds a lock.
+//! * **Zero-allocation hot paths at every rate.** Per-burst rate
 //!   reconfiguration is an index into a prebuilt bank of datapath kits
 //!   (mapper LUT, demapper thresholds, interleaver permutation — one
 //!   per [`Mcs`] row, the software analogue of the hardware holding
 //!   every LUT and multiplexing on the rate field). Every per-symbol
 //!   stage calls the subsystem crates' in-place `_into` APIs, so the
-//!   steady-state payload loops of `transmit_burst_with` /
+//!   per-symbol payload loops of `transmit_burst_with` /
 //!   `receive_burst` perform no heap allocation at any MCS;
-//!   burst-length-dependent buffers grow once per burst and keep
-//!   their capacity. (For single-kit embeddings the subsystem crates
-//!   also support in-place re-init: `SymbolMapper::reconfigure`,
+//!   burst-length-dependent receive buffers grow once per burst and
+//!   keep their capacity. (For single-kit embeddings the subsystem
+//!   crates also support in-place re-init: `SymbolMapper::reconfigure`,
 //!   `BlockInterleaver::reconfigure`.)
 //! * **One thread primitive.** Both schedules below run on one scoped
 //!   crew, the only code in this crate that starts a thread: the
@@ -139,7 +148,7 @@
 //!   crew width is **bit-identical** (asserted by the
 //!   `parallel_determinism` integration suite).
 //! * **Batch-of-bursts parallelism.** [`BurstPipeline`] runs one crew
-//!   member per CPU, each on its own recycled `RxWorkspace`; members
+//!   member per CPU, each on its own recycled receive workspace; members
 //!   claim whole bursts and decode each with a fan-out of width one.
 //!   It decodes mixed-rate batches and is bit-identical to
 //!   `receive_burst` for every worker count (asserted by the

@@ -1,18 +1,20 @@
 //! The batch-of-bursts receive pipeline.
 //!
-//! The per-burst fan-out in [`MimoReceiver`] can keep at most four
-//! cores busy (one per spatial channel) and re-pays the helper
-//! spawn/join cost on every stage of every burst. A batch holds
-//! independent bursts, so [`BurstPipeline`] parallelises across bursts
-//! instead: each core decodes whole bursts on memories it owns, the way
-//! the paper's four channel pipelines each own theirs. Both levels run
-//! on the same scoped crew (the calling thread is member 0, helpers are
-//! scoped threads, a crew of one starts none); here its members are:
+//! The per-burst fan-out in [`MimoReceiver`](crate::MimoReceiver) can
+//! keep at most four cores busy (one per spatial channel) and re-pays
+//! the helper spawn/join cost on every stage of every burst. A batch
+//! holds independent bursts, so [`BurstPipeline`] parallelises across
+//! bursts instead: each core decodes whole bursts on memories it owns,
+//! the way the paper's four channel pipelines each own theirs. Both
+//! levels run on the same scoped crew (the calling thread is member 0,
+//! helpers are scoped threads, a crew of one starts none); here its
+//! members are:
 //!
-//! * **one receive state per member** — `min(workers, batch)` of them,
-//!   at least one. Each `RxState` (sync FSM + `RxWorkspace`) is kept by
-//!   the pipeline between batches, so the steady state allocates
-//!   nothing per burst beyond the decoded payloads and the result list;
+//! * **one receive workspace per member** — `min(workers, batch)` of
+//!   them, at least one, all sharing the pipeline's one set of
+//!   receiver tables. The workspaces are kept between batches, so the
+//!   steady state allocates nothing per burst beyond the decoded
+//!   payloads and the result list;
 //! * **claiming whole bursts**: every member takes burst indices from
 //!   one atomic counter and runs each claimed burst's front stage
 //!   (sync, channel estimation, per-antenna FFT + carrier gather) then
@@ -22,8 +24,8 @@
 //!   crew of one. A member whose helper cannot be spawned finds the
 //!   counter exhausted by the time the caller runs it;
 //! * every burst runs inside `catch_unwind`: a panic becomes that
-//!   burst's typed error and rebuilds the member's state, so one bad
-//!   burst cannot poison its neighbours.
+//!   burst's typed error and rebuilds the member's workspace, so one
+//!   bad burst cannot poison its neighbours.
 //!
 //! Members meet only at the claim counter and at the crew's join, so
 //! the pipeline takes no lock. Each member returns `(index, result)`
@@ -40,9 +42,9 @@
 //!
 //! The pipeline is **rate-agile**: every burst announces its own MCS
 //! in its SIGNAL-field header, so one batch may mix rates — the back
-//! stage of each burst selects its datapath kit from the shared
-//! receiver's rate table, and the recycled workspaces are sized for the
-//! max-MCS envelope.
+//! stage of each burst selects its datapath kit from the shared rate
+//! table, and the recycled workspaces are sized for the max-MCS
+//! envelope.
 //!
 //! # Examples
 //!
@@ -74,23 +76,24 @@ use mimo_fixed::CQ15;
 use crate::config::{host_parallelism, PhyConfig};
 use crate::crew::crew;
 use crate::error::PhyError;
-use crate::rx::{MimoReceiver, RxResult, RxState};
+use crate::rx::{RxCore, RxResult};
+use crate::workspace::RxWorkspace;
 
 /// One burst's worth of antenna sample streams (what
 /// [`crate::TxBurst::streams`] holds and a channel model outputs).
 pub type BurstStreams = Vec<Vec<CQ15>>;
 
 /// The batch-of-bursts receiver: a scoped work-claiming crew decodes
-/// whole bursts in parallel on recycled per-member state, bit-identical
+/// whole bursts in parallel on recycled per-member workspaces, bit-identical
 /// to `receive_burst` (see the `pipeline` module source docs for the
 /// schedule).
 #[derive(Debug)]
 pub struct BurstPipeline {
-    rx: MimoReceiver,
+    core: RxCore,
     /// Crew size cap; 0 = the caller decodes alone.
     workers: usize,
-    /// Receive state of crew member `k`, recycled across batches.
-    states: Vec<RxState>,
+    /// Workspace of crew member `k`, recycled across batches.
+    workspaces: Vec<RxWorkspace>,
 }
 
 impl BurstPipeline {
@@ -107,9 +110,9 @@ impl BurstPipeline {
     }
 
     /// Builds a pipeline from the static link geometry alone — like
-    /// [`MimoReceiver::from_geometry`], nothing rate-dependent is
-    /// needed up front; every burst in every batch announces its own
-    /// rate.
+    /// [`MimoReceiver::from_geometry`](crate::MimoReceiver::from_geometry),
+    /// nothing rate-dependent is needed up front; every burst in every
+    /// batch announces its own rate.
     ///
     /// # Errors
     ///
@@ -127,15 +130,15 @@ impl BurstPipeline {
     /// Identical to [`BurstPipeline::new`].
     pub fn with_workers(cfg: PhyConfig, workers: usize) -> Result<Self, PhyError> {
         Ok(Self {
-            rx: MimoReceiver::new(cfg)?,
+            core: RxCore::new(cfg)?,
             workers: if workers <= 1 { 0 } else { workers.min(64) },
-            states: Vec::new(),
+            workspaces: Vec::new(),
         })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &PhyConfig {
-        self.rx.config()
+        self.core.config()
     }
 
     /// Crew size cap, the calling thread included (0 = serial
@@ -153,13 +156,13 @@ impl BurstPipeline {
         bursts: Vec<BurstStreams>,
     ) -> Vec<Result<RxResult, PhyError>> {
         let members = self.workers.min(bursts.len()).max(1);
-        let rx = &self.rx;
-        if self.states.len() < members {
-            self.states.resize_with(members, || rx.new_state());
+        let core = &self.core;
+        if self.workspaces.len() < members {
+            self.workspaces.resize_with(members, || core.workspace());
         }
         let next = AtomicUsize::new(0);
-        let mut claimed: Vec<_> = crew(&mut self.states[..members], |st| {
-            drain(rx, &next, &bursts, st)
+        let mut claimed: Vec<_> = crew(&mut self.workspaces[..members], |ws| {
+            drain(core, &next, &bursts, ws)
         })
         .into_iter()
         .flatten()
@@ -170,14 +173,14 @@ impl BurstPipeline {
 }
 
 /// One crew member: claims burst indices until the batch runs out and
-/// decodes each whole burst on the member's own state, with a
+/// decodes each whole burst on the member's own workspace, with a
 /// within-burst fan-out of width one. Returns `(burst index, result)`
 /// pairs.
 fn drain(
-    rx: &MimoReceiver,
+    core: &RxCore,
     next: &AtomicUsize,
     bursts: &[BurstStreams],
-    st: &mut RxState,
+    ws: &mut RxWorkspace,
 ) -> Vec<(usize, Result<RxResult, PhyError>)> {
     let mut claimed = Vec::new();
     loop {
@@ -185,14 +188,11 @@ fn drain(
         let Some(burst) = bursts.get(i) else {
             return claimed;
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rx.front_stage(&mut st.sync, &mut st.workspace, burst, 1)
-                .and_then(|front| rx.back_stage(&mut st.workspace, &front, 1))
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| core.receive(ws, burst, 1)));
         let result = outcome.unwrap_or_else(|_| {
-            // The state may be mid-mutation; rebuild it before the
+            // The workspace may be mid-mutation; rebuild it before the
             // member's next burst.
-            *st = rx.new_state();
+            *ws = core.workspace();
             Err(PhyError::Decode("receiver stage panicked".into()))
         });
         claimed.push((i, result));

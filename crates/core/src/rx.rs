@@ -16,9 +16,9 @@
 //!
 //! * [`SymbolIngest`](mimo_ofdm::SymbolIngest) (one per antenna, in
 //!   the workspace) strips the CP and FFTs one on-air symbol period;
-//!   [`MimoReceiver::gather_occ`] pulls the occupied carriers out of
-//!   the frame.
-//! * [`MimoReceiver::process_symbol`] runs one stream × one symbol:
+//!   `RxCore::gather_occ` pulls the occupied carriers out of the
+//!   frame.
+//! * `RxCore::process_symbol` runs one stream × one symbol:
 //!   zero-forcing detection (row `k` of `H⁻¹·r`), then the shared
 //!   [`SymbolPost`] stage — pilot common-phase and timing correction,
 //!   then one fused demap→deinterleave→depuncture scatter that lands
@@ -28,13 +28,16 @@
 //!   parse ([`parse_header_ws`]) and round-robin reassembly
 //!   ([`assemble_payload`]) close a burst.
 //!
-//! [`MimoReceiver::receive_burst`] (whole capture, two parallel
-//! stages), [`BurstPipeline`](crate::BurstPipeline) (whole bursts
-//! side by side) and [`StreamingReceiver`](crate::StreamingReceiver)
-//! (chunked ingest, per-symbol state machine) are all thin drivers of
-//! these pieces, so their outputs are bit-identical by construction —
-//! enforced by `tests/streaming_rx.rs`, `tests/burst_pipeline.rs` and
-//! `tests/parallel_determinism.rs`.
+//! `RxCore` holds the immutable half — rate kits, correlator taps,
+//! estimator, detector, trellis, carrier maps — and every method takes
+//! the scratch it writes as an explicit `&mut` workspace. Each driver
+//! holds one `RxCore` next to the workspaces it owns:
+//! [`MimoReceiver`] one workspace, [`BurstPipeline`](crate::BurstPipeline)
+//! one per crew member, [`StreamingReceiver`](crate::StreamingReceiver)
+//! one plus its sample history and sync tracker. The drivers are thin
+//! schedules over the same pieces, so their outputs are bit-identical
+//! by construction — enforced by `tests/streaming_rx.rs`,
+//! `tests/burst_pipeline.rs` and `tests/parallel_determinism.rs`.
 //!
 //! # The batch schedule
 //!
@@ -56,13 +59,11 @@
 //! The SIGNAL-field decode runs between the stages, on the already
 //! gathered carriers, before the per-stream fan-out.
 //!
-//! The two stages are also the receiver's pipeline seam: `front_stage`
-//! (sync + estimation + stage 1) and `back_stage` (header parse +
-//! stage 2 + reassembly) take the sync FSM and workspace as explicit
-//! arguments, so [`BurstPipeline`](crate::BurstPipeline) can run
-//! whole bursts side by side, one sync FSM and workspace per crew
-//! member — including **mixed-rate batches**, since every burst
-//! announces its own rate.
+//! `RxCore::receive` runs both stages on the workspace it is handed
+//! at a given crew width. [`BurstPipeline`](crate::BurstPipeline)
+//! calls it at width one on each member's own workspace and runs
+//! whole bursts side by side instead — including **mixed-rate
+//! batches**, since every burst announces its own rate.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
@@ -179,31 +180,21 @@ pub struct RxResult {
     pub diagnostics: RxDiagnostics,
 }
 
-/// Mutable per-burst receiver state: the time-sync FSM and the scratch
-/// workspace. It lives apart from the receiver's immutable tables so
-/// the [`BurstPipeline`](crate::BurstPipeline) can run one state per
-/// crew member against one shared receiver.
-#[derive(Debug, Clone)]
-pub(crate) struct RxState {
-    pub(crate) sync: TimeSynchronizer,
-    pub(crate) workspace: RxWorkspace,
-}
-
 /// Everything the front (antenna) stage hands the back (stream) stage:
 /// the sync detection, the inverted channel matrices and the demodulated
 /// symbol count. The gathered frequency-domain carriers travel in the
 /// workspace itself.
 #[derive(Debug, Clone)]
-pub(crate) struct FrontInfo {
-    pub(crate) event: SyncEvent,
-    pub(crate) h_inv: Vec<FxMat4>,
-    pub(crate) available: usize,
+struct FrontInfo {
+    event: SyncEvent,
+    h_inv: Vec<FxMat4>,
+    available: usize,
     /// Absolute sample index where the demodulated symbols begin, so
     /// the back stage can report truncation in the same absolute
     /// units the front stage uses.
-    pub(crate) data_start: usize,
+    data_start: usize,
     /// Length of the shortest receive stream, samples.
-    pub(crate) shortest: usize,
+    shortest: usize,
 }
 
 /// The post-equalization half of the per-symbol receive datapath:
@@ -332,40 +323,36 @@ impl SymbolPost {
     }
 }
 
-/// The 4×4 MIMO receiver: time sync → FFT ×4 → channel estimation
-/// (CORDIC QRD pipeline) → SIGNAL-field header parse → zero-forcing
-/// detection → pilot corrections → demap → deinterleave → Viterbi,
-/// per stream, at the rate each burst announces.
+/// The immutable half of the 4×4 receiver: the rate kits, correlator
+/// taps, channel estimator, QRD, detector, trellis and carrier maps,
+/// plus the stage methods that run on them. Every method borrows the
+/// scratch it writes as an explicit workspace, so one core serves any
+/// number of workspaces — one per [`MimoReceiver`], one per
+/// [`BurstPipeline`](crate::BurstPipeline) crew member, one per
+/// [`StreamingReceiver`](crate::StreamingReceiver).
 #[derive(Debug, Clone)]
-pub struct MimoReceiver {
+pub(crate) struct RxCore {
     cfg: PhyConfig,
     /// SIGNAL-field symbols at the front of every burst.
     pub(crate) header_symbols: usize,
     /// One datapath kit per MCS table row.
     pub(crate) rates: RateTable,
-    sync: TimeSynchronizer,
+    /// The fine 32-tap correlator. The batch schedule only scans with
+    /// it (`&self`); the streaming receiver's tracker takes a clone.
+    pub(crate) sync: TimeSynchronizer,
     estimator: ChannelEstimator,
     qrd: CordicQrd,
     detector: mimo_detect::ZfDetector,
     pub(crate) viterbi: ViterbiDecoder,
     /// The shared post-equalization per-symbol stage.
-    pub(crate) post: SymbolPost,
+    post: SymbolPost,
     /// FFT bin of each occupied carrier (the gather map).
     occ_bins: Vec<usize>,
-    /// Sync FSM + preallocated hot-path scratch. `Option` so a burst
-    /// can move it out while the stages borrow `&self`.
-    state: Option<RxState>,
 }
 
-impl MimoReceiver {
-    /// Builds the receiver from a configuration. Only the geometry
-    /// half is used — the modulation/code-rate fields are ignored,
-    /// because every burst announces its own rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::BadConfig`] for invalid configurations.
-    pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
+impl RxCore {
+    /// Builds the tables for a 4-stream configuration.
+    pub(crate) fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         cfg.validate()?;
         if cfg.n_streams() != 4 {
             return Err(PhyError::BadConfig(format!(
@@ -387,7 +374,7 @@ impl MimoReceiver {
             .iter()
             .map(|&l| demodulator.map().bin(l))
             .collect();
-        let mut rx = Self {
+        Ok(Self {
             header_symbols: geometry.header_symbols(),
             cfg,
             rates,
@@ -398,37 +385,12 @@ impl MimoReceiver {
             viterbi,
             post,
             occ_bins,
-            state: None,
-        };
-        rx.state = Some(rx.new_state());
-        Ok(rx)
-    }
-
-    /// Builds the receiver from the static link geometry alone — the
-    /// natural constructor for auto-rate reception, since nothing
-    /// rate-dependent is needed until a burst's header has been
-    /// parsed.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`MimoReceiver::new`].
-    pub fn from_geometry(geometry: LinkGeometry) -> Result<Self, PhyError> {
-        Self::new(PhyConfig::from_geometry(geometry))
-    }
-
-    /// Builds a fresh sync FSM + workspace pair for this receiver's
-    /// geometry (used at construction, after a mid-burst panic, and by
-    /// the [`BurstPipeline`](crate::BurstPipeline) crew members).
-    pub(crate) fn new_state(&self) -> RxState {
-        RxState {
-            sync: self.sync.clone(),
-            workspace: self.make_workspace(),
-        }
+        })
     }
 
     /// A workspace sized for this receiver's carrier geometry at the
     /// max-MCS envelope.
-    pub(crate) fn make_workspace(&self) -> RxWorkspace {
+    pub(crate) fn workspace(&self) -> RxWorkspace {
         RxWorkspace::new(
             self.cfg.geometry(),
             self.rates.max_coded_bits_per_symbol(),
@@ -437,18 +399,13 @@ impl MimoReceiver {
         )
     }
 
-    /// A fresh clone of the (never-mutated) sync-FSM prototype.
-    pub(crate) fn sync_prototype(&self) -> TimeSynchronizer {
-        self.sync.clone()
-    }
-
     /// The configuration in use.
-    pub fn config(&self) -> &PhyConfig {
+    pub(crate) fn config(&self) -> &PhyConfig {
         &self.cfg
     }
 
-    /// The static link geometry this receiver was built from.
-    pub fn geometry(&self) -> &LinkGeometry {
+    /// The static link geometry.
+    pub(crate) fn geometry(&self) -> &LinkGeometry {
         self.cfg.geometry()
     }
 
@@ -514,55 +471,28 @@ impl MimoReceiver {
     }
     // phylint: end-hot
 
-    /// Receives one burst from the four antenna streams, learning its
-    /// rate and length from the SIGNAL-field header — no prior
-    /// knowledge of the transmit MCS is used. Accepts any per-stream
-    /// sample container (`Vec<CQ15>`, `&[CQ15]`, boxed slices, …), so
-    /// borrowed stream views decode without copying.
-    ///
-    /// This whole-capture entry point is a batch schedule over the
-    /// same per-symbol core the [`StreamingReceiver`](crate::StreamingReceiver)
-    /// drives chunk by chunk; the two are bit-identical burst for
-    /// burst.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::SyncNotFound`] when no preamble is detected,
-    /// [`PhyError::TruncatedBurst`] when samples run out,
-    /// [`PhyError::HeaderCrc`] / [`PhyError::UnsupportedMcs`] for
-    /// corrupted or unknown SIGNAL fields, and estimation/decoding
-    /// errors otherwise.
-    pub fn receive_burst<S>(&mut self, streams: &[S]) -> Result<RxResult, PhyError>
+    /// Decodes one whole burst on `workspace`: the front (antenna)
+    /// stage, then the back (stream) stage, each fanned out on a crew
+    /// of `width` members (1 = the caller alone).
+    pub(crate) fn receive<S>(
+        &self,
+        workspace: &mut RxWorkspace,
+        streams: &[S],
+        width: usize,
+    ) -> Result<RxResult, PhyError>
     where
         S: AsRef<[CQ15]> + Sync,
     {
-        // The state leaves `self` for the duration of the burst so the
-        // crew members can borrow it mutably while sharing
-        // `&self` (trellis tables, carrier maps, correctors). A panic
-        // mid-stage leaves `None` behind; rebuild in that case rather
-        // than indexing into zero-length slots.
-        let mut state = match self.state.take() {
-            Some(s) if s.workspace.antennas.len() == self.cfg.n_streams() => s,
-            _ => self.new_state(),
-        };
-        let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
-        let result = self
-            .front_stage(&mut state.sync, &mut state.workspace, streams, width)
-            .and_then(|front| self.back_stage(&mut state.workspace, &front, width));
-        self.state = Some(state);
-        result
+        let front = self.front_stage(workspace, streams, width)?;
+        self.back_stage(workspace, &front, width)
     }
 
     /// The front (antenna) stage of one burst: time sync, channel
     /// estimation/inversion, then per-antenna symbol ingest + carrier
     /// gather into the workspace. Entirely rate-independent — it runs
-    /// before the SIGNAL field is parsed. `width` is the size of the
-    /// crew the antenna loop fans out on (1 = the caller alone); the
-    /// [`BurstPipeline`](crate::BurstPipeline) passes 1 and runs whole
-    /// bursts side by side instead.
-    pub(crate) fn front_stage<S>(
+    /// before the SIGNAL field is parsed.
+    fn front_stage<S>(
         &self,
-        sync: &mut TimeSynchronizer,
         workspace: &mut RxWorkspace,
         streams: &[S],
         width: usize,
@@ -588,19 +518,18 @@ impl MimoReceiver {
         // around the coarse estimate, best antenna wins. The coarse
         // detector is the same online CoarseTracker the streaming
         // receiver runs chunk by chunk. ---
-        sync.reset();
         let event = match mimo_sync::coarse_sts_end(streams) {
             Some(coarse) => {
                 let lo = coarse.sts_end.saturating_sub(48);
                 let hi = coarse.sts_end + 48;
                 streams
                     .iter()
-                    .filter_map(|s| sync.scan_peak_window(s.as_ref(), lo, hi))
+                    .filter_map(|s| self.sync.scan_peak_window(s.as_ref(), lo, hi))
                     .max_by_key(|e| e.magnitude)
             }
             None => streams
                 .iter()
-                .filter_map(|s| sync.scan_peak(s.as_ref()))
+                .filter_map(|s| self.sync.scan_peak(s.as_ref()))
                 .max_by_key(|e| e.magnitude),
         }
         .ok_or(PhyError::SyncNotFound)?;
@@ -670,7 +599,7 @@ impl MimoReceiver {
     /// decode (stream 0, most robust MCS), then per-stream runs of the
     /// per-symbol core at the announced rate over the carriers the
     /// front stage gathered, then the round-robin payload reassembly.
-    pub(crate) fn back_stage(
+    fn back_stage(
         &self,
         workspace: &mut RxWorkspace,
         front: &FrontInfo,
@@ -766,6 +695,80 @@ impl MimoReceiver {
             &mut ws.decoded,
             &mut ws.bytes,
         )
+    }
+}
+
+/// The 4×4 MIMO receiver: time sync → FFT ×4 → channel estimation
+/// (CORDIC QRD pipeline) → SIGNAL-field header parse → zero-forcing
+/// detection → pilot corrections → demap → deinterleave → Viterbi,
+/// per stream, at the rate each burst announces.
+#[derive(Debug, Clone)]
+pub struct MimoReceiver {
+    core: RxCore,
+    /// Preallocated hot-path scratch, rewritten by every burst.
+    ws: RxWorkspace,
+}
+
+impl MimoReceiver {
+    /// Builds the receiver from a configuration. Only the geometry
+    /// half is used — the default MCS is ignored, because every burst
+    /// announces its own rate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhyError::BadConfig`] for invalid configurations.
+    pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
+        let core = RxCore::new(cfg)?;
+        let ws = core.workspace();
+        Ok(Self { core, ws })
+    }
+
+    /// Builds the receiver from the static link geometry alone — the
+    /// natural constructor for auto-rate reception, since nothing
+    /// rate-dependent is needed until a burst's header has been
+    /// parsed.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`MimoReceiver::new`].
+    pub fn from_geometry(geometry: LinkGeometry) -> Result<Self, PhyError> {
+        Self::new(PhyConfig::from_geometry(geometry))
+    }
+
+    /// The configuration in use.
+    pub fn config(&self) -> &PhyConfig {
+        self.core.config()
+    }
+
+    /// The static link geometry this receiver was built from.
+    pub fn geometry(&self) -> &LinkGeometry {
+        self.core.geometry()
+    }
+
+    /// Receives one burst from the four antenna streams, learning its
+    /// rate and length from the SIGNAL-field header — no prior
+    /// knowledge of the transmit MCS is used. Accepts any per-stream
+    /// sample container (`Vec<CQ15>`, `&[CQ15]`, boxed slices, …), so
+    /// borrowed stream views decode without copying.
+    ///
+    /// This whole-capture entry point is a batch schedule over the
+    /// same per-symbol core the [`StreamingReceiver`](crate::StreamingReceiver)
+    /// drives chunk by chunk; the two are bit-identical burst for
+    /// burst.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhyError::SyncNotFound`] when no preamble is detected,
+    /// [`PhyError::TruncatedBurst`] when samples run out,
+    /// [`PhyError::HeaderCrc`] / [`PhyError::UnsupportedMcs`] for
+    /// corrupted or unknown SIGNAL fields, and estimation/decoding
+    /// errors otherwise.
+    pub fn receive_burst<S>(&mut self, streams: &[S]) -> Result<RxResult, PhyError>
+    where
+        S: AsRef<[CQ15]> + Sync,
+    {
+        let width = self.config().parallelism().then(host_parallelism).unwrap_or(1);
+        self.core.receive(&mut self.ws, streams, width)
     }
 }
 
@@ -989,9 +992,7 @@ mod tests {
         // A burst where stream 3's accumulators carry all the error
         // must degrade the aggregate: the pre-fix ws0-only formula
         // would report stream 0's pristine -40 dB.
-        let cfg = PhyConfig::paper_synthesis();
-        let rx = MimoReceiver::new(cfg).unwrap();
-        let mut ws = rx.make_workspace();
+        let mut ws = RxCore::new(PhyConfig::paper_synthesis()).unwrap().workspace();
         for (k, s) in ws.streams.iter_mut().enumerate() {
             s.evm_den = 100.0;
             s.evm_num = if k == 3 { 10.0 } else { 0.01 };

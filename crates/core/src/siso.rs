@@ -195,7 +195,6 @@ impl SisoReceiver {
     pub fn receive_burst(&mut self, stream: &[CQ15]) -> Result<RxResult, PhyError> {
         let n = self.cfg.fft_size();
         let field = 5 * n / 2;
-        self.sync.reset();
         // Two-stage sync: coarse STS-periodicity detection (borrowing
         // the stream in place, no copy), then the fine cross-correlator
         // in a window (see MimoReceiver).
@@ -302,7 +301,7 @@ impl SisoReceiver {
         let sym_len = self.cfg.symbol_samples();
         let n_occ = self.post.n_occupied();
         self.ant.freq_occ.resize(n_occ, CQ15::ZERO);
-        crate::rx::MimoReceiver::begin_stream_pass(&mut self.ws, count, kit);
+        crate::rx::RxCore::begin_stream_pass(&mut self.ws, count, kit);
         for m in first..first + count {
             let start = data_start + m * sym_len;
             let frame = self.ant.ingest.ingest_period(&stream[start..start + sym_len])?;

@@ -43,16 +43,20 @@
 //! boundaries.
 //!
 //! Steady-state processing allocates nothing: the per-symbol scratch
-//! lives in the same `RxWorkspace` the batch path uses (extended with
-//! the per-antenna [`SymbolIngest`](mimo_ofdm::SymbolIngest) streaming
-//! state), and the history buffers retain their capacity across
-//! bursts, compacting amortized-O(1) per sample.
+//! is the same `RxWorkspace` type the batch path uses (one gathered
+//! carrier row per antenna instead of a whole burst), the receiver
+//! buffers its own per-antenna sample history and hands the
+//! [`SymbolIngest`](mimo_ofdm::SymbolIngest) one on-air period at a
+//! time, and the history buffers retain their capacity across bursts,
+//! compacting amortized-O(1) per sample.
 //!
 //! One deliberate divergence: the batch path falls back to a
 //! whole-capture cross-correlation scan when the coarse detector finds
 //! no plateau (deep-fade rescue). A continuous stream has no "whole
 //! capture" to scan, so the streaming receiver searches on; bursts the
 //! coarse stage cannot see are skipped rather than rescued.
+//!
+//! [`MimoReceiver::receive_burst`]: crate::MimoReceiver::receive_burst
 //!
 //! # Examples
 //!
@@ -90,7 +94,7 @@ use crate::config::{LinkGeometry, PhyConfig};
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rx::{
-    assemble_payload, finish_result, parse_header_ws, MimoReceiver, RxResult, WINDOW_BACKOFF,
+    assemble_payload, finish_result, parse_header_ws, RxCore, RxResult, WINDOW_BACKOFF,
 };
 use crate::workspace::RxWorkspace;
 
@@ -107,7 +111,7 @@ const COMPACT_SLACK: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct ReceivedBurst {
     /// The decoded burst — bit-identical to what
-    /// [`MimoReceiver::receive_burst`] returns for the same samples.
+    /// [`crate::MimoReceiver::receive_burst`] returns for the same samples.
     /// The sync event inside the diagnostics carries **absolute**
     /// stream indices.
     pub result: RxResult,
@@ -145,15 +149,15 @@ enum Phase {
     },
 }
 
-/// The chunk-driven 4×4 receiver: one `push_samples` datapath that
-/// batch ([`MimoReceiver::receive_burst`]) and pipelined
-/// ([`crate::BurstPipeline`]) reception are schedules of. See the
-/// module docs.
+/// The chunk-driven 4×4 receiver: the per-symbol core that batch
+/// ([`crate::MimoReceiver::receive_burst`]) and pipelined
+/// ([`crate::BurstPipeline`]) reception also run, advanced one on-air
+/// symbol at a time as samples arrive. See the module docs.
 #[derive(Debug)]
 pub struct StreamingReceiver {
     /// The immutable receiver tables (kits, correctors, gather maps) —
-    /// the same object the batch path drives.
-    rx: MimoReceiver,
+    /// the same type the batch schedules drive.
+    core: RxCore,
     tracker: SyncTracker,
     /// Absolute watermark of samples already fed to the tracker.
     tracker_fed: usize,
@@ -162,23 +166,23 @@ pub struct StreamingReceiver {
     hist_base: usize,
     /// Absolute samples ingested so far.
     pos: usize,
-    /// The batch receiver's workspace, reused per symbol.
+    /// Per-symbol scratch, reused across symbols and bursts.
     ws: RxWorkspace,
     phase: Phase,
 }
 
 impl StreamingReceiver {
     /// Builds the streaming receiver from a configuration (geometry
-    /// half only, like [`MimoReceiver::new`]).
+    /// half only, like [`crate::MimoReceiver::new`]).
     ///
     /// # Errors
     ///
     /// Returns [`PhyError::BadConfig`] for invalid configurations.
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
-        let rx = MimoReceiver::new(cfg)?;
-        let n_streams = rx.geometry().n_streams();
-        let tracker = SyncTracker::from_correlator(rx.sync_prototype(), n_streams);
-        let ws = rx.make_workspace();
+        let core = RxCore::new(cfg)?;
+        let n_streams = core.geometry().n_streams();
+        let tracker = SyncTracker::from_correlator(core.sync.clone(), n_streams);
+        let ws = core.workspace();
         Ok(Self {
             tracker,
             tracker_fed: 0,
@@ -187,7 +191,7 @@ impl StreamingReceiver {
             pos: 0,
             ws,
             phase: Phase::Searching,
-            rx,
+            core,
         })
     }
 
@@ -204,7 +208,7 @@ impl StreamingReceiver {
 
     /// The static link geometry in use.
     pub fn geometry(&self) -> &LinkGeometry {
-        self.rx.geometry()
+        self.core.geometry()
     }
 
     /// Absolute samples consumed so far (per antenna).
@@ -224,7 +228,7 @@ impl StreamingReceiver {
     /// for malformed chunk sets, and surfaces per-burst decode
     /// failures ([`PhyError::HeaderCrc`], [`PhyError::UnsupportedMcs`],
     /// estimation and decode errors) exactly like
-    /// [`MimoReceiver::receive_burst`]; after such an error the
+    /// [`crate::MimoReceiver::receive_burst`]; after such an error the
     /// receiver re-arms and keeps searching the stream, so one bad
     /// burst never wedges the datapath.
     // phylint: hot
@@ -317,12 +321,12 @@ impl StreamingReceiver {
 
     /// The state-machine driver; `end` marks end-of-stream.
     fn pump(&mut self, end: bool) -> Result<Option<ReceivedBurst>, PhyError> {
-        let geometry = self.rx.geometry().clone();
+        let geometry = self.core.geometry().clone();
         let n = geometry.fft_size();
         let field = 5 * n / 2;
         let sym_len = geometry.symbol_samples();
         let n_streams = geometry.n_streams();
-        let h_syms = self.rx.header_symbols;
+        let h_syms = self.core.header_symbols;
         loop {
             match std::mem::replace(&mut self.phase, Phase::Searching) {
                 Phase::Searching => {
@@ -386,24 +390,24 @@ impl StreamingReceiver {
                         })
                     });
                     let data_start = lts0 + 4 * field;
-                    let h_inv = match self.rx.estimate_channel(&lts_views) {
+                    let h_inv = match self.core.estimate_channel(&lts_views) {
                         Ok(h_inv) => h_inv,
                         Err(e) => {
                             self.abort_search_at(data_start);
                             return Err(e);
                         }
                     };
-                    let n_occ = self.rx.n_occupied();
+                    let n_occ = self.core.n_occupied();
                     for ant in &mut self.ws.antennas {
                         // One rolling row per antenna (the batch path
                         // gathers all symbols; streaming needs only
                         // the one in flight).
                         ant.freq_occ.resize(n_occ, CQ15::ZERO);
                     }
-                    MimoReceiver::begin_stream_pass(
+                    RxCore::begin_stream_pass(
                         &mut self.ws.header,
                         h_syms,
-                        self.rx.rates.header_kit(),
+                        self.core.rates.header_kit(),
                     );
                     self.phase = Phase::HeaderDecode {
                         // phylint: allow(hot_transitive) -- one context box per burst header, amortised across the whole burst
@@ -440,7 +444,7 @@ impl StreamingReceiver {
                     }
                     let max = n_streams * crate::tx::MAX_STREAM_BYTES;
                     let params =
-                        match parse_header_ws(&self.rx.viterbi, &mut self.ws.header, max) {
+                        match parse_header_ws(&self.core.viterbi, &mut self.ws.header, max) {
                             Ok(params) => params,
                             Err(e) => {
                                 self.abort_search_at(ctx.data_start);
@@ -448,9 +452,9 @@ impl StreamingReceiver {
                             }
                         };
                     let n_symbols = params.payload_symbols(&geometry);
-                    let kit = self.rx.rates.kit(params.mcs);
+                    let kit = self.core.rates.kit(params.mcs);
                     for ws in &mut self.ws.streams {
-                        MimoReceiver::begin_stream_pass(ws, n_symbols, kit);
+                        RxCore::begin_stream_pass(ws, n_symbols, kit);
                     }
                     self.phase = Phase::Payload {
                         ctx,
@@ -505,7 +509,7 @@ impl StreamingReceiver {
                     let burst_end = ctx.data_start + (h_syms + n_symbols) * sym_len;
                     let result: Result<RxResult, PhyError> = (|| {
                         for (k, ws) in self.ws.streams.iter_mut().enumerate() {
-                            self.rx
+                            self.core
                                 .decode_stream(params.stream_bytes(k, n_streams), ws)?;
                         }
                         let payload = assemble_payload(&params, n_streams, &self.ws.streams)?;
@@ -551,7 +555,7 @@ impl StreamingReceiver {
                 ))
             })?;
             let frame = ant.ingest.ingest_period(period)?;
-            self.rx.gather_occ(frame, &mut ant.freq_occ);
+            self.core.gather_occ(frame, &mut ant.freq_occ);
         }
         Ok(())
     }
@@ -559,18 +563,18 @@ impl StreamingReceiver {
     /// One SIGNAL-field symbol through the shared core (stream 0 only,
     /// BPSK r=1/2, no diagnostics — exactly the batch header pass).
     fn header_symbol(&mut self, ctx: &BurstCtx, sym: usize) -> Result<(), PhyError> {
-        let sym_len = self.rx.geometry().symbol_samples();
+        let sym_len = self.core.geometry().symbol_samples();
         self.ingest_symbol_rows(ctx.data_start + sym * sym_len, sym_len)?;
         let RxWorkspace {
             antennas, header, ..
         } = &mut self.ws;
         let rows: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
-        self.rx.process_symbol(
+        self.core.process_symbol(
             0,
             header,
             &rows,
             &ctx.h_inv,
-            self.rx.rates.header_kit(),
+            self.core.rates.header_kit(),
             sym,
             false,
         )
@@ -580,15 +584,15 @@ impl StreamingReceiver {
     /// streams; `sym` is the absolute after-LTS symbol index (= pilot
     /// polarity index, header included).
     fn payload_symbol(&mut self, ctx: &BurstCtx, mcs: Mcs, sym: usize) -> Result<(), PhyError> {
-        let sym_len = self.rx.geometry().symbol_samples();
+        let sym_len = self.core.geometry().symbol_samples();
         self.ingest_symbol_rows(ctx.data_start + sym * sym_len, sym_len)?;
         let RxWorkspace {
             antennas, streams, ..
         } = &mut self.ws;
         let rows: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
-        let kit = self.rx.rates.kit(mcs);
+        let kit = self.core.rates.kit(mcs);
         for (k, ws) in streams.iter_mut().enumerate() {
-            self.rx
+            self.core
                 .process_symbol(k, ws, &rows, &ctx.h_inv, kit, sym, true)?;
         }
         Ok(())

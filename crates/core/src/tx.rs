@@ -8,9 +8,7 @@
 //! selects the rate per burst; [`MimoTransmitter::transmit_burst`] is
 //! the single-rate wrapper using the configuration's default MCS.
 
-use std::sync::Mutex;
-
-use mimo_coding::{puncture_into, CodeRate, CodeSpec, ConvolutionalEncoder, Scrambler};
+use mimo_coding::{puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Scrambler};
 use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
 use mimo_ofdm::OfdmModulator;
@@ -21,7 +19,7 @@ use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
 use crate::signal::{encode_signal_field, FLUSH_BITS};
-use crate::workspace::{TxStreamWorkspace, TxWorkspace};
+use crate::workspace::TxStreamWorkspace;
 
 /// Scrambler seed shared by transmitter and receiver.
 pub(crate) const SCRAMBLER_SEED: u8 = 0x5D;
@@ -72,14 +70,16 @@ impl TxBurst {
 /// and independent channels that will each be encoded and modulated
 /// for transmission."
 ///
-/// Owns a preallocated `TxWorkspace` (one scratch set per spatial
-/// channel, sized for the max-MCS envelope) so the per-symbol
-/// interleave → map → IFFT → CP loop runs without heap allocation at
-/// **any** MCS. The four channel pipelines, mirroring the four parallel
-/// hardware chains of Fig 1, run on a crew that includes the calling
-/// thread: one member per host CPU when [`PhyConfig::parallelism`] is
-/// on, the caller alone otherwise.
-#[derive(Debug)]
+/// The transmitter holds only immutable tables (rate kits, modulator,
+/// preamble fields), so [`MimoTransmitter::transmit_burst_with`] takes
+/// `&self` and any number of threads may share one transmitter. Each
+/// burst builds its own scratch — one set per spatial channel, at the
+/// burst's MCS — so the per-symbol interleave → map → IFFT → CP loop
+/// runs without heap allocation. The four channel pipelines, mirroring
+/// the four parallel hardware chains of Fig 1, run on a crew that
+/// includes the calling thread: one member per host CPU when
+/// [`PhyConfig::parallelism`] is on, the caller alone otherwise.
+#[derive(Debug, Clone)]
 pub struct MimoTransmitter {
     cfg: PhyConfig,
     default_mcs: Mcs,
@@ -88,39 +88,19 @@ pub struct MimoTransmitter {
     schedule: PreambleSchedule,
     sts: Vec<CQ15>,
     lts: Vec<CQ15>,
-    /// Scratch buffers, lockable so `transmit_burst` stays `&self`
-    /// (one burst holds the lock end to end).
-    workspace: Mutex<TxWorkspace>,
-}
-
-impl Clone for MimoTransmitter {
-    fn clone(&self) -> Self {
-        Self {
-            cfg: self.cfg.clone(),
-            default_mcs: self.default_mcs,
-            rates: self.rates.clone(),
-            modulator: self.modulator.clone(),
-            schedule: self.schedule.clone(),
-            sts: self.sts.clone(),
-            lts: self.lts.clone(),
-            workspace: Mutex::new(self.make_workspace()),
-        }
-    }
 }
 
 impl MimoTransmitter {
     /// Builds the transmitter for a 4-stream configuration. The
-    /// configuration's modulation × code rate selects the **default**
-    /// MCS for [`MimoTransmitter::transmit_burst`] and must be a table
-    /// row; [`MimoTransmitter::transmit_burst_with`] overrides it per
-    /// burst.
+    /// configuration's MCS is the **default** for
+    /// [`MimoTransmitter::transmit_burst`];
+    /// [`MimoTransmitter::transmit_burst_with`] overrides it per burst.
     ///
     /// # Errors
     ///
     /// Returns [`PhyError::BadConfig`] for invalid configurations
     /// (including `n_streams != 4`; use [`crate::SisoTransmitter`] for
-    /// the baseline) and for modulation × rate pairs outside the MCS
-    /// table.
+    /// the baseline).
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         cfg.validate()?;
         if cfg.n_streams() != 4 {
@@ -145,16 +125,12 @@ impl MimoTransmitter {
     }
 
     pub(crate) fn build(cfg: PhyConfig) -> Result<Self, PhyError> {
-        let default_mcs = cfg.mcs()?;
+        let default_mcs = cfg.mcs();
         let rates = RateTable::new(cfg.geometry())?;
         let modulator = OfdmModulator::new(cfg.fft_size())?;
         let schedule = PreambleSchedule::new(cfg.n_streams(), cfg.fft_size());
         let sts = sts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
         let lts = lts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
-        let workspace = Mutex::new(TxWorkspace::new(
-            cfg.geometry(),
-            rates.max_coded_bits_per_symbol(),
-        ));
         Ok(Self {
             cfg,
             default_mcs,
@@ -163,15 +139,7 @@ impl MimoTransmitter {
             schedule,
             sts,
             lts,
-            workspace,
         })
-    }
-
-    fn make_workspace(&self) -> TxWorkspace {
-        TxWorkspace::new(
-            self.cfg.geometry(),
-            self.rates.max_coded_bits_per_symbol(),
-        )
     }
 
     /// The configuration in use.
@@ -254,43 +222,26 @@ impl MimoTransmitter {
             streams[slot.tx][slot.offset..slot.offset + slot.len].copy_from_slice(field);
         }
 
-        // Every buffer is rewritten per burst, so a poisoned lock (a
-        // previous worker panic) is safe to clear.
-        let mut guard = self
-            .workspace
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let TxWorkspace {
-            streams: stream_ws,
-            header: header_ws,
-        } = &mut *guard;
-
         // SIGNAL-field header: stream 0's first symbols, most robust
         // MCS, pilot polarity indices 0..header_symbols.
         self.encode_header(
             &params,
             header_symbols,
             &mut streams[0][pre_len..pre_len + header_len],
-            header_ws,
         )?;
 
         // Per-stream payload pipeline — "four separate and independent
         // channels", each on its own workspace, split across the crew.
         let kit = self.rates.kit(mcs);
         let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
-        let mut work: Vec<(&mut [CQ15], &[u8], &mut TxStreamWorkspace)> = streams
+        let mut work: Vec<(&mut [CQ15], &[u8])> = streams
             .iter_mut()
             .zip(&per_stream)
-            .zip(stream_ws.iter_mut())
-            .map(|((stream, bytes), ws)| {
-                (&mut stream[pre_len + header_len..], bytes.as_slice(), ws)
-            })
+            .map(|(stream, bytes)| (&mut stream[pre_len + header_len..], bytes.as_slice()))
             .collect();
-        fan_out(width, &mut work, |_, (out, bytes, ws)| {
-            self.run_stream_pipeline(kit, bytes, n_symbols, header_symbols, out, ws)
+        fan_out(width, &mut work, |_, (out, bytes)| {
+            self.run_stream_pipeline(kit, bytes, n_symbols, header_symbols, out)
         })?;
-        drop(work);
-        drop(guard);
 
         Ok(TxBurst {
             streams,
@@ -310,28 +261,22 @@ impl MimoTransmitter {
         params: &BurstParams,
         header_symbols: usize,
         out: &mut [CQ15],
-        ws: &mut TxStreamWorkspace,
     ) -> Result<(), PhyError> {
+        let geometry = self.cfg.geometry();
         let kit = self.rates.header_kit();
-        let ndbps = self.cfg.geometry().header_info_bits_per_symbol();
-        let capacity = header_symbols * ndbps - FLUSH_BITS;
-        ws.info.clear();
-        encode_signal_field(params, &mut ws.info)?;
-        debug_assert!(ws.info.len() <= capacity, "header under-provisioned");
-        ws.info.resize(capacity, 0);
-        let mut encoder = ConvolutionalEncoder::new(CodeSpec::ieee80211a());
-        encoder.encode_terminated_into(&ws.info, &mut ws.mother);
-        puncture_into(&ws.mother, CodeRate::Half, &mut ws.coded);
-        let coded = std::mem::take(&mut ws.coded);
-        let result = self.modulate_symbols(kit, &coded, 0, out, ws);
-        ws.coded = coded;
-        result
+        let capacity = header_symbols * geometry.header_info_bits_per_symbol() - FLUSH_BITS;
+        let mut info = Vec::with_capacity(capacity);
+        encode_signal_field(params, &mut info)?;
+        debug_assert!(info.len() <= capacity, "header under-provisioned");
+        info.resize(capacity, 0);
+        let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
+        let coded = puncture(&mother, CodeRate::Half);
+        self.modulate_symbols(kit, &coded, 0, out)
     }
 
     /// One channel's complete payload pipeline: bit chain at the
     /// burst's MCS, then per symbol interleave → map → IFFT → CP
-    /// written straight into the stream's data region. Zero heap
-    /// allocation at steady state, at any MCS.
+    /// written straight into the stream's data region.
     fn run_stream_pipeline(
         &self,
         kit: &RateKit,
@@ -339,35 +284,31 @@ impl MimoTransmitter {
         n_symbols: usize,
         pilot_offset: usize,
         out: &mut [CQ15],
-        ws: &mut TxStreamWorkspace,
     ) -> Result<(), PhyError> {
-        self.encode_stream(kit, bytes, n_symbols, ws)?;
-        let coded = std::mem::take(&mut ws.coded);
-        let result = self.modulate_symbols(kit, &coded, pilot_offset, out, ws);
-        ws.coded = coded;
-        result
+        let coded = self.encode_stream(kit, bytes, n_symbols);
+        self.modulate_symbols(kit, &coded, pilot_offset, out)
     }
 
     /// Maps a coded bit stream onto consecutive OFDM symbols starting
-    /// at pilot polarity index `pilot_offset`.
+    /// at pilot polarity index `pilot_offset`, on one
+    /// [`TxStreamWorkspace`] so the per-symbol loop allocates nothing.
     fn modulate_symbols(
         &self,
         kit: &RateKit,
         coded: &[u8],
         pilot_offset: usize,
         out: &mut [CQ15],
-        ws: &mut TxStreamWorkspace,
     ) -> Result<(), PhyError> {
         let ncbps = kit.coded_bits_per_symbol();
         let sym_len = self.cfg.symbol_samples();
-        let interleaved = &mut ws.interleaved[..ncbps];
+        let mut ws = TxStreamWorkspace::new(self.cfg.geometry(), ncbps);
         for (sym_idx, (block, on_air)) in coded
             .chunks(ncbps)
             .zip(out.chunks_mut(sym_len))
             .enumerate()
         {
-            kit.interleaver.interleave_into(block, interleaved)?;
-            kit.mapper.map_bits_into(interleaved, &mut ws.symbols)?;
+            kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
+            kit.mapper.map_bits_into(&ws.interleaved, &mut ws.symbols)?;
             self.modulator.modulate_symbol_into(
                 &ws.symbols,
                 pilot_offset + sym_idx,
@@ -379,35 +320,26 @@ impl MimoTransmitter {
     }
 
     /// Runs one stream's bit pipeline: payload + pad → scramble →
-    /// encode (terminated) → puncture. `ws.coded` ends up with exactly
+    /// encode (terminated) → puncture. Returns exactly
     /// `n_symbols · N_CBPS(mcs)` coded bits.
-    fn encode_stream(
-        &self,
-        kit: &RateKit,
-        bytes: &[u8],
-        n_symbols: usize,
-        ws: &mut TxStreamWorkspace,
-    ) -> Result<(), PhyError> {
+    fn encode_stream(&self, kit: &RateKit, bytes: &[u8], n_symbols: usize) -> Vec<u8> {
         let geometry = self.cfg.geometry();
         let ndbps = kit.mcs.info_bits_per_symbol(geometry);
         let capacity = n_symbols * ndbps - FLUSH_BITS;
         debug_assert!(8 * bytes.len() <= capacity, "symbol count under-provisioned");
 
-        let info = &mut ws.info;
-        info.clear();
-        info.reserve(capacity);
-        mimo_coding::bits::bytes_to_bits_append(bytes, info);
+        let mut info = Vec::with_capacity(capacity);
+        mimo_coding::bits::bytes_to_bits_append(bytes, &mut info);
         info.resize(capacity, 0); // zero pad to fill the burst
 
         if self.cfg.scramble() {
-            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(info);
+            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
         }
 
-        let mut encoder = ConvolutionalEncoder::new(CodeSpec::ieee80211a());
-        encoder.encode_terminated_into(info, &mut ws.mother);
-        puncture_into(&ws.mother, kit.mcs.code_rate(), &mut ws.coded);
-        debug_assert_eq!(ws.coded.len(), n_symbols * kit.coded_bits_per_symbol());
-        Ok(())
+        let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
+        let coded = puncture(&mother, kit.mcs.code_rate());
+        debug_assert_eq!(coded.len(), n_symbols * kit.coded_bits_per_symbol());
+        coded
     }
 }
 
@@ -486,17 +418,6 @@ mod tests {
         assert!(matches!(
             tx.transmit_burst(&too_big),
             Err(PhyError::PayloadTooLarge { .. })
-        ));
-    }
-
-    #[test]
-    fn off_table_default_rate_rejected_at_construction() {
-        let cfg = PhyConfig::paper_synthesis()
-            .with_modulation(mimo_modem::Modulation::Qam64)
-            .with_code_rate(mimo_coding::CodeRate::Half);
-        assert!(matches!(
-            MimoTransmitter::new(cfg),
-            Err(PhyError::BadConfig(_))
         ));
     }
 

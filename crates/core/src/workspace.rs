@@ -1,22 +1,28 @@
-//! Preallocated scratch workspaces for the TX/RX hot paths.
+//! Scratch workspaces for the TX/RX hot paths.
 //!
 //! The paper's 1 Gbps figure rests on four baseband channels running in
-//! true hardware parallelism with fixed, synthesis-time-sized memories.
-//! The software model mirrors that: every per-symbol buffer the chains
-//! touch lives in a workspace sized from [`LinkGeometry`], so the
-//! steady-state payload loops of `transmit_burst` / `receive_burst`
-//! perform **zero heap allocation**, and each spatial channel owns a
-//! private stream workspace, so the crew members that run the four
-//! channels share no mutable state.
+//! true hardware parallelism, each with its own fixed memories. The
+//! software model mirrors that: every per-symbol buffer the chains
+//! touch lives in a workspace sized from [`LinkGeometry`], each spatial
+//! channel owns a private stream workspace, and the workspace belongs
+//! to whoever runs the channel. The crew members that run the four
+//! channels therefore share no mutable state, and no endpoint holds a
+//! lock.
 //!
-//! Rate agility does not change this: the per-symbol bit buffers are
-//! sized for the **max-MCS envelope** (64-QAM's N_CBPS, the widest the
-//! SIGNAL field can select), and each burst's pipeline slices them to
-//! its own rate — reconfiguring the datapath per burst without ever
-//! growing a buffer. Buffers whose size depends on the burst length
-//! (accumulated LLRs, gathered frequency-domain carriers) grow once
-//! per burst via `resize`/`reserve` and keep their capacity across
-//! bursts.
+//! * **Receive.** Each receive driver owns its `RxWorkspace`s next to
+//!   one shared set of immutable receiver tables, and keeps them across
+//!   bursts. The per-symbol bit buffers are sized for the **max-MCS
+//!   envelope** (64-QAM's N_CBPS, the widest the SIGNAL field can
+//!   select), and each burst slices them to its own rate, so the
+//!   steady-state payload loops of `receive_burst` perform **zero heap
+//!   allocation** at any MCS. Buffers whose size depends on the burst
+//!   length (accumulated LLRs, gathered frequency-domain carriers) grow
+//!   once per burst via `resize` and keep their capacity.
+//! * **Transmit.** `transmit_burst_with` takes `&self` and builds one
+//!   `TxStreamWorkspace` per spatial channel, plus one for the SIGNAL
+//!   header, for each burst at that burst's MCS, as it builds the
+//!   output streams. The per-symbol interleave → map → IFFT → CP loop
+//!   then runs without allocation.
 
 use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
@@ -24,17 +30,11 @@ use mimo_ofdm::SymbolIngest;
 
 use crate::config::LinkGeometry;
 
-/// Per-stream transmit scratch: one per spatial channel.
-#[derive(Debug, Clone, Default)]
+/// Per-symbol transmit scratch: one per spatial channel (plus one for
+/// the SIGNAL-field header), built for each burst at its MCS.
+#[derive(Debug)]
 pub(crate) struct TxStreamWorkspace {
-    /// Info bits: payload + pad (capacity grows per burst).
-    pub info: Vec<u8>,
-    /// Mother-coded bits before puncturing.
-    pub mother: Vec<u8>,
-    /// Punctured coded bits for the whole stream burst.
-    pub coded: Vec<u8>,
-    /// One symbol's interleaved coded bits, sized for the max-MCS
-    /// envelope; each burst uses the prefix `[..N_CBPS(mcs)]`.
+    /// One symbol's interleaved coded bits (N_CBPS of the burst's MCS).
     pub interleaved: Vec<u8>,
     /// One symbol's mapped data carriers.
     pub symbols: Vec<CQ15>,
@@ -42,30 +42,14 @@ pub(crate) struct TxStreamWorkspace {
     pub freq: Vec<CQ15>,
 }
 
-/// Transmit workspace: one stream workspace per spatial channel, plus
-/// a dedicated scratch for the SIGNAL-field header symbols (stream 0
-/// only, always BPSK r=1/2).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TxWorkspace {
-    pub streams: Vec<TxStreamWorkspace>,
-    pub header: TxStreamWorkspace,
-}
-
-impl TxWorkspace {
-    /// Builds a workspace with the per-symbol buffers sized from the
-    /// link geometry at the max-MCS envelope.
-    pub fn new(geometry: &LinkGeometry, max_ncbps: usize) -> Self {
-        let make = || TxStreamWorkspace {
-            info: Vec::new(),
-            mother: Vec::new(),
-            coded: Vec::new(),
-            interleaved: vec![0; max_ncbps],
+impl TxStreamWorkspace {
+    /// Builds a stream workspace with the per-symbol buffers sized
+    /// from the link geometry and `ncbps` coded bits per symbol.
+    pub fn new(geometry: &LinkGeometry, ncbps: usize) -> Self {
+        Self {
+            interleaved: vec![0; ncbps],
             symbols: vec![CQ15::ZERO; geometry.data_carriers()],
             freq: vec![CQ15::ZERO; geometry.fft_size()],
-        };
-        Self {
-            streams: (0..geometry.n_streams()).map(|_| make()).collect(),
-            header: make(),
         }
     }
 }

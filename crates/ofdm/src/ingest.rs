@@ -5,40 +5,32 @@
 //! from the ADC through CP removal into the FFT core continuously,
 //! with the Fig 3 ping-pong memory providing the symbol framing. The
 //! software model's counterpart is [`SymbolIngest`]: the per-antenna
-//! stage that turns on-air sample periods (`N + N/4` samples, CP
-//! first) into frequency-domain frames. It is the chunk-level
+//! stage that turns one on-air sample period (`N + N/4` samples, CP
+//! first) into a frequency-domain frame. It is the period-level
 //! equivalent of clocking [`CpBuffer`](crate::CpBuffer) and
 //! [`mimo_fft::StreamingFft`] sample per sample — same frames, same
 //! bits — without paying a function call per sample, and it is the
-//! **single** CP-strip + FFT implementation both the whole-burst and
-//! the streaming receivers run.
+//! **single** CP-strip + FFT implementation every receiver runs: the
+//! whole-burst receivers slice periods out of a stored capture, the
+//! streaming receiver out of its own sample history.
 
 use mimo_fixed::CQ15;
 
-use crate::{cp_len, symbol_len, OfdmError};
+use crate::{symbol_len, OfdmError};
 use mimo_fft::FixedFft;
 
 /// One antenna's symbol-ingest stage: strips the cyclic prefix and
 /// FFTs, emitting one frequency-domain frame per on-air symbol period.
 ///
-/// Two entry points share the transform:
-///
-/// * [`SymbolIngest::ingest_period`] — zero-copy: the caller hands a
-///   whole `N + N/4`-sample period (the batch receiver slicing a
-///   stored capture, or a streaming receiver slicing its history
-///   buffer).
-/// * [`SymbolIngest::push`] — chunk-driven: arbitrary-size sample
-///   chunks are consumed, CP samples are discarded on the fly and a
-///   callback fires per completed symbol (a hardware-shaped front end
-///   fed straight from a sample source).
-///
-/// Both paths run `fft_into` over the identical body samples, so their
-/// outputs are bit-identical; the steady state allocates nothing.
+/// [`SymbolIngest::ingest_period`] takes a whole `N + N/4`-sample
+/// period without copying it and transforms the body into the stage's
+/// own frame scratch, so the steady state allocates nothing.
 ///
 /// # Examples
 ///
 /// ```
 /// use mimo_fixed::CQ15;
+/// use mimo_fft::FixedFft;
 /// use mimo_ofdm::{add_cyclic_prefix, SymbolIngest};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,25 +38,16 @@ use mimo_fft::FixedFft;
 /// let on_air = add_cyclic_prefix(&symbol);
 ///
 /// let mut ingest = SymbolIngest::new(64)?;
-/// let whole = ingest.ingest_period(&on_air)?.to_vec();
+/// let frame = ingest.ingest_period(&on_air)?;
 ///
-/// // The same period pushed one sample at a time emits the same frame.
-/// let mut chunked = Vec::new();
-/// let mut ingest2 = SymbolIngest::new(64)?;
-/// for s in &on_air {
-///     ingest2.push(std::slice::from_ref(s), |frame| chunked = frame.to_vec());
-/// }
-/// assert_eq!(chunked, whole);
+/// // The CP is skipped: the frame is the FFT of the symbol body.
+/// assert_eq!(frame, FixedFft::new(64)?.fft(&symbol)?.as_slice());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct SymbolIngest {
     fft: FixedFft,
-    /// Collected body samples of the symbol in flight (chunk mode).
-    body: Vec<CQ15>,
-    /// Position within the current on-air period, `0..N + N/4`.
-    pos: usize,
     /// FFT output frame scratch.
     frame: Vec<CQ15>,
 }
@@ -83,8 +66,6 @@ impl SymbolIngest {
         let fft = FixedFft::new(fft_size).map_err(|_| OfdmError::UnsupportedFftSize(fft_size))?;
         Ok(Self {
             fft,
-            body: Vec::with_capacity(fft_size),
-            pos: 0,
             frame: vec![CQ15::ZERO; fft_size],
         })
     }
@@ -97,13 +78,6 @@ impl SymbolIngest {
     /// On-air samples per symbol period (`N + N/4`).
     pub fn symbol_samples(&self) -> usize {
         symbol_len(self.fft_size())
-    }
-
-    /// Discards any partially collected symbol (chunk mode); the next
-    /// pushed sample starts a fresh period.
-    pub fn reset(&mut self) {
-        self.body.clear();
-        self.pos = 0;
     }
 
     /// Ingests one whole on-air symbol period without copying: the CP
@@ -123,31 +97,6 @@ impl SymbolIngest {
             }
         })?;
         Ok(&self.frame)
-    }
-
-    /// Consumes an arbitrary-size chunk of on-air samples, discarding
-    /// CP samples on the fly; `emit` fires with the frequency-domain
-    /// frame once per completed symbol (possibly several times per
-    /// chunk, or not at all). State carries across chunk boundaries.
-    pub fn push<F: FnMut(&[CQ15])>(&mut self, chunk: &[CQ15], mut emit: F) {
-        let n = self.fft_size();
-        let cp = cp_len(n);
-        let period = n + cp;
-        for &sample in chunk {
-            if self.pos >= cp {
-                self.body.push(sample);
-            }
-            self.pos += 1;
-            if self.pos == period {
-                self.fft
-                    .fft_into(&self.body, &mut self.frame)
-                    // phylint: allow(panic_path) -- `body` accumulates exactly `period - cp == N` samples before this branch is reached, the one length `fft_into` accepts; `push` has no `Result` channel to surface it through
-                    .expect("collected body is exactly N samples");
-                emit(&self.frame);
-                self.body.clear();
-                self.pos = 0;
-            }
-        }
     }
 }
 
@@ -186,22 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_push_is_bit_identical_for_any_split() {
-        let (on_air, expected) = periods(64, 4);
-        let stream: Vec<CQ15> = on_air.iter().flatten().copied().collect();
-        for chunk in [1usize, 7, 64, 80, 81, 4096] {
-            let mut ingest = SymbolIngest::new(64).unwrap();
-            let mut frames: Vec<Vec<CQ15>> = Vec::new();
-            for c in stream.chunks(chunk) {
-                ingest.push(c, |f| frames.push(f.to_vec()));
-            }
-            assert_eq!(frames, expected, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn matches_clocked_streaming_fft_frames() {
-        // The chunk-level ingest and the cycle-accurate StreamingFft
+        // The period-level ingest and the cycle-accurate StreamingFft
         // disagree only in latency bookkeeping, never in values.
         let n = 64;
         let (on_air, _) = periods(n, 3);
@@ -224,21 +159,6 @@ mod tests {
         }
         let fast_flat: Vec<CQ15> = fast.into_iter().flatten().collect();
         assert_eq!(slow, fast_flat);
-    }
-
-    #[test]
-    fn reset_discards_partial_symbol() {
-        let (on_air, expected) = periods(64, 2);
-        let mut ingest = SymbolIngest::new(64).unwrap();
-        // Push half a period, reset, then a clean period.
-        ingest.push(&on_air[0][..40], |_| panic!("no frame yet"));
-        ingest.reset();
-        let mut frames = 0;
-        ingest.push(&on_air[1], |f| {
-            assert_eq!(f, expected[1].as_slice());
-            frames += 1;
-        });
-        assert_eq!(frames, 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`OfdmModulator`] / [`OfdmDemodulator`] — one antenna's
 //!   symbol-level modulation chain (map → IFFT → CP and its inverse).
 //! * [`SymbolIngest`] — the receive-side per-symbol stage (CP strip +
-//!   FFT), consuming whole periods zero-copy or arbitrary sample
-//!   chunks, shared by the whole-burst and streaming receivers.
+//!   FFT), consuming one whole on-air period at a time without copying
+//!   it, shared by the whole-burst and streaming receivers.
 
 mod cp;
 mod frame;

@@ -8,9 +8,8 @@
 //! ```
 
 use mimo_baseband::channel::{AwgnChannel, ChannelChain, FlatRayleighMimo};
-use mimo_baseband::coding::CodeRate;
 use mimo_baseband::modem::Modulation;
-use mimo_baseband::phy::{LinkSimulation, PhyConfig};
+use mimo_baseband::phy::{LinkSimulation, Mcs, PhyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
@@ -22,17 +21,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<22}{:>8}{:>12}{:>12}{:>8}",
         "mod/rate", "SNR dB", "bits", "errors", "BER"
     );
-    let cases = [
-        (Modulation::Qpsk, CodeRate::Half),
-        (Modulation::Qam16, CodeRate::Half),
-        (Modulation::Qam16, CodeRate::ThreeQuarters),
-        (Modulation::Qam64, CodeRate::ThreeQuarters),
-    ];
-    for (m, r) in cases {
-        let cfg = PhyConfig::paper_synthesis()
-            .with_modulation(m)
-            .with_code_rate(r);
-        let snrs: &[f64] = match m {
+    let cases = [Mcs::Qpsk12, Mcs::Qam16R12, Mcs::Qam16R34, Mcs::Qam64R34];
+    for mcs in cases {
+        let cfg = PhyConfig::paper_synthesis().with_mcs(mcs);
+        let snrs: &[f64] = match mcs.modulation() {
             Modulation::Qam64 => &[14.0, 18.0, 22.0, 26.0],
             Modulation::Qam16 => &[8.0, 12.0, 16.0, 20.0],
             _ => &[2.0, 5.0, 8.0, 12.0],
@@ -43,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let point = link.run(&mut chan, payload, bursts)?;
             println!(
                 "{:<22}{:>8.1}{:>12}{:>12}{:>12.2e}",
-                format!("{m} r={r}"),
+                format!("{mcs}"),
                 snr,
                 point.bits,
                 point.bit_errors,

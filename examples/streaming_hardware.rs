@@ -5,9 +5,9 @@
 //! [`StreamingReceiver`] carries sync, channel-estimate and per-symbol
 //! state across every chunk boundary itself.
 //!
-//! A second section ties the chunk-level stages to the cycle-accurate
-//! hardware models they abstract (the clocked streaming FFT and the
-//! Fig 3 cyclic-prefix buffer), confirming value-identity.
+//! A second section ties the period-level ingest stage to the
+//! cycle-accurate hardware models it abstracts (the clocked streaming
+//! FFT and the Fig 3 cyclic-prefix buffer), asserting value-identity.
 //!
 //! ```bash
 //! cargo run --release --example streaming_hardware
@@ -85,32 +85,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(recovered.len(), payloads.len(), "every burst recovered");
     println!("\nall {} bursts recovered losslessly through chunked ingest\n", recovered.len());
 
-    // --- The chunk-level ingest vs the clocked hardware models. ---
-    println!("== Chunk stages vs cycle-accurate models ==\n");
+    // --- The period-level ingest vs the clocked hardware models. ---
+    println!("== Ingest stage vs cycle-accurate models ==\n");
 
-    // SymbolIngest (chunk-driven CP strip + FFT) against the clocked
-    // sample-per-cycle StreamingFft: identical frames, different
+    // SymbolIngest (CP strip + FFT, one on-air period at a time)
+    // against the clocked sample-per-cycle StreamingFft fed the same
+    // symbol bodies back to back: identical frames, different
     // bookkeeping.
     let n = 64;
-    let symbol: Vec<CQ15> = (0..n)
-        .map(|i| CQ15::from_f64(0.3 * (i as f64 * 0.19).sin(), 0.1 * (i as f64 * 0.11).cos()))
+    let symbols: Vec<Vec<CQ15>> = (0..3)
+        .map(|s| {
+            (0..n)
+                .map(|i| {
+                    let (f, g) = ((i * (s + 1)) as f64, (i + s) as f64);
+                    CQ15::from_f64(0.3 * (f * 0.19).sin(), 0.1 * (g * 0.11).cos())
+                })
+                .collect()
+        })
         .collect();
-    let on_air = add_cyclic_prefix(&symbol);
     let mut ingest = SymbolIngest::new(n)?;
     let mut fast = Vec::new();
-    ingest.push(&on_air, |frame| fast = frame.to_vec());
+    for symbol in &symbols {
+        fast.extend_from_slice(ingest.ingest_period(&add_cyclic_prefix(symbol))?);
+    }
+    let bodies: Vec<CQ15> = symbols.concat();
     let mut clocked = StreamingFft::forward(n)?;
     let mut slow = Vec::new();
-    for cycle in 0..(n + clocked.latency_cycles() as usize + n) {
-        if let Some(out) = clocked.clock(symbol.get(cycle).copied()) {
+    for cycle in 0..(bodies.len() + clocked.latency_cycles() as usize + n) {
+        if let Some(out) = clocked.clock(bodies.get(cycle).copied()) {
             slow.push(out);
         }
     }
     println!(
-        "SymbolIngest vs clocked StreamingFft: frames bit-identical = {} (model latency {} cycles)",
+        "SymbolIngest vs clocked StreamingFft over {} periods: frames bit-identical = {} (model latency {} cycles)",
+        symbols.len(),
         fast == slow,
         clocked.latency_cycles()
     );
+    assert_eq!(fast, slow, "SymbolIngest must match the clocked StreamingFft");
 
     // The Fig 3 cyclic-prefix buffer's rfd back-pressure duty cycle.
     let mut cp = CpBuffer::new(n)?;

@@ -10,9 +10,18 @@
 //! guarantee over a seeded sweep of payload sizes, modulations and
 //! channel impairments: payloads, diagnostics and raw TX samples all
 //! match exactly between `with_parallelism(true)` and `(false)`.
+//!
+//! The suite also pins endpoint state: every receiver decodes a burst
+//! on a workspace warmed by earlier good and failed bursts exactly as a
+//! fresh one does, and threads sharing one transmitter get the samples
+//! of serial calls.
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
-use mimo_baseband::phy::{Mcs, MimoReceiver, MimoTransmitter, PhyConfig};
+use mimo_baseband::fixed::CQ15;
+use mimo_baseband::phy::{
+    BurstPipeline, BurstStreams, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, PhyError,
+    RxResult, StreamingReceiver,
+};
 
 fn payload(seed: u64, len: usize) -> Vec<u8> {
     // Small deterministic xorshift so the sweep is reproducible.
@@ -116,27 +125,168 @@ fn gigabit_point_matches() {
     assert_bit_identical(&PhyConfig::gigabit(), &data, None);
 }
 
+/// Asserts that two decodes of the same burst agree on everything but
+/// the sync position (a streaming receiver reports absolute stream
+/// indices): payload, MCS, symbol count and every quality figure, bit
+/// for bit.
+fn assert_same_decode(warm: &RxResult, fresh: &RxResult, what: &str) {
+    assert_eq!(warm.payload, fresh.payload, "{what}: payload");
+    let (w, f) = (&warm.diagnostics, &fresh.diagnostics);
+    assert_eq!(w.mcs, f.mcs, "{what}: MCS");
+    assert_eq!(w.n_symbols, f.n_symbols, "{what}: symbol count");
+    assert_eq!(w.sync.magnitude, f.sync.magnitude, "{what}: sync magnitude");
+    let (wq, fq) = (&w.quality, &f.quality);
+    assert_eq!(wq.evm_db.to_bits(), fq.evm_db.to_bits(), "{what}: EVM");
+    assert_eq!(
+        wq.mean_phase_rad.to_bits(),
+        fq.mean_phase_rad.to_bits(),
+        "{what}: mean phase"
+    );
+    let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&wq.per_stream_evm_db),
+        bits(&fq.per_stream_evm_db),
+        "{what}: per-stream EVM"
+    );
+}
+
+/// Feeds `streams` to a streaming receiver in 160-sample chunks, then
+/// flushes; returns every burst and error it reports, in order.
+fn stream_all(
+    rx: &mut StreamingReceiver,
+    streams: &[Vec<CQ15>],
+) -> Vec<Result<RxResult, PhyError>> {
+    let mut out = Vec::new();
+    let len = streams[0].len();
+    let mut at = 0;
+    loop {
+        let end = (at + 160).min(len);
+        let views: Vec<&[CQ15]> = streams.iter().map(|s| &s[at..end]).collect();
+        let mut next = if at < len {
+            rx.push_samples(&views)
+        } else {
+            rx.flush()
+        };
+        loop {
+            match next {
+                Ok(Some(burst)) => out.push(Ok(burst.result)),
+                Ok(None) => break,
+                Err(e) => out.push(Err(e)),
+            }
+            next = rx.poll();
+        }
+        if at == len {
+            return out;
+        }
+        at = end;
+    }
+}
+
 #[test]
 fn repeated_bursts_reuse_workspace_identically() {
-    // The workspace persists across bursts; later bursts (with warm,
-    // possibly larger buffers) must decode exactly like a fresh
-    // receiver.
+    // Every receiver keeps its workspace across bursts; a later burst,
+    // decoded on buffers warmed by a bigger burst and by two failed
+    // ones, must decode exactly like a fresh receiver.
     let cfg = PhyConfig::paper_synthesis();
     let tx = MimoTransmitter::new(cfg.clone()).unwrap();
-    let mut warm = MimoReceiver::new(cfg.clone()).unwrap();
-    // Warm it with a large burst first, then decode a small one.
     let big = payload(21, 4000);
     let small = payload(22, 60);
     let big_burst = tx.transmit_burst(&big).unwrap();
     let small_burst = tx.transmit_burst(&small).unwrap();
-    warm.receive_burst(&big_burst.streams).unwrap();
+
+    // Two failed bursts: one cut off right after the SIGNAL field, one
+    // whose SIGNAL field is silenced (the CRC's 0xFF init rejects the
+    // all-zero decode).
+    let failed = tx.transmit_burst(&payload(23, 500)).unwrap();
+    let signal_end = tx.preamble_schedule().data_offset()
+        + failed.header_symbols * cfg.geometry().symbol_samples();
+    let truncated: Vec<Vec<CQ15>> = failed
+        .streams
+        .iter()
+        .map(|s| s[..signal_end].to_vec())
+        .collect();
+    let mut silenced = failed.streams.clone();
+    let signal_start = tx.preamble_schedule().data_offset();
+    for s in &mut silenced[0][signal_start..signal_end] {
+        *s = CQ15::ZERO;
+    }
+    let warmups = [&big_burst.streams, &truncated, &silenced];
+    let expect_warmup = |i: usize, r: &Result<RxResult, PhyError>, what: &str| match (i, r) {
+        (0, Ok(r)) => assert_eq!(r.payload, big, "{what}: warm-up burst"),
+        (1, Err(PhyError::TruncatedBurst { .. })) | (2, Err(PhyError::HeaderCrc { .. })) => {}
+        _ => panic!("{what}: warm-up {i} gave {:?}", r.as_ref().map(|r| r.payload.len())),
+    };
+
+    // Whole-capture receiver.
+    let mut warm = MimoReceiver::new(cfg.clone()).unwrap();
+    for (i, streams) in warmups.iter().enumerate() {
+        expect_warmup(i, &warm.receive_burst(streams), "MimoReceiver");
+    }
     let from_warm = warm.receive_burst(&small_burst.streams).unwrap();
-    let mut fresh = MimoReceiver::new(cfg).unwrap();
-    let from_fresh = fresh.receive_burst(&small_burst.streams).unwrap();
-    assert_eq!(from_warm.payload, from_fresh.payload);
+    let from_fresh = MimoReceiver::new(cfg.clone())
+        .unwrap()
+        .receive_burst(&small_burst.streams)
+        .unwrap();
     assert_eq!(from_warm.payload, small);
-    assert_eq!(
-        from_warm.diagnostics.evm_db().to_bits(),
-        from_fresh.diagnostics.evm_db().to_bits()
+    assert_eq!(from_warm.diagnostics.sync.lts_start, from_fresh.diagnostics.sync.lts_start);
+    assert_same_decode(&from_warm, &from_fresh, "MimoReceiver");
+
+    // Batch pipeline, one member: one workspace serves every burst of
+    // both batches.
+    let mut warm = BurstPipeline::with_workers(cfg.clone(), 1).unwrap();
+    let batch: Vec<BurstStreams> = warmups.iter().map(|&s| s.clone()).collect();
+    for (i, r) in warm.process_batch(batch).iter().enumerate() {
+        expect_warmup(i, r, "BurstPipeline");
+    }
+    let from_warm = warm.process_batch(vec![small_burst.streams.clone()]);
+    let from_pipe_fresh = BurstPipeline::with_workers(cfg.clone(), 1)
+        .unwrap()
+        .process_batch(vec![small_burst.streams.clone()]);
+    let (from_warm, from_pipe_fresh) = (
+        from_warm[0].as_ref().unwrap(),
+        from_pipe_fresh[0].as_ref().unwrap(),
     );
+    assert_same_decode(from_warm, from_pipe_fresh, "BurstPipeline");
+    assert_same_decode(from_warm, &from_fresh, "BurstPipeline vs receive_burst");
+
+    // Streaming receiver: the same sequence as one continuous stream
+    // per warm-up, then the good burst.
+    let mut warm = StreamingReceiver::new(cfg.clone()).unwrap();
+    for (i, streams) in warmups.iter().enumerate() {
+        let got = stream_all(&mut warm, streams);
+        assert_eq!(got.len(), 1, "StreamingReceiver: warm-up {i} reports once");
+        expect_warmup(i, &got[0], "StreamingReceiver");
+    }
+    let from_warm = stream_all(&mut warm, &small_burst.streams);
+    let from_stream_fresh =
+        stream_all(&mut StreamingReceiver::new(cfg).unwrap(), &small_burst.streams);
+    assert_eq!((from_warm.len(), from_stream_fresh.len()), (1, 1));
+    let (from_warm, from_stream_fresh) = (
+        from_warm[0].as_ref().unwrap(),
+        from_stream_fresh[0].as_ref().unwrap(),
+    );
+    assert_same_decode(from_warm, from_stream_fresh, "StreamingReceiver");
+    assert_same_decode(from_warm, &from_fresh, "StreamingReceiver vs receive_burst");
+}
+
+#[test]
+fn shared_transmitter_is_bit_identical_across_threads() {
+    // The transmitter keeps no scratch between bursts, so two threads
+    // may share one `&MimoTransmitter`. Run every MCS on both threads
+    // at once, in opposite orders so different rates overlap, and
+    // compare with serial calls.
+    let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
+    let data: Vec<Vec<u8>> = (0..Mcs::ALL.len())
+        .map(|i| payload(40 + i as u64, 300 + 97 * i))
+        .collect();
+    let burst = |i: usize| tx.transmit_burst_with(Mcs::ALL[i], &data[i]).unwrap().streams;
+    let serial: Vec<_> = (0..Mcs::ALL.len()).map(burst).collect();
+    let (forward, backward) = std::thread::scope(|scope| {
+        let forward = scope.spawn(|| (0..Mcs::ALL.len()).map(burst).collect::<Vec<_>>());
+        let backward = scope.spawn(|| (0..Mcs::ALL.len()).rev().map(burst).collect::<Vec<_>>());
+        (forward.join().unwrap(), backward.join().unwrap())
+    });
+    assert_eq!(forward, serial, "forward thread diverges from serial calls");
+    let backward: Vec<_> = backward.into_iter().rev().collect();
+    assert_eq!(backward, serial, "backward thread diverges from serial calls");
 }
