@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_coding::{CodeSpec, ConvolutionalEncoder};
-use mimo_fft::FixedFft;
+use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 use mimo_fixed::CQ15;
 use mimo_fpga::{SynthConfig, TxEntity};
 use mimo_interleave::BlockInterleaver;
@@ -53,6 +53,18 @@ fn bench(c: &mut Criterion) {
         .collect();
     c.bench_function("table2/ifft_64pt", |b| {
         b.iter(|| ifft.ifft(&freq).expect("sized frame"))
+    });
+
+    // IFFT, one lane-parallel batch of eight symbols (compare with
+    // eight times `table2/ifft_64pt`).
+    let frames: Vec<CQ15> = (0..FFT_LANES).flat_map(|_| freq.iter().copied()).collect();
+    let mut bodies = vec![CQ15::ZERO; FFT_LANES * 64];
+    let mut lanes = FftLaneScratch::default();
+    c.bench_function("table2/ifft_64pt_8_symbols", |b| {
+        b.iter(|| {
+            ifft.ifft_batch_into(&frames, 64, &mut bodies, 64, &mut lanes)
+                .expect("sized frames")
+        })
     });
 
     let symbol: Vec<CQ15> = (0..64).map(|i| CQ15::from_f64(0.01 * i as f64, 0.0)).collect();

@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_chanest::{invert_upper_triangular, CordicQrd, Mat4};
 use mimo_coding::{hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder};
-use mimo_fft::FixedFft;
+use mimo_detect::ZfDetector;
+use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_fpga::{RxEntity, SynthConfig};
 use mimo_interleave::BlockInterleaver;
@@ -50,6 +51,18 @@ fn bench(c: &mut Criterion) {
         .map(|i| CQ15::from_f64(0.1 * ((i as f64) * 0.7).sin(), 0.1 * ((i as f64) * 0.3).cos()))
         .collect();
     c.bench_function("table4/fft_64pt", |b| b.iter(|| fft.fft(&time).expect("sized")));
+
+    // FFT, one lane-parallel batch of eight symbols (compare with
+    // eight times `table4/fft_64pt`).
+    let batch: Vec<CQ15> = (0..FFT_LANES).flat_map(|_| time.iter().copied()).collect();
+    let mut spectra = vec![CQ15::ZERO; FFT_LANES * 64];
+    let mut lanes = FftLaneScratch::default();
+    c.bench_function("table4/fft_64pt_8_symbols", |b| {
+        b.iter(|| {
+            fft.fft_batch_into(&batch, 64, &mut spectra, 64, &mut lanes)
+                .expect("sized")
+        })
+    });
 
     // Time synchroniser: one sliding-window step.
     let map = SubcarrierMap::new(64).expect("valid size");
@@ -103,6 +116,27 @@ fn bench(c: &mut Criterion) {
     ];
     c.bench_function("table4/mimo_decoder_per_carrier", |b| {
         b.iter(|| h_inv.mul_vec(&r_vec))
+    });
+
+    // MIMO decoder: one stream's row of H^-1 · r over a 64-point
+    // symbol's 48 data carriers, as the receiver runs it.
+    let h_invs = vec![h_inv; 48];
+    let antennas: Vec<Vec<CQ15>> = (0..4)
+        .map(|a| {
+            (0..48)
+                .map(|s| CQ15::from_f64(0.2 * ((a * 48 + s) as f64 * 0.37).sin(), 0.1))
+                .collect()
+        })
+        .collect();
+    let rx: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].as_slice());
+    let detector = ZfDetector::new();
+    let mut stream = vec![CQ15::ZERO; 48];
+    c.bench_function("table4/zf_stream_48_carriers", |b| {
+        b.iter(|| {
+            detector
+                .detect_stream_into(&h_invs, &rx, 1, &mut stream)
+                .expect("sized")
+        })
     });
 }
 

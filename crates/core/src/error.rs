@@ -218,8 +218,8 @@ mod tests {
         assert!(coding.to_string().contains("11"), "{coding}");
         assert!(matches!(coding, PhyError::Decode(_)), "{coding:?}");
 
-        let detect: PhyError = mimo_detect::DetectError::BadStreamCount(3).into();
-        assert!(detect.to_string().contains("got 3"), "{detect}");
+        let detect: PhyError = mimo_detect::DetectError::BadStreamIndex(5).into();
+        assert!(detect.to_string().contains("index 5"), "{detect}");
         assert!(matches!(detect, PhyError::Decode(_)), "{detect:?}");
 
         let ofdm: PhyError = mimo_ofdm::OfdmError::UnsupportedFftSize(100).into();

@@ -15,8 +15,9 @@
 //! once, shared by every receive mode:
 //!
 //! * [`SymbolIngest`](mimo_ofdm::SymbolIngest) (one per antenna, in
-//!   the workspace) strips the CP and FFTs one on-air symbol period;
-//!   `RxCore::gather_occ` pulls the occupied carriers out of the
+//!   the workspace) strips the CP and FFTs one on-air symbol period,
+//!   or [`FFT_LANES`] consecutive periods in one lane-parallel FFT;
+//!   `RxCore::gather_occ` pulls the occupied carriers out of each
 //!   frame.
 //! * `RxCore::process_symbol` runs one stream × one symbol:
 //!   zero-forcing detection (row `k` of `H⁻¹·r`), then the shared
@@ -46,6 +47,11 @@
 //!
 //! 1. **Per antenna** — ingest every payload symbol and gather the
 //!    occupied carriers into that antenna's flat frequency buffer.
+//!    Each whole group of [`FFT_LANES`] symbols goes through
+//!    `SymbolIngest::ingest_batch` (eight FFTs in lockstep on `i32`
+//!    lanes); the last `available mod 8` symbols go one at a time
+//!    through `ingest_period`, unpadded. Both give the same frames bit
+//!    for bit, so the split never shows in the output.
 //! 2. **Per stream** — the per-symbol core over all of the burst's
 //!    symbols, then that stream's Viterbi decode and descramble,
 //!    entirely inside stream `k`'s workspace at the burst's MCS.
@@ -69,7 +75,7 @@ use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
-use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
+use mimo_ofdm::{OfdmDemodulator, SubcarrierMap, FFT_LANES};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
 
 use crate::config::{host_parallelism, LinkGeometry, PhyConfig};
@@ -569,18 +575,31 @@ impl RxCore {
         }
         let n_occ = self.n_occupied();
 
-        // Per antenna: ingest each symbol (CP strip + FFT via the
+        // Per antenna: ingest every symbol (CP strip + FFT via the
         // workspace's SymbolIngest) and gather the occupied carriers
-        // (one grow per burst, none per symbol).
+        // (one grow per burst, none per symbol). Whole groups of
+        // FFT_LANES symbols share one lane-parallel FFT; the remainder
+        // goes one symbol at a time.
         let run_antenna = |a: usize,
                            ws: &mut crate::workspace::RxAntennaWorkspace|
          -> Result<(), PhyError> {
             ws.freq_occ.resize(available * n_occ, CQ15::ZERO);
-            let stream = streams[a].as_ref();
-            for m in 0..available {
-                let start = data_start + m * sym_len;
-                let frame = ws.ingest.ingest_period(&stream[start..start + sym_len])?;
-                self.gather_occ(frame, &mut ws.freq_occ[m * n_occ..(m + 1) * n_occ]);
+            let periods = &streams[a].as_ref()[data_start..data_start + available * sym_len];
+            let whole = available / FFT_LANES * FFT_LANES;
+            let (batched, tail) = periods.split_at(whole * sym_len);
+            let (occ_batched, occ_tail) = ws.freq_occ.split_at_mut(whole * n_occ);
+            for (group, occ) in batched
+                .chunks_exact(FFT_LANES * sym_len)
+                .zip(occ_batched.chunks_exact_mut(FFT_LANES * n_occ))
+            {
+                let frames = ws.ingest.ingest_batch(group)?;
+                for (frame, dst) in frames.chunks_exact(n).zip(occ.chunks_exact_mut(n_occ)) {
+                    self.gather_occ(frame, dst);
+                }
+            }
+            for (period, dst) in tail.chunks_exact(sym_len).zip(occ_tail.chunks_exact_mut(n_occ)) {
+                let frame = ws.ingest.ingest_period(period)?;
+                self.gather_occ(frame, dst);
             }
             Ok(())
         };

@@ -11,7 +11,7 @@
 use mimo_coding::{puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Scrambler};
 use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
-use mimo_ofdm::OfdmModulator;
+use mimo_ofdm::{OfdmModulator, FFT_LANES};
 
 use crate::config::{host_parallelism, PhyConfig};
 use crate::crew::fan_out;
@@ -292,6 +292,9 @@ impl MimoTransmitter {
     /// Maps a coded bit stream onto consecutive OFDM symbols starting
     /// at pilot polarity index `pilot_offset`, on one
     /// [`TxStreamWorkspace`] so the per-symbol loop allocates nothing.
+    /// Each whole group of [`FFT_LANES`] symbols shares one
+    /// lane-parallel IFFT; a last partial group goes one symbol at a
+    /// time, unpadded, with the same bits.
     fn modulate_symbols(
         &self,
         kit: &RateKit,
@@ -299,22 +302,37 @@ impl MimoTransmitter {
         pilot_offset: usize,
         out: &mut [CQ15],
     ) -> Result<(), PhyError> {
+        let geometry = self.cfg.geometry();
         let ncbps = kit.coded_bits_per_symbol();
-        let sym_len = self.cfg.symbol_samples();
-        let mut ws = TxStreamWorkspace::new(self.cfg.geometry(), ncbps);
-        for (sym_idx, (block, on_air)) in coded
-            .chunks(ncbps)
-            .zip(out.chunks_mut(sym_len))
+        let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
+        let n_data = geometry.data_carriers();
+        let mut ws = TxStreamWorkspace::new(geometry, ncbps, out.len() / sym_len);
+        for (group, (bits, on_air)) in coded
+            .chunks(FFT_LANES * ncbps)
+            .zip(out.chunks_mut(FFT_LANES * sym_len))
             .enumerate()
         {
-            kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
-            kit.mapper.map_bits_into(&ws.interleaved, &mut ws.symbols)?;
-            self.modulator.modulate_symbol_into(
-                &ws.symbols,
-                pilot_offset + sym_idx,
-                on_air,
-                &mut ws.freq,
-            )?;
+            let first = pilot_offset + group * FFT_LANES;
+            if bits.len() == FFT_LANES * ncbps && on_air.len() == FFT_LANES * sym_len {
+                for (block, symbols) in bits.chunks(ncbps).zip(ws.symbols.chunks_mut(n_data)) {
+                    kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
+                    kit.mapper.map_bits_into(&ws.interleaved, symbols)?;
+                }
+                self.modulator
+                    .modulate_batch_into(&ws.symbols, first, on_air, &mut ws.freq, &mut ws.lanes)?;
+                continue;
+            }
+            let symbols = bits.chunks(ncbps).zip(on_air.chunks_mut(sym_len));
+            for (k, (block, on_air)) in symbols.enumerate() {
+                kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
+                kit.mapper.map_bits_into(&ws.interleaved, &mut ws.symbols[..n_data])?;
+                self.modulator.modulate_symbol_into(
+                    &ws.symbols[..n_data],
+                    first + k,
+                    on_air,
+                    &mut ws.freq[..n],
+                )?;
+            }
         }
         Ok(())
     }
@@ -346,6 +364,36 @@ impl MimoTransmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whole eight-symbol groups through the batch IFFT plus a tail of
+    /// 1–7 symbols one at a time give exactly the symbol-at-a-time
+    /// chain, pilot polarities included.
+    #[test]
+    fn batched_modulation_matches_symbol_at_a_time() {
+        let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
+        let kit = tx.rates.kit(Mcs::Qam64R34);
+        let geometry = tx.cfg.geometry();
+        let ncbps = kit.coded_bits_per_symbol();
+        let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
+        for n_symbols in 1..=17 {
+            let coded: Vec<u8> = (0..n_symbols * ncbps)
+                .map(|i| u8::from((i * 7 + i / 5) % 3 == 0))
+                .collect();
+            let mut got = vec![CQ15::ZERO; n_symbols * sym_len];
+            tx.modulate_symbols(kit, &coded, 3, &mut got).unwrap();
+            let mut want = vec![CQ15::ZERO; n_symbols * sym_len];
+            let mut interleaved = vec![0; ncbps];
+            let mut symbols = vec![CQ15::ZERO; geometry.data_carriers()];
+            let mut frame = vec![CQ15::ZERO; n];
+            let symbols_out = coded.chunks(ncbps).zip(want.chunks_mut(sym_len));
+            for (m, (block, on_air)) in symbols_out.enumerate() {
+                kit.interleaver.interleave_into(block, &mut interleaved).unwrap();
+                kit.mapper.map_bits_into(&interleaved, &mut symbols).unwrap();
+                tx.modulator.modulate_symbol_into(&symbols, 3 + m, on_air, &mut frame).unwrap();
+            }
+            assert!(got == want, "{n_symbols} symbols");
+        }
+    }
 
     #[test]
     fn burst_structure_matches_fig2_plus_signal_field() {

@@ -22,11 +22,13 @@
 //!   `TxStreamWorkspace` per spatial channel, plus one for the SIGNAL
 //!   header, for each burst at that burst's MCS, as it builds the
 //!   output streams. The per-symbol interleave → map → IFFT → CP loop
-//!   then runs without allocation.
+//!   then runs without allocation; a region of at least
+//!   [`FFT_LANES`] symbols gets room for that many, so whole groups
+//!   share one lane-parallel IFFT.
 
 use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
-use mimo_ofdm::SymbolIngest;
+use mimo_ofdm::{FftLaneScratch, SymbolIngest, FFT_LANES};
 
 use crate::config::LinkGeometry;
 
@@ -36,20 +38,27 @@ use crate::config::LinkGeometry;
 pub(crate) struct TxStreamWorkspace {
     /// One symbol's interleaved coded bits (N_CBPS of the burst's MCS).
     pub interleaved: Vec<u8>,
-    /// One symbol's mapped data carriers.
+    /// Mapped data carriers, symbol-major: room for one symbol, or
+    /// for [`FFT_LANES`] when the region holds a whole group.
     pub symbols: Vec<CQ15>,
-    /// Frequency-domain frame scratch for the IFFT (N bins).
+    /// Frequency-domain frames for the IFFT (N bins each), as many as
+    /// [`TxStreamWorkspace::symbols`] has symbols.
     pub freq: Vec<CQ15>,
+    /// Lane data of the batch IFFT.
+    pub lanes: FftLaneScratch,
 }
 
 impl TxStreamWorkspace {
-    /// Builds a stream workspace with the per-symbol buffers sized
-    /// from the link geometry and `ncbps` coded bits per symbol.
-    pub fn new(geometry: &LinkGeometry, ncbps: usize) -> Self {
+    /// Builds a stream workspace for a region of `n_symbols` symbols,
+    /// with the per-symbol buffers sized from the link geometry and
+    /// `ncbps` coded bits per symbol.
+    pub fn new(geometry: &LinkGeometry, ncbps: usize, n_symbols: usize) -> Self {
+        let width = if n_symbols >= FFT_LANES { FFT_LANES } else { 1 };
         Self {
             interleaved: vec![0; ncbps],
-            symbols: vec![CQ15::ZERO; geometry.data_carriers()],
-            freq: vec![CQ15::ZERO; geometry.fft_size()],
+            symbols: vec![CQ15::ZERO; width * geometry.data_carriers()],
+            freq: vec![CQ15::ZERO; width * geometry.fft_size()],
+            lanes: FftLaneScratch::default(),
         }
     }
 }

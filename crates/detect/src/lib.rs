@@ -7,7 +7,8 @@
 //! multiplication results in the equalized OFDM data."
 //!
 //! * [`ZfDetector`] — the per-subcarrier `y = H⁻¹·r` zero-forcing
-//!   MIMO decoder (the "MIMO decoder" entity of Table 4).
+//!   MIMO decoder (the "MIMO decoder" entity of Table 4), one stream
+//!   row per call, eight carriers per `i32`/`i64` lane step.
 //! * [`SisoEqualizer`] — the single-complex-multiply per-carrier
 //!   equalizer used by the SISO baseline system.
 //! * [`PilotPhaseCorrector`] — pilot extraction, de-scrambling,

@@ -5,6 +5,8 @@ use std::fmt;
 
 use mimo_fixed::{CQ15, Cf64, SAMPLE_BITS};
 
+use crate::lanes::{on_bus, FftLaneScratch, LaneIo, LaneTables, FFT_LANES};
+
 /// Errors produced by the fixed-point FFT core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -73,9 +75,16 @@ impl FftScaling {
 /// A fixed-point radix-2 decimation-in-time FFT/IFFT core.
 ///
 /// Twiddle factors are quantized to Q1.15 exactly as a hardware twiddle
-/// ROM would store them; butterflies run on the wide `i64` backing
-/// (guard bits) and results are saturated onto the 16-bit bus at the
-/// output register, so the model clips exactly where hardware would.
+/// ROM would store them; butterflies carry guard bits and results are
+/// saturated onto the 16-bit bus at the output register, so the model
+/// clips exactly where hardware would.
+///
+/// Every transform of on-bus input runs the lane body (crate docs):
+/// one transform per call through [`FixedFft::fft_into`] /
+/// [`FixedFft::ifft_into`], or [`FFT_LANES`] in lockstep through
+/// [`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`]. Input
+/// off the 16-bit bus takes the scalar core, which the lanes reproduce
+/// bit for bit.
 ///
 /// # Examples
 ///
@@ -100,6 +109,8 @@ pub struct FixedFft {
     scaling: FftScaling,
     /// Twiddles e^{-j2πk/N} for k in 0..N/2, quantized to Q1.15.
     twiddles: Vec<CQ15>,
+    /// Bit-reversal order and `i32` twiddles of the lane body.
+    lanes: LaneTables,
 }
 
 impl FixedFft {
@@ -128,8 +139,14 @@ impl FixedFft {
                 let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
                 Cf64::from_polar(1.0, ang).to_fixed::<15>().saturate_bits(SAMPLE_BITS)
             })
-            .collect();
-        Ok(Self { size: n, scaling, twiddles })
+            .collect::<Vec<_>>();
+        let lanes = LaneTables::new(&twiddles);
+        Ok(Self {
+            size: n,
+            scaling,
+            twiddles,
+            lanes,
+        })
     }
 
     /// Transform size.
@@ -189,27 +206,152 @@ impl FixedFft {
         self.transform_into(input, out, true)
     }
 
+    // phylint: hot
+    /// [`FFT_LANES`] forward transforms at once. Symbol `k` reads its
+    /// `size` samples from `input[k·in_stride..]` and writes its
+    /// spectrum to `out[k·out_stride..]`; each result equals
+    /// [`FixedFft::fft_into`] on that symbol bit for bit. `scratch`
+    /// holds the lane data (sized on first use, reused after).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] when a stride is below the
+    /// transform size or a buffer is too short for [`FFT_LANES`]
+    /// strides.
+    pub fn fft_batch_into(
+        &self,
+        input: &[CQ15],
+        in_stride: usize,
+        out: &mut [CQ15],
+        out_stride: usize,
+        scratch: &mut FftLaneScratch,
+    ) -> Result<(), FftError> {
+        self.transform_batch(input, in_stride, out, out_stride, scratch, false)
+    }
+
+    /// [`FFT_LANES`] inverse transforms at once, laid out as in
+    /// [`FixedFft::fft_batch_into`]; each result equals
+    /// [`FixedFft::ifft_into`] on that symbol bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`FixedFft::fft_batch_into`].
+    pub fn ifft_batch_into(
+        &self,
+        input: &[CQ15],
+        in_stride: usize,
+        out: &mut [CQ15],
+        out_stride: usize,
+        scratch: &mut FftLaneScratch,
+    ) -> Result<(), FftError> {
+        self.transform_batch(input, in_stride, out, out_stride, scratch, true)
+    }
+
     fn transform_into(
         &self,
         input: &[CQ15],
         out: &mut [CQ15],
         inverse: bool,
     ) -> Result<(), FftError> {
-        if input.len() != self.size {
-            return Err(FftError::LengthMismatch {
-                expected: self.size,
-                got: input.len(),
-            });
+        self.check_len(input.len())?;
+        self.check_len(out.len())?;
+        if !on_bus(input) {
+            self.transform_scalar(input, out, inverse);
+            return Ok(());
         }
-        if out.len() != self.size {
-            return Err(FftError::LengthMismatch {
-                expected: self.size,
-                got: out.len(),
-            });
+        // One lane on a stack frame: 64 points for the default
+        // geometry, the largest supported size otherwise.
+        if self.size <= 64 {
+            self.one_lane::<64>(input, out, inverse);
+        } else {
+            self.one_lane::<{ crate::MAX_SIZE }>(input, out, inverse);
         }
+        Ok(())
+    }
+
+    fn one_lane<const CAP: usize>(&self, input: &[CQ15], out: &mut [CQ15], inverse: bool) {
         let n = self.size;
-        // Work in the wide backing (CQ15 carries i64 raws); saturate
-        // only at the output register.
+        let (mut re, mut im) = ([[0; 1]; CAP], [[0; 1]; CAP]);
+        let io = LaneIo {
+            input,
+            in_stride: n,
+            out,
+            out_stride: n,
+        };
+        self.lanes
+            .transform(&mut re[..n], &mut im[..n], io, inverse, self.shift(inverse));
+    }
+
+    fn transform_batch(
+        &self,
+        input: &[CQ15],
+        in_stride: usize,
+        out: &mut [CQ15],
+        out_stride: usize,
+        scratch: &mut FftLaneScratch,
+        inverse: bool,
+    ) -> Result<(), FftError> {
+        let n = self.size;
+        let span = |stride: usize| (FFT_LANES - 1) * stride + n;
+        for (stride, len) in [(in_stride, input.len()), (out_stride, out.len())] {
+            if stride < n {
+                return Err(FftError::LengthMismatch {
+                    expected: n,
+                    got: stride,
+                });
+            }
+            if len < span(stride) {
+                return Err(FftError::LengthMismatch {
+                    expected: span(stride),
+                    got: len,
+                });
+            }
+        }
+        let (re, im) = scratch.lanes(n);
+        let io = LaneIo {
+            input,
+            in_stride,
+            out: &mut *out,
+            out_stride,
+        };
+        self.lanes.transform(re, im, io, inverse, self.shift(inverse));
+        // Symbols off the bus were wrapped in the lanes: redo them on
+        // the scalar core.
+        for k in 0..FFT_LANES {
+            let symbol = &input[k * in_stride..k * in_stride + n];
+            if !on_bus(symbol) {
+                let dst = &mut out[k * out_stride..k * out_stride + n];
+                self.transform_scalar(symbol, dst, inverse);
+            }
+        }
+        Ok(())
+    }
+    // phylint: end-hot
+
+    fn check_len(&self, got: usize) -> Result<(), FftError> {
+        if got == self.size {
+            Ok(())
+        } else {
+            Err(FftError::LengthMismatch {
+                expected: self.size,
+                got,
+            })
+        }
+    }
+
+    fn shift(&self, inverse: bool) -> u32 {
+        if inverse {
+            self.scaling.inverse_shift
+        } else {
+            self.scaling.forward_shift
+        }
+    }
+
+    /// The scalar core: the oracle the lanes are checked against and
+    /// the path for input off the 16-bit bus. Works in the wide `i64`
+    /// backing; saturates only at the output register.
+    fn transform_scalar(&self, input: &[CQ15], out: &mut [CQ15], inverse: bool) {
+        let n = self.size;
         let data = out;
         data.copy_from_slice(input);
         // Bit-reversal permutation.
@@ -241,15 +383,10 @@ impl FixedFft {
             }
             len <<= 1;
         }
-        let shift = if inverse {
-            self.scaling.inverse_shift
-        } else {
-            self.scaling.forward_shift
-        };
+        let shift = self.shift(inverse);
         for c in data.iter_mut() {
             *c = c.shr_round(shift).saturate_bits(SAMPLE_BITS);
         }
-        Ok(())
     }
 }
 
@@ -372,6 +509,176 @@ mod tests {
         // not wrap negative.
         assert!(y[0].re.to_f64() > 0.9);
         assert_eq!(y[0].re.raw(), (1 << 15) - 1);
+    }
+
+    /// Every lane build this CPU runs: portable always, the detected
+    /// one (AVX2 where present) as well when it differs.
+    fn builds(n: usize, scaling: FftScaling) -> Vec<FixedFft> {
+        let detected = FixedFft::with_scaling(n, scaling).unwrap();
+        let mut portable = detected.clone();
+        portable.lanes.avx2 = false;
+        let mut out = vec![portable];
+        if detected.lanes.avx2 {
+            out.push(detected);
+        }
+        out
+    }
+
+    /// Deterministic xorshift bus samples.
+    fn random_block(n: usize, seed: u64) -> Vec<CQ15> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            raw((x >> 48) as i16 as i64, (x >> 32) as i16 as i64)
+        };
+        (0..n).map(|_| next()).collect()
+    }
+
+    fn raw(re: i64, im: i64) -> CQ15 {
+        CQ15::new(mimo_fixed::Fx::from_raw(re), mimo_fixed::Fx::from_raw(im))
+    }
+
+    const MAX: i64 = (1 << 15) - 1;
+    const MIN: i64 = -(1 << 15);
+
+    /// Rails, alternating rails and random values.
+    fn inputs(n: usize) -> Vec<Vec<CQ15>> {
+        vec![
+            vec![raw(MAX, MAX); n],
+            vec![raw(MIN, MIN); n],
+            (0..n)
+                .map(|i| {
+                    let (a, b) = if i % 2 == 0 { (MAX, MIN) } else { (MIN, MAX) };
+                    raw(a, b)
+                })
+                .collect(),
+            random_block(n, n as u64),
+            random_block(n, 7 * n as u64 + 1),
+        ]
+    }
+
+    fn oracle(fft: &FixedFft, input: &[CQ15], inverse: bool) -> Vec<CQ15> {
+        let mut out = vec![CQ15::ZERO; input.len()];
+        fft.transform_scalar(input, &mut out, inverse);
+        out
+    }
+
+    fn every_core() -> impl Iterator<Item = (usize, FixedFft)> {
+        (3..=12).map(|log2| 1usize << log2).flat_map(|n| {
+            [FftScaling::for_size(n), FftScaling::none()]
+                .into_iter()
+                .flat_map(move |scaling| builds(n, scaling))
+                .map(move |fft| (n, fft))
+        })
+    }
+
+    #[test]
+    fn one_lane_matches_scalar_core_at_every_size() {
+        for (n, fft) in every_core() {
+            for input in inputs(n) {
+                for inverse in [false, true] {
+                    let mut got = vec![CQ15::ZERO; n];
+                    fft.transform_into(&input, &mut got, inverse).unwrap();
+                    assert!(
+                        got == oracle(&fft, &input, inverse),
+                        "n={n} inverse={inverse} avx2={} {:?}",
+                        fft.lanes.avx2,
+                        fft.scaling()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_scalar_core_at_every_size() {
+        for (n, fft) in every_core() {
+            // Strided input (room for a CP-like gap) and output.
+            let (in_stride, out_stride) = (n + n / 4, n + 3);
+            let symbols: Vec<Vec<CQ15>> = (0..FFT_LANES)
+                .map(|k| inputs(n).swap_remove(k % 5))
+                .map(|mut v| {
+                    v.rotate_left(3);
+                    v
+                })
+                .collect();
+            let mut input = vec![raw(1 << 20, 0); FFT_LANES * in_stride];
+            for (k, s) in symbols.iter().enumerate() {
+                input[k * in_stride..k * in_stride + n].copy_from_slice(s);
+            }
+            let mut scratch = FftLaneScratch::default();
+            for inverse in [false, true] {
+                let mut out = vec![CQ15::ZERO; FFT_LANES * out_stride];
+                let run = if inverse { FixedFft::ifft_batch_into } else { FixedFft::fft_batch_into };
+                run(&fft, &input, in_stride, &mut out, out_stride, &mut scratch).unwrap();
+                for (k, s) in symbols.iter().enumerate() {
+                    assert!(
+                        out[k * out_stride..k * out_stride + n] == oracle(&fft, s, inverse)[..],
+                        "n={n} symbol {k} inverse={inverse} avx2={} {:?}",
+                        fft.lanes.avx2,
+                        fft.scaling()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn off_bus_input_takes_the_scalar_core() {
+        for (n, fft) in every_core().filter(|(n, _)| *n <= 256) {
+            let mut wide = random_block(n, 3);
+            wide[n / 3] = raw(40_000, -70_000);
+            for inverse in [false, true] {
+                let mut got = vec![CQ15::ZERO; n];
+                fft.transform_into(&wide, &mut got, inverse).unwrap();
+                assert_eq!(got, oracle(&fft, &wide, inverse), "n={n}");
+                // One off-bus symbol among bus symbols in a batch.
+                let mut input = random_block(FFT_LANES * n, 5);
+                input[5 * n..6 * n].copy_from_slice(&wide);
+                let mut out = vec![CQ15::ZERO; FFT_LANES * n];
+                let mut scratch = FftLaneScratch::default();
+                let run = if inverse { FixedFft::ifft_batch_into } else { FixedFft::fft_batch_into };
+                run(&fft, &input, n, &mut out, n, &mut scratch).unwrap();
+                for (got, want) in out.chunks(n).zip(input.chunks(n)) {
+                    assert_eq!(got, oracle(&fft, want, inverse), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_rejects_short_buffers_and_strides() {
+        let fft = FixedFft::new(64).unwrap();
+        let mut scratch = FftLaneScratch::default();
+        let input = vec![CQ15::ZERO; 8 * 64];
+        let mut out = vec![CQ15::ZERO; 8 * 64];
+        assert_eq!(
+            fft.fft_batch_into(&input, 63, &mut out, 64, &mut scratch),
+            Err(FftError::LengthMismatch { expected: 64, got: 63 })
+        );
+        assert_eq!(
+            fft.fft_batch_into(&input[1..], 64, &mut out, 64, &mut scratch),
+            Err(FftError::LengthMismatch { expected: 512, got: 511 })
+        );
+        assert_eq!(
+            fft.ifft_batch_into(&input, 64, &mut out, 65, &mut scratch),
+            Err(FftError::LengthMismatch { expected: 519, got: 512 })
+        );
+    }
+
+    /// The headroom argument's premise: no quantized twiddle exceeds
+    /// magnitude `1 + 2⁻¹⁵`.
+    #[test]
+    fn twiddles_stay_within_the_headroom_bound() {
+        for log2 in 3..=12 {
+            let fft = FixedFft::new(1 << log2).unwrap();
+            for w in &fft.twiddles {
+                let (re, im) = (w.re.raw(), w.im.raw());
+                assert!(re * re + im * im <= (MAX + 2) * (MAX + 2), "{w}");
+            }
+        }
     }
 
     #[test]

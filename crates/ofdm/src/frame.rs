@@ -1,7 +1,7 @@
 //! One antenna's OFDM symbol chain: map → IFFT → CP, and the inverse.
 
 use mimo_coding::pilot_polarity;
-use mimo_fft::FixedFft;
+use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Q15};
 
 use crate::cp::strip_cyclic_prefix;
@@ -117,6 +117,64 @@ impl OfdmModulator {
             }
         })?;
         prefix.copy_from_slice(&body[n - cp..]);
+        Ok(())
+    }
+
+    /// [`FFT_LANES`] consecutive OFDM symbols at once, each
+    /// bit-identical to [`OfdmModulator::modulate_symbol_into`]:
+    /// symbol `k` takes its data from
+    /// `data[k·D..(k + 1)·D]` (`D` = data carriers), its pilots the
+    /// polarity of `first_symbol_index + k`, and lands in
+    /// `out[k·(N + N/4)..]`. `scratch` holds the [`FFT_LANES`]
+    /// frequency-domain frames (`FFT_LANES · N` bins), and `lanes` the
+    /// batch IFFT's lane data; both live in the caller's workspace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OfdmError::DataLengthMismatch`] /
+    /// [`OfdmError::FrameLengthMismatch`] on bad lengths.
+    pub fn modulate_batch_into(
+        &self,
+        data: &[CQ15],
+        first_symbol_index: usize,
+        out: &mut [CQ15],
+        scratch: &mut [CQ15],
+        lanes: &mut FftLaneScratch,
+    ) -> Result<(), OfdmError> {
+        let n = self.map.fft_size();
+        let (cp, sym_len, n_data) = (crate::cp_len(n), crate::symbol_len(n), self.map.data_count());
+        if data.len() != FFT_LANES * n_data {
+            return Err(OfdmError::DataLengthMismatch {
+                expected: FFT_LANES * n_data,
+                got: data.len(),
+            });
+        }
+        for (expected, got) in [(FFT_LANES * sym_len, out.len()), (FFT_LANES * n, scratch.len())] {
+            if got != expected {
+                return Err(OfdmError::FrameLengthMismatch { expected, got });
+            }
+        }
+        for (k, (symbol, frame)) in data
+            .chunks_exact(n_data)
+            .zip(scratch.chunks_exact_mut(n))
+            .enumerate()
+        {
+            let polarity = pilot_polarity(first_symbol_index + k);
+            self.map
+                .assemble_into(symbol, polarity, self.pilot_amplitude, frame)?;
+        }
+        // IFFT every frame straight into its post-prefix region, then
+        // copy each body's last quarter in front of it.
+        self.fft
+            .ifft_batch_into(scratch, n, &mut out[cp..], sym_len, lanes)
+            .map_err(|_| OfdmError::FrameLengthMismatch {
+                expected: FFT_LANES * n,
+                got: scratch.len(),
+            })?;
+        for on_air in out.chunks_exact_mut(sym_len) {
+            let (prefix, body) = on_air.split_at_mut(cp);
+            prefix.copy_from_slice(&body[n - cp..]);
+        }
         Ok(())
     }
 }
@@ -262,6 +320,41 @@ mod tests {
         for r in rec {
             let mag = Cf64::from_fixed(r).norm();
             assert!((mag - 0.3 * g).abs() < 8e-3, "magnitude {mag}");
+        }
+    }
+
+    #[test]
+    fn batch_modulation_matches_symbol_modulation() {
+        for n in crate::SUPPORTED_FFT_SIZES {
+            let tx = OfdmModulator::new(n).unwrap();
+            let (n_data, sym_len) = (tx.map().data_count(), crate::symbol_len(n));
+            let data: Vec<CQ15> = (0..FFT_LANES * n_data)
+                .map(|i| CQ15::from_f64(0.6 * ((i * 7) as f64).sin(), -0.6 * ((i * 3) as f64).cos()))
+                .collect();
+            let first = 5;
+            let mut want = vec![CQ15::ZERO; FFT_LANES * sym_len];
+            let mut frame = vec![CQ15::ZERO; n];
+            for (k, (symbol, on_air)) in data
+                .chunks(n_data)
+                .zip(want.chunks_mut(sym_len))
+                .enumerate()
+            {
+                tx.modulate_symbol_into(symbol, first + k, on_air, &mut frame).unwrap();
+            }
+            let mut got = vec![CQ15::ZERO; FFT_LANES * sym_len];
+            let mut frames = vec![CQ15::ZERO; FFT_LANES * n];
+            let mut lanes = FftLaneScratch::default();
+            tx.modulate_batch_into(&data, first, &mut got, &mut frames, &mut lanes)
+                .unwrap();
+            assert!(got == want, "n={n}");
+            assert!(matches!(
+                tx.modulate_batch_into(&data[1..], first, &mut got, &mut frames, &mut lanes),
+                Err(OfdmError::DataLengthMismatch { .. })
+            ));
+            assert!(matches!(
+                tx.modulate_batch_into(&data, first, &mut got[1..], &mut frames, &mut lanes),
+                Err(OfdmError::FrameLengthMismatch { .. })
+            ));
         }
     }
 

@@ -17,7 +17,7 @@
 use mimo_fixed::CQ15;
 
 use crate::{symbol_len, OfdmError};
-use mimo_fft::FixedFft;
+use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 
 /// One antenna's symbol-ingest stage: strips the cyclic prefix and
 /// FFTs, emitting one frequency-domain frame per on-air symbol period.
@@ -25,6 +25,9 @@ use mimo_fft::FixedFft;
 /// [`SymbolIngest::ingest_period`] takes a whole `N + N/4`-sample
 /// period without copying it and transforms the body into the stage's
 /// own frame scratch, so the steady state allocates nothing.
+/// [`SymbolIngest::ingest_batch`] does the same for [`FFT_LANES`]
+/// consecutive periods in one lane-parallel FFT; its frames and lane
+/// data are sized on first use.
 ///
 /// # Examples
 ///
@@ -48,8 +51,11 @@ use mimo_fft::FixedFft;
 #[derive(Debug, Clone)]
 pub struct SymbolIngest {
     fft: FixedFft,
-    /// FFT output frame scratch.
-    frame: Vec<CQ15>,
+    /// FFT output frames: the first serves `ingest_period`, all
+    /// [`FFT_LANES`] (sized on first use) serve `ingest_batch`.
+    frames: Vec<CQ15>,
+    /// Lane data of the batch FFT.
+    lanes: FftLaneScratch,
 }
 
 impl SymbolIngest {
@@ -66,13 +72,14 @@ impl SymbolIngest {
         let fft = FixedFft::new(fft_size).map_err(|_| OfdmError::UnsupportedFftSize(fft_size))?;
         Ok(Self {
             fft,
-            frame: vec![CQ15::ZERO; fft_size],
+            frames: vec![CQ15::ZERO; fft_size],
+            lanes: FftLaneScratch::default(),
         })
     }
 
     /// FFT size.
     pub fn fft_size(&self) -> usize {
-        self.frame.len()
+        self.fft.size()
     }
 
     /// On-air samples per symbol period (`N + N/4`).
@@ -89,14 +96,45 @@ impl SymbolIngest {
     /// Returns [`OfdmError::FrameLengthMismatch`] on a wrong-size
     /// period.
     pub fn ingest_period(&mut self, period: &[CQ15]) -> Result<&[CQ15], OfdmError> {
-        let body = crate::strip_cyclic_prefix_ref(period, self.fft_size())?;
-        self.fft.fft_into(body, &mut self.frame).map_err(|_| {
+        let n = self.fft_size();
+        let body = crate::strip_cyclic_prefix_ref(period, n)?;
+        let frame = &mut self.frames[..n];
+        self.fft.fft_into(body, frame).map_err(|_| {
             OfdmError::FrameLengthMismatch {
-                expected: self.fft_size(),
+                expected: n,
                 got: body.len(),
             }
         })?;
-        Ok(&self.frame)
+        Ok(frame)
+    }
+
+    /// Ingests [`FFT_LANES`] consecutive on-air periods
+    /// (`FFT_LANES · (N + N/4)` samples, back to back) in one
+    /// lane-parallel FFT. Returns their frequency-domain frames back to
+    /// back (`FFT_LANES · N` bins, valid until the next ingest), frame
+    /// `k` bit-identical to [`SymbolIngest::ingest_period`] on period
+    /// `k`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OfdmError::FrameLengthMismatch`] unless `periods`
+    /// holds exactly [`FFT_LANES`] periods.
+    pub fn ingest_batch(&mut self, periods: &[CQ15]) -> Result<&[CQ15], OfdmError> {
+        let n = self.fft_size();
+        let sym_len = self.symbol_samples();
+        let mismatch = OfdmError::FrameLengthMismatch {
+            expected: FFT_LANES * sym_len,
+            got: periods.len(),
+        };
+        if periods.len() != FFT_LANES * sym_len {
+            return Err(mismatch);
+        }
+        self.frames.resize(FFT_LANES * n, CQ15::ZERO);
+        let bodies = &periods[crate::cp_len(n)..];
+        self.fft
+            .fft_batch_into(bodies, sym_len, &mut self.frames, n, &mut self.lanes)
+            .map_err(|_| mismatch)?;
+        Ok(&self.frames)
     }
 }
 
@@ -161,10 +199,39 @@ mod tests {
         assert_eq!(slow, fast_flat);
     }
 
+    /// Whole batches plus a one-lane tail of 1–7 symbols (never
+    /// padded) give exactly the per-period frames.
+    #[test]
+    fn batch_ingest_matches_period_ingest() {
+        for n in crate::SUPPORTED_FFT_SIZES {
+            for count in 1..=17 {
+                let (on_air, _) = periods(n, count);
+                let flat: Vec<CQ15> = on_air.concat();
+                let mut single = SymbolIngest::new(n).unwrap();
+                let want: Vec<CQ15> = on_air
+                    .iter()
+                    .flat_map(|p| single.ingest_period(p).unwrap().to_vec())
+                    .collect();
+                let mut ingest = SymbolIngest::new(n).unwrap();
+                let sym_len = ingest.symbol_samples();
+                let mut got = Vec::new();
+                let whole = count / FFT_LANES * FFT_LANES;
+                for group in flat[..whole * sym_len].chunks(FFT_LANES * sym_len) {
+                    got.extend_from_slice(ingest.ingest_batch(group).unwrap());
+                }
+                for period in flat[whole * sym_len..].chunks(sym_len) {
+                    got.extend_from_slice(ingest.ingest_period(period).unwrap());
+                }
+                assert!(got == want, "n={n} count={count}");
+            }
+        }
+    }
+
     #[test]
     fn rejects_bad_sizes() {
         assert!(SymbolIngest::new(100).is_err());
         let mut ingest = SymbolIngest::new(64).unwrap();
         assert!(ingest.ingest_period(&vec![CQ15::ZERO; 70]).is_err());
+        assert!(ingest.ingest_batch(&vec![CQ15::ZERO; 7 * 80]).is_err());
     }
 }

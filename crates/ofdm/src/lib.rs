@@ -17,7 +17,8 @@
 //!   symbol-level modulation chain (map → IFFT → CP and its inverse).
 //! * [`SymbolIngest`] — the receive-side per-symbol stage (CP strip +
 //!   FFT), consuming one whole on-air period at a time without copying
-//!   it, shared by the whole-burst and streaming receivers.
+//!   it, shared by the whole-burst and streaming receivers, or
+//!   [`FFT_LANES`] periods at once through the lane-parallel batch FFT.
 
 mod cp;
 mod frame;
@@ -29,6 +30,9 @@ pub use cp::{add_cyclic_prefix, add_cyclic_prefix_into, strip_cyclic_prefix,
     strip_cyclic_prefix_ref, CpBuffer};
 pub use frame::{OfdmDemodulator, OfdmModulator};
 pub use ingest::SymbolIngest;
+/// The batch width and lane scratch of [`SymbolIngest::ingest_batch`]
+/// and [`OfdmModulator::modulate_batch_into`].
+pub use mimo_fft::{FftLaneScratch, FFT_LANES};
 pub use subcarriers::{OfdmError, SubcarrierMap};
 
 /// Cyclic-prefix fraction of the FFT size (the paper fixes 25 %).

@@ -5,14 +5,17 @@
 #
 #   scripts/bench_ab.sh [BASE_REF] [PAIRS]
 #
-# BASE_REF defaults to the merge base of HEAD with `main`, PAIRS to 5.
+# BASE_REF defaults to the merge base of HEAD with `main`, PAIRS to 10.
 # The base is exported with `git archive` into a temporary directory,
 # and the benchmark is built for the base and for the checkout (working
 # tree, uncommitted changes included) with separate CARGO_TARGET_DIRs.
 # Then PAIRS pairs of every BENCHMARK.json workload run at its
 # `run_seconds`, alternating which side runs first, with workload seed
 # 4242. Every run is printed, then the median and quartiles of each
-# end-to-end metric per workload and side.
+# end-to-end metric per workload and side, and how many pairs the
+# checkout won on that metric (ties count for neither side). A gain
+# claim needs at least 10 pairs, a win in at least 9 of 10, and medians
+# further apart than the base's quartile spread.
 #
 # Exit status 1 when, on any workload, a checkout median is worse than
 # the base median by more than the metric's `bound` × base median, when
@@ -27,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 BASE_REF=${1:-$(git merge-base HEAD main)}
-PAIRS=${2:-5}
+PAIRS=${2:-10}
 BASE_COMMIT=$(git rev-parse --verify "$BASE_REF^{commit}")
 
 WORK=$(mktemp -d)
@@ -96,8 +99,9 @@ for w in manifest["workloads"]:
     paths = {side: [f"{runs_dir}/{name}.{side}.{p}.json" for p in range(1, pairs + 1)]
              for side in ("base", "head")}
     missing = [side for side, ps in paths.items() if not all(os.path.exists(p) for p in ps)]
-    runs = {side: [json.load(open(p)) for p in ps if os.path.exists(p)]
-            for side, ps in paths.items()}
+    loaded = {side: [json.load(open(p)) if os.path.exists(p) else None for p in ps]
+              for side, ps in paths.items()}
+    runs = {side: [r for r in rs if r is not None] for side, rs in loaded.items()}
     print(f"\n== {name} ==")
     print(f"{'metric':<22}{'side':<6}{'q1':>12}{'median':>12}{'q3':>12}   runs")
     for m in metrics:
@@ -119,6 +123,17 @@ for w in manifest["workloads"]:
         if spread > slack:
             verdict += " (unresolved: quartile spread exceeds the bound)"
         print(f"{'':<22}{'':<6}checkout vs base median {head_med - base_med:+.6g} {m['unit']}, bound ±{slack:.6g}: {verdict}")
+        sign = 1 if m["better"] == "higher" else -1
+        won = lost = compared = 0
+        for b, h in zip(loaded["base"], loaded["head"]):
+            bv = b["metrics"][m["name"]]["value"] if b else None
+            hv = h["metrics"][m["name"]]["value"] if h else None
+            if bv is None or hv is None:
+                continue
+            compared += 1
+            won += sign * (hv - bv) > 0
+            lost += sign * (hv - bv) < 0
+        print(f"{'':<22}{'':<6}checkout won {won}/{compared} pairs, lost {lost}, tied {compared - won - lost}")
         failed_gate |= worse
     share = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
              for side, rs in runs.items()}

@@ -10,16 +10,39 @@ use mimo_baseband::coding::{
     ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiWorkspace,
 };
 use mimo_baseband::fft::FixedFft;
-use mimo_baseband::fixed::CQ15;
+use mimo_baseband::fixed::{CQ15, Q15};
 use mimo_baseband::interleave::BlockInterleaver;
 use mimo_baseband::modem::{Modulation, SymbolDemapper, SymbolMapper};
-use mimo_baseband::ofdm::{add_cyclic_prefix, add_cyclic_prefix_into, OfdmModulator};
+use mimo_baseband::ofdm::{
+    add_cyclic_prefix, add_cyclic_prefix_into, OfdmModulator, SUPPORTED_FFT_SIZES,
+};
 use proptest::prelude::*;
 
 fn arb_samples(n: usize) -> impl Strategy<Value = Vec<CQ15>> {
     proptest::collection::vec((-0.95f64..0.95, -0.95f64..0.95), n)
         .prop_map(|v| v.into_iter().map(|(re, im)| CQ15::from_f64(re, im)).collect())
 }
+
+/// Bus samples with the full-scale rails mixed in: each component is
+/// the positive rail (raw +32767) one time in eight, the negative rail
+/// (raw −32768) one time in eight, and a random value otherwise.
+fn arb_bus_samples(n: usize) -> impl Strategy<Value = Vec<CQ15>> {
+    let component = |x: f64, kind: u8| match kind {
+        0 => Q15::from_raw(RAIL_MAX),
+        1 => Q15::from_raw(RAIL_MIN),
+        _ => Q15::from_f64(x),
+    };
+    proptest::collection::vec((-0.99f64..0.99, -0.99f64..0.99, 0u8..8, 0u8..8), n).prop_map(
+        move |v| {
+            v.into_iter()
+                .map(|(re, im, kr, ki)| CQ15::new(component(re, kr), component(im, ki)))
+                .collect()
+        },
+    )
+}
+
+const RAIL_MAX: i64 = (1 << 15) - 1;
+const RAIL_MIN: i64 = -(1 << 15);
 
 fn arb_bits(n: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..2, n)
@@ -32,12 +55,24 @@ fn arb_llrs(n: usize) -> impl Strategy<Value = Vec<Llr>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// FFT and IFFT: `_into` equals the allocating core exactly.
+    /// FFT and IFFT: `_into` equals the allocating core exactly, at
+    /// every supported size, on mixed inputs and on whole blocks at
+    /// the rails (all positive, all negative, alternating).
     #[test]
-    fn fft_into_matches(values in arb_samples(64), inverse in 0u8..2) {
-        for n in [64usize, 128] {
+    fn fft_into_matches(values in arb_bus_samples(64), inverse in 0u8..2, pattern in 0u8..4) {
+        for n in SUPPORTED_FFT_SIZES {
             let fft = FixedFft::new(n).unwrap();
-            let input: Vec<CQ15> = values.iter().cycle().take(n).copied().collect();
+            let input: Vec<CQ15> = match pattern {
+                0 => values.iter().cycle().take(n).copied().collect(),
+                1 => vec![CQ15::new(Q15::from_raw(RAIL_MAX), Q15::from_raw(RAIL_MAX)); n],
+                2 => vec![CQ15::new(Q15::from_raw(RAIL_MIN), Q15::from_raw(RAIL_MIN)); n],
+                _ => (0..n)
+                    .map(|i| {
+                        let (a, b) = if i % 2 == 0 { (RAIL_MAX, RAIL_MIN) } else { (RAIL_MIN, RAIL_MAX) };
+                        CQ15::new(Q15::from_raw(a), Q15::from_raw(b))
+                    })
+                    .collect(),
+            };
             let mut out = vec![CQ15::ZERO; n];
             if inverse == 0 {
                 let reference = fft.fft(&input).unwrap();
