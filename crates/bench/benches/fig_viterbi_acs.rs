@@ -3,7 +3,9 @@
 //! Decoded information bits per second of the Viterbi backends — the
 //! reference scalar kernel, the radix-2 butterfly kernel (branch
 //! metric table + ping-pong `i32` rows + `u64` survivor bitmasks) and
-//! the 8-lane SIMD butterfly tier — on terminated K=7 blocks at
+//! the `i16` lane tier (a whole block's forward pass on sixteen-bit
+//! wrapping metrics, the 64-state row in four AVX2 registers) — on
+//! terminated K=7 blocks at
 //! burst-representative sizes, with hard (±`HARD_LLR`) and noisy soft
 //! inputs.
 //!

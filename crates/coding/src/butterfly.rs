@@ -33,7 +33,7 @@
 //! The kernel is exact: decisions, tie-breaks (lower predecessor wins,
 //! matching the scalar kernel's iteration order) and therefore decoded
 //! outputs are **bit-identical** to the reference scalar kernel
-//! whenever [`ButterflyTrellis::safe_for`] accepts the input (LLR
+//! whenever [`ButterflyTrellis::accepts`] takes the input (LLR
 //! magnitudes small enough that `i32` path metrics cannot wrap between
 //! renormalizations — every sane demapper output qualifies; the
 //! dispatcher falls back to the scalar kernel otherwise).
@@ -43,7 +43,7 @@ use crate::{CodeSpec, Llr};
 /// Branches between metric renormalizations. Must exceed `K - 1` (≤ 8)
 /// so the start-up `NEG_INF` padding has died out before the first
 /// uniform shift, and small enough that metrics cannot overflow in
-/// between (see [`ButterflyTrellis::safe_for`]).
+/// between (see [`ButterflyTrellis::accepts`]).
 pub(crate) const NORM_INTERVAL: usize = 64;
 
 /// Sentinel for an unreachable state in the `i32` metric rows. Real
@@ -73,7 +73,7 @@ pub(crate) struct ButterflyTrellis {
     /// `2^(K-1)`.
     n_states: usize,
     /// Largest LLR magnitude the `i32` kernel accepts.
-    max_abs_llr: i64,
+    max_abs_llr: u32,
 }
 
 impl ButterflyTrellis {
@@ -111,7 +111,7 @@ impl ButterflyTrellis {
             table_len: 1 << n_out,
             constraint_length: spec.constraint_length(),
             n_states,
-            max_abs_llr: MAX_BRANCH_METRIC / n_out as i64,
+            max_abs_llr: (MAX_BRANCH_METRIC / n_out as i64) as u32,
         })
     }
 
@@ -131,16 +131,17 @@ impl ButterflyTrellis {
     }
 
     /// The coded branch labels, one `[u8; 4]` per butterfly `j` in the
-    /// `coded[j][2*b + p]` layout — shared with the SIMD tier so both
-    /// `i32` tiers walk one table.
+    /// `coded[j][2*b + p]` layout — the table the `i16` lane tier
+    /// builds its label vectors from.
     pub(crate) fn labels(&self) -> &[[u8; 4]] {
         &self.coded
     }
 
-    /// Whether every LLR in `soft` is small enough for the `i32`
-    /// metric rows to be exact (no wrap between renormalizations).
-    pub(crate) fn safe_for(&self, soft: &[Llr]) -> bool {
-        soft.iter().all(|&l| (l as i64).abs() <= self.max_abs_llr)
+    /// Whether LLRs of magnitude at most `max_abs` are small enough
+    /// for the `i32` metric rows to be exact (no wrap between
+    /// renormalizations).
+    pub(crate) fn accepts(&self, max_abs: u32) -> bool {
+        max_abs <= self.max_abs_llr
     }
 
     /// One add-compare-select step over all butterflies: consumes the

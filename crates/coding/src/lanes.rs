@@ -1,0 +1,310 @@
+//! The `i16` lane tier: a whole block's forward pass on sixteen-bit
+//! wrapping path metrics, register-resident on AVX2.
+//!
+//! The paper's Viterbi core reaches its rate by replicating the ACS
+//! butterfly in fabric; this module is the software analogue of that
+//! lane replication for the 64-state, two-output shape of
+//! [`CodeSpec::ieee80211a`](crate::CodeSpec::ieee80211a) (any
+//! generator pair). The 64-state metric row is four AVX2 registers of
+//! sixteen `i16` lanes, and it stays in them for the whole block: one
+//! [`LaneTrellis::forward`] call runs every trellis step and writes one
+//! survivor word per step, in the state order of
+//! [`ButterflyTrellis::acs_step`], so the butterfly traceback reads the
+//! words unchanged.
+//!
+//! # One step
+//!
+//! * **De-interleave.** Butterfly `j` reads predecessors `2j`/`2j+1`.
+//!   Per register of sixteen states, a `pshufb` gathers the even
+//!   states into the low and the odd ones into the high qword of each
+//!   128-bit half, `vpermq 0xD8` joins the halves, and a `vperm2i128`
+//!   pair over two such registers yields `m0` (sixteen `2j`) and `m1`
+//!   (sixteen `2j+1`).
+//! * **Branch metrics.** The two LLRs of the branch are broadcast, and
+//!   each of the four transition slots of a butterfly (the
+//!   `coded[j][2*b + p]` layout of [`ButterflyTrellis::labels`]) owns
+//!   two per-butterfly `±1` label vectors, one per output bit:
+//!   `bm = sign(l0, s0) + sign(l1, s1)` is the correlation
+//!   [`fill_bm_table`](crate::butterfly::fill_bm_table) computes.
+//! * **Compare-select.** `a = m0 + bm`, `b = m1 + bm'` wrap;
+//!   `sel = (b − a) > 0` is a signed compare of the wrapping difference,
+//!   `blendv` keeps `b` where it is set, so `2j` wins ties as in every
+//!   other tier.
+//! * **Decisions.** `packs_epi16` narrows the four select masks to
+//!   bytes, `vpermq` undoes the pack's lane interleave and
+//!   `movemask_epi8` drops 32 decision bits per pair: the step's `u64`
+//!   survivor word.
+//!
+//! # Why sixteen bits are exact
+//!
+//! The first `K − 1` branches run on the `i32` butterfly step from the
+//! `NEG_INF_I32` start (one live state), so the lane row begins at
+//! branch `K − 1`, where every state is reachable and every metric is a
+//! sum of `K − 1` branch metrics: it narrows to `i16` exactly. From
+//! then on no renormalization runs; the lanes hold each metric modulo
+//! 2¹⁶ and every decision reads only a difference of two candidates.
+//!
+//! Let `bm` lie in `[bm_min, bm_max]` with `bm_max − bm_min ≤ 2nL` (an
+//! `n`-output branch metric is a sum of `n` terms `±l`, `|l| ≤ L`). For
+//! `t ≥ K − 1` let `M` be the best metric at branch `t − (K − 1)`.
+//! Every state at `t` is reachable from the best state in `K − 1`
+//! steps, so it holds at least `M + (K − 1)·bm_min`; every path into it
+//! passes through some state of metric at most `M`, so it holds at most
+//! `M + (K − 1)·bm_max`. The row spread is thus at most
+//! `(K − 1)·2nL`, and the two candidates `a`, `b` for one successor —
+//! predecessor metrics one spread apart plus branch metrics one range
+//! apart — differ by at most `K·2nL`. With `|LLR| ≤`
+//! [`LANE_LLR_MAX`] `= ⌊i16::MAX / (2nK)⌋` that is below 2¹⁵, so the
+//! wrapping `i16` difference equals the true difference and every
+//! decision, ties included, is the one the `i32` and `i64` tiers make.
+//!
+//! # Builds
+//!
+//! The AVX2 build runs when `is_x86_feature_detected!` reports it at
+//! construction; elsewhere a portable `[i16; 64]` lane body with
+//! `wrapping_*` arithmetic runs the same algorithm (and stays exact
+//! with overflow checks on).
+
+use crate::butterfly::ButterflyTrellis;
+use crate::Llr;
+
+/// Constraint length of the one code shape the lanes take.
+const K: usize = 7;
+
+/// Trellis states: the four-register metric row.
+const STATES: usize = 1 << (K - 1);
+
+/// Butterflies per step.
+const HALF: usize = STATES / 2;
+
+/// Coded bits per input bit.
+const OUTPUTS: usize = 2;
+
+/// Transitions per butterfly: predecessor `2j`/`2j + 1` × input 0/1.
+const SLOTS: usize = 4;
+
+/// Largest LLR magnitude the lanes take: `⌊i16::MAX / (2nK)⌋` (1170),
+/// so two candidates never differ by 2¹⁵ or more (module docs).
+pub(crate) const LANE_LLR_MAX: Llr = (i16::MAX as usize / (2 * OUTPUTS * K)) as Llr;
+
+// Two candidates differ by at most K·2nL, which the signed wrapping
+// difference must represent.
+const _: () = assert!((K * 2 * OUTPUTS) as i64 * LANE_LLR_MAX as i64 <= i16::MAX as i64);
+
+/// Which lane build backs [`LaneTrellis::forward`], fixed at
+/// construction from run-time CPU-feature detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneBuild {
+    /// AVX2 intrinsics (x86-64 with run-time `avx2` support).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The portable `[i16; 64]` lane body.
+    Portable,
+}
+
+/// The 64-state, rate-1/2 view of a [`ButterflyTrellis`] on `i16`
+/// lanes.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneTrellis {
+    /// `±1` label vectors, `signs[OUTPUTS * slot + i][j]`: output bit `i` of
+    /// transition `slot` of butterfly `j` is 0 (`+1`) or 1 (`−1`).
+    signs: [[i16; HALF]; SLOTS * OUTPUTS],
+    /// The lane build selected at construction.
+    build: LaneBuild,
+}
+
+impl LaneTrellis {
+    /// Builds the label vectors on the fastest build this CPU runs, or
+    /// `None` unless the trellis has 64 states and two outputs per
+    /// input.
+    pub(crate) fn new(bf: &ButterflyTrellis) -> Option<Self> {
+        Self::with_build(bf, pick_build())
+    }
+
+    fn with_build(bf: &ButterflyTrellis, build: LaneBuild) -> Option<Self> {
+        if bf.n_states() != STATES || bf.table_len() != 1 << OUTPUTS {
+            return None;
+        }
+        let mut signs = [[0i16; HALF]; SLOTS * OUTPUTS];
+        for (j, coded) in bf.labels().iter().enumerate() {
+            for (slot, &c) in coded.iter().enumerate() {
+                for i in 0..OUTPUTS {
+                    signs[OUTPUTS * slot + i][j] = if (c >> i) & 1 == 0 { 1 } else { -1 };
+                }
+            }
+        }
+        Some(Self { signs, build })
+    }
+
+    /// Name of the lane build actually selected — what the benches
+    /// record so numbers from different hosts are comparable.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.build {
+            #[cfg(target_arch = "x86_64")]
+            LaneBuild::Avx2 => "simd-avx2",
+            LaneBuild::Portable => "simd-portable",
+        }
+    }
+
+    /// Whether an LLR magnitude bound of `max_abs` keeps the lanes
+    /// exact (module docs).
+    pub(crate) fn accepts(max_abs: u32) -> bool {
+        max_abs <= LANE_LLR_MAX.unsigned_abs()
+    }
+
+    /// Branches the `i32` butterfly step runs before the lanes take
+    /// over: `K − 1`, after which every state is reachable.
+    pub(crate) const WARM_UP: usize = K - 1;
+
+    /// Forward pass from branch [`Self::WARM_UP`] on: `row` is the
+    /// `i32` butterfly row after the warm-up, `soft` the remaining
+    /// LLRs (two per branch, every `|LLR| ≤` [`LANE_LLR_MAX`]) and
+    /// `masks` receives one survivor word per branch.
+    // phylint: hot
+    pub(crate) fn forward(&self, row: &[i32], soft: &[Llr], masks: &mut [u64]) {
+        let mut lanes = [0i16; STATES];
+        for (lane, &m) in lanes.iter_mut().zip(row) {
+            // Exact: every metric is a sum of K − 1 branch metrics.
+            debug_assert!(i16::try_from(m).is_ok(), "warm-up metric {m} exceeds i16");
+            *lane = m as i16;
+        }
+        match self.build {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Avx2` variant is only constructed after
+            // `is_x86_feature_detected!("avx2")` reported support on
+            // this CPU, so the target-feature contract holds.
+            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
+            LaneBuild::Avx2 => unsafe { self.forward_avx2(&lanes, soft, masks) },
+            LaneBuild::Portable => self.forward_portable(lanes, soft, masks),
+        }
+    }
+
+    /// Portable lane body: the AVX2 algorithm on a `[i16; 64]` row.
+    fn forward_portable(&self, mut row: [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+        for (branch, word) in soft.chunks_exact(OUTPUTS).zip(masks.iter_mut()) {
+            let (l0, l1) = (branch[0] as i16, branch[1] as i16);
+            let mut bm = [[0i16; HALF]; SLOTS];
+            for (slot, v) in bm.iter_mut().enumerate() {
+                let (s0, s1) = (&self.signs[OUTPUTS * slot], &self.signs[OUTPUTS * slot + 1]);
+                for ((b, &s0), &s1) in v.iter_mut().zip(s0).zip(s1) {
+                    *b = s0.wrapping_mul(l0).wrapping_add(s1.wrapping_mul(l1));
+                }
+            }
+            let mut next = [0i16; STATES];
+            let mut bits = 0u64;
+            for input in 0..2 {
+                for j in 0..HALF {
+                    let a = row[2 * j].wrapping_add(bm[2 * input][j]);
+                    let b = row[2 * j + 1].wrapping_add(bm[2 * input + 1][j]);
+                    let sel = b.wrapping_sub(a) > 0;
+                    let s = input * HALF + j;
+                    next[s] = if sel { b } else { a };
+                    bits |= u64::from(sel) << s;
+                }
+            }
+            row = next;
+            *word = bits;
+        }
+    }
+
+    /// AVX2 lane body: the row lives in four registers for the whole
+    /// block. See the module docs for the per-step choreography.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: callers must have verified AVX2 support at run time
+    // (enforced by construction — `LaneBuild::Avx2` exists only behind
+    // a positive `is_x86_feature_detected!`). Every load reads 16 `i16`
+    // at offset 0 or 16 of a 64-element row or a 32-element label
+    // vector, so all of them stay in bounds; there are no stores
+    // through pointers.
+    unsafe fn forward_avx2(&self, row: &[i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+        use std::arch::x86_64::*;
+        let zero = _mm256_setzero_si256();
+        let mut r = [zero; 4];
+        for (k, v) in r.iter_mut().enumerate() {
+            *v = _mm256_loadu_si256(row.as_ptr().add(16 * k).cast());
+        }
+        // sg[OUTPUTS * slot + i][h]: label vector for output bit i of
+        // `slot`, butterflies 16h..16h+16.
+        let mut sg = [[zero; 2]; SLOTS * OUTPUTS];
+        for (v, s) in sg.iter_mut().zip(&self.signs) {
+            v[0] = _mm256_loadu_si256(s.as_ptr().cast());
+            v[1] = _mm256_loadu_si256(s.as_ptr().add(16).cast());
+        }
+        // Per 128-bit half: even i16 lanes to the low qword, odd ones
+        // to the high qword.
+        let deint = _mm256_setr_epi8(
+            0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15, //
+            0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15,
+        );
+        for (branch, word) in soft.chunks_exact(OUTPUTS).zip(masks.iter_mut()) {
+            let l0 = _mm256_set1_epi16(branch[0] as i16);
+            let l1 = _mm256_set1_epi16(branch[1] as i16);
+            // p[k]: low half = states 2j of register k, high = 2j + 1.
+            let mut p = [zero; 4];
+            for (p, &r) in p.iter_mut().zip(&r) {
+                *p = _mm256_permute4x64_epi64(_mm256_shuffle_epi8(r, deint), 0xD8);
+            }
+            // m0[h] / m1[h]: predecessors 2j / 2j + 1 of butterflies
+            // 16h..16h+16.
+            let m0 = [
+                _mm256_permute2x128_si256(p[0], p[1], 0x20),
+                _mm256_permute2x128_si256(p[2], p[3], 0x20),
+            ];
+            let m1 = [
+                _mm256_permute2x128_si256(p[0], p[1], 0x31),
+                _mm256_permute2x128_si256(p[2], p[3], 0x31),
+            ];
+            // Successor register 2·input + h holds states
+            // input·32 + 16h .. +16.
+            let mut sel = [zero; 4];
+            for input in 0..2 {
+                for h in 0..2 {
+                    let (sa, sb) = (2 * input, 2 * input + 1);
+                    let bma = _mm256_add_epi16(
+                        _mm256_sign_epi16(l0, sg[OUTPUTS * sa][h]),
+                        _mm256_sign_epi16(l1, sg[OUTPUTS * sa + 1][h]),
+                    );
+                    let bmb = _mm256_add_epi16(
+                        _mm256_sign_epi16(l0, sg[OUTPUTS * sb][h]),
+                        _mm256_sign_epi16(l1, sg[OUTPUTS * sb + 1][h]),
+                    );
+                    let a = _mm256_add_epi16(m0[h], bma);
+                    let b = _mm256_add_epi16(m1[h], bmb);
+                    let s = _mm256_cmpgt_epi16(_mm256_sub_epi16(b, a), zero);
+                    r[2 * input + h] = _mm256_blendv_epi8(a, b, s);
+                    sel[2 * input + h] = s;
+                }
+            }
+            let lo = _mm256_permute4x64_epi64(_mm256_packs_epi16(sel[0], sel[1]), 0xD8);
+            let hi = _mm256_permute4x64_epi64(_mm256_packs_epi16(sel[2], sel[3]), 0xD8);
+            let lo = _mm256_movemask_epi8(lo) as u32;
+            let hi = _mm256_movemask_epi8(hi) as u32;
+            *word = u64::from(lo) | u64::from(hi) << 32;
+        }
+    }
+    // phylint: end-hot
+}
+
+/// Run-time CPU-feature probe, evaluated once per decoder construction.
+fn pick_build() -> LaneBuild {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return LaneBuild::Avx2;
+    }
+    LaneBuild::Portable
+}
+
+#[cfg(test)]
+impl LaneTrellis {
+    /// Every lane build this CPU runs: portable always, AVX2 when
+    /// detected.
+    pub(crate) fn builds(bf: &ButterflyTrellis) -> Vec<Self> {
+        let mut out = vec![Self::with_build(bf, LaneBuild::Portable).unwrap()];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            out.push(Self::with_build(bf, LaneBuild::Avx2).unwrap());
+        }
+        out
+    }
+}

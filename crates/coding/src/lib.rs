@@ -45,27 +45,40 @@
 //! butterfly accepts — enforced by the property suite in
 //! `tests/proptests.rs`.
 //!
-//! # The SIMD lane tier
+//! # The `i16` lane tier
 //!
-//! The SIMD tier (module `simd`, private) runs eight butterflies per
-//! step in one `i32` register row: two contiguous loads pick up sixteen
-//! predecessor metrics, an in-register even/odd de-interleave forms the
-//! `2j`/`2j+1` vectors, the (≤ 8-entry) branch-metric table is gathered
-//! by an in-register permute over prebuilt label vectors, and the
-//! decision bits fall out of a sign-bit movemask straight into the
-//! survivor words. AVX2 intrinsics are used when
-//! `is_x86_feature_detected!` reports support at run time; elsewhere a
-//! portable fixed-width-array tier (written for the autovectorizer)
-//! fills the same seam. Codes that do not fit the lanes — more than 3
-//! output bits per input or fewer than 16 states — stay on the scalar
-//! butterfly tier automatically.
+//! The lane tier (module `lanes`, private) runs a whole block's
+//! forward pass on sixteen-bit wrapping path metrics for the 64-state,
+//! two-output shape of [`CodeSpec::ieee80211a`] (any generator pair).
+//! The first `K − 1` branches run on the `i32` butterfly step; from
+//! there every state is reachable, the row narrows to `i16` exactly and
+//! stays in four AVX2 registers to the end of the block. Per step, a
+//! `pshufb`/`vpermq`/`vperm2i128` de-interleave forms the `2j`/`2j+1`
+//! vectors, branch metrics are `sign_epi16` of the two broadcast LLRs
+//! against `±1` label vectors, the compare is a signed test of the
+//! wrapping difference of the two candidates and a `blendv` selects,
+//! and `packs`/`vpermq`/`movemask` drop one `u64` survivor word in the
+//! butterfly's state order, so the butterfly traceback reads it
+//! unchanged. No renormalization runs.
 //!
+//! The bound that makes sixteen bits exact: once every state is
+//! reachable, the row spread is at most `(K − 1)·2nL` and two
+//! candidates differ by at most `K·2nL` for `|LLR| ≤ L`; with
+//! `L = ⌊i16::MAX / (2nK)⌋ = 1170` that stays below 2¹⁵, so the
+//! wrapping difference makes every decision, ties included, that the
+//! `i32` and `i64` tiers make. The demapper clamps its soft output to
+//! [`LLR_MAX`] `= 1024`, inside that bound (a `const` assert pins it),
+//! so every burst decode runs on the lanes. A block with a larger LLR
+//! falls back to the butterfly kernel. CPUs without AVX2 run a
+//! portable `[i16; 64]` lane body with `wrapping_*` arithmetic, the
+//! same algorithm.
+
 //! # Kernel selection
 //!
 //! Tier choice is made per decode at run time, never at build time:
-//! [`ViterbiKernel::Auto`] (the default) takes the SIMD tier where the
-//! code fits its lanes, then the butterfly kernel, then the scalar
-//! kernel. [`ViterbiDecoder::decode_terminated_with`] accepts an
+//! [`ViterbiKernel::Auto`] (the default) takes the lane tier where the
+//! code shape and the block's LLRs fit it, then the butterfly kernel,
+//! then the scalar kernel. [`ViterbiDecoder::decode_terminated_with`] accepts an
 //! explicit request, which is how the differential suites pin every
 //! tier on any build, and `ViterbiDecoder::kernel_name` reports what
 //! `Auto` would dispatch. [`ViterbiDecoder::decode_terminated_batch`]
@@ -75,8 +88,8 @@ pub mod bits;
 mod butterfly;
 mod conv;
 mod puncture;
+mod lanes;
 mod scrambler;
-mod simd;
 mod viterbi;
 
 pub use conv::{CodeSpec, CodingError, ConvolutionalEncoder};
@@ -93,6 +106,12 @@ pub type Llr = i32;
 
 /// Magnitude used when converting a hard bit to a soft value.
 pub const HARD_LLR: Llr = 64;
+
+/// Largest soft-output magnitude the demapper produces. Every block
+/// within it decodes on the `i16` lane tier.
+pub const LLR_MAX: Llr = 1024;
+
+const _: () = assert!(LLR_MAX <= lanes::LANE_LLR_MAX);
 
 /// Converts a hard bit (0/1) to its soft representation.
 #[inline]

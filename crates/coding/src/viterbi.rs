@@ -9,16 +9,21 @@
 //! per decode at run time (see [`ViterbiKernel`] for the selection
 //! table):
 //!
-//! * The **SIMD tier** ([`crate::simd`]) — for codes whose shape fits 8
-//!   metric lanes (≤ 3 output bits per input, ≥ 16 states): the
-//!   butterfly walk with eight butterflies per step in one register
-//!   row, AVX2 intrinsics when the CPU has them at run time, a portable
-//!   fixed-width-array tier otherwise.
+//! * The **`i16` lane tier** ([`crate::lanes`]) — for the 64-state,
+//!   two-output shape of the 802.11a code (any generator pair) with
+//!   every `|LLR| ≤ 1170`, which covers every demapper output
+//!   ([`LLR_MAX`](crate::LLR_MAX)): the first `K − 1` branches on the
+//!   butterfly step, then the whole rest of the block's forward pass
+//!   on wrapping sixteen-bit metrics, the 64-state row held in four
+//!   AVX2 registers (a portable `[i16; 64]` lane body on CPUs without
+//!   AVX2). No renormalization runs; the module docs prove that the
+//!   wrapping difference of two candidates is exact.
 //! * The **butterfly kernel** ([`crate::butterfly`]) — the scalar
 //!   radix-2 ACS butterfly walk with a per-branch metric table, `i32`
 //!   ping-pong metric rows and one-bit-per-state survivor masks,
-//!   mirroring the paper's ACS array + survivor RAM. The fast path for
-//!   codes the SIMD lanes cannot take.
+//!   mirroring the paper's ACS array + survivor RAM. The lane tier's
+//!   warm-up, and the fast path for other code shapes and for LLRs
+//!   beyond the lanes' bound.
 //! * The **scalar kernel** — the original per-state/per-input loop over
 //!   `i64` metrics, the differential-testing reference
 //!   ([`ViterbiKernel::Scalar`]) and the fallback for exotic codes
@@ -27,11 +32,13 @@
 //!
 //! All tiers make identical decisions (including tie-breaks), so their
 //! outputs are bit-identical — pinned by the crate's property suite.
+//! One scan of the block's largest `|LLR|` serves both magnitude
+//! bounds.
 
 use crate::butterfly::{
     fill_bm_table, normalize_row, ButterflyTrellis, NEG_INF_I32, NORM_INTERVAL,
 };
-use crate::simd::SimdTrellis;
+use crate::lanes::LaneTrellis;
 use crate::{CodeSpec, CodingError, Llr};
 use std::time::{Duration, Instant};
 
@@ -170,9 +177,9 @@ pub struct ViterbiDecoder {
     transitions: Vec<[(u32, u32); 2]>,
     /// Radix-2 butterfly tables (`None` for codes with > 8 outputs).
     butterfly: Option<ButterflyTrellis>,
-    /// 8-lane SIMD view of the butterfly tables (`None` when the code
-    /// shape does not fit the lanes).
-    simd: Option<SimdTrellis>,
+    /// `i16` lane view of the butterfly tables (`None` unless the code
+    /// has 64 states and two outputs per input).
+    lanes: Option<LaneTrellis>,
 }
 
 /// Which add-compare-select kernel tier backs a decode — the
@@ -183,16 +190,22 @@ pub struct ViterbiDecoder {
 ///
 /// | tier        | needs                                                        |
 /// |-------------|--------------------------------------------------------------|
-/// | `simd`      | code fits 8 lanes (≤ 3 outputs/input, ≥ 16 states); AVX2 at  |
-/// |             | run time picks the intrinsic path, else the portable lanes   |
-/// | `butterfly` | ≤ 8 outputs/input                                            |
-/// | `scalar`    | anything (also the fallback when LLR magnitudes exceed the   |
-/// |             | `i32` tiers' exactness bound)                                |
+/// | `simd`      | 64 states and 2 outputs/input (K = 7, rate 1/2, any          |
+/// |             | generator pair), every LLR magnitude at most                 |
+/// |             | `⌊i16::MAX / (2·2·7)⌋ = 1170` (`i16` metrics, exact by the   |
+/// |             | bound proved in the lane module); AVX2 at run time picks the |
+/// |             | intrinsic build, else the portable lanes                     |
+/// | `butterfly` | ≤ 8 outputs/input, every LLR magnitude at most `2^23 / n`    |
+/// |             | (`i32` metrics)                                              |
+/// | `scalar`    | anything (`i64` metrics)                                     |
 ///
 /// `Auto` and `Simd` walk that table top-down; `Butterfly` starts at
 /// the second row and `Scalar` pins the last. A request falls back
 /// down the table when the code or the LLRs disqualify the requested
-/// tier — kernel choice can affect only speed, never output.
+/// tier — kernel choice can affect only speed, never output. The
+/// `simd` tier runs a block's first `K − 1` branches on the butterfly
+/// step, so a block of at most `K − 1` branches decodes entirely
+/// there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViterbiKernel {
     /// Best tier the CPU, code and LLRs allow (the default).
@@ -202,7 +215,7 @@ pub enum ViterbiKernel {
     Scalar,
     /// The scalar radix-2 butterfly kernel.
     Butterfly,
-    /// The 8-lane SIMD butterfly tier.
+    /// The `i16` lane tier.
     Simd,
 }
 
@@ -220,28 +233,23 @@ pub struct DecodeProfile {
     pub kernel: &'static str,
 }
 
-/// One step-kernel binding: the butterfly tables plus (optionally) the
-/// SIMD lane tier layered on top. Every `i32` decode path runs through
-/// [`StepKernel::acs_step`], so tier choice is a single seam.
+/// The tier one decode resolved to (see [`ViterbiKernel`]).
 #[derive(Clone, Copy)]
-struct StepKernel<'a> {
-    bf: &'a ButterflyTrellis,
-    simd: Option<&'a SimdTrellis>,
+enum Tier<'a> {
+    /// `i16` lanes after a butterfly warm-up of `K − 1` branches.
+    Lanes(&'a ButterflyTrellis, &'a LaneTrellis),
+    /// The `i32` butterfly walk.
+    Butterfly(&'a ButterflyTrellis),
+    /// The `i64` reference kernel.
+    Scalar,
 }
 
-impl StepKernel<'_> {
-    #[inline]
-    fn acs_step(&self, bm: &[i32], cur: &[i32], nxt: &mut [i32], surv: &mut [u64]) {
-        match self.simd {
-            Some(s) => s.acs_step(bm, cur, nxt, surv),
-            None => self.bf.acs_step(bm, cur, nxt, surv),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self.simd {
-            Some(s) => s.name(),
-            None => "butterfly",
+impl Tier<'_> {
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Lanes(_, lanes) => lanes.name(),
+            Tier::Butterfly(_) => "butterfly",
+            Tier::Scalar => "scalar",
         }
     }
 }
@@ -254,12 +262,12 @@ impl ViterbiDecoder {
             .map(|s| [spec.step(s, 0), spec.step(s, 1)])
             .collect();
         let butterfly = ButterflyTrellis::new(&spec);
-        let simd = butterfly.as_ref().and_then(SimdTrellis::new);
+        let lanes = butterfly.as_ref().and_then(LaneTrellis::new);
         Self {
             spec,
             transitions,
             butterfly,
-            simd,
+            lanes,
         }
     }
 
@@ -268,21 +276,27 @@ impl ViterbiDecoder {
         &self.spec
     }
 
-    /// Resolves a kernel request for `soft` (see [`ViterbiKernel`]):
-    /// the butterfly tables when their `i32` arithmetic is exact for
-    /// `soft`, with the SIMD lane tier on top unless `Butterfly` was
-    /// requested. `None` means the scalar kernel must run.
+    /// Resolves a kernel request for `soft` (see [`ViterbiKernel`]).
+    /// One scan of the largest `|LLR|` serves both the butterfly's
+    /// `i32` bound and the lanes' `i16` bound.
     #[inline]
-    fn step_kernel(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Option<StepKernel<'_>> {
-        if kernel == ViterbiKernel::Scalar {
-            return None;
-        }
-        let bf = self.butterfly.as_ref().filter(|bf| bf.safe_for(soft))?;
-        let simd = match kernel {
-            ViterbiKernel::Butterfly => None,
-            _ => self.simd.as_ref(),
+    fn tier(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Tier<'_> {
+        let Some(bf) = self.butterfly.as_ref() else {
+            return Tier::Scalar;
         };
-        Some(StepKernel { bf, simd })
+        if kernel == ViterbiKernel::Scalar {
+            return Tier::Scalar;
+        }
+        let max_abs = soft.iter().fold(0, |m, l| m.max(l.unsigned_abs()));
+        if !bf.accepts(max_abs) {
+            return Tier::Scalar;
+        }
+        match &self.lanes {
+            Some(lanes) if kernel != ViterbiKernel::Butterfly && LaneTrellis::accepts(max_abs) => {
+                Tier::Lanes(bf, lanes)
+            }
+            _ => Tier::Butterfly(bf),
+        }
     }
 
     /// Name of the kernel tier [`ViterbiKernel::Auto`] would dispatch
@@ -290,8 +304,7 @@ impl ViterbiDecoder {
     /// `"simd-portable"` or `"simd-avx2"`. Benches record this so
     /// numbers from different hosts are interpretable.
     pub fn kernel_name(&self, soft: &[Llr]) -> &'static str {
-        self.step_kernel(ViterbiKernel::Auto, soft)
-            .map_or("scalar", |k| k.name())
+        self.tier(ViterbiKernel::Auto, soft).name()
     }
 
     /// Decodes a zero-terminated block (encoded with
@@ -342,9 +355,9 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
         let n_branches = self.validate_block(soft)?;
-        let k = self.step_kernel(kernel, soft);
-        self.acs_pass(k, soft, ws);
-        self.traceback(k, n_branches, ws, out);
+        let tier = self.tier(kernel, soft);
+        self.acs_pass(tier, soft, ws);
+        self.traceback(tier, n_branches, ws, out);
         self.strip_flush(soft.len(), out)
     }
 
@@ -363,17 +376,17 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<DecodeProfile, CodingError> {
         let n_branches = self.validate_block(soft)?;
-        let k = self.step_kernel(ViterbiKernel::Auto, soft);
+        let tier = self.tier(ViterbiKernel::Auto, soft);
         let t0 = Instant::now();
-        self.acs_pass(k, soft, ws);
+        self.acs_pass(tier, soft, ws);
         let acs = t0.elapsed();
         let t1 = Instant::now();
-        self.traceback(k, n_branches, ws, out);
+        self.traceback(tier, n_branches, ws, out);
         self.strip_flush(soft.len(), out)?;
         Ok(DecodeProfile {
             acs,
             traceback: t1.elapsed(),
-            kernel: k.map_or("scalar", |k| k.name()),
+            kernel: tier.name(),
         })
     }
 
@@ -429,13 +442,13 @@ impl ViterbiDecoder {
         Ok(soft.len() / n_out)
     }
 
-    /// Forward pass on the resolved tier: `Some` runs the `i32`
-    /// butterfly recursion, `None` the scalar one. `soft` must already
-    /// be validated.
-    fn acs_pass(&self, kernel: Option<StepKernel<'_>>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
-        match kernel {
-            Some(k) => self.butterfly_acs_pass(k, soft, ws),
-            None => self.scalar_acs_pass(soft, ws),
+    /// Forward pass on the resolved tier. `soft` must already be
+    /// validated.
+    fn acs_pass(&self, tier: Tier<'_>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+        match tier {
+            Tier::Lanes(bf, lanes) => self.butterfly_acs_pass(bf, Some(lanes), soft, ws),
+            Tier::Butterfly(bf) => self.butterfly_acs_pass(bf, None, soft, ws),
+            Tier::Scalar => self.scalar_acs_pass(soft, ws),
         }
     }
 
@@ -443,30 +456,44 @@ impl ViterbiDecoder {
     /// the forward pass ran.
     fn traceback(
         &self,
-        kernel: Option<StepKernel<'_>>,
+        tier: Tier<'_>,
         n_branches: usize,
         ws: &mut ViterbiWorkspace,
         out: &mut Vec<u8>,
     ) {
-        match kernel {
-            Some(k) => Self::butterfly_traceback(k.bf, n_branches, ws, out),
-            None => self.scalar_traceback(n_branches, ws, out),
+        match tier {
+            Tier::Lanes(bf, _) | Tier::Butterfly(bf) => {
+                Self::butterfly_traceback(bf, n_branches, ws, out)
+            }
+            Tier::Scalar => self.scalar_traceback(n_branches, ws, out),
         }
     }
 
     /// Forward pass of a butterfly-tier block decode: branch metrics +
-    /// add-compare-select into the workspace's survivor masks.
-    fn butterfly_acs_pass(&self, kernel: StepKernel<'_>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+    /// add-compare-select into the workspace's survivor masks. With
+    /// `lanes`, the butterfly step runs only the warm-up and the lanes
+    /// run the rest of the block.
+    fn butterfly_acs_pass(
+        &self,
+        bf: &ButterflyTrellis,
+        lanes: Option<&LaneTrellis>,
+        soft: &[Llr],
+        ws: &mut ViterbiWorkspace,
+    ) {
         let n_out = self.spec.outputs_per_input();
         let n_branches = soft.len() / n_out;
-        let wps = kernel.bf.words_per_step();
+        let wps = bf.words_per_step();
+        let steps = match lanes {
+            Some(_) => n_branches.min(LaneTrellis::WARM_UP),
+            None => n_branches,
+        };
 
-        ws.prepare_butterfly(n_branches, kernel.bf);
+        ws.prepare_butterfly(n_branches, bf);
         ws.row_cur[0] = 0;
 
-        for t in 0..n_branches {
+        for t in 0..steps {
             fill_bm_table(&soft[t * n_out..(t + 1) * n_out], &mut ws.bm);
-            kernel.acs_step(
+            bf.acs_step(
                 &ws.bm,
                 &ws.row_cur,
                 &mut ws.row_next,
@@ -476,6 +503,10 @@ impl ViterbiDecoder {
             if (t + 1) % NORM_INTERVAL == 0 {
                 normalize_row(&mut ws.row_cur);
             }
+        }
+        // A block of at most K − 1 branches ends inside the warm-up.
+        if let Some(lanes) = lanes.filter(|_| steps < n_branches) {
+            lanes.forward(&ws.row_cur, &soft[steps * n_out..], &mut ws.masks[steps * wps..]);
         }
     }
 
@@ -673,6 +704,98 @@ mod tests {
         dec.decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut reference)
             .unwrap();
         assert_eq!(fast, reference, "kernels disagree");
+    }
+
+    /// The decoder once per lane build this CPU runs.
+    fn lane_decoders(spec: CodeSpec) -> Vec<ViterbiDecoder> {
+        let dec = ViterbiDecoder::new(spec);
+        let bf = dec.butterfly.as_ref().unwrap();
+        LaneTrellis::builds(bf)
+            .into_iter()
+            .map(|lanes| ViterbiDecoder {
+                lanes: Some(lanes),
+                ..dec.clone()
+            })
+            .collect()
+    }
+
+    /// Deterministic xorshift LLRs in `[-scale, scale]`, `pct_erased`
+    /// percent of them zero.
+    fn random_llrs(n: usize, seed: u64, scale: i64, pct_erased: u64) -> Vec<Llr> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 100 < pct_erased {
+                    0
+                } else {
+                    ((x >> 8) % (2 * scale as u64 + 1)) as i64 as Llr - scale as Llr
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_lane_build_matches_butterfly_and_scalar() {
+        let bound = crate::lanes::LANE_LLR_MAX;
+        let l = i64::from(bound);
+        let stock = CodeSpec::ieee80211a();
+        let mut cases = vec![
+            (stock.clone(), random_llrs(2 * 3000, 1, l, 0)),
+            (stock.clone(), random_llrs(2 * 3000, 2, 1, 0)),
+            (stock.clone(), random_llrs(2 * 3000, 3, l, 30)),
+            // Runs of ±L long enough for the i16 row to wrap many times.
+            (
+                stock.clone(),
+                (0..2 * 20_000)
+                    .map(|i| if (i / 37) % 3 == 0 { -bound } else { bound })
+                    .collect(),
+            ),
+        ];
+        for n_branches in 6..10 {
+            cases.push((stock.clone(), random_llrs(2 * n_branches, n_branches as u64, l, 10)));
+        }
+        for (g0, g1) in [(0o171, 0o133), (0o1, 0o177), (0o100, 0o77), (0o55, 0o55)] {
+            let spec = CodeSpec::new(7, vec![g0, g1], 1).unwrap();
+            cases.push((spec, random_llrs(2 * 2000, u64::from(g0 ^ g1), l, 5)));
+        }
+        {
+            let info: Vec<u8> = (0..1500).map(|i| ((i * 37 + 11) % 9 < 4) as u8).collect();
+            let mut enc = ConvolutionalEncoder::new(stock.clone());
+            let noise = random_llrs(2 * (info.len() + 6), 9, i64::from(crate::LLR_MAX) - 64, 0);
+            let soft = enc
+                .encode_terminated(&info)
+                .iter()
+                .zip(&noise)
+                .map(|(&b, &n)| hard_to_llr(b) + n)
+                .collect();
+            cases.push((stock, soft));
+        }
+        for (spec, soft) in cases {
+            let reference = ViterbiDecoder::new(spec.clone());
+            let mut ws = ViterbiWorkspace::new();
+            let (mut scalar, mut butterfly, mut lanes) = (Vec::new(), Vec::new(), Vec::new());
+            reference
+                .decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut scalar)
+                .unwrap();
+            reference
+                .decode_terminated_with(ViterbiKernel::Butterfly, &soft, &mut ws, &mut butterfly)
+                .unwrap();
+            let words = ws.masks.clone();
+            let decoders = lane_decoders(spec);
+            for dec in &decoders {
+                let name = dec.kernel_name(&soft);
+                assert!(name.starts_with("simd-"), "got {name}");
+                dec.decode_terminated_with(ViterbiKernel::Simd, &soft, &mut ws, &mut lanes)
+                    .unwrap();
+                assert!(ws.masks == words, "{name}: survivor words differ from the butterfly's");
+                assert_eq!(lanes, butterfly, "{name} vs butterfly");
+                assert_eq!(lanes, scalar, "{name} vs scalar");
+            }
+            assert_eq!(decoders[0].kernel_name(&soft), "simd-portable");
+        }
     }
 
     #[test]

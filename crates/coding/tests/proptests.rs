@@ -1,12 +1,22 @@
 //! Property-based tests across the coding pipeline, including the
-//! differential suites pinning the butterfly and SIMD ACS kernels
+//! differential suites pinning the butterfly and `i16` lane ACS kernels
 //! bit-identical to the scalar reference kernel.
 
 use mimo_coding::{
     bits, depuncture, hard_to_llr, puncture, BatchViterbiWorkspace, CodeRate, CodeSpec,
     CodingError, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
+    LLR_MAX,
 };
 use proptest::prelude::*;
+
+/// The lane tier's LLR bound for the K=7 rate-1/2 code,
+/// `⌊i16::MAX / (2·n·K)⌋`; `kernel_name_reflects_dispatch` pins it to
+/// the decoder's dispatch.
+const LANE_BOUND: Llr = i16::MAX as Llr / (2 * 2 * 7);
+
+/// Block lengths, in branches, at which the lane tier's `i16` row has
+/// wrapped many times over.
+const LONG_BRANCHES: usize = 16_384;
 
 fn bitvec(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..2, 1..max_len)
@@ -29,20 +39,28 @@ impl Noise {
     }
 }
 
-/// Decodes `soft` on the butterfly and SIMD tiers and asserts both
-/// equal the scalar reference.
+/// Decodes `soft` on the butterfly and lane tiers and asserts both
+/// equal the scalar reference — outputs, or errors for blocks too
+/// short to carry the flush tail.
 fn assert_fast_tiers_match_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCaseResult {
     let mut ws = ViterbiWorkspace::new();
-    let mut reference = Vec::new();
-    let mut fast = Vec::new();
-    dec.decode_terminated_with(ViterbiKernel::Scalar, soft, &mut ws, &mut reference)
-        .unwrap();
+    let mut decode = |kernel| {
+        let mut out = Vec::new();
+        dec.decode_terminated_with(kernel, soft, &mut ws, &mut out)
+            .map(|()| out)
+    };
+    let reference = decode(ViterbiKernel::Scalar);
     for kernel in [ViterbiKernel::Butterfly, ViterbiKernel::Simd] {
-        dec.decode_terminated_with(kernel, soft, &mut ws, &mut fast)
-            .unwrap();
-        prop_assert_eq!(&fast, &reference, "kernel {:?}", kernel);
+        prop_assert_eq!(&decode(kernel), &reference, "kernel {:?}", kernel);
     }
     Ok(())
+}
+
+/// The K=7 rate-1/2 code with generators `g0`, `g1` (each forced into
+/// `1..128`).
+fn k7_code(g0: u64, g1: u64) -> CodeSpec {
+    let g = |g: u64| ((g & 0x7f) as u32).max(1);
+    CodeSpec::new(7, vec![g(g0), g(g1)], 1).unwrap()
 }
 
 /// Adds seeded noise to every LLR. Small scales produce many exact
@@ -194,7 +212,7 @@ proptest! {
         assert_fast_tiers_match_scalar(&dec, &soft)?;
     }
 
-    /// Explicit-kernel dispatch: the SIMD tier, the butterfly tier and
+    /// Explicit-kernel dispatch: the lane tier, the butterfly tier and
     /// the scalar reference decode terminated blocks identically across
     /// all rates. Tiny noise scales force constant metric ties, the
     /// hardest case for lane-for-lane equivalence.
@@ -227,8 +245,9 @@ proptest! {
         prop_assert_eq!(&simd, &scalar);
     }
 
-    /// SIMD equivalence holds for random simd-eligible codes (K ≥ 5 so
-    /// the state count fills the lanes), on pure random LLRs.
+    /// A `Simd` request on random codes, K = 5..9, on pure random LLRs:
+    /// K = 7 runs on the lanes, the other state counts fall back to the
+    /// butterfly, and every decode matches the scalar reference.
     #[test]
     fn simd_matches_scalar_for_random_codes(
         k in 5usize..10,
@@ -299,6 +318,142 @@ proptest! {
     }
 }
 
+proptest! {
+    /// LLRs exactly at the lane bound `±L`: the lanes take the block,
+    /// and candidate differences reach their worst case.
+    #[test]
+    fn lanes_match_at_llr_bound(
+        n_branches in 7usize..600,
+        seed in any::<u64>(),
+        erasure_pct in 0u64..50,
+    ) {
+        let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
+        let mut noise = Noise(seed | 1);
+        let mut soft: Vec<Llr> = (0..2 * n_branches)
+            .map(|_| {
+                let r = noise.next();
+                match (r % 100 < erasure_pct, r & 1 << 40 == 0) {
+                    (true, _) => 0,
+                    (false, true) => LANE_BOUND,
+                    (false, false) => -LANE_BOUND,
+                }
+            })
+            .collect();
+        soft[0] = LANE_BOUND;
+        prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
+    }
+
+    /// One LLR at `L + 1` anywhere in the block sends it to the
+    /// butterfly tier, and the decode still matches.
+    #[test]
+    fn lanes_fall_back_above_llr_bound(
+        n_branches in 7usize..400,
+        seed in any::<u64>(),
+        at in any::<prop::sample::Index>(),
+        negative in any::<bool>(),
+    ) {
+        let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
+        let mut noise = Noise(seed | 1);
+        let mut soft: Vec<Llr> =
+            (0..2 * n_branches).map(|_| noise.llr(LANE_BOUND as i64)).collect();
+        let over = LANE_BOUND + 1;
+        let at = at.index(soft.len());
+        soft[at] = if negative { -over } else { over };
+        prop_assert_eq!(dec.kernel_name(&soft), "butterfly");
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
+    }
+
+    /// Block lengths around the lanes' K − 1 warm-up, the too-short
+    /// blocks (errors) included.
+    #[test]
+    fn lanes_match_around_warm_up(
+        n_branches in 1usize..9,
+        seed in any::<u64>(),
+        scale_idx in 0usize..3,
+    ) {
+        let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
+        let mut noise = Noise(seed | 1);
+        let scale = [1i64, 64, LANE_BOUND as i64][scale_idx];
+        let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
+    }
+
+    /// Random K=7 rate-1/2 generator pairs: the lanes take any pair.
+    #[test]
+    fn lanes_match_for_random_k7_generators(
+        g0 in any::<u64>(),
+        g1 in any::<u64>(),
+        n_branches in 7usize..300,
+        seed in any::<u64>(),
+        scale_idx in 0usize..3,
+    ) {
+        let dec = ViterbiDecoder::new(k7_code(g0, g1));
+        let mut noise = Noise(seed | 1);
+        let scale = [2i64, 100, LANE_BOUND as i64][scale_idx];
+        let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
+        prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
+    }
+
+    /// Demapper-scale noise on punctured codewords: perturbations up to
+    /// `±LLR_MAX` on hard LLRs, rates 2/3 and 3/4.
+    #[test]
+    fn lanes_match_on_demapper_scale_noise(
+        info in bitvec(512),
+        rate_idx in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let rate = CodeRate::ALL[rate_idx];
+        let spec = CodeSpec::ieee80211a();
+        let mut enc = ConvolutionalEncoder::new(spec.clone());
+        let dec = ViterbiDecoder::new(spec);
+        let mother = enc.encode_terminated(&info);
+        let tx = puncture(&mother, rate);
+        let mut soft: Vec<Llr> = tx.iter().map(|&b| hard_to_llr(b)).collect();
+        perturb(&mut soft, seed, LLR_MAX as i64);
+        let restored = depuncture(&soft, rate, mother.len()).unwrap();
+        prop_assert!(dec.kernel_name(&restored).starts_with("simd-"));
+        assert_fast_tiers_match_scalar(&dec, &restored)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Adversarial max-spread blocks, long enough for the `i16` row to
+    /// wrap many times: runs of `±L` that flip sign, and runs of
+    /// erasures, on the stock code and a random generator pair.
+    #[test]
+    fn lanes_match_on_long_max_spread_blocks(
+        seed in any::<u64>(),
+        max_run in 1u64..64,
+        random_code in any::<bool>(),
+        g in any::<u64>(),
+    ) {
+        let spec = if random_code { k7_code(g, g >> 8) } else { CodeSpec::ieee80211a() };
+        let dec = ViterbiDecoder::new(spec);
+        let mut noise = Noise(seed | 1);
+        let mut soft = Vec::with_capacity(2 * LONG_BRANCHES);
+        while soft.len() < 2 * LONG_BRANCHES {
+            let r = noise.next();
+            let run = (1 + r % max_run) as usize;
+            let value = match (r >> 32) % 4 {
+                0 => 0,
+                1 => -LANE_BOUND,
+                _ => LANE_BOUND,
+            };
+            let alternate = (r >> 40) & 1 == 1;
+            for i in 0..run {
+                soft.push(if alternate && i % 2 == 1 { -value } else { value });
+            }
+        }
+        soft.truncate(2 * LONG_BRANCHES);
+        prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
+        assert_fast_tiers_match_scalar(&dec, &soft)?;
+    }
+}
+
 /// Encodes one noisy terminated block per entry of `lens` (the info
 /// length) and asserts `decode_terminated_batch` returns, block by
 /// block, what `decode_terminated_into` returns.
@@ -365,11 +520,22 @@ fn kernel_name_reflects_dispatch() {
     let soft = vec![10 as Llr; 48];
     let name = dec.kernel_name(&soft);
     assert!(name.starts_with("simd-"), "got {name}");
+    // Every demapper output fits the i16 lanes, up to their own bound.
+    let name = dec.kernel_name(&[LLR_MAX, -LLR_MAX]);
+    assert!(name.starts_with("simd-"), "got {name}");
+    let name = dec.kernel_name(&[LANE_BOUND, -LANE_BOUND]);
+    assert!(name.starts_with("simd-"), "got {name}");
+    // One past the lanes' bound falls to the i32 butterfly.
+    assert_eq!(dec.kernel_name(&[LANE_BOUND + 1, 0]), "butterfly");
+    assert_eq!(dec.kernel_name(&[0, -(LANE_BOUND + 1)]), "butterfly");
     // LLRs beyond the i32 exactness bound always fall back to scalar.
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
-    // K=3 has too few states for the 8-lane tier: butterfly at best.
+    // K=3 has 4 states, not the lanes' 64: butterfly at best.
     let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
     assert_eq!(k3.kernel_name(&soft), "butterfly");
+    // A rate-1/3 K=7 code has the states but not the two outputs.
+    let r3 = ViterbiDecoder::new(CodeSpec::new(7, vec![0o133, 0o171, 0o165], 1).unwrap());
+    assert_eq!(r3.kernel_name(&soft[..45]), "butterfly");
 }
 
 #[test]

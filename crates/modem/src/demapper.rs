@@ -1,6 +1,6 @@
 //! The decoder-multiplexer symbol demapper (hard and soft).
 
-use mimo_coding::Llr;
+use mimo_coding::{Llr, LLR_MAX};
 use mimo_fixed::{CQ15, Cf64};
 
 use crate::mapper::{ModemError, SymbolMapper};
@@ -9,9 +9,6 @@ use crate::modulation::Modulation;
 /// LLR units produced per constellation-unit of distance: a symbol one
 /// level-spacing away from a decision boundary yields ±2·this.
 const LLR_UNIT: f64 = 16.0;
-
-/// Maximum soft-output magnitude (keeps Viterbi path metrics small).
-const LLR_CLAMP: Llr = 1024;
 
 /// The receiver's symbol demapper.
 ///
@@ -208,7 +205,7 @@ impl SymbolDemapper {
                 m = m.abs() - l / (1 << k) as f64;
             }
             let scaled = (m * LLR_UNIT).round() as i64;
-            *out = scaled.clamp(-(LLR_CLAMP as i64), LLR_CLAMP as i64) as Llr;
+            *out = scaled.clamp(-(LLR_MAX as i64), LLR_MAX as i64) as Llr;
         }
     }
 }

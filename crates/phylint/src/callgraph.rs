@@ -152,7 +152,7 @@ impl<'w> CallGraph<'w> {
     }
 
     /// Render a hop chain as human-readable path strings
-    /// (`SimdTrellis::acs_step (crates/coding/src/simd.rs:120)` …),
+    /// (`LaneTrellis::forward (crates/coding/src/lanes.rs:164)` …),
     /// one per hop, starting from the root caller.
     pub fn render_path(&self, files: &[std::path::PathBuf], hops: &[Hop]) -> Vec<String> {
         let mut out = Vec::with_capacity(hops.len() + 1);

@@ -122,7 +122,7 @@ pub struct FnItem {
     /// Function name.
     pub name: String,
     /// Name of the `impl` target type when the fn sits inside an
-    /// `impl` block (`SimdTrellis`, …).
+    /// `impl` block (`LaneTrellis`, …).
     pub impl_type: Option<String>,
     /// File index into the engine's file list.
     pub file: usize,

@@ -102,10 +102,11 @@
 //! and both choices below are made at run time.
 //!
 //! * **Viterbi kernel tier.** Each decode takes the fastest tier the
-//!   CPU, code and LLRs allow: the 8-lane SIMD tier of the butterfly
-//!   ACS (AVX2 behind run-time CPU detection, a portable-array tier
-//!   elsewhere), then the scalar butterfly, then the scalar reference
-//!   kernel. All tiers are decode-for-decode bit-identical;
+//!   CPU, code and LLRs allow: the `i16` lane tier, a whole block's
+//!   forward pass on sixteen-bit wrapping metrics for the K=7 rate-1/2
+//!   code (AVX2 behind run-time CPU detection, a portable lane body
+//!   elsewhere; every demapper output fits its LLR bound), then the
+//!   `i32` scalar butterfly, then the `i64` scalar reference kernel. All tiers are decode-for-decode bit-identical;
 //!   [`coding::ViterbiKernel`] pins one for differential runs through
 //!   [`coding::ViterbiDecoder::decode_terminated_with`].
 //! * **Channel fan-out.** [`phy::PhyConfig::with_parallelism`] splits
