@@ -28,8 +28,8 @@
 //!   [`fill_bm_table`](crate::butterfly::fill_bm_table) computes.
 //! * **Compare-select.** `a = m0 + bm`, `b = m1 + bm'` wrap;
 //!   `sel = (b − a) > 0` is a signed compare of the wrapping difference,
-//!   `blendv` keeps `b` where it is set, so `2j` wins ties as in every
-//!   other tier.
+//!   `blendv` keeps `b` where it is set, so `2j` wins ties as in the
+//!   scalar kernel.
 //! * **Decisions.** `packs_epi16` narrows the four select masks to
 //!   bytes, `vpermq` undoes the pack's lane interleave and
 //!   `movemask_epi8` drops 32 decision bits per pair: the step's `u64`
@@ -56,7 +56,7 @@
 //! apart — differ by at most `K·2nL`. With `|LLR| ≤`
 //! [`LANE_LLR_MAX`] `= ⌊i16::MAX / (2nK)⌋` that is below 2¹⁵, so the
 //! wrapping `i16` difference equals the true difference and every
-//! decision, ties included, is the one the `i32` and `i64` tiers make.
+//! decision, ties included, is the one the `i64` scalar kernel makes.
 //!
 //! # Builds
 //!
@@ -66,19 +66,19 @@
 //! with overflow checks on).
 
 use crate::butterfly::ButterflyTrellis;
-use crate::Llr;
+use crate::{CodeSpec, Llr};
 
 /// Constraint length of the one code shape the lanes take.
-const K: usize = 7;
+pub(crate) const K: usize = 7;
 
 /// Trellis states: the four-register metric row.
-const STATES: usize = 1 << (K - 1);
+pub(crate) const STATES: usize = 1 << (K - 1);
 
 /// Butterflies per step.
-const HALF: usize = STATES / 2;
+pub(crate) const HALF: usize = STATES / 2;
 
 /// Coded bits per input bit.
-const OUTPUTS: usize = 2;
+pub(crate) const OUTPUTS: usize = 2;
 
 /// Transitions per butterfly: predecessor `2j`/`2j + 1` × input 0/1.
 const SLOTS: usize = 4;
@@ -102,10 +102,12 @@ enum LaneBuild {
     Portable,
 }
 
-/// The 64-state, rate-1/2 view of a [`ButterflyTrellis`] on `i16`
-/// lanes.
+/// The 64-state, rate-1/2 trellis on `i16` lanes, with the
+/// [`ButterflyTrellis`] that runs its warm-up and traceback.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneTrellis {
+    /// Warm-up step, survivor-word layout and traceback.
+    trellis: ButterflyTrellis,
     /// `±1` label vectors, `signs[OUTPUTS * slot + i][j]`: output bit `i` of
     /// transition `slot` of butterfly `j` is 0 (`+1`) or 1 (`−1`).
     signs: [[i16; HALF]; SLOTS * OUTPUTS],
@@ -114,26 +116,31 @@ pub(crate) struct LaneTrellis {
 }
 
 impl LaneTrellis {
-    /// Builds the label vectors on the fastest build this CPU runs, or
-    /// `None` unless the trellis has 64 states and two outputs per
-    /// input.
-    pub(crate) fn new(bf: &ButterflyTrellis) -> Option<Self> {
-        Self::with_build(bf, pick_build())
+    /// Builds the tables on the fastest build this CPU runs, or `None`
+    /// unless the code has 64 states and two outputs per input.
+    pub(crate) fn new(spec: &CodeSpec) -> Option<Self> {
+        Some(Self::with_build(ButterflyTrellis::new(spec)?, pick_build()))
     }
 
-    fn with_build(bf: &ButterflyTrellis, build: LaneBuild) -> Option<Self> {
-        if bf.n_states() != STATES || bf.table_len() != 1 << OUTPUTS {
-            return None;
-        }
+    fn with_build(trellis: ButterflyTrellis, build: LaneBuild) -> Self {
         let mut signs = [[0i16; HALF]; SLOTS * OUTPUTS];
-        for (j, coded) in bf.labels().iter().enumerate() {
+        for (j, coded) in trellis.labels().iter().enumerate() {
             for (slot, &c) in coded.iter().enumerate() {
                 for i in 0..OUTPUTS {
                     signs[OUTPUTS * slot + i][j] = if (c >> i) & 1 == 0 { 1 } else { -1 };
                 }
             }
         }
-        Some(Self { signs, build })
+        Self {
+            trellis,
+            signs,
+            build,
+        }
+    }
+
+    /// The butterfly tables behind the warm-up and the traceback.
+    pub(crate) fn trellis(&self) -> &ButterflyTrellis {
+        &self.trellis
     }
 
     /// Name of the lane build actually selected — what the benches
@@ -146,10 +153,10 @@ impl LaneTrellis {
         }
     }
 
-    /// Whether an LLR magnitude bound of `max_abs` keeps the lanes
-    /// exact (module docs).
-    pub(crate) fn accepts(max_abs: u32) -> bool {
-        max_abs <= LANE_LLR_MAX.unsigned_abs()
+    /// Whether every LLR of `soft` is small enough to keep the lanes
+    /// exact (module docs): one scan of the block's largest `|LLR|`.
+    pub(crate) fn accepts(soft: &[Llr]) -> bool {
+        soft.iter().fold(0, |m, l| m.max(l.unsigned_abs())) <= LANE_LLR_MAX.unsigned_abs()
     }
 
     /// Branches the `i32` butterfly step runs before the lanes take
@@ -161,7 +168,7 @@ impl LaneTrellis {
     /// LLRs (two per branch, every `|LLR| ≤` [`LANE_LLR_MAX`]) and
     /// `masks` receives one survivor word per branch.
     // phylint: hot
-    pub(crate) fn forward(&self, row: &[i32], soft: &[Llr], masks: &mut [u64]) {
+    pub(crate) fn forward(&self, row: &[i32; STATES], soft: &[Llr], masks: &mut [u64]) {
         let mut lanes = [0i16; STATES];
         for (lane, &m) in lanes.iter_mut().zip(row) {
             // Exact: every metric is a sum of K − 1 branch metrics.
@@ -299,11 +306,12 @@ fn pick_build() -> LaneBuild {
 impl LaneTrellis {
     /// Every lane build this CPU runs: portable always, AVX2 when
     /// detected.
-    pub(crate) fn builds(bf: &ButterflyTrellis) -> Vec<Self> {
-        let mut out = vec![Self::with_build(bf, LaneBuild::Portable).unwrap()];
+    pub(crate) fn builds(spec: &CodeSpec) -> Vec<Self> {
+        let trellis = ButterflyTrellis::new(spec).expect("a 64-state rate-1/2 code");
+        let mut out = vec![Self::with_build(trellis.clone(), LaneBuild::Portable)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Self::with_build(bf, LaneBuild::Avx2).unwrap());
+            out.push(Self::with_build(trellis, LaneBuild::Avx2));
         }
         out
     }

@@ -18,71 +18,55 @@
 //!   [`pilot_polarity`] for the pilot sequence.
 //! * [`bits`] — bit/byte packing helpers shared by the whole stack.
 //!
-//! # The butterfly ACS kernel
-//!
-//! The decode hot path is the Viterbi add-compare-select recursion —
-//! ~70 % of burst decode time in the software model, and the block the
-//! paper spends an entire pipelined ACS array on in hardware. The
-//! butterfly backend (module `butterfly`, private) restructures the
-//! recursion the same way the silicon does:
-//!
-//! * one **branch-metric table** per trellis step (`2^n` correlations,
-//!   not `states × 2 × n`),
-//! * a **radix-2 butterfly** walk over state pairs `2j`/`2j+1` → `j`,
-//!   `j+S/2`, each butterfly sharing its two loaded path metrics
-//!   between both compare-selects — the software image of the paper's
-//!   ACS array,
-//! * **`i32` ping-pong metric rows** renormalized by a uniform shift
-//!   every 64 branches (the fixed-width rescale of a hardware ACS),
-//! * **one survivor bit per state per branch**, packed into `u64`
-//!   words (64-state K=7 ⇒ one word per branch — the survivor RAM), so
-//!   traceback is a shift-and-mask walk instead of a pointer chase.
-//!
-//! The scalar reference kernel is retained as the differential-testing
-//! reference ([`ViterbiKernel::Scalar`]) and as the automatic fallback
-//! for codes with more than 8 generators or LLRs beyond the `i32`
-//! exactness bound. Both kernels are bit-identical on every input the
-//! butterfly accepts — enforced by the property suite in
-//! `tests/proptests.rs`.
-//!
 //! # The `i16` lane tier
 //!
-//! The lane tier (module `lanes`, private) runs a whole block's
-//! forward pass on sixteen-bit wrapping path metrics for the 64-state,
-//! two-output shape of [`CodeSpec::ieee80211a`] (any generator pair).
-//! The first `K − 1` branches run on the `i32` butterfly step; from
-//! there every state is reachable, the row narrows to `i16` exactly and
-//! stays in four AVX2 registers to the end of the block. Per step, a
-//! `pshufb`/`vpermq`/`vperm2i128` de-interleave forms the `2j`/`2j+1`
-//! vectors, branch metrics are `sign_epi16` of the two broadcast LLRs
-//! against `±1` label vectors, the compare is a signed test of the
-//! wrapping difference of the two candidates and a `blendv` selects,
-//! and `packs`/`vpermq`/`movemask` drop one `u64` survivor word in the
-//! butterfly's state order, so the butterfly traceback reads it
-//! unchanged. No renormalization runs.
+//! The decode hot path is the Viterbi add-compare-select recursion —
+//! the block the paper spends an entire pipelined ACS array on in
+//! hardware. The lane tier (module `lanes`, private) runs a whole
+//! block's forward pass on sixteen-bit wrapping path metrics for the
+//! 64-state, two-output shape of [`CodeSpec::ieee80211a`] (any
+//! generator pair), the software image of that array:
+//!
+//! * The first `K − 1` branches run on the radix-2 butterfly step
+//!   (module `butterfly`, private): a four-entry branch-metric table
+//!   per step, one walk over the state pairs `2j`/`2j+1` → `j`,
+//!   `j + 32` on `i32` rows. From there every state is reachable, and
+//!   the row narrows to `i16` exactly and stays in four AVX2 registers
+//!   to the end of the block.
+//! * Per step, a `pshufb`/`vpermq`/`vperm2i128` de-interleave forms the
+//!   `2j`/`2j+1` vectors, branch metrics are `sign_epi16` of the two
+//!   broadcast LLRs against `±1` label vectors, the compare is a signed
+//!   test of the wrapping difference of the two candidates and a
+//!   `blendv` selects. No renormalization runs.
+//! * `packs`/`vpermq`/`movemask` drop **one survivor bit per state per
+//!   branch** into a `u64` word (the survivor RAM), so traceback is a
+//!   shift-and-mask walk on the butterfly tables.
 //!
 //! The bound that makes sixteen bits exact: once every state is
 //! reachable, the row spread is at most `(K − 1)·2nL` and two
 //! candidates differ by at most `K·2nL` for `|LLR| ≤ L`; with
 //! `L = ⌊i16::MAX / (2nK)⌋ = 1170` that stays below 2¹⁵, so the
 //! wrapping difference makes every decision, ties included, that the
-//! `i32` and `i64` tiers make. The demapper clamps its soft output to
-//! [`LLR_MAX`] `= 1024`, inside that bound (a `const` assert pins it),
-//! so every burst decode runs on the lanes. A block with a larger LLR
-//! falls back to the butterfly kernel. CPUs without AVX2 run a
-//! portable `[i16; 64]` lane body with `wrapping_*` arithmetic, the
-//! same algorithm.
-
+//! `i64` scalar kernel makes. The demapper clamps its soft output to
+//! [`LLR_MAX`] `= 1024` and hard decisions are ±[`HARD_LLR`] `= 64`,
+//! both inside that bound (`const` asserts pin them), so every burst
+//! decode runs on the lanes. CPUs without AVX2 run a portable
+//! `[i16; 64]` lane body with `wrapping_*` arithmetic, the same
+//! algorithm.
+//!
 //! # Kernel selection
 //!
 //! Tier choice is made per decode at run time, never at build time:
 //! [`ViterbiKernel::Auto`] (the default) takes the lane tier where the
-//! code shape and the block's LLRs fit it, then the butterfly kernel,
-//! then the scalar kernel. [`ViterbiDecoder::decode_terminated_with`] accepts an
-//! explicit request, which is how the differential suites pin every
-//! tier on any build, and `ViterbiDecoder::kernel_name` reports what
-//! `Auto` would dispatch. [`ViterbiDecoder::decode_terminated_batch`]
-//! decodes several blocks through one shared workspace, block by block.
+//! code shape and the block's LLRs fit it, else the scalar kernel —
+//! the per-state `i64` loop that is also the differential-testing
+//! reference ([`ViterbiKernel::Scalar`]). Both tiers are bit-identical,
+//! enforced by the property suite in `tests/proptests.rs`.
+//! [`ViterbiDecoder::decode_terminated_with`] accepts an explicit
+//! request, which is how the differential suites pin each tier on any
+//! build, and `ViterbiDecoder::kernel_name` reports what `Auto` would
+//! dispatch. [`ViterbiDecoder::decode_terminated_batch`] decodes
+//! several blocks through one shared workspace, block by block.
 
 pub mod bits;
 mod butterfly;
@@ -112,6 +96,7 @@ pub const HARD_LLR: Llr = 64;
 pub const LLR_MAX: Llr = 1024;
 
 const _: () = assert!(LLR_MAX <= lanes::LANE_LLR_MAX);
+const _: () = assert!(HARD_LLR <= LLR_MAX);
 
 /// Converts a hard bit (0/1) to its soft representation.
 #[inline]

@@ -1,6 +1,6 @@
 //! Property-based tests across the coding pipeline, including the
-//! differential suites pinning the butterfly and `i16` lane ACS kernels
-//! bit-identical to the scalar reference kernel.
+//! differential suites pinning the `Auto` dispatch (the `i16` lane tier
+//! where it applies) bit-identical to the scalar reference kernel.
 
 use mimo_coding::{
     bits, depuncture, hard_to_llr, puncture, BatchViterbiWorkspace, CodeRate, CodeSpec,
@@ -39,10 +39,10 @@ impl Noise {
     }
 }
 
-/// Decodes `soft` on the butterfly and lane tiers and asserts both
-/// equal the scalar reference — outputs, or errors for blocks too
-/// short to carry the flush tail.
-fn assert_fast_tiers_match_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCaseResult {
+/// Decodes `soft` on the `Auto` dispatch and asserts it equals the
+/// scalar reference — outputs, or errors for blocks too short to carry
+/// the flush tail.
+fn assert_auto_matches_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCaseResult {
     let mut ws = ViterbiWorkspace::new();
     let mut decode = |kernel| {
         let mut out = Vec::new();
@@ -50,9 +50,12 @@ fn assert_fast_tiers_match_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCas
             .map(|()| out)
     };
     let reference = decode(ViterbiKernel::Scalar);
-    for kernel in [ViterbiKernel::Butterfly, ViterbiKernel::Simd] {
-        prop_assert_eq!(&decode(kernel), &reference, "kernel {:?}", kernel);
-    }
+    prop_assert_eq!(
+        &decode(ViterbiKernel::Auto),
+        &reference,
+        "{}",
+        dec.kernel_name(soft)
+    );
     Ok(())
 }
 
@@ -141,10 +144,10 @@ proptest! {
         prop_assert_eq!(b.scramble(&s), data);
     }
 
-    /// Butterfly and scalar kernels decode punctured/terminated blocks
+    /// `Auto` and the scalar kernel decode punctured/terminated blocks
     /// identically across all rates, hard and noisy-soft metrics.
     #[test]
-    fn butterfly_matches_scalar_terminated(
+    fn auto_matches_scalar_terminated(
         info in bitvec(256),
         rate_idx in 0usize..3,
         seed in any::<u64>(),
@@ -177,7 +180,7 @@ proptest! {
     /// tie-break and traceback corners hardest. Six branches is the
     /// shortest block that still carries the K=7 flush tail.
     #[test]
-    fn butterfly_matches_scalar_on_random_llrs(
+    fn auto_matches_scalar_on_random_llrs(
         n_branches in 6usize..400,
         seed in any::<u64>(),
         scale_idx in 0usize..4,
@@ -186,16 +189,15 @@ proptest! {
         let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
         let mut noise = Noise(seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
     /// Kernel equivalence holds for arbitrary valid codes, not just
     /// the built-in K=7 pair (random constraint length and
-    /// generators). K runs to the supported maximum of 9 so the
-    /// multi-word survivor-mask path (128/256 states, 2–4 `u64` words
-    /// per step) is exercised, not just the single-word K ≤ 7 case.
+    /// generators, K up to the supported maximum of 9): K = 7 runs on
+    /// the lanes, every other K on the scalar kernel.
     #[test]
-    fn butterfly_matches_scalar_for_random_codes(
+    fn auto_matches_scalar_for_random_codes(
         k in 3usize..10,
         g_seed in any::<u64>(),
         n_branches in 8usize..120,
@@ -209,15 +211,15 @@ proptest! {
         let dec = ViterbiDecoder::new(spec);
         let mut noise = Noise(llr_seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
-    /// Explicit-kernel dispatch: the lane tier, the butterfly tier and
-    /// the scalar reference decode terminated blocks identically across
-    /// all rates. Tiny noise scales force constant metric ties, the
-    /// hardest case for lane-for-lane equivalence.
+    /// Explicit-kernel dispatch: `Auto` (the lane tier) and the scalar
+    /// reference decode terminated blocks identically across all rates.
+    /// Tiny noise scales force constant metric ties, the hardest case
+    /// for lane-for-lane equivalence.
     #[test]
-    fn simd_matches_butterfly_and_scalar_terminated(
+    fn auto_matches_scalar_terminated_with_ties(
         info in bitvec(256),
         rate_idx in 0usize..3,
         seed in any::<u64>(),
@@ -233,21 +235,17 @@ proptest! {
         perturb(&mut soft, seed, [1i64, 4, 96][scale_idx]);
         let restored = depuncture(&soft, rate, mother.len()).unwrap();
         let mut ws = ViterbiWorkspace::new();
-        let mut simd = Vec::new();
-        let mut butterfly = Vec::new();
+        let mut auto = Vec::new();
         let mut scalar = Vec::new();
-        dec.decode_terminated_with(ViterbiKernel::Simd, &restored, &mut ws, &mut simd).unwrap();
-        dec.decode_terminated_with(ViterbiKernel::Butterfly, &restored, &mut ws, &mut butterfly)
-            .unwrap();
+        dec.decode_terminated_with(ViterbiKernel::Auto, &restored, &mut ws, &mut auto).unwrap();
         dec.decode_terminated_with(ViterbiKernel::Scalar, &restored, &mut ws, &mut scalar)
             .unwrap();
-        prop_assert_eq!(&simd, &butterfly);
-        prop_assert_eq!(&simd, &scalar);
+        prop_assert_eq!(&auto, &scalar);
     }
 
-    /// A `Simd` request on random codes, K = 5..9, on pure random LLRs:
+    /// An `Auto` request on random codes, K = 5..9, on pure random LLRs:
     /// K = 7 runs on the lanes, the other state counts fall back to the
-    /// butterfly, and every decode matches the scalar reference.
+    /// scalar kernel, and every decode matches the scalar reference.
     #[test]
     fn simd_matches_scalar_for_random_codes(
         k in 5usize..10,
@@ -266,7 +264,7 @@ proptest! {
         let mut ws = ViterbiWorkspace::new();
         let mut simd = Vec::new();
         let mut scalar = Vec::new();
-        dec.decode_terminated_with(ViterbiKernel::Simd, &soft, &mut ws, &mut simd).unwrap();
+        dec.decode_terminated_with(ViterbiKernel::Auto, &soft, &mut ws, &mut simd).unwrap();
         dec.decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut scalar).unwrap();
         prop_assert_eq!(simd, scalar);
     }
@@ -341,11 +339,11 @@ proptest! {
             .collect();
         soft[0] = LANE_BOUND;
         prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
     /// One LLR at `L + 1` anywhere in the block sends it to the
-    /// butterfly tier, and the decode still matches.
+    /// scalar kernel, and the decode still matches.
     #[test]
     fn lanes_fall_back_above_llr_bound(
         n_branches in 7usize..400,
@@ -360,8 +358,8 @@ proptest! {
         let over = LANE_BOUND + 1;
         let at = at.index(soft.len());
         soft[at] = if negative { -over } else { over };
-        prop_assert_eq!(dec.kernel_name(&soft), "butterfly");
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        prop_assert_eq!(dec.kernel_name(&soft), "scalar");
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
     /// Block lengths around the lanes' K − 1 warm-up, the too-short
@@ -376,7 +374,7 @@ proptest! {
         let mut noise = Noise(seed | 1);
         let scale = [1i64, 64, LANE_BOUND as i64][scale_idx];
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
     /// Random K=7 rate-1/2 generator pairs: the lanes take any pair.
@@ -393,7 +391,7 @@ proptest! {
         let scale = [2i64, 100, LANE_BOUND as i64][scale_idx];
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
         prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 
     /// Demapper-scale noise on punctured codewords: perturbations up to
@@ -414,7 +412,7 @@ proptest! {
         perturb(&mut soft, seed, LLR_MAX as i64);
         let restored = depuncture(&soft, rate, mother.len()).unwrap();
         prop_assert!(dec.kernel_name(&restored).starts_with("simd-"));
-        assert_fast_tiers_match_scalar(&dec, &restored)?;
+        assert_auto_matches_scalar(&dec, &restored)?;
     }
 }
 
@@ -450,7 +448,7 @@ proptest! {
         }
         soft.truncate(2 * LONG_BRANCHES);
         prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
-        assert_fast_tiers_match_scalar(&dec, &soft)?;
+        assert_auto_matches_scalar(&dec, &soft)?;
     }
 }
 
@@ -525,17 +523,16 @@ fn kernel_name_reflects_dispatch() {
     assert!(name.starts_with("simd-"), "got {name}");
     let name = dec.kernel_name(&[LANE_BOUND, -LANE_BOUND]);
     assert!(name.starts_with("simd-"), "got {name}");
-    // One past the lanes' bound falls to the i32 butterfly.
-    assert_eq!(dec.kernel_name(&[LANE_BOUND + 1, 0]), "butterfly");
-    assert_eq!(dec.kernel_name(&[0, -(LANE_BOUND + 1)]), "butterfly");
-    // LLRs beyond the i32 exactness bound always fall back to scalar.
+    // One past the lanes' bound falls to the scalar kernel.
+    assert_eq!(dec.kernel_name(&[LANE_BOUND + 1, 0]), "scalar");
+    assert_eq!(dec.kernel_name(&[0, -(LANE_BOUND + 1)]), "scalar");
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
-    // K=3 has 4 states, not the lanes' 64: butterfly at best.
+    // K=3 has 4 states, not the lanes' 64.
     let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
-    assert_eq!(k3.kernel_name(&soft), "butterfly");
+    assert_eq!(k3.kernel_name(&soft), "scalar");
     // A rate-1/3 K=7 code has the states but not the two outputs.
     let r3 = ViterbiDecoder::new(CodeSpec::new(7, vec![0o133, 0o171, 0o165], 1).unwrap());
-    assert_eq!(r3.kernel_name(&soft[..45]), "butterfly");
+    assert_eq!(r3.kernel_name(&soft[..45]), "scalar");
 }
 
 #[test]

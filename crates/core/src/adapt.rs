@@ -197,10 +197,10 @@ impl Default for RateThresholds {
 ///   whose entry ceiling the measured EVM still clears (lost bursts,
 ///   having no measurement, step down one row).
 /// * **Upshift** — otherwise, when the EVM clears the *next* row's
-///   entry ceiling (plus the optional extra
-///   [`RateController::hysteresis_db`] margin), an up-dwell counter
-///   increments; after [`RateController::up_dwell`] such bursts in a
-///   row the rate climbs **one step**. One step, not a jump: the EVM
+///   entry ceiling (the thresholds already carry the enter/exit
+///   hysteresis), an up-dwell counter increments; after
+///   [`RateController::up_dwell`] such bursts in a row the rate climbs
+///   **one step**. One step, not a jump: the EVM
 ///   measurement is only trustworthy near the rate it was taken at
 ///   (see [`RateThresholds`]), so each rung re-measures before the
 ///   next.
@@ -212,7 +212,6 @@ impl Default for RateThresholds {
 #[derive(Debug, Clone)]
 pub struct RateController {
     thresholds: RateThresholds,
-    hysteresis_db: f64,
     up_dwell: u32,
     down_dwell: u32,
     current: usize,
@@ -222,13 +221,11 @@ pub struct RateController {
 
 impl RateController {
     /// Builds a controller from explicit thresholds, starting at the
-    /// most robust rate with a 2-burst up dwell, a 2-burst down dwell
-    /// and no extra hysteresis margin (the threshold tables already
-    /// embed the enter/exit split).
+    /// most robust rate with a 2-burst up dwell and a 2-burst down
+    /// dwell.
     pub fn new(thresholds: RateThresholds) -> Self {
         Self {
             thresholds,
-            hysteresis_db: 0.0,
             up_dwell: 2,
             down_dwell: 2,
             current: usize::from(Mcs::most_robust().index()),
@@ -243,15 +240,6 @@ impl RateController {
     /// keeps the call site honest about which link it adapts.)
     pub fn for_geometry(_geometry: &LinkGeometry) -> Self {
         Self::new(RateThresholds::table_default())
-    }
-
-    /// Sets the extra hysteresis margin (dB) an upshift must clear
-    /// beyond the target row's entry ceiling, on top of the
-    /// enter/exit split already in the thresholds.
-    #[must_use]
-    pub fn with_hysteresis_db(mut self, margin: f64) -> Self {
-        self.hysteresis_db = margin.max(0.0);
-        self
     }
 
     /// Sets the up/down dwell counts (clamped to at least 1).
@@ -286,11 +274,6 @@ impl RateController {
         &self.thresholds
     }
 
-    /// The extra upshift hysteresis margin, dB.
-    pub fn hysteresis_db(&self) -> f64 {
-        self.hysteresis_db
-    }
-
     /// Consecutive good bursts required before an upshift.
     pub fn up_dwell(&self) -> u32 {
         self.up_dwell
@@ -310,8 +293,7 @@ impl RateController {
                 let evm = quality.worst_stream_evm_db();
                 let top = Mcs::ALL.len() - 1;
                 let climbable = self.current < top
-                    && evm + self.hysteresis_db
-                        <= self.thresholds.enter_evm_db(Mcs::ALL[self.current + 1]);
+                    && evm <= self.thresholds.enter_evm_db(Mcs::ALL[self.current + 1]);
                 if evm > self.thresholds.exit_evm_db(self.current()) {
                     self.up_count = 0;
                     self.down_count += 1;

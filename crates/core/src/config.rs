@@ -85,12 +85,6 @@ impl LinkGeometry {
         }
     }
 
-    /// Sets the number of spatial streams (1 or 4).
-    pub fn with_streams(mut self, n: usize) -> Self {
-        self.n_streams = n;
-        self
-    }
-
     /// Sets the FFT size (64, 128, 256 or 512).
     pub fn with_fft_size(mut self, n: usize) -> Self {
         self.fft_size = n;
@@ -128,12 +122,6 @@ impl LinkGeometry {
     /// Returns [`PhyError::BadConfig`] describing the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), PhyError> {
-        if self.n_streams != 1 && self.n_streams != 4 {
-            return Err(PhyError::BadConfig(format!(
-                "n_streams must be 1 or 4, got {}",
-                self.n_streams
-            )));
-        }
         if !mimo_ofdm::SUPPORTED_FFT_SIZES.contains(&self.fft_size) {
             return Err(PhyError::BadConfig(format!(
                 "unsupported FFT size {}",
@@ -277,12 +265,6 @@ impl PhyConfig {
     /// The static link geometry.
     pub fn geometry(&self) -> &LinkGeometry {
         &self.geometry
-    }
-
-    /// Sets the number of spatial streams (1 or 4).
-    pub fn with_streams(mut self, n: usize) -> Self {
-        self.geometry = self.geometry.with_streams(n);
-        self
     }
 
     /// Sets the FFT size (64, 128, 256 or 512).
@@ -464,7 +446,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(PhyConfig::paper_synthesis().with_streams(2).validate().is_err());
         assert!(PhyConfig::paper_synthesis().with_fft_size(96).validate().is_err());
     }
 }

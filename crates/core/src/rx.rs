@@ -1073,6 +1073,32 @@ mod tests {
     }
 
     #[test]
+    fn every_product_decode_takes_the_viterbi_lanes() {
+        // Soft LLRs are clamped to LLR_MAX and hard ones are ±HARD_LLR,
+        // both inside the i16 lane tier's bound, so the header and every
+        // stream's payload decode at every rate must dispatch to the
+        // lanes, never to the scalar fallback.
+        let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
+        for soft in [true, false] {
+            let geometry = LinkGeometry::mimo().with_soft_decoding(soft);
+            let mut rx = MimoReceiver::from_geometry(geometry).unwrap();
+            for mcs in Mcs::ALL {
+                let payload: Vec<u8> = (0..200).map(|i| (i * 29 + 3) as u8).collect();
+                let burst = tx.transmit_burst_with(mcs, &payload).unwrap();
+                let result = rx.receive_burst(&burst.streams).unwrap();
+                assert_eq!(result.payload, payload, "{mcs}, soft {soft}");
+                let viterbi = &rx.core.viterbi;
+                let header = viterbi.kernel_name(&rx.ws.header.stream_llrs);
+                assert!(header.starts_with("simd-"), "{mcs}, soft {soft}: header on {header}");
+                for (k, ws) in rx.ws.streams.iter().enumerate() {
+                    let name = viterbi.kernel_name(&ws.stream_llrs);
+                    assert!(name.starts_with("simd-"), "{mcs}, soft {soft}, stream {k}: {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn borrowed_stream_views_decode_without_copying() {
         let cfg = PhyConfig::paper_synthesis();
         let tx = MimoTransmitter::new(cfg.clone()).unwrap();

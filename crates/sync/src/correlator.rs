@@ -164,7 +164,7 @@ impl TimeSynchronizer {
         if self.locked.is_some() || self.window.len() < CORRELATOR_TAPS {
             return None;
         }
-        let magnitude = self.correlate();
+        let magnitude = self.correlate(&self.window);
         if magnitude >= self.threshold {
             let event = SyncEvent {
                 peak_index: index,
@@ -207,31 +207,11 @@ impl TimeSynchronizer {
     /// stage is channel-gain invariant but only ±half-symbol accurate;
     /// this pins the boundary to the sample.
     pub fn scan_peak_window(&self, burst: &[CQ15], lo: usize, hi: usize) -> Option<SyncEvent> {
-        if burst.len() < CORRELATOR_TAPS {
-            return None;
-        }
-        let mut scratch = Self {
-            taps: self.taps.clone(),
-            window: VecDeque::with_capacity(CORRELATOR_TAPS),
-            cordic: self.cordic.clone(),
-            threshold: Q16::ZERO,
-            position: 0,
-            locked: None,
-        };
         let hi = hi.min(burst.len());
         let mut best: Option<SyncEvent> = None;
-        // Prime the shift register so position `lo` is evaluable.
-        let start = lo.saturating_sub(CORRELATOR_TAPS - 1);
-        for (offset, &s) in burst[start..hi].iter().enumerate() {
-            let index = start + offset;
-            scratch.window.push_back(s);
-            if scratch.window.len() > CORRELATOR_TAPS {
-                scratch.window.pop_front();
-            }
-            if scratch.window.len() < CORRELATOR_TAPS || index < lo {
-                continue;
-            }
-            let magnitude = scratch.correlate();
+        // The first evaluable position has a whole window behind it.
+        for index in lo.max(CORRELATOR_TAPS - 1)..hi {
+            let magnitude = self.correlate(&burst[index + 1 - CORRELATOR_TAPS..=index]);
             if magnitude.raw() > 0 && best.is_none_or(|b| magnitude > b.magnitude) {
                 best = Some(SyncEvent {
                     peak_index: index,
@@ -243,11 +223,12 @@ impl TimeSynchronizer {
         best
     }
 
-    /// The 32 parallel complex multipliers and pipelined adder tree,
-    /// followed by the CORDIC magnitude calculation.
-    fn correlate(&self) -> Q16 {
+    /// The 32 parallel complex multipliers and pipelined adder tree over
+    /// one window of samples (oldest first), followed by the CORDIC
+    /// magnitude calculation.
+    fn correlate<'a>(&self, window: impl IntoIterator<Item = &'a CQ15>) -> Q16 {
         let mut acc = CFx::<15>::ZERO;
-        for (&x, &t) in self.window.iter().zip(self.taps.iter()) {
+        for (&x, &t) in window.into_iter().zip(self.taps.iter()) {
             // Taps are pre-conjugated; plain multiply is correlation.
             acc += x * t;
         }

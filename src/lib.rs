@@ -101,13 +101,15 @@
 //! The crate has no cargo features: every build carries the same code,
 //! and both choices below are made at run time.
 //!
-//! * **Viterbi kernel tier.** Each decode takes the fastest tier the
-//!   CPU, code and LLRs allow: the `i16` lane tier, a whole block's
-//!   forward pass on sixteen-bit wrapping metrics for the K=7 rate-1/2
-//!   code (AVX2 behind run-time CPU detection, a portable lane body
-//!   elsewhere; every demapper output fits its LLR bound), then the
-//!   `i32` scalar butterfly, then the `i64` scalar reference kernel. All tiers are decode-for-decode bit-identical;
-//!   [`coding::ViterbiKernel`] pins one for differential runs through
+//! * **Viterbi kernel tier.** Two tiers, like every other lane kernel:
+//!   the `i16` lane tier, a whole block's forward pass on sixteen-bit
+//!   wrapping metrics for the K=7 rate-1/2 code (AVX2 behind run-time
+//!   CPU detection, a portable lane body elsewhere), which every burst
+//!   decode takes because every demapper output and hard decision fits
+//!   its LLR bound; and the `i64` scalar reference kernel, the oracle
+//!   and the fallback for any other code or LLR magnitude. Both are
+//!   decode-for-decode bit-identical; [`coding::ViterbiKernel`] pins
+//!   the scalar one for differential runs through
 //!   [`coding::ViterbiDecoder::decode_terminated_with`].
 //! * **Channel fan-out.** [`phy::PhyConfig::with_parallelism`] splits
 //!   the four spatial channels across a crew with one member per host
