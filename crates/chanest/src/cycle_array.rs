@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn identity_matrix_through_clocked_array() {
         let mut array = SystolicQrdArray::new();
-        let (result, cycles) = array.run(&FxMat4::identity());
+        let (result, cycles) = array.run(&Mat4::identity().to_fixed());
         assert_eq!(cycles, 440);
         let err_r = result.r.to_f64().max_distance(&Mat4::identity());
         assert!(err_r < 5e-3, "R err {err_r}");

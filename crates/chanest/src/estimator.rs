@@ -518,7 +518,7 @@ mod lane_tests {
 
     #[test]
     fn identity_matches_scalar() {
-        check(vec![FxMat4::identity(); 52]);
+        check(vec![crate::Mat4::identity().to_fixed(); 52]);
     }
 
     #[test]

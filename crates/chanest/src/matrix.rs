@@ -61,16 +61,6 @@ impl Mat4 {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.m
-            .iter()
-            .flatten()
-            .map(|c| c.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Maximum elementwise distance to another matrix.
     pub fn max_distance(&self, other: &Self) -> f64 {
         let mut worst: f64 = 0.0;
@@ -140,11 +130,6 @@ impl FxMat4 {
     /// The zero matrix.
     pub fn zero() -> Self {
         Self::default()
-    }
-
-    /// The identity matrix.
-    pub fn identity() -> Self {
-        Self::from_fn(|r, c| if r == c { CFx::ONE } else { CFx::ZERO })
     }
 
     /// Builds a matrix element-wise.
@@ -261,10 +246,5 @@ mod tests {
         let fixed = a.to_fixed().mul_mat(&b.to_fixed()).to_f64();
         let float = a * b;
         assert!(fixed.max_distance(&float) < 1e-3);
-    }
-
-    #[test]
-    fn frobenius_of_identity() {
-        assert!((Mat4::identity().frobenius() - 2.0).abs() < 1e-15);
     }
 }

@@ -33,6 +33,7 @@ pub struct HMatrixMemoryMap {
 
 /// A physical location in the estimate memory array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// phylint: allow(test_only_api) -- paper Fig 5: the channel-estimate memory map
 pub struct MemoryLocation {
     /// Which per-antenna buffer (= receive antenna index).
     pub buffer: usize,
@@ -71,6 +72,7 @@ impl HMatrixMemoryMap {
     ///
     /// Panics if `rx`/`tx` exceed the 4×4 system or the subcarrier
     /// exceeds the segment depth.
+    // phylint: allow(test_only_api) -- paper Fig 5: the channel-estimate memory map
     pub fn location(&self, rx: usize, tx: usize, subcarrier: usize) -> MemoryLocation {
         assert!(rx < N_ANTENNAS && tx < N_ANTENNAS, "antenna out of range");
         assert!(
@@ -86,6 +88,7 @@ impl HMatrixMemoryMap {
 
     /// Inverse of [`HMatrixMemoryMap::location`]: which matrix element
     /// and subcarrier a buffer address holds.
+    // phylint: allow(test_only_api) -- paper Fig 5: the channel-estimate memory map
     pub fn element_at(&self, buffer: usize, address: usize) -> (usize, usize, usize) {
         assert!(buffer < N_ANTENNAS, "buffer out of range");
         assert!(address < N_ANTENNAS * self.segment_depth, "address out of range");
@@ -93,6 +96,7 @@ impl HMatrixMemoryMap {
     }
 
     /// Words per buffer (4 segments).
+    // phylint: allow(test_only_api) -- paper Fig 5: the channel-estimate memory map
     pub fn buffer_words(&self) -> usize {
         N_ANTENNAS * self.segment_depth
     }
@@ -100,6 +104,7 @@ impl HMatrixMemoryMap {
     /// Total bits across the whole 4-buffer array — the figure the
     /// FPGA infrastructure memory budget must cover (×2 for the
     /// inverted-estimate array).
+    // phylint: allow(test_only_api) -- paper Fig 5: the channel-estimate memory map
     pub fn total_bits(&self) -> usize {
         N_ANTENNAS * self.buffer_words() * self.word_bits
     }

@@ -42,11 +42,10 @@ const MIN_DIAGONAL: f64 = 1.0 / 512.0;
 /// # Examples
 ///
 /// ```
-/// use mimo_chanest::{invert_upper_triangular, FxMat4};
-/// use mimo_fixed::CFx;
+/// use mimo_chanest::{invert_upper_triangular, Mat4};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let r_inv = invert_upper_triangular(&FxMat4::identity())?;
+/// let r_inv = invert_upper_triangular(&Mat4::identity().to_fixed())?;
 /// assert_eq!(r_inv.to_f64()[(0, 0)].re, 1.0);
 /// # Ok(())
 /// # }
@@ -155,7 +154,7 @@ mod tests {
 
     #[test]
     fn identity_inverts_to_identity() {
-        let inv = invert_upper_triangular(&FxMat4::identity()).unwrap();
+        let inv = invert_upper_triangular(&crate::Mat4::identity().to_fixed()).unwrap();
         assert!(inv.to_f64().max_distance(&Mat4::identity()) < 1e-4);
     }
 }

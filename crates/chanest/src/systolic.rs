@@ -75,21 +75,25 @@ impl CordicQrd {
     /// Number of boundary cells (diagonal): 4, each two vectoring
     /// CORDICs — "This array consists of four boundary cells and six
     /// internal cells" for the R factor.
+    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
     pub fn boundary_cells(&self) -> usize {
         N_ANTENNAS
     }
 
     /// Internal cells in the R array (strictly-upper triangle): 6.
+    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
     pub fn r_internal_cells(&self) -> usize {
         N_ANTENNAS * (N_ANTENNAS - 1) / 2
     }
 
     /// Internal cells in the Q array (Fig 7): a full 4×4 grid.
+    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
     pub fn q_internal_cells(&self) -> usize {
         N_ANTENNAS * N_ANTENNAS
     }
 
     /// Total CORDIC engines: 2 per boundary + 3 per internal cell.
+    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
     pub fn total_cordics(&self) -> usize {
         2 * self.boundary_cells() + 3 * (self.r_internal_cells() + self.q_internal_cells())
     }
@@ -433,7 +437,7 @@ mod tests {
     #[test]
     fn identity_passes_through() {
         let qrd = CordicQrd::new();
-        let result = qrd.decompose(&FxMat4::identity());
+        let result = qrd.decompose(&Mat4::identity().to_fixed());
         let err_r = result.r.to_f64().max_distance(&Mat4::identity());
         let err_q = result.q_h.to_f64().max_distance(&Mat4::identity());
         assert!(err_r < 5e-3 && err_q < 5e-3, "R err {err_r}, Q err {err_q}");

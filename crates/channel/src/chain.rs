@@ -13,6 +13,7 @@ use crate::ChannelModel;
 /// sample rate. The common phase drift this induces across an OFDM
 /// symbol is what the receiver's pilot phase correction removes.
 #[derive(Debug, Clone)]
+// phylint: allow(test_only_api) -- test support: tests/impairments.rs
 pub struct CfoImpairment {
     n: usize,
     epsilon: f64,
@@ -23,17 +24,13 @@ pub struct CfoImpairment {
 impl CfoImpairment {
     /// Creates a CFO impairment over `n` antennas with normalized
     /// frequency offset `epsilon` (cycles per sample).
+    // phylint: allow(test_only_api) -- test support: tests/impairments.rs
     pub fn new(n: usize, epsilon: f64) -> Self {
         Self {
             n,
             epsilon,
             phase_offset: 0.0,
         }
-    }
-
-    /// The normalized frequency offset.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 }
 
@@ -114,6 +111,7 @@ impl ChannelModel for TimingOffset {
 /// fast wander (large sigma) causes inter-carrier interference no
 /// pilot can fix — both regimes are useful test stimulus.
 #[derive(Debug, Clone)]
+// phylint: allow(test_only_api) -- test support: tests/impairments.rs
 pub struct PhaseNoise {
     n: usize,
     sigma_rad: f64,
@@ -124,6 +122,7 @@ pub struct PhaseNoise {
 impl PhaseNoise {
     /// Creates a phase-noise impairment over `n` antennas with the
     /// given per-sample random-walk step (radians, std dev).
+    // phylint: allow(test_only_api) -- test support: tests/impairments.rs
     pub fn new(n: usize, sigma_rad: f64, seed: u64) -> Self {
         Self {
             n,
@@ -131,11 +130,6 @@ impl PhaseNoise {
             rng: ChaCha8Rng::seed_from_u64(seed),
             phase: 0.0,
         }
-    }
-
-    /// Per-sample phase step standard deviation, radians.
-    pub fn sigma_rad(&self) -> f64 {
-        self.sigma_rad
     }
 }
 

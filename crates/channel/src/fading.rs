@@ -66,6 +66,7 @@ impl FlatRayleighMimo {
     /// # Panics
     ///
     /// Panics if `h` is ragged or empty.
+    // phylint: allow(test_only_api) -- test support: crates/channel/src/fading.rs
     pub fn from_matrix(h: Vec<Vec<Cf64>>) -> Self {
         let n_rx = h.len();
         assert!(n_rx > 0, "empty channel matrix");
@@ -78,6 +79,7 @@ impl FlatRayleighMimo {
     }
 
     /// The ground-truth channel matrix `h[rx][tx]` (for test oracles).
+    // phylint: allow(test_only_api) -- test support: crates/channel/src/fading.rs
     pub fn matrix(&self) -> &[Vec<Cf64>] {
         &self.h
     }
@@ -125,6 +127,7 @@ impl MultipathMimo {
     /// Draws a random multipath channel: `n_taps` taps with power decay
     /// `e^{-k}` per tap, total average path power
     /// [`FlatRayleighMimo::DEFAULT_PATH_POWER`].
+    // phylint: allow(test_only_api) -- test support: tests/impairments.rs
     pub fn new(n_tx: usize, n_rx: usize, n_taps: usize, seed: u64) -> Self {
         assert!(n_taps >= 1, "need at least one tap");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -155,18 +158,6 @@ impl MultipathMimo {
     /// Ground-truth impulse response `taps[rx][tx][k]`.
     pub fn taps(&self) -> &[Vec<Vec<Cf64>>] {
         &self.taps
-    }
-
-    /// The frequency response of path (rx, tx) at subcarrier `l` of an
-    /// `n`-point OFDM system — the oracle the channel estimator should
-    /// recover (up to the known system gain).
-    pub fn frequency_response(&self, rx: usize, tx: usize, logical: i32, n: usize) -> Cf64 {
-        let mut acc = Cf64::ZERO;
-        for (k, &tap) in self.taps[rx][tx].iter().enumerate() {
-            let ang = -2.0 * std::f64::consts::PI * (logical as f64) * (k as f64) / n as f64;
-            acc += tap * Cf64::from_polar(1.0, ang);
-        }
-        acc
     }
 }
 
@@ -255,18 +246,6 @@ mod tests {
             let want = tap.scale(0.5);
             assert!((got - want).norm() < 1e-3, "tap {k}");
         }
-    }
-
-    #[test]
-    fn frequency_response_matches_dft_of_taps() {
-        let chan = MultipathMimo::new(2, 2, 4, 11);
-        let h = chan.frequency_response(0, 1, 5, 64);
-        let mut expect = Cf64::ZERO;
-        for (k, &tap) in chan.taps()[0][1].iter().enumerate() {
-            expect += tap
-                * Cf64::from_polar(1.0, -2.0 * std::f64::consts::PI * 5.0 * k as f64 / 64.0);
-        }
-        assert!((h - expect).norm() < 1e-12);
     }
 
     #[test]

@@ -114,20 +114,15 @@ impl FaultSchedule {
 
     /// Sets the drop probability.
     #[must_use]
+    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
     pub fn with_drop(mut self, p: f64) -> Self {
         self.drop = p;
         self
     }
 
-    /// Sets the truncation probability.
-    #[must_use]
-    pub fn with_truncate(mut self, p: f64) -> Self {
-        self.truncate = p;
-        self
-    }
-
     /// Sets the bit-corruption probability.
     #[must_use]
+    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
     pub fn with_corrupt(mut self, p: f64) -> Self {
         self.corrupt = p;
         self
@@ -135,6 +130,7 @@ impl FaultSchedule {
 
     /// Sets the duplication probability.
     #[must_use]
+    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
     pub fn with_duplicate(mut self, p: f64) -> Self {
         self.duplicate = p;
         self
@@ -142,6 +138,7 @@ impl FaultSchedule {
 
     /// Sets the stall/reorder probability.
     #[must_use]
+    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
     pub fn with_stall(mut self, p: f64) -> Self {
         self.stall = p;
         self
@@ -161,8 +158,6 @@ impl FaultSchedule {
 pub struct FaultLottery {
     schedule: FaultSchedule,
     rng: ChaCha8Rng,
-    drawn: u64,
-    injected: u64,
 }
 
 impl FaultLottery {
@@ -171,8 +166,6 @@ impl FaultLottery {
         Self {
             schedule,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            drawn: 0,
-            injected: 0,
         }
     }
 
@@ -181,22 +174,11 @@ impl FaultLottery {
         &self.schedule
     }
 
-    /// Frames adjudicated so far.
-    pub fn frames_drawn(&self) -> u64 {
-        self.drawn
-    }
-
-    /// Faults issued so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Adjudicates one frame: `None` (deliver clean) or the fault to
     /// apply. Exactly one uniform draw decides the kind; parameterized
     /// kinds draw their parameter immediately after, keeping the
     /// stream aligned with the event sequence.
     pub fn draw(&mut self) -> Option<FaultKind> {
-        self.drawn += 1;
         let x: f64 = self.rng.gen_range(0.0..1.0);
         let s = &self.schedule;
         let mut edge = s.drop;
@@ -231,7 +213,6 @@ impl FaultLottery {
         } else {
             return None;
         };
-        self.injected += 1;
         Some(fault)
     }
 
@@ -265,8 +246,6 @@ mod tests {
     fn clean_schedule_never_faults() {
         let mut lottery = FaultLottery::new(FaultSchedule::clean(), 1);
         assert!((0..10_000).all(|_| lottery.draw().is_none()));
-        assert_eq!(lottery.faults_injected(), 0);
-        assert_eq!(lottery.frames_drawn(), 10_000);
     }
 
     #[test]

@@ -30,23 +30,9 @@ pub fn bytes_to_bits_append(bytes: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Packs bits (LSB-first per byte) into bytes. The final partial byte,
-/// if any, is zero-padded in its high bits.
-///
-/// # Examples
-///
-/// ```
-/// use mimo_coding::bits::bits_to_bytes;
-/// assert_eq!(bits_to_bytes(&[1, 0, 1]), vec![0b0000_0101]);
-/// ```
-pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    bits_to_bytes_into(bits, &mut out);
-    out
-}
-
-/// Allocation-free [`bits_to_bytes`] into a caller-owned buffer
-/// (cleared first).
+/// Packs bits (LSB-first per byte) into a caller-owned buffer
+/// (cleared first). The final partial byte, if any, is zero-padded in
+/// its high bits.
 pub fn bits_to_bytes_into(bits: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(bits.len().div_ceil(8));
@@ -94,10 +80,16 @@ pub fn crc8_bits(bits: &[u8]) -> u8 {
 mod tests {
     use super::*;
 
+    fn pack(bits: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        bits_to_bytes_into(bits, &mut out);
+        out
+    }
+
     #[test]
     fn roundtrip_bytes() {
         let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&data)), data);
+        assert_eq!(pack(&bytes_to_bits(&data)), data);
     }
 
     #[test]
@@ -108,8 +100,8 @@ mod tests {
 
     #[test]
     fn partial_byte_zero_padded() {
-        assert_eq!(bits_to_bytes(&[1]), vec![1]);
-        assert_eq!(bits_to_bytes(&[0, 1]), vec![2]);
+        assert_eq!(pack(&[1]), vec![1]);
+        assert_eq!(pack(&[0, 1]), vec![2]);
     }
 
     #[test]

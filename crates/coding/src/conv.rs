@@ -63,7 +63,6 @@ impl Error for CodingError {}
 pub struct CodeSpec {
     constraint_length: usize,
     generators: Vec<u32>,
-    data_path_width: usize,
 }
 
 impl CodeSpec {
@@ -71,33 +70,27 @@ impl CodeSpec {
     /// 133/171 (octal), mother rate 1/2.
     pub fn ieee80211a() -> Self {
         // Constructed directly: the field invariants `new` checks
-        // (K in range, generators fit K bits, nonzero width) hold for
+        // (K in range, generators fit K bits) hold for
         // these literals, and the equivalence with `new` is pinned by
         // the spec tests below.
         Self {
             constraint_length: 7,
             generators: vec![0o133, 0o171],
-            data_path_width: 8,
         }
     }
 
     /// Creates a custom code.
     ///
     /// `generators` use the usual convention: bit `K-1` is the tap on
-    /// the newest input bit. `data_path_width` is the number of input
-    /// bits the hardware entity processes per clock (it does not change
-    /// the encoding, only the cycle model).
+    /// the newest input bit.
     ///
     /// # Errors
     ///
     /// Rejects constraint lengths outside 3..=9, generator polynomials
     /// with taps beyond the constraint length, and fewer than two
     /// generators.
-    pub fn new(
-        constraint_length: usize,
-        generators: Vec<u32>,
-        data_path_width: usize,
-    ) -> Result<Self, CodingError> {
+    // phylint: allow(test_only_api) -- test support: crates/coding/tests/proptests.rs
+    pub fn new(constraint_length: usize, generators: Vec<u32>) -> Result<Self, CodingError> {
         if !(3..=9).contains(&constraint_length) {
             return Err(CodingError::BadConstraintLength(constraint_length));
         }
@@ -115,18 +108,12 @@ impl CodeSpec {
         Ok(Self {
             constraint_length,
             generators,
-            data_path_width: data_path_width.max(1),
         })
     }
 
     /// Constraint length K.
     pub fn constraint_length(&self) -> usize {
         self.constraint_length
-    }
-
-    /// Generator polynomials.
-    pub fn generators(&self) -> &[u32] {
-        &self.generators
     }
 
     /// Coded bits emitted per input bit (the inverse of the mother
@@ -138,16 +125,6 @@ impl CodeSpec {
     /// Number of trellis states (`2^(K-1)`).
     pub fn num_states(&self) -> usize {
         1 << (self.constraint_length - 1)
-    }
-
-    /// Hardware data-path width in bits per clock.
-    pub fn data_path_width(&self) -> usize {
-        self.data_path_width
-    }
-
-    /// Clock cycles the hardware entity needs to encode `n_bits`.
-    pub fn encode_cycles(&self, n_bits: usize) -> u64 {
-        (n_bits as u64).div_ceil(self.data_path_width as u64)
     }
 
     /// Coded outputs for one input bit entering state `state`.
@@ -207,16 +184,10 @@ impl ConvolutionalEncoder {
         self.state = 0;
     }
 
-    /// Encodes a stream of bits, continuing from the current state.
-    /// Output order: for each input bit, one bit per generator.
-    pub fn encode(&mut self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_append(input, &mut out);
-        out
-    }
-
-    /// [`ConvolutionalEncoder::encode`] appending to a caller-owned
-    /// buffer (no allocation once the buffer has grown).
+    /// Encodes a stream of bits, continuing from the current state,
+    /// appending to a caller-owned buffer (no allocation once the
+    /// buffer has grown). Output order: for each input bit, one bit per
+    /// generator.
     pub fn encode_append(&mut self, input: &[u8], out: &mut Vec<u8>) {
         let n_out = self.spec.outputs_per_input();
         out.reserve(input.len() * n_out);
@@ -258,10 +229,10 @@ mod tests {
 
     #[test]
     fn spec_validation() {
-        assert!(CodeSpec::new(2, vec![1, 3], 8).is_err());
-        assert!(CodeSpec::new(7, vec![0o133], 8).is_err());
-        assert!(CodeSpec::new(7, vec![0o133, 0o400], 8).is_err());
-        assert!(CodeSpec::new(7, vec![0o133, 0o171], 8).is_ok());
+        assert!(CodeSpec::new(2, vec![1, 3]).is_err());
+        assert!(CodeSpec::new(7, vec![0o133]).is_err());
+        assert!(CodeSpec::new(7, vec![0o133, 0o400]).is_err());
+        assert!(CodeSpec::new(7, vec![0o133, 0o171]).is_ok());
     }
 
     #[test]
@@ -270,7 +241,6 @@ mod tests {
         assert_eq!(spec.constraint_length(), 7);
         assert_eq!(spec.num_states(), 64);
         assert_eq!(spec.outputs_per_input(), 2);
-        assert_eq!(spec.generators(), &[0o133, 0o171]);
     }
 
     #[test]
@@ -319,17 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn cycle_model_uses_data_path_width() {
-        let spec = CodeSpec::new(7, vec![0o133, 0o171], 8).unwrap();
-        assert_eq!(spec.encode_cycles(64), 8);
-        assert_eq!(spec.encode_cycles(65), 9);
-        let serial = CodeSpec::new(7, vec![0o133, 0o171], 1).unwrap();
-        assert_eq!(serial.encode_cycles(64), 64);
-    }
-
-    #[test]
     fn error_display() {
-        let err = CodeSpec::new(12, vec![1, 2], 1).unwrap_err();
+        let err = CodeSpec::new(12, vec![1, 2]).unwrap_err();
         assert!(err.to_string().contains("12"));
     }
 }

@@ -77,7 +77,7 @@ mod scrambler;
 mod viterbi;
 
 pub use conv::{CodeSpec, CodingError, ConvolutionalEncoder};
-pub use puncture::{depuncture, depuncture_into, puncture, puncture_into, CodeRate};
+pub use puncture::{depuncture, puncture, puncture_into, CodeRate};
 pub use scrambler::{pilot_polarity, Scrambler};
 pub use viterbi::{
     BatchViterbiWorkspace, DecodeProfile, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
@@ -106,10 +106,4 @@ pub fn hard_to_llr(bit: u8) -> Llr {
     } else {
         -HARD_LLR
     }
-}
-
-/// Converts a soft value to a hard bit decision (erasure decides 0).
-#[inline]
-pub fn llr_to_hard(llr: Llr) -> u8 {
-    u8::from(llr < 0)
 }

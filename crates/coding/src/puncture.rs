@@ -51,11 +51,6 @@ impl CodeRate {
             CodeRate::ThreeQuarters => 4,
         }
     }
-
-    /// The rate as a float (`numerator / denominator`).
-    pub fn as_f64(self) -> f64 {
-        self.numerator() as f64 / self.denominator() as f64
-    }
 }
 
 impl std::fmt::Display for CodeRate {
@@ -105,25 +100,8 @@ pub fn puncture_into(mother: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
 ///
 /// Returns [`CodingError::BadBlockLength`] if `soft.len()` does not
 /// match the number of kept positions in `mother_len` mother bits.
+// phylint: allow(test_only_api) -- oracle: crates/coding/tests/proptests.rs
 pub fn depuncture(soft: &[Llr], rate: CodeRate, mother_len: usize) -> Result<Vec<Llr>, CodingError> {
-    let mut out = Vec::new();
-    depuncture_into(soft, rate, mother_len, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-free [`depuncture`] into a caller-owned buffer (cleared
-/// first, then filled to `mother_len`). The steady-state hot path
-/// reuses one buffer per stream across bursts.
-///
-/// # Errors
-///
-/// Identical to [`depuncture`].
-pub fn depuncture_into(
-    soft: &[Llr],
-    rate: CodeRate,
-    mother_len: usize,
-    out: &mut Vec<Llr>,
-) -> Result<(), CodingError> {
     let pattern = rate.keep_pattern();
     let kept_count = (0..mother_len).filter(|i| pattern[i % pattern.len()]).count();
     if soft.len() != kept_count {
@@ -132,8 +110,7 @@ pub fn depuncture_into(
             multiple: kept_count,
         });
     }
-    out.clear();
-    out.reserve(mother_len);
+    let mut out = Vec::with_capacity(mother_len);
     let mut it = soft.iter();
     for i in 0..mother_len {
         if pattern[i % pattern.len()] {
@@ -148,7 +125,7 @@ pub fn depuncture_into(
             out.push(0); // erasure
         }
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -163,9 +140,6 @@ mod tests {
 
     #[test]
     fn rate_fractions() {
-        assert_eq!(CodeRate::Half.as_f64(), 0.5);
-        assert!((CodeRate::TwoThirds.as_f64() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CodeRate::ThreeQuarters.as_f64(), 0.75);
         assert_eq!(CodeRate::ThreeQuarters.to_string(), "3/4");
     }
 

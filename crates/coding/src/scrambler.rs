@@ -16,8 +16,10 @@
 /// let mut tx = Scrambler::new(0x7F);
 /// let mut rx = Scrambler::new(0x7F);
 /// let data = vec![1, 0, 1, 1, 0, 0, 1];
-/// let scrambled = tx.scramble(&data);
-/// assert_eq!(rx.scramble(&scrambled), data); // XOR twice = identity
+/// let mut bits = data.clone();
+/// tx.scramble_in_place(&mut bits);
+/// rx.scramble_in_place(&mut bits);
+/// assert_eq!(bits, data); // XOR twice = identity
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scrambler {
@@ -47,17 +49,8 @@ impl Scrambler {
         feedback
     }
 
-    /// XORs the keystream onto `bits` (scrambling and descrambling are
-    /// the same operation).
-    pub fn scramble(&mut self, bits: &[u8]) -> Vec<u8> {
-        let mut out = bits.to_vec();
-        self.scramble_in_place(&mut out);
-        out
-    }
-
-    /// In-place [`Scrambler::scramble`] for the allocation-free hot
-    /// path (XOR with the LFSR stream is its own inverse, so the same
-    /// call descrambles).
+    /// XORs the keystream onto `bits` in place (XOR with the LFSR
+    /// stream is its own inverse, so the same call descrambles).
     pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
         for b in bits.iter_mut() {
             *b = (*b & 1) ^ self.next_bit();
@@ -129,7 +122,10 @@ mod tests {
         let data: Vec<u8> = (0..200).map(|i| ((i * 11) % 3 == 0) as u8).collect();
         let mut a = Scrambler::new(0x5D);
         let mut b = Scrambler::new(0x5D);
-        assert_eq!(b.scramble(&a.scramble(&data)), data);
+        let mut bits = data.clone();
+        a.scramble_in_place(&mut bits);
+        b.scramble_in_place(&mut bits);
+        assert_eq!(bits, data);
     }
 
     #[test]

@@ -590,7 +590,7 @@ mod tests {
     #[test]
     fn works_for_other_codes() {
         // K=3 (5,7) toy code.
-        let spec = CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap();
+        let spec = CodeSpec::new(3, vec![0o5, 0o7]).unwrap();
         let mut enc = ConvolutionalEncoder::new(spec.clone());
         let dec = ViterbiDecoder::new(spec);
         let info = vec![1, 1, 0, 1, 0, 0, 1, 0, 1, 1];
@@ -677,7 +677,7 @@ mod tests {
             cases.push((stock.clone(), random_llrs(2 * n_branches, n_branches as u64, l, 10)));
         }
         for (g0, g1) in [(0o171, 0o133), (0o1, 0o177), (0o100, 0o77), (0o55, 0o55)] {
-            let spec = CodeSpec::new(7, vec![g0, g1], 1).unwrap();
+            let spec = CodeSpec::new(7, vec![g0, g1]).unwrap();
             cases.push((spec, random_llrs(2 * 2000, u64::from(g0 ^ g1), l, 5)));
         }
         {

@@ -63,7 +63,7 @@ fn assert_auto_matches_scalar(dec: &ViterbiDecoder, soft: &[Llr]) -> TestCaseRes
 /// `1..128`).
 fn k7_code(g0: u64, g1: u64) -> CodeSpec {
     let g = |g: u64| ((g & 0x7f) as u32).max(1);
-    CodeSpec::new(7, vec![g(g0), g(g1)], 1).unwrap()
+    CodeSpec::new(7, vec![g(g0), g(g1)]).unwrap()
 }
 
 /// Adds seeded noise to every LLR. Small scales produce many exact
@@ -113,7 +113,9 @@ proptest! {
     fn bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..64)) {
         let bits = bits::bytes_to_bits(&data);
         prop_assert_eq!(bits.len(), data.len() * 8);
-        prop_assert_eq!(bits::bits_to_bytes(&bits), data);
+        let mut bytes = Vec::new();
+        bits::bits_to_bytes_into(&bits, &mut bytes);
+        prop_assert_eq!(bytes, data);
     }
 
     /// Puncture output length matches the configured rate exactly when
@@ -139,9 +141,11 @@ proptest! {
     fn scrambler_involution(data in bitvec(512), seed in 1u8..128) {
         let mut a = mimo_coding::Scrambler::new(seed);
         let mut b = mimo_coding::Scrambler::new(seed);
-        let s = a.scramble(&data);
+        let mut s = data.clone();
+        a.scramble_in_place(&mut s);
         prop_assert_eq!(s.len(), data.len());
-        prop_assert_eq!(b.scramble(&s), data);
+        b.scramble_in_place(&mut s);
+        prop_assert_eq!(s, data);
     }
 
     /// `Auto` and the scalar kernel decode punctured/terminated blocks
@@ -207,7 +211,7 @@ proptest! {
         let mask = (1u64 << k) - 1;
         let g0 = ((noise.next() & mask) as u32).max(1);
         let g1 = ((noise.next() & mask) as u32).max(1);
-        let spec = CodeSpec::new(k, vec![g0, g1], 1).unwrap();
+        let spec = CodeSpec::new(k, vec![g0, g1]).unwrap();
         let dec = ViterbiDecoder::new(spec);
         let mut noise = Noise(llr_seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
@@ -257,7 +261,7 @@ proptest! {
         let mask = (1u64 << k) - 1;
         let g0 = ((noise.next() & mask) as u32).max(1);
         let g1 = ((noise.next() & mask) as u32).max(1);
-        let spec = CodeSpec::new(k, vec![g0, g1], 1).unwrap();
+        let spec = CodeSpec::new(k, vec![g0, g1]).unwrap();
         let dec = ViterbiDecoder::new(spec);
         let mut noise = Noise(llr_seed | 1);
         let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(50)).collect();
@@ -528,10 +532,10 @@ fn kernel_name_reflects_dispatch() {
     assert_eq!(dec.kernel_name(&[0, -(LANE_BOUND + 1)]), "scalar");
     assert_eq!(dec.kernel_name(&[1 << 28, 0]), "scalar");
     // K=3 has 4 states, not the lanes' 64.
-    let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7], 1).unwrap());
+    let k3 = ViterbiDecoder::new(CodeSpec::new(3, vec![0o5, 0o7]).unwrap());
     assert_eq!(k3.kernel_name(&soft), "scalar");
     // A rate-1/3 K=7 code has the states but not the two outputs.
-    let r3 = ViterbiDecoder::new(CodeSpec::new(7, vec![0o133, 0o171, 0o165], 1).unwrap());
+    let r3 = ViterbiDecoder::new(CodeSpec::new(7, vec![0o133, 0o171, 0o165]).unwrap());
     assert_eq!(r3.kernel_name(&soft[..45]), "scalar");
 }
 

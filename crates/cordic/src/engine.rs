@@ -1,8 +1,6 @@
 //! The iterative fixed-point CORDIC kernel.
 
 use mimo_fixed::Q16;
-#[cfg(test)]
-use mimo_fixed::Fx;
 
 use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle};
 use crate::CORDIC_ITERATIONS;
@@ -174,7 +172,7 @@ impl Cordic {
 /// in radians (angle) — roughly `2^-(iterations-1)` plus quantization.
 #[cfg(test)]
 pub(crate) fn angle_tolerance(iterations: u32) -> f64 {
-    2f64.powi(-(iterations as i32 - 1)) + 4.0 / (1u64 << Fx::<16>::frac_bits()) as f64
+    2f64.powi(-(iterations as i32 - 1)) + 4.0 / (1u64 << 16) as f64
 }
 
 #[cfg(test)]

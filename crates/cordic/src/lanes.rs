@@ -111,6 +111,7 @@ impl CordicLanes {
 
     /// As [`CordicLanes::new`], but always on the portable build — the
     /// reference the AVX2 build is compared against.
+    // phylint: allow(test_only_api) -- test support: crates/cordic/src/lanes.rs
     pub fn portable(cordic: &Cordic) -> Option<Self> {
         Self::with_build(cordic, LaneBuild::Portable)
     }

@@ -130,6 +130,7 @@ impl RateThresholds {
     /// Returns [`PhyError::BadConfig`] if any ceiling is non-finite or
     /// a row's exit ceiling is stricter than its entry ceiling (that
     /// would re-introduce single-measurement flapping).
+    // phylint: allow(test_only_api) -- test support: crates/core/src/adapt.rs
     pub fn from_fn(mut f: impl FnMut(Mcs) -> (f64, f64)) -> Result<Self, PhyError> {
         let pairs: Vec<(f64, f64)> = Mcs::ALL.iter().map(|&m| f(m)).collect();
         for (mcs, &(enter, exit)) in Mcs::ALL.iter().zip(&pairs) {
@@ -192,14 +193,15 @@ impl Default for RateThresholds {
 ///
 /// * **Downshift** — when the worst-stream EVM violates the *current*
 ///   row's exit ceiling, or the burst was lost outright, a down-dwell
-///   counter increments; after [`RateController::down_dwell`]
-///   consecutive bad bursts the rate drops — directly to the best row
+///   counter increments; after the down-dwell count (see
+///   [`RateController::with_dwell`]) of consecutive bad bursts the
+///   rate drops — directly to the best row
 ///   whose entry ceiling the measured EVM still clears (lost bursts,
 ///   having no measurement, step down one row).
 /// * **Upshift** — otherwise, when the EVM clears the *next* row's
 ///   entry ceiling (the thresholds already carry the enter/exit
-///   hysteresis), an up-dwell counter increments; after
-///   [`RateController::up_dwell`] such bursts in a row the rate climbs
+///   hysteresis), an up-dwell counter increments; after the up-dwell
+///   count of such bursts in a row the rate climbs
 ///   **one step**. One step, not a jump: the EVM
 ///   measurement is only trustworthy near the rate it was taken at
 ///   (see [`RateThresholds`]), so each rung re-measures before the
@@ -272,16 +274,6 @@ impl RateController {
     /// The thresholds in use.
     pub fn thresholds(&self) -> &RateThresholds {
         &self.thresholds
-    }
-
-    /// Consecutive good bursts required before an upshift.
-    pub fn up_dwell(&self) -> u32 {
-        self.up_dwell
-    }
-
-    /// Consecutive bad bursts required before a downshift.
-    pub fn down_dwell(&self) -> u32 {
-        self.down_dwell
     }
 
     /// Digests one burst of receiver feedback (`None` = the burst was

@@ -33,7 +33,8 @@ const CLOCK_HZ: f64 = 100.0e6;
 /// The static link geometry: everything the paper's entities fix
 /// "prior to logic synthesis" that does **not** change per burst —
 /// spatial streams, FFT size and the link-level processing options
-/// (scrambling, soft decoding, parallelism). The baseband clock is the
+/// (soft decoding, parallelism). The data scrambler is always on. The
+/// baseband clock is the
 /// paper's achieved 100 MHz.
 ///
 /// A receiver built from a `LinkGeometry` alone decodes bursts at
@@ -57,7 +58,6 @@ const CLOCK_HZ: f64 = 100.0e6;
 pub struct LinkGeometry {
     n_streams: usize,
     fft_size: usize,
-    scramble: bool,
     soft_decoding: bool,
     /// `None` = auto: parallel exactly when the host has more than one
     /// CPU. `Some(x)` = explicit override.
@@ -71,13 +71,13 @@ impl LinkGeometry {
         Self {
             n_streams: 4,
             fft_size: 64,
-            scramble: true,
             soft_decoding: true,
             parallel: None,
         }
     }
 
     /// The 1×1 SISO baseline geometry.
+    // phylint: allow(test_only_api) -- test support: tests/link_adapt.rs
     pub fn siso() -> Self {
         Self {
             n_streams: 1,
@@ -88,13 +88,6 @@ impl LinkGeometry {
     /// Sets the FFT size (64, 128, 256 or 512).
     pub fn with_fft_size(mut self, n: usize) -> Self {
         self.fft_size = n;
-        self
-    }
-
-    /// Enables or disables the data scrambler (the SIGNAL field is
-    /// never scrambled regardless).
-    pub fn with_scrambling(mut self, on: bool) -> Self {
-        self.scramble = on;
         self
     }
 
@@ -146,9 +139,11 @@ impl LinkGeometry {
         CLOCK_HZ
     }
 
-    /// Whether the data scrambler is enabled.
+    /// Whether the data scrambler runs: always, since the payload is
+    /// scrambled on every burst (the SIGNAL field never is). Kept for
+    /// the perfbench replay, which re-implements the chain and asks.
     pub fn scramble(&self) -> bool {
-        self.scramble
+        true
     }
 
     /// Whether soft demapping feeds the Viterbi decoder.
@@ -245,6 +240,7 @@ impl PhyConfig {
     }
 
     /// The SISO baseline system (1×1) at the paper's synthesis point.
+    // phylint: allow(test_only_api) -- test support: tests/preamble_pattern.rs
     pub fn siso() -> Self {
         Self {
             geometry: LinkGeometry::siso(),
@@ -276,12 +272,6 @@ impl PhyConfig {
     /// Sets the default MCS.
     pub fn with_mcs(mut self, mcs: Mcs) -> Self {
         self.mcs = mcs;
-        self
-    }
-
-    /// Enables or disables the data scrambler.
-    pub fn with_scrambling(mut self, on: bool) -> Self {
-        self.geometry = self.geometry.with_scrambling(on);
         self
     }
 
@@ -328,11 +318,6 @@ impl PhyConfig {
     /// FFT size.
     pub fn fft_size(&self) -> usize {
         self.geometry.fft_size()
-    }
-
-    /// Whether the data scrambler is enabled.
-    pub fn scramble(&self) -> bool {
-        self.geometry.scramble()
     }
 
     /// Whether soft demapping feeds the Viterbi decoder.

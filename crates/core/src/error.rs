@@ -69,12 +69,10 @@ pub enum PhyError {
         /// frame sizes vary; exactness is not required for recovery).
         missing: usize,
     },
-    /// The streaming transmitter's bounded packet queue is at capacity
-    /// and its policy is to reject new packets. Drain the queue with
+    /// The streaming transmitter's bounded packet queue is at capacity.
+    /// Drain the queue with
     /// [`StreamingTransmitter::pull_into`](crate::StreamingTransmitter::pull_into)
-    /// (or retry after the link drains); the alternative drop-oldest
-    /// policy ([`StreamingTransmitter::with_drop_oldest`](crate::StreamingTransmitter::with_drop_oldest))
-    /// evicts the head burst instead of erroring.
+    /// (or retry after the link drains).
     QueueFull {
         /// The configured queue capacity (bursts).
         capacity: usize,
@@ -122,7 +120,7 @@ impl fmt::Display for PhyError {
             ),
             PhyError::QueueFull { capacity } => write!(
                 f,
-                "transmit packet queue full ({capacity} bursts); drain with pull_into or enable drop-oldest"
+                "transmit packet queue full ({capacity} bursts); drain with pull_into"
             ),
             PhyError::Desync(msg) => {
                 write!(f, "stream bookkeeping desynchronised: {msg}")

@@ -59,8 +59,6 @@
 //!   decoding on its own recycled workspace against one shared set of
 //!   receiver tables; batches may freely mix rates.
 //! * [`LinkSimulation`] — end-to-end BER/PER measurement harness, with
-//!   [`LinkSimulation::sweep_mcs`] covering the whole rate grid
-//!   through one transceiver pair and
 //!   [`LinkSimulation::run_adaptive`] driving the closed
 //!   TX → channel → RX → controller loop.
 //! * [`adapt`] — closed-loop link adaptation: every receiver reports a

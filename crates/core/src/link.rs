@@ -38,15 +38,6 @@ impl BerPoint {
             self.bit_errors as f64 / self.bits as f64
         }
     }
-
-    /// Packet (burst) error rate.
-    pub fn per(&self) -> f64 {
-        if self.bursts == 0 {
-            0.0
-        } else {
-            self.burst_errors as f64 / self.bursts as f64
-        }
-    }
 }
 
 /// One burst of a closed-loop adaptive run: the rate the controller
@@ -197,50 +188,36 @@ impl LinkSimulation {
         payload_bytes: usize,
         bursts: u64,
     ) -> Result<BerPoint, PhyError> {
-        self.run_at(None, channel, payload_bytes, bursts)
-    }
-
-    /// Like [`LinkSimulation::run`], but transmitting every burst at
-    /// an explicit [`Mcs`] instead of the configuration's default.
-    /// The receiver is unchanged either way — it learns each burst's
-    /// rate from the SIGNAL-field header.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`LinkSimulation::run`].
-    pub fn run_with_mcs(
-        &mut self,
-        mcs: Mcs,
-        channel: &mut dyn ChannelModel,
-        payload_bytes: usize,
-        bursts: u64,
-    ) -> Result<BerPoint, PhyError> {
-        self.run_at(Some(mcs), channel, payload_bytes, bursts)
-    }
-
-    /// Sweeps the whole MCS grid through one channel factory: for each
-    /// table row, `make_channel(mcs)` builds the channel (so SNR or
-    /// seed can vary with the rate under test) and `bursts` bursts are
-    /// measured at that rate. One transceiver pair serves the entire
-    /// sweep — the point of the rate-agile API.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`LinkSimulation::run`].
-    pub fn sweep_mcs<C: ChannelModel>(
-        &mut self,
-        mut make_channel: impl FnMut(Mcs) -> C,
-        payload_bytes: usize,
-        bursts: u64,
-    ) -> Result<Vec<(Mcs, BerPoint)>, PhyError> {
-        Mcs::ALL
-            .iter()
-            .map(|&mcs| {
-                let mut channel = make_channel(mcs);
-                self.run_with_mcs(mcs, &mut channel, payload_bytes, bursts)
-                    .map(|point| (mcs, point))
-            })
-            .collect()
+        let mut point = BerPoint {
+            snr_db: None,
+            bits: 0,
+            bit_errors: 0,
+            bursts: 0,
+            burst_errors: 0,
+        };
+        for _ in 0..bursts {
+            let payload: Vec<u8> = (0..payload_bytes).map(|_| self.rng.gen()).collect();
+            let decoded = self.run_one(channel, &payload);
+            point.bursts += 1;
+            point.bits += 8 * payload.len() as u64;
+            match decoded {
+                Ok(rx) if rx == payload => {}
+                Ok(rx) => {
+                    let tx_bits = bits::bytes_to_bits(&payload);
+                    let rx_bits = bits::bytes_to_bits(&rx);
+                    let common = tx_bits.len().min(rx_bits.len());
+                    let diff = bits::hamming_distance(&tx_bits[..common], &rx_bits[..common]);
+                    let missing = tx_bits.len() - common;
+                    point.bit_errors += (diff + missing) as u64;
+                    point.burst_errors += 1;
+                }
+                Err(_) => {
+                    point.bit_errors += 8 * payload.len() as u64;
+                    point.burst_errors += 1;
+                }
+            }
+        }
+        Ok(point)
     }
 
     /// Drives the full closed loop — TX at the controller's rate →
@@ -325,65 +302,20 @@ impl LinkSimulation {
         }
     }
 
-    fn run_at(
-        &mut self,
-        mcs: Option<Mcs>,
-        channel: &mut dyn ChannelModel,
-        payload_bytes: usize,
-        bursts: u64,
-    ) -> Result<BerPoint, PhyError> {
-        let mut point = BerPoint {
-            snr_db: None,
-            bits: 0,
-            bit_errors: 0,
-            bursts: 0,
-            burst_errors: 0,
-        };
-        for _ in 0..bursts {
-            let payload: Vec<u8> = (0..payload_bytes).map(|_| self.rng.gen()).collect();
-            let decoded = self.run_one(mcs, channel, &payload);
-            point.bursts += 1;
-            point.bits += 8 * payload.len() as u64;
-            match decoded {
-                Ok(rx) if rx == payload => {}
-                Ok(rx) => {
-                    let tx_bits = bits::bytes_to_bits(&payload);
-                    let rx_bits = bits::bytes_to_bits(&rx);
-                    let common = tx_bits.len().min(rx_bits.len());
-                    let diff = bits::hamming_distance(&tx_bits[..common], &rx_bits[..common]);
-                    let missing = tx_bits.len() - common;
-                    point.bit_errors += (diff + missing) as u64;
-                    point.burst_errors += 1;
-                }
-                Err(_) => {
-                    point.bit_errors += 8 * payload.len() as u64;
-                    point.burst_errors += 1;
-                }
-            }
-        }
-        Ok(point)
-    }
 
     fn run_one(
         &mut self,
-        mcs: Option<Mcs>,
         channel: &mut dyn ChannelModel,
         payload: &[u8],
     ) -> Result<Vec<u8>, PhyError> {
         match &mut self.endpoints {
             Endpoints::Mimo(tx, rx) => {
-                let burst = match mcs {
-                    Some(mcs) => tx.transmit_burst_with(mcs, payload)?,
-                    None => tx.transmit_burst(payload)?,
-                };
+                let burst = tx.transmit_burst(payload)?;
                 let received = channel.propagate(&burst.streams);
                 Ok(rx.receive_burst(&received)?.payload)
             }
             Endpoints::Siso(tx, rx) => {
-                let burst = match mcs {
-                    Some(mcs) => tx.transmit_burst_with(mcs, payload)?,
-                    None => tx.transmit_burst(payload)?,
-                };
+                let burst = tx.transmit_burst(payload)?;
                 let received = channel.propagate(&burst.streams);
                 let stream = received.into_iter().next().ok_or(PhyError::SyncNotFound)?;
                 Ok(rx.receive_burst(&stream)?.payload)
@@ -403,7 +335,6 @@ mod tests {
         let mut chan = IdealChannel::new(4);
         let point = link.run(&mut chan, 100, 4).unwrap();
         assert_eq!(point.bit_errors, 0);
-        assert_eq!(point.per(), 0.0);
         assert_eq!(point.bits, 4 * 800);
     }
 
@@ -429,18 +360,5 @@ mod tests {
         let mut chan = IdealChannel::new(1);
         let point = link.run(&mut chan, 60, 3).unwrap();
         assert_eq!(point.bit_errors, 0);
-    }
-
-    #[test]
-    fn mcs_sweep_covers_the_grid_error_free_on_ideal_wiring() {
-        let mut link = LinkSimulation::new(PhyConfig::paper_synthesis(), 5).unwrap();
-        let points = link
-            .sweep_mcs(|_| IdealChannel::new(4), 80, 2)
-            .unwrap();
-        assert_eq!(points.len(), Mcs::ALL.len());
-        for (mcs, point) in points {
-            assert_eq!(point.bit_errors, 0, "{mcs}");
-            assert_eq!(point.bursts, 2, "{mcs}");
-        }
     }
 }

@@ -97,15 +97,6 @@ impl Mcs {
             })
     }
 
-    /// The table entry for a modulation × code-rate pair, or `None`
-    /// when the pair is not a table row (e.g. 64-QAM r=1/2).
-    pub fn from_parts(modulation: Modulation, code_rate: CodeRate) -> Option<Mcs> {
-        Mcs::ALL
-            .iter()
-            .copied()
-            .find(|m| m.modulation() == modulation && m.code_rate() == code_rate)
-    }
-
     /// The constellation of this entry.
     pub fn modulation(self) -> Modulation {
         match self {
@@ -213,25 +204,6 @@ mod tests {
                 Err(PhyError::UnsupportedMcs { index, table_len: 8 }) if index == bad
             ));
         }
-    }
-
-    #[test]
-    fn from_parts_covers_exactly_the_table() {
-        use mimo_coding::CodeRate;
-        use mimo_modem::Modulation;
-        let mut hits = 0;
-        for m in Modulation::ALL {
-            for r in CodeRate::ALL {
-                if let Some(mcs) = Mcs::from_parts(m, r) {
-                    assert_eq!((mcs.modulation(), mcs.code_rate()), (m, r));
-                    hits += 1;
-                }
-            }
-        }
-        assert_eq!(hits, 8);
-        // The classic non-members.
-        assert!(Mcs::from_parts(Modulation::Qam64, CodeRate::Half).is_none());
-        assert!(Mcs::from_parts(Modulation::Bpsk, CodeRate::TwoThirds).is_none());
     }
 
     #[test]

@@ -105,6 +105,7 @@ impl BurstPipeline {
     ///
     /// Returns [`PhyError::BadConfig`] for invalid configurations
     /// (the receiver requires 4 streams).
+    // phylint: allow(test_only_api) -- test support: tests/burst_pipeline.rs
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         Self::with_workers(cfg, host_parallelism())
     }
@@ -117,6 +118,7 @@ impl BurstPipeline {
     /// # Errors
     ///
     /// Identical to [`BurstPipeline::new`].
+    // phylint: allow(test_only_api) -- test support: tests/signal_field.rs
     pub fn from_geometry(geometry: crate::LinkGeometry) -> Result<Self, PhyError> {
         Self::new(PhyConfig::from_geometry(geometry))
     }

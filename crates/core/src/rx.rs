@@ -172,6 +172,7 @@ impl RxDiagnostics {
 
     /// Mean pilot common-phase estimate over all streams and payload
     /// symbols, radians — shorthand for `quality.mean_phase_rad`.
+    // phylint: allow(test_only_api) -- test support: tests/parallel_determinism.rs
     pub fn mean_phase_rad(&self) -> f64 {
         self.quality.mean_phase_rad
     }
@@ -706,7 +707,6 @@ impl RxCore {
         ws: &mut RxStreamWorkspace,
     ) -> Result<(), PhyError> {
         decode_bit_pipeline(
-            self.cfg.scramble(),
             expect_bytes,
             &self.viterbi,
             &ws.stream_llrs,
@@ -884,6 +884,7 @@ pub(crate) fn finish_result(
             phase += ws.phase_acc;
             evm_ratio_db(ws.evm_num, ws.evm_den)
         })
+        // phylint: allow(hot_transitive) -- one per-stream EVM list per decoded burst, not per chunk
         .collect();
     let samples = (stream_ws.len() * n_symbols.max(1)).max(1);
     RxResult {
@@ -930,7 +931,6 @@ fn evm_contribution(kit: &RateKit, ws: &mut RxStreamWorkspace) -> Result<(f64, f
 /// owner of the burst framing so the 1×1 baseline cannot drift from
 /// the 4×4 chain.
 pub(crate) fn decode_bit_pipeline(
-    scramble: bool,
     expect_bytes: usize,
     viterbi: &ViterbiDecoder,
     llrs: &[mimo_coding::Llr],
@@ -939,10 +939,9 @@ pub(crate) fn decode_bit_pipeline(
     bytes: &mut Vec<u8>,
 ) -> Result<(), PhyError> {
     viterbi.decode_terminated_into(llrs, viterbi_ws, decoded)?;
-    if scramble {
-        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(decoded);
-    }
+    Scrambler::new(SCRAMBLER_SEED).scramble_in_place(decoded);
     if decoded.len() < 8 * expect_bytes {
+        // phylint: allow(hot_transitive) -- error path of a burst that failed to decode
         return Err(PhyError::Decode(format!(
             "stream decoded {} bits, SIGNAL field announced {} bytes",
             decoded.len(),

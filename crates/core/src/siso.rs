@@ -22,7 +22,7 @@ use mimo_ofdm::preamble::{lts_reference, sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::OfdmDemodulator;
 use mimo_sync::{TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
 
-use crate::config::{LinkGeometry, PhyConfig};
+use crate::config::PhyConfig;
 use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::rates::RateTable;
@@ -55,15 +55,6 @@ impl SisoTransmitter {
         Ok(Self {
             inner: MimoTransmitter::build(cfg)?,
         })
-    }
-
-    /// Builds a transmitter from the static link geometry alone.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`SisoTransmitter::new`].
-    pub fn from_geometry(geometry: LinkGeometry) -> Result<Self, PhyError> {
-        Self::new(PhyConfig::from_geometry(geometry))
     }
 
     /// The configuration in use.
@@ -172,15 +163,6 @@ impl SisoReceiver {
         })
     }
 
-    /// Builds the receiver from the static link geometry alone.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`SisoReceiver::new`].
-    pub fn from_geometry(geometry: LinkGeometry) -> Result<Self, PhyError> {
-        Self::new(PhyConfig::from_geometry(geometry))
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &PhyConfig {
         &self.cfg
@@ -261,7 +243,6 @@ impl SisoReceiver {
         // --- Payload at the announced rate. ---
         self.run_symbols(stream, data_start, &equalizer, params.mcs, h_syms, n_symbols, true)?;
         crate::rx::decode_bit_pipeline(
-            self.cfg.scramble(),
             params.length,
             &self.viterbi,
             &self.ws.stream_llrs,
@@ -375,9 +356,9 @@ mod tests {
 
     #[test]
     fn siso_auto_rate_all_mcs() {
-        // A geometry-only receiver decodes every table rate.
-        let tx = SisoTransmitter::from_geometry(LinkGeometry::siso()).unwrap();
-        let mut rx = SisoReceiver::from_geometry(LinkGeometry::siso()).unwrap();
+        // The receiver learns every table rate from the SIGNAL field.
+        let tx = SisoTransmitter::new(PhyConfig::siso()).unwrap();
+        let mut rx = SisoReceiver::new(PhyConfig::siso()).unwrap();
         for mcs in Mcs::ALL {
             let payload: Vec<u8> = (0..32).map(|i| (i * 11) as u8).collect();
             let burst = tx.transmit_burst_with(mcs, &payload).unwrap();

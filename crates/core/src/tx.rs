@@ -153,6 +153,7 @@ impl MimoTransmitter {
     }
 
     /// The preamble schedule (Fig 2).
+    // phylint: allow(test_only_api) -- test support: tests/parallel_determinism.rs
     pub fn preamble_schedule(&self) -> &PreambleSchedule {
         &self.schedule
     }
@@ -350,9 +351,7 @@ impl MimoTransmitter {
         mimo_coding::bits::bytes_to_bits_append(bytes, &mut info);
         info.resize(capacity, 0); // zero pad to fill the burst
 
-        if self.cfg.scramble() {
-            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
-        }
+        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
 
         let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
         let coded = puncture(&mother, kit.mcs.code_rate());

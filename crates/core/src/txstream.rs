@@ -81,10 +81,6 @@ pub struct StreamingTransmitter {
     /// Bound on `queue` length (`None` = unbounded, the historical
     /// behaviour). The burst mid-drain does not count against it.
     capacity: Option<usize>,
-    /// At capacity: evict the oldest queued burst instead of erroring.
-    drop_oldest: bool,
-    /// Bursts evicted by the drop-oldest policy so far.
-    queue_drops: u64,
     /// High-water mark of the queue length (bounded-memory evidence).
     max_queue_depth: usize,
 }
@@ -105,8 +101,6 @@ impl StreamingTransmitter {
             guard_remaining: 0,
             emitted: 0,
             capacity: None,
-            drop_oldest: false,
-            queue_drops: 0,
             max_queue_depth: 0,
         })
     }
@@ -133,11 +127,9 @@ impl StreamingTransmitter {
     /// Bounds the packet queue at `bursts` encoded bursts (the burst
     /// mid-drain is not counted). A full queue makes
     /// [`StreamingTransmitter::enqueue_with`] fail with a typed
-    /// [`PhyError::QueueFull`] — unless the drop-oldest policy
-    /// ([`StreamingTransmitter::with_drop_oldest`]) is selected, in
-    /// which case the head burst is evicted to make room. Either way
-    /// the transmitter's memory is bounded: at most `bursts + 1`
-    /// encoded bursts exist at any instant.
+    /// [`PhyError::QueueFull`], so the transmitter's memory is
+    /// bounded: at most `bursts + 1` encoded bursts exist at any
+    /// instant.
     ///
     /// Zero is clamped to one (a queue that can hold nothing would
     /// make every enqueue fail).
@@ -145,29 +137,6 @@ impl StreamingTransmitter {
     pub fn with_queue_capacity(mut self, bursts: usize) -> Self {
         self.capacity = Some(bursts.max(1));
         self
-    }
-
-    /// Selects the drop-oldest overflow policy for a bounded queue:
-    /// instead of rejecting a new packet with [`PhyError::QueueFull`],
-    /// the **oldest queued** (not yet draining) burst is evicted and
-    /// counted in [`StreamingTransmitter::queue_drops`]. Prefer this
-    /// for live sources where fresh data outranks stale data (sensor
-    /// feeds); prefer the rejecting default for reliable delivery,
-    /// where the caller retries after the link drains.
-    #[must_use]
-    pub fn with_drop_oldest(mut self, drop_oldest: bool) -> Self {
-        self.drop_oldest = drop_oldest;
-        self
-    }
-
-    /// The configured queue bound, if any.
-    pub fn queue_capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Bursts evicted by the drop-oldest policy so far.
-    pub fn queue_drops(&self) -> u64 {
-        self.queue_drops
     }
 
     /// The deepest the packet queue has ever been — with a bounded
@@ -200,11 +169,6 @@ impl StreamingTransmitter {
         self.tx.default_mcs()
     }
 
-    /// Bursts queued or draining (the one on the air counts).
-    pub fn pending_bursts(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
     /// `true` when nothing is queued and no burst is mid-drain: the
     /// next [`StreamingTransmitter::pull_into`] returns zero samples.
     pub fn is_idle(&self) -> bool {
@@ -221,6 +185,7 @@ impl StreamingTransmitter {
     /// # Errors
     ///
     /// Identical to [`StreamingTransmitter::enqueue_with`].
+    // phylint: allow(test_only_api) -- test support: crates/transport/src/link.rs
     pub fn enqueue(&mut self, payload: &[u8]) -> Result<(), PhyError> {
         self.enqueue_with(self.tx.default_mcs(), payload)
     }
@@ -233,22 +198,16 @@ impl StreamingTransmitter {
     /// # Errors
     ///
     /// Identical to [`MimoTransmitter::transmit_burst_with`], plus
-    /// [`PhyError::QueueFull`] when a bounded queue is at capacity and
-    /// the policy is the rejecting default (a rejected enqueue has no
-    /// side effect — retry the same packet after pulling).
+    /// [`PhyError::QueueFull`] when a bounded queue is at capacity (a
+    /// rejected enqueue has no side effect — retry the same packet after
+    /// pulling).
     pub fn enqueue_with(&mut self, mcs: Mcs, payload: &[u8]) -> Result<(), PhyError> {
         if let Some(capacity) = self.capacity {
-            if self.queue.len() >= capacity && !self.drop_oldest {
+            if self.queue.len() >= capacity {
                 return Err(PhyError::QueueFull { capacity });
             }
         }
         let burst = self.tx.transmit_burst_with(mcs, payload)?;
-        if let Some(capacity) = self.capacity {
-            while self.queue.len() >= capacity {
-                self.queue.pop_front();
-                self.queue_drops += 1;
-            }
-        }
         self.queue.push_back(burst);
         self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
         Ok(())
@@ -390,44 +349,15 @@ mod tests {
             tx.enqueue(&[3]),
             Err(PhyError::QueueFull { capacity: 2 })
         ));
-        // A rejected enqueue has no side effect: the queue still holds
-        // exactly the two accepted bursts and drains them intact.
-        assert_eq!(tx.pending_bursts(), 2);
+        // A rejected enqueue has no side effect: the queue never held
+        // more than the two accepted bursts.
         assert_eq!(tx.max_queue_depth(), 2);
         let mut buf = Vec::new();
         // Start draining: the head burst moves out of the queue, so a
         // slot frees up even before it finishes.
         assert!(tx.pull_into(&mut buf, 16).unwrap() > 0);
         tx.enqueue(&[3]).unwrap();
-        assert_eq!(tx.queue_drops(), 0);
         assert_eq!(tx.max_queue_depth(), 2);
-    }
-
-    #[test]
-    fn drop_oldest_policy_evicts_the_head_and_counts_it() {
-        let mut tx = StreamingTransmitter::from_geometry(LinkGeometry::mimo())
-            .unwrap()
-            .with_queue_capacity(2)
-            .with_drop_oldest(true);
-        for b in 1u8..=4 {
-            tx.enqueue(&[b; 8]).unwrap();
-        }
-        assert_eq!(tx.queue_drops(), 2);
-        assert_eq!(tx.pending_bursts(), 2);
-        // The survivors are the two freshest packets.
-        let mut rx = StreamingReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
-        let mut bursts = Vec::new();
-        let mut buf = Vec::new();
-        while tx.pull_into(&mut buf, 160).unwrap() > 0 {
-            if let Some(b) = rx.push_samples(&buf).unwrap() {
-                bursts.push(b);
-            }
-        }
-        if let Some(b) = rx.flush().unwrap() {
-            bursts.push(b);
-        }
-        let payloads: Vec<Vec<u8>> = bursts.into_iter().map(|b| b.result.payload).collect();
-        assert_eq!(payloads, vec![vec![3u8; 8], vec![4u8; 8]]);
     }
 
     #[test]
@@ -462,6 +392,5 @@ mod tests {
         assert_eq!(tx.pull_into(&mut buf, 512).unwrap(), 0);
         assert!(buf.iter().all(Vec::is_empty));
         assert!(tx.is_idle());
-        assert_eq!(tx.pending_bursts(), 0);
     }
 }

@@ -64,13 +64,13 @@ const ZF_RX_BITS: u32 = 31;
 /// # Examples
 ///
 /// ```
-/// use mimo_chanest::FxMat4;
+/// use mimo_chanest::Mat4;
 /// use mimo_detect::ZfDetector;
 /// use mimo_fixed::CQ15;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Identity channel: detection passes values through.
-/// let h_inv = vec![FxMat4::identity(); 3];
+/// let h_inv = vec![Mat4::identity().to_fixed(); 3];
 /// let antenna = vec![CQ15::from_f64(0.25, 0.0); 3];
 /// let rx = [antenna.as_slice(); 4];
 /// let mut stream = vec![CQ15::ZERO; 3];
@@ -294,20 +294,9 @@ impl SisoEqualizer {
         self.inv_h.is_empty()
     }
 
-    /// Equalizes one symbol's occupied carriers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::CarrierMismatch`] on length mismatch.
-    pub fn equalize(&self, carriers: &[CQ15]) -> Result<Vec<CQ15>, DetectError> {
-        let mut out = vec![CQ15::ZERO; carriers.len()];
-        self.equalize_into(carriers, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`SisoEqualizer::equalize`] into a
-    /// caller-provided buffer — the per-symbol hot-path form the
-    /// receiver workspaces use.
+    /// Equalizes one symbol's occupied carriers into a caller-provided
+    /// buffer — the per-symbol hot-path form the receiver workspaces
+    /// use.
     ///
     /// # Errors
     ///
@@ -357,7 +346,7 @@ mod tests {
 
     #[test]
     fn identity_channel_passthrough() {
-        let h_inv = vec![FxMat4::identity(); 5];
+        let h_inv = vec![Mat4::identity().to_fixed(); 5];
         let rx: Vec<Vec<CQ15>> = (0..4)
             .map(|a| (0..5).map(|s| CQ15::from_f64(0.1 * (a + s) as f64, -0.05)).collect())
             .collect();
@@ -420,7 +409,7 @@ mod tests {
     #[test]
     fn shape_errors() {
         let det = ZfDetector::new();
-        let h_inv = vec![FxMat4::identity(); 2];
+        let h_inv = vec![Mat4::identity().to_fixed(); 2];
         let (two, five) = (vec![CQ15::ZERO; 2], vec![CQ15::ZERO; 5]);
         let mut out = vec![CQ15::ZERO; 2];
         assert!(matches!(
@@ -577,7 +566,8 @@ mod tests {
                 narrow.saturate_bits(16)
             })
             .collect();
-        let out = eq.equalize(&rx).unwrap();
+        let mut out = vec![CQ15::ZERO; rx.len()];
+        eq.equalize_into(&rx, &mut out).unwrap();
         for got in out {
             assert!((Cf64::from_fixed(got) - Cf64::from_fixed(tx)).norm() < 5e-3);
         }
@@ -586,7 +576,9 @@ mod tests {
     #[test]
     fn siso_zero_carrier_erases_not_explodes() {
         let eq = SisoEqualizer::new(&[CFx::ZERO, CFx::ONE]);
-        let out = eq.equalize(&[CQ15::from_f64(0.3, 0.3), CQ15::from_f64(0.3, 0.3)]).unwrap();
+        let mut out = [CQ15::ZERO; 2];
+        eq.equalize_into(&[CQ15::from_f64(0.3, 0.3), CQ15::from_f64(0.3, 0.3)], &mut out)
+            .unwrap();
         assert!(out[0].is_zero());
         assert!(!out[1].is_zero());
     }

@@ -64,6 +64,7 @@ impl FftScaling {
     }
 
     /// No scaling at all (wide outputs; only for analysis/tests).
+    // phylint: allow(test_only_api) -- test support: crates/fft/src/fixed.rs
     pub fn none() -> Self {
         Self {
             forward_shift: 0,

@@ -70,6 +70,7 @@ fn transform(data: &mut [Cf64], inverse: bool) {
 ///     assert!((bin.re - 1.0).abs() < 1e-12 && bin.im.abs() < 1e-12);
 /// }
 /// ```
+// phylint: allow(test_only_api) -- oracle: tests/fixed_vs_float.rs
 pub fn fft_f64(data: &mut [Cf64]) {
     transform(data, false);
 }
@@ -81,6 +82,7 @@ pub fn fft_f64(data: &mut [Cf64]) {
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
+// phylint: allow(test_only_api) -- oracle: crates/fft/src/fixed.rs
 pub fn ifft_f64(data: &mut [Cf64]) {
     transform(data, true);
 }

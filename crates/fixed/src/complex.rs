@@ -76,14 +76,6 @@ impl<const FRAC: u32> CFx<FRAC> {
         self.re.mul(self.re) + self.im.mul(self.im)
     }
 
-    /// Magnitude via `f64` square root. Hardware uses a CORDIC for this
-    /// (`mimo-cordic`); this method is the reference for validating it.
-    #[inline]
-    pub fn norm_f64(self) -> f64 {
-        let (re, im) = self.to_f64();
-        re.hypot(im)
-    }
-
     /// Multiplies by a real scalar.
     #[inline]
     pub fn scale(self, k: Fx<FRAC>) -> Self {
@@ -107,6 +99,7 @@ impl<const FRAC: u32> CFx<FRAC> {
     ///
     /// Panics if `bits` is zero or greater than 63.
     #[inline]
+    // phylint: allow(test_only_api) -- test support: crates/core/src/tx.rs
     pub fn fits_bits(self, bits: u32) -> bool {
         self.re.fits_bits(bits) && self.im.fits_bits(bits)
     }
@@ -128,13 +121,6 @@ impl<const FRAC: u32> CFx<FRAC> {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.re.is_zero() && self.im.is_zero()
-    }
-
-    /// Multiplies by the conjugate of `rhs` (`self * rhs*`): the
-    /// correlator primitive in the time synchroniser.
-    #[inline]
-    pub fn mul_conj(self, rhs: Self) -> Self {
-        self * rhs.conj()
     }
 }
 
@@ -248,7 +234,7 @@ mod tests {
         let a = c(0.5, 0.25);
         assert_eq!(a.conj().to_f64(), (0.5, -0.25));
         // a * a^* is the squared magnitude on the real axis.
-        let p = a.mul_conj(a);
+        let p = a * a.conj();
         assert!((p.re.to_f64() - (0.25 + 0.0625)).abs() < 1e-3);
         assert!(p.im.to_f64().abs() < 1e-3);
     }
@@ -257,7 +243,6 @@ mod tests {
     fn norms() {
         let a = c(0.6, -0.8);
         assert!((a.norm_sqr().to_f64() - 1.0).abs() < 1e-3);
-        assert!((a.norm_f64() - 1.0).abs() < 1e-4);
     }
 
     #[test]

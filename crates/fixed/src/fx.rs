@@ -82,12 +82,6 @@ impl<const FRAC: u32> Fx<FRAC> {
         self.raw
     }
 
-    /// Number of fraction bits in this format.
-    #[inline]
-    pub const fn frac_bits() -> u32 {
-        FRAC
-    }
-
     /// Converts from `f64`, rounding to nearest (ties away from zero).
     ///
     /// Non-finite inputs saturate: `+inf` becomes the largest `i64`
@@ -167,28 +161,12 @@ impl<const FRAC: u32> Fx<FRAC> {
     ///
     /// Panics if `bits` is zero or greater than 63.
     #[inline]
+    // phylint: allow(test_only_api) -- test support: crates/core/src/tx.rs
     pub fn fits_bits(self, bits: u32) -> bool {
         assert!((1..=63).contains(&bits), "bus width out of range: {bits}");
         let max = (1i64 << (bits - 1)) - 1;
         let min = -(1i64 << (bits - 1));
         (min..=max).contains(&self.raw)
-    }
-
-    /// Checked variant of [`Fx::saturate_bits`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FxError::Overflow`] when the value does not fit.
-    #[inline]
-    pub fn try_fit_bits(self, bits: u32) -> Result<Self, FxError> {
-        if self.fits_bits(bits) {
-            Ok(self)
-        } else {
-            Err(FxError::Overflow {
-                bits,
-                raw: self.raw,
-            })
-        }
     }
 
     /// Reinterprets into a format with `F2` fraction bits, shifting the
@@ -444,16 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn try_fit_bits_reports_overflow() {
-        let err = Q15::from_raw(1 << 20).try_fit_bits(16).unwrap_err();
-        assert_eq!(
-            err,
-            FxError::Overflow {
-                bits: 16,
-                raw: 1 << 20
-            }
-        );
-        assert!(err.to_string().contains("16-bit"));
+    fn overflow_error_reports_the_bus_width() {
+        let err = Q15::try_from_f64(1e30).unwrap_err();
+        assert_eq!(err, FxError::Overflow { bits: 64, raw: 0 });
+        assert!(err.to_string().contains("64-bit"));
     }
 
     #[test]

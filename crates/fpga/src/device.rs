@@ -20,14 +20,6 @@ impl Device {
         }
     }
 
-    /// A smaller device for what-if floor-planning (half the fabric).
-    pub fn stratix_iv_230() -> Self {
-        Self {
-            name: "Stratix IV (212,480-ALUT class)",
-            capacity: ResourceUsage::new(212_480, 212_480, 14_625_792, 1_288 / 2),
-        }
-    }
-
     /// Device display name.
     pub fn name(&self) -> &'static str {
         self.name

@@ -84,11 +84,6 @@ impl SynthesisReport {
         &self.rows
     }
 
-    /// The infrastructure remainder (control, ROMs, buffers, FIFOs).
-    pub fn infrastructure(&self) -> ResourceUsage {
-        self.infrastructure
-    }
-
     /// Total resources (the Table 1 / Table 3 content): entity rows
     /// plus infrastructure minus the synthesis sharing credit.
     pub fn total(&self) -> ResourceUsage {

@@ -112,35 +112,6 @@ impl FusedDeinterleaver {
     pub fn mother_bits_per_symbol(&self) -> usize {
         self.mother_per_symbol
     }
-
-    /// Scatters one demapped block into its (pre-zeroed) mother-code
-    /// region — the fused equivalent of deinterleave-then-depuncture.
-    ///
-    /// # Errors
-    ///
-    /// [`InterleaveError::LengthMismatch`] unless `block` is exactly
-    /// [`FusedDeinterleaver::block_size`] and `out` exactly
-    /// [`FusedDeinterleaver::mother_bits_per_symbol`].
-    // phylint: hot
-    pub fn scatter_into<T: Copy>(&self, block: &[T], out: &mut [T]) -> Result<(), InterleaveError> {
-        if block.len() != self.map.len() {
-            return Err(InterleaveError::LengthMismatch {
-                expected: self.map.len(),
-                got: block.len(),
-            });
-        }
-        if out.len() != self.mother_per_symbol {
-            return Err(InterleaveError::LengthMismatch {
-                expected: self.mother_per_symbol,
-                got: out.len(),
-            });
-        }
-        for (&item, &pos) in block.iter().zip(&self.map) {
-            out[pos as usize] = item;
-        }
-        Ok(())
-    }
-    // phylint: end-hot
 }
 
 #[cfg(test)]
@@ -185,7 +156,9 @@ mod tests {
                 let fused = FusedDeinterleaver::new(&il, keep).unwrap();
                 let demapped: Vec<i32> = (0..n_cbps as i32).map(|i| 7 * i - 100).collect();
                 let mut out = vec![0i32; fused.mother_bits_per_symbol()];
-                fused.scatter_into(&demapped, &mut out).unwrap();
+                for (&v, &pos) in demapped.iter().zip(fused.map()) {
+                    out[pos as usize] = v;
+                }
                 assert_eq!(
                     out,
                     reference(&il, keep, &demapped),
@@ -223,15 +196,5 @@ mod tests {
             FusedDeinterleaver::new(&il, &[false, false]),
             Err(InterleaveError::BadPuncture { keeps: 0, .. })
         ));
-    }
-
-    #[test]
-    fn scatter_validates_lengths() {
-        let il = BlockInterleaver::new(48, 1).unwrap();
-        let fused = FusedDeinterleaver::new(&il, &[true, true]).unwrap();
-        let mut out = vec![0i32; 48];
-        assert!(fused.scatter_into(&[0i32; 20], &mut out).is_err());
-        let mut short = vec![0i32; 10];
-        assert!(fused.scatter_into(&[0i32; 48], &mut short).is_err());
     }
 }

@@ -11,9 +11,6 @@
 //!   generic over the stored value so the de-interleaver can carry
 //!   hard bits or soft LLRs ("the de-interleaver ... must be able to
 //!   store the soft or hard bit representation", §IV.B).
-//! * [`PingPongInterleaver`] — the streaming dual-memory model used for
-//!   cycle-accounting and the continual-streaming test (Experiment F3's
-//!   sibling structure on the bit path).
 //! * [`FusedDeinterleaver`] — the receive-side permutation composed
 //!   with depuncturing into one per-symbol scatter table, so the bit
 //!   pipeline's demap→deinterleave→depuncture walk collapses to a
@@ -21,8 +18,6 @@
 
 mod fused;
 mod permutation;
-mod pingpong;
 
 pub use fused::FusedDeinterleaver;
 pub use permutation::{BlockInterleaver, InterleaveError};
-pub use pingpong::PingPongInterleaver;

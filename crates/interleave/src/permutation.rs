@@ -168,11 +168,6 @@ impl BlockInterleaver {
         self.n_cbps
     }
 
-    /// Bits per subcarrier this pattern was built for.
-    pub fn bits_per_subcarrier(&self) -> usize {
-        self.n_bpsc
-    }
-
     /// The forward permutation table (`table[k]` = destination of input
     /// bit `k`) — the read-address ROM of the hardware FSM.
     pub fn pattern(&self) -> &[usize] {
@@ -227,6 +222,7 @@ impl BlockInterleaver {
     /// # Errors
     ///
     /// Returns [`InterleaveError::LengthMismatch`] on either length.
+    // phylint: allow(test_only_api) -- oracle: crates/interleave/src/fused.rs
     pub fn deinterleave_into<T: Copy>(
         &self,
         block: &[T],
@@ -345,7 +341,6 @@ mod tests {
             let fresh = BlockInterleaver::new(n_cbps, n_bpsc).unwrap();
             assert_eq!(il.pattern(), fresh.pattern(), "{n_cbps}/{n_bpsc}");
             assert_eq!(il.block_size(), n_cbps);
-            assert_eq!(il.bits_per_subcarrier(), n_bpsc);
             assert_eq!(il.forward.capacity(), cap, "{n_cbps}: reallocated");
         }
         // A failed reconfigure leaves the tables untouched.

@@ -1,6 +1,6 @@
 //! Property-based tests for the interleaver.
 
-use mimo_interleave::{BlockInterleaver, PingPongInterleaver};
+use mimo_interleave::BlockInterleaver;
 use proptest::prelude::*;
 
 fn geometries() -> impl Strategy<Value = (usize, usize)> {
@@ -53,35 +53,6 @@ proptest! {
             let a = il.pattern()[k] / nbpsc;
             let b = il.pattern()[k + 1] / nbpsc;
             prop_assert_ne!(a, b, "bits {} and {} share a subcarrier", k, k + 1);
-        }
-    }
-
-    /// The streaming ping-pong model agrees with the block model for
-    /// any number of back-to-back blocks.
-    #[test]
-    fn pingpong_matches_block_model(blocks in 1usize..6, seed in any::<u64>()) {
-        let n = 96;
-        let block_il = BlockInterleaver::new(n, 2).unwrap();
-        let mut pp = PingPongInterleaver::<u16>::new(n, 2).unwrap();
-        let mut state = seed | 1;
-        let input: Vec<u16> = (0..blocks * n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state & 0x3FF) as u16
-            })
-            .collect();
-        let mut out = Vec::new();
-        for cycle in 0..(blocks * n + n + 1) {
-            if let Some(v) = pp.clock(input.get(cycle).copied()) {
-                out.push(v);
-            }
-        }
-        prop_assert_eq!(out.len(), blocks * n);
-        for b in 0..blocks {
-            let expect = block_il.interleave(&input[b * n..(b + 1) * n]).unwrap();
-            prop_assert_eq!(&out[b * n..(b + 1) * n], &expect[..]);
         }
     }
 }

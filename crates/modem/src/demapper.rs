@@ -3,7 +3,7 @@
 use mimo_coding::{Llr, LLR_MAX};
 use mimo_fixed::{CQ15, Cf64};
 
-use crate::mapper::{ModemError, SymbolMapper};
+use crate::mapper::SymbolMapper;
 use crate::modulation::Modulation;
 
 /// LLR units produced per constellation-unit of distance: a symbol one
@@ -25,10 +25,13 @@ const LLR_UNIT: f64 = 16.0;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mapper = SymbolMapper::new(Modulation::Qam16)?;
-/// let demapper = SymbolDemapper::new(Modulation::Qam16)?;
+/// let demapper = SymbolDemapper::matched_to(&mapper);
 /// let bits = vec![1, 0, 1, 1, 0, 0, 0, 1];
-/// let symbols = mapper.map_bits(&bits)?;
-/// assert_eq!(demapper.hard_demap(&symbols), bits);
+/// let mut symbols = vec![Default::default(); 2];
+/// mapper.map_bits_into(&bits, &mut symbols)?;
+/// let mut hard = vec![0; 8];
+/// demapper.hard_demap_into(&symbols, &mut hard);
+/// assert_eq!(hard, bits);
 /// # Ok(())
 /// # }
 /// ```
@@ -40,15 +43,6 @@ pub struct SymbolDemapper {
 }
 
 impl SymbolDemapper {
-    /// Creates a demapper with the default constellation scale.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`SymbolMapper::new`]; never fails for the default.
-    pub fn new(modulation: Modulation) -> Result<Self, ModemError> {
-        let mapper = SymbolMapper::new(modulation)?;
-        Ok(Self::matched_to(&mapper))
-    }
 
     /// Creates a demapper whose thresholds match a specific mapper
     /// (same modulation and scale).
@@ -64,33 +58,8 @@ impl SymbolDemapper {
         self.modulation
     }
 
-    /// Re-points this demapper at a different mapper's constellation
-    /// in place (no allocation): the per-burst rate reconfiguration
-    /// counterpart of [`SymbolMapper::reconfigure`].
-    pub fn reconfigure_matched_to(&mut self, mapper: &SymbolMapper) {
-        *self = Self::matched_to(mapper);
-    }
-
-    /// Hard decision: nearest constellation point, Gray bits out.
-    /// Output length is `symbols.len() * bits_per_symbol`.
-    pub fn hard_demap(&self, symbols: &[CQ15]) -> Vec<u8> {
-        let bps = self.modulation.bits_per_symbol();
-        let mut out = vec![0u8; symbols.len() * bps];
-        self.hard_demap_into(symbols, &mut out);
-        out
-    }
-
-    /// Soft decision: one LLR per coded bit, positive = bit 0 likelier.
-    /// Output length is `symbols.len() * bits_per_symbol`.
-    pub fn soft_demap(&self, symbols: &[CQ15]) -> Vec<Llr> {
-        let bps = self.modulation.bits_per_symbol();
-        let mut out = vec![0 as Llr; symbols.len() * bps];
-        self.soft_demap_into(symbols, &mut out);
-        out
-    }
-
-    /// Allocation-free [`SymbolDemapper::hard_demap`] into a
-    /// caller-provided buffer of exactly
+    /// Hard decision: nearest constellation point, Gray bits out, into
+    /// a caller-provided buffer of exactly
     /// `symbols.len() * bits_per_symbol` bits.
     ///
     /// # Panics
@@ -111,32 +80,6 @@ impl SymbolDemapper {
                     let (i_bits, q_bits) = bits.split_at_mut(half);
                     self.axis_hard_bits_into(c.re, i_bits);
                     self.axis_hard_bits_into(c.im, q_bits);
-                }
-            }
-        }
-    }
-
-    /// Allocation-free [`SymbolDemapper::soft_demap`] into a
-    /// caller-provided buffer of exactly
-    /// `symbols.len() * bits_per_symbol` LLRs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wrong-size output buffer.
-    pub fn soft_demap_into(&self, symbols: &[CQ15], out: &mut [Llr]) {
-        let bps = self.modulation.bits_per_symbol();
-        assert_eq!(out.len(), symbols.len() * bps, "demap buffer size");
-        let half = self.modulation.bits_per_axis();
-        for (&sym, llrs) in symbols.iter().zip(out.chunks_exact_mut(bps)) {
-            let c = Cf64::from_fixed(sym);
-            match self.modulation {
-                Modulation::Bpsk => {
-                    self.axis_soft_llrs_into(c.re, llrs);
-                }
-                _ => {
-                    let (i_llrs, q_llrs) = llrs.split_at_mut(half);
-                    self.axis_soft_llrs_into(c.re, i_llrs);
-                    self.axis_soft_llrs_into(c.im, q_llrs);
                 }
             }
         }
@@ -213,7 +156,20 @@ impl SymbolDemapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimo_coding::llr_to_hard;
+
+    fn hard_demap(demapper: &SymbolDemapper, symbols: &[CQ15]) -> Vec<u8> {
+        let mut out = vec![0u8; symbols.len() * demapper.modulation().bits_per_symbol()];
+        demapper.hard_demap_into(symbols, &mut out);
+        out
+    }
+
+    fn soft_demap(demapper: &SymbolDemapper, symbols: &[CQ15]) -> Vec<Llr> {
+        let n = symbols.len() * demapper.modulation().bits_per_symbol();
+        let identity: Vec<u32> = (0..n as u32).collect();
+        let mut out = vec![0 as Llr; n];
+        demapper.soft_demap_scatter_into(symbols, &identity, &mut out);
+        out
+    }
 
     fn exhaustive_bits(m: Modulation) -> Vec<Vec<u8>> {
         let bps = m.bits_per_symbol();
@@ -229,7 +185,7 @@ mod tests {
             let demapper = SymbolDemapper::matched_to(&mapper);
             for bits in exhaustive_bits(m) {
                 let sym = mapper.map_bits(&bits).unwrap();
-                assert_eq!(demapper.hard_demap(&sym), bits, "{m} {bits:?}");
+                assert_eq!(hard_demap(&demapper, &sym), bits, "{m} {bits:?}");
             }
         }
     }
@@ -241,8 +197,8 @@ mod tests {
             let demapper = SymbolDemapper::matched_to(&mapper);
             for bits in exhaustive_bits(m) {
                 let sym = mapper.map_bits(&bits).unwrap();
-                let soft = demapper.soft_demap(&sym);
-                let hard: Vec<u8> = soft.iter().map(|&l| llr_to_hard(l)).collect();
+                let soft = soft_demap(&demapper, &sym);
+                let hard: Vec<u8> = soft.iter().map(|&l| u8::from(l < 0)).collect();
                 assert_eq!(hard, bits, "{m} {bits:?}");
             }
         }
@@ -255,11 +211,11 @@ mod tests {
         let unit = mapper.scale() / 10f64.sqrt();
         // A symbol right on the I decision boundary -> near-zero LLR.
         let on_boundary = CQ15::from_f64(0.0, unit);
-        let llr = demapper.soft_demap(&[on_boundary]);
+        let llr = soft_demap(&demapper, &[on_boundary]);
         assert!(llr[0].abs() <= 1, "boundary symbol must be uncertain: {llr:?}");
         // A deep corner symbol -> confident LLR on the sign bit.
         let corner = CQ15::from_f64(3.0 * unit, 3.0 * unit);
-        let llr = demapper.soft_demap(&[corner]);
+        let llr = soft_demap(&demapper, &[corner]);
         assert!(llr[0] < -32, "deep symbol must be confident: {llr:?}");
     }
 
@@ -275,7 +231,7 @@ mod tests {
                 sym.re.to_f64() + 0.4 * unit,
                 sym.im.to_f64() - 0.4 * unit,
             );
-            assert_eq!(demapper.hard_demap(&[noisy]), bits);
+            assert_eq!(hard_demap(&demapper, &[noisy]), bits);
         }
     }
 
@@ -293,7 +249,7 @@ mod tests {
             let map: Vec<u32> = (0..n).map(|k| (2 * ((k * 7) % n)) as u32).collect();
             let mut out = vec![0 as Llr; 2 * n];
             demapper.soft_demap_scatter_into(&symbols, &map, &mut out);
-            let soft = demapper.soft_demap(&symbols);
+            let soft = soft_demap(&demapper, &symbols);
             let mut expect = vec![0 as Llr; 2 * n];
             for (k, &l) in soft.iter().enumerate() {
                 expect[map[k] as usize] = l;
@@ -304,11 +260,11 @@ mod tests {
 
     #[test]
     fn extreme_inputs_clamp_not_panic() {
-        let demapper = SymbolDemapper::new(Modulation::Qam16).unwrap();
+        let demapper = SymbolDemapper::matched_to(&SymbolMapper::new(Modulation::Qam16).unwrap());
         let far = CQ15::from_f64(0.99, -0.99);
-        let bits = demapper.hard_demap(&[far]);
+        let bits = hard_demap(&demapper, &[far]);
         assert_eq!(bits.len(), 4);
-        let soft = demapper.soft_demap(&[far]);
+        let soft = soft_demap(&demapper, &[far]);
         assert!(soft.iter().all(|&l| l.abs() <= 1024));
     }
 }

@@ -100,19 +100,6 @@ impl SymbolMapper {
         Ok(mapper)
     }
 
-    /// Rewrites this mapper's ROM in place for a different modulation,
-    /// keeping the configured scale. The LUT buffer was reserved for
-    /// the widest constellation at construction, so per-burst rate
-    /// changes allocate nothing — the software analogue of re-pointing
-    /// the hardware LUT address width.
-    pub fn reconfigure(&mut self, modulation: Modulation) {
-        if modulation == self.modulation {
-            return;
-        }
-        self.modulation = modulation;
-        self.fill_lut();
-    }
-
     fn fill_lut(&mut self) {
         let bps = self.modulation.bits_per_symbol();
         self.lut.clear();
@@ -155,6 +142,7 @@ impl SymbolMapper {
 
     /// The ROM contents: `2^bits_per_symbol` I/Q words. Address bits
     /// are the coded bits in transmission order, MSB first.
+    // phylint: allow(test_only_api) -- test support: tests/fpga_model.rs
     pub fn lut(&self) -> &[CQ15] {
         &self.lut
     }
@@ -165,6 +153,7 @@ impl SymbolMapper {
     ///
     /// Returns [`ModemError::RaggedBits`] unless the length is a
     /// multiple of [`Modulation::bits_per_symbol`].
+    // phylint: allow(test_only_api) -- oracle: tests/golden_vectors.rs
     pub fn map_bits(&self, bits: &[u8]) -> Result<Vec<CQ15>, ModemError> {
         let bps = self.modulation.bits_per_symbol();
         if !bits.len().is_multiple_of(bps) {
@@ -277,19 +266,6 @@ mod tests {
             mapper.map_bits(&[1, 0, 1]),
             Err(ModemError::RaggedBits { got: 3, multiple: 4 })
         ));
-    }
-
-    #[test]
-    fn reconfigure_matches_fresh_build() {
-        let mut mapper = SymbolMapper::new(Modulation::Qam64).unwrap();
-        let cap = mapper.lut.capacity();
-        for m in Modulation::ALL {
-            mapper.reconfigure(m);
-            let fresh = SymbolMapper::new(m).unwrap();
-            assert_eq!(mapper.lut(), fresh.lut(), "{m}");
-            assert_eq!(mapper.modulation(), m);
-            assert_eq!(mapper.lut.capacity(), cap, "{m}: LUT reallocated");
-        }
     }
 
     #[test]

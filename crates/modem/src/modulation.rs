@@ -84,16 +84,9 @@ impl Modulation {
         2 * index - (self.levels_per_axis() as i32 - 1)
     }
 
-    /// Encodes a signed odd level back into Gray axis bits (MSB first):
-    /// the inverse of [`Modulation::gray_bits_to_level`].
-    pub fn level_to_gray_bits(self, level: i32) -> Vec<u8> {
-        let mut bits = vec![0u8; self.bits_per_axis()];
-        self.level_to_gray_bits_into(level, &mut bits);
-        bits
-    }
-
-    /// Allocation-free [`Modulation::level_to_gray_bits`] into a
-    /// caller-provided buffer of exactly `bits_per_axis` bits.
+    /// Encodes a signed odd level back into Gray axis bits (MSB first)
+    /// in a caller-provided buffer of exactly `bits_per_axis` bits: the
+    /// inverse of [`Modulation::gray_bits_to_level`].
     pub fn level_to_gray_bits_into(self, level: i32, bits: &mut [u8]) {
         let index = ((level + self.levels_per_axis() as i32 - 1) / 2) as u32;
         let gray = index ^ (index >> 1);
@@ -162,7 +155,8 @@ mod tests {
             let l = m.levels_per_axis() as i32;
             for idx in 0..l {
                 let level = 2 * idx - (l - 1);
-                let bits = m.level_to_gray_bits(level);
+                let mut bits = vec![0; m.bits_per_axis()];
+                m.level_to_gray_bits_into(level, &mut bits);
                 assert_eq!(m.gray_bits_to_level(&bits), level, "{m} level {level}");
             }
         }
@@ -173,8 +167,9 @@ mod tests {
         for m in [Modulation::Qam16, Modulation::Qam64] {
             let l = m.levels_per_axis() as i32;
             for idx in 0..l - 1 {
-                let a = m.level_to_gray_bits(2 * idx - (l - 1));
-                let b = m.level_to_gray_bits(2 * (idx + 1) - (l - 1));
+                let (mut a, mut b) = (vec![0; m.bits_per_axis()], vec![0; m.bits_per_axis()]);
+                m.level_to_gray_bits_into(2 * idx - (l - 1), &mut a);
+                m.level_to_gray_bits_into(2 * (idx + 1) - (l - 1), &mut b);
                 let diff: usize = a.iter().zip(&b).filter(|(x, y)| x != y).count();
                 assert_eq!(diff, 1, "{m} levels {idx},{}", idx + 1);
             }

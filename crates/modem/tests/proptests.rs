@@ -1,8 +1,25 @@
 //! Property-based tests for the mapper/demapper.
 
+use mimo_coding::Llr;
 use mimo_fixed::{CQ15, Cf64};
 use mimo_modem::{Modulation, SymbolDemapper, SymbolMapper};
 use proptest::prelude::*;
+
+/// Hard decisions through the receiver's allocation-free entry point.
+fn hard_demap(demapper: &SymbolDemapper, symbols: &[CQ15]) -> Vec<u8> {
+    let mut out = vec![0u8; symbols.len() * demapper.modulation().bits_per_symbol()];
+    demapper.hard_demap_into(symbols, &mut out);
+    out
+}
+
+/// Soft LLRs through the receiver's fused scatter with an identity map.
+fn soft_demap(demapper: &SymbolDemapper, symbols: &[CQ15]) -> Vec<Llr> {
+    let n = symbols.len() * demapper.modulation().bits_per_symbol();
+    let identity: Vec<u32> = (0..n as u32).collect();
+    let mut out = vec![0 as Llr; n];
+    demapper.soft_demap_scatter_into(symbols, &identity, &mut out);
+    out
+}
 
 fn arb_modulation() -> impl Strategy<Value = Modulation> {
     prop_oneof![
@@ -30,7 +47,7 @@ proptest! {
             })
             .collect();
         let symbols = mapper.map_bits(&bits).unwrap();
-        prop_assert_eq!(demapper.hard_demap(&symbols), bits);
+        prop_assert_eq!(hard_demap(&demapper, &symbols), bits);
     }
 
     /// Noise below half the minimum point distance never flips a hard
@@ -54,7 +71,7 @@ proptest! {
             clean.re.to_f64() + dx * 0.45 * unit,
             clean.im.to_f64() + dy * 0.45 * unit,
         );
-        prop_assert_eq!(demapper.hard_demap(&[noisy]), bits);
+        prop_assert_eq!(hard_demap(&demapper, &[noisy]), bits);
     }
 
     /// Soft LLR signs always agree with the hard decision.
@@ -67,8 +84,8 @@ proptest! {
         let mapper = SymbolMapper::new(m).unwrap();
         let demapper = SymbolDemapper::matched_to(&mapper);
         let sym = CQ15::from_f64(re, im);
-        let hard = demapper.hard_demap(&[sym]);
-        let soft = demapper.soft_demap(&[sym]);
+        let hard = hard_demap(&demapper, &[sym]);
+        let soft = soft_demap(&demapper, &[sym]);
         for (bit_idx, (&h, &llr)) in hard.iter().zip(&soft).enumerate() {
             if llr != 0 {
                 prop_assert_eq!(

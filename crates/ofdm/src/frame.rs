@@ -4,7 +4,6 @@ use mimo_coding::pilot_polarity;
 use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Q15};
 
-use crate::cp::strip_cyclic_prefix;
 use crate::subcarriers::{OfdmError, SubcarrierMap};
 
 /// Transmit-side OFDM symbol assembly for one antenna: places data and
@@ -21,9 +20,11 @@ use crate::subcarriers::{OfdmError, SubcarrierMap};
 /// let tx = OfdmModulator::new(64)?;
 /// let rx = OfdmDemodulator::new(64)?;
 /// let data = vec![CQ15::from_f64(0.3, -0.3); 48];
-/// let on_air = tx.modulate_symbol(&data, 0)?;
-/// assert_eq!(on_air.len(), 80);
-/// let (recovered, _pilots) = rx.demodulate_symbol(&on_air)?;
+/// let (mut on_air, mut scratch) = (vec![CQ15::ZERO; 80], vec![CQ15::ZERO; 64]);
+/// tx.modulate_symbol_into(&data, 0, &mut on_air, &mut scratch)?;
+/// // Drop the 16-sample cyclic prefix and return to the carriers.
+/// let freq = rx.fft_block(&on_air[16..])?;
+/// let (recovered, _pilots) = rx.map().extract(&freq)?;
 /// // Loopback recovers data up to the known chain gain.
 /// let gain = recovered[0].re.to_f64() / data[0].re.to_f64();
 /// assert!(gain > 0.0);
@@ -65,25 +66,9 @@ impl OfdmModulator {
     }
 
     /// Modulates one OFDM symbol: `data` symbols (one per data carrier)
-    /// plus pilots with the polarity of `symbol_index`, returning
-    /// `N + N/4` on-air samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OfdmError::DataLengthMismatch`] if `data` does not
-    /// cover the data carriers exactly.
-    pub fn modulate_symbol(&self, data: &[CQ15], symbol_index: usize) -> Result<Vec<CQ15>, OfdmError> {
-        let n = self.map.fft_size();
-        let mut out = vec![CQ15::ZERO; crate::symbol_len(n)];
-        let mut scratch = vec![CQ15::ZERO; n];
-        self.modulate_symbol_into(data, symbol_index, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// Allocation-free [`OfdmModulator::modulate_symbol`]: writes the
-    /// `N + N/4` on-air samples into `out`, using `scratch` (`N` bins)
-    /// for the frequency-domain frame. Bit-identical to the allocating
-    /// variant.
+    /// plus pilots with the polarity of `symbol_index`, writing the
+    /// `N + N/4` on-air samples into `out` and using `scratch` (`N`
+    /// bins) for the frequency-domain frame.
     ///
     /// # Errors
     ///
@@ -210,23 +195,6 @@ impl OfdmDemodulator {
         &self.fft
     }
 
-    /// Demodulates one on-air symbol (`N + N/4` samples) into
-    /// `(data_carriers, pilot_carriers)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OfdmError::FrameLengthMismatch`] on bad input length.
-    pub fn demodulate_symbol(&self, on_air: &[CQ15]) -> Result<(Vec<CQ15>, Vec<CQ15>), OfdmError> {
-        let time = strip_cyclic_prefix(on_air, self.map.fft_size())?;
-        let freq = self.fft.fft(&time).map_err(|_| {
-            OfdmError::FrameLengthMismatch {
-                expected: self.map.fft_size(),
-                got: time.len(),
-            }
-        })?;
-        self.map.extract(&freq)
-    }
-
     /// Transforms a raw `N`-sample block (no cyclic prefix — e.g. one
     /// LTS repetition) into the full `N`-bin frequency frame.
     ///
@@ -246,6 +214,20 @@ mod tests {
     use super::*;
     use mimo_fixed::Cf64;
 
+    fn modulate(tx: &OfdmModulator, data: &[CQ15], symbol_index: usize) -> Vec<CQ15> {
+        let n = tx.map().fft_size();
+        let mut out = vec![CQ15::ZERO; crate::symbol_len(n)];
+        let mut scratch = vec![CQ15::ZERO; n];
+        tx.modulate_symbol_into(data, symbol_index, &mut out, &mut scratch).unwrap();
+        out
+    }
+
+    /// Strips the cyclic prefix and returns `(data, pilots)` carriers.
+    fn demodulate(rx: &OfdmDemodulator, on_air: &[CQ15]) -> (Vec<CQ15>, Vec<CQ15>) {
+        let time = crate::strip_cyclic_prefix_ref(on_air, rx.map().fft_size()).unwrap();
+        rx.map().extract(&rx.fft_block(time).unwrap()).unwrap()
+    }
+
     /// End-to-end known gain of the TX→RX symbol chain:
     /// ifft (2/N) then fft (N >> forward_shift) = 2^(1-forward_shift).
     fn chain_gain(fft: &FixedFft) -> f64 {
@@ -259,8 +241,8 @@ mod tests {
         let data: Vec<CQ15> = (0..48)
             .map(|i| CQ15::from_f64(0.2 * ((i % 3) as f64 - 1.0), 0.2 * ((i % 5) as f64 - 2.0) / 2.0))
             .collect();
-        let on_air = tx.modulate_symbol(&data, 3).unwrap();
-        let (recovered, _) = rx.demodulate_symbol(&on_air).unwrap();
+        let on_air = modulate(&tx, &data, 3);
+        let (recovered, _) = demodulate(&rx, &on_air);
         let g = chain_gain(tx.fft());
         for (r, d) in recovered.iter().zip(&data) {
             let want = Cf64::from_fixed(*d).scale(g);
@@ -276,12 +258,8 @@ mod tests {
         let data = vec![CQ15::ZERO; 48];
         // Symbol 0 has polarity +1; symbol 4 has polarity −1 (p4 = -1).
         let g = chain_gain(tx.fft());
-        let (_, p0) = rx
-            .demodulate_symbol(&tx.modulate_symbol(&data, 0).unwrap())
-            .unwrap();
-        let (_, p4) = rx
-            .demodulate_symbol(&tx.modulate_symbol(&data, 4).unwrap())
-            .unwrap();
+        let (_, p0) = demodulate(&rx, &modulate(&tx, &data, 0));
+        let (_, p4) = demodulate(&rx, &modulate(&tx, &data, 4));
         let expect = 0.5 * g;
         assert!((Cf64::from_fixed(p0[0]).re - expect).abs() < 3e-3);
         assert!((Cf64::from_fixed(p4[0]).re + expect).abs() < 3e-3);
@@ -294,11 +272,11 @@ mod tests {
             let rx = OfdmDemodulator::new(n).unwrap();
             let count = tx.map().data_count();
             let data = vec![CQ15::from_f64(0.25, -0.25); count];
-            let on_air = tx.modulate_symbol(&data, 1).unwrap();
+            let on_air = modulate(&tx, &data, 1);
             assert_eq!(on_air.len(), crate::symbol_len(n));
-            let (rec, pilots) = rx.demodulate_symbol(&on_air).unwrap();
+            let (rec, pilots) = demodulate(&rx, &on_air);
             assert_eq!(rec.len(), count);
-            assert_eq!(pilots.len(), tx.map().pilot_count());
+            assert_eq!(pilots.len(), tx.map().pilot_indices().len());
         }
     }
 
@@ -311,7 +289,7 @@ mod tests {
         let tx = OfdmModulator::new(64).unwrap();
         let rx = OfdmDemodulator::new(64).unwrap();
         let data: Vec<CQ15> = (0..48).map(|_| CQ15::from_f64(0.3, 0.0)).collect();
-        let on_air = tx.modulate_symbol(&data, 0).unwrap();
+        let on_air = modulate(&tx, &data, 0);
         // Shift the FFT window 3 samples into the guard.
         let shifted: Vec<CQ15> = on_air[13..77].to_vec();
         let freq = rx.fft_block(&shifted).unwrap();
@@ -361,8 +339,9 @@ mod tests {
     #[test]
     fn bad_lengths_rejected() {
         let rx = OfdmDemodulator::new(64).unwrap();
-        assert!(rx.demodulate_symbol(&vec![CQ15::ZERO; 79]).is_err());
+        assert!(rx.fft_block(&[CQ15::ZERO; 63]).is_err());
         let tx = OfdmModulator::new(64).unwrap();
-        assert!(tx.modulate_symbol(&vec![CQ15::ZERO; 47], 0).is_err());
+        let (mut out, mut scratch) = ([CQ15::ZERO; 80], [CQ15::ZERO; 64]);
+        assert!(tx.modulate_symbol_into(&[CQ15::ZERO; 47], 0, &mut out, &mut scratch).is_err());
     }
 }

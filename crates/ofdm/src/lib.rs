@@ -6,7 +6,7 @@
 //! * [`SubcarrierMap`] — data/pilot/guard allocation for 64-point OFDM
 //!   (48 data + 4 pilots, 802.11a layout) and its scaled variants up to
 //!   512-point (the paper's "for a 512-point OFDM system..." analysis).
-//! * [`add_cyclic_prefix`] / [`strip_cyclic_prefix`] and [`CpBuffer`] —
+//! * [`add_cyclic_prefix`] / [`strip_cyclic_prefix_ref`] and [`CpBuffer`] —
 //!   "the last 25% of the OFDM symbol is selected as the cyclic prefix
 //!   and must be transmitted first", buffered in a dual-port memory
 //!   twice the frame size (Fig 3).
@@ -26,8 +26,7 @@ mod ingest;
 pub mod preamble;
 mod subcarriers;
 
-pub use cp::{add_cyclic_prefix, add_cyclic_prefix_into, strip_cyclic_prefix,
-    strip_cyclic_prefix_ref, CpBuffer};
+pub use cp::{add_cyclic_prefix, add_cyclic_prefix_into, strip_cyclic_prefix_ref, CpBuffer};
 pub use frame::{OfdmDemodulator, OfdmModulator};
 pub use ingest::SymbolIngest;
 /// The batch width and lane scratch of [`SymbolIngest::ingest_batch`]

@@ -231,11 +231,6 @@ impl PreambleSchedule {
         &self.slots
     }
 
-    /// Sample offset where LTS of antenna `tx` starts.
-    pub fn lts_offset(&self, tx: usize) -> usize {
-        self.slots[1 + tx].offset
-    }
-
     /// Sample offset at which payload OFDM symbols begin.
     pub fn data_offset(&self) -> usize {
         (1 + self.n_tx) * (5 * self.fft_size / 2)
@@ -316,7 +311,7 @@ mod tests {
         for n in [64usize, 128, 512] {
             let map = SubcarrierMap::new(n).unwrap();
             let refs = lts_reference(&map);
-            assert_eq!(refs.len(), map.data_count() + map.pilot_count());
+            assert_eq!(refs.len(), map.data_count() + map.pilot_indices().len());
             assert!(refs.iter().all(|&v| v == 1 || v == -1));
         }
     }

@@ -65,7 +65,7 @@ impl Error for OfdmError {}
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let map = SubcarrierMap::new(64)?;
 /// assert_eq!(map.data_count(), 48);
-/// assert_eq!(map.pilot_count(), 4);
+/// assert_eq!(map.pilot_indices().len(), 4);
 /// assert_eq!(map.pilot_indices(), &[-21, -7, 7, 21]);
 /// # Ok(())
 /// # }
@@ -131,12 +131,8 @@ impl SubcarrierMap {
         self.data.len()
     }
 
-    /// Number of pilot carriers (4 per 64-point unit).
-    pub fn pilot_count(&self) -> usize {
-        self.pilots.len()
-    }
-
     /// Logical indices of data carriers, ascending.
+    // phylint: allow(test_only_api) -- test support: crates/ofdm/tests/proptests.rs
     pub fn data_indices(&self) -> &[i32] {
         &self.data
     }
@@ -162,35 +158,11 @@ impl SubcarrierMap {
         }
     }
 
-    /// Assembles one frequency-domain OFDM symbol: data symbols onto
+    /// Assembles one frequency-domain OFDM symbol into a
+    /// caller-provided `fft_size`-bin frame buffer: data symbols onto
     /// data carriers (ascending logical order), pilots with the given
     /// polarity (±1, from the 127-periodic sequence) at `amplitude`,
     /// zeros on DC and guards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OfdmError::DataLengthMismatch`] if `data.len()` is not
-    /// exactly [`SubcarrierMap::data_count`].
-    pub fn assemble(
-        &self,
-        data: &[CQ15],
-        polarity: i8,
-        amplitude: Fx<15>,
-    ) -> Result<Vec<CQ15>, OfdmError> {
-        if data.len() != self.data.len() {
-            return Err(OfdmError::DataLengthMismatch {
-                expected: self.data.len(),
-                got: data.len(),
-            });
-        }
-        let mut frame = vec![CQ15::ZERO; self.fft_size];
-        self.assemble_into(data, polarity, amplitude, &mut frame)?;
-        Ok(frame)
-    }
-
-    /// Allocation-free [`SubcarrierMap::assemble`] into a
-    /// caller-provided `fft_size`-bin frame buffer (DC and guard bins
-    /// are zeroed).
     ///
     /// # Errors
     ///
@@ -228,11 +200,12 @@ impl SubcarrierMap {
     }
 
     /// Extracts `(data, pilots)` from a frequency-domain frame, in the
-    /// same ascending order used by [`SubcarrierMap::assemble`].
+    /// same ascending order used by [`SubcarrierMap::assemble_into`].
     ///
     /// # Errors
     ///
     /// Returns [`OfdmError::FrameLengthMismatch`] on a wrong-size frame.
+    // phylint: allow(test_only_api) -- oracle: crates/ofdm/tests/proptests.rs
     pub fn extract(&self, frame: &[CQ15]) -> Result<(Vec<CQ15>, Vec<CQ15>), OfdmError> {
         if frame.len() != self.fft_size {
             return Err(OfdmError::FrameLengthMismatch {
@@ -260,11 +233,23 @@ impl SubcarrierMap {
 mod tests {
     use super::*;
 
+    /// Assembles one frame through [`SubcarrierMap::assemble_into`].
+    fn assemble(
+        map: &SubcarrierMap,
+        data: &[CQ15],
+        polarity: i8,
+        amplitude: Fx<15>,
+    ) -> Result<Vec<CQ15>, OfdmError> {
+        let mut frame = vec![CQ15::ZERO; map.fft_size()];
+        map.assemble_into(data, polarity, amplitude, &mut frame)?;
+        Ok(frame)
+    }
+
     #[test]
     fn standard_64_point_layout() {
         let map = SubcarrierMap::new(64).unwrap();
         assert_eq!(map.data_count(), 48);
-        assert_eq!(map.pilot_count(), 4);
+        assert_eq!(map.pilot_indices().len(), 4);
         assert_eq!(map.pilot_indices(), &[-21, -7, 7, 21]);
         assert_eq!(map.pilot_pattern(), &[1, 1, 1, -1]);
         // Data carriers span ±26 minus pilots.
@@ -279,7 +264,7 @@ mod tests {
         for (n, m) in [(128usize, 2usize), (256, 4), (512, 8)] {
             let map = SubcarrierMap::new(n).unwrap();
             assert_eq!(map.data_count(), 48 * m, "N={n}");
-            assert_eq!(map.pilot_count(), 4 * m, "N={n}");
+            assert_eq!(map.pilot_indices().len(), 4 * m, "N={n}");
         }
     }
 
@@ -308,7 +293,7 @@ mod tests {
             .map(|i| CQ15::from_f64(0.01 * i as f64, -0.01 * i as f64))
             .collect();
         let amp = Fx::<15>::from_f64(0.5);
-        let frame = map.assemble(&data, 1, amp).unwrap();
+        let frame = assemble(&map, &data, 1, amp).unwrap();
         assert_eq!(frame.len(), 64);
         // DC must be empty.
         assert!(frame[0].is_zero());
@@ -324,8 +309,8 @@ mod tests {
         let map = SubcarrierMap::new(64).unwrap();
         let data = vec![CQ15::ZERO; 48];
         let amp = Fx::<15>::from_f64(0.5);
-        let plus = map.assemble(&data, 1, amp).unwrap();
-        let minus = map.assemble(&data, -1, amp).unwrap();
+        let plus = assemble(&map, &data, 1, amp).unwrap();
+        let minus = assemble(&map, &data, -1, amp).unwrap();
         for &l in map.pilot_indices() {
             let b = map.bin(l);
             assert_eq!(plus[b].re.to_f64(), -minus[b].re.to_f64());
@@ -336,7 +321,7 @@ mod tests {
     fn guards_are_null() {
         let map = SubcarrierMap::new(64).unwrap();
         let data = vec![CQ15::from_f64(0.3, 0.3); 48];
-        let frame = map.assemble(&data, 1, Fx::from_f64(0.5)).unwrap();
+        let frame = assemble(&map, &data, 1, Fx::from_f64(0.5)).unwrap();
         // bins 27..=37 are the guard band (logical ±27..=±31 plus
         // the wrap); all unoccupied bins must be zero.
         for (l, bin) in frame.iter().enumerate().take(38).skip(27) {
@@ -348,7 +333,7 @@ mod tests {
     fn wrong_sizes_rejected() {
         assert!(SubcarrierMap::new(96).is_err());
         let map = SubcarrierMap::new(64).unwrap();
-        assert!(map.assemble(&[CQ15::ZERO; 10], 1, Fx::ZERO).is_err());
+        assert!(assemble(&map, &[CQ15::ZERO; 10], 1, Fx::ZERO).is_err());
         assert!(map.extract(&vec![CQ15::ZERO; 32]).is_err());
     }
 
@@ -356,7 +341,7 @@ mod tests {
     fn occupied_is_data_plus_pilots_sorted() {
         let map = SubcarrierMap::new(128).unwrap();
         let occ = map.occupied_indices();
-        assert_eq!(occ.len(), map.data_count() + map.pilot_count());
+        assert_eq!(occ.len(), map.data_count() + map.pilot_indices().len());
         assert!(occ.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -199,8 +199,19 @@ impl FileAnalysis {
                     )),
                 },
                 Directive::Datapath => self.datapath = true,
-                Directive::Allow { rule, reason_ok } => match (rule, reason_ok) {
-                    (Some(rule), true) => {
+                Directive::Allow { rule, reason } => match (rule, reason) {
+                    (Some(RuleId::TestOnlyApi), Some(reason))
+                        if !TEST_ONLY_REASONS.iter().any(|p| reason.starts_with(p)) =>
+                    {
+                        findings.push(self.marker_finding(
+                            c.line,
+                            "allow(test_only_api) takes one of three reasons: \
+                             `paper §…` (or `paper Table …` / `paper Fig …`), \
+                             `oracle: <test path>` or `test support: <test path>`"
+                                .to_string(),
+                        ));
+                    }
+                    (Some(rule), Some(_)) => {
                         let to_line = if c.own_line {
                             // Standalone comment: covers the next line.
                             self.next_code_line(c).unwrap_or(c.end_line)
@@ -220,7 +231,7 @@ impl FileAnalysis {
                         c.line,
                         format!("unknown rule in suppression: `{directive}`"),
                     )),
-                    (Some(_), false) => findings.push(self.marker_finding(
+                    (Some(_), None) => findings.push(self.marker_finding(
                         c.line,
                         "suppression without a justification — write \
                          `phylint: allow(<rule>) -- <reason>`"
@@ -293,18 +304,25 @@ impl FileAnalysis {
 }
 
 /// A parsed `phylint:` directive.
-enum Directive {
+enum Directive<'a> {
     Hot,
     EndHot,
     Datapath,
     Allow {
         rule: Option<RuleId>,
-        reason_ok: bool,
+        /// The non-empty justification after `--`, if any.
+        reason: Option<&'a str>,
     },
     Unknown,
 }
 
-fn parse_directive(directive: &str) -> Directive {
+/// Accepted prefixes of an `allow(test_only_api)` justification: a
+/// hardware model reproducing a paper figure, a reference a test
+/// compares against, or a knob a test needs to drive live code.
+const TEST_ONLY_REASONS: [&str; 5] =
+    ["paper §", "paper Table", "paper Fig", "oracle: ", "test support: "];
+
+fn parse_directive(directive: &str) -> Directive<'_> {
     // Normalise a possible block-comment tail (`… */`).
     let directive = directive.trim_end_matches("*/").trim();
     match directive {
@@ -317,15 +335,16 @@ fn parse_directive(directive: &str) -> Directive {
         let Some((name, tail)) = rest.split_once(')') else {
             return Directive::Allow {
                 rule: None,
-                reason_ok: false,
+                reason: None,
             };
         };
         let rule = RuleId::parse(name.trim());
-        let reason_ok = tail
+        let reason = tail
             .trim_start()
             .strip_prefix("--")
-            .is_some_and(|r| !r.trim().is_empty());
-        return Directive::Allow { rule, reason_ok };
+            .map(str::trim)
+            .filter(|r| !r.is_empty());
+        return Directive::Allow { rule, reason };
     }
     Directive::Unknown
 }

@@ -10,8 +10,10 @@
 //! * `Qual::name(a)` — path shape: when `Qual` is a type with
 //!   workspace `impl` blocks (or `Self`, resolved against the caller's
 //!   impl type), candidates come from those impls only; when `Qual`
-//!   is unknown (`Vec`, `std`, a module alias…) the call is treated as
-//!   external and ignored.
+//!   is a lowercase module segment (`bits::`, `crate::`, `mimo_fft::`)
+//!   candidates are the free (non-`impl`) fns of that name and arity;
+//!   any other unknown qualifier (`Vec`, `u64`, `String`…) is treated
+//!   as external and ignored.
 //! * `name(a)` — bare shape: candidates are workspace free functions
 //!   named `name` with matching arity.
 //!
@@ -35,6 +37,8 @@ pub struct CallGraph<'w> {
     free: HashMap<&'w str, Vec<FnId>>,
     /// Path index: (impl type, name) → fns.
     typed: HashMap<(&'w str, &'w str), Vec<FnId>>,
+    /// Type alias → aliased type.
+    aliases: HashMap<&'w str, &'w str>,
 }
 
 impl<'w> CallGraph<'w> {
@@ -57,11 +61,13 @@ impl<'w> CallGraph<'w> {
                 typed.entry((t, &f.name)).or_default().push(id);
             }
         }
+        let aliases = ws.aliases.iter().map(|(a, t)| (a.as_str(), t.as_str())).collect();
         CallGraph {
             ws,
             methods,
             free,
             typed,
+            aliases,
         }
     }
 
@@ -84,12 +90,22 @@ impl<'w> CallGraph<'w> {
                     None => return Vec::new(),
                 }
             } else {
-                q
+                self.aliases.get(q.as_str()).copied().unwrap_or(q)
             };
             return match self.typed.get(&(ty, call.name.as_str())) {
                 // A known workspace type: resolve within its impls.
                 Some(ids) => ids.iter().filter(arity_ok).copied().collect(),
-                // Unknown qualifier (std type, module path): external.
+                // A module path: a free fn of that name.
+                None if is_module(ty) => self
+                    .free
+                    .get(call.name.as_str())
+                    .into_iter()
+                    .flatten()
+                    .filter(|id| self.ws.fns[**id].impl_type.is_none())
+                    .filter(arity_ok)
+                    .copied()
+                    .collect(),
+                // Unknown type qualifier (std or primitive type): external.
                 None => Vec::new(),
             };
         }
@@ -104,6 +120,13 @@ impl<'w> CallGraph<'w> {
             .get(call.name.as_str())
             .map(|ids| ids.iter().filter(arity_ok).copied().collect())
             .unwrap_or_default()
+    }
+
+    /// Every fn named `name`, whatever its shape and arity: the
+    /// candidates of a name used without a call (`map(Self::f)`).
+    pub fn named<'a>(&'a self, name: &str) -> impl Iterator<Item = FnId> + 'a {
+        let pick = |m: &'a HashMap<&'w str, Vec<FnId>>| m.get(name).into_iter().flatten().copied();
+        pick(&self.methods).chain(pick(&self.free))
     }
 
     /// Breadth-first closure from `roots` (pairs of a root fn and the
@@ -176,6 +199,15 @@ impl<'w> CallGraph<'w> {
         }
         out
     }
+}
+
+/// A lowercase path segment that is not a primitive type: a module.
+fn is_module(segment: &str) -> bool {
+    const PRIMITIVES: [&str; 17] = [
+        "bool", "char", "str", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32",
+        "i64", "i128", "isize", "f32", "f64",
+    ];
+    segment.starts_with(|c: char| c.is_ascii_lowercase()) && !PRIMITIVES.contains(&segment)
 }
 
 /// One edge of a reaching path: `caller` invoked `callee` at `line`

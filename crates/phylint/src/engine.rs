@@ -67,18 +67,24 @@ pub fn run(root: &Path) -> io::Result<Report> {
 
     // Phase 1b: item model over crate source (tests/benches/examples
     // are not resolution targets — they may allocate freely and must
-    // not pull production fns into the hot closure).
-    let models: Vec<FileModel> = fas
-        .iter()
-        .enumerate()
-        .filter(|(_, fa)| fa.kind == FileKind::CrateSrc)
-        .map(|(i, fa)| model::extract(fa, i))
-        .collect();
+    // not pull production fns into the hot closure). Examples and
+    // benches get a model of their own: the product roots of the
+    // test-only-API audit.
+    let mut models: Vec<FileModel> = Vec::new();
+    let mut root_models: Vec<FileModel> = Vec::new();
+    for (i, fa) in fas.iter().enumerate() {
+        match fa.kind {
+            FileKind::CrateSrc => models.push(model::extract(fa, i)),
+            FileKind::Example | FileKind::Bench => root_models.push(model::extract(fa, i)),
+            FileKind::Test => {}
+        }
+    }
     let ws = Workspace::assemble(models);
+    let roots = Workspace::assemble(root_models);
 
     // Phase 2: semantic rules over the call graph.
     let cg = CallGraph::new(&ws);
-    semantic::check(&ws, &cg, &fas, &mut report.findings);
+    semantic::check(&ws, &roots, &cg, &fas, &mut report.findings);
 
     // Suppression accounting runs last so semantic findings can mark
     // their suppressions used before stale ones are flagged.

@@ -1,11 +1,11 @@
 //! Machine-readable findings: a hand-rolled JSON writer (and a small
 //! parser for the self-check tests). No dependencies, stable schema.
 //!
-//! # Schema (version 1)
+//! # Schema (version 2)
 //!
 //! ```json
 //! {
-//!   "schema": 1,
+//!   "schema": 2,
 //!   "files_scanned": 123,
 //!   "suppressions_used": 4,
 //!   "counts": {"panic_path": 0, "...": 0},
@@ -19,14 +19,16 @@
 //! Each finding is serialised on **one line**, in the report's sorted
 //! (path, line, rule) order, so `diff`/`comm` against a committed
 //! baseline works line-by-line (`scripts/phylint_diff.sh`). Key order
-//! is fixed; adding keys bumps `schema`.
+//! is fixed; adding keys bumps `schema`. Version 2 added the
+//! `test_only_api` count: `counts` carries one key per rule and the
+//! validator requires every one.
 
 use std::collections::BTreeMap;
 
 use crate::report::{Finding, Report, ALL_RULES};
 
 /// Current schema version.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Escape a string for a JSON string literal.
 pub fn escape(s: &str) -> String {

@@ -30,8 +30,9 @@
 //! | `simd_guard` | every `#[target_feature(enable = …)]` fn is declared `unsafe`, and each call site sits in a fn that is itself `#[target_feature]` or contains an `is_x86_feature_detected!` runtime guard |
 //! | `lock_order` | `Mutex`/`RwLock` struct fields have a canonical rank (declaration order, files sorted by path); no call chain may acquire a lower-ranked lock while holding a higher-ranked one, or re-acquire a lock it already holds |
 //! | `error_surface` | public `Result`-returning fns in crate source use typed errors (no `String` / `Box<dyn Error>` / `&str` / `()` payloads), and public `…Error` enums carry `#[non_exhaustive]` |
+//! | `test_only_api` | every plain-`pub` fn, struct, enum and trait in `src/` and `crates/*/src` (bar `phylint`, `bench`, `shims`) is reached from a product root — an example, a bench, `crates/bench/src`, `perfbench/src` or a trait method; tests and doc-tests are not roots. Suppressions must give a `paper §…`, `oracle: <test>` or `test support: <test>` reason |
 //!
-//! Semantic findings carry the **call path** that proves them, and the
+//! Cross-function findings carry the **call path** that proves them, and the
 //! binary can emit the whole report as line-oriented JSON
 //! (`--format json`) with a stable schema (see [`json`]).
 //!

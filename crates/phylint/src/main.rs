@@ -62,9 +62,10 @@ fn main() -> ExitCode {
                      violations of the token rules (panic-path, hot-allocation,\n\
                      unsafe-, feature- and wire-format) and the call-graph\n\
                      semantic rules (hot_transitive, simd_guard, lock_order,\n\
-                     error_surface). --format json emits the stable schema-v1\n\
-                     report; --out FILE additionally writes the JSON report to\n\
-                     FILE while stdout keeps the human report. Exit 0 = clean."
+                     error_surface, test_only_api). --format json emits the\n\
+                     stable schema-v2 report; --out FILE additionally writes\n\
+                     the JSON report to FILE while stdout keeps the human\n\
+                     report. Exit 0 = clean."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -19,7 +19,12 @@
 //!   until its statement's `;`;
 //! * `pub enum …Error` declarations and whether they carry
 //!   `#[non_exhaustive]`;
-//! * `pub fn` `Result` return types, for the error-surface audit.
+//! * `pub fn` `Result` return types, for the error-surface audit;
+//! * type declarations (`struct`/`enum`/`trait`) with the identifiers
+//!   they mention, and every identifier a fn names without calling
+//!   (`map(Self::f)`), for the test-only-API audit;
+//! * `const`/`static`/`type` items, whose initializers are modelled as
+//!   bodies so the calls and names in them are seen.
 //!
 //! Everything here is an **approximation over tokens**, not a type
 //! system: name resolution is by identifier (plus arity), trait
@@ -122,14 +127,20 @@ pub struct FnItem {
     /// Function name.
     pub name: String,
     /// Name of the `impl` target type when the fn sits inside an
-    /// `impl` block (`LaneTrellis`, …).
+    /// `impl` block (`LaneTrellis`, …), or of the trait it is declared
+    /// in.
     pub impl_type: Option<String>,
+    /// The trait, when the fn sits in `impl Trait for Type` or in the
+    /// trait's own body: a method dispatch through a trait reaches.
+    pub impl_trait: Option<String>,
     /// File index into the engine's file list.
     pub file: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Declared `pub` (any `pub(…)` restriction counts).
     pub is_pub: bool,
+    /// Declared plain `pub`, with no `(…)` restriction.
+    pub exported: bool,
     /// Declared `unsafe fn`.
     pub is_unsafe: bool,
     /// Takes a `self` receiver.
@@ -144,6 +155,10 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Calls made in the body, in source order.
     pub calls: Vec<CallSite>,
+    /// Identifiers the signature and body name outside call position
+    /// and field access (types, paths such as `Self::f`, locals),
+    /// sorted and deduplicated.
+    pub refs: Vec<String>,
     /// Allocation sites in the body (alloc-denylist names).
     pub alloc_sites: Vec<Site>,
     /// Panic sites in the body (panic-denylist names).
@@ -170,11 +185,40 @@ impl FnItem {
     }
 }
 
+/// A `struct`, `enum` or `trait` declaration.
+#[derive(Debug, Clone)]
+pub struct TypeItem {
+    /// Type name.
+    pub name: String,
+    /// `struct`, `enum` or `trait`.
+    pub keyword: &'static str,
+    /// File index.
+    pub file: usize,
+    /// 1-based line of the keyword.
+    pub line: u32,
+    /// Declared plain `pub`, with no `(…)` restriction.
+    pub exported: bool,
+    /// The declaration is `#[cfg(test)]`-gated.
+    pub cfg_test: bool,
+    /// Identifiers the declaration mentions (field and variant types,
+    /// bounds, trait method signatures), sorted and deduplicated.
+    pub mentions: Vec<String>,
+}
+
 /// The assembled workspace model: every crate-source file's items.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// All functions, workspace-wide.
     pub fns: Vec<FnItem>,
+    /// `const`, `static` and `type` items, modelled as fns whose body
+    /// is the initializer (or aliased type). They are not resolution
+    /// targets.
+    pub consts: Vec<FnItem>,
+    /// All `struct`, `enum` and `trait` declarations.
+    pub types: Vec<TypeItem>,
+    /// `type Alias = Target<…>;` pairs (alias, target type name), so
+    /// `CQ15::from_f64` resolves against `CFx`'s impls.
+    pub aliases: Vec<(String, String)>,
     /// All lock fields, workspace-wide, in (file, line) order — the
     /// index into this list is the lock's **canonical rank** for the
     /// lock-order rule.
@@ -202,6 +246,9 @@ impl Workspace {
                 ws.fns.push(f);
             }
             ws.error_enums.extend(model.error_enums);
+            ws.consts.extend(model.consts);
+            ws.types.extend(model.types);
+            ws.aliases.extend(model.aliases);
         }
         ws
     }
@@ -236,16 +283,28 @@ pub fn extract(fa: &FileAnalysis, file: usize) -> FileModel {
     ex.scan_items(0, fa.lexed.tokens.len(), &mut Vec::new());
     ex.mode = Mode::Fns;
     ex.scan_items(0, fa.lexed.tokens.len(), &mut Vec::new());
+    for f in ex.out.fns.iter_mut().chain(&mut ex.out.consts) {
+        f.refs.sort();
+        f.refs.dedup();
+    }
     ex.out
 }
 
 /// Which item class a scan pass records.
 #[derive(PartialEq, Clone, Copy)]
 enum Mode {
-    /// Structs (lock fields) and enums.
+    /// Structs (lock fields), enums and traits.
     Decls,
-    /// Functions (which consult the completed lock-field list).
+    /// Functions (which consult the completed lock-field list) and
+    /// `const`/`static`/`type` items.
     Fns,
+}
+
+/// An enclosing `impl` or `trait` block: the type methods hang off
+/// and, for trait impls and trait bodies, the trait.
+struct ImplCtx {
+    ty: String,
+    tr: Option<String>,
 }
 
 /// Model slice for one file, merged into [`Workspace`] by the engine.
@@ -257,6 +316,12 @@ pub struct FileModel {
     pub lock_fields: Vec<LockField>,
     /// `pub enum …Error` declarations in the file.
     pub error_enums: Vec<ErrorEnum>,
+    /// `const`/`static`/`type` items in the file.
+    pub consts: Vec<FnItem>,
+    /// Type declarations in the file.
+    pub types: Vec<TypeItem>,
+    /// Type aliases in the file.
+    pub aliases: Vec<(String, String)>,
 }
 
 struct Extractor<'a> {
@@ -265,6 +330,17 @@ struct Extractor<'a> {
     toks: &'a [Token],
     out: FileModel,
     mode: Mode,
+}
+
+/// Qualifiers read backwards from an item keyword.
+#[derive(Default)]
+struct Qualifiers {
+    /// `pub` in any form.
+    is_pub: bool,
+    /// Plain `pub`, with no `(…)` restriction.
+    exported: bool,
+    /// `unsafe` (for `unsafe fn`).
+    is_unsafe: bool,
 }
 
 /// Attributes gathered while scanning up to an item keyword.
@@ -287,10 +363,10 @@ impl<'a> Extractor<'a> {
         self.toks.get(i).map(|t| t.kind)
     }
 
-    /// Walk tokens `[from, to)` at item level, recursing into `impl`
-    /// and `mod` bodies. `impl_stack` carries enclosing impl-type
-    /// names.
-    fn scan_items(&mut self, from: usize, to: usize, impl_stack: &mut Vec<String>) {
+    /// Walk tokens `[from, to)` at item level, recursing into `impl`,
+    /// `trait` and `mod` bodies. `impl_stack` carries the enclosing
+    /// blocks.
+    fn scan_items(&mut self, from: usize, to: usize, impl_stack: &mut Vec<ImplCtx>) {
         let mut attrs = PendingAttrs::default();
         let mut i = from;
         while i < to {
@@ -311,11 +387,19 @@ impl<'a> Extractor<'a> {
                     // `impl Trait for Type` — the *type* is what
                     // methods hang off; take the segment before `{`.
                     let mut ty: Option<String> = None;
+                    let mut last: Option<String> = None;
+                    let mut tr: Option<String> = None;
                     while j < to && self.text(j) != "{" && self.text(j) != ";" {
-                        if self.text(j) == "for" {
+                        if self.text(j) == "for" && tr.is_none() {
                             ty = None; // everything before `for` was the trait
-                        } else if self.kind(j) == Some(TokKind::Ident) && ty.is_none() {
-                            ty = Some(self.text(j).to_string());
+                            tr = last.take();
+                        } else if self.kind(j) == Some(TokKind::Ident) {
+                            if tr.is_none() {
+                                last = Some(self.text(j).to_string());
+                            }
+                            if ty.is_none() {
+                                ty = Some(self.text(j).to_string());
+                            }
                         } else if self.text(j) == "<" {
                             j = self.matching(j, "<", ">", to);
                         }
@@ -323,7 +407,10 @@ impl<'a> Extractor<'a> {
                     }
                     if j < to && self.text(j) == "{" {
                         let end = self.matching(j, "{", "}", to);
-                        impl_stack.push(ty.unwrap_or_default());
+                        impl_stack.push(ImplCtx {
+                            ty: ty.unwrap_or_default(),
+                            tr,
+                        });
                         self.scan_items(j + 1, end, impl_stack);
                         impl_stack.pop();
                         i = end + 1;
@@ -352,7 +439,9 @@ impl<'a> Extractor<'a> {
                 }
                 "struct" => {
                     i = if self.mode == Mode::Decls {
-                        self.read_struct(i, to)
+                        let end = self.read_struct(i, to);
+                        self.push_type(i, end, &attrs);
+                        end
                     } else {
                         self.skip_item(i, to)
                     };
@@ -360,7 +449,9 @@ impl<'a> Extractor<'a> {
                 }
                 "enum" => {
                     i = if self.mode == Mode::Decls {
-                        self.read_enum(i, to, &attrs)
+                        let end = self.read_enum(i, to, &attrs);
+                        self.push_type(i, end, &attrs);
+                        end
                     } else {
                         self.skip_item(i, to)
                     };
@@ -369,6 +460,19 @@ impl<'a> Extractor<'a> {
                 "fn" => {
                     i = if self.mode == Mode::Fns {
                         self.read_fn(i, to, impl_stack, &attrs)
+                    } else {
+                        self.skip_item(i, to)
+                    };
+                    attrs = PendingAttrs::default();
+                }
+                // `const`/`static`/`type` items: the initializer (or
+                // aliased type) is modelled as a body. A `const` that
+                // qualifies a `fn` passes through like the others.
+                "const" | "static" | "type"
+                    if !matches!(self.text(i + 1), "fn" | "unsafe" | "extern" | "async") =>
+                {
+                    i = if self.mode == Mode::Fns {
+                        self.read_const(i, to, impl_stack, &attrs)
                     } else {
                         self.skip_item(i, to)
                     };
@@ -390,7 +494,16 @@ impl<'a> Extractor<'a> {
                     }
                     if j < to && self.text(j) == "{" {
                         let end = self.matching(j, "{", "}", to);
+                        let name = self.text(i + 1).to_string();
+                        if self.mode == Mode::Decls && self.text(i) == "trait" {
+                            self.push_type(i, end + 1, &attrs);
+                        }
+                        impl_stack.push(ImplCtx {
+                            ty: name.clone(),
+                            tr: Some(name),
+                        });
                         self.scan_items(j + 1, end, impl_stack);
+                        impl_stack.pop();
                         i = end + 1;
                     } else {
                         i = j + 1;
@@ -426,6 +539,136 @@ impl<'a> Extractor<'a> {
             j += 1;
         }
         to
+    }
+
+    /// Qualifiers of the item whose keyword sits at `at`, read
+    /// backwards over `const`/`unsafe`/`async`/`extern "ABI"`/
+    /// `default` and a `pub(…)` restriction.
+    fn qualifiers(&self, at: usize) -> Qualifiers {
+        let mut q = Qualifiers::default();
+        let mut restricted = false;
+        let mut b = at;
+        while b > 0 {
+            b -= 1;
+            match self.text(b) {
+                "pub" => {
+                    q.is_pub = true;
+                    q.exported = !restricted;
+                    break;
+                }
+                "unsafe" => q.is_unsafe = true,
+                "const" | "async" | "extern" | "default" => {}
+                ")" => {
+                    // pub(crate) restriction — walk to its `(`.
+                    restricted = true;
+                    let mut d = 1usize;
+                    while b > 0 && d > 0 {
+                        b -= 1;
+                        match self.text(b) {
+                            ")" => d += 1,
+                            "(" => d -= 1,
+                            _ => {}
+                        }
+                    }
+                }
+                s if s.starts_with('"') => {} // extern ABI string
+                _ => break,
+            }
+        }
+        q
+    }
+
+    /// Identifiers in tokens `[from, to)`, sorted and deduplicated.
+    fn idents(&self, from: usize, to: usize) -> Vec<String> {
+        let mut out: Vec<String> = (from..to)
+            .filter(|&k| self.kind(k) == Some(TokKind::Ident))
+            .map(|k| self.text(k).to_string())
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// Record the `struct`/`enum`/`trait` whose keyword sits at `at`
+    /// and whose item ends before token `end`.
+    fn push_type(&mut self, at: usize, end: usize, attrs: &PendingAttrs) {
+        if self.kind(at + 1) != Some(TokKind::Ident) {
+            return;
+        }
+        let keyword = match self.text(at) {
+            "struct" => "struct",
+            "enum" => "enum",
+            _ => "trait",
+        };
+        let exported = self.qualifiers(at).exported;
+        self.out.types.push(TypeItem {
+            name: self.text(at + 1).to_string(),
+            keyword,
+            file: self.file,
+            line: self.toks[at].line,
+            exported,
+            cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
+            mentions: self.idents(at + 2, end.min(self.toks.len())),
+        });
+    }
+
+    /// Parse a `const`/`static`/`type` item at its keyword into a
+    /// bodied [`FnItem`] (calls and names of the initializer). Returns
+    /// the index after the item's `;`.
+    fn read_const(
+        &mut self,
+        at: usize,
+        to: usize,
+        impl_stack: &[ImplCtx],
+        attrs: &PendingAttrs,
+    ) -> usize {
+        let mut end = at + 1;
+        while end < to && self.text(end) != ";" {
+            match self.text(end) {
+                "(" => end = self.matching(end, "(", ")", to),
+                "[" => end = self.matching(end, "[", "]", to),
+                "{" => end = self.matching(end, "{", "}", to),
+                _ => {}
+            }
+            end += 1;
+        }
+        let end = end.min(to.saturating_sub(1));
+        let q = self.qualifiers(at);
+        let ctx = impl_stack.last().filter(|c| !c.ty.is_empty());
+        let mut item = FnItem {
+            name: self.text(at + 1).to_string(),
+            impl_type: ctx.map(|c| c.ty.clone()),
+            impl_trait: ctx.and_then(|c| c.tr.clone()),
+            file: self.file,
+            line: self.toks[at].line,
+            is_pub: q.is_pub,
+            exported: q.exported,
+            is_unsafe: false,
+            has_self: false,
+            arity: 0,
+            target_feature: None,
+            cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
+            body: None,
+            calls: Vec::new(),
+            refs: Vec::new(),
+            alloc_sites: Vec::new(),
+            panic_sites: Vec::new(),
+            locks: Vec::new(),
+            has_feature_guard: false,
+            result_err: None,
+            overlaps_hot: false,
+        };
+        self.scan_body(at + 2, end, &mut item);
+        if self.text(at) == "type" {
+            let target = (at + 2..end)
+                .skip_while(|&k| self.text(k) != "=")
+                .find(|&k| self.kind(k) == Some(TokKind::Ident));
+            if let Some(k) = target {
+                self.out.aliases.push((item.name.clone(), self.text(k).to_string()));
+            }
+        }
+        self.out.consts.push(item);
+        end + 1
     }
 
     /// Parse one attribute body `#[ … ]` (tokens `(from, end)`
@@ -582,38 +825,12 @@ impl<'a> Extractor<'a> {
         &mut self,
         at: usize,
         to: usize,
-        impl_stack: &[String],
+        impl_stack: &[ImplCtx],
         attrs: &PendingAttrs,
     ) -> usize {
         // Qualifiers sit immediately before `fn`:
         // `pub (crate) const unsafe extern "C" fn`.
-        let mut is_pub = false;
-        let mut is_unsafe = false;
-        {
-            let mut b = at;
-            while b > 0 {
-                b -= 1;
-                match self.text(b) {
-                    "unsafe" => is_unsafe = true,
-                    "pub" => is_pub = true,
-                    "const" | "async" | "extern" | "default" => {}
-                    ")" => {
-                        // pub(crate) restriction — walk to its `(`.
-                        let mut d = 1usize;
-                        while b > 0 && d > 0 {
-                            b -= 1;
-                            match self.text(b) {
-                                ")" => d += 1,
-                                "(" => d -= 1,
-                                _ => {}
-                            }
-                        }
-                    }
-                    s if s.starts_with('"') => {} // extern ABI string
-                    _ => break,
-                }
-            }
-        }
+        let q = self.qualifiers(at);
 
         let name_i = at + 1;
         let name = self.text(name_i).to_string();
@@ -654,19 +871,23 @@ impl<'a> Extractor<'a> {
             k += 1;
         }
 
+        let ctx = impl_stack.last().filter(|c| !c.ty.is_empty());
         let mut item = FnItem {
             name,
-            impl_type: impl_stack.last().filter(|s| !s.is_empty()).cloned(),
+            impl_type: ctx.map(|c| c.ty.clone()),
+            impl_trait: ctx.and_then(|c| c.tr.clone()),
             file: self.file,
             line,
-            is_pub,
-            is_unsafe,
+            is_pub: q.is_pub,
+            exported: q.exported,
+            is_unsafe: q.is_unsafe,
             has_self,
             arity,
             target_feature: attrs.target_feature.clone(),
             cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
             body: None,
             calls: Vec::new(),
+            refs: Vec::new(),
             alloc_sites: Vec::new(),
             panic_sites: Vec::new(),
             locks: Vec::new(),
@@ -675,6 +896,8 @@ impl<'a> Extractor<'a> {
             overlaps_hot: false,
         };
 
+        // Names in the signature (parameter and return types).
+        self.scan_refs(name_i + 1, k, &mut item);
         let after = if k < to && self.text(k) == "{" {
             let end = self.matching(k, "{", "}", to);
             item.body = Some((self.toks[k].start, self.toks[end].end));
@@ -904,13 +1127,35 @@ impl<'a> Extractor<'a> {
                         });
                     }
                 }
-                // Call sites.
+                // Call sites; any other name is a reference.
                 if let Some(call) = self.read_call(i, close) {
                     item.calls.push(call);
+                } else if self.is_ref(i) {
+                    item.refs.push(text.to_string());
                 }
             }
             i += 1;
         }
+    }
+
+    /// Push the names in tokens `[from, to)` that [`is_ref`](Self::is_ref)
+    /// accepts.
+    fn scan_refs(&self, from: usize, to: usize, item: &mut FnItem) {
+        for k in from..to {
+            if self.kind(k) == Some(TokKind::Ident) && self.is_ref(k) {
+                item.refs.push(self.text(k).to_string());
+            }
+        }
+    }
+
+    /// Ident `i` (not in call position) names something: it is not a
+    /// field or method name after `.`, a field or binding before a
+    /// lone `:`, or a macro name.
+    fn is_ref(&self, i: usize) -> bool {
+        let after = |k: usize| self.text(i + k);
+        let field = i > 0 && self.text(i - 1) == ".";
+        let binding = after(1) == ":" && after(2) != ":";
+        !field && !binding && after(1) != "!"
     }
 
     /// Line of the `;` that ends the statement containing token `i`
@@ -1001,23 +1246,28 @@ impl<'a> Extractor<'a> {
         } else {
             let mut depth = 0i32;
             let mut commas = 0usize;
-            for j in after..=close_paren {
+            let mut j = after;
+            while j <= close_paren {
                 match self.text(j) {
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth -= 1,
                     "," if depth == 1 => commas += 1,
-                    "|" if depth == 1 => {
-                        // Closure parameter pipes would miscount
-                        // commas inside them; cheap fix: closures as
-                        // arguments still separate via depth-1 commas,
-                        // and commas inside `|a, b|` are rare in this
-                        // codebase's call sites. Accept the
-                        // approximation.
+                    // A closure argument's `|a, b|` parameter list:
+                    // its commas separate no call arguments.
+                    "|" if depth == 1 && matches!(self.text(j - 1), "(" | "," | "move") => {
+                        j += 1;
+                        while j < close_paren && self.text(j) != "|" {
+                            j += 1;
+                        }
                     }
                     _ => {}
                 }
+                j += 1;
             }
-            commas + 1
+            // rustfmt leaves a trailing comma after a wrapped last
+            // argument; it separates nothing.
+            let trailing = self.text(close_paren.saturating_sub(1)) == ",";
+            commas + 1 - usize::from(trailing)
         };
         Some(CallSite {
             name: name.to_string(),

@@ -29,6 +29,9 @@ pub enum RuleId {
     /// Public `Result` APIs with stringly error payloads, or public
     /// error enums missing `#[non_exhaustive]`.
     ErrorSurface,
+    /// Public items that no product root (example, bench, perfbench)
+    /// reaches: API that only tests call.
+    TestOnlyApi,
     /// `cfg(feature = "…")` naming a feature the owning crate does
     /// not declare.
     FeatureGate,
@@ -39,7 +42,7 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 10] = [
+pub const ALL_RULES: [RuleId; 11] = [
     RuleId::PanicPath,
     RuleId::AllocHot,
     RuleId::HotTransitive,
@@ -47,6 +50,7 @@ pub const ALL_RULES: [RuleId; 10] = [
     RuleId::SimdGuard,
     RuleId::LockOrder,
     RuleId::ErrorSurface,
+    RuleId::TestOnlyApi,
     RuleId::FeatureGate,
     RuleId::WireFormat,
     RuleId::Marker,
@@ -63,6 +67,7 @@ impl RuleId {
             RuleId::SimdGuard => "simd_guard",
             RuleId::LockOrder => "lock_order",
             RuleId::ErrorSurface => "error_surface",
+            RuleId::TestOnlyApi => "test_only_api",
             RuleId::FeatureGate => "feature_gate",
             RuleId::WireFormat => "wire_format",
             RuleId::Marker => "marker",

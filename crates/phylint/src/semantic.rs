@@ -1,4 +1,4 @@
-//! Phase 2 of the workspace analyzer: the four semantic rules that
+//! Phase 2 of the workspace analyzer: the five semantic rules that
 //! run over the assembled [`Workspace`] model and its [`CallGraph`].
 //!
 //! * `hot_transitive` — functions *reachable* from a
@@ -23,22 +23,30 @@
 //!   source must use typed errors (no `String` / `Box<dyn Error>` /
 //!   `&str` / `()` payloads), and public `…Error` enums must carry
 //!   `#[non_exhaustive]`.
+//! * `test_only_api` — every plain-`pub` fn, struct, enum and trait in
+//!   crate source must be reached from a product root: a fn in
+//!   `examples/`, a bench, `crates/bench/src` or `perfbench/src`, or
+//!   a trait method (trait dispatch draws no call edge). Tests and
+//!   doc-tests are not roots.
 //!
 //! Every cross-function finding carries the call path that proves it.
 //! Findings land on a concrete source line and honour in-place
 //! suppressions at that line, exactly like token-rule findings.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 
-use crate::analysis::FileAnalysis;
+use crate::analysis::{FileAnalysis, FileKind};
 use crate::callgraph::CallGraph;
-use crate::model::{FnId, Workspace};
+use crate::model::{FnId, FnItem, Workspace};
 use crate::report::{Finding, RuleId};
 
-/// Run all four semantic rules. `files` is the engine's full analysis
-/// list; `FnItem::file` indexes into it.
+/// Run all five semantic rules. `files` is the engine's full analysis
+/// list; `FnItem::file` indexes into it. `roots` models the example
+/// and bench files, which are not part of `ws`.
 pub fn check(
     ws: &Workspace,
+    roots: &Workspace,
     cg: &CallGraph<'_>,
     files: &[FileAnalysis],
     out: &mut Vec<Finding>,
@@ -47,6 +55,7 @@ pub fn check(
     simd_guard(ws, cg, files, out);
     lock_order(ws, cg, files, out);
     error_surface(ws, files, out);
+    test_only_api(ws, roots, cg, files, out);
 }
 
 /// Push a semantic finding through the landing file's suppression
@@ -441,6 +450,161 @@ fn error_surface(ws: &Workspace, files: &[FileAnalysis], out: &mut Vec<Finding>)
                 ),
                 Vec::new(),
             );
+        }
+    }
+}
+
+/// Crates whose `src/` the test-only-API audit skips: the lint itself,
+/// the bench harness (a root) and the vendored shims.
+const UNAUDITED_CRATES: [&str; 3] = ["phylint", "bench", "shims"];
+
+/// Public API surface under the test-only-API audit: the root
+/// package's `src/` and `crates/*/src` outside [`UNAUDITED_CRATES`].
+fn audited(path: &Path) -> bool {
+    let parts: Vec<_> = path.iter().filter_map(|c| c.to_str()).collect();
+    match parts.as_slice() {
+        ["src", ..] => true,
+        ["crates", name, "src", ..] => !UNAUDITED_CRATES.contains(name),
+        _ => false,
+    }
+}
+
+/// A file whose every fn is a product root: examples, benches, the
+/// bench harness and the end-to-end benchmark.
+fn root_file(fa: &FileAnalysis) -> bool {
+    matches!(fa.kind, FileKind::Example | FileKind::Bench)
+        || fa.path.starts_with("crates/bench/src")
+        || fa.path.starts_with("perfbench/src")
+}
+
+/// Reachability state for `test_only_api`: reached workspace fns, the
+/// work queue, and every name the visited items mention.
+struct Reach<'a> {
+    cg: &'a CallGraph<'a>,
+    reached: Vec<bool>,
+    queue: Vec<FnId>,
+    names: HashSet<&'a str>,
+}
+
+impl<'a> Reach<'a> {
+    fn mark(&mut self, id: FnId) {
+        if !self.reached[id] {
+            self.reached[id] = true;
+            self.queue.push(id);
+        }
+    }
+
+    /// Follow one live item: its calls by name and arity, and every
+    /// name it uses without a call to all fns of that name.
+    fn visit(&mut self, item: &'a FnItem) {
+        let cg = self.cg;
+        for call in &item.calls {
+            self.names.insert(&call.name);
+            for id in cg.resolve(item, call) {
+                self.mark(id);
+            }
+        }
+        for name in &item.refs {
+            self.names.insert(name);
+            for id in cg.named(name) {
+                self.mark(id);
+            }
+        }
+    }
+}
+
+/// Public items that no product root reaches. A tree with no root
+/// file has nothing to measure against and is not audited.
+fn test_only_api(
+    ws: &Workspace,
+    roots: &Workspace,
+    cg: &CallGraph<'_>,
+    files: &[FileAnalysis],
+    out: &mut Vec<Finding>,
+) {
+    if !files.iter().any(root_file) {
+        return;
+    }
+    let mut reach = Reach {
+        cg,
+        reached: vec![false; ws.fns.len()],
+        queue: Vec::new(),
+        names: HashSet::new(),
+    };
+    let live = |f: &&FnItem| !f.cfg_test;
+    for item in roots.fns.iter().chain(&roots.consts).chain(&ws.consts).filter(live) {
+        reach.visit(item);
+    }
+    for (id, f) in ws.fns.iter().enumerate() {
+        if !f.cfg_test && (f.impl_trait.is_some() || root_file(&files[f.file])) {
+            reach.mark(id);
+        }
+    }
+    while let Some(id) = reach.queue.pop() {
+        reach.visit(&ws.fns[id]);
+    }
+
+    // Types: live when a reached inherent method hangs off them, or a
+    // live fn, a root file, a trait impl or a live type declaration
+    // names them.
+    let mut names = reach.names;
+    for fa in files.iter().filter(|fa| root_file(fa)) {
+        for t in &fa.lexed.tokens {
+            if !fa.in_test_span(t.start) {
+                names.insert(&fa.src[t.start..t.end]);
+            }
+        }
+    }
+    for (id, f) in ws.fns.iter().enumerate() {
+        if reach.reached[id] && f.impl_trait.is_none() {
+            names.extend(f.impl_type.as_deref());
+        }
+        // A trait some type implements (a trait's own default bodies
+        // carry the trait as their impl type and do not count).
+        if !f.cfg_test && f.impl_trait != f.impl_type {
+            names.extend(f.impl_trait.as_deref());
+        }
+    }
+    let mut live_types = vec![false; ws.types.len()];
+    loop {
+        let mut changed = false;
+        for (t, ty) in ws.types.iter().enumerate() {
+            if !live_types[t] && !ty.cfg_test && names.contains(ty.name.as_str()) {
+                live_types[t] = true;
+                names.extend(ty.mentions.iter().map(String::as_str));
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    const FIX: &str = "delete it, or keep it with `phylint: allow(test_only_api) -- \
+                       paper §…` / `oracle: <test>` / `test support: <test>`";
+    for (id, f) in ws.fns.iter().enumerate() {
+        if f.exported
+            && !f.cfg_test
+            && f.impl_trait.is_none()
+            && !reach.reached[id]
+            && audited(&files[f.file].path)
+        {
+            let msg = format!(
+                "public fn `{}` has no product caller: no example, bench or \
+                 perfbench fn reaches it — {FIX}",
+                f.display_name()
+            );
+            emit(files, out, RuleId::TestOnlyApi, f.file, f.line, msg, Vec::new());
+        }
+    }
+    for (t, ty) in ws.types.iter().enumerate() {
+        if ty.exported && !ty.cfg_test && !live_types[t] && audited(&files[ty.file].path) {
+            let msg = format!(
+                "public {} `{}` has no product use: no live fn, root file or \
+                 live type names it — {FIX}",
+                ty.keyword, ty.name
+            );
+            emit(files, out, RuleId::TestOnlyApi, ty.file, ty.line, msg, Vec::new());
         }
     }
 }

@@ -282,6 +282,59 @@ fn error_surface_fixture_flags_stringly_apis_and_matchable_enums() {
 }
 
 #[test]
+fn test_only_api_fixture_flags_api_no_product_root_reaches() {
+    let report = fixture("test_only_api");
+    let found = full_findings(&report, RuleId::TestOnlyApi);
+    assert_eq!(found.len(), 6, "{found:?}");
+    for (needle, name) in [
+        ("pub fn only_from_tests", "`only_from_tests`"),
+        ("pub fn only_from_doctest", "`only_from_doctest`"),
+        ("pub fn dead_head", "`dead_head`"),
+        ("pub fn dead_tail", "`dead_tail`"),
+        ("pub struct OnlyItsOwnImpl", "`OnlyItsOwnImpl`"),
+        ("pub fn badly_justified", "`badly_justified`"),
+    ] {
+        let want = line_of("test_only_api", "src/lib.rs", needle);
+        assert!(
+            found.iter().any(|f| f.path.display().to_string() == "src/lib.rs"
+                && f.line == want
+                && f.msg.contains(name)
+                && f.call_path.is_empty()),
+            "no finding at the definition of {name} (line {want}): {found:?}"
+        );
+    }
+    // `live` has an example caller; `tests/it.rs`, the doc-test and
+    // the unit test are not roots (the count of 6 proves the rest).
+    // A suppression with none of the three accepted reasons is a
+    // marker error and suppresses nothing.
+    let markers = rule_findings(&report, RuleId::Marker);
+    assert_eq!(markers.len(), 1, "{markers:?}");
+    assert_eq!(
+        markers[0].1,
+        line_of("test_only_api", "src/lib.rs", "kept for later")
+    );
+    assert!(markers[0].2.contains("test support: <test path>"), "{}", markers[0].2);
+    assert_eq!(report.findings.len(), 7, "only test_only_api and its marker fire");
+}
+
+#[test]
+fn test_only_api_clean_fixture_keeps_every_product_root() {
+    let report = fixture("test_only_api_clean");
+    assert!(
+        report.is_clean(),
+        "example, bench and perfbench callers, a fn pointer, a trait impl \
+         and a live struct's field all count as product use:\n{}",
+        report
+            .findings
+            .iter()
+            .map(|f| format!("  {f}\n"))
+            .collect::<String>()
+    );
+    assert_eq!(report.files_scanned, 4, "lib, example, bench, perfbench");
+    assert_eq!(report.suppressions_used, 1, "the oracle suppression is used");
+}
+
+#[test]
 fn binary_exit_codes_gate_ci() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let status = |name: &str| {

@@ -1,0 +1,3 @@
+fn main() {
+    println!("{}", fixture_test_only_api_clean::from_perfbench());
+}

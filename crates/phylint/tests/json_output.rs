@@ -1,4 +1,4 @@
-//! The machine-readable leg: the schema-v1 JSON report must
+//! The machine-readable leg: the schema-v2 JSON report must
 //! round-trip through phylint's own parser/validator, both in-process
 //! and through the binary `--format json` / `--out` paths CI uses.
 
@@ -19,9 +19,9 @@ fn report_round_trips_through_the_schema_validator() {
     let report = fixture("lock_order");
     assert_eq!(report.findings.len(), 2, "fixture precondition");
     let text = json::report_to_json(&report);
-    let v = json::validate_schema(&text).expect("emitted JSON matches schema v1");
+    let v = json::validate_schema(&text).expect("emitted JSON matches schema v2");
 
-    assert_eq!(v.get("schema").and_then(Value::as_num), Some(1.0));
+    assert_eq!(v.get("schema").and_then(Value::as_num), Some(2.0));
     assert_eq!(
         v.get("files_scanned").and_then(Value::as_num),
         Some(report.files_scanned as f64)
@@ -31,6 +31,11 @@ fn report_round_trips_through_the_schema_validator() {
         counts.get("lock_order").and_then(Value::as_num),
         Some(2.0),
         "per-rule counts survive serialisation"
+    );
+    assert_eq!(
+        counts.get("test_only_api").and_then(Value::as_num),
+        Some(0.0),
+        "a tree with no product root is not audited, but the key is present"
     );
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings array");
     assert_eq!(findings.len(), report.findings.len());
@@ -109,9 +114,13 @@ fn parser_rejects_malformed_documents() {
         "wrong schema version must be rejected"
     );
     assert!(
-        json::validate_schema("{\"schema\":1,\"files_scanned\":1}").is_err(),
+        json::validate_schema("{\"schema\":2,\"files_scanned\":1}").is_err(),
         "missing required keys must be rejected"
     );
+    // A schema-1 report predates the `test_only_api` count.
+    let v1 = "{\"schema\":1,\"files_scanned\":1,\"suppressions_used\":0,\
+              \"counts\":{},\"findings\":[]}";
+    assert!(json::validate_schema(v1).is_err(), "schema 1 is rejected");
 }
 
 #[test]
@@ -125,7 +134,7 @@ fn binary_json_format_carries_findings_and_exit_code() {
         .expect("phylint binary runs");
     assert_eq!(out.status.code(), Some(1), "findings still exit 1 in JSON mode");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    let v = json::validate_schema(&stdout).expect("binary output matches schema v1");
+    let v = json::validate_schema(&stdout).expect("binary output matches schema v2");
     let counts = v.get("counts").expect("counts");
     assert_eq!(counts.get("simd_guard").and_then(Value::as_num), Some(2.0));
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
@@ -137,6 +146,31 @@ fn binary_json_format_carries_findings_and_exit_code() {
                 .is_some_and(|cp| !cp.is_empty())
         }),
         "the unguarded-call finding ships its proving call path"
+    );
+}
+
+#[test]
+fn binary_json_counts_test_only_api_findings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/test_only_api");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_phylint"))
+        .args(["--root"])
+        .arg(&root)
+        .args(["--format", "json"])
+        .output()
+        .expect("phylint binary runs");
+    assert_eq!(out.status.code(), Some(1), "test-only API fails the gate");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    let v = json::validate_schema(&stdout).expect("binary output matches the schema");
+    let counts = v.get("counts").expect("counts");
+    assert_eq!(counts.get("test_only_api").and_then(Value::as_num), Some(6.0));
+    assert_eq!(counts.get("marker").and_then(Value::as_num), Some(1.0));
+    let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
+    assert!(
+        findings
+            .iter()
+            .filter(|f| f.get("rule").and_then(Value::as_str) == Some("test_only_api"))
+            .all(|f| f.get("path").and_then(Value::as_str) == Some("src/lib.rs")),
+        "findings land on the definitions in src/lib.rs"
     );
 }
 
@@ -159,7 +193,7 @@ fn out_flag_archives_json_while_stdout_stays_human() {
     );
     let archived = std::fs::read_to_string(&out_path).expect("--out wrote the file");
     let _ = std::fs::remove_file(&out_path);
-    let v = json::validate_schema(&archived).expect("archived JSON matches schema v1");
+    let v = json::validate_schema(&archived).expect("archived JSON matches schema v2");
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
     assert!(findings.is_empty(), "clean tree archives an empty findings array");
 }
@@ -178,7 +212,7 @@ fn workspace_json_self_check_is_clean_and_valid() {
         .output()
         .expect("phylint binary runs");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    let v = json::validate_schema(&stdout).expect("workspace report matches schema v1");
+    let v = json::validate_schema(&stdout).expect("workspace report matches schema v2");
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
     assert!(
         findings.is_empty(),

@@ -38,6 +38,7 @@ impl CircularBuffer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    // phylint: allow(test_only_api) -- paper §IV.B: the receiver's circular input buffer
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {

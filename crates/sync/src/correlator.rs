@@ -133,11 +133,6 @@ impl TimeSynchronizer {
         self.threshold
     }
 
-    /// The latched detection, if any.
-    pub fn locked(&self) -> Option<SyncEvent> {
-        self.locked
-    }
-
     /// Total samples consumed.
     pub fn position(&self) -> usize {
         self.position
@@ -173,17 +168,6 @@ impl TimeSynchronizer {
             };
             self.locked = Some(event);
             return Some(event);
-        }
-        None
-    }
-
-    /// Convenience: runs the synchroniser over a whole burst and
-    /// returns the first event.
-    pub fn detect(&mut self, burst: &[CQ15]) -> Option<SyncEvent> {
-        for &s in burst {
-            if let Some(event) = self.push(s) {
-                return Some(event);
-            }
         }
         None
     }
@@ -240,6 +224,11 @@ impl TimeSynchronizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the synchroniser over a whole burst; the first event.
+    fn detect(sync: &mut TimeSynchronizer, burst: &[CQ15]) -> Option<SyncEvent> {
+        burst.iter().find_map(|&s| sync.push(s))
+    }
     use mimo_fft::FixedFft;
     use mimo_ofdm::{preamble, SubcarrierMap};
 
@@ -257,7 +246,7 @@ mod tests {
     #[test]
     fn detects_exact_boundary_on_clean_signal() {
         let (burst, lts_start, mut sync) = setup();
-        let event = sync.detect(&burst).expect("must detect");
+        let event = detect(&mut sync, &burst).expect("must detect");
         assert_eq!(event.lts_start, lts_start);
         assert_eq!(event.peak_index, lts_start + 15);
     }
@@ -269,7 +258,7 @@ mod tests {
             sync.reset();
             let mut shifted = vec![CQ15::ZERO; delay];
             shifted.extend_from_slice(&burst);
-            let event = sync.detect(&shifted).expect("must detect");
+            let event = detect(&mut sync, &shifted).expect("must detect");
             assert_eq!(event.lts_start, lts_start + delay, "delay {delay}");
         }
     }
@@ -287,7 +276,7 @@ mod tests {
                 CQ15::from_f64(rng.gen_range(-0.15..0.15), rng.gen_range(-0.15..0.15))
             })
             .collect();
-        assert!(sync.detect(&noise).is_none());
+        assert!(detect(&mut sync, &noise).is_none());
     }
 
     #[test]
@@ -303,7 +292,7 @@ mod tests {
         }
         assert_eq!(events, 1, "must latch after first detection");
         sync.reset();
-        assert!(sync.detect(&burst).is_some(), "re-armed after reset");
+        assert!(detect(&mut sync, &burst).is_some(), "re-armed after reset");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use mimo_fixed::{CQ15, Cf64};
 
 use crate::coarse::{CoarseSts, LAG, MIN_ENERGY, MIN_RUN, THRESHOLD, WINDOW};
-use crate::correlator::{SyncError, SyncEvent, TimeSynchronizer};
+use crate::correlator::{SyncEvent, TimeSynchronizer};
 
 /// Ring depth for the coarse sliding sums: the slide at position `n`
 /// touches samples `n..=n + WINDOW + LAG`, so 49 columns must stay
@@ -94,11 +94,6 @@ impl CoarseTracker {
     /// Columns ingested since construction/reset.
     pub fn samples_seen(&self) -> usize {
         self.count
-    }
-
-    /// The latched detection, if any.
-    pub fn detection(&self) -> Option<CoarseSts> {
-        self.best
     }
 
     #[inline]
@@ -245,13 +240,14 @@ enum TrackState {
 /// ```
 /// use mimo_fft::FixedFft;
 /// use mimo_ofdm::{preamble, SubcarrierMap};
-/// use mimo_sync::SyncTracker;
+/// use mimo_sync::{SyncTracker, TimeSynchronizer};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let fft = FixedFft::new(64)?;
 /// let map = SubcarrierMap::new(64)?;
 /// let taps = preamble::sync_reference(&fft, &map, 0.5)?;
-/// let mut tracker = SyncTracker::new(taps, mimo_sync::DEFAULT_THRESHOLD_FACTOR, 1)?;
+/// let scan = TimeSynchronizer::new(taps, mimo_sync::DEFAULT_THRESHOLD_FACTOR)?;
+/// let mut tracker = SyncTracker::from_correlator(scan, 1);
 ///
 /// let mut burst = preamble::sts_time(&fft, &map, 0.5)?;
 /// let lts_start = burst.len();
@@ -289,30 +285,11 @@ pub struct SyncTracker {
     /// Absolute index of `hist[a][0]`.
     hist_base: usize,
     state: TrackState,
-    /// The last delivered detection.
-    locked: Option<SyncEvent>,
     /// Column assembly scratch (one sample per antenna).
     column: Vec<CQ15>,
 }
 
 impl SyncTracker {
-    /// Creates a tracker from the 32 conjugated fine-correlator taps
-    /// (see `mimo_ofdm::preamble::sync_reference`), the fine threshold
-    /// factor, and the number of receive antennas to combine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyncError`] on a wrong tap count or threshold.
-    pub fn new(
-        taps: Vec<CQ15>,
-        threshold_factor: f64,
-        n_antennas: usize,
-    ) -> Result<Self, SyncError> {
-        Ok(Self::from_correlator(
-            TimeSynchronizer::new(taps, threshold_factor)?,
-            n_antennas,
-        ))
-    }
 
     /// Builds a tracker around an existing fine-correlator prototype
     /// (same taps and threshold the batch receiver scans with).
@@ -327,7 +304,6 @@ impl SyncTracker {
             hist: (0..n_ant).map(|_| Vec::new()).collect(),
             hist_base: 0,
             state: TrackState::Searching,
-            locked: None,
             column: vec![CQ15::ZERO; n_ant],
         }
     }
@@ -335,11 +311,6 @@ impl SyncTracker {
     /// Absolute samples consumed so far.
     pub fn position(&self) -> usize {
         self.ingested
-    }
-
-    /// The last delivered detection, if any.
-    pub fn locked(&self) -> Option<SyncEvent> {
-        self.locked
     }
 
     /// `true` once a detection has been delivered (or the stream
@@ -362,7 +333,6 @@ impl SyncTracker {
         }
         self.hist_base = position;
         self.state = TrackState::Searching;
-        self.locked = None;
     }
 
     /// Pushes one equal-length chunk per antenna and returns a
@@ -457,7 +427,6 @@ impl SyncTracker {
         match best {
             Some(event) => {
                 self.state = TrackState::Locked;
-                self.locked = Some(event);
                 // History is the receiver's business from here on.
                 for h in &mut self.hist {
                     h.clear();
@@ -494,6 +463,11 @@ impl SyncTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn new_tracker(taps: &[CQ15], n_antennas: usize) -> SyncTracker {
+        let scan = TimeSynchronizer::new(taps.to_vec(), crate::DEFAULT_THRESHOLD_FACTOR).unwrap();
+        SyncTracker::from_correlator(scan, n_antennas)
+    }
     use mimo_fft::FixedFft;
     use mimo_ofdm::{preamble, SubcarrierMap};
 
@@ -547,8 +521,7 @@ mod tests {
         let streams = vec![stream];
         let want = batch_acquire(&streams, &taps).expect("batch acquires");
         for chunk in [1usize, 7, 13, 64, 80, 333, streams[0].len()] {
-            let mut tracker =
-                SyncTracker::new(taps.clone(), crate::DEFAULT_THRESHOLD_FACTOR, 1).unwrap();
+            let mut tracker = new_tracker(&taps, 1);
             let got = feed_chunked(&mut tracker, &streams, chunk).expect("tracker acquires");
             assert_eq!(got, want, "chunk {chunk}");
         }
@@ -565,8 +538,7 @@ mod tests {
             let streams = vec![burst[..cut].to_vec()];
             let want = batch_acquire(&streams, &taps);
             for chunk in [1usize, 7, 80, cut] {
-                let mut tracker =
-                    SyncTracker::new(taps.clone(), crate::DEFAULT_THRESHOLD_FACTOR, 1).unwrap();
+                let mut tracker = new_tracker(&taps, 1);
                 let got = feed_chunked(&mut tracker, &streams, chunk);
                 assert_eq!(got, want, "cut {cut} chunk {chunk}");
             }
@@ -586,8 +558,7 @@ mod tests {
         let streams = vec![s0, s1];
         let want = batch_acquire(&streams, &taps).expect("batch acquires");
         for chunk in [1usize, 17, 4096] {
-            let mut tracker =
-                SyncTracker::new(taps.clone(), crate::DEFAULT_THRESHOLD_FACTOR, 2).unwrap();
+            let mut tracker = new_tracker(&taps, 2);
             let got = feed_chunked(&mut tracker, &streams, chunk).expect("tracker acquires");
             assert_eq!(got, want, "chunk {chunk}");
         }
@@ -601,7 +572,7 @@ mod tests {
         stream.extend(std::iter::repeat_n(CQ15::ZERO, gap));
         stream.extend_from_slice(&burst);
         stream.extend(std::iter::repeat_n(CQ15::ZERO, 300));
-        let mut tracker = SyncTracker::new(taps, crate::DEFAULT_THRESHOLD_FACTOR, 1).unwrap();
+        let mut tracker = new_tracker(&taps, 1);
 
         let mut events = Vec::new();
         let mut at = 0;
@@ -627,7 +598,7 @@ mod tests {
     #[test]
     fn history_stays_bounded_during_long_idle() {
         let (_, _, taps) = preamble_burst();
-        let mut tracker = SyncTracker::new(taps, crate::DEFAULT_THRESHOLD_FACTOR, 1).unwrap();
+        let mut tracker = new_tracker(&taps, 1);
         let idle = vec![CQ15::ZERO; 257];
         for _ in 0..200 {
             assert!(tracker.push_chunks(&[idle.as_slice()]).is_none());

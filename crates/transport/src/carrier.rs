@@ -13,9 +13,8 @@
 //!    again later", not end of stream (a dead peer is
 //!    [`TransportError::Closed`]).
 //!
-//! Three families are provided: bounded in-memory duplex pairs
-//! ([`MemoryDuplex::pair`]) for deterministic in-process tests,
-//! capture/replay over files ([`FileSink`] / [`FileSource`]), and
+//! Two families are provided: bounded in-memory duplex pairs
+//! ([`MemoryDuplex::pair`]) for deterministic in-process tests, and
 //! non-blocking byte streams ([`StreamCarrier`]) for `UnixStream` /
 //! `TcpStream` sockets.
 
@@ -149,77 +148,6 @@ impl Carrier for MemoryDuplex {
     }
 }
 
-/// Write-only capture carrier: frames append to an [`std::io::Write`]
-/// sink (a capture file). Receiving is [`TransportError::Unsupported`].
-#[derive(Debug)]
-pub struct FileSink<W: Write> {
-    sink: W,
-}
-
-impl<W: Write> FileSink<W> {
-    /// Wraps a writer as a capture sink.
-    pub fn new(sink: W) -> Self {
-        Self { sink }
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] if the final flush fails.
-    pub fn into_inner(mut self) -> Result<W, TransportError> {
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-impl<W: Write> Carrier for FileSink<W> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        self.sink.write_all(frame)?;
-        Ok(())
-    }
-
-    fn recv(&mut self, _buf: &mut Vec<u8>) -> Result<usize, TransportError> {
-        Err(TransportError::Unsupported("recv on a capture sink"))
-    }
-}
-
-/// Read-only replay carrier: bytes come from an [`std::io::Read`]
-/// source (a capture file). EOF reports [`TransportError::Closed`];
-/// sending is [`TransportError::Unsupported`].
-#[derive(Debug)]
-pub struct FileSource<R: Read> {
-    source: R,
-    eof: bool,
-}
-
-impl<R: Read> FileSource<R> {
-    /// Wraps a reader as a replay source.
-    pub fn new(source: R) -> Self {
-        Self { source, eof: false }
-    }
-}
-
-impl<R: Read> Carrier for FileSource<R> {
-    fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
-        Err(TransportError::Unsupported("send on a replay source"))
-    }
-
-    fn recv(&mut self, buf: &mut Vec<u8>) -> Result<usize, TransportError> {
-        if self.eof {
-            return Err(TransportError::Closed);
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        let n = self.source.read(&mut chunk)?;
-        if n == 0 {
-            self.eof = true;
-            return Err(TransportError::Closed);
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
-    }
-}
-
 /// A carrier over any non-blocking byte stream — `UnixStream`,
 /// `TcpStream`, or anything else `Read + Write`.
 ///
@@ -271,11 +199,6 @@ impl<T: Read + Write> StreamCarrier<T> {
             stream,
             pending: Vec::new(),
         }
-    }
-
-    /// Bytes of a partially written frame still owed to the wire.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
     }
 
     /// Writes as much of `bytes` as the socket accepts, returning the
@@ -388,31 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_then_source_replays_the_capture() {
-        let mut sink = FileSink::new(Vec::new());
-        sink.send(b"frame-one").unwrap();
-        sink.send(b"frame-two").unwrap();
-        let mut buf = Vec::new();
-        assert!(matches!(
-            sink.recv(&mut buf),
-            Err(TransportError::Unsupported(_))
-        ));
-        let capture = sink.into_inner().unwrap();
-
-        let mut source = FileSource::new(std::io::Cursor::new(capture));
-        assert!(matches!(
-            source.send(b"x"),
-            Err(TransportError::Unsupported(_))
-        ));
-        let mut replay = Vec::new();
-        while let Ok(n) = source.recv(&mut replay) {
-            assert!(n > 0);
-        }
-        assert_eq!(replay, b"frame-oneframe-two");
-        assert_eq!(source.recv(&mut replay), Err(TransportError::Closed));
-    }
-
-    #[test]
     fn unix_socket_carrier_roundtrips() {
         let (left, right) = std::os::unix::net::UnixStream::pair().unwrap();
         let mut a = StreamCarrier::unix(left).unwrap();
@@ -469,7 +367,6 @@ mod tests {
             budget: 4,
         });
         c.send(b"AAAAAAAA").unwrap(); // 4 written, 4 spilled
-        assert_eq!(c.pending_bytes(), 4);
         // Spill must drain before the next frame may start.
         let mut attempts = 0;
         loop {

@@ -24,9 +24,6 @@ pub enum TransportError {
     /// The chunk handed to the encoder cannot be framed (stream count
     /// or length outside the codec's limits, ragged chunk lengths).
     BadFrame(String),
-    /// The carrier does not implement this direction (e.g. receiving
-    /// from a capture-file sink).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for TransportError {
@@ -38,9 +35,6 @@ impl fmt::Display for TransportError {
             Self::Closed => write!(f, "peer closed the carrier"),
             Self::Io(msg) => write!(f, "carrier I/O failed: {msg}"),
             Self::BadFrame(msg) => write!(f, "chunk cannot be framed: {msg}"),
-            Self::Unsupported(dir) => {
-                write!(f, "carrier does not support this direction: {dir}")
-            }
         }
     }
 }
@@ -86,7 +80,6 @@ mod tests {
             TransportError::Closed,
             TransportError::Io("fd 7 revoked".into()),
             TransportError::BadFrame("9 streams exceeds the codec limit".into()),
-            TransportError::Unsupported("recv on a capture sink"),
         ];
         for e in errs {
             let msg = e.to_string();

@@ -114,6 +114,7 @@ impl CreditGrantor {
     }
 
     /// Cumulative samples consumed this session.
+    // phylint: allow(test_only_api) -- test support: crates/transport/tests/codec.rs
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
@@ -125,6 +126,7 @@ impl CreditGrantor {
 
     /// Allowance the peer may still be using: `granted − delivered`.
     /// Bounded by the window at all times.
+    // phylint: allow(test_only_api) -- test support: crates/transport/tests/codec.rs
     pub fn in_flight(&self) -> u64 {
         self.granted - self.delivered
     }

@@ -350,6 +350,7 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet consumed (bounded by one maximum
     /// frame plus one carrier read, given a draining caller).
+    // phylint: allow(test_only_api) -- test support: crates/transport/tests/codec.rs
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.read
     }

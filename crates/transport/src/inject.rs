@@ -67,11 +67,6 @@ impl<C: Carrier> FaultInjector<C> {
         self.counts
     }
 
-    /// Frames currently held by stall faults.
-    pub fn held_frames(&self) -> usize {
-        self.held.len()
-    }
-
     /// Releases every stalled frame immediately (end of stream: a
     /// stall must mean delay, not silent loss).
     ///

@@ -16,8 +16,7 @@
 //! * [`SeqTracker`] — wrapping sequence-number accounting: gaps,
 //!   duplicates, late (reordered) frames.
 //! * [`Carrier`] implementations — bounded in-memory duplex pairs
-//!   ([`MemoryDuplex`]), capture/replay files ([`FileSink`],
-//!   [`FileSource`]), and non-blocking Unix/TCP sockets
+//!   ([`MemoryDuplex`]) and non-blocking Unix/TCP sockets
 //!   ([`StreamCarrier`]).
 //! * [`FaultInjector`] — seeded, deterministic frame-level fault
 //!   injection over any carrier, driven by
@@ -211,7 +210,7 @@ mod link;
 pub mod supervisor;
 mod seq;
 
-pub use carrier::{Carrier, FileSink, FileSource, MemoryDuplex, StreamCarrier};
+pub use carrier::{Carrier, MemoryDuplex, StreamCarrier};
 pub use error::TransportError;
 pub use flow::{CreditGrantor, CreditWindow};
 pub use frame::{

@@ -102,8 +102,6 @@ pub struct SampleSender<C> {
     /// Session nonce sent in HELLO, cleared by the matching RESET;
     /// data frames are gated while this is set.
     awaiting: Option<u64>,
-    /// Peer's cumulative position from its last HEARTBEAT/BYE.
-    peer_position: u64,
     /// Monotone count of reverse-plane reads that produced bytes —
     /// the supervisor's watchdog input.
     activity: u64,
@@ -142,7 +140,6 @@ impl<C: Carrier> SampleSender<C> {
             ctl_io: Vec::new(),
             credits: None,
             awaiting: None,
-            peer_position: 0,
             activity: 0,
             stats: SenderStats::default(),
         })
@@ -197,22 +194,10 @@ impl<C: Carrier> SampleSender<C> {
         self.awaiting.is_none()
     }
 
-    /// Samples still spendable under the credit window (`None` when
-    /// flow control is off).
-    pub fn credit_available(&self) -> Option<u64> {
-        self.credits.as_ref().map(CreditWindow::available)
-    }
-
     /// Monotone count of reverse-plane reads that produced bytes; a
     /// changing value means the peer is alive.
     pub fn activity(&self) -> u64 {
         self.activity
-    }
-
-    /// The peer's cumulative consumed position from its latest
-    /// HEARTBEAT (or BYE).
-    pub fn peer_position(&self) -> u64 {
-        self.peer_position
     }
 
     /// Encodes and sends a control frame; carrier backpressure parks
@@ -314,9 +299,8 @@ impl<C: Carrier> SampleSender<C> {
                                 self.stats.resets_rcvd += 1;
                             }
                         }
-                        ControlMsg::Heartbeat { position } | ControlMsg::Bye { position } => {
-                            self.peer_position = self.peer_position.max(position);
-                        }
+                        // Liveness is the activity count above.
+                        ControlMsg::Heartbeat { .. } | ControlMsg::Bye { .. } => {}
                         // A peer never HELLOs the sender; data frames,
                         // garbage and CRC noise on the reverse plane
                         // are likewise ignored — cumulative credit

@@ -16,13 +16,13 @@
 use mimo_baseband::chanest::{invert_upper_triangular, CordicQrd, Mat4};
 use mimo_baseband::channel::AwgnChannel;
 use mimo_baseband::coding::{
-    depuncture, hard_to_llr, puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Llr,
-    ViterbiDecoder,
+    hard_to_llr, puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder,
+    ViterbiWorkspace,
 };
 use mimo_baseband::cordic::Cordic;
 use mimo_baseband::detect::TimingCorrector;
 use mimo_baseband::fixed::{CQ15, Cf64};
-use mimo_baseband::interleave::BlockInterleaver;
+use mimo_baseband::interleave::{BlockInterleaver, FusedDeinterleaver};
 use mimo_baseband::phy::{LinkSimulation, PhyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,7 +81,12 @@ fn ablation_interleaver() {
     );
     let spec = CodeSpec::ieee80211a();
     let il = BlockInterleaver::new(192, 4).expect("valid geometry");
+    // The receiver's fused de-interleave → depuncture scatter (at rate
+    // 1/2 the depuncture is the identity).
+    let fused = FusedDeinterleaver::new(&il, CodeRate::Half.keep_pattern()).expect("valid pattern");
     let dec = ViterbiDecoder::new(spec.clone());
+    let mut ws = ViterbiWorkspace::new();
+    let mut decoded = Vec::new();
     for run in [16usize, 32, 48, 64] {
         let mut with_il = 0usize;
         let mut without_il = 0usize;
@@ -92,10 +97,10 @@ fn ablation_interleaver() {
             let mother = enc.encode_terminated(&info);
             let coded = puncture(&mother, CodeRate::Half);
             // Map over symbols of 192 bits, interleaving each.
-            let tx_il: Vec<u8> = coded
-                .chunks(192)
-                .flat_map(|b| il.interleave(b).expect("sized"))
-                .collect();
+            let mut tx_il = vec![0u8; coded.len()];
+            for (b, out) in coded.chunks(192).zip(tx_il.chunks_mut(192)) {
+                il.interleave_into(b, out).expect("sized");
+            }
             let start = (t * 53) % (tx_il.len() - run);
             let erase = |bits: &[u8]| -> Vec<Llr> {
                 bits.iter()
@@ -110,17 +115,19 @@ fn ablation_interleaver() {
                     .collect()
             };
             // With interleaver: de-interleave before decoding.
-            let rx_il: Vec<Llr> = erase(&tx_il)
-                .chunks(192)
-                .flat_map(|b| il.deinterleave(b).expect("sized"))
-                .collect();
-            let restored = depuncture(&rx_il, CodeRate::Half, mother.len()).expect("len");
-            let decoded = dec.decode_terminated(&restored).expect("decode");
+            let mut restored = vec![0 as Llr; mother.len()];
+            let per_symbol = fused.mother_bits_per_symbol();
+            for (b, out) in erase(&tx_il).chunks(192).zip(restored.chunks_mut(per_symbol)) {
+                for (&llr, &pos) in b.iter().zip(fused.map()) {
+                    out[pos as usize] = llr;
+                }
+            }
+            dec.decode_terminated_into(&restored, &mut ws, &mut decoded).expect("decode");
             with_il += decoded.iter().zip(&info).filter(|(a, b)| a != b).count();
-            // Without interleaver: same erasure run on the raw stream.
+            // Without interleaver: same erasure run on the raw stream
+            // (already in mother order at rate 1/2).
             let rx_raw = erase(&coded);
-            let restored = depuncture(&rx_raw, CodeRate::Half, mother.len()).expect("len");
-            let decoded = dec.decode_terminated(&restored).expect("decode");
+            dec.decode_terminated_into(&rx_raw, &mut ws, &mut decoded).expect("decode");
             without_il += decoded.iter().zip(&info).filter(|(a, b)| a != b).count();
         }
         println!("{:<18}{:>14}{:>18}{:>18}", run, trials, with_il, without_il);

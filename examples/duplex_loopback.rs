@@ -221,14 +221,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s_tx = tx.link().stats();
     let s_rx = rx.link().stats();
     println!(
-        "extended ledger: {} credit stalls · {} credits granted · {} heartbeats sent (tx) / {} received (rx) · {} hellos · {} queue-full rejections · {} queue drops · max queue depth {}/4",
+        "extended ledger: {} credit stalls · {} credits granted · {} heartbeats sent (tx) / {} received (rx) · {} hellos · {} queue-full rejections · max queue depth {}/4",
         s_tx.credit_stalls,
         s_rx.credits_sent,
         tx.stats().heartbeats_sent + rx.stats().heartbeats_sent,
         s_rx.heartbeats_rcvd,
         s_rx.hellos,
         queue_full,
-        tx.link().transmitter().queue_drops(),
         tx.link().transmitter().max_queue_depth(),
     );
     println!(

@@ -148,15 +148,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = tx.link().stats();
     let sup = tx.stats();
     let depth = tx.link().transmitter().max_queue_depth();
-    let drops = tx.link().transmitter().queue_drops();
     println!(
-        "TX-LEDGER bursts={} frames={} samples={} queue_cap={} max_depth={} queue_drops={}",
+        "TX-LEDGER bursts={} frames={} samples={} queue_cap={} max_depth={}",
         plan.len(),
         s.frames_sent,
         s.samples_sent,
         QUEUE_CAP,
         depth,
-        drops,
     );
     println!(
         "TX-LIVENESS stalls={} backpressure={} queue_full_retries={} heartbeats={} watchdog_trips={} attempts={} reconnects={}",

@@ -127,7 +127,7 @@ pub use mimo_fft as fft;
 /// Convolutional encoder, puncturing, Viterbi decoder, scrambler.
 pub use mimo_coding as coding;
 
-/// 802.11a block interleaver / deinterleaver with ping-pong memories.
+/// 802.11a block interleaver / deinterleaver and the fused receive scatter.
 pub use mimo_interleave as interleave;
 
 /// Symbol mapper / demapper (BPSK … 64-QAM, hard and soft).

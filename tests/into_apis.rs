@@ -1,18 +1,22 @@
-//! Property tests: every in-place `_into` hot-path API must match its
-//! allocating counterpart bit for bit on random inputs.
+//! Property tests: where an in-place `_into` hot-path API still has an
+//! allocating counterpart, the two must match bit for bit on random
+//! inputs.
 //!
-//! The workspace refactor rebuilt the TX/RX chains on these variants;
-//! this suite is the contract that the zero-allocation forms are pure
-//! re-plumbings, not behavioral changes.
+//! The allocating side survives only where a product root (an example
+//! or a bench) or a test oracle still calls it: the FFT, the mapper,
+//! the interleaver, the Viterbi decoder, puncturing, the cyclic prefix
+//! and the encoder. APIs whose allocating twin is gone (the demapper,
+//! depuncturing, OFDM symbol modulation) are checked by their own
+//! crates' tests instead.
 
 use mimo_baseband::coding::{
-    depuncture, depuncture_into, puncture, puncture_into, CodeRate, CodeSpec,
-    ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiWorkspace,
+    puncture, puncture_into, CodeRate, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder,
+    ViterbiWorkspace,
 };
 use mimo_baseband::fft::FixedFft;
 use mimo_baseband::fixed::{CQ15, Q15};
 use mimo_baseband::interleave::BlockInterleaver;
-use mimo_baseband::modem::{Modulation, SymbolDemapper, SymbolMapper};
+use mimo_baseband::modem::{Modulation, SymbolMapper};
 use mimo_baseband::ofdm::{
     add_cyclic_prefix, add_cyclic_prefix_into, OfdmModulator, SUPPORTED_FFT_SIZES,
 };
@@ -83,23 +87,6 @@ proptest! {
                 fft.ifft_into(&input, &mut out).unwrap();
                 prop_assert_eq!(out, reference);
             }
-        }
-    }
-
-    /// Demapper: hard and soft `_into` equal the allocating forms.
-    #[test]
-    fn demap_into_matches(values in arb_samples(48)) {
-        for m in Modulation::ALL {
-            let demapper = SymbolDemapper::new(m).unwrap();
-            let bps = m.bits_per_symbol();
-            let hard_ref = demapper.hard_demap(&values);
-            let mut hard = vec![0u8; values.len() * bps];
-            demapper.hard_demap_into(&values, &mut hard);
-            prop_assert_eq!(&hard, &hard_ref, "{} hard", m);
-            let soft_ref = demapper.soft_demap(&values);
-            let mut soft = vec![0; values.len() * bps];
-            demapper.soft_demap_into(&values, &mut soft);
-            prop_assert_eq!(&soft, &soft_ref, "{} soft", m);
         }
     }
 
@@ -174,7 +161,7 @@ proptest! {
         prop_assert_eq!(&out, &reference);
     }
 
-    /// Puncture / depuncture round through the `_into` forms exactly.
+    /// Puncturing: `puncture_into` equals `puncture`.
     #[test]
     fn puncture_into_matches(bits in arb_bits(96), rate_idx in 0usize..3) {
         let rate = CodeRate::ALL[rate_idx];
@@ -185,27 +172,19 @@ proptest! {
         let mut kept = Vec::new();
         puncture_into(mother, rate, &mut kept);
         prop_assert_eq!(&kept, &kept_ref);
-        let soft: Vec<Llr> = kept.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
-        let restored_ref = depuncture(&soft, rate, usable).unwrap();
-        let mut restored = Vec::new();
-        depuncture_into(&soft, rate, usable, &mut restored).unwrap();
-        prop_assert_eq!(restored, restored_ref);
     }
 
-    /// OFDM symbol assembly: `modulate_symbol_into` and
-    /// `add_cyclic_prefix_into` equal the allocating forms.
+    /// Cyclic prefix: `add_cyclic_prefix_into` equals
+    /// `add_cyclic_prefix` on a modulated symbol.
     #[test]
-    fn modulate_into_matches(values in arb_samples(48), sym_idx in 0usize..127) {
+    fn cyclic_prefix_into_matches(values in arb_samples(48), sym_idx in 0usize..127) {
         let tx = OfdmModulator::new(64).unwrap();
-        let reference = tx.modulate_symbol(&values, sym_idx).unwrap();
-        let mut out = vec![CQ15::ZERO; 80];
+        let mut symbol = vec![CQ15::ZERO; 80];
         let mut scratch = vec![CQ15::ZERO; 64];
-        tx.modulate_symbol_into(&values, sym_idx, &mut out, &mut scratch).unwrap();
-        prop_assert_eq!(&out, &reference);
-
-        let cp_ref = add_cyclic_prefix(&reference[16..]);
+        tx.modulate_symbol_into(&values, sym_idx, &mut symbol, &mut scratch).unwrap();
+        let cp_ref = add_cyclic_prefix(&symbol[16..]);
         let mut cp = vec![CQ15::ZERO; 80];
-        add_cyclic_prefix_into(&reference[16..], &mut cp);
+        add_cyclic_prefix_into(&symbol[16..], &mut cp);
         prop_assert_eq!(cp, cp_ref);
     }
 
