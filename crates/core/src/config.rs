@@ -1,8 +1,8 @@
 //! Transceiver configuration, split along the rate-agile seam:
 //!
 //! * [`LinkGeometry`] — the **static** parameter set fixed at
-//!   synthesis/link-bringup time (streams, FFT size, processing
-//!   options). Transmitters and receivers are built from this alone.
+//!   synthesis/link-bringup time (FFT size, processing options).
+//!   Transmitters and receivers are built from this alone.
 //! * [`crate::BurstParams`] — the **per-burst** parameter set (MCS +
 //!   payload length), carried over the air in the SIGNAL-field header.
 //! * [`PhyConfig`] — a geometry plus a default [`Mcs`], the view
@@ -30,12 +30,16 @@ pub(crate) fn host_parallelism() -> usize {
 /// The paper's achieved baseband clock (= sample rate), Hz.
 const CLOCK_HZ: f64 = 100.0e6;
 
+/// Spatial streams (= transmit = receive antennas) of the paper's 4×4
+/// link: the one shape every transmitter and receiver is built for.
+pub(crate) const N_STREAMS: usize = 4;
+
 /// The static link geometry: everything the paper's entities fix
-/// "prior to logic synthesis" that does **not** change per burst —
-/// spatial streams, FFT size and the link-level processing options
-/// (soft decoding, parallelism). The data scrambler is always on. The
-/// baseband clock is the
-/// paper's achieved 100 MHz.
+/// "prior to logic synthesis" that does **not** change per burst — the
+/// FFT size and the link-level processing options (soft decoding,
+/// parallelism). The link is always the paper's four spatial streams
+/// at its achieved 100 MHz baseband clock, and the data scrambler is
+/// always on.
 ///
 /// A receiver built from a `LinkGeometry` alone decodes bursts at
 /// every [`Mcs`] in the table, learning each burst's rate from its
@@ -56,7 +60,6 @@ const CLOCK_HZ: f64 = 100.0e6;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkGeometry {
-    n_streams: usize,
     fft_size: usize,
     soft_decoding: bool,
     /// `None` = auto: parallel exactly when the host has more than one
@@ -69,19 +72,9 @@ impl LinkGeometry {
     /// achieved clock.
     pub fn mimo() -> Self {
         Self {
-            n_streams: 4,
             fft_size: 64,
             soft_decoding: true,
             parallel: None,
-        }
-    }
-
-    /// The 1×1 SISO baseline geometry.
-    // phylint: allow(test_only_api) -- test support: tests/link_adapt.rs
-    pub fn siso() -> Self {
-        Self {
-            n_streams: 1,
-            ..Self::mimo()
         }
     }
 
@@ -124,9 +117,9 @@ impl LinkGeometry {
         Ok(())
     }
 
-    /// Number of spatial streams.
+    /// Number of spatial streams: always the paper's four.
     pub fn n_streams(&self) -> usize {
-        self.n_streams
+        N_STREAMS
     }
 
     /// FFT size.
@@ -239,15 +232,6 @@ impl PhyConfig {
         }
     }
 
-    /// The SISO baseline system (1×1) at the paper's synthesis point.
-    // phylint: allow(test_only_api) -- test support: tests/preamble_pattern.rs
-    pub fn siso() -> Self {
-        Self {
-            geometry: LinkGeometry::siso(),
-            ..Self::paper_synthesis()
-        }
-    }
-
     /// Builds a configuration from a geometry; the default MCS is the
     /// paper's synthesis point (16-QAM r=1/2).
     /// Use [`PhyConfig::with_mcs`] to pick a different default.
@@ -310,11 +294,6 @@ impl PhyConfig {
         self.mcs
     }
 
-    /// Number of spatial streams.
-    pub fn n_streams(&self) -> usize {
-        self.geometry.n_streams()
-    }
-
     /// FFT size.
     pub fn fft_size(&self) -> usize {
         self.geometry.fft_size()
@@ -363,7 +342,7 @@ mod tests {
     fn paper_synthesis_point() {
         let cfg = PhyConfig::paper_synthesis();
         cfg.validate().unwrap();
-        assert_eq!(cfg.n_streams(), 4);
+        assert_eq!(cfg.geometry().n_streams(), 4);
         assert_eq!(cfg.data_carriers(), 48);
         let (mcs, geom) = (cfg.mcs(), cfg.geometry());
         assert_eq!(mcs, Mcs::Qam16R12);
@@ -414,7 +393,6 @@ mod tests {
         assert_eq!(LinkGeometry::mimo().header_symbols(), 2);
         assert_eq!(LinkGeometry::mimo().with_fft_size(128).header_symbols(), 1);
         assert_eq!(LinkGeometry::mimo().with_fft_size(512).header_symbols(), 1);
-        assert_eq!(LinkGeometry::siso().header_symbols(), 2);
     }
 
     #[test]

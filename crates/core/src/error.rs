@@ -55,6 +55,29 @@ pub enum PhyError {
         /// `0..table_len`).
         table_len: u8,
     },
+    /// Fewer decoded header bits than the SIGNAL field holds.
+    SignalTooShort {
+        /// SIGNAL-field bits required.
+        needed: usize,
+        /// Bits supplied.
+        got: usize,
+    },
+    /// The SIGNAL field passed its CRC but announces a payload longer
+    /// than one burst can carry.
+    SignalLengthTooLarge {
+        /// Payload bytes the header announced.
+        length: usize,
+        /// Maximum burst payload, bytes.
+        max: usize,
+    },
+    /// A stream's Viterbi decode yielded fewer bits than the SIGNAL
+    /// field announced for it.
+    ShortStream {
+        /// Information bits the stream decoded to.
+        decoded_bits: usize,
+        /// Payload bytes the SIGNAL field assigned to the stream.
+        announced_bytes: usize,
+    },
     /// Channel estimation / inversion failed.
     Estimation(String),
     /// Decoding failed (frame fields implausible or coding error).
@@ -111,6 +134,20 @@ impl fmt::Display for PhyError {
             PhyError::UnsupportedMcs { index, table_len } => write!(
                 f,
                 "SIGNAL rate index {index} is outside the MCS table (valid: 0..{table_len})"
+            ),
+            PhyError::SignalTooShort { needed, got } => {
+                write!(f, "SIGNAL field needs {needed} bits, got {got}")
+            }
+            PhyError::SignalLengthTooLarge { length, max } => write!(
+                f,
+                "SIGNAL length {length} exceeds the {max}-byte burst maximum"
+            ),
+            PhyError::ShortStream {
+                decoded_bits,
+                announced_bytes,
+            } => write!(
+                f,
+                "stream decoded {decoded_bits} bits, SIGNAL field announced {announced_bytes} bytes"
             ),
             PhyError::Estimation(msg) => write!(f, "channel estimation failed: {msg}"),
             PhyError::Decode(msg) => write!(f, "decode failed: {msg}"),
@@ -185,6 +222,14 @@ mod tests {
         let mcs = PhyError::UnsupportedMcs { index: 12, table_len: 8 };
         assert!(mcs.to_string().contains("12"), "{mcs}");
         assert!(mcs.to_string().contains("0..8"), "{mcs}");
+        let short = PhyError::SignalTooShort { needed: 28, got: 10 };
+        assert!(short.to_string().contains("28") && short.to_string().contains("10"), "{short}");
+        let long = PhyError::SignalLengthTooLarge { length: 40000, max: 32760 };
+        assert!(long.to_string().contains("40000"), "{long}");
+        assert!(long.to_string().contains("32760"), "{long}");
+        let stream = PhyError::ShortStream { decoded_bits: 96, announced_bytes: 13 };
+        assert!(stream.to_string().contains("96 bits"), "{stream}");
+        assert!(stream.to_string().contains("13 bytes"), "{stream}");
         let gap = PhyError::StreamGap { missing: 1280 };
         assert!(gap.to_string().contains("1280"), "{gap}");
         assert!(gap.to_string().contains("discontinuity"), "{gap}");

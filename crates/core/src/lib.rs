@@ -5,9 +5,10 @@
 //!
 //! # The rate-agile API
 //!
-//! * [`LinkGeometry`] — the **static** link parameters (streams, FFT
-//!   size, processing options; the clock is the paper's 100 MHz).
-//!   Transmitters, receivers and pipelines are built from this alone.
+//! * [`LinkGeometry`] — the **static** link parameters (FFT size and
+//!   processing options; the four spatial streams and the paper's
+//!   100 MHz clock are fixed). Transmitters, receivers and pipelines
+//!   are built from this alone.
 //! * [`Mcs`] — the typed modulation-and-coding table (BPSK r=1/2
 //!   through 64-QAM r=3/4) the SIGNAL-field rate index selects, with
 //!   [`Mcs::data_rate_bps`]/[`Mcs::bits_per_symbol`] derived methods.
@@ -39,9 +40,6 @@
 //!   (QRD pipeline) → SIGNAL parse → zero-forcing detect → pilot
 //!   phase/timing correct → demap → deinterleave → Viterbi, ×4
 //!   channels at the announced rate.
-//! * [`SisoTransmitter`] / [`SisoReceiver`] — the 1×1 baseline system
-//!   the paper's resource comparisons reference, sharing the same
-//!   burst framing *and the same per-symbol receive core*.
 //! * [`StreamingReceiver`] — the chunk-driven receiver core:
 //!   [`StreamingReceiver::push_samples`] consumes arbitrary-size
 //!   sample chunks and emits [`ReceivedBurst`]s as they complete,
@@ -123,9 +121,7 @@
 //!   per-symbol payload loops of `transmit_burst_with` /
 //!   `receive_burst` perform no heap allocation at any MCS;
 //!   burst-length-dependent receive buffers grow once per burst and
-//!   keep their capacity. (For single-kit embeddings the subsystem
-//!   crates also support in-place re-init: `SymbolMapper::reconfigure`,
-//!   `BlockInterleaver::reconfigure`.)
+//!   keep their capacity.
 //! * **One thread primitive.** Both schedules below run on one scoped
 //!   crew, the only code in this crate that starts a thread: the
 //!   calling thread is member 0, each other member runs on a scoped
@@ -290,7 +286,6 @@ mod pipeline;
 mod rates;
 mod rx;
 pub mod signal;
-mod siso;
 mod stream;
 mod tx;
 mod txstream;
@@ -303,7 +298,6 @@ pub use link::{AdaptiveBurstRecord, AdaptiveTrace, BerPoint, LinkSimulation};
 pub use mcs::{BurstParams, Mcs};
 pub use pipeline::{BurstPipeline, BurstStreams};
 pub use rx::{ChannelQuality, MimoReceiver, RxDiagnostics, RxResult, EVM_FLOOR_DB};
-pub use siso::{SisoReceiver, SisoTransmitter};
 pub use stream::{ReceivedBurst, StreamingReceiver};
 pub use tx::{MimoTransmitter, TxBurst};
 pub use txstream::StreamingTransmitter;

@@ -11,7 +11,6 @@ use crate::config::PhyConfig;
 use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::rx::{MimoReceiver, RxResult};
-use crate::siso::{SisoReceiver, SisoTransmitter};
 use crate::tx::MimoTransmitter;
 
 /// One measured operating point of a BER sweep.
@@ -125,49 +124,29 @@ impl AdaptiveTrace {
 /// # }
 /// ```
 pub struct LinkSimulation {
-    cfg: PhyConfig,
-    endpoints: Endpoints,
+    tx: MimoTransmitter,
+    rx: MimoReceiver,
     rng: ChaCha8Rng,
 }
 
-/// The transceiver pair under test: exactly one of the two shapes, by
-/// construction — no "neither" or "both" states to defend against.
-enum Endpoints {
-    // Boxed: each endpoint carries its preallocated workspaces, and
-    // the 4×4 pair would otherwise dwarf the 1×1 variant inline.
-    Mimo(Box<MimoTransmitter>, Box<MimoReceiver>),
-    Siso(Box<SisoTransmitter>, Box<SisoReceiver>),
-}
-
 impl LinkSimulation {
-    /// Builds the harness for either a 4×4 or 1×1 configuration.
+    /// Builds the 4×4 transmitter/receiver pair for `cfg`; `seed`
+    /// drives the random payloads.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
     pub fn new(cfg: PhyConfig, seed: u64) -> Result<Self, PhyError> {
-        cfg.validate()?;
-        let endpoints = if cfg.n_streams() == 4 {
-            Endpoints::Mimo(
-                Box::new(MimoTransmitter::new(cfg.clone())?),
-                Box::new(MimoReceiver::new(cfg.clone())?),
-            )
-        } else {
-            Endpoints::Siso(
-                Box::new(SisoTransmitter::new(cfg.clone())?),
-                Box::new(SisoReceiver::new(cfg.clone())?),
-            )
-        };
         Ok(Self {
-            cfg,
-            endpoints,
+            tx: MimoTransmitter::new(cfg.clone())?,
+            rx: MimoReceiver::new(cfg)?,
             rng: ChaCha8Rng::seed_from_u64(seed),
         })
     }
 
     /// The configuration under test.
     pub fn config(&self) -> &PhyConfig {
-        &self.cfg
+        self.tx.config()
     }
 
     /// Runs `bursts` bursts of `payload_bytes` random payload through
@@ -180,14 +159,16 @@ impl LinkSimulation {
     ///
     /// # Errors
     ///
-    /// Returns configuration-level errors only; channel-induced decode
-    /// failures are folded into the counts.
+    /// Returns configuration-level errors only (a payload too large for
+    /// one burst); channel-induced decode failures are folded into the
+    /// counts.
     pub fn run(
         &mut self,
         channel: &mut dyn ChannelModel,
         payload_bytes: usize,
         bursts: u64,
     ) -> Result<BerPoint, PhyError> {
+        let mcs = self.tx.default_mcs();
         let mut point = BerPoint {
             snr_db: None,
             bits: 0,
@@ -197,14 +178,14 @@ impl LinkSimulation {
         };
         for _ in 0..bursts {
             let payload: Vec<u8> = (0..payload_bytes).map(|_| self.rng.gen()).collect();
-            let decoded = self.run_one(channel, &payload);
+            let (_, received) = self.run_one_traced(mcs, channel, &payload)?;
             point.bursts += 1;
             point.bits += 8 * payload.len() as u64;
-            match decoded {
-                Ok(rx) if rx == payload => {}
+            match received {
+                Ok(rx) if rx.payload == payload => {}
                 Ok(rx) => {
                     let tx_bits = bits::bytes_to_bits(&payload);
-                    let rx_bits = bits::bytes_to_bits(&rx);
+                    let rx_bits = bits::bytes_to_bits(&rx.payload);
                     let common = tx_bits.len().min(rx_bits.len());
                     let diff = bits::hamming_distance(&tx_bits[..common], &rx_bits[..common]);
                     let missing = tx_bits.len() - common;
@@ -235,9 +216,9 @@ impl LinkSimulation {
     ///
     /// # Errors
     ///
-    /// Returns configuration-level errors (bad payload size for the
-    /// burst format, stream-count mismatch); channel-induced decode
-    /// failures are folded into the trace as lost bursts.
+    /// Returns configuration-level errors (a payload too large for one
+    /// burst); channel-induced decode failures are folded into the
+    /// trace as lost bursts.
     pub fn run_adaptive(
         &mut self,
         controller: &mut RateController,
@@ -245,7 +226,7 @@ impl LinkSimulation {
         payload_bytes: usize,
         bursts: u64,
     ) -> Result<AdaptiveTrace, PhyError> {
-        let clock_hz = self.cfg.clock_hz();
+        let clock_hz = self.config().clock_hz();
         let mut trace = AdaptiveTrace::default();
         for _ in 0..bursts {
             let mcs = controller.current();
@@ -280,47 +261,9 @@ impl LinkSimulation {
         channel: &mut dyn ChannelModel,
         payload: &[u8],
     ) -> Result<(usize, Result<RxResult, PhyError>), PhyError> {
-        match &mut self.endpoints {
-            Endpoints::Mimo(tx, rx) => {
-                let burst = tx.transmit_burst_with(mcs, payload)?;
-                let tx_samples = burst.streams[0].len();
-                let received = channel.propagate(&burst.streams);
-                Ok((tx_samples, rx.receive_burst(&received)))
-            }
-            Endpoints::Siso(tx, rx) => {
-                let burst = tx.transmit_burst_with(mcs, payload)?;
-                let tx_samples = burst.streams[0].len();
-                let received = channel.propagate(&burst.streams);
-                // An empty channel output is a ChannelModel contract bug,
-                // not a sync failure: surface it as the stream-count error.
-                let stream = received
-                    .into_iter()
-                    .next()
-                    .ok_or(PhyError::BadStreamCount { expected: 1, got: 0 })?;
-                Ok((tx_samples, rx.receive_burst(&stream)))
-            }
-        }
-    }
-
-
-    fn run_one(
-        &mut self,
-        channel: &mut dyn ChannelModel,
-        payload: &[u8],
-    ) -> Result<Vec<u8>, PhyError> {
-        match &mut self.endpoints {
-            Endpoints::Mimo(tx, rx) => {
-                let burst = tx.transmit_burst(payload)?;
-                let received = channel.propagate(&burst.streams);
-                Ok(rx.receive_burst(&received)?.payload)
-            }
-            Endpoints::Siso(tx, rx) => {
-                let burst = tx.transmit_burst(payload)?;
-                let received = channel.propagate(&burst.streams);
-                let stream = received.into_iter().next().ok_or(PhyError::SyncNotFound)?;
-                Ok(rx.receive_burst(&stream)?.payload)
-            }
-        }
+        let burst = self.tx.transmit_burst_with(mcs, payload)?;
+        let received = channel.propagate(&burst.streams);
+        Ok((burst.len_samples(), self.rx.receive_burst(&received)))
     }
 }
 
@@ -352,13 +295,5 @@ mod tests {
         let mut chan = AwgnChannel::new(4, 2.0, 13);
         let point = link.run(&mut chan, 100, 3).unwrap();
         assert!(point.ber() > 0.0, "64-QAM r=3/4 at 2 dB cannot be clean");
-    }
-
-    #[test]
-    fn siso_link_runs() {
-        let mut link = LinkSimulation::new(PhyConfig::siso(), 4).unwrap();
-        let mut chan = IdealChannel::new(1);
-        let point = link.run(&mut chan, 60, 3).unwrap();
-        assert_eq!(point.bit_errors, 0);
     }
 }

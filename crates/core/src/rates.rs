@@ -8,12 +8,6 @@
 //! Per-burst rate changes are then a table index — no allocation, no
 //! LUT rebuild — which is what keeps the steady-state payload loops
 //! zero-allocation even across mixed-rate batches.
-//!
-//! (The subsystem crates also support in-place re-init —
-//! `SymbolMapper::reconfigure`, `BlockInterleaver::reconfigure` — for
-//! embeddings that would rather hold one kit and rewrite it per burst;
-//! the table trades a few KiB of memory for never paying that rebuild
-//! on the hot path.)
 
 use mimo_interleave::{BlockInterleaver, FusedDeinterleaver};
 use mimo_modem::{SymbolDemapper, SymbolMapper};

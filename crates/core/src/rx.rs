@@ -20,19 +20,19 @@
 //!   `RxCore::gather_occ` pulls the occupied carriers out of each
 //!   frame.
 //! * `RxCore::process_symbol` runs one stream × one symbol:
-//!   zero-forcing detection (row `k` of `H⁻¹·r`), then the shared
-//!   [`SymbolPost`] stage — pilot common-phase and timing correction,
-//!   then one fused demap→deinterleave→depuncture scatter that lands
-//!   this symbol's LLRs directly in mother-code (Viterbi branch) order
-//!   in the stream workspace.
-//! * The burst-end bit pipeline ([`decode_bit_pipeline`]), SIGNAL
-//!   parse ([`parse_header_ws`]) and round-robin reassembly
-//!   ([`assemble_payload`]) close a burst.
+//!   zero-forcing detection (row `k` of `H⁻¹·r`), pilot common-phase
+//!   and timing correction, then one fused
+//!   demap→deinterleave→depuncture scatter that lands this symbol's
+//!   LLRs directly in mother-code (Viterbi branch) order in the stream
+//!   workspace.
+//! * The SIGNAL parse (`RxCore::parse_header`), the per-stream Viterbi
+//!   decode and descramble (`RxCore::decode_stream`) and the
+//!   round-robin reassembly ([`assemble_payload`]) close a burst.
 //!
 //! `RxCore` holds the immutable half — rate kits, correlator taps,
-//! estimator, detector, trellis, carrier maps — and every method takes
-//! the scratch it writes as an explicit `&mut` workspace. Each driver
-//! holds one `RxCore` next to the workspaces it owns:
+//! estimator, detector, correctors, trellis, carrier maps — and every
+//! method takes the scratch it writes as an explicit `&mut` workspace.
+//! Each driver holds one `RxCore` next to the workspaces it owns:
 //! [`MimoReceiver`] one workspace, [`BurstPipeline`](crate::BurstPipeline)
 //! one per crew member, [`StreamingReceiver`](crate::StreamingReceiver)
 //! one plus its sample history and sync tracker. The drivers are thin
@@ -73,18 +73,19 @@
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
+use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmDemodulator, SubcarrierMap, FFT_LANES};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
 
-use crate::config::{host_parallelism, LinkGeometry, PhyConfig};
+use crate::config::{host_parallelism, LinkGeometry, PhyConfig, N_STREAMS};
 use crate::crew::fan_out;
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
-use crate::signal::{parse_signal_field, SIGNAL_BITS};
-use crate::tx::SCRAMBLER_SEED;
+use crate::signal::parse_signal_field;
+use crate::tx::{MAX_STREAM_BYTES, SCRAMBLER_SEED};
 use crate::workspace::{RxStreamWorkspace, RxWorkspace};
 
 /// Samples the demodulation windows retreat into the cyclic
@@ -204,18 +205,29 @@ struct FrontInfo {
     shortest: usize,
 }
 
-/// The post-equalization half of the per-symbol receive datapath:
-/// pilot common-phase estimation/correction, feed-forward timing
-/// correction, demap and de-interleave, with optional per-stream
-/// EVM/phase diagnostics. It operates on the equalized occupied
-/// carriers already sitting in `ws.eq`, so the 4×4 chain (after
-/// zero-forcing detection), the 1×1 baseline (after its scalar
-/// equalizer) and the streaming receiver all run **this one
-/// implementation** — symbol for symbol, bit for bit.
+/// The immutable half of the 4×4 receiver: the rate kits, correlator
+/// taps, channel estimator, QRD, detector, pilot correctors, trellis
+/// and carrier maps, plus the stage methods that run on them. Every
+/// method borrows the scratch it writes as an explicit workspace, so
+/// one core serves any number of workspaces — one per
+/// [`MimoReceiver`], one per [`BurstPipeline`](crate::BurstPipeline)
+/// crew member, one per [`StreamingReceiver`](crate::StreamingReceiver).
 #[derive(Debug, Clone)]
-pub(crate) struct SymbolPost {
-    phase: mimo_detect::PilotPhaseCorrector,
-    timing: mimo_detect::TimingCorrector,
+pub(crate) struct RxCore {
+    cfg: PhyConfig,
+    /// SIGNAL-field symbols at the front of every burst.
+    pub(crate) header_symbols: usize,
+    /// One datapath kit per MCS table row.
+    pub(crate) rates: RateTable,
+    /// The fine 32-tap correlator. The batch schedule only scans with
+    /// it (`&self`); the streaming receiver's tracker takes a clone.
+    pub(crate) sync: TimeSynchronizer,
+    estimator: ChannelEstimator,
+    qrd: CordicQrd,
+    detector: ZfDetector,
+    phase: PilotPhaseCorrector,
+    timing: TimingCorrector,
+    viterbi: ViterbiDecoder,
     /// Base pilot signs of the subcarrier map.
     pattern: Vec<i8>,
     /// Positions of data carriers within the occupied-carrier order.
@@ -226,52 +238,130 @@ pub(crate) struct SymbolPost {
     pilot_indices: Vec<i32>,
     /// Logical indices of the occupied carriers.
     occupied: Vec<i32>,
+    /// FFT bin of each occupied carrier (the gather map).
+    occ_bins: Vec<usize>,
     /// Soft (LLR) or hard demapping into the Viterbi decoder.
     soft: bool,
 }
 
-impl SymbolPost {
-    pub(crate) fn new(map: &SubcarrierMap, soft: bool) -> Self {
+impl RxCore {
+    /// Builds the receiver tables for a configuration.
+    pub(crate) fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
+        cfg.validate()?;
+        let geometry = cfg.geometry();
+        let demodulator = OfdmDemodulator::new(geometry.fft_size())?;
+        let map = demodulator.map();
+        let taps = sync_reference(demodulator.fft(), map, DEFAULT_AMPLITUDE)?;
+        let sync = TimeSynchronizer::new(taps, DEFAULT_THRESHOLD_FACTOR)
+            .map_err(|e| PhyError::BadConfig(e.to_string()))?;
         let (data_pos, pilot_pos, occupied) = carrier_positions(map);
-        let pilot_indices = pilot_pos.iter().map(|&p| occupied[p]).collect();
-        Self {
-            phase: mimo_detect::PilotPhaseCorrector::new(),
-            timing: mimo_detect::TimingCorrector::new(),
+        Ok(Self {
+            header_symbols: geometry.header_symbols(),
+            rates: RateTable::new(geometry)?,
+            sync,
+            estimator: ChannelEstimator::new(geometry.fft_size())?,
+            qrd: CordicQrd::new(),
+            detector: ZfDetector::new(),
+            phase: PilotPhaseCorrector::new(),
+            timing: TimingCorrector::new(),
+            viterbi: ViterbiDecoder::new(CodeSpec::ieee80211a()),
             pattern: map.pilot_pattern().to_vec(),
+            pilot_indices: pilot_pos.iter().map(|&p| occupied[p]).collect(),
+            occ_bins: occupied.iter().map(|&l| map.bin(l)).collect(),
             data_pos,
             pilot_pos,
-            pilot_indices,
             occupied,
-            soft,
-        }
+            soft: geometry.soft_decoding(),
+            cfg,
+        })
     }
 
-    /// Occupied carriers per symbol.
+    /// A workspace sized for this receiver's carrier geometry at the
+    /// max-MCS envelope.
+    pub(crate) fn workspace(&self) -> RxWorkspace {
+        RxWorkspace::new(
+            self.cfg.geometry(),
+            self.rates.max_coded_bits_per_symbol(),
+            self.occupied.len(),
+            self.pilot_pos.len(),
+        )
+    }
+
+    /// The configuration in use.
+    pub(crate) fn config(&self) -> &PhyConfig {
+        &self.cfg
+    }
+
+    /// The static link geometry.
+    pub(crate) fn geometry(&self) -> &LinkGeometry {
+        self.cfg.geometry()
+    }
+
+    /// Occupied carriers per OFDM symbol.
     pub(crate) fn n_occupied(&self) -> usize {
         self.occupied.len()
     }
 
-    /// Pilot carriers per symbol.
-    pub(crate) fn n_pilots(&self) -> usize {
-        self.pilot_pos.len()
+    /// Gathers the occupied carriers out of one FFT frame, in the
+    /// canonical occupied order — the single gather map every receive
+    /// mode uses.
+    pub(crate) fn gather_occ(&self, frame: &[CQ15], dst: &mut [CQ15]) {
+        for (d, &bin) in dst.iter_mut().zip(&self.occ_bins) {
+            *d = frame[bin];
+        }
     }
 
-    /// Runs the stage over `ws.eq` for absolute symbol index `sym`
-    /// (the pilot polarity index), scattering this symbol's LLRs
-    /// straight into their mother-code positions of `ws.stream_llrs`
-    /// through the kit's fused deinterleave+depuncture table — demap,
-    /// de-interleave and depuncture in **one pass**. Zero heap
-    /// allocation: every buffer lives in `ws` (sized by
-    /// `begin_stream_pass` for the burst) and is reused across symbols
-    /// and bursts.
-    pub(crate) fn run(
+    /// Estimates and inverts the 4×4 channel from the staggered LTS
+    /// views (`lts_views[rx][slot]`, each `2·N` samples).
+    pub(crate) fn estimate_channel(
         &self,
+        lts_views: &[[&[CQ15]; 4]; 4],
+    ) -> Result<Vec<FxMat4>, PhyError> {
+        let estimate = self.estimator.estimate(lts_views)?;
+        Ok(estimate.invert_all(&self.qrd)?)
+    }
+
+    /// Resets a stream workspace for a fresh accumulation pass of
+    /// `n_syms` symbols at `kit`'s rate: zeroes the diagnostics
+    /// accumulators and sizes + pre-zeroes the mother-code LLR stream
+    /// the fused per-symbol scatter fills (the zero fill is the
+    /// depuncturer's erasure insertion — see
+    /// [`mimo_interleave::FusedDeinterleaver`]).
+    pub(crate) fn begin_stream_pass(ws: &mut RxStreamWorkspace, n_syms: usize, kit: &RateKit) {
+        ws.evm_num = 0.0;
+        ws.evm_den = 0.0;
+        ws.phase_acc = 0.0;
+        ws.pass_fill = 0;
+        ws.stream_llrs.clear();
+        ws.stream_llrs.resize(n_syms * kit.mother_bits_per_symbol(), 0);
+    }
+
+    /// One stream × one symbol of the per-symbol core: row `k` of the
+    /// zero-forcing detection over this symbol's gathered carriers
+    /// (`rx_occ[a]` = antenna `a`'s occupied carriers), pilot
+    /// common-phase and feed-forward timing correction, then this
+    /// symbol's LLRs scattered straight into their mother-code
+    /// positions of `ws.stream_llrs` through the kit's fused
+    /// deinterleave+depuncture table — demap, de-interleave and
+    /// depuncture in **one pass**, with optional EVM/phase
+    /// diagnostics. `sym` is the absolute symbol index after the LTS
+    /// (= pilot polarity index). Zero heap allocation: every buffer
+    /// lives in `ws` (sized by `begin_stream_pass` for the burst) and
+    /// is reused across symbols and bursts.
+    // phylint: hot
+    #[allow(clippy::too_many_arguments)] // one argument per pipeline input
+    pub(crate) fn process_symbol(
+        &self,
+        k: usize,
+        ws: &mut RxStreamWorkspace,
+        rx_occ: &[&[CQ15]; 4],
+        h_inv: &[FxMat4],
         kit: &RateKit,
         sym: usize,
         collect_diag: bool,
-        ws: &mut RxStreamWorkspace,
     ) -> Result<(), PhyError> {
-        let ncbps = kit.coded_bits_per_symbol();
+        self.detector
+            .detect_stream_into(h_inv, rx_occ, k, &mut ws.eq)?;
 
         // Common phase from the de-scrambled pilot average.
         let polarity = mimo_coding::pilot_polarity(sym);
@@ -319,7 +409,7 @@ impl SymbolPost {
             kit.demapper
                 .soft_demap_scatter_into(&ws.data, kit.fused.map(), out);
         } else {
-            let hard = &mut ws.hard_bits[..ncbps];
+            let hard = &mut ws.hard_bits[..kit.coded_bits_per_symbol()];
             kit.demapper.hard_demap_into(&ws.data, hard);
             for (&bit, &pos) in hard.iter().zip(kit.fused.map()) {
                 out[pos as usize] = hard_to_llr(bit);
@@ -327,154 +417,6 @@ impl SymbolPost {
         }
         ws.pass_fill += mps;
         Ok(())
-    }
-}
-
-/// The immutable half of the 4×4 receiver: the rate kits, correlator
-/// taps, channel estimator, QRD, detector, trellis and carrier maps,
-/// plus the stage methods that run on them. Every method borrows the
-/// scratch it writes as an explicit workspace, so one core serves any
-/// number of workspaces — one per [`MimoReceiver`], one per
-/// [`BurstPipeline`](crate::BurstPipeline) crew member, one per
-/// [`StreamingReceiver`](crate::StreamingReceiver).
-#[derive(Debug, Clone)]
-pub(crate) struct RxCore {
-    cfg: PhyConfig,
-    /// SIGNAL-field symbols at the front of every burst.
-    pub(crate) header_symbols: usize,
-    /// One datapath kit per MCS table row.
-    pub(crate) rates: RateTable,
-    /// The fine 32-tap correlator. The batch schedule only scans with
-    /// it (`&self`); the streaming receiver's tracker takes a clone.
-    pub(crate) sync: TimeSynchronizer,
-    estimator: ChannelEstimator,
-    qrd: CordicQrd,
-    detector: mimo_detect::ZfDetector,
-    pub(crate) viterbi: ViterbiDecoder,
-    /// The shared post-equalization per-symbol stage.
-    post: SymbolPost,
-    /// FFT bin of each occupied carrier (the gather map).
-    occ_bins: Vec<usize>,
-}
-
-impl RxCore {
-    /// Builds the tables for a 4-stream configuration.
-    pub(crate) fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
-        cfg.validate()?;
-        if cfg.n_streams() != 4 {
-            return Err(PhyError::BadConfig(format!(
-                "MimoReceiver requires 4 streams, got {}",
-                cfg.n_streams()
-            )));
-        }
-        let geometry = cfg.geometry();
-        let demodulator = OfdmDemodulator::new(geometry.fft_size())?;
-        let taps = sync_reference(demodulator.fft(), demodulator.map(), DEFAULT_AMPLITUDE)?;
-        let sync = TimeSynchronizer::new(taps, DEFAULT_THRESHOLD_FACTOR)
-            .map_err(|e| PhyError::BadConfig(e.to_string()))?;
-        let estimator = ChannelEstimator::new(geometry.fft_size())?;
-        let rates = RateTable::new(geometry)?;
-        let viterbi = ViterbiDecoder::new(CodeSpec::ieee80211a());
-        let post = SymbolPost::new(demodulator.map(), geometry.soft_decoding());
-        let occ_bins = post
-            .occupied
-            .iter()
-            .map(|&l| demodulator.map().bin(l))
-            .collect();
-        Ok(Self {
-            header_symbols: geometry.header_symbols(),
-            cfg,
-            rates,
-            sync,
-            estimator,
-            qrd: CordicQrd::new(),
-            detector: mimo_detect::ZfDetector::new(),
-            viterbi,
-            post,
-            occ_bins,
-        })
-    }
-
-    /// A workspace sized for this receiver's carrier geometry at the
-    /// max-MCS envelope.
-    pub(crate) fn workspace(&self) -> RxWorkspace {
-        RxWorkspace::new(
-            self.cfg.geometry(),
-            self.rates.max_coded_bits_per_symbol(),
-            self.post.n_occupied(),
-            self.post.n_pilots(),
-        )
-    }
-
-    /// The configuration in use.
-    pub(crate) fn config(&self) -> &PhyConfig {
-        &self.cfg
-    }
-
-    /// The static link geometry.
-    pub(crate) fn geometry(&self) -> &LinkGeometry {
-        self.cfg.geometry()
-    }
-
-    /// Occupied carriers per OFDM symbol.
-    pub(crate) fn n_occupied(&self) -> usize {
-        self.post.n_occupied()
-    }
-
-    /// Gathers the occupied carriers out of one FFT frame, in the
-    /// canonical occupied order — the single gather map every receive
-    /// mode uses.
-    pub(crate) fn gather_occ(&self, frame: &[CQ15], dst: &mut [CQ15]) {
-        for (d, &bin) in dst.iter_mut().zip(&self.occ_bins) {
-            *d = frame[bin];
-        }
-    }
-
-    /// Estimates and inverts the 4×4 channel from the staggered LTS
-    /// views (`lts_views[rx][slot]`, each `2·N` samples).
-    pub(crate) fn estimate_channel(
-        &self,
-        lts_views: &[[&[CQ15]; 4]; 4],
-    ) -> Result<Vec<FxMat4>, PhyError> {
-        let estimate = self.estimator.estimate(lts_views)?;
-        Ok(estimate.invert_all(&self.qrd)?)
-    }
-
-    /// Resets a stream workspace for a fresh accumulation pass of
-    /// `n_syms` symbols at `kit`'s rate: zeroes the diagnostics
-    /// accumulators and sizes + pre-zeroes the mother-code LLR stream
-    /// the fused per-symbol scatter fills (the zero fill is the
-    /// depuncturer's erasure insertion — see
-    /// [`mimo_interleave::FusedDeinterleaver`]).
-    pub(crate) fn begin_stream_pass(ws: &mut RxStreamWorkspace, n_syms: usize, kit: &RateKit) {
-        ws.evm_num = 0.0;
-        ws.evm_den = 0.0;
-        ws.phase_acc = 0.0;
-        ws.pass_fill = 0;
-        ws.stream_llrs.clear();
-        ws.stream_llrs.resize(n_syms * kit.mother_bits_per_symbol(), 0);
-    }
-
-    /// One stream × one symbol of the per-symbol core: row `k` of the
-    /// zero-forcing detection over this symbol's gathered carriers
-    /// (`rx_occ[a]` = antenna `a`'s occupied carriers), then the
-    /// shared [`SymbolPost`] stage. `sym` is the absolute symbol index
-    /// after the LTS (= pilot polarity index).
-    // phylint: hot
-    #[allow(clippy::too_many_arguments)] // one argument per pipeline input
-    pub(crate) fn process_symbol(
-        &self,
-        k: usize,
-        ws: &mut RxStreamWorkspace,
-        rx_occ: &[&[CQ15]; 4],
-        h_inv: &[FxMat4],
-        kit: &RateKit,
-        sym: usize,
-        collect_diag: bool,
-    ) -> Result<(), PhyError> {
-        self.detector
-            .detect_stream_into(h_inv, rx_occ, k, &mut ws.eq)?;
-        self.post.run(kit, sym, collect_diag, ws)
     }
     // phylint: end-hot
 
@@ -507,9 +449,9 @@ impl RxCore {
     where
         S: AsRef<[CQ15]> + Sync,
     {
-        if streams.len() != 4 {
+        if streams.len() != N_STREAMS {
             return Err(PhyError::BadStreamCount {
-                expected: 4,
+                expected: N_STREAMS,
                 got: streams.len(),
             });
         }
@@ -643,8 +585,7 @@ impl RxCore {
 
         // --- SIGNAL field: stream 0, symbols 0..h, BPSK r=1/2. ---
         self.run_stream_symbols(0, header, &freq, &front.h_inv, self.rates.header_kit(), 0, h, false)?;
-        let max = self.cfg.n_streams() * crate::tx::MAX_STREAM_BYTES;
-        let params = parse_header_ws(&self.viterbi, header, max)?;
+        let params = self.parse_header(header)?;
         let n_symbols = params.payload_symbols(geometry);
         if front.available < h + n_symbols {
             return Err(PhyError::TruncatedBurst {
@@ -656,14 +597,13 @@ impl RxCore {
         // --- Payload: all streams, symbols h..h+n, announced MCS,
         // each stream decoded by whichever schedule ran its symbols. ---
         let kit = self.rates.kit(params.mcs);
-        let n_streams = geometry.n_streams();
         let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
             self.run_stream_symbols(k, ws, &freq, &front.h_inv, kit, h, n_symbols, true)?;
-            self.decode_stream(params.stream_bytes(k, n_streams), ws)
+            self.decode_stream(params.stream_bytes(k, N_STREAMS), ws)
         };
         fan_out(width, stream_ws, run_stream)?;
 
-        let payload = assemble_payload(&params, n_streams, stream_ws)?;
+        let payload = assemble_payload(&params, stream_ws)?;
         Ok(finish_result(front.event, params.mcs, n_symbols, stream_ws, payload))
     }
 
@@ -697,23 +637,46 @@ impl RxCore {
         Ok(())
     }
 
+    /// Decodes the SIGNAL-field LLRs accumulated in `ws` and parses the
+    /// burst parameters (rate index, length, CRC), rejecting lengths
+    /// beyond what the four streams of one burst can carry — the one
+    /// header parse of the batch and streaming receivers.
+    pub(crate) fn parse_header(&self, ws: &mut RxStreamWorkspace) -> Result<BurstParams, PhyError> {
+        self.viterbi
+            .decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
+        // The SIGNAL field is never scrambled: parse the bits as-is.
+        let params = parse_signal_field(&ws.decoded)?;
+        let max = N_STREAMS * MAX_STREAM_BYTES;
+        if params.length > max {
+            return Err(PhyError::SignalLengthTooLarge {
+                length: params.length,
+                max,
+            });
+        }
+        Ok(params)
+    }
+
     /// One stream's bit pipeline, inverse of the transmitter's:
-    /// Viterbi over the already-mother-ordered LLR stream → descramble
-    /// → exactly the byte count the SIGNAL field announced, all in
-    /// workspace buffers.
+    /// Viterbi over the mother-ordered LLR stream (the fused
+    /// per-symbol scatter already de-interleaved and depunctured it) →
+    /// descramble → exactly the bytes the SIGNAL field announced for
+    /// this stream, all in workspace buffers.
     pub(crate) fn decode_stream(
         &self,
         expect_bytes: usize,
         ws: &mut RxStreamWorkspace,
     ) -> Result<(), PhyError> {
-        decode_bit_pipeline(
-            expect_bytes,
-            &self.viterbi,
-            &ws.stream_llrs,
-            &mut ws.viterbi,
-            &mut ws.decoded,
-            &mut ws.bytes,
-        )
+        self.viterbi
+            .decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
+        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut ws.decoded);
+        if ws.decoded.len() < 8 * expect_bytes {
+            return Err(PhyError::ShortStream {
+                decoded_bits: ws.decoded.len(),
+                announced_bytes: expect_bytes,
+            });
+        }
+        bits::bits_to_bytes_into(&ws.decoded[..8 * expect_bytes], &mut ws.bytes);
+        Ok(())
     }
 }
 
@@ -791,39 +754,11 @@ impl MimoReceiver {
     }
 }
 
-/// Decodes the SIGNAL-field LLRs accumulated in `ws` and parses the
-/// burst parameters (rate index, length, CRC), rejecting lengths
-/// beyond `max_bytes` — the single header parse shared by the MIMO,
-/// SISO and streaming receivers.
-pub(crate) fn parse_header_ws(
-    viterbi: &ViterbiDecoder,
-    ws: &mut RxStreamWorkspace,
-    max_bytes: usize,
-) -> Result<BurstParams, PhyError> {
-    viterbi.decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
-    // The SIGNAL field is never scrambled: parse the bits as-is.
-    if ws.decoded.len() < SIGNAL_BITS {
-        return Err(PhyError::Decode(
-            "header shorter than the SIGNAL field".into(),
-        ));
-    }
-    let params = parse_signal_field(&ws.decoded)?;
-    if params.length > max_bytes {
-        // phylint: allow(hot_transitive) -- error path: allocates only when the burst is already being rejected
-        return Err(PhyError::Decode(format!(
-            "SIGNAL length {} exceeds the {max_bytes}-byte burst maximum",
-            params.length
-        )));
-    }
-    Ok(params)
-}
-
 /// Round-robin byte reassembly of the per-stream decoded payloads —
 /// the inverse of the transmitter's split, shared by the batch and
 /// streaming burst closers.
 pub(crate) fn assemble_payload(
     params: &BurstParams,
-    n_streams: usize,
     stream_ws: &[RxStreamWorkspace],
 ) -> Result<Vec<u8>, PhyError> {
     // phylint: allow(hot_transitive) -- borrows per-stream slices once per completed burst, not per sample
@@ -832,9 +767,9 @@ pub(crate) fn assemble_payload(
     debug_assert_eq!(total, params.length);
     // phylint: allow(hot_transitive) -- sizes the output payload once per completed burst
     let mut payload = Vec::with_capacity(total);
-    let mut cursors = [0usize; 4];
+    let mut cursors = [0usize; N_STREAMS];
     for i in 0..total {
-        let s = i % n_streams;
+        let s = i % N_STREAMS;
         let Some(&b) = per_stream_bytes[s].get(cursors[s]) else {
             return Err(PhyError::Decode(
                 "stream lengths inconsistent with round-robin split".into(),
@@ -921,35 +856,6 @@ fn evm_contribution(kit: &RateKit, ws: &mut RxStreamWorkspace) -> Result<(f64, f
         den += Cf64::from_fixed(want).norm_sqr();
     }
     Ok((num, den))
-}
-
-/// The per-stream payload bit pipeline shared by the MIMO, SISO and
-/// streaming receivers: Viterbi over the mother-ordered LLR stream
-/// (the fused per-symbol scatter already de-interleaved and
-/// depunctured it) → descramble → exactly the bytes the SIGNAL field
-/// announced for this stream, entirely in caller-owned buffers. One
-/// owner of the burst framing so the 1×1 baseline cannot drift from
-/// the 4×4 chain.
-pub(crate) fn decode_bit_pipeline(
-    expect_bytes: usize,
-    viterbi: &ViterbiDecoder,
-    llrs: &[mimo_coding::Llr],
-    viterbi_ws: &mut mimo_coding::ViterbiWorkspace,
-    decoded: &mut Vec<u8>,
-    bytes: &mut Vec<u8>,
-) -> Result<(), PhyError> {
-    viterbi.decode_terminated_into(llrs, viterbi_ws, decoded)?;
-    Scrambler::new(SCRAMBLER_SEED).scramble_in_place(decoded);
-    if decoded.len() < 8 * expect_bytes {
-        // phylint: allow(hot_transitive) -- error path of a burst that failed to decode
-        return Err(PhyError::Decode(format!(
-            "stream decoded {} bits, SIGNAL field announced {} bytes",
-            decoded.len(),
-            expect_bytes
-        )));
-    }
-    bits::bits_to_bytes_into(&decoded[..8 * expect_bytes], bytes);
-    Ok(())
 }
 
 /// Splits the occupied-carrier order into data and pilot positions.

@@ -81,15 +81,14 @@ pub fn encode_signal_field(params: &BurstParams, out: &mut Vec<u8>) -> Result<()
 ///   was corrupted in flight; nothing downstream of it is decoded).
 /// * [`PhyError::UnsupportedMcs`] when the CRC passes but the rate
 ///   index is one of the reserved values 8–15.
-/// * [`PhyError::Decode`] when fewer than [`SIGNAL_BITS`] bits are
-///   supplied.
+/// * [`PhyError::SignalTooShort`] when fewer than [`SIGNAL_BITS`]
+///   bits are supplied.
 pub fn parse_signal_field(bits: &[u8]) -> Result<BurstParams, PhyError> {
     if bits.len() < SIGNAL_BITS {
-        // phylint: allow(hot_transitive) -- error path: allocates only when the SIGNAL field is already invalid
-        return Err(PhyError::Decode(format!(
-            "SIGNAL field needs {SIGNAL_BITS} bits, got {}",
-            bits.len()
-        )));
+        return Err(PhyError::SignalTooShort {
+            needed: SIGNAL_BITS,
+            got: bits.len(),
+        });
     }
     let payload_bits = SIGNAL_RATE_BITS + SIGNAL_LENGTH_BITS;
     let expected = mimo_coding::bits::crc8_bits(&bits[..payload_bits]);
@@ -191,9 +190,9 @@ mod tests {
 
     #[test]
     fn short_input_is_a_decode_error() {
-        assert!(matches!(
+        assert_eq!(
             parse_signal_field(&[0; 10]),
-            Err(PhyError::Decode(_))
-        ));
+            Err(PhyError::SignalTooShort { needed: SIGNAL_BITS, got: 10 })
+        );
     }
 }

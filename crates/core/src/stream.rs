@@ -90,12 +90,10 @@ use mimo_chanest::FxMat4;
 use mimo_fixed::CQ15;
 use mimo_sync::{SyncEvent, SyncTracker};
 
-use crate::config::{LinkGeometry, PhyConfig};
+use crate::config::{LinkGeometry, PhyConfig, N_STREAMS};
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
-use crate::rx::{
-    assemble_payload, finish_result, parse_header_ws, RxCore, RxResult, WINDOW_BACKOFF,
-};
+use crate::rx::{assemble_payload, finish_result, RxCore, RxResult, WINDOW_BACKOFF};
 use crate::workspace::RxWorkspace;
 
 /// History retained behind the read position while searching: enough
@@ -180,13 +178,12 @@ impl StreamingReceiver {
     /// Returns [`PhyError::BadConfig`] for invalid configurations.
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         let core = RxCore::new(cfg)?;
-        let n_streams = core.geometry().n_streams();
-        let tracker = SyncTracker::from_correlator(core.sync.clone(), n_streams);
+        let tracker = SyncTracker::from_correlator(core.sync.clone(), N_STREAMS);
         let ws = core.workspace();
         Ok(Self {
             tracker,
             tracker_fed: 0,
-            hist: (0..n_streams).map(|_| Vec::new()).collect(),
+            hist: (0..N_STREAMS).map(|_| Vec::new()).collect(),
             hist_base: 0,
             pos: 0,
             ws,
@@ -325,7 +322,6 @@ impl StreamingReceiver {
         let n = geometry.fft_size();
         let field = 5 * n / 2;
         let sym_len = geometry.symbol_samples();
-        let n_streams = geometry.n_streams();
         let h_syms = self.core.header_symbols;
         loop {
             match std::mem::replace(&mut self.phase, Phase::Searching) {
@@ -442,15 +438,13 @@ impl StreamingReceiver {
                         self.phase = Phase::HeaderDecode { ctx, sym };
                         continue;
                     }
-                    let max = n_streams * crate::tx::MAX_STREAM_BYTES;
-                    let params =
-                        match parse_header_ws(&self.core.viterbi, &mut self.ws.header, max) {
-                            Ok(params) => params,
-                            Err(e) => {
-                                self.abort_search_at(ctx.data_start);
-                                return Err(e);
-                            }
-                        };
+                    let params = match self.core.parse_header(&mut self.ws.header) {
+                        Ok(params) => params,
+                        Err(e) => {
+                            self.abort_search_at(ctx.data_start);
+                            return Err(e);
+                        }
+                    };
                     let n_symbols = params.payload_symbols(&geometry);
                     let kit = self.core.rates.kit(params.mcs);
                     for ws in &mut self.ws.streams {
@@ -510,9 +504,9 @@ impl StreamingReceiver {
                     let result: Result<RxResult, PhyError> = (|| {
                         for (k, ws) in self.ws.streams.iter_mut().enumerate() {
                             self.core
-                                .decode_stream(params.stream_bytes(k, n_streams), ws)?;
+                                .decode_stream(params.stream_bytes(k, N_STREAMS), ws)?;
                         }
-                        let payload = assemble_payload(&params, n_streams, &self.ws.streams)?;
+                        let payload = assemble_payload(&params, &self.ws.streams)?;
                         Ok(finish_result(
                             ctx.event,
                             params.mcs,

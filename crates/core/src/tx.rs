@@ -13,7 +13,7 @@ use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmModulator, FFT_LANES};
 
-use crate::config::{host_parallelism, PhyConfig};
+use crate::config::{host_parallelism, PhyConfig, N_STREAMS};
 use crate::crew::fan_out;
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
@@ -91,25 +91,30 @@ pub struct MimoTransmitter {
 }
 
 impl MimoTransmitter {
-    /// Builds the transmitter for a 4-stream configuration. The
-    /// configuration's MCS is the **default** for
-    /// [`MimoTransmitter::transmit_burst`];
+    /// Builds the four-stream transmitter. The configuration's MCS is
+    /// the **default** for [`MimoTransmitter::transmit_burst`];
     /// [`MimoTransmitter::transmit_burst_with`] overrides it per burst.
     ///
     /// # Errors
     ///
-    /// Returns [`PhyError::BadConfig`] for invalid configurations
-    /// (including `n_streams != 4`; use [`crate::SisoTransmitter`] for
-    /// the baseline).
+    /// Returns [`PhyError::BadConfig`] for invalid configurations.
     pub fn new(cfg: PhyConfig) -> Result<Self, PhyError> {
         cfg.validate()?;
-        if cfg.n_streams() != 4 {
-            return Err(PhyError::BadConfig(format!(
-                "MimoTransmitter requires 4 streams, got {}",
-                cfg.n_streams()
-            )));
-        }
-        Self::build(cfg)
+        let default_mcs = cfg.mcs();
+        let rates = RateTable::new(cfg.geometry())?;
+        let modulator = OfdmModulator::new(cfg.fft_size())?;
+        let schedule = PreambleSchedule::new(N_STREAMS, cfg.fft_size());
+        let sts = sts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
+        let lts = lts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
+        Ok(Self {
+            cfg,
+            default_mcs,
+            rates,
+            modulator,
+            schedule,
+            sts,
+            lts,
+        })
     }
 
     /// Builds a transmitter from the static link geometry alone; the
@@ -122,24 +127,6 @@ impl MimoTransmitter {
     /// Identical to [`MimoTransmitter::new`].
     pub fn from_geometry(geometry: crate::LinkGeometry) -> Result<Self, PhyError> {
         Self::new(PhyConfig::from_geometry(geometry))
-    }
-
-    pub(crate) fn build(cfg: PhyConfig) -> Result<Self, PhyError> {
-        let default_mcs = cfg.mcs();
-        let rates = RateTable::new(cfg.geometry())?;
-        let modulator = OfdmModulator::new(cfg.fft_size())?;
-        let schedule = PreambleSchedule::new(cfg.n_streams(), cfg.fft_size());
-        let sts = sts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
-        let lts = lts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
-        Ok(Self {
-            cfg,
-            default_mcs,
-            rates,
-            modulator,
-            schedule,
-            sts,
-            lts,
-        })
     }
 
     /// The configuration in use.
@@ -161,7 +148,7 @@ impl MimoTransmitter {
     /// Maximum payload bytes per burst (bounded by the SIGNAL field's
     /// 16-bit length).
     pub fn max_payload(&self) -> usize {
-        (MAX_STREAM_BYTES * self.cfg.n_streams()).min(u16::MAX as usize)
+        (MAX_STREAM_BYTES * N_STREAMS).min(u16::MAX as usize)
     }
 
     /// Transmits one burst at the configuration's default MCS: a thin
@@ -186,7 +173,6 @@ impl MimoTransmitter {
     /// [`MimoTransmitter::max_payload`].
     pub fn transmit_burst_with(&self, mcs: Mcs, payload: &[u8]) -> Result<TxBurst, PhyError> {
         let geometry = self.cfg.geometry();
-        let n_streams = geometry.n_streams();
         if payload.len() > self.max_payload() {
             return Err(PhyError::PayloadTooLarge {
                 got: payload.len(),
@@ -198,9 +184,9 @@ impl MimoTransmitter {
             length: payload.len(),
         };
         // Round-robin byte split.
-        let mut per_stream: Vec<Vec<u8>> = vec![Vec::new(); n_streams];
+        let mut per_stream: Vec<Vec<u8>> = vec![Vec::new(); N_STREAMS];
         for (i, &b) in payload.iter().enumerate() {
-            per_stream[i % n_streams].push(b);
+            per_stream[i % N_STREAMS].push(b);
         }
         let n_symbols = params.payload_symbols(geometry);
         let header_symbols = geometry.header_symbols();
@@ -213,8 +199,7 @@ impl MimoTransmitter {
         let sym_len = geometry.symbol_samples();
         let header_len = header_symbols * sym_len;
         let data_len = n_symbols * sym_len;
-        let mut streams =
-            vec![vec![CQ15::ZERO; pre_len + header_len + data_len]; n_streams];
+        let mut streams = vec![vec![CQ15::ZERO; pre_len + header_len + data_len]; N_STREAMS];
         for slot in self.schedule.slots() {
             let field = match slot.kind {
                 mimo_ofdm::preamble::FieldKind::Sts => &self.sts,

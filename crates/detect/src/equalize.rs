@@ -1,4 +1,4 @@
-//! Zero-forcing MIMO detection and the SISO per-carrier equalizer.
+//! Zero-forcing MIMO detection.
 
 use std::error::Error;
 use std::fmt;
@@ -252,78 +252,6 @@ unsafe fn detect_avx2(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &
 }
 // phylint: end-hot
 
-/// The SISO baseline equalizer: "the corresponding channel estimate is
-/// read from the channel estimation memory block and equalization is
-/// performed on a carrier-per-carrier basis via a single complex
-/// multiplication."
-///
-/// Construction pre-computes `1/h` per carrier so the run-time work is
-/// exactly one complex multiply, as in the hardware.
-#[derive(Debug, Clone)]
-pub struct SisoEqualizer {
-    inv_h: Vec<CQ16>,
-}
-
-impl SisoEqualizer {
-    /// Builds the equalizer from per-carrier channel estimates.
-    /// Carriers whose estimate is numerically zero get a zero
-    /// coefficient (data on them is erased rather than amplified).
-    pub fn new(h: &[CQ16]) -> Self {
-        let inv_h = h
-            .iter()
-            .map(|&v| {
-                let d = v.norm_sqr();
-                if d.raw() == 0 {
-                    CFx::ZERO
-                } else {
-                    let c = v.conj();
-                    CFx::new(c.re.div(d), c.im.div(d))
-                }
-            })
-            .collect();
-        Self { inv_h }
-    }
-
-    /// Number of carriers.
-    pub fn len(&self) -> usize {
-        self.inv_h.len()
-    }
-
-    /// `true` if built over zero carriers.
-    pub fn is_empty(&self) -> bool {
-        self.inv_h.is_empty()
-    }
-
-    /// Equalizes one symbol's occupied carriers into a caller-provided
-    /// buffer — the per-symbol hot-path form the receiver workspaces
-    /// use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::CarrierMismatch`] on length mismatch.
-    pub fn equalize_into(&self, carriers: &[CQ15], out: &mut [CQ15]) -> Result<(), DetectError> {
-        if carriers.len() != self.inv_h.len() {
-            return Err(DetectError::CarrierMismatch {
-                expected: self.inv_h.len(),
-                got: carriers.len(),
-            });
-        }
-        if out.len() != self.inv_h.len() {
-            return Err(DetectError::CarrierMismatch {
-                expected: self.inv_h.len(),
-                got: out.len(),
-            });
-        }
-        for ((dst, &r), &coeff) in out.iter_mut().zip(carriers).zip(&self.inv_h) {
-            let wide: CQ16 = r.convert();
-            let eq = wide * coeff;
-            let narrow: CFx<15> = eq.convert();
-            *dst = narrow.saturate_bits(SAMPLE_BITS);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,38 +476,5 @@ mod tests {
             assert!(!within_limits(&h_inv, &rx, 0));
             assert_lanes_match_scalar(&h_inv, &rx, &format!("2^30 rx, {carriers} carriers"));
         }
-    }
-
-    #[test]
-    fn siso_equalizer_inverts_scalar_channel() {
-        let h: Vec<CQ16> = (0..6)
-            .map(|i| CFx::from_f64(0.5 + 0.05 * i as f64, -0.2))
-            .collect();
-        let eq = SisoEqualizer::new(&h);
-        let tx = CQ15::from_f64(0.25, -0.125);
-        let rx: Vec<CQ15> = h
-            .iter()
-            .map(|&hh| {
-                let wide: CQ16 = tx.convert();
-                let through = wide * hh;
-                let narrow: CFx<15> = through.convert();
-                narrow.saturate_bits(16)
-            })
-            .collect();
-        let mut out = vec![CQ15::ZERO; rx.len()];
-        eq.equalize_into(&rx, &mut out).unwrap();
-        for got in out {
-            assert!((Cf64::from_fixed(got) - Cf64::from_fixed(tx)).norm() < 5e-3);
-        }
-    }
-
-    #[test]
-    fn siso_zero_carrier_erases_not_explodes() {
-        let eq = SisoEqualizer::new(&[CFx::ZERO, CFx::ONE]);
-        let mut out = [CQ15::ZERO; 2];
-        eq.equalize_into(&[CQ15::from_f64(0.3, 0.3), CQ15::from_f64(0.3, 0.3)], &mut out)
-            .unwrap();
-        assert!(out[0].is_zero());
-        assert!(!out[1].is_zero());
     }
 }

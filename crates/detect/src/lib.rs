@@ -9,8 +9,6 @@
 //! * [`ZfDetector`] — the per-subcarrier `y = H⁻¹·r` zero-forcing
 //!   MIMO decoder (the "MIMO decoder" entity of Table 4), one stream
 //!   row per call, eight carriers per `i32`/`i64` lane step.
-//! * [`SisoEqualizer`] — the single-complex-multiply per-carrier
-//!   equalizer used by the SISO baseline system.
 //! * [`PilotPhaseCorrector`] — pilot extraction, de-scrambling,
 //!   averaging and common phase correction.
 //! * [`TimingCorrector`] — the feed-forward timing (tau) estimator and
@@ -19,5 +17,5 @@
 mod equalize;
 mod pilots;
 
-pub use equalize::{DetectError, SisoEqualizer, ZfDetector};
+pub use equalize::{DetectError, ZfDetector};
 pub use pilots::{PilotPhaseCorrector, TimingCorrector};

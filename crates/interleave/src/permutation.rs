@@ -96,7 +96,6 @@ impl Error for InterleaveError {}
 #[derive(Debug, Clone)]
 pub struct BlockInterleaver {
     n_cbps: usize,
-    n_bpsc: usize,
     /// `forward[k]` = output position of input bit `k`.
     forward: Vec<usize>,
     /// `inverse[j]` = input position that lands at output `j`.
@@ -111,26 +110,6 @@ impl BlockInterleaver {
     ///
     /// See [`InterleaveError`] variants for the validation rules.
     pub fn new(n_cbps: usize, n_bpsc: usize) -> Result<Self, InterleaveError> {
-        let mut il = Self {
-            n_cbps: 0,
-            n_bpsc: 0,
-            forward: Vec::new(),
-            inverse: Vec::new(),
-        };
-        il.reconfigure(n_cbps, n_bpsc)?;
-        Ok(il)
-    }
-
-    /// Recomputes the permutation tables in place for a different
-    /// `(n_cbps, n_bpsc)` point. The table buffers keep their capacity,
-    /// so reconfiguring down from (or back up to) the largest block a
-    /// caller ever uses allocates nothing — per-burst rate agility on a
-    /// fixed memory footprint. On error the interleaver is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`BlockInterleaver::new`].
-    pub fn reconfigure(&mut self, n_cbps: usize, n_bpsc: usize) -> Result<(), InterleaveError> {
         if n_cbps == 0 || !n_cbps.is_multiple_of(16) {
             return Err(InterleaveError::BadBlockSize(n_cbps));
         }
@@ -140,14 +119,9 @@ impl BlockInterleaver {
         if !n_cbps.is_multiple_of(n_bpsc) {
             return Err(InterleaveError::Indivisible { n_cbps, n_bpsc });
         }
-        if n_cbps == self.n_cbps && n_bpsc == self.n_bpsc {
-            return Ok(());
-        }
         let s = (n_bpsc / 2).max(1);
-        self.forward.clear();
-        self.forward.resize(n_cbps, 0);
-        self.inverse.clear();
-        self.inverse.resize(n_cbps, 0);
+        let mut forward = vec![0; n_cbps];
+        let mut inverse = vec![0; n_cbps];
         #[allow(clippy::needless_range_loop)] // `k` is the permutation formula's variable
         for k in 0..n_cbps {
             // First permutation: adjacent coded bits onto non-adjacent
@@ -155,12 +129,14 @@ impl BlockInterleaver {
             let i = (n_cbps / 16) * (k % 16) + k / 16;
             // Second permutation: rotate within constellation-bit groups.
             let j = s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s;
-            self.forward[k] = j;
-            self.inverse[j] = k;
+            forward[k] = j;
+            inverse[j] = k;
         }
-        self.n_cbps = n_cbps;
-        self.n_bpsc = n_bpsc;
-        Ok(())
+        Ok(Self {
+            n_cbps,
+            forward,
+            inverse,
+        })
     }
 
     /// Coded bits per block.
@@ -328,24 +304,6 @@ mod tests {
             let b = il.pattern()[k + 1] / 4;
             assert_ne!(a, b, "bits {k},{} share subcarrier {a}", k + 1);
         }
-    }
-
-    #[test]
-    fn reconfigure_matches_fresh_build_without_reallocation() {
-        // Build at the largest point first; every smaller point must
-        // then reuse the same table storage.
-        let mut il = BlockInterleaver::new(288, 6).unwrap();
-        let cap = il.forward.capacity();
-        for (n_cbps, n_bpsc) in [(48, 1), (96, 2), (192, 4), (288, 6)] {
-            il.reconfigure(n_cbps, n_bpsc).unwrap();
-            let fresh = BlockInterleaver::new(n_cbps, n_bpsc).unwrap();
-            assert_eq!(il.pattern(), fresh.pattern(), "{n_cbps}/{n_bpsc}");
-            assert_eq!(il.block_size(), n_cbps);
-            assert_eq!(il.forward.capacity(), cap, "{n_cbps}: reallocated");
-        }
-        // A failed reconfigure leaves the tables untouched.
-        assert!(il.reconfigure(100, 4).is_err());
-        assert_eq!(il.block_size(), 288);
     }
 
     #[test]

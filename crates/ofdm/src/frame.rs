@@ -23,7 +23,7 @@ use crate::subcarriers::{OfdmError, SubcarrierMap};
 /// let (mut on_air, mut scratch) = (vec![CQ15::ZERO; 80], vec![CQ15::ZERO; 64]);
 /// tx.modulate_symbol_into(&data, 0, &mut on_air, &mut scratch)?;
 /// // Drop the 16-sample cyclic prefix and return to the carriers.
-/// let freq = rx.fft_block(&on_air[16..])?;
+/// let freq = rx.fft().fft(&on_air[16..])?;
 /// let (recovered, _pilots) = rx.map().extract(&freq)?;
 /// // Loopback recovers data up to the known chain gain.
 /// let gain = recovered[0].re.to_f64() / data[0].re.to_f64();
@@ -164,9 +164,9 @@ impl OfdmModulator {
     }
 }
 
-/// Receive-side OFDM symbol disassembly for one antenna: strips the
-/// cyclic prefix, transforms to the frequency domain and separates
-/// data from pilot carriers.
+/// Receive-side OFDM tables for one antenna: the FFT core and the
+/// subcarrier map that carrier gather and data/pilot separation read
+/// (the per-symbol CP strip + FFT runs in [`crate::SymbolIngest`]).
 #[derive(Debug, Clone)]
 pub struct OfdmDemodulator {
     fft: FixedFft,
@@ -194,19 +194,6 @@ impl OfdmDemodulator {
     pub fn fft(&self) -> &FixedFft {
         &self.fft
     }
-
-    /// Transforms a raw `N`-sample block (no cyclic prefix — e.g. one
-    /// LTS repetition) into the full `N`-bin frequency frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OfdmError::FrameLengthMismatch`] on bad input length.
-    pub fn fft_block(&self, block: &[CQ15]) -> Result<Vec<CQ15>, OfdmError> {
-        self.fft.fft(block).map_err(|_| OfdmError::FrameLengthMismatch {
-            expected: self.map.fft_size(),
-            got: block.len(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +212,7 @@ mod tests {
     /// Strips the cyclic prefix and returns `(data, pilots)` carriers.
     fn demodulate(rx: &OfdmDemodulator, on_air: &[CQ15]) -> (Vec<CQ15>, Vec<CQ15>) {
         let time = crate::strip_cyclic_prefix_ref(on_air, rx.map().fft_size()).unwrap();
-        rx.map().extract(&rx.fft_block(time).unwrap()).unwrap()
+        rx.map().extract(&rx.fft().fft(time).unwrap()).unwrap()
     }
 
     /// End-to-end known gain of the TX→RX symbol chain:
@@ -292,7 +279,7 @@ mod tests {
         let on_air = modulate(&tx, &data, 0);
         // Shift the FFT window 3 samples into the guard.
         let shifted: Vec<CQ15> = on_air[13..77].to_vec();
-        let freq = rx.fft_block(&shifted).unwrap();
+        let freq = rx.fft().fft(&shifted).unwrap();
         let (rec, _) = rx.map().extract(&freq).unwrap();
         let g = chain_gain(tx.fft());
         for r in rec {
@@ -339,7 +326,7 @@ mod tests {
     #[test]
     fn bad_lengths_rejected() {
         let rx = OfdmDemodulator::new(64).unwrap();
-        assert!(rx.fft_block(&[CQ15::ZERO; 63]).is_err());
+        assert!(rx.fft().fft(&[CQ15::ZERO; 63]).is_err());
         let tx = OfdmModulator::new(64).unwrap();
         let (mut out, mut scratch) = ([CQ15::ZERO; 80], [CQ15::ZERO; 64]);
         assert!(tx.modulate_symbol_into(&[CQ15::ZERO; 47], 0, &mut out, &mut scratch).is_err());

@@ -13,8 +13,9 @@
 //! * [`preamble`] — STS/LTS generation ("the transmitter is preloaded
 //!   with the frequency domain values for the short and long training
 //!   sequences") and the staggered MIMO preamble pattern of Fig 2.
-//! * [`OfdmModulator`] / [`OfdmDemodulator`] — one antenna's
-//!   symbol-level modulation chain (map → IFFT → CP and its inverse).
+//! * [`OfdmModulator`] — one antenna's symbol-level modulation chain
+//!   (map → IFFT → CP); [`OfdmDemodulator`] holds the receive side's
+//!   FFT core and subcarrier map.
 //! * [`SymbolIngest`] — the receive-side per-symbol stage (CP strip +
 //!   FFT), consuming one whole on-air period at a time without copying
 //!   it, shared by the whole-burst and streaming receivers, or

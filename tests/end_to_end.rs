@@ -2,7 +2,9 @@
 //! configuration space (Experiment E1).
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
-use mimo_baseband::phy::{LinkSimulation, Mcs, MimoReceiver, MimoTransmitter, PhyConfig};
+use mimo_baseband::phy::{
+    LinkSimulation, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, PhyError,
+};
 
 fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i.wrapping_mul(197) ^ (i >> 3)) as u8).collect()
@@ -59,6 +61,19 @@ fn gigabit_point_is_clean_at_high_snr() {
     let mut chan = AwgnChannel::new(4, 32.0, 77);
     let point = link.run(&mut chan, 300, 4).unwrap();
     assert_eq!(point.bit_errors, 0, "BER {} at 32 dB", point.ber());
+}
+
+/// A payload no burst can carry is a configuration error `run`
+/// returns, not a lost burst folded into the BER counts as
+/// all-bits-wrong.
+#[test]
+fn link_run_returns_oversized_payload_error() {
+    let mut link = LinkSimulation::new(PhyConfig::gigabit(), 9).unwrap();
+    let mut chan = IdealChannel::new(4);
+    assert!(matches!(
+        link.run(&mut chan, 70_000, 2),
+        Err(PhyError::PayloadTooLarge { got: 70_000, .. })
+    ));
 }
 
 #[test]

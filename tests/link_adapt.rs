@@ -140,23 +140,6 @@ fn run_adaptive_climbs_the_ramp_and_backs_off() {
     }
 }
 
-/// `run_adaptive` drives the 1×1 baseline through the same loop.
-#[test]
-fn run_adaptive_works_on_the_siso_baseline() {
-    let mut link = LinkSimulation::new(PhyConfig::siso(), 4).unwrap();
-    let mut controller = RateController::for_geometry(&LinkGeometry::siso());
-    let mut chan = TimeVaryingAwgn::new(1, vec![32.0], 77);
-    let trace = link
-        .run_adaptive(&mut controller, &mut chan, 120, 24)
-        .unwrap();
-    assert_eq!(trace.bursts_ok(), 24, "32 dB SISO link is clean");
-    assert!(
-        controller.current().index() >= Mcs::Qam16R34.index(),
-        "clean link climbs: ended at {}",
-        controller.current()
-    );
-}
-
 /// Adaptive goodput on an ideal channel converges to the best fixed
 /// rate: after the climb, every burst goes out at 64-QAM r=3/4.
 #[test]

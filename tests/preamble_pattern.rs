@@ -4,7 +4,7 @@
 //! transmitted from all four channels one after another."
 
 use mimo_baseband::ofdm::preamble::{FieldKind, PreambleSchedule};
-use mimo_baseband::phy::{MimoTransmitter, PhyConfig, SisoTransmitter};
+use mimo_baseband::phy::{MimoTransmitter, PhyConfig};
 
 #[test]
 fn schedule_is_sts_then_staggered_lts() {
@@ -59,19 +59,6 @@ fn lts_slots_carry_identical_fields() {
         let slot_k = &burst.streams[k][160 * (1 + k)..160 * (2 + k)];
         assert_eq!(slot0, slot_k, "LTS field differs on antenna {k}");
     }
-}
-
-#[test]
-fn siso_preamble_is_sts_plus_single_lts() {
-    let tx = SisoTransmitter::new(PhyConfig::siso()).unwrap();
-    let burst = tx.transmit_burst(&[9; 10]).unwrap();
-    assert_eq!(burst.streams.len(), 1);
-    let sched = PreambleSchedule::new(1, 64);
-    assert_eq!(sched.slots().len(), 2);
-    assert_eq!(sched.data_offset(), 320);
-    // Energy present through both preamble fields.
-    let s = &burst.streams[0];
-    assert!(s[..320].iter().any(|v| !v.is_zero()));
 }
 
 #[test]
