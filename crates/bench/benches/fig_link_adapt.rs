@@ -27,9 +27,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_channel::{AwgnChannel, TimeVaryingAwgn};
-use mimo_core::{
-    AdaptiveTrace, LinkGeometry, LinkSimulation, Mcs, PhyConfig, RateController,
-};
+use mimo_core::{AdaptiveTrace, LinkSimulation, Mcs, PhyConfig, RateController};
 
 /// Payload per burst: large enough that adjacent rates differ in
 /// airtime, small enough to keep the sweep fast.
@@ -53,7 +51,7 @@ struct Budget {
 /// trip, so `run_adaptive` measures the fixed-rate baseline through
 /// the identical TX→channel→RX machinery.
 fn pinned(mcs: Mcs) -> RateController {
-    RateController::for_geometry(&LinkGeometry::mimo())
+    RateController::default()
         .with_initial(mcs)
         .with_dwell(u32::MAX, u32::MAX)
 }
@@ -77,7 +75,7 @@ fn bench(c: &mut Criterion) {
     // One controller tracks the whole sweep, like a live link: each
     // point starts from the previous point's operating rate, and the
     // warm-up bursts absorb the transition.
-    let mut controller = RateController::for_geometry(&LinkGeometry::mimo());
+    let mut controller = RateController::default();
     for (i, &snr_db) in SNR_POINTS.iter().enumerate() {
         // Fixed-rate baselines.
         let mut best_fixed = f64::MIN;
@@ -123,7 +121,7 @@ fn bench(c: &mut Criterion) {
 
     // The triangular ramp: climb to the headline rate and back off.
     let mut link = LinkSimulation::new(cfg.clone(), 300).unwrap();
-    let mut ramp_ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+    let mut ramp_ctrl = RateController::default();
     let mut ramp = TimeVaryingAwgn::up_down(4, 8.0, 30.0, budget.ramp_leg, 21);
     let bursts = (2 * budget.ramp_leg - 1) as u64;
     let trace = link
@@ -162,7 +160,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_link_adapt");
     group.measurement_time(Duration::from_millis(if quick { 200 } else { 2000 }));
     group.bench_function("controller_update", |b| {
-        let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+        let mut ctrl = RateController::default();
         let q = mimo_core::ChannelQuality {
             evm_db: -21.0,
             per_stream_evm_db: vec![-23.0, -22.0, -24.0, -21.0],

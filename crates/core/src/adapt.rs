@@ -14,10 +14,12 @@
 //!   next burst's rate index, with hysteresis (entry stricter than
 //!   exit) and up/down dwell counters so a single lucky (or unlucky)
 //!   burst cannot flap the rate.
-//! * [`LinkAdaptor`] — wraps a [`MimoTransmitter`] and a controller so
-//!   the TX side *is* the loop: `transmit` sends at the controller's
-//!   current rate via [`MimoTransmitter::transmit_burst_with`], and
-//!   `feedback` digests the receiver's per-burst outcome.
+//!
+//! Closing the loop takes two calls per burst: transmit at
+//! [`RateController::current`] with
+//! [`MimoTransmitter::transmit_burst_with`](crate::MimoTransmitter::transmit_burst_with),
+//! then hand the receiver's per-burst outcome to
+//! [`RateController::update`].
 //!
 //! The controller adapts on [`ChannelQuality::worst_stream_evm_db`],
 //! not the aggregate: a burst only decodes if its weakest spatial
@@ -32,32 +34,30 @@
 //! # Examples
 //!
 //! ```
-//! use mimo_core::adapt::{LinkAdaptor, RateController};
+//! use mimo_core::adapt::RateController;
 //! use mimo_core::{LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tx = MimoTransmitter::new(PhyConfig::paper_synthesis())?;
-//! let mut link = LinkAdaptor::new(tx, RateController::for_geometry(&LinkGeometry::mimo()));
+//! let mut controller = RateController::default();
 //! let mut rx = MimoReceiver::from_geometry(LinkGeometry::mimo())?;
 //!
 //! // The loop starts at the most robust rate and climbs as the
 //! // receiver keeps reporting clean EVM.
-//! assert_eq!(link.current_mcs(), Mcs::most_robust());
+//! assert_eq!(controller.current(), Mcs::most_robust());
 //! for _ in 0..8 {
-//!     let burst = link.transmit(&[0x5A; 200])?;          // clean wire
+//!     let burst = tx.transmit_burst_with(controller.current(), &[0x5A; 200])?; // clean wire
 //!     let result = rx.receive_burst(&burst.streams);
-//!     link.feedback(result.as_ref().ok().map(|r| &r.diagnostics.quality));
+//!     controller.update(result.as_ref().ok().map(|r| &r.diagnostics.quality));
 //! }
-//! assert!(link.current_mcs().index() > Mcs::most_robust().index());
+//! assert!(controller.current().index() > Mcs::most_robust().index());
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::config::LinkGeometry;
 use crate::error::PhyError;
 use crate::mcs::Mcs;
 use crate::rx::ChannelQuality;
-use crate::tx::{MimoTransmitter, TxBurst};
 
 /// Constant-measurement hysteresis of the default thresholds: each
 /// row's exit ceiling sits this far above its entry ceiling, so a
@@ -236,14 +236,6 @@ impl RateController {
         }
     }
 
-    /// The table-default controller for a link geometry. (The
-    /// thresholds are geometry-independent today — EVM already
-    /// normalizes out carrier count — but deriving from the geometry
-    /// keeps the call site honest about which link it adapts.)
-    pub fn for_geometry(_geometry: &LinkGeometry) -> Self {
-        Self::new(RateThresholds::table_default())
-    }
-
     /// Sets the up/down dwell counts (clamped to at least 1).
     #[must_use]
     pub fn with_dwell(mut self, up: u32, down: u32) -> Self {
@@ -328,53 +320,6 @@ impl RateController {
 impl Default for RateController {
     fn default() -> Self {
         Self::new(RateThresholds::table_default())
-    }
-}
-
-/// A transmitter with the rate loop closed around it: bursts go out at
-/// the controller's current rate, and the receiver's per-burst outcome
-/// feeds the next decision.
-#[derive(Debug, Clone)]
-pub struct LinkAdaptor {
-    tx: MimoTransmitter,
-    controller: RateController,
-}
-
-impl LinkAdaptor {
-    /// Wraps a transmitter and a controller.
-    pub fn new(tx: MimoTransmitter, controller: RateController) -> Self {
-        Self { tx, controller }
-    }
-
-    /// The rate the next [`LinkAdaptor::transmit`] will use.
-    pub fn current_mcs(&self) -> Mcs {
-        self.controller.current()
-    }
-
-    /// The controller state.
-    pub fn controller(&self) -> &RateController {
-        &self.controller
-    }
-
-    /// The wrapped transmitter.
-    pub fn transmitter(&self) -> &MimoTransmitter {
-        &self.tx
-    }
-
-    /// Transmits one burst at the controller's current rate via
-    /// [`MimoTransmitter::transmit_burst_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MimoTransmitter::transmit_burst_with`].
-    pub fn transmit(&self, payload: &[u8]) -> Result<TxBurst, PhyError> {
-        self.tx.transmit_burst_with(self.controller.current(), payload)
-    }
-
-    /// Reports one burst's receive outcome (`None` = lost burst) and
-    /// returns the rate the next burst will use.
-    pub fn feedback(&mut self, quality: Option<&ChannelQuality>) -> Mcs {
-        self.controller.update(quality)
     }
 }
 
@@ -526,26 +471,23 @@ mod tests {
     }
 
     #[test]
-    fn link_adaptor_round_trip_feeds_transmit_burst_with() {
-        let tx = MimoTransmitter::new(crate::PhyConfig::paper_synthesis()).unwrap();
-        let mut link = LinkAdaptor::new(
-            tx,
-            RateController::default().with_dwell(1, 1),
-        );
+    fn controller_round_trip_feeds_transmit_burst_with() {
+        let tx = crate::MimoTransmitter::new(crate::PhyConfig::paper_synthesis()).unwrap();
+        let mut controller = RateController::default().with_dwell(1, 1);
         let mut rx =
-            crate::MimoReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
+            crate::MimoReceiver::from_geometry(crate::LinkGeometry::mimo()).unwrap();
         let payload: Vec<u8> = (0..100).map(|i| (i * 3) as u8).collect();
         let mut rates = Vec::new();
         for _ in 0..10 {
-            let burst = link.transmit(&payload).unwrap();
+            let burst = tx.transmit_burst_with(controller.current(), &payload).unwrap();
             let result = rx.receive_burst(&burst.streams).unwrap();
             assert_eq!(result.payload, payload);
-            assert_eq!(result.diagnostics.mcs, link.current_mcs());
-            rates.push(link.current_mcs());
-            link.feedback(Some(&result.diagnostics.quality));
+            assert_eq!(result.diagnostics.mcs, controller.current());
+            rates.push(controller.current());
+            controller.update(Some(&result.diagnostics.quality));
         }
         // A clean wire climbs all the way to the headline rate.
         assert_eq!(rates[0], Mcs::Bpsk12);
-        assert_eq!(link.current_mcs(), Mcs::Qam64R34);
+        assert_eq!(controller.current(), Mcs::Qam64R34);
     }
 }

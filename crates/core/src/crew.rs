@@ -62,12 +62,17 @@ pub(crate) fn crew<M: Send, R: Send>(
 /// The items are split into contiguous runs of `⌈len / width⌉` (the
 /// last may be shorter), one per member. Each member visits its run in
 /// index order and stops at its first error; the error returned is the
-/// one with the lowest index, as in a serial loop.
+/// one with the lowest index, as in a serial loop. At width 1, or with
+/// one item, that serial loop is all that runs: no crew is built and
+/// nothing is allocated.
 pub(crate) fn fan_out<T: Send, E: Send>(
     width: usize,
     items: &mut [T],
     f: impl Fn(usize, &mut T) -> Result<(), E> + Sync,
 ) -> Result<(), E> {
+    if width <= 1 || items.len() <= 1 {
+        return items.iter_mut().enumerate().try_for_each(|(i, item)| f(i, item));
+    }
     let run = items.len().div_ceil(width.max(1)).max(1);
     let mut members: Vec<(usize, &mut [T])> = items
         .chunks_mut(run)
@@ -127,6 +132,31 @@ mod tests {
                     Err(planted[0]),
                     "width {width}, errors at {planted:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_at_width_one_is_the_plain_loop_on_the_caller() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let caller = std::thread::current().id();
+        for count in [1, 5] {
+            // (visit order, ran on the caller) per item.
+            let mut items = vec![(usize::MAX, false); count];
+            let order = AtomicUsize::new(0);
+            let done = fan_out(1, &mut items, |i, item| {
+                *item = (order.fetch_add(1, Ordering::Relaxed), std::thread::current().id() == caller);
+                if i >= 2 {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            });
+            let visited = count.min(3);
+            assert_eq!(done, if count > 2 { Err(2) } else { Ok(()) }, "count {count}");
+            for (i, &(seen, on_caller)) in items.iter().enumerate() {
+                let want = if i < visited { (i, true) } else { (usize::MAX, false) };
+                assert_eq!((seen, on_caller), want, "count {count}, item {i}");
             }
         }
     }

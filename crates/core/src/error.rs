@@ -31,9 +31,12 @@ pub enum PhyError {
     SyncNotFound,
     /// The burst is truncated: samples missing after the located start.
     TruncatedBurst {
-        /// Samples required from the sync point.
+        /// Absolute sample index the burst needs samples up to: the
+        /// end of the LTS fields, then of the SIGNAL field plus one
+        /// payload symbol, then (once the header is known) the burst
+        /// end.
         needed: usize,
-        /// Samples available.
+        /// Absolute sample index the input ends at.
         available: usize,
     },
     /// The SIGNAL-field frame header failed its CRC-8 check: the

@@ -62,41 +62,45 @@
 //! * [`adapt`] — closed-loop link adaptation: every receiver reports a
 //!   per-burst [`ChannelQuality`] (aggregate **and per-stream** EVM +
 //!   mean pilot phase, floored at [`EVM_FLOOR_DB`]), and the
-//!   EVM-driven [`RateController`] / [`LinkAdaptor`] feed it back into
+//!   EVM-driven [`RateController`] feeds it back into
 //!   [`MimoTransmitter::transmit_burst_with`] to pick each burst's
 //!   rate — the control loop the SIGNAL field exists for.
 //!
-//! # One streaming datapath; batch is a schedule over it
+//! # One streaming datapath: acquisition plus one burst decoder
 //!
 //! The paper's receiver is a streaming pipeline — samples flow through
 //! sync, FFT, detection and decoding continuously; whole-burst buffers
-//! are a software artifact. The crate is organized accordingly: the
-//! **per-symbol core is the primitive** and every receive mode is a
-//! schedule over it.
+//! are a software artifact. The crate is organized accordingly: every
+//! receive mode is its own acquisition plus one shared burst decoder.
 //!
-//! * Burst acquisition is the chunk-driven
-//!   [`SyncTracker`](mimo_sync::SyncTracker) (online coarse STS
-//!   plateau → fine 32-tap correlator window); the whole-capture
-//!   entry point [`coarse_sts_end`](mimo_sync::coarse_sts_end) is a
-//!   wrapper over the same tracker.
-//! * Per-symbol ingest is [`SymbolIngest`](mimo_ofdm::SymbolIngest)
-//!   (CP strip + FFT), one per antenna inside the `RxWorkspace`.
-//! * Detection → pilot corrections → demap → de-interleave is one
-//!   `process_symbol` path; header parse, per-stream Viterbi and
-//!   round-robin reassembly close a burst.
+//! * Burst acquisition is where the modes really differ. The
+//!   chunk-driven [`SyncTracker`](mimo_sync::SyncTracker) (online
+//!   coarse STS plateau → fine 32-tap correlator window) serves the
+//!   streaming receiver; a stored capture runs the same coarse
+//!   detector through [`coarse_sts_end`](mimo_sync::coarse_sts_end),
+//!   then the fine window, and falls back to a whole-capture scan when
+//!   no plateau shows.
+//! * After acquisition one crate-private decoder advances a burst over
+//!   whatever samples are buffered: channel estimation once the four
+//!   LTS fields are in, the SIGNAL field once the first payload symbol
+//!   is, then every whole payload symbol through
+//!   [`SymbolIngest`](mimo_ofdm::SymbolIngest) (CP strip + FFT, eight
+//!   symbols per lane FFT) and the per-symbol core (detection → pilot
+//!   corrections → demap → de-interleave), and finally per-stream
+//!   Viterbi and round-robin reassembly at the announced length.
 //!
-//! The receiver's immutable tables and stage methods live in one
-//! crate-private core; each receive mode is that core plus the
-//! workspaces it owns. [`MimoReceiver::receive_burst`] runs the core
-//! over a stored capture in two parallel stages on one workspace;
-//! [`BurstPipeline`] runs the same two stages on whole bursts side by
-//! side, one workspace per crew member; [`StreamingReceiver`] advances
-//! a per-symbol state machine (`Searching → Estimating → HeaderDecode
-//! → Payload{symbol_idx}`) as chunks arrive. Because there is only one
-//! implementation of each stage, the three modes are **bit-identical
-//! by construction** — enforced for every MCS row and chunk sizes
-//! {1, prime, symbol, whole-burst} (including preambles straddling
-//! chunk boundaries and back-to-back bursts) by `tests/streaming_rx.rs`.
+//! [`MimoReceiver::receive_burst`] runs the decoder once over a stored
+//! capture, fanned out on the host's CPUs; [`BurstPipeline`] runs it on
+//! whole bursts side by side, one workspace per crew member;
+//! [`StreamingReceiver`] runs it again on each chunk, and its end of
+//! stream ([`StreamingReceiver::flush`]) turns a shortfall into
+//! [`PhyError::TruncatedBurst`] as a stored capture does. Because the
+//! decoder exists once, the three modes are **bit-identical by
+//! construction**, down to the fields of the error they return —
+//! enforced for every MCS row and chunk sizes {1, prime, symbol,
+//! whole-burst} (including preambles straddling chunk boundaries and
+//! back-to-back bursts) by `tests/streaming_rx.rs`, and for every cut
+//! of a burst by `tests/rx_robustness.rs`.
 //!
 //! # Workspace + parallelism architecture
 //!
@@ -136,8 +140,8 @@
 //!   [`PhyConfig::parallelism`] is on (a run-time choice, see
 //!   [`PhyConfig::with_parallelism`]; the default is on exactly when
 //!   `std::thread::available_parallelism()` reports more than one
-//!   CPU), and a crew of one otherwise. The SIGNAL parse runs between
-//!   the receive stages on the already-gathered carriers. Each output
+//!   CPU), and a crew of one otherwise. The SIGNAL field is ingested
+//!   and parsed on the caller before the receive stages. Each output
 //!   cell is computed by exactly one member in a fixed order, so every
 //!   crew width is **bit-identical** (asserted by the
 //!   `parallel_determinism` integration suite).
@@ -245,33 +249,29 @@
 //! ```
 //!
 //! Closing the rate loop: the receiver's per-burst [`ChannelQuality`]
-//! feeds a [`RateController`], and the [`LinkAdaptor`] transmits each
-//! burst at whatever rate the controller currently trusts — on a clean
-//! link it climbs from BPSK r=1/2 to the 64-QAM r=3/4 headline rate:
+//! feeds a [`RateController`], and the transmitter sends each burst at
+//! whatever rate the controller currently trusts — on a clean link it
+//! climbs from BPSK r=1/2 to the 64-QAM r=3/4 headline rate:
 //!
 //! ```
-//! use mimo_core::{
-//!     LinkAdaptor, LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig,
-//!     RateController,
-//! };
+//! use mimo_core::{LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, RateController};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let tx = MimoTransmitter::new(PhyConfig::paper_synthesis())?;
-//! let controller = RateController::for_geometry(&LinkGeometry::mimo()).with_dwell(1, 1);
-//! let mut link = LinkAdaptor::new(tx, controller);
+//! let mut controller = RateController::default().with_dwell(1, 1);
 //! let mut rx = MimoReceiver::from_geometry(LinkGeometry::mimo())?;
 //!
 //! let payload: Vec<u8> = (0..128).map(|i| (i * 3) as u8).collect();
 //! for _ in 0..8 {
-//!     let burst = link.transmit(&payload)?;        // controller's rate
+//!     let burst = tx.transmit_burst_with(controller.current(), &payload)?;
 //!     let result = rx.receive_burst(&burst.streams)?;
 //!     assert_eq!(result.payload, payload);
 //!     // Worst-stream EVM drives the next burst's rate (a lossless
 //!     // wire reports clean EVM on all four streams, so the loop
 //!     // climbs one rung per burst at dwell 1).
-//!     link.feedback(Some(&result.diagnostics.quality));
+//!     controller.update(Some(&result.diagnostics.quality));
 //! }
-//! assert_eq!(link.current_mcs(), Mcs::Qam64R34);
+//! assert_eq!(controller.current(), Mcs::Qam64R34);
 //! # Ok(())
 //! # }
 //! ```
@@ -291,7 +291,7 @@ mod tx;
 mod txstream;
 mod workspace;
 
-pub use adapt::{LinkAdaptor, RateController, RateThresholds};
+pub use adapt::{RateController, RateThresholds};
 pub use config::{LinkGeometry, PhyConfig};
 pub use error::PhyError;
 pub use link::{AdaptiveBurstRecord, AdaptiveTrace, BerPoint, LinkSimulation};

@@ -16,9 +16,10 @@
 //!   steady state allocates nothing per burst beyond the decoded
 //!   payloads and the result list;
 //! * **claiming whole bursts**: every member takes burst indices from
-//!   one atomic counter and runs each claimed burst's front stage
-//!   (sync, channel estimation, per-antenna FFT + carrier gather) then
-//!   its back stage (per-stream detection through Viterbi, reassembly).
+//!   one atomic counter and decodes each claimed burst whole: sync,
+//!   then the burst decoder every receiver shares (channel estimation,
+//!   SIGNAL field, per-antenna FFT + carrier gather, per-stream
+//!   detection through Viterbi, reassembly).
 //!   With `workers() == 0` or a one-burst batch the caller decodes the
 //!   whole batch alone, so the serial schedule is the same code with a
 //!   crew of one. A member whose helper cannot be spawned finds the
@@ -31,18 +32,18 @@
 //! the pipeline takes no lock. Each member returns `(index, result)`
 //! pairs and the caller sorts them back into submission order.
 //!
-//! Each burst runs the exact same front/back code the serial receiver
-//! runs (with a within-burst fan-out of width one — parallelism comes
-//! from whole bursts instead), so pipeline output is
-//! **bit-identical** to `receive_burst` for any batch size and any
-//! worker count; `tests/burst_pipeline.rs` pins this. Both stages are
-//! schedules over the same per-symbol core the chunk-driven
-//! [`StreamingReceiver`](crate::StreamingReceiver) drives, so all
-//! three receive modes decode every burst identically.
+//! Each burst runs the exact same code the serial receiver runs (with
+//! a within-burst fan-out of width one — parallelism comes from whole
+//! bursts instead), so pipeline output is **bit-identical** to
+//! `receive_burst` for any batch size and any worker count;
+//! `tests/burst_pipeline.rs` pins this. The chunk-driven
+//! [`StreamingReceiver`](crate::StreamingReceiver) runs the same burst
+//! decoder after its own sync search, so all three receive modes
+//! decode every burst identically.
 //!
 //! The pipeline is **rate-agile**: every burst announces its own MCS
-//! in its SIGNAL-field header, so one batch may mix rates — the back
-//! stage of each burst selects its datapath kit from the shared rate
+//! in its SIGNAL-field header, so one batch may mix rates — the decode
+//! of each burst selects its datapath kit from the shared rate
 //! table, and the recycled workspaces are sized for the max-MCS
 //! envelope.
 //!

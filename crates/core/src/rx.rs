@@ -9,67 +9,66 @@
 //! permutation, puncture pattern) selected per burst from a prebuilt
 //! [`RateTable`](crate::rates::RateTable).
 //!
-//! # One per-symbol core, three drivers
+//! # Acquisition, then one burst decoder
 //!
-//! Since the streaming refactor the per-symbol datapath exists exactly
-//! once, shared by every receive mode:
+//! Every receiver is an acquisition stage in front of one shared
+//! decoder, `RxCore::advance`. Acquisition is where the receivers
+//! really differ: [`MimoReceiver`] and
+//! [`BurstPipeline`](crate::BurstPipeline) scan a stored capture
+//! (coarse STS plateau, fine correlator window, and a whole-capture
+//! scan when no plateau shows); the
+//! [`StreamingReceiver`](crate::StreamingReceiver) runs the chunk-driven
+//! sync tracker. The sync event opens a `BurstState`, and `advance`
+//! takes it as far as the samples at hand allow:
 //!
-//! * [`SymbolIngest`](mimo_ofdm::SymbolIngest) (one per antenna, in
-//!   the workspace) strips the CP and FFTs one on-air symbol period,
-//!   or [`FFT_LANES`] consecutive periods in one lane-parallel FFT;
-//!   `RxCore::gather_occ` pulls the occupied carriers out of each
-//!   frame.
-//! * `RxCore::process_symbol` runs one stream × one symbol:
-//!   zero-forcing detection (row `k` of `H⁻¹·r`), pilot common-phase
-//!   and timing correction, then one fused
-//!   demap→deinterleave→depuncture scatter that lands this symbol's
-//!   LLRs directly in mother-code (Viterbi branch) order in the stream
-//!   workspace.
-//! * The SIGNAL parse (`RxCore::parse_header`), the per-stream Viterbi
-//!   decode and descramble (`RxCore::decode_stream`) and the
-//!   round-robin reassembly ([`assemble_payload`]) close a burst.
+//! 1. channel estimation and inversion once the four LTS fields are
+//!    buffered;
+//! 2. the SIGNAL field (stream 0, BPSK r=1/2) once the first payload
+//!    symbol is buffered, parsed by `RxCore::parse_header`;
+//! 3. every whole payload symbol as it arrives:
+//!    [`SymbolIngest`](mimo_ofdm::SymbolIngest) (one per antenna, in
+//!    the workspace) strips the CP and FFTs it, eight symbols to one
+//!    lane-parallel FFT for each whole group of [`FFT_LANES`];
+//!    `RxCore::gather_occ` pulls out the occupied carriers; and
+//!    `RxCore::process_symbol` runs each stream: zero-forcing
+//!    detection (row `k` of `H⁻¹·r`), pilot common-phase and timing
+//!    correction, then one fused demap→deinterleave→depuncture
+//!    scatter that lands the LLRs in mother-code (Viterbi branch)
+//!    order in the stream workspace;
+//! 4. at the announced length, each stream's Viterbi decode and
+//!    descramble (`RxCore::decode_stream`), the round-robin reassembly
+//!    ([`assemble_payload`]) and the diagnostics ([`finish_result`]).
+//!
+//! An `end` flag says no more samples will come: a shortfall is then
+//! [`PhyError::TruncatedBurst`] rather than a pending burst. A stored
+//! capture always sets it; the streaming receiver sets it in `flush`.
+//! The three receivers therefore return the same burst, or the same
+//! error, for the same samples — enforced by `tests/streaming_rx.rs`,
+//! `tests/burst_pipeline.rs`, `tests/parallel_determinism.rs` and
+//! `tests/rx_robustness.rs`.
 //!
 //! `RxCore` holds the immutable half — rate kits, correlator taps,
 //! estimator, detector, correctors, trellis, carrier maps — and every
 //! method takes the scratch it writes as an explicit `&mut` workspace.
-//! Each driver holds one `RxCore` next to the workspaces it owns:
+//! Each receiver holds one `RxCore` next to the workspaces it owns:
 //! [`MimoReceiver`] one workspace, [`BurstPipeline`](crate::BurstPipeline)
 //! one per crew member, [`StreamingReceiver`](crate::StreamingReceiver)
-//! one plus its sample history and sync tracker. The drivers are thin
-//! schedules over the same pieces, so their outputs are bit-identical
-//! by construction — enforced by `tests/streaming_rx.rs`,
-//! `tests/burst_pipeline.rs` and `tests/parallel_determinism.rs`.
+//! one plus its sample history and sync tracker.
 //!
-//! # The batch schedule
+//! # Fan-out
 //!
-//! The whole-capture hot path is organized in two parallel stages
-//! around the preallocated [`RxWorkspace`](crate::workspace::RxWorkspace):
-//!
-//! 1. **Per antenna** — ingest every payload symbol and gather the
-//!    occupied carriers into that antenna's flat frequency buffer.
-//!    Each whole group of [`FFT_LANES`] symbols goes through
-//!    `SymbolIngest::ingest_batch` (eight FFTs in lockstep on `i32`
-//!    lanes); the last `available mod 8` symbols go one at a time
-//!    through `ingest_period`, unpadded. Both give the same frames bit
-//!    for bit, so the split never shows in the output.
-//! 2. **Per stream** — the per-symbol core over all of the burst's
-//!    symbols, then that stream's Viterbi decode and descramble,
-//!    entirely inside stream `k`'s workspace at the burst's MCS.
-//!
-//! Both stages are embarrassingly parallel across the four channels.
-//! Each runs on a crew that includes the calling thread, one member
-//! per host CPU when [`PhyConfig::parallelism`] is on and the caller
-//! alone otherwise; every member owns a contiguous run of the channel
-//! workspaces. All widths are bit-identical, because every output cell
-//! is computed by exactly one member in a fixed order.
-//! The SIGNAL-field decode runs between the stages, on the already
-//! gathered carriers, before the per-stream fan-out.
-//!
-//! `RxCore::receive` runs both stages on the workspace it is handed
-//! at a given crew width. [`BurstPipeline`](crate::BurstPipeline)
-//! calls it at width one on each member's own workspace and runs
-//! whole bursts side by side instead — including **mixed-rate
-//! batches**, since every burst announces its own rate.
+//! The payload's per-antenna ingest and its per-stream work (the
+//! per-symbol core, then Viterbi at close) are embarrassingly parallel
+//! across the four channels, so each runs on a crew of `width` members
+//! that includes the calling thread; every member owns a contiguous
+//! run of the channel workspaces. `receive_burst` uses one member per
+//! host CPU when [`PhyConfig::parallelism`] is on; a
+//! [`BurstPipeline`](crate::BurstPipeline) member and the streaming
+//! receiver use width one, which is the plain loop on the caller. All
+//! widths are bit-identical, because every output cell is computed by
+//! exactly one member in a fixed order. The few SIGNAL-field symbols
+//! are ingested and decoded on the caller. Since every burst announces
+//! its own rate, a pipeline batch may mix rates freely.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
 use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
@@ -86,7 +85,8 @@ use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
 use crate::signal::parse_signal_field;
 use crate::tx::{MAX_STREAM_BYTES, SCRAMBLER_SEED};
-use crate::workspace::{RxStreamWorkspace, RxWorkspace};
+use crate::stream::ReceivedBurst;
+use crate::workspace::{RxAntennaWorkspace, RxStreamWorkspace, RxWorkspace};
 
 /// Samples the demodulation windows retreat into the cyclic
 /// prefix/guard. Multipath makes the correlator lock on the strongest
@@ -188,21 +188,40 @@ pub struct RxResult {
     pub diagnostics: RxDiagnostics,
 }
 
-/// Everything the front (antenna) stage hands the back (stream) stage:
-/// the sync detection, the inverted channel matrices and the demodulated
-/// symbol count. The gathered frequency-domain carriers travel in the
-/// workspace itself.
+/// A burst past acquisition, as far as [`RxCore::advance`] has taken
+/// it. Every index is an absolute sample index of the receive streams.
 #[derive(Debug, Clone)]
-struct FrontInfo {
+pub(crate) struct BurstState {
     event: SyncEvent,
-    h_inv: Vec<FxMat4>,
-    available: usize,
-    /// Absolute sample index where the demodulated symbols begin, so
-    /// the back stage can report truncation in the same absolute
-    /// units the front stage uses.
+    /// First sample the channel estimate reads: the sync point minus
+    /// [`WINDOW_BACKOFF`], plus the half-field guard of the first LTS.
+    lts: usize,
+    /// First sample of the SIGNAL-field symbols.
     data_start: usize,
-    /// Length of the shortest receive stream, samples.
-    shortest: usize,
+    /// End of the samples the next phase needs: the four LTS fields,
+    /// then `header_symbols + 1` symbols, then the whole announced
+    /// burst. A shortfall at end of input reports it as
+    /// [`PhyError::TruncatedBurst`]'s `needed`.
+    needed: usize,
+    /// Inverted channel matrices, one per occupied carrier; empty until
+    /// the LTS fields are buffered.
+    h_inv: Vec<FxMat4>,
+    /// The SIGNAL field and its payload symbol count, once parsed.
+    params: Option<(BurstParams, usize)>,
+    /// First sample of the next symbol the per-symbol core has not run.
+    next: usize,
+}
+
+impl BurstState {
+    /// The first sample the burst will still read: samples before it
+    /// may be dropped.
+    pub(crate) fn keep_from(&self) -> usize {
+        if self.h_inv.is_empty() {
+            self.lts
+        } else {
+            self.next
+        }
+    }
 }
 
 /// The immutable half of the 4×4 receiver: the rate kits, correlator
@@ -216,9 +235,9 @@ struct FrontInfo {
 pub(crate) struct RxCore {
     cfg: PhyConfig,
     /// SIGNAL-field symbols at the front of every burst.
-    pub(crate) header_symbols: usize,
+    header_symbols: usize,
     /// One datapath kit per MCS table row.
-    pub(crate) rates: RateTable,
+    rates: RateTable,
     /// The fine 32-tap correlator. The batch schedule only scans with
     /// it (`&self`); the streaming receiver's tracker takes a clone.
     pub(crate) sync: TimeSynchronizer,
@@ -298,14 +317,14 @@ impl RxCore {
     }
 
     /// Occupied carriers per OFDM symbol.
-    pub(crate) fn n_occupied(&self) -> usize {
+    fn n_occupied(&self) -> usize {
         self.occupied.len()
     }
 
     /// Gathers the occupied carriers out of one FFT frame, in the
     /// canonical occupied order — the single gather map every receive
     /// mode uses.
-    pub(crate) fn gather_occ(&self, frame: &[CQ15], dst: &mut [CQ15]) {
+    fn gather_occ(&self, frame: &[CQ15], dst: &mut [CQ15]) {
         for (d, &bin) in dst.iter_mut().zip(&self.occ_bins) {
             *d = frame[bin];
         }
@@ -313,7 +332,7 @@ impl RxCore {
 
     /// Estimates and inverts the 4×4 channel from the staggered LTS
     /// views (`lts_views[rx][slot]`, each `2·N` samples).
-    pub(crate) fn estimate_channel(
+    fn estimate_channel(
         &self,
         lts_views: &[[&[CQ15]; 4]; 4],
     ) -> Result<Vec<FxMat4>, PhyError> {
@@ -327,7 +346,7 @@ impl RxCore {
     /// the fused per-symbol scatter fills (the zero fill is the
     /// depuncturer's erasure insertion — see
     /// [`mimo_interleave::FusedDeinterleaver`]).
-    pub(crate) fn begin_stream_pass(ws: &mut RxStreamWorkspace, n_syms: usize, kit: &RateKit) {
+    fn begin_stream_pass(ws: &mut RxStreamWorkspace, n_syms: usize, kit: &RateKit) {
         ws.evm_num = 0.0;
         ws.evm_den = 0.0;
         ws.phase_acc = 0.0;
@@ -350,7 +369,7 @@ impl RxCore {
     /// is reused across symbols and bursts.
     // phylint: hot
     #[allow(clippy::too_many_arguments)] // one argument per pipeline input
-    pub(crate) fn process_symbol(
+    fn process_symbol(
         &self,
         k: usize,
         ws: &mut RxStreamWorkspace,
@@ -420,9 +439,11 @@ impl RxCore {
     }
     // phylint: end-hot
 
-    /// Decodes one whole burst on `workspace`: the front (antenna)
-    /// stage, then the back (stream) stage, each fanned out on a crew
-    /// of `width` members (1 = the caller alone).
+    /// Decodes one stored capture on `workspace`: the batch acquisition
+    /// (coarse STS plateau, fine correlator window, whole-capture scan
+    /// as fallback), then [`RxCore::advance`] over the whole capture
+    /// with the per-antenna and per-stream work fanned out on a crew of
+    /// `width` members (1 = the caller alone).
     pub(crate) fn receive<S>(
         &self,
         workspace: &mut RxWorkspace,
@@ -432,41 +453,20 @@ impl RxCore {
     where
         S: AsRef<[CQ15]> + Sync,
     {
-        let front = self.front_stage(workspace, streams, width)?;
-        self.back_stage(workspace, &front, width)
-    }
-
-    /// The front (antenna) stage of one burst: time sync, channel
-    /// estimation/inversion, then per-antenna symbol ingest + carrier
-    /// gather into the workspace. Entirely rate-independent — it runs
-    /// before the SIGNAL field is parsed.
-    fn front_stage<S>(
-        &self,
-        workspace: &mut RxWorkspace,
-        streams: &[S],
-        width: usize,
-    ) -> Result<FrontInfo, PhyError>
-    where
-        S: AsRef<[CQ15]> + Sync,
-    {
         if streams.len() != N_STREAMS {
             return Err(PhyError::BadStreamCount {
                 expected: N_STREAMS,
                 got: streams.len(),
             });
         }
-        let n = self.cfg.fft_size();
-        let field = 5 * n / 2;
-
-        // --- Time synchronisation, two stages. Coarse: the
-        // gain-invariant lag-16 STS autocorrelation across all
-        // antennas (a fixed cross-correlation threshold is defeated by
-        // fading, and payload data — four antennas vs the STS's one —
-        // can out-correlate a faded preamble). Fine: the paper's
-        // 32-tap cross-correlator, scanned in a ±48-sample window
-        // around the coarse estimate, best antenna wins. The coarse
-        // detector is the same online CoarseTracker the streaming
-        // receiver runs chunk by chunk. ---
+        // Coarse: the gain-invariant lag-16 STS autocorrelation across
+        // all antennas (a fixed cross-correlation threshold is defeated
+        // by fading, and payload data — four antennas vs the STS's one —
+        // can out-correlate a faded preamble). Fine: the paper's 32-tap
+        // cross-correlator, scanned in a ±48-sample window around the
+        // coarse estimate, best antenna wins. The coarse detector is the
+        // same online CoarseTracker the streaming receiver runs chunk by
+        // chunk; only a stored capture can fall back to a whole scan.
         let event = match mimo_sync::coarse_sts_end(streams) {
             Some(coarse) => {
                 let lo = coarse.sts_end.saturating_sub(48);
@@ -482,53 +482,209 @@ impl RxCore {
                 .max_by_key(|e| e.magnitude),
         }
         .ok_or(PhyError::SyncNotFound)?;
+        let mut burst = self.begin_burst(event);
+        match self.advance(workspace, &mut burst, streams, 0, true, width) {
+            Ok(Some(closed)) => Ok(closed.result),
+            // `end` turns every shortfall into an error, so this arm
+            // only restates it.
+            Ok(None) => Err(PhyError::TruncatedBurst {
+                needed: burst.needed,
+                available: streams.iter().map(|s| s.as_ref().len()).min().unwrap_or(0),
+            }),
+            Err((e, _)) => Err(e),
+        }
+    }
+
+    /// The decode state of a burst the sync stage has just located.
+    pub(crate) fn begin_burst(&self, event: SyncEvent) -> BurstState {
+        let n = self.cfg.fft_size();
         let lts0 = event.lts_start.saturating_sub(WINDOW_BACKOFF);
-
-        // --- Channel estimation from the four staggered LTS slots,
-        // viewed in place: `lts_views[rx][slot]` borrows straight out
-        // of the receive streams, no samples are copied. ---
-        let needed = 4 * field;
-        let shortest = streams.iter().map(|s| s.as_ref().len()).min().unwrap_or(0);
-        if lts0 + needed > shortest {
-            return Err(PhyError::TruncatedBurst {
-                needed: lts0 + needed,
-                available: shortest,
-            });
+        let data_start = lts0 + 4 * (5 * n / 2);
+        BurstState {
+            event,
+            lts: lts0 + n / 2,
+            data_start,
+            needed: data_start,
+            // phylint: allow(hot_transitive) -- an empty Vec does not allocate; the channel estimate replaces it once per burst
+            h_inv: Vec::new(),
+            params: None,
+            next: data_start,
         }
-        let lts_views: [[&[CQ15]; 4]; 4] = std::array::from_fn(|rx| {
-            std::array::from_fn(|slot| {
-                let start = lts0 + slot * field + n / 2;
-                &streams[rx].as_ref()[start..start + 2 * n]
-            })
-        });
-        let h_inv = self.estimate_channel(&lts_views)?;
+    }
 
-        // --- Demodulate every whole symbol after the preamble (the
-        // SIGNAL header and payload both come from this gather; how
-        // many symbols are *meaningful* is only known once the header
-        // is parsed in the back stage). ---
-        let data_start = lts0 + 4 * field;
+    /// Advances `burst` over the samples at hand — the one decoder
+    /// behind every receiver. `samples[a]` holds antenna `a`'s samples
+    /// from absolute index `base` on. In order, as the samples allow:
+    ///
+    /// 1. once the four LTS fields are buffered, estimate and invert
+    ///    the channel;
+    /// 2. once `header_symbols + 1` whole symbols follow the LTS,
+    ///    ingest the SIGNAL-field symbols, run them through the
+    ///    per-symbol core (stream 0, BPSK r=1/2) and parse the header;
+    /// 3. ingest every whole payload symbol buffered so far and run it
+    ///    through the per-symbol core on all four streams at the
+    ///    announced rate;
+    /// 4. after the last payload symbol, run each stream's Viterbi
+    ///    decode and descramble, reassemble the payload and return the
+    ///    closed burst.
+    ///
+    /// Each whole group of [`FFT_LANES`] symbols shares one lane FFT.
+    /// The per-antenna ingest and the per-stream work each fan out on
+    /// a crew of `width`.
+    ///
+    /// Returns `Ok(None)` while the burst needs more samples. With
+    /// `end` set no more will come, so a shortfall is
+    /// [`PhyError::TruncatedBurst`] instead, raised before the header
+    /// is parsed or before any payload symbol runs; `needed` is the end
+    /// of `header_symbols + 1` symbols until the header is known and
+    /// the burst end after. Every error comes with the absolute sample
+    /// at which a search for the next burst resumes.
+    pub(crate) fn advance<S>(
+        &self,
+        ws: &mut RxWorkspace,
+        burst: &mut BurstState,
+        samples: &[S],
+        base: usize,
+        end: bool,
+        width: usize,
+    ) -> Result<Option<ReceivedBurst>, (PhyError, usize)>
+    where
+        S: AsRef<[CQ15]> + Sync,
+    {
+        let geometry = self.cfg.geometry();
+        let n = geometry.fft_size();
+        let field = 5 * n / 2;
+        let sym_len = geometry.symbol_samples();
+        let h = self.header_symbols;
+        let data_start = burst.data_start;
+        let failed = |e| (e, data_start);
+        let available = base + samples.iter().map(|s| s.as_ref().len()).min().unwrap_or(0);
+        let short = |needed| {
+            if end {
+                Err((PhyError::TruncatedBurst { needed, available }, available))
+            } else {
+                Ok(None)
+            }
+        };
+        // Every window read below starts at or after `keep_from` and
+        // ends at or before `available`, checked phase by phase.
+        if burst.keep_from() < base {
+            // phylint: allow(hot_transitive) -- error path: allocates only when the stream has already desynchronised
+            let msg = format!(
+                "burst window at {} precedes retained history (base {base})",
+                burst.keep_from()
+            );
+            return Err((PhyError::Desync(msg), available));
+        }
+        let RxWorkspace {
+            antennas,
+            streams,
+            header,
+        } = ws;
+
+        if burst.h_inv.is_empty() {
+            if available < burst.needed {
+                return short(burst.needed);
+            }
+            // The four staggered LTS slots, viewed in place:
+            // `lts_views[rx][slot]` borrows straight out of the samples.
+            let lo = burst.lts - base;
+            let lts_views: [[&[CQ15]; 4]; 4] = std::array::from_fn(|rx| {
+                std::array::from_fn(|slot| {
+                    let start = lo + slot * field;
+                    &samples[rx].as_ref()[start..start + 2 * n]
+                })
+            });
+            burst.h_inv = self.estimate_channel(&lts_views).map_err(failed)?;
+            burst.needed = data_start + (h + 1) * sym_len;
+        }
+
+        let (params, n_symbols) = match burst.params {
+            Some(known) => known,
+            None => {
+                if available < burst.needed {
+                    return short(burst.needed);
+                }
+                let kit = self.rates.header_kit();
+                self.ingest_rows(antennas, samples, data_start - base, h, 1)
+                    .map_err(failed)?;
+                let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
+                Self::begin_stream_pass(header, h, kit);
+                self.run_rows(0, header, &freq, &burst.h_inv, kit, 0, false)
+                    .map_err(failed)?;
+                let params = self.parse_header(header).map_err(failed)?;
+                let n_symbols = params.payload_symbols(geometry);
+                for ws in streams.iter_mut() {
+                    Self::begin_stream_pass(ws, n_symbols, self.rates.kit(params.mcs));
+                }
+                burst.next = data_start + h * sym_len;
+                burst.needed = burst.next + n_symbols * sym_len;
+                burst.params = Some((params, n_symbols));
+                (params, n_symbols)
+            }
+        };
+
+        let burst_end = burst.needed;
+        if end && available < burst_end {
+            return short(burst_end);
+        }
+        let count = available.min(burst_end).saturating_sub(burst.next) / sym_len;
+        if count == 0 {
+            return Ok(None);
+        }
+        let first = (burst.next - data_start) / sym_len;
+        let closing = burst.next + count * sym_len == burst_end;
+        let resume = if closing { burst_end } else { data_start };
+        self.ingest_rows(antennas, samples, burst.next - base, count, width)
+            .map_err(|e| (e, resume))?;
+        let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
+        let kit = self.rates.kit(params.mcs);
+        let h_inv = &burst.h_inv;
+        let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
+            self.run_rows(k, ws, &freq, h_inv, kit, first, true)?;
+            if closing {
+                self.decode_stream(params.stream_bytes(k, N_STREAMS), ws)?;
+            }
+            Ok(())
+        };
+        fan_out(width, streams, run_stream).map_err(|e| (e, resume))?;
+        burst.next += count * sym_len;
+        if !closing {
+            return Ok(None);
+        }
+        let payload = assemble_payload(&params, streams).map_err(|e| (e, burst_end))?;
+        Ok(Some(ReceivedBurst {
+            result: finish_result(burst.event, params.mcs, n_symbols, streams, payload),
+            burst_end,
+        }))
+    }
+
+    /// Ingests `count` whole symbol periods per antenna, the first at
+    /// index `lo` of `samples[a]`, into the rows of that antenna's
+    /// `freq_occ`: CP strip, FFT and carrier gather. Each whole group
+    /// of [`FFT_LANES`] periods goes through one lane-parallel
+    /// `ingest_batch`; the rest go one at a time through
+    /// `ingest_period`. Both give the same frames bit for bit, so the
+    /// split never shows in the output. The antennas fan out on a crew
+    /// of `width`.
+    fn ingest_rows<S>(
+        &self,
+        antennas: &mut [RxAntennaWorkspace],
+        samples: &[S],
+        lo: usize,
+        count: usize,
+        width: usize,
+    ) -> Result<(), PhyError>
+    where
+        S: AsRef<[CQ15]> + Sync,
+    {
+        let n = self.cfg.fft_size();
         let sym_len = self.cfg.symbol_samples();
-        let available = (shortest - data_start) / sym_len;
-        if available == 0 {
-            return Err(PhyError::TruncatedBurst {
-                needed: data_start + sym_len,
-                available: shortest,
-            });
-        }
         let n_occ = self.n_occupied();
-
-        // Per antenna: ingest every symbol (CP strip + FFT via the
-        // workspace's SymbolIngest) and gather the occupied carriers
-        // (one grow per burst, none per symbol). Whole groups of
-        // FFT_LANES symbols share one lane-parallel FFT; the remainder
-        // goes one symbol at a time.
-        let run_antenna = |a: usize,
-                           ws: &mut crate::workspace::RxAntennaWorkspace|
-         -> Result<(), PhyError> {
-            ws.freq_occ.resize(available * n_occ, CQ15::ZERO);
-            let periods = &streams[a].as_ref()[data_start..data_start + available * sym_len];
-            let whole = available / FFT_LANES * FFT_LANES;
+        let run_antenna = |a: usize, ws: &mut RxAntennaWorkspace| -> Result<(), PhyError> {
+            ws.freq_occ.resize(count * n_occ, CQ15::ZERO);
+            let periods = &samples[a].as_ref()[lo..lo + count * sym_len];
+            let whole = count / FFT_LANES * FFT_LANES;
             let (batched, tail) = periods.split_at(whole * sym_len);
             let (occ_batched, occ_tail) = ws.freq_occ.split_at_mut(whole * n_occ);
             for (group, occ) in batched
@@ -546,93 +702,30 @@ impl RxCore {
             }
             Ok(())
         };
-        fan_out(width, &mut workspace.antennas, run_antenna)?;
-
-        Ok(FrontInfo {
-            event,
-            h_inv,
-            available,
-            data_start,
-            shortest,
-        })
+        fan_out(width, antennas, run_antenna)
     }
 
-    /// The back (stream) stage of one burst: SIGNAL-field header
-    /// decode (stream 0, most robust MCS), then per-stream runs of the
-    /// per-symbol core at the announced rate over the carriers the
-    /// front stage gathered, then the round-robin payload reassembly.
-    fn back_stage(
-        &self,
-        workspace: &mut RxWorkspace,
-        front: &FrontInfo,
-        width: usize,
-    ) -> Result<RxResult, PhyError> {
-        let geometry = self.cfg.geometry();
-        let sym_len = geometry.symbol_samples();
-        let h = self.header_symbols;
-        if front.available <= h {
-            return Err(PhyError::TruncatedBurst {
-                needed: front.data_start + (h + 1) * sym_len,
-                available: front.shortest,
-            });
-        }
-        let RxWorkspace {
-            antennas,
-            streams: stream_ws,
-            header,
-        } = workspace;
-        let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
-
-        // --- SIGNAL field: stream 0, symbols 0..h, BPSK r=1/2. ---
-        self.run_stream_symbols(0, header, &freq, &front.h_inv, self.rates.header_kit(), 0, h, false)?;
-        let params = self.parse_header(header)?;
-        let n_symbols = params.payload_symbols(geometry);
-        if front.available < h + n_symbols {
-            return Err(PhyError::TruncatedBurst {
-                needed: front.data_start + (h + n_symbols) * sym_len,
-                available: front.shortest,
-            });
-        }
-
-        // --- Payload: all streams, symbols h..h+n, announced MCS,
-        // each stream decoded by whichever schedule ran its symbols. ---
-        let kit = self.rates.kit(params.mcs);
-        let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
-            self.run_stream_symbols(k, ws, &freq, &front.h_inv, kit, h, n_symbols, true)?;
-            self.decode_stream(params.stream_bytes(k, N_STREAMS), ws)
-        };
-        fan_out(width, stream_ws, run_stream)?;
-
-        let payload = assemble_payload(&params, stream_ws)?;
-        Ok(finish_result(front.event, params.mcs, n_symbols, stream_ws, payload))
-    }
-
-    /// Stream `k`'s batch pass: the per-symbol core over symbols
-    /// `first_sym..first_sym + n_syms` of the gathered carrier buffers
-    /// at `kit`'s rate — exactly the loop the streaming receiver
-    /// unrolls one symbol at a time.
-    #[allow(clippy::too_many_arguments)] // the pipeline seam is the point
-    fn run_stream_symbols(
+    /// Runs every row of `freq` (`freq[a]` = antenna `a`'s gathered
+    /// carriers, symbol-major) through the per-symbol core for stream
+    /// `k` at `kit`'s rate. Row `m` is after-LTS symbol `first + m`,
+    /// which is also its pilot polarity index (the SIGNAL field takes
+    /// the first `header_symbols` positions of the 802.11a numbering).
+    #[allow(clippy::too_many_arguments)] // one argument per pipeline input
+    fn run_rows(
         &self,
         k: usize,
         ws: &mut RxStreamWorkspace,
         freq: &[&[CQ15]; 4],
         h_inv: &[FxMat4],
         kit: &RateKit,
-        first_sym: usize,
-        n_syms: usize,
+        first: usize,
         collect_diag: bool,
     ) -> Result<(), PhyError> {
         let n_occ = self.n_occupied();
-        Self::begin_stream_pass(ws, n_syms, kit);
-        for m in 0..n_syms {
-            // Absolute symbol index after the LTS — also the pilot
-            // polarity index (the SIGNAL field occupies the first
-            // header_symbols positions of the 802.11a numbering).
-            let sym = first_sym + m;
+        for m in 0..freq[0].len() / n_occ {
             let rx_occ: [&[CQ15]; 4] =
-                std::array::from_fn(|a| &freq[a][sym * n_occ..(sym + 1) * n_occ]);
-            self.process_symbol(k, ws, &rx_occ, h_inv, kit, sym, collect_diag)?;
+                std::array::from_fn(|a| &freq[a][m * n_occ..(m + 1) * n_occ]);
+            self.process_symbol(k, ws, &rx_occ, h_inv, kit, first + m, collect_diag)?;
         }
         Ok(())
     }
@@ -641,7 +734,7 @@ impl RxCore {
     /// burst parameters (rate index, length, CRC), rejecting lengths
     /// beyond what the four streams of one burst can carry — the one
     /// header parse of the batch and streaming receivers.
-    pub(crate) fn parse_header(&self, ws: &mut RxStreamWorkspace) -> Result<BurstParams, PhyError> {
+    fn parse_header(&self, ws: &mut RxStreamWorkspace) -> Result<BurstParams, PhyError> {
         self.viterbi
             .decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
         // The SIGNAL field is never scrambled: parse the bits as-is.
@@ -661,7 +754,7 @@ impl RxCore {
     /// per-symbol scatter already de-interleaved and depunctured it) →
     /// descramble → exactly the bytes the SIGNAL field announced for
     /// this stream, all in workspace buffers.
-    pub(crate) fn decode_stream(
+    fn decode_stream(
         &self,
         expect_bytes: usize,
         ws: &mut RxStreamWorkspace,
@@ -757,7 +850,7 @@ impl MimoReceiver {
 /// Round-robin byte reassembly of the per-stream decoded payloads —
 /// the inverse of the transmitter's split, shared by the batch and
 /// streaming burst closers.
-pub(crate) fn assemble_payload(
+fn assemble_payload(
     params: &BurstParams,
     stream_ws: &[RxStreamWorkspace],
 ) -> Result<Vec<u8>, PhyError> {
@@ -801,7 +894,7 @@ fn evm_ratio_db(num: f64, den: f64) -> f64 {
 /// and the mean phase averages every stream's accumulated pilot phase
 /// over `streams × symbols`. All EVM figures are floored at
 /// [`EVM_FLOOR_DB`].
-pub(crate) fn finish_result(
+fn finish_result(
     event: SyncEvent,
     mcs: Mcs,
     n_symbols: usize,

@@ -10,45 +10,40 @@
 //! state — correlator sums, channel estimate, per-symbol position,
 //! accumulated LLRs — across chunk boundaries.
 //!
-//! # The per-symbol state machine
+//! # Search, then the shared decoder
 //!
-//! ```text
-//! Searching ──sync──▶ Estimating ──H⁻¹──▶ HeaderDecode{sym}
-//!     ▲                                        │ SIGNAL parsed
-//!     │                                        ▼
-//!     └────── burst emitted ◀──────── Payload{symbol_idx}
-//! ```
+//! The receiver is either searching or holding one burst:
 //!
 //! * **Searching** — the chunk-driven [`SyncTracker`] (online coarse
-//!   STS plateau + fine 32-tap correlator window) looks for a burst.
-//! * **Estimating** — once the preamble is located, the receiver waits
-//!   for the four staggered LTS fields and runs the same CORDIC-QRD
-//!   channel estimation the batch path runs, on identical samples.
-//! * **HeaderDecode** — each arriving symbol is ingested
-//!   (CP strip + FFT + carrier gather) per antenna and pushed through
-//!   the shared per-symbol core for stream 0 at BPSK r=1/2; after
-//!   `header_symbols` symbols the SIGNAL field is parsed.
-//! * **Payload{symbol_idx}** — every arriving symbol runs the shared
-//!   detect→demap core for all four streams at the announced MCS; at
-//!   the announced length the per-stream Viterbi decodes run, the
-//!   round-robin reassembly closes the burst, and the machine re-arms
-//!   for the next one — back-to-back bursts in one stream decode
-//!   naturally.
+//!   STS plateau + fine 32-tap correlator window) looks for a burst in
+//!   the samples it has not seen yet.
+//! * **A burst in flight** — from the sync event on, every pushed
+//!   chunk goes to the decoder [`MimoReceiver::receive_burst`] also
+//!   runs, which takes the burst as far as the buffered samples allow:
+//!   channel estimate once the LTS fields are in, SIGNAL field once
+//!   the first payload symbol is, then every whole payload symbol
+//!   (eight at a time through one lane FFT when a chunk brings that
+//!   many), and the close at the announced length. When it closes or
+//!   fails, the search re-arms at the sample the decoder names — the
+//!   burst end after a close, the first SIGNAL-field sample after a
+//!   failed estimate or decode — so back-to-back bursts in one stream
+//!   decode naturally.
 //!
-//! Because every stage *is* the batch receiver's stage (this module
-//! adds only buffering and scheduling), the emitted bursts are
-//! **bit-identical** to [`MimoReceiver::receive_burst`] on the same
-//! samples, for every MCS and every chunking — `tests/streaming_rx.rs`
-//! enforces this across the grid, including preambles straddling chunk
-//! boundaries.
+//! This module adds only the sample history, the search and the
+//! re-arming, so the emitted bursts are **bit-identical** to
+//! [`MimoReceiver::receive_burst`] on the same samples, for every MCS
+//! and every chunking — `tests/streaming_rx.rs` enforces this across
+//! the grid, including preambles straddling chunk boundaries — and a
+//! burst cut short reports the same [`PhyError::TruncatedBurst`] at
+//! [`StreamingReceiver::flush`] that `receive_burst` reports for the
+//! stored cut (`tests/rx_robustness.rs`).
 //!
-//! Steady-state processing allocates nothing: the per-symbol scratch
-//! is the same `RxWorkspace` type the batch path uses (one gathered
-//! carrier row per antenna instead of a whole burst), the receiver
-//! buffers its own per-antenna sample history and hands the
-//! [`SymbolIngest`](mimo_ofdm::SymbolIngest) one on-air period at a
-//! time, and the history buffers retain their capacity across bursts,
-//! compacting amortized-O(1) per sample.
+//! Steady-state processing allocates nothing: the decode scratch is
+//! the same `RxWorkspace` type the batch path uses (its gathered
+//! carrier rows hold the symbols decoded from the current chunk), the
+//! receiver buffers its own per-antenna sample history and hands the
+//! decoder views of it, and the history buffers retain their capacity
+//! across bursts, compacting amortized-O(1) per sample.
 //!
 //! One deliberate divergence: the batch path falls back to a
 //! whole-capture cross-correlation scan when the coarse detector finds
@@ -86,14 +81,12 @@
 //! # }
 //! ```
 
-use mimo_chanest::FxMat4;
 use mimo_fixed::CQ15;
 use mimo_sync::{SyncEvent, SyncTracker};
 
 use crate::config::{LinkGeometry, PhyConfig, N_STREAMS};
 use crate::error::PhyError;
-use crate::mcs::{BurstParams, Mcs};
-use crate::rx::{assemble_payload, finish_result, RxCore, RxResult, WINDOW_BACKOFF};
+use crate::rx::{BurstState, RxCore, RxResult};
 use crate::workspace::RxWorkspace;
 
 /// History retained behind the read position while searching: enough
@@ -118,39 +111,10 @@ pub struct ReceivedBurst {
     pub burst_end: usize,
 }
 
-/// Immutable context of the burst being decoded.
-#[derive(Debug, Clone)]
-struct BurstCtx {
-    event: SyncEvent,
-    /// Absolute index of the first header symbol sample.
-    data_start: usize,
-    /// Inverted channel matrices, one per occupied carrier.
-    h_inv: Vec<FxMat4>,
-}
-
-/// The receive phases (see the module docs for the machine).
-#[derive(Debug, Clone)]
-enum Phase {
-    Searching,
-    Estimating {
-        event: SyncEvent,
-    },
-    HeaderDecode {
-        ctx: Box<BurstCtx>,
-        sym: usize,
-    },
-    Payload {
-        ctx: Box<BurstCtx>,
-        params: BurstParams,
-        n_symbols: usize,
-        sym: usize,
-    },
-}
-
-/// The chunk-driven 4×4 receiver: the per-symbol core that batch
-/// ([`crate::MimoReceiver::receive_burst`]) and pipelined
-/// ([`crate::BurstPipeline`]) reception also run, advanced one on-air
-/// symbol at a time as samples arrive. See the module docs.
+/// The chunk-driven 4×4 receiver: a sync search in front of the burst
+/// decoder that batch ([`crate::MimoReceiver::receive_burst`]) and
+/// pipelined ([`crate::BurstPipeline`]) reception also run, advanced
+/// as samples arrive. See the module docs.
 #[derive(Debug)]
 pub struct StreamingReceiver {
     /// The immutable receiver tables (kits, correctors, gather maps) —
@@ -164,9 +128,10 @@ pub struct StreamingReceiver {
     hist_base: usize,
     /// Absolute samples ingested so far.
     pos: usize,
-    /// Per-symbol scratch, reused across symbols and bursts.
+    /// Decode scratch, reused across symbols and bursts.
     ws: RxWorkspace,
-    phase: Phase,
+    /// The burst past acquisition, if any.
+    burst: Option<BurstState>,
 }
 
 impl StreamingReceiver {
@@ -187,7 +152,7 @@ impl StreamingReceiver {
             hist_base: 0,
             pos: 0,
             ws,
-            phase: Phase::Searching,
+            burst: None,
             core,
         })
     }
@@ -214,7 +179,7 @@ impl StreamingReceiver {
     }
 
     /// Pushes one equal-length sample chunk per antenna (any length,
-    /// including empty) and advances the state machine. Returns the
+    /// including empty) and advances the receiver. Returns the
     /// first burst completed by these samples, if any; if a chunk
     /// completes more than one burst, the remainder stays buffered —
     /// drain with [`StreamingReceiver::poll`].
@@ -225,7 +190,8 @@ impl StreamingReceiver {
     /// for malformed chunk sets, and surfaces per-burst decode
     /// failures ([`PhyError::HeaderCrc`], [`PhyError::UnsupportedMcs`],
     /// estimation and decode errors) exactly like
-    /// [`crate::MimoReceiver::receive_burst`]; after such an error the
+    /// [`crate::MimoReceiver::receive_burst`]; a shortfall is only an
+    /// error at [`StreamingReceiver::flush`]. After an error the
     /// receiver re-arms and keeps searching the stream, so one bad
     /// burst never wedges the datapath.
     // phylint: hot
@@ -273,7 +239,7 @@ impl StreamingReceiver {
     /// receiver is already re-armed when the error is returned.
     /// Returns `Ok(())` when the gap fell between bursts.
     pub fn notify_gap(&mut self, missing: usize) -> Result<(), PhyError> {
-        let interrupted = !matches!(self.phase, Phase::Searching);
+        let interrupted = self.burst.take().is_some();
         self.pos += missing;
         // The stream is discontinuous: nothing buffered can be
         // combined with post-gap samples, so drop it all (bounded
@@ -284,7 +250,6 @@ impl StreamingReceiver {
         self.hist_base = self.pos;
         self.tracker.rearm_at(self.pos);
         self.tracker_fed = self.pos;
-        self.phase = Phase::Searching;
         if interrupted {
             Err(PhyError::StreamGap { missing })
         } else {
@@ -292,7 +257,7 @@ impl StreamingReceiver {
         }
     }
 
-    /// Advances the state machine over already-buffered samples
+    /// Advances the receiver over already-buffered samples
     /// without pushing new ones — call repeatedly after
     /// [`StreamingReceiver::push_samples`] to drain a chunk that
     /// completed several bursts.
@@ -306,7 +271,9 @@ impl StreamingReceiver {
 
     /// Declares end-of-stream: finalizes a coarse plateau still open
     /// at the buffer edge (the batch end-of-capture rule) and reports
-    /// a burst cut off mid-decode as [`PhyError::TruncatedBurst`].
+    /// a burst cut off mid-decode as [`PhyError::TruncatedBurst`], with
+    /// the fields [`crate::MimoReceiver::receive_burst`] reports for
+    /// the same samples.
     /// Returns a burst only if the buffered tail completed one.
     ///
     /// # Errors
@@ -316,290 +283,70 @@ impl StreamingReceiver {
         self.pump(true)
     }
 
-    /// The state-machine driver; `end` marks end-of-stream.
+    /// The driver; `end` marks end-of-stream. Without a burst in
+    /// flight it feeds the new samples to the sync tracker; a burst it
+    /// holds or finds goes to the shared decoder, which takes it as far
+    /// as the buffered samples allow.
     fn pump(&mut self, end: bool) -> Result<Option<ReceivedBurst>, PhyError> {
-        let geometry = self.core.geometry().clone();
-        let n = geometry.fft_size();
-        let field = 5 * n / 2;
-        let sym_len = geometry.symbol_samples();
-        let h_syms = self.core.header_symbols;
-        loop {
-            match std::mem::replace(&mut self.phase, Phase::Searching) {
-                Phase::Searching => {
-                    if self.tracker.is_locked() {
-                        // A previous flush latched the tracker with no
-                        // burst in flight; new samples re-arm it.
-                        self.tracker.rearm_at(self.tracker_fed);
-                    }
-                    let mut event = None;
-                    if self.tracker_fed < self.pos {
-                        let from = self.tracker_fed - self.hist_base;
-                        let views: [&[CQ15]; 4] =
-                            std::array::from_fn(|a| &self.hist[a][from..]);
-                        event = self.tracker.push_chunks(&views);
-                        self.tracker_fed = self.pos;
-                    }
-                    if event.is_none() && end && !self.tracker.is_locked() {
-                        event = self.tracker.flush();
-                    }
-                    match event {
-                        Some(event) => self.phase = Phase::Estimating { event },
-                        None => {
-                            self.compact_to(self.pos.saturating_sub(SEARCH_KEEP));
-                            return Ok(None);
-                        }
-                    }
+        let mut burst = match self.burst.take() {
+            Some(burst) => burst,
+            None => match self.search(end) {
+                Some(event) => self.core.begin_burst(event),
+                None => {
+                    self.compact_to(self.pos.saturating_sub(SEARCH_KEEP));
+                    return Ok(None);
                 }
-
-                Phase::Estimating { event } => {
-                    let lts0 = event.lts_start.saturating_sub(WINDOW_BACKOFF);
-                    let needed = lts0 + 4 * field;
-                    if self.pos < needed {
-                        if end {
-                            self.abort_search_at(self.pos);
-                            return Err(PhyError::TruncatedBurst {
-                                needed,
-                                available: self.pos,
-                            });
-                        }
-                        self.phase = Phase::Estimating { event };
-                        return Ok(None);
-                    }
-                    let base = self.hist_base;
-                    // The four staggered LTS views span exactly
-                    // `lts0 + n/2 .. lts0 + 4·field` (field = 5n/2);
-                    // the upper edge is covered by the `needed` check
-                    // above, but a hostile stream can desynchronise
-                    // the lower edge from the retained history.
-                    if lts0 + n / 2 < base {
-                        self.abort_search_at(self.pos);
-                        // phylint: allow(hot_transitive) -- error path: allocates only when the stream has already desynchronised
-                        return Err(PhyError::Desync(format!(
-                            "LTS window at {} precedes retained history (base {base})",
-                            lts0 + n / 2
-                        )));
-                    }
-                    let lts_views: [[&[CQ15]; 4]; 4] = std::array::from_fn(|rx| {
-                        std::array::from_fn(|slot| {
-                            let start = lts0 + slot * field + n / 2 - base;
-                            &self.hist[rx][start..start + 2 * n]
-                        })
-                    });
-                    let data_start = lts0 + 4 * field;
-                    let h_inv = match self.core.estimate_channel(&lts_views) {
-                        Ok(h_inv) => h_inv,
-                        Err(e) => {
-                            self.abort_search_at(data_start);
-                            return Err(e);
-                        }
-                    };
-                    let n_occ = self.core.n_occupied();
-                    for ant in &mut self.ws.antennas {
-                        // One rolling row per antenna (the batch path
-                        // gathers all symbols; streaming needs only
-                        // the one in flight).
-                        ant.freq_occ.resize(n_occ, CQ15::ZERO);
-                    }
-                    RxCore::begin_stream_pass(
-                        &mut self.ws.header,
-                        h_syms,
-                        self.core.rates.header_kit(),
-                    );
-                    self.phase = Phase::HeaderDecode {
-                        // phylint: allow(hot_transitive) -- one context box per burst header, amortised across the whole burst
-                        ctx: Box::new(BurstCtx {
-                            event,
-                            data_start,
-                            h_inv,
-                        }),
-                        sym: 0,
-                    };
-                }
-
-                Phase::HeaderDecode { ctx, sym } => {
-                    let start = ctx.data_start + sym * sym_len;
-                    if self.pos < start + sym_len {
-                        if end {
-                            self.abort_search_at(self.pos);
-                            return Err(PhyError::TruncatedBurst {
-                                needed: start + sym_len,
-                                available: self.pos,
-                            });
-                        }
-                        self.phase = Phase::HeaderDecode { ctx, sym };
-                        return Ok(None);
-                    }
-                    if let Err(e) = self.header_symbol(&ctx, sym) {
-                        self.abort_search_at(ctx.data_start);
-                        return Err(e);
-                    }
-                    let sym = sym + 1;
-                    if sym < h_syms {
-                        self.phase = Phase::HeaderDecode { ctx, sym };
-                        continue;
-                    }
-                    let params = match self.core.parse_header(&mut self.ws.header) {
-                        Ok(params) => params,
-                        Err(e) => {
-                            self.abort_search_at(ctx.data_start);
-                            return Err(e);
-                        }
-                    };
-                    let n_symbols = params.payload_symbols(&geometry);
-                    let kit = self.core.rates.kit(params.mcs);
-                    for ws in &mut self.ws.streams {
-                        RxCore::begin_stream_pass(ws, n_symbols, kit);
-                    }
-                    self.phase = Phase::Payload {
-                        ctx,
-                        params,
-                        n_symbols,
-                        sym: 0,
-                    };
-                }
-
-                Phase::Payload {
-                    ctx,
-                    params,
-                    n_symbols,
-                    sym,
-                } => {
-                    let start = ctx.data_start + (h_syms + sym) * sym_len;
-                    if self.pos < start + sym_len {
-                        if end {
-                            self.abort_search_at(self.pos);
-                            return Err(PhyError::TruncatedBurst {
-                                needed: start + sym_len,
-                                available: self.pos,
-                            });
-                        }
-                        self.phase = Phase::Payload {
-                            ctx,
-                            params,
-                            n_symbols,
-                            sym,
-                        };
-                        return Ok(None);
-                    }
-                    if let Err(e) = self.payload_symbol(&ctx, params.mcs, h_syms + sym) {
-                        self.abort_search_at(ctx.data_start);
-                        return Err(e);
-                    }
-                    let sym = sym + 1;
-                    // Consumed symbols (and the preamble) are history.
-                    self.compact_to(ctx.data_start + (h_syms + sym) * sym_len);
-                    if sym < n_symbols {
-                        self.phase = Phase::Payload {
-                            ctx,
-                            params,
-                            n_symbols,
-                            sym,
-                        };
-                        continue;
-                    }
-
-                    // --- Burst end: Viterbi per stream, reassemble,
-                    // re-arm the search. ---
-                    let burst_end = ctx.data_start + (h_syms + n_symbols) * sym_len;
-                    let result: Result<RxResult, PhyError> = (|| {
-                        for (k, ws) in self.ws.streams.iter_mut().enumerate() {
-                            self.core
-                                .decode_stream(params.stream_bytes(k, N_STREAMS), ws)?;
-                        }
-                        let payload = assemble_payload(&params, &self.ws.streams)?;
-                        Ok(finish_result(
-                            ctx.event,
-                            params.mcs,
-                            n_symbols,
-                            &self.ws.streams,
-                            payload,
-                        ))
-                    })();
-                    match result {
-                        Ok(result) => {
-                            self.abort_search_at(burst_end);
-                            return Ok(Some(ReceivedBurst { result, burst_end }));
-                        }
-                        Err(e) => {
-                            self.abort_search_at(burst_end);
-                            return Err(e);
-                        }
-                    }
-                }
+            },
+        };
+        let held: [&[CQ15]; N_STREAMS] = std::array::from_fn(|a| self.hist[a].as_slice());
+        match self
+            .core
+            .advance(&mut self.ws, &mut burst, &held, self.hist_base, end, 1)
+        {
+            Ok(None) => {
+                self.compact_to(burst.keep_from());
+                self.burst = Some(burst);
+                Ok(None)
+            }
+            Ok(Some(closed)) => {
+                self.rearm_at(closed.burst_end);
+                Ok(Some(closed))
+            }
+            Err((e, resume)) => {
+                self.rearm_at(resume);
+                Err(e)
             }
         }
     }
 
-    /// Ingests absolute symbol period `start..start + sym_len` on
-    /// every antenna into the rolling gathered-carrier rows.
-    fn ingest_symbol_rows(&mut self, start: usize, sym_len: usize) -> Result<(), PhyError> {
-        let base = self.hist_base;
-        let lo = start.checked_sub(base).ok_or_else(|| {
-            // phylint: allow(hot_transitive) -- error path: allocates only when the stream has already desynchronised
-            PhyError::Desync(format!(
-                "symbol window at {start} precedes retained history (base {base})"
-            ))
-        })?;
-        for (ant, hist) in self.ws.antennas.iter_mut().zip(&self.hist) {
-            let period = hist.get(lo..lo + sym_len).ok_or_else(|| {
-                // phylint: allow(hot_transitive) -- error path: allocates only when the stream has already desynchronised
-                PhyError::Desync(format!(
-                    "symbol window {start}..{} exceeds buffered samples",
-                    start + sym_len
-                ))
-            })?;
-            let frame = ant.ingest.ingest_period(period)?;
-            self.core.gather_occ(frame, &mut ant.freq_occ);
+    /// Feeds the samples the tracker has not seen yet and, at
+    /// end-of-stream, finalizes a plateau still open at the buffer
+    /// edge. Returns the sync event of a located burst.
+    fn search(&mut self, end: bool) -> Option<SyncEvent> {
+        if self.tracker.is_locked() {
+            // A previous flush latched the tracker with no burst in
+            // flight; new samples re-arm it.
+            self.tracker.rearm_at(self.tracker_fed);
         }
-        Ok(())
-    }
-
-    /// One SIGNAL-field symbol through the shared core (stream 0 only,
-    /// BPSK r=1/2, no diagnostics — exactly the batch header pass).
-    fn header_symbol(&mut self, ctx: &BurstCtx, sym: usize) -> Result<(), PhyError> {
-        let sym_len = self.core.geometry().symbol_samples();
-        self.ingest_symbol_rows(ctx.data_start + sym * sym_len, sym_len)?;
-        let RxWorkspace {
-            antennas, header, ..
-        } = &mut self.ws;
-        let rows: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
-        self.core.process_symbol(
-            0,
-            header,
-            &rows,
-            &ctx.h_inv,
-            self.core.rates.header_kit(),
-            sym,
-            false,
-        )
-    }
-
-    /// One payload symbol through the shared core for all four
-    /// streams; `sym` is the absolute after-LTS symbol index (= pilot
-    /// polarity index, header included).
-    fn payload_symbol(&mut self, ctx: &BurstCtx, mcs: Mcs, sym: usize) -> Result<(), PhyError> {
-        let sym_len = self.core.geometry().symbol_samples();
-        self.ingest_symbol_rows(ctx.data_start + sym * sym_len, sym_len)?;
-        let RxWorkspace {
-            antennas, streams, ..
-        } = &mut self.ws;
-        let rows: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
-        let kit = self.core.rates.kit(mcs);
-        for (k, ws) in streams.iter_mut().enumerate() {
-            self.core
-                .process_symbol(k, ws, &rows, &ctx.h_inv, kit, sym, true)?;
+        let mut event = None;
+        if self.tracker_fed < self.pos {
+            let from = self.tracker_fed - self.hist_base;
+            let views: [&[CQ15]; N_STREAMS] = std::array::from_fn(|a| &self.hist[a][from..]);
+            event = self.tracker.push_chunks(&views);
+            self.tracker_fed = self.pos;
         }
-        Ok(())
+        if event.is_none() && end && !self.tracker.is_locked() {
+            event = self.tracker.flush();
+        }
+        event
     }
 
-    /// Returns to `Searching` with the sync tracker re-armed at
-    /// `resume` (clamped to the buffered range); history before it is
-    /// eligible for compaction.
-    fn abort_search_at(&mut self, resume: usize) {
+    /// Re-arms the sync tracker at `resume` (clamped to the buffered
+    /// range); history before it is eligible for compaction.
+    fn rearm_at(&mut self, resume: usize) {
         let resume = resume.clamp(self.hist_base, self.pos);
         self.tracker.rearm_at(resume);
         self.tracker_fed = resume;
-        self.phase = Phase::Searching;
         self.compact_to(resume);
     }
 
@@ -620,6 +367,7 @@ impl StreamingReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rx::WINDOW_BACKOFF;
     use crate::tx::MimoTransmitter;
 
     fn feed(

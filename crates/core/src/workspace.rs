@@ -72,10 +72,11 @@ impl TxStreamWorkspace {
 pub(crate) struct RxAntennaWorkspace {
     /// CP strip + FFT stage (owns the frame scratch).
     pub ingest: SymbolIngest,
-    /// Gathered occupied carriers, flat `symbol-major`:
-    /// `freq_occ[m * n_occ + s]`. The batch receiver fills every
-    /// demodulated symbol (grows once per burst); the streaming
-    /// receiver keeps a single rolling row.
+    /// Gathered occupied carriers of the symbols being decoded, flat
+    /// `symbol-major`: `freq_occ[m * n_occ + s]`. A stored capture
+    /// fills the SIGNAL-field rows, then every payload row at once; the
+    /// streaming receiver fills the rows one chunk brings. It grows to
+    /// the most rows one call decodes and keeps its capacity.
     pub freq_occ: Vec<CQ15>,
 }
 

@@ -2,7 +2,7 @@
 //! climbing the MCS ladder as channel SNR improves and backing off as
 //! it degrades.
 //!
-//! The loop is the full paper datapath: `LinkAdaptor` transmits each
+//! The loop is the full paper datapath: the transmitter sends each
 //! burst at the controller's current rate via `transmit_burst_with`,
 //! the 4×4 receiver recovers the burst (learning the rate from the
 //! SIGNAL-field header) and reports a `ChannelQuality` aggregated over
@@ -12,13 +12,11 @@
 //! Run with `cargo run --release --example link_adaptation`.
 
 use mimo_baseband::channel::{ChannelModel, TimeVaryingAwgn};
-use mimo_baseband::phy::{
-    LinkAdaptor, LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, RateController,
-};
+use mimo_baseband::phy::{LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, RateController};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tx = MimoTransmitter::new(PhyConfig::paper_synthesis())?;
-    let mut link = LinkAdaptor::new(tx, RateController::for_geometry(&LinkGeometry::mimo()));
+    let mut controller = RateController::default();
     let mut rx = MimoReceiver::from_geometry(LinkGeometry::mimo())?;
 
     // SNR sweeps 10 → 30 → 10 dB over the run: every rate's operating
@@ -31,11 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut peak = Mcs::most_robust();
     for burst_idx in 0..59 {
         let snr = chan.current_snr_db();
-        let mcs = link.current_mcs();
+        let mcs = controller.current();
         if mcs.index() > peak.index() {
             peak = mcs;
         }
-        let burst = link.transmit(&payload)?;
+        let burst = tx.transmit_burst_with(mcs, &payload)?;
         let received = chan.propagate(&burst.streams);
         let outcome = rx.receive_burst(&received);
         let quality = match &outcome {
@@ -50,17 +48,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .as_ref()
                 .map_or("-".into(), |q| format!("{:.1} dB", q.worst_stream_evm_db())),
         );
-        link.feedback(quality.as_ref());
+        controller.update(quality.as_ref());
     }
 
     println!(
         "\npeak rate {peak} ({:.0} Mbps aggregate); final rate {}",
         peak.data_rate_bps(&LinkGeometry::mimo()) / 1e6,
-        link.current_mcs()
+        controller.current()
     );
     assert_eq!(peak, Mcs::Qam64R34, "the sweep reaches the headline rate");
     assert!(
-        link.current_mcs().index() <= Mcs::Qpsk12.index(),
+        controller.current().index() <= Mcs::Qpsk12.index(),
         "and backs off on the way down"
     );
     Ok(())

@@ -107,7 +107,7 @@ fn lossless_link_reports_finite_floored_evm_for_every_mcs() {
 #[test]
 fn run_adaptive_climbs_the_ramp_and_backs_off() {
     let mut link = LinkSimulation::new(PhyConfig::paper_synthesis(), 9).unwrap();
-    let mut controller = RateController::for_geometry(&LinkGeometry::mimo());
+    let mut controller = RateController::default();
     let mut chan = TimeVaryingAwgn::up_down(4, 8.0, 30.0, 60, 21);
     let trace = link
         .run_adaptive(&mut controller, &mut chan, 300, 119)
@@ -145,8 +145,7 @@ fn run_adaptive_climbs_the_ramp_and_backs_off() {
 #[test]
 fn adaptive_goodput_approaches_best_fixed_rate_on_ideal_channel() {
     let mut link = LinkSimulation::new(PhyConfig::paper_synthesis(), 5).unwrap();
-    let mut controller =
-        RateController::for_geometry(&LinkGeometry::mimo()).with_dwell(1, 1);
+    let mut controller = RateController::default().with_dwell(1, 1);
     let mut chan = IdealChannel::new(4);
     let trace = link
         .run_adaptive(&mut controller, &mut chan, 400, 40)
@@ -162,7 +161,7 @@ fn adaptive_goodput_approaches_best_fixed_rate_on_ideal_channel() {
 }
 
 fn settle(evm_db: f64) -> u8 {
-    let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo()).with_dwell(1, 1);
+    let mut ctrl = RateController::default().with_dwell(1, 1);
     let q = mimo_baseband::phy::ChannelQuality {
         evm_db,
         per_stream_evm_db: vec![evm_db; 4],
@@ -181,7 +180,7 @@ proptest! {
     /// sequence it digests.
     #[test]
     fn controller_stays_on_table(seq in proptest::collection::vec((-85.0f64..5.0, 0u8..4), 1..80)) {
-        let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+        let mut ctrl = RateController::default();
         for (evm, kind) in seq {
             let mcs = if kind == 0 {
                 ctrl.update(None)
@@ -210,7 +209,7 @@ proptest! {
     /// consecutive evidence).
     #[test]
     fn single_burst_cannot_flap_the_rate(evm in -70.0f64..-10.0, delta in 5.0f64..30.0) {
-        let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+        let mut ctrl = RateController::default();
         let steady = mimo_baseband::phy::ChannelQuality {
             evm_db: evm,
             per_stream_evm_db: vec![evm; 4],
@@ -231,7 +230,7 @@ proptest! {
 
         // Re-settle, then one much-worse burst (or a loss): no
         // downshift yet.
-        let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+        let mut ctrl = RateController::default();
         for _ in 0..32 {
             ctrl.update(Some(&steady));
         }
@@ -242,7 +241,7 @@ proptest! {
             mean_phase_rad: 0.0,
         };
         prop_assert_eq!(ctrl.update(Some(&worse)), settled, "single bad burst");
-        let mut ctrl = RateController::for_geometry(&LinkGeometry::mimo());
+        let mut ctrl = RateController::default();
         for _ in 0..32 {
             ctrl.update(Some(&steady));
         }
