@@ -6,7 +6,7 @@
 //! the FPGA to accommodate a 512-point OFDM system."
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mimo_core::{MimoReceiver, MimoTransmitter, PhyConfig};
+use mimo_core::{LinkGeometry, MimoReceiver, MimoTransmitter, PhyConfig};
 use mimo_channel::{ChannelModel, IdealChannel};
 use mimo_fpga::{SynthConfig, SynthesisReport};
 
@@ -46,7 +46,7 @@ fn bench(c: &mut Criterion) {
 
     // Functional check at a scaled size: the full link still closes at
     // 256-point, and we time it.
-    let cfg = PhyConfig::paper_synthesis().with_fft_size(256);
+    let cfg = PhyConfig::from_geometry(LinkGeometry::mimo().with_fft_size(256));
     let tx = MimoTransmitter::new(cfg.clone()).expect("valid config");
     let mut rx = MimoReceiver::new(cfg).expect("valid config");
     let payload: Vec<u8> = (0..600).map(|i| (i * 11) as u8).collect();

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_coding::{CodeSpec, ConvolutionalEncoder};
-use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
+use mimo_fft::{FixedFft, FFT_LANES};
 use mimo_fixed::CQ15;
 use mimo_fpga::{SynthConfig, TxEntity};
 use mimo_interleave::BlockInterleaver;
@@ -59,10 +59,9 @@ fn bench(c: &mut Criterion) {
     // eight times `table2/ifft_64pt`).
     let frames: Vec<CQ15> = (0..FFT_LANES).flat_map(|_| freq.iter().copied()).collect();
     let mut bodies = vec![CQ15::ZERO; FFT_LANES * 64];
-    let mut lanes = FftLaneScratch::default();
     c.bench_function("table2/ifft_64pt_8_symbols", |b| {
         b.iter(|| {
-            ifft.ifft_batch_into(&frames, 64, &mut bodies, 64, &mut lanes)
+            ifft.ifft_batch_into(&frames, 64, &mut bodies, 64, FFT_LANES)
                 .expect("sized frames")
         })
     });

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_chanest::{invert_upper_triangular, CordicQrd, Mat4};
 use mimo_coding::{hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder};
 use mimo_detect::ZfDetector;
-use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
+use mimo_fft::{FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_fpga::{RxEntity, SynthConfig};
 use mimo_interleave::BlockInterleaver;
@@ -56,10 +56,9 @@ fn bench(c: &mut Criterion) {
     // eight times `table4/fft_64pt`).
     let batch: Vec<CQ15> = (0..FFT_LANES).flat_map(|_| time.iter().copied()).collect();
     let mut spectra = vec![CQ15::ZERO; FFT_LANES * 64];
-    let mut lanes = FftLaneScratch::default();
     c.bench_function("table4/fft_64pt_8_symbols", |b| {
         b.iter(|| {
-            fft.fft_batch_into(&batch, 64, &mut spectra, 64, &mut lanes)
+            fft.fft_batch_into(&batch, 64, &mut spectra, 64, FFT_LANES)
                 .expect("sized")
         })
     });

@@ -247,22 +247,9 @@ impl PhyConfig {
         &self.geometry
     }
 
-    /// Sets the FFT size (64, 128, 256 or 512).
-    pub fn with_fft_size(mut self, n: usize) -> Self {
-        self.geometry = self.geometry.with_fft_size(n);
-        self
-    }
-
     /// Sets the default MCS.
     pub fn with_mcs(mut self, mcs: Mcs) -> Self {
         self.mcs = mcs;
-        self
-    }
-
-    /// Selects soft (true) or hard (false) demapping into the Viterbi
-    /// decoder.
-    pub fn with_soft_decoding(mut self, on: bool) -> Self {
-        self.geometry = self.geometry.with_soft_decoding(on);
         self
     }
 
@@ -294,43 +281,12 @@ impl PhyConfig {
         self.mcs
     }
 
-    /// FFT size.
-    pub fn fft_size(&self) -> usize {
-        self.geometry.fft_size()
-    }
-
-    /// Whether soft demapping feeds the Viterbi decoder.
-    pub fn soft_decoding(&self) -> bool {
-        self.geometry.soft_decoding()
-    }
-
     /// Whether the per-channel hot paths fan out on a crew as wide as
     /// the host has CPUs (otherwise the caller runs them alone): the
     /// explicit [`PhyConfig::with_parallelism`] override when set,
     /// otherwise auto (on exactly on hosts with more than one CPU).
     pub fn parallelism(&self) -> bool {
         self.geometry.parallelism()
-    }
-
-    /// Baseband clock (= sample rate), Hz. The paper achieves 100 MHz.
-    pub fn clock_hz(&self) -> f64 {
-        self.geometry.clock_hz()
-    }
-
-    /// Data carriers per OFDM symbol (48 per 64-point unit).
-    pub fn data_carriers(&self) -> usize {
-        self.geometry.data_carriers()
-    }
-
-    /// Samples per OFDM symbol on air (N + N/4).
-    pub fn symbol_samples(&self) -> usize {
-        self.geometry.symbol_samples()
-    }
-
-    /// OFDM symbol duration in seconds at the configured clock
-    /// (one sample per cycle).
-    pub fn symbol_duration_s(&self) -> f64 {
-        self.geometry.symbol_duration_s()
     }
 }
 
@@ -343,7 +299,7 @@ mod tests {
         let cfg = PhyConfig::paper_synthesis();
         cfg.validate().unwrap();
         assert_eq!(cfg.geometry().n_streams(), 4);
-        assert_eq!(cfg.data_carriers(), 48);
+        assert_eq!(cfg.geometry().data_carriers(), 48);
         let (mcs, geom) = (cfg.mcs(), cfg.geometry());
         assert_eq!(mcs, Mcs::Qam16R12);
         assert_eq!(mcs.coded_bits_per_symbol(geom), 192);
@@ -359,7 +315,7 @@ mod tests {
         let cfg = PhyConfig::gigabit();
         // 4 × 216 / 800 ns = 1.08 Gbps.
         assert!((cfg.mcs().data_rate_bps(cfg.geometry()) - 1.08e9).abs() < 1e3);
-        assert_eq!(cfg.clock_hz(), 100.0e6);
+        assert_eq!(cfg.geometry().clock_hz(), 100.0e6);
     }
 
     #[test]
@@ -368,7 +324,7 @@ mod tests {
         use mimo_modem::Modulation;
         // The 48 data carriers keep N_DBPS = N_CBPS · rate exact for
         // every pair, table row or not.
-        let carriers = PhyConfig::paper_synthesis().data_carriers();
+        let carriers = PhyConfig::paper_synthesis().geometry().data_carriers();
         for m in Modulation::ALL {
             for r in CodeRate::ALL {
                 let ncbps = carriers * m.bits_per_symbol();
@@ -384,7 +340,7 @@ mod tests {
     fn throughput_independent_of_fft_size() {
         // Carriers and symbol duration scale together.
         let rate =
-            |n| Mcs::Qam64R34.data_rate_bps(PhyConfig::gigabit().with_fft_size(n).geometry());
+            |n| Mcs::Qam64R34.data_rate_bps(&LinkGeometry::mimo().with_fft_size(n));
         assert!((rate(64) - rate(512)).abs() < 1.0);
     }
 
@@ -409,6 +365,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(PhyConfig::paper_synthesis().with_fft_size(96).validate().is_err());
+        let bad = PhyConfig::from_geometry(LinkGeometry::mimo().with_fft_size(96));
+        assert!(bad.validate().is_err());
     }
 }

@@ -107,7 +107,23 @@ pub enum PhyError {
     /// the buffered history (an index walked off the retained window —
     /// only reachable through hostile or discontinuous input). The
     /// receiver has re-armed; the burst in flight is lost.
-    Desync(String),
+    Desync {
+        /// Absolute sample index the burst in flight still reads from.
+        window: usize,
+        /// Absolute sample index the retained history starts at.
+        base: usize,
+    },
+    /// [`StreamingReceiver::push_samples`](crate::StreamingReceiver::push_samples)
+    /// got chunks of different lengths: every antenna must deliver the
+    /// same number of samples per push.
+    UnequalChunks {
+        /// The first antenna whose chunk length differs from antenna 0's.
+        antenna: usize,
+        /// Antenna 0's chunk length.
+        expected: usize,
+        /// That antenna's chunk length.
+        got: usize,
+    },
     /// Reserved for failures of the decode schedule itself rather than
     /// the signal path. No receive path constructs it: a crew helper
     /// that cannot be spawned runs on the caller instead, and a helper
@@ -162,9 +178,20 @@ impl fmt::Display for PhyError {
                 f,
                 "transmit packet queue full ({capacity} bursts); drain with pull_into"
             ),
-            PhyError::Desync(msg) => {
-                write!(f, "stream bookkeeping desynchronised: {msg}")
-            }
+            PhyError::Desync { window, base } => write!(
+                f,
+                "stream bookkeeping desynchronised: burst window at {window} \
+                 precedes retained history (base {base})"
+            ),
+            PhyError::UnequalChunks {
+                antenna,
+                expected,
+                got,
+            } => write!(
+                f,
+                "push_samples chunk of antenna {antenna} holds {got} samples, \
+                 antenna 0's holds {expected}"
+            ),
             PhyError::Pipeline(msg) => {
                 write!(f, "decode pipeline failure: {msg}")
             }
@@ -236,9 +263,13 @@ mod tests {
         let gap = PhyError::StreamGap { missing: 1280 };
         assert!(gap.to_string().contains("1280"), "{gap}");
         assert!(gap.to_string().contains("discontinuity"), "{gap}");
-        let desync = PhyError::Desync("estimation window left the history".into());
+        let desync = PhyError::Desync { window: 640, base: 800 };
         assert!(desync.to_string().contains("desynchronised"), "{desync}");
-        assert!(desync.to_string().contains("history"), "{desync}");
+        let text = desync.to_string();
+        assert!(text.contains("640") && text.contains("800"), "{desync}");
+        let ragged = PhyError::UnequalChunks { antenna: 2, expected: 97, got: 96 };
+        assert!(ragged.to_string().contains("antenna 2"), "{ragged}");
+        assert!(ragged.to_string().contains("96") && ragged.to_string().contains("97"), "{ragged}");
         let full = PhyError::QueueFull { capacity: 8 };
         assert!(full.to_string().contains('8'), "{full}");
         assert!(full.to_string().contains("queue full"), "{full}");

@@ -34,8 +34,10 @@
 //! # The chains
 //!
 //! * [`MimoTransmitter`] — Fig 1: scramble → convolutional encode →
-//!   puncture → interleave → map → IFFT → cyclic prefix, ×4 channels,
-//!   plus the Fig 2 staggered preamble and the SIGNAL header.
+//!   one gather through the rate's bit map (puncturing and
+//!   interleaving fused, the table the receiver scatters through) →
+//!   map → IFFT → cyclic prefix, ×4 channels, plus the Fig 2
+//!   staggered preamble and the SIGNAL header.
 //! * [`MimoReceiver`] — Fig 5: time sync → FFT ×4 → channel estimate
 //!   (QRD pipeline) → SIGNAL parse → zero-forcing detect → pilot
 //!   phase/timing correct → demap → deinterleave → Viterbi, ×4
@@ -84,10 +86,11 @@
 //!   whatever samples are buffered: channel estimation once the four
 //!   LTS fields are in, the SIGNAL field once the first payload symbol
 //!   is, then every whole payload symbol through
-//!   [`SymbolIngest`](mimo_ofdm::SymbolIngest) (CP strip + FFT, eight
-//!   symbols per lane FFT) and the per-symbol core (detection → pilot
-//!   corrections → demap → de-interleave), and finally per-stream
-//!   Viterbi and round-robin reassembly at the announced length.
+//!   [`SymbolIngest`](mimo_ofdm::SymbolIngest) (CP strip + FFT of all
+//!   the symbols at hand in one call) and the per-symbol core
+//!   (detection → pilot corrections → demap → de-interleave), and
+//!   finally per-stream Viterbi and round-robin reassembly at the
+//!   announced length.
 //!
 //! [`MimoReceiver::receive_burst`] runs the decoder once over a stored
 //! capture, fanned out on the host's CPUs; [`BurstPipeline`] runs it on
@@ -118,8 +121,8 @@
 //!   burst's output streams. No endpoint holds a lock.
 //! * **Zero-allocation hot paths at every rate.** Per-burst rate
 //!   reconfiguration is an index into a prebuilt bank of datapath kits
-//!   (mapper LUT, demapper thresholds, interleaver permutation — one
-//!   per [`Mcs`] row, the software analogue of the hardware holding
+//!   (mapper LUT, demapper thresholds, fused interleaving/puncturing
+//!   bit map — one per [`Mcs`] row, the software analogue of the hardware holding
 //!   every LUT and multiplexing on the rate field). Every per-symbol
 //!   stage calls the subsystem crates' in-place `_into` APIs, so the
 //!   per-symbol payload loops of `transmit_burst_with` /

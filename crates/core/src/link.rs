@@ -226,7 +226,7 @@ impl LinkSimulation {
         payload_bytes: usize,
         bursts: u64,
     ) -> Result<AdaptiveTrace, PhyError> {
-        let clock_hz = self.config().clock_hz();
+        let clock_hz = self.config().geometry().clock_hz();
         let mut trace = AdaptiveTrace::default();
         for _ in 0..bursts {
             let mcs = controller.current();

@@ -3,8 +3,9 @@
 //! The paper's hardware holds the mapper ROM contents for *every*
 //! address width and multiplexes among them with the rate field; the
 //! software model mirrors that with a [`RateTable`]: one prebuilt
-//! [`RateKit`] (mapper LUT, demapper thresholds, interleaver
-//! permutation) per [`Mcs`] row, built once from the link geometry.
+//! [`RateKit`] (mapper LUT, demapper thresholds, and the fused
+//! interleaving/puncturing bit map both link ends route bits through) per
+//! [`Mcs`] row, built once from the link geometry.
 //! Per-burst rate changes are then a table index — no allocation, no
 //! LUT rebuild — which is what keeps the steady-state payload loops
 //! zero-allocation even across mixed-rate batches.
@@ -22,10 +23,10 @@ pub(crate) struct RateKit {
     pub(crate) mcs: Mcs,
     pub(crate) mapper: SymbolMapper,
     pub(crate) demapper: SymbolDemapper,
-    pub(crate) interleaver: BlockInterleaver,
-    /// Receive-side deinterleave+depuncture fused into one per-symbol
-    /// scatter table (the transmit side still runs the separate
-    /// interleaver/puncturer stages).
+    /// The rate's one bit map: interleaving and puncturing fused into
+    /// one per-symbol table. The transmitter gathers each symbol's
+    /// coded bits out of the mother-code stream through it, and the
+    /// receiver scatters the demapped LLRs back through it.
     pub(crate) fused: FusedDeinterleaver,
 }
 
@@ -42,7 +43,6 @@ impl RateKit {
             mcs,
             mapper,
             demapper,
-            interleaver,
             fused,
         })
     }
@@ -50,11 +50,12 @@ impl RateKit {
     /// Coded bits per OFDM symbol at this kit's rate (the interleaver
     /// block size).
     pub(crate) fn coded_bits_per_symbol(&self) -> usize {
-        self.interleaver.block_size()
+        self.fused.block_size()
     }
 
-    /// Mother-code LLRs one symbol expands to after the fused
-    /// deinterleave+depuncture scatter.
+    /// Mother-code bits one symbol spans: the region the transmitter
+    /// gathers a symbol's coded bits from and the receiver scatters
+    /// its LLRs into.
     pub(crate) fn mother_bits_per_symbol(&self) -> usize {
         self.fused.mother_bits_per_symbol()
     }
@@ -111,11 +112,10 @@ mod tests {
             assert_eq!(kit.mapper.modulation(), mcs.modulation());
             assert_eq!(kit.demapper.modulation(), mcs.modulation());
             assert_eq!(
-                kit.interleaver.block_size(),
+                kit.coded_bits_per_symbol(),
                 48 * mcs.bits_per_symbol(),
                 "{mcs}"
             );
-            assert_eq!(kit.fused.block_size(), kit.coded_bits_per_symbol());
             // Mother stream = coded / kept-fraction, per symbol.
             let keep = mcs.code_rate().keep_pattern();
             let keeps = keep.iter().filter(|&&k| k).count();

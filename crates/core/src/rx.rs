@@ -5,8 +5,8 @@
 //! and payload length are recovered from the SIGNAL-field header
 //! (stream 0's first symbols, always BPSK r=1/2; see
 //! [`crate::signal`]) before the payload is decoded, with the
-//! rate-dependent datapath (demapper thresholds, interleaver
-//! permutation, puncture pattern) selected per burst from a prebuilt
+//! rate-dependent datapath (demapper thresholds and the fused
+//! interleaving/puncturing bit map) selected per burst from a prebuilt
 //! [`RateTable`](crate::rates::RateTable).
 //!
 //! # Acquisition, then one burst decoder
@@ -27,9 +27,10 @@
 //!    symbol is buffered, parsed by `RxCore::parse_header`;
 //! 3. every whole payload symbol as it arrives:
 //!    [`SymbolIngest`](mimo_ofdm::SymbolIngest) (one per antenna, in
-//!    the workspace) strips the CP and FFTs it, eight symbols to one
-//!    lane-parallel FFT for each whole group of [`FFT_LANES`];
-//!    `RxCore::gather_occ` pulls out the occupied carriers; and
+//!    the workspace) strips the CP and FFTs every symbol at hand in one
+//!    call, which runs them through the lane-parallel FFT in groups
+//!    the OFDM layer chooses; `RxCore::gather_occ` pulls out the
+//!    occupied carriers of each frame; and
 //!    `RxCore::process_symbol` runs each stream: zero-forcing
 //!    detection (row `k` of `H⁻¹·r`), pilot common-phase and timing
 //!    correction, then one fused demap→deinterleave→depuncture
@@ -75,7 +76,7 @@ use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
 use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
-use mimo_ofdm::{OfdmDemodulator, SubcarrierMap, FFT_LANES};
+use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
 
 use crate::config::{host_parallelism, LinkGeometry, PhyConfig, N_STREAMS};
@@ -497,7 +498,7 @@ impl RxCore {
 
     /// The decode state of a burst the sync stage has just located.
     pub(crate) fn begin_burst(&self, event: SyncEvent) -> BurstState {
-        let n = self.cfg.fft_size();
+        let n = self.cfg.geometry().fft_size();
         let lts0 = event.lts_start.saturating_sub(WINDOW_BACKOFF);
         let data_start = lts0 + 4 * (5 * n / 2);
         BurstState {
@@ -528,7 +529,6 @@ impl RxCore {
     ///    decode and descramble, reassemble the payload and return the
     ///    closed burst.
     ///
-    /// Each whole group of [`FFT_LANES`] symbols shares one lane FFT.
     /// The per-antenna ingest and the per-stream work each fan out on
     /// a crew of `width`.
     ///
@@ -569,12 +569,11 @@ impl RxCore {
         // Every window read below starts at or after `keep_from` and
         // ends at or before `available`, checked phase by phase.
         if burst.keep_from() < base {
-            // phylint: allow(hot_transitive) -- error path: allocates only when the stream has already desynchronised
-            let msg = format!(
-                "burst window at {} precedes retained history (base {base})",
-                burst.keep_from()
-            );
-            return Err((PhyError::Desync(msg), available));
+            let desync = PhyError::Desync {
+                window: burst.keep_from(),
+                base,
+            };
+            return Err((desync, available));
         }
         let RxWorkspace {
             antennas,
@@ -661,12 +660,10 @@ impl RxCore {
 
     /// Ingests `count` whole symbol periods per antenna, the first at
     /// index `lo` of `samples[a]`, into the rows of that antenna's
-    /// `freq_occ`: CP strip, FFT and carrier gather. Each whole group
-    /// of [`FFT_LANES`] periods goes through one lane-parallel
-    /// `ingest_batch`; the rest go one at a time through
-    /// `ingest_period`. Both give the same frames bit for bit, so the
-    /// split never shows in the output. The antennas fan out on a crew
-    /// of `width`.
+    /// `freq_occ`: one [`SymbolIngest`](mimo_ofdm::SymbolIngest) call
+    /// strips the CPs and FFTs them all, and each frame's occupied
+    /// carriers are gathered into its row. The antennas fan out on a
+    /// crew of `width`.
     fn ingest_rows<S>(
         &self,
         antennas: &mut [RxAntennaWorkspace],
@@ -678,28 +675,15 @@ impl RxCore {
     where
         S: AsRef<[CQ15]> + Sync,
     {
-        let n = self.cfg.fft_size();
-        let sym_len = self.cfg.symbol_samples();
+        let sym_len = self.cfg.geometry().symbol_samples();
         let n_occ = self.n_occupied();
         let run_antenna = |a: usize, ws: &mut RxAntennaWorkspace| -> Result<(), PhyError> {
-            ws.freq_occ.resize(count * n_occ, CQ15::ZERO);
+            let RxAntennaWorkspace { ingest, freq_occ } = ws;
+            freq_occ.resize(count * n_occ, CQ15::ZERO);
             let periods = &samples[a].as_ref()[lo..lo + count * sym_len];
-            let whole = count / FFT_LANES * FFT_LANES;
-            let (batched, tail) = periods.split_at(whole * sym_len);
-            let (occ_batched, occ_tail) = ws.freq_occ.split_at_mut(whole * n_occ);
-            for (group, occ) in batched
-                .chunks_exact(FFT_LANES * sym_len)
-                .zip(occ_batched.chunks_exact_mut(FFT_LANES * n_occ))
-            {
-                let frames = ws.ingest.ingest_batch(group)?;
-                for (frame, dst) in frames.chunks_exact(n).zip(occ.chunks_exact_mut(n_occ)) {
-                    self.gather_occ(frame, dst);
-                }
-            }
-            for (period, dst) in tail.chunks_exact(sym_len).zip(occ_tail.chunks_exact_mut(n_occ)) {
-                let frame = ws.ingest.ingest_period(period)?;
-                self.gather_occ(frame, dst);
-            }
+            ingest.ingest_periods(periods, |m, frame| {
+                self.gather_occ(frame, &mut freq_occ[m * n_occ..(m + 1) * n_occ]);
+            })?;
             Ok(())
         };
         fan_out(width, antennas, run_antenna)

@@ -21,9 +21,10 @@
 //!   chunk goes to the decoder [`MimoReceiver::receive_burst`] also
 //!   runs, which takes the burst as far as the buffered samples allow:
 //!   channel estimate once the LTS fields are in, SIGNAL field once
-//!   the first payload symbol is, then every whole payload symbol
-//!   (eight at a time through one lane FFT when a chunk brings that
-//!   many), and the close at the announced length. When it closes or
+//!   the first payload symbol is, then every whole payload symbol the
+//!   chunk completed (handed to the OFDM ingest in one call, which
+//!   takes the lane FFT whenever they fill a lane group), and the close
+//!   at the announced length. When it closes or
 //!   fails, the search re-arms at the sample the decoder names — the
 //!   burst end after a close, the first SIGNAL-field sample after a
 //!   failed estimate or decode — so back-to-back bursts in one stream
@@ -186,7 +187,7 @@ impl StreamingReceiver {
     ///
     /// # Errors
     ///
-    /// Returns [`PhyError::BadStreamCount`] / [`PhyError::BadConfig`]
+    /// Returns [`PhyError::BadStreamCount`] / [`PhyError::UnequalChunks`]
     /// for malformed chunk sets, and surfaces per-burst decode
     /// failures ([`PhyError::HeaderCrc`], [`PhyError::UnsupportedMcs`],
     /// estimation and decode errors) exactly like
@@ -206,10 +207,13 @@ impl StreamingReceiver {
             });
         }
         let len = chunks[0].as_ref().len();
-        if chunks.iter().any(|c| c.as_ref().len() != len) {
-            return Err(PhyError::BadConfig(
-                "push_samples chunks must be equal length across antennas".into(),
-            ));
+        let lens = chunks.iter().map(|c| c.as_ref().len());
+        if let Some((antenna, got)) = lens.enumerate().find(|&(_, got)| got != len) {
+            return Err(PhyError::UnequalChunks {
+                antenna,
+                expected: len,
+                got,
+            });
         }
         for (h, c) in self.hist.iter_mut().zip(chunks) {
             h.extend_from_slice(c.as_ref());
@@ -505,7 +509,11 @@ mod tests {
         ));
         assert!(matches!(
             rx.push_samples(&[&a[..], &a[..], &a[..], &b[..]]),
-            Err(PhyError::BadConfig(_))
+            Err(PhyError::UnequalChunks {
+                antenna: 3,
+                expected: 8,
+                got: 7
+            })
         ));
     }
 }

@@ -7,11 +7,20 @@
 //! symbols at that MCS. [`MimoTransmitter::transmit_burst_with`]
 //! selects the rate per burst; [`MimoTransmitter::transmit_burst`] is
 //! the single-rate wrapper using the configuration's default MCS.
+//!
+//! The SIGNAL field and every payload stream go through one routine,
+//! the mirror of the receiver's per-symbol core: info bits → scramble
+//! (payload only) → terminated rate-1/2 encode → each symbol's coded
+//! bits gathered out of the mother-code stream through the rate's bit
+//! map (puncturing and interleaving in one pass — the table the receiver
+//! scatters its LLRs through) → map → OFDM modulation of the whole
+//! run of symbols in one call, which the OFDM layer splits into
+//! lane-parallel IFFT groups.
 
-use mimo_coding::{puncture, CodeRate, CodeSpec, ConvolutionalEncoder, Scrambler};
+use mimo_coding::{bits, CodeSpec, ConvolutionalEncoder, Scrambler};
 use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
-use mimo_ofdm::{OfdmModulator, FFT_LANES};
+use mimo_ofdm::OfdmModulator;
 
 use crate::config::{host_parallelism, PhyConfig, N_STREAMS};
 use crate::crew::fan_out;
@@ -19,7 +28,6 @@ use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
 use crate::signal::{encode_signal_field, FLUSH_BITS};
-use crate::workspace::TxStreamWorkspace;
 
 /// Scrambler seed shared by transmitter and receiver.
 pub(crate) const SCRAMBLER_SEED: u8 = 0x5D;
@@ -74,7 +82,7 @@ impl TxBurst {
 /// preamble fields), so [`MimoTransmitter::transmit_burst_with`] takes
 /// `&self` and any number of threads may share one transmitter. Each
 /// burst builds its own scratch — one set per spatial channel, at the
-/// burst's MCS — so the per-symbol interleave → map → IFFT → CP loop
+/// burst's MCS — so the per-symbol gather → map → IFFT → CP loop
 /// runs without heap allocation. The four channel pipelines, mirroring
 /// the four parallel hardware chains of Fig 1, run on a crew that
 /// includes the calling thread: one member per host CPU when
@@ -102,8 +110,9 @@ impl MimoTransmitter {
         cfg.validate()?;
         let default_mcs = cfg.mcs();
         let rates = RateTable::new(cfg.geometry())?;
-        let modulator = OfdmModulator::new(cfg.fft_size())?;
-        let schedule = PreambleSchedule::new(N_STREAMS, cfg.fft_size());
+        let fft_size = cfg.geometry().fft_size();
+        let modulator = OfdmModulator::new(fft_size)?;
+        let schedule = PreambleSchedule::new(N_STREAMS, fft_size);
         let sts = sts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
         let lts = lts_time(modulator.fft(), modulator.map(), DEFAULT_AMPLITUDE)?;
         Ok(Self {
@@ -209,15 +218,14 @@ impl MimoTransmitter {
         }
 
         // SIGNAL-field header: stream 0's first symbols, most robust
-        // MCS, pilot polarity indices 0..header_symbols.
-        self.encode_header(
-            &params,
-            header_symbols,
-            &mut streams[0][pre_len..pre_len + header_len],
-        )?;
+        // MCS, never scrambled, pilot polarity indices 0..header_symbols.
+        let mut header = Vec::new();
+        encode_signal_field(&params, &mut header)?;
+        let header_out = &mut streams[0][pre_len..pre_len + header_len];
+        self.modulate_info(self.rates.header_kit(), header, false, 0, header_out)?;
 
         // Per-stream payload pipeline — "four separate and independent
-        // channels", each on its own workspace, split across the crew.
+        // channels", each on its own scratch, split across the crew.
         let kit = self.rates.kit(mcs);
         let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
         let mut work: Vec<(&mut [CQ15], &[u8])> = streams
@@ -226,7 +234,9 @@ impl MimoTransmitter {
             .map(|(stream, bytes)| (&mut stream[pre_len + header_len..], bytes.as_slice()))
             .collect();
         fan_out(width, &mut work, |_, (out, bytes)| {
-            self.run_stream_pipeline(kit, bytes, n_symbols, header_symbols, out)
+            let mut info = Vec::new();
+            bits::bytes_to_bits_append(bytes, &mut info);
+            self.modulate_info(kit, info, true, header_symbols, out)
         })?;
 
         Ok(TxBurst {
@@ -238,110 +248,45 @@ impl MimoTransmitter {
         })
     }
 
-    /// Encodes the SIGNAL field onto stream 0's header symbols: 28
-    /// header bits (never scrambled, never punctured) → terminated
-    /// rate-1/2 encode → BPSK interleave/map → IFFT + CP, at pilot
-    /// polarity indices `0..header_symbols`.
-    fn encode_header(
+    /// The one bit-to-sample routine behind the SIGNAL field and every
+    /// payload stream: `info` zero-padded to fill `out`'s symbols (less
+    /// the encoder's flush bits) → scramble (payload only) → terminated
+    /// rate-1/2 encode → per symbol, the coded bits gathered out of the
+    /// mother-code stream through `kit`'s bit map (bit `k` of symbol
+    /// `s` is mother bit `s·M + map[k]`, `M` mother bits per symbol) →
+    /// map → OFDM modulation of every symbol in one call, pilot
+    /// polarity indices from `first_symbol` on.
+    fn modulate_info(
         &self,
-        params: &BurstParams,
-        header_symbols: usize,
+        kit: &RateKit,
+        mut info: Vec<u8>,
+        scramble: bool,
+        first_symbol: usize,
         out: &mut [CQ15],
     ) -> Result<(), PhyError> {
         let geometry = self.cfg.geometry();
-        let kit = self.rates.header_kit();
-        let capacity = header_symbols * geometry.header_info_bits_per_symbol() - FLUSH_BITS;
-        let mut info = Vec::with_capacity(capacity);
-        encode_signal_field(params, &mut info)?;
-        debug_assert!(info.len() <= capacity, "header under-provisioned");
+        let n_symbols = out.len() / geometry.symbol_samples();
+        let capacity = n_symbols * kit.mcs.info_bits_per_symbol(geometry) - FLUSH_BITS;
+        debug_assert!(info.len() <= capacity, "symbol count under-provisioned");
         info.resize(capacity, 0);
-        let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
-        let coded = puncture(&mother, CodeRate::Half);
-        self.modulate_symbols(kit, &coded, 0, out)
-    }
-
-    /// One channel's complete payload pipeline: bit chain at the
-    /// burst's MCS, then per symbol interleave → map → IFFT → CP
-    /// written straight into the stream's data region.
-    fn run_stream_pipeline(
-        &self,
-        kit: &RateKit,
-        bytes: &[u8],
-        n_symbols: usize,
-        pilot_offset: usize,
-        out: &mut [CQ15],
-    ) -> Result<(), PhyError> {
-        let coded = self.encode_stream(kit, bytes, n_symbols);
-        self.modulate_symbols(kit, &coded, pilot_offset, out)
-    }
-
-    /// Maps a coded bit stream onto consecutive OFDM symbols starting
-    /// at pilot polarity index `pilot_offset`, on one
-    /// [`TxStreamWorkspace`] so the per-symbol loop allocates nothing.
-    /// Each whole group of [`FFT_LANES`] symbols shares one
-    /// lane-parallel IFFT; a last partial group goes one symbol at a
-    /// time, unpadded, with the same bits.
-    fn modulate_symbols(
-        &self,
-        kit: &RateKit,
-        coded: &[u8],
-        pilot_offset: usize,
-        out: &mut [CQ15],
-    ) -> Result<(), PhyError> {
-        let geometry = self.cfg.geometry();
-        let ncbps = kit.coded_bits_per_symbol();
-        let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
-        let n_data = geometry.data_carriers();
-        let mut ws = TxStreamWorkspace::new(geometry, ncbps, out.len() / sym_len);
-        for (group, (bits, on_air)) in coded
-            .chunks(FFT_LANES * ncbps)
-            .zip(out.chunks_mut(FFT_LANES * sym_len))
-            .enumerate()
-        {
-            let first = pilot_offset + group * FFT_LANES;
-            if bits.len() == FFT_LANES * ncbps && on_air.len() == FFT_LANES * sym_len {
-                for (block, symbols) in bits.chunks(ncbps).zip(ws.symbols.chunks_mut(n_data)) {
-                    kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
-                    kit.mapper.map_bits_into(&ws.interleaved, symbols)?;
-                }
-                self.modulator
-                    .modulate_batch_into(&ws.symbols, first, on_air, &mut ws.freq, &mut ws.lanes)?;
-                continue;
-            }
-            let symbols = bits.chunks(ncbps).zip(on_air.chunks_mut(sym_len));
-            for (k, (block, on_air)) in symbols.enumerate() {
-                kit.interleaver.interleave_into(block, &mut ws.interleaved)?;
-                kit.mapper.map_bits_into(&ws.interleaved, &mut ws.symbols[..n_data])?;
-                self.modulator.modulate_symbol_into(
-                    &ws.symbols[..n_data],
-                    first + k,
-                    on_air,
-                    &mut ws.freq[..n],
-                )?;
-            }
+        if scramble {
+            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
         }
-        Ok(())
-    }
-
-    /// Runs one stream's bit pipeline: payload + pad → scramble →
-    /// encode (terminated) → puncture. Returns exactly
-    /// `n_symbols · N_CBPS(mcs)` coded bits.
-    fn encode_stream(&self, kit: &RateKit, bytes: &[u8], n_symbols: usize) -> Vec<u8> {
-        let geometry = self.cfg.geometry();
-        let ndbps = kit.mcs.info_bits_per_symbol(geometry);
-        let capacity = n_symbols * ndbps - FLUSH_BITS;
-        debug_assert!(8 * bytes.len() <= capacity, "symbol count under-provisioned");
-
-        let mut info = Vec::with_capacity(capacity);
-        mimo_coding::bits::bytes_to_bits_append(bytes, &mut info);
-        info.resize(capacity, 0); // zero pad to fill the burst
-
-        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
-
         let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
-        let coded = puncture(&mother, kit.mcs.code_rate());
-        debug_assert_eq!(coded.len(), n_symbols * kit.coded_bits_per_symbol());
-        coded
+        let (per_symbol, n_data) = (kit.mother_bits_per_symbol(), geometry.data_carriers());
+        debug_assert_eq!(mother.len(), n_symbols * per_symbol);
+        let mut coded = vec![0; kit.coded_bits_per_symbol()];
+        let mut data = vec![CQ15::ZERO; n_symbols * n_data];
+        let symbols = mother.chunks_exact(per_symbol).zip(data.chunks_exact_mut(n_data));
+        for (mother, carriers) in symbols {
+            for (bit, &at) in coded.iter_mut().zip(kit.fused.map()) {
+                *bit = mother[at as usize];
+            }
+            kit.mapper.map_bits_into(&coded, carriers)?;
+        }
+        let mut frames = self.modulator.frame_scratch(n_symbols);
+        self.modulator.modulate_into(&data, first_symbol, out, &mut frames)?;
+        Ok(())
     }
 }
 
@@ -349,30 +294,34 @@ impl MimoTransmitter {
 mod tests {
     use super::*;
 
-    /// Whole eight-symbol groups through the batch IFFT plus a tail of
-    /// 1–7 symbols one at a time give exactly the symbol-at-a-time
-    /// chain, pilot polarities included.
+    /// One modulation call over the whole run (the OFDM layer splits it
+    /// into lane groups) equals a symbol-at-a-time chain — gather, map,
+    /// one-symbol modulation — for 1–17 symbols, pilot polarities
+    /// included.
     #[test]
     fn batched_modulation_matches_symbol_at_a_time() {
         let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
         let kit = tx.rates.kit(Mcs::Qam64R34);
         let geometry = tx.cfg.geometry();
-        let ncbps = kit.coded_bits_per_symbol();
         let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
+        let ndbps = kit.mcs.info_bits_per_symbol(geometry);
         for n_symbols in 1..=17 {
-            let coded: Vec<u8> = (0..n_symbols * ncbps)
+            let info: Vec<u8> = (0..n_symbols * ndbps - FLUSH_BITS)
                 .map(|i| u8::from((i * 7 + i / 5) % 3 == 0))
                 .collect();
             let mut got = vec![CQ15::ZERO; n_symbols * sym_len];
-            tx.modulate_symbols(kit, &coded, 3, &mut got).unwrap();
+            tx.modulate_info(kit, info.clone(), false, 3, &mut got).unwrap();
+            let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
             let mut want = vec![CQ15::ZERO; n_symbols * sym_len];
-            let mut interleaved = vec![0; ncbps];
             let mut symbols = vec![CQ15::ZERO; geometry.data_carriers()];
             let mut frame = vec![CQ15::ZERO; n];
-            let symbols_out = coded.chunks(ncbps).zip(want.chunks_mut(sym_len));
-            for (m, (block, on_air)) in symbols_out.enumerate() {
-                kit.interleaver.interleave_into(block, &mut interleaved).unwrap();
-                kit.mapper.map_bits_into(&interleaved, &mut symbols).unwrap();
+            let per_symbol = mother
+                .chunks(kit.mother_bits_per_symbol())
+                .zip(want.chunks_mut(sym_len));
+            for (m, (mother, on_air)) in per_symbol.enumerate() {
+                let coded: Vec<u8> =
+                    kit.fused.map().iter().map(|&at| mother[at as usize]).collect();
+                kit.mapper.map_bits_into(&coded, &mut symbols).unwrap();
                 tx.modulator.modulate_symbol_into(&symbols, 3 + m, on_air, &mut frame).unwrap();
             }
             assert!(got == want, "{n_symbols} symbols");

@@ -18,50 +18,19 @@
 //!   allocation** at any MCS. Buffers whose size depends on the burst
 //!   length (accumulated LLRs, gathered frequency-domain carriers) grow
 //!   once per burst via `resize` and keep their capacity.
-//! * **Transmit.** `transmit_burst_with` takes `&self` and builds one
-//!   `TxStreamWorkspace` per spatial channel, plus one for the SIGNAL
-//!   header, for each burst at that burst's MCS, as it builds the
-//!   output streams. The per-symbol interleave → map → IFFT → CP loop
-//!   then runs without allocation; a region of at least
-//!   [`FFT_LANES`] symbols gets room for that many, so whole groups
-//!   share one lane-parallel IFFT.
+//! * **Transmit.** `transmit_burst_with` takes `&self` and needs no
+//!   workspace type: each spatial channel (and the SIGNAL header)
+//!   builds its mother-code stream, one symbol's coded-bit buffer, the
+//!   mapped carriers and the modulator's frame scratch per burst at
+//!   that burst's MCS, then runs its symbols without further
+//!   allocation. The frame scratch holds at most one lane group of
+//!   frames, however long the burst.
 
 use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
-use mimo_ofdm::{FftLaneScratch, SymbolIngest, FFT_LANES};
+use mimo_ofdm::SymbolIngest;
 
 use crate::config::LinkGeometry;
-
-/// Per-symbol transmit scratch: one per spatial channel (plus one for
-/// the SIGNAL-field header), built for each burst at its MCS.
-#[derive(Debug)]
-pub(crate) struct TxStreamWorkspace {
-    /// One symbol's interleaved coded bits (N_CBPS of the burst's MCS).
-    pub interleaved: Vec<u8>,
-    /// Mapped data carriers, symbol-major: room for one symbol, or
-    /// for [`FFT_LANES`] when the region holds a whole group.
-    pub symbols: Vec<CQ15>,
-    /// Frequency-domain frames for the IFFT (N bins each), as many as
-    /// [`TxStreamWorkspace::symbols`] has symbols.
-    pub freq: Vec<CQ15>,
-    /// Lane data of the batch IFFT.
-    pub lanes: FftLaneScratch,
-}
-
-impl TxStreamWorkspace {
-    /// Builds a stream workspace for a region of `n_symbols` symbols,
-    /// with the per-symbol buffers sized from the link geometry and
-    /// `ncbps` coded bits per symbol.
-    pub fn new(geometry: &LinkGeometry, ncbps: usize, n_symbols: usize) -> Self {
-        let width = if n_symbols >= FFT_LANES { FFT_LANES } else { 1 };
-        Self {
-            interleaved: vec![0; ncbps],
-            symbols: vec![CQ15::ZERO; width * geometry.data_carriers()],
-            freq: vec![CQ15::ZERO; width * geometry.fft_size()],
-            lanes: FftLaneScratch::default(),
-        }
-    }
-}
 
 /// Per-antenna receive scratch (stage 1: symbol ingest + carrier
 /// gather). The [`SymbolIngest`] is this antenna's streaming state —
@@ -98,8 +67,8 @@ pub(crate) struct RxStreamWorkspace {
     pub evm_points: Vec<CQ15>,
     /// The whole burst's mother-code LLR stream, filled symbol by
     /// symbol through the fused demap→deinterleave→depuncture scatter.
-    /// Pre-zeroed at pass start, so puncture erasures are simply the
-    /// positions no scatter ever writes.
+    /// Pre-zeroed at pass start, so the erasures of punctured bits are
+    /// simply the positions no scatter ever writes.
     pub stream_llrs: Vec<Llr>,
     /// Next write offset into [`RxStreamWorkspace::stream_llrs`]
     /// (advances one `mother_bits_per_symbol` region per symbol).

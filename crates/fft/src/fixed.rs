@@ -5,7 +5,13 @@ use std::fmt;
 
 use mimo_fixed::{CQ15, Cf64, SAMPLE_BITS};
 
-use crate::lanes::{on_bus, FftLaneScratch, LaneIo, LaneTables, FFT_LANES};
+use crate::lanes::{on_bus, LaneIo, LaneTables, FFT_LANES};
+
+/// Largest transform size whose whole groups of [`FFT_LANES`] frames
+/// run in the lanes: eight lanes of 512 bins take 32 KiB of stack, as
+/// much as one lane of the largest size. Larger batches run one lane
+/// per frame.
+const BATCH_MAX: usize = 512;
 
 /// Errors produced by the fixed-point FFT core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +88,9 @@ impl FftScaling {
 ///
 /// Every transform of on-bus input runs the lane body (crate docs):
 /// one transform per call through [`FixedFft::fft_into`] /
-/// [`FixedFft::ifft_into`], or [`FFT_LANES`] in lockstep through
-/// [`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`]. Input
+/// [`FixedFft::ifft_into`], or any number through
+/// [`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`], whole
+/// groups of [`FFT_LANES`] in lockstep. Input
 /// off the 16-bit bus takes the scalar core, which the lanes reproduce
 /// bit for bit.
 ///
@@ -208,31 +215,32 @@ impl FixedFft {
     }
 
     // phylint: hot
-    /// [`FFT_LANES`] forward transforms at once. Symbol `k` reads its
-    /// `size` samples from `input[k·in_stride..]` and writes its
-    /// spectrum to `out[k·out_stride..]`; each result equals
-    /// [`FixedFft::fft_into`] on that symbol bit for bit. `scratch`
-    /// holds the lane data (sized on first use, reused after).
+    /// `frames` forward transforms at once. Frame `k` reads its `size`
+    /// samples from `input[k·in_stride..]` and writes its spectrum to
+    /// `out[k·out_stride..]`; each result equals [`FixedFft::fft_into`]
+    /// on that frame bit for bit. Every whole group of [`FFT_LANES`]
+    /// frames runs in the lanes together (sizes up to 512), the rest
+    /// one lane each. The lane data lives on the stack, so the call
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] when a stride is below the
-    /// transform size or a buffer is too short for [`FFT_LANES`]
-    /// strides.
+    /// transform size or a buffer is too short for `frames` strides.
     pub fn fft_batch_into(
         &self,
         input: &[CQ15],
         in_stride: usize,
         out: &mut [CQ15],
         out_stride: usize,
-        scratch: &mut FftLaneScratch,
+        frames: usize,
     ) -> Result<(), FftError> {
-        self.transform_batch(input, in_stride, out, out_stride, scratch, false)
+        self.transform_batch(input, in_stride, out, out_stride, frames, false)
     }
 
-    /// [`FFT_LANES`] inverse transforms at once, laid out as in
+    /// `frames` inverse transforms at once, laid out and grouped as in
     /// [`FixedFft::fft_batch_into`]; each result equals
-    /// [`FixedFft::ifft_into`] on that symbol bit for bit.
+    /// [`FixedFft::ifft_into`] on that frame bit for bit.
     ///
     /// # Errors
     ///
@@ -243,9 +251,9 @@ impl FixedFft {
         in_stride: usize,
         out: &mut [CQ15],
         out_stride: usize,
-        scratch: &mut FftLaneScratch,
+        frames: usize,
     ) -> Result<(), FftError> {
-        self.transform_batch(input, in_stride, out, out_stride, scratch, true)
+        self.transform_batch(input, in_stride, out, out_stride, frames, true)
     }
 
     fn transform_into(
@@ -260,25 +268,28 @@ impl FixedFft {
             self.transform_scalar(input, out, inverse);
             return Ok(());
         }
-        // One lane on a stack frame: 64 points for the default
-        // geometry, the largest supported size otherwise.
-        if self.size <= 64 {
-            self.one_lane::<64>(input, out, inverse);
-        } else {
-            self.one_lane::<{ crate::MAX_SIZE }>(input, out, inverse);
-        }
-        Ok(())
-    }
-
-    fn one_lane<const CAP: usize>(&self, input: &[CQ15], out: &mut [CQ15], inverse: bool) {
         let n = self.size;
-        let (mut re, mut im) = ([[0; 1]; CAP], [[0; 1]; CAP]);
         let io = LaneIo {
             input,
             in_stride: n,
             out,
             out_stride: n,
         };
+        // 64 points for the default geometry, the largest supported
+        // size otherwise.
+        if n <= 64 {
+            self.on_stack::<1, 64>(io, inverse);
+        } else {
+            self.on_stack::<1, { crate::MAX_SIZE }>(io, inverse);
+        }
+        Ok(())
+    }
+
+    /// Runs the lane body at `W` lanes on stack data of `CAP ≥ size`
+    /// bins per lane.
+    fn on_stack<const W: usize, const CAP: usize>(&self, io: LaneIo<'_>, inverse: bool) {
+        let n = self.size;
+        let (mut re, mut im) = ([[0; W]; CAP], [[0; W]; CAP]);
         self.lanes
             .transform(&mut re[..n], &mut im[..n], io, inverse, self.shift(inverse));
     }
@@ -289,11 +300,14 @@ impl FixedFft {
         in_stride: usize,
         out: &mut [CQ15],
         out_stride: usize,
-        scratch: &mut FftLaneScratch,
+        frames: usize,
         inverse: bool,
     ) -> Result<(), FftError> {
         let n = self.size;
-        let span = |stride: usize| (FFT_LANES - 1) * stride + n;
+        if frames == 0 {
+            return Ok(());
+        }
+        let span = |stride: usize| (frames - 1) * stride + n;
         for (stride, len) in [(in_stride, input.len()), (out_stride, out.len())] {
             if stride < n {
                 return Err(FftError::LengthMismatch {
@@ -308,21 +322,32 @@ impl FixedFft {
                 });
             }
         }
-        let (re, im) = scratch.lanes(n);
-        let io = LaneIo {
-            input,
-            in_stride,
-            out: &mut *out,
-            out_stride,
+        let grouped = if n <= BATCH_MAX {
+            frames - frames % FFT_LANES
+        } else {
+            0
         };
-        self.lanes.transform(re, im, io, inverse, self.shift(inverse));
-        // Symbols off the bus were wrapped in the lanes: redo them on
-        // the scalar core.
-        for k in 0..FFT_LANES {
-            let symbol = &input[k * in_stride..k * in_stride + n];
-            if !on_bus(symbol) {
-                let dst = &mut out[k * out_stride..k * out_stride + n];
-                self.transform_scalar(symbol, dst, inverse);
+        for first in (0..grouped).step_by(FFT_LANES) {
+            let io = LaneIo {
+                input: &input[first * in_stride..],
+                in_stride,
+                out: &mut out[first * out_stride..],
+                out_stride,
+            };
+            if n <= 64 {
+                self.on_stack::<FFT_LANES, 64>(io, inverse);
+            } else {
+                self.on_stack::<FFT_LANES, BATCH_MAX>(io, inverse);
+            }
+        }
+        for k in 0..frames {
+            let frame = &input[k * in_stride..k * in_stride + n];
+            let dst = &mut out[k * out_stride..k * out_stride + n];
+            if k >= grouped {
+                self.transform_into(frame, dst, inverse)?;
+            } else if !on_bus(frame) {
+                // Wrapped in the lanes: redo it on the scalar core.
+                self.transform_scalar(frame, dst, inverse);
             }
         }
         Ok(())
@@ -593,34 +618,37 @@ mod tests {
         }
     }
 
+    /// Any frame count: whole groups of eight in the lanes, the rest
+    /// one lane each, all equal to the scalar core.
     #[test]
     fn batch_matches_scalar_core_at_every_size() {
         for (n, fft) in every_core() {
             // Strided input (room for a CP-like gap) and output.
             let (in_stride, out_stride) = (n + n / 4, n + 3);
-            let symbols: Vec<Vec<CQ15>> = (0..FFT_LANES)
-                .map(|k| inputs(n).swap_remove(k % 5))
-                .map(|mut v| {
-                    v.rotate_left(3);
-                    v
-                })
-                .collect();
-            let mut input = vec![raw(1 << 20, 0); FFT_LANES * in_stride];
-            for (k, s) in symbols.iter().enumerate() {
-                input[k * in_stride..k * in_stride + n].copy_from_slice(s);
-            }
-            let mut scratch = FftLaneScratch::default();
-            for inverse in [false, true] {
-                let mut out = vec![CQ15::ZERO; FFT_LANES * out_stride];
-                let run = if inverse { FixedFft::ifft_batch_into } else { FixedFft::fft_batch_into };
-                run(&fft, &input, in_stride, &mut out, out_stride, &mut scratch).unwrap();
+            for frames in [FFT_LANES, 2 * FFT_LANES + 3, 5] {
+                let symbols: Vec<Vec<CQ15>> = (0..frames)
+                    .map(|k| inputs(n).swap_remove(k % 5))
+                    .map(|mut v| {
+                        v.rotate_left(3);
+                        v
+                    })
+                    .collect();
+                let mut input = vec![raw(1 << 20, 0); frames * in_stride];
                 for (k, s) in symbols.iter().enumerate() {
-                    assert!(
-                        out[k * out_stride..k * out_stride + n] == oracle(&fft, s, inverse)[..],
-                        "n={n} symbol {k} inverse={inverse} avx2={} {:?}",
-                        fft.lanes.avx2,
-                        fft.scaling()
-                    );
+                    input[k * in_stride..k * in_stride + n].copy_from_slice(s);
+                }
+                for inverse in [false, true] {
+                    let mut out = vec![CQ15::ZERO; frames * out_stride];
+                    let run = if inverse { FixedFft::ifft_batch_into } else { FixedFft::fft_batch_into };
+                    run(&fft, &input, in_stride, &mut out, out_stride, frames).unwrap();
+                    for (k, s) in symbols.iter().enumerate() {
+                        assert!(
+                            out[k * out_stride..k * out_stride + n] == oracle(&fft, s, inverse)[..],
+                            "n={n} frames={frames} symbol {k} inverse={inverse} avx2={} {:?}",
+                            fft.lanes.avx2,
+                            fft.scaling()
+                        );
+                    }
                 }
             }
         }
@@ -635,13 +663,12 @@ mod tests {
                 let mut got = vec![CQ15::ZERO; n];
                 fft.transform_into(&wide, &mut got, inverse).unwrap();
                 assert_eq!(got, oracle(&fft, &wide, inverse), "n={n}");
-                // One off-bus symbol among bus symbols in a batch.
+                // One off-bus symbol among bus symbols in a group.
                 let mut input = random_block(FFT_LANES * n, 5);
                 input[5 * n..6 * n].copy_from_slice(&wide);
                 let mut out = vec![CQ15::ZERO; FFT_LANES * n];
-                let mut scratch = FftLaneScratch::default();
                 let run = if inverse { FixedFft::ifft_batch_into } else { FixedFft::fft_batch_into };
-                run(&fft, &input, n, &mut out, n, &mut scratch).unwrap();
+                run(&fft, &input, n, &mut out, n, FFT_LANES).unwrap();
                 for (got, want) in out.chunks(n).zip(input.chunks(n)) {
                     assert_eq!(got, oracle(&fft, want, inverse), "n={n}");
                 }
@@ -652,21 +679,25 @@ mod tests {
     #[test]
     fn batch_rejects_short_buffers_and_strides() {
         let fft = FixedFft::new(64).unwrap();
-        let mut scratch = FftLaneScratch::default();
         let input = vec![CQ15::ZERO; 8 * 64];
         let mut out = vec![CQ15::ZERO; 8 * 64];
         assert_eq!(
-            fft.fft_batch_into(&input, 63, &mut out, 64, &mut scratch),
+            fft.fft_batch_into(&input, 63, &mut out, 64, 8),
             Err(FftError::LengthMismatch { expected: 64, got: 63 })
         );
         assert_eq!(
-            fft.fft_batch_into(&input[1..], 64, &mut out, 64, &mut scratch),
+            fft.fft_batch_into(&input[1..], 64, &mut out, 64, 8),
             Err(FftError::LengthMismatch { expected: 512, got: 511 })
         );
         assert_eq!(
-            fft.ifft_batch_into(&input, 64, &mut out, 65, &mut scratch),
+            fft.ifft_batch_into(&input, 64, &mut out, 65, 8),
             Err(FftError::LengthMismatch { expected: 519, got: 512 })
         );
+        assert_eq!(
+            fft.fft_batch_into(&input, 64, &mut out, 64, 9),
+            Err(FftError::LengthMismatch { expected: 576, got: 512 })
+        );
+        assert_eq!(fft.fft_batch_into(&[], 64, &mut [], 64, 0), Ok(()));
     }
 
     /// The headroom argument's premise: no quantized twiddle exceeds

@@ -4,9 +4,9 @@
 //! See the crate docs for the contract, the headroom argument and the
 //! builds. [`LaneTables`] holds what the body reads (the bit-reversal
 //! permutation and per-stage `i32` twiddles), built once per
-//! [`FixedFft`](crate::FixedFft); the data lanes are caller scratch:
-//! a stack frame for one transform, an [`FftLaneScratch`] in the
-//! caller's workspace for a batch of [`FFT_LANES`] symbols.
+//! [`FixedFft`](crate::FixedFft); the data lanes live on the caller's
+//! stack, one lane for a single transform and [`FFT_LANES`] for a
+//! whole group of a batch.
 
 use mimo_fixed::{Fx, CQ15, SAMPLE_BITS};
 
@@ -46,26 +46,6 @@ const fn magnitude_bound(stages: u32) -> i64 {
 const _: () = assert!(magnitude_bound(MAX_LOG2) < 1 << (LANE_DATA_BITS - 1));
 const _: () = assert!(LANE_DATA_BITS < 32);
 const _: () = assert!(LANE_DATA_BITS + SAMPLE_BITS < 63);
-
-/// Lane data scratch for [`FFT_LANES`]-symbol batch transforms
-/// ([`FixedFft::fft_batch_into`](crate::FixedFft::fft_batch_into) /
-/// [`ifft_batch_into`](crate::FixedFft::ifft_batch_into)). Owned by the
-/// caller's workspace; sized to the transform on first use and reused
-/// after that.
-#[derive(Debug, Clone, Default)]
-pub struct FftLaneScratch {
-    re: Vec<[i32; FFT_LANES]>,
-    im: Vec<[i32; FFT_LANES]>,
-}
-
-impl FftLaneScratch {
-    /// The real and imaginary lane arrays, sized to `n` bins.
-    pub(crate) fn lanes(&mut self, n: usize) -> (&mut [[i32; FFT_LANES]], &mut [[i32; FFT_LANES]]) {
-        self.re.resize(n, [0; FFT_LANES]);
-        self.im.resize(n, [0; FFT_LANES]);
-        (&mut self.re, &mut self.im)
-    }
-}
 
 /// What the lane body reads, built once per transform size.
 #[derive(Debug, Clone)]

@@ -22,13 +22,17 @@
 //! period; the software model runs the same butterflies as one
 //! fixed-width lane body, written once and instantiated twice: at one
 //! lane for a single transform ([`FixedFft::fft_into`] /
-//! [`FixedFft::ifft_into`] and everything built on them), and at
-//! [`FFT_LANES`] lanes for eight symbols in lockstep
-//! ([`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`], lane
-//! data in a caller-owned [`FftLaneScratch`]). Data sits in `i32`
-//! lanes, twiddle products are `i64`, and every product is rounded
-//! half away from zero without a branch. The bit-reversal permutation
-//! and the per-stage `i32` twiddle table are built once per core.
+//! [`FixedFft::ifft_into`]), and at [`FFT_LANES`] lanes for eight
+//! symbols in lockstep. The batch entries
+//! ([`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`]) take
+//! any frame count and are the one place that splits a run of symbols:
+//! every whole group of [`FFT_LANES`] goes through the lanes together,
+//! the rest one lane each, so callers (the `mimo_ofdm` modulator and
+//! symbol ingest) never see the lane width. The lane data lives on the
+//! stack. Data sits in `i32` lanes, twiddle products are `i64`, and
+//! every product is rounded half away from zero without a branch. The
+//! bit-reversal permutation and the per-stage `i32` twiddle table are
+//! built once per core.
 //!
 //! Every lane output equals the scalar radix-2 loop on `i64` words
 //! bit for bit: same twiddles, same per-product rounding, same output
@@ -65,7 +69,7 @@ mod reference;
 mod streaming;
 
 pub use fixed::{FftError, FftScaling, FixedFft};
-pub use lanes::{FftLaneScratch, FFT_LANES};
+pub use lanes::FFT_LANES;
 pub use reference::{fft_f64, ifft_f64};
 pub use streaming::StreamingFft;
 

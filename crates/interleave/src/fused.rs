@@ -1,4 +1,5 @@
-//! Fused deinterleave→depuncture scatter tables.
+//! Fused deinterleave→depuncture scatter tables, which are also the
+//! transmitter's puncture→interleave gather tables.
 //!
 //! The receiver's bit pipeline used to walk each demapped symbol three
 //! times: demap into a contiguous LLR block, permute that block through
@@ -16,12 +17,19 @@
 //! boundary. Erased mother positions are simply never written — the
 //! receiver pre-zeroes its stream buffer, which *is* the depuncturer's
 //! zero-LLR erasure insertion.
+//!
+//! The transmitter reads the same table the other way: interleaved
+//! coded bit `k` of a symbol is the mother-code bit at `map()[k]` of
+//! the symbol's region, so puncturing and interleaving are one gather,
+//! as in the paper's TX datapath, where both are a fixed address map
+//! over one `N_CBPS` block.
 
 use crate::permutation::{BlockInterleaver, InterleaveError};
 
 /// Precomputed per-symbol scatter fusing de-interleave and depuncture:
 /// `map()[k]` is the mother-code offset (within the symbol's
-/// `mother_bits_per_symbol()`-wide region) of demapped bit `k`.
+/// `mother_bits_per_symbol()`-wide region) of demapped bit `k`. Read as
+/// a gather, the same table punctures and interleaves on transmit.
 ///
 /// # Examples
 ///
@@ -96,7 +104,8 @@ impl FusedDeinterleaver {
     }
 
     /// The scatter table: `map()[k]` is where demapped bit `k` of a
-    /// symbol belongs in the symbol's mother-code region.
+    /// symbol belongs in the symbol's mother-code region — and where
+    /// the transmitter reads interleaved coded bit `k` from.
     pub fn map(&self) -> &[u32] {
         &self.map
     }
@@ -162,6 +171,46 @@ mod tests {
                 assert_eq!(
                     out,
                     reference(&il, keep, &demapped),
+                    "{n_cbps}/{n_bpsc} keep {keep:?}"
+                );
+            }
+        }
+    }
+
+    /// Reference: puncture one symbol's mother bits by the keep
+    /// pattern, then interleave.
+    fn tx_reference(il: &BlockInterleaver, keep: &[bool], mother: &[i32]) -> Vec<i32> {
+        let kept: Vec<i32> = mother
+            .iter()
+            .enumerate()
+            .filter_map(|(m, &v)| keep[m % keep.len()].then_some(v))
+            .collect();
+        let mut out = vec![0i32; kept.len()];
+        il.interleave_into(&kept, &mut out).unwrap();
+        out
+    }
+
+    /// The transmit twin: gathering a symbol's coded bits through
+    /// `map()` equals puncturing then interleaving, at every
+    /// 802.11a operating point.
+    #[test]
+    fn fused_gather_equals_puncture_then_interleave() {
+        for (n_cbps, n_bpsc) in [(48, 1), (96, 2), (192, 4), (288, 6)] {
+            let il = BlockInterleaver::new(n_cbps, n_bpsc).unwrap();
+            for keep in PATTERNS {
+                let keeps = keep.iter().filter(|&&k| k).count();
+                if !n_cbps.is_multiple_of(keeps) {
+                    continue;
+                }
+                let fused = FusedDeinterleaver::new(&il, keep).unwrap();
+                let mother: Vec<i32> = (0..fused.mother_bits_per_symbol() as i32)
+                    .map(|i| 5 * i - 70)
+                    .collect();
+                let gathered: Vec<i32> =
+                    fused.map().iter().map(|&pos| mother[pos as usize]).collect();
+                assert_eq!(
+                    gathered,
+                    tx_reference(&il, keep, &mother),
                     "{n_cbps}/{n_bpsc} keep {keep:?}"
                 );
             }

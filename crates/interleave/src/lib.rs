@@ -11,10 +11,11 @@
 //!   generic over the stored value so the de-interleaver can carry
 //!   hard bits or soft LLRs ("the de-interleaver ... must be able to
 //!   store the soft or hard bit representation", §IV.B).
-//! * [`FusedDeinterleaver`] — the receive-side permutation composed
-//!   with depuncturing into one per-symbol scatter table, so the bit
-//!   pipeline's demap→deinterleave→depuncture walk collapses to a
-//!   single pass.
+//! * [`FusedDeinterleaver`] — the permutation composed with
+//!   (de)puncturing into one per-symbol table: the receiver scatters
+//!   demapped LLRs through it (demap→deinterleave→depuncture in one
+//!   pass) and the transmitter gathers its coded bits through it
+//!   (puncture→interleave in one pass).
 
 mod fused;
 mod permutation;

@@ -1,7 +1,7 @@
 //! One antenna's OFDM symbol chain: map → IFFT → CP, and the inverse.
 
 use mimo_coding::pilot_polarity;
-use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
+use mimo_fft::{FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Q15};
 
 use crate::subcarriers::{OfdmError, SubcarrierMap};
@@ -68,7 +68,8 @@ impl OfdmModulator {
     /// Modulates one OFDM symbol: `data` symbols (one per data carrier)
     /// plus pilots with the polarity of `symbol_index`, writing the
     /// `N + N/4` on-air samples into `out` and using `scratch` (`N`
-    /// bins) for the frequency-domain frame.
+    /// bins) for the frequency-domain frame. The one-symbol case of
+    /// [`OfdmModulator::modulate_into`].
     ///
     /// # Errors
     ///
@@ -81,84 +82,84 @@ impl OfdmModulator {
         out: &mut [CQ15],
         scratch: &mut [CQ15],
     ) -> Result<(), OfdmError> {
-        let n = self.map.fft_size();
-        let cp = crate::cp_len(n);
-        if out.len() != crate::symbol_len(n) {
-            return Err(OfdmError::FrameLengthMismatch {
-                expected: crate::symbol_len(n),
-                got: out.len(),
-            });
-        }
-        let polarity = pilot_polarity(symbol_index);
-        self.map
-            .assemble_into(data, polarity, self.pilot_amplitude, scratch)?;
-        // IFFT straight into the post-prefix region, then copy the
-        // last quarter in front of it.
-        let (prefix, body) = out.split_at_mut(cp);
-        self.fft.ifft_into(scratch, body).map_err(|_| {
-            OfdmError::FrameLengthMismatch {
-                expected: n,
-                got: scratch.len(),
-            }
-        })?;
-        prefix.copy_from_slice(&body[n - cp..]);
-        Ok(())
+        self.modulate_into(data, symbol_index, out, scratch)
     }
 
-    /// [`FFT_LANES`] consecutive OFDM symbols at once, each
-    /// bit-identical to [`OfdmModulator::modulate_symbol_into`]:
-    /// symbol `k` takes its data from
-    /// `data[k·D..(k + 1)·D]` (`D` = data carriers), its pilots the
-    /// polarity of `first_symbol_index + k`, and lands in
-    /// `out[k·(N + N/4)..]`. `scratch` holds the [`FFT_LANES`]
-    /// frequency-domain frames (`FFT_LANES · N` bins), and `lanes` the
-    /// batch IFFT's lane data; both live in the caller's workspace.
+    /// Frame scratch for [`OfdmModulator::modulate_into`] over
+    /// `symbols` symbols: one frame per symbol, at most
+    /// [`FFT_LANES`] — the most one IFFT call runs in lockstep — so it
+    /// does not grow with the burst.
+    pub fn frame_scratch(&self, symbols: usize) -> Vec<CQ15> {
+        vec![CQ15::ZERO; symbols.clamp(1, FFT_LANES) * self.map.fft_size()]
+    }
+
+    /// Modulates any number of consecutive OFDM symbols, as many as
+    /// `out` holds (`N + N/4` samples each). Symbol `k` takes its data
+    /// from `data[k·D..(k + 1)·D]` (`D` = data carriers), its pilots
+    /// the polarity of `first_symbol_index + k`, and lands in
+    /// `out[k·(N + N/4)..]`. `scratch` holds the frequency-domain
+    /// frames: the symbols go through in runs of as many frames as it
+    /// holds, at most [`FFT_LANES`], and each run is one
+    /// [`FixedFft::ifft_batch_into`] call, so a whole run of
+    /// [`FFT_LANES`] shares the lane-parallel IFFT. The run length
+    /// never changes the output.
     ///
     /// # Errors
     ///
     /// Returns [`OfdmError::DataLengthMismatch`] /
-    /// [`OfdmError::FrameLengthMismatch`] on bad lengths.
-    pub fn modulate_batch_into(
+    /// [`OfdmError::FrameLengthMismatch`] on bad lengths, including a
+    /// `scratch` shorter than one frame.
+    pub fn modulate_into(
         &self,
         data: &[CQ15],
         first_symbol_index: usize,
         out: &mut [CQ15],
         scratch: &mut [CQ15],
-        lanes: &mut FftLaneScratch,
     ) -> Result<(), OfdmError> {
         let n = self.map.fft_size();
         let (cp, sym_len, n_data) = (crate::cp_len(n), crate::symbol_len(n), self.map.data_count());
-        if data.len() != FFT_LANES * n_data {
+        let count = out.len() / sym_len;
+        let run = FFT_LANES.min(scratch.len() / n);
+        if out.len() != count * sym_len {
+            return Err(OfdmError::FrameLengthMismatch {
+                expected: (count + 1) * sym_len,
+                got: out.len(),
+            });
+        }
+        if run == 0 {
+            return Err(OfdmError::FrameLengthMismatch {
+                expected: n,
+                got: scratch.len(),
+            });
+        }
+        if data.len() != count * n_data {
             return Err(OfdmError::DataLengthMismatch {
-                expected: FFT_LANES * n_data,
+                expected: count * n_data,
                 got: data.len(),
             });
         }
-        for (expected, got) in [(FFT_LANES * sym_len, out.len()), (FFT_LANES * n, scratch.len())] {
-            if got != expected {
-                return Err(OfdmError::FrameLengthMismatch { expected, got });
+        let runs = data.chunks(run * n_data).zip(out.chunks_mut(run * sym_len));
+        for ((data, out), first) in runs.zip((first_symbol_index..).step_by(run)) {
+            let frames = data.len() / n_data;
+            let scratch = &mut scratch[..frames * n];
+            let symbols = data.chunks_exact(n_data).zip(scratch.chunks_exact_mut(n));
+            for (k, (symbol, frame)) in symbols.enumerate() {
+                let polarity = pilot_polarity(first + k);
+                self.map
+                    .assemble_into(symbol, polarity, self.pilot_amplitude, frame)?;
             }
-        }
-        for (k, (symbol, frame)) in data
-            .chunks_exact(n_data)
-            .zip(scratch.chunks_exact_mut(n))
-            .enumerate()
-        {
-            let polarity = pilot_polarity(first_symbol_index + k);
-            self.map
-                .assemble_into(symbol, polarity, self.pilot_amplitude, frame)?;
-        }
-        // IFFT every frame straight into its post-prefix region, then
-        // copy each body's last quarter in front of it.
-        self.fft
-            .ifft_batch_into(scratch, n, &mut out[cp..], sym_len, lanes)
-            .map_err(|_| OfdmError::FrameLengthMismatch {
-                expected: FFT_LANES * n,
-                got: scratch.len(),
-            })?;
-        for on_air in out.chunks_exact_mut(sym_len) {
-            let (prefix, body) = on_air.split_at_mut(cp);
-            prefix.copy_from_slice(&body[n - cp..]);
+            // IFFT every frame straight into its post-prefix region,
+            // then copy each body's last quarter in front of it.
+            self.fft
+                .ifft_batch_into(scratch, n, &mut out[cp..], sym_len, frames)
+                .map_err(|_| OfdmError::FrameLengthMismatch {
+                    expected: frames * n,
+                    got: scratch.len(),
+                })?;
+            for on_air in out.chunks_exact_mut(sym_len) {
+                let (prefix, body) = on_air.split_at_mut(cp);
+                prefix.copy_from_slice(&body[n - cp..]);
+            }
         }
         Ok(())
     }
@@ -288,38 +289,53 @@ mod tests {
         }
     }
 
+    /// Any symbol count and any run length (scratch of one frame up
+    /// to more than [`FFT_LANES`]) give exactly the symbol-at-a-time
+    /// chain, pilot polarities included.
     #[test]
     fn batch_modulation_matches_symbol_modulation() {
         for n in crate::SUPPORTED_FFT_SIZES {
             let tx = OfdmModulator::new(n).unwrap();
             let (n_data, sym_len) = (tx.map().data_count(), crate::symbol_len(n));
-            let data: Vec<CQ15> = (0..FFT_LANES * n_data)
-                .map(|i| CQ15::from_f64(0.6 * ((i * 7) as f64).sin(), -0.6 * ((i * 3) as f64).cos()))
-                .collect();
-            let first = 5;
-            let mut want = vec![CQ15::ZERO; FFT_LANES * sym_len];
-            let mut frame = vec![CQ15::ZERO; n];
-            for (k, (symbol, on_air)) in data
-                .chunks(n_data)
-                .zip(want.chunks_mut(sym_len))
-                .enumerate()
-            {
-                tx.modulate_symbol_into(symbol, first + k, on_air, &mut frame).unwrap();
+            assert_eq!(tx.frame_scratch(0).len(), n);
+            for count in [1, 7, FFT_LANES, 2 * FFT_LANES + 3] {
+                let data: Vec<CQ15> = (0..count * n_data)
+                    .map(|i| {
+                        CQ15::from_f64(0.6 * ((i * 7) as f64).sin(), -0.6 * ((i * 3) as f64).cos())
+                    })
+                    .collect();
+                let first = 5;
+                let mut want = vec![CQ15::ZERO; count * sym_len];
+                let mut frame = vec![CQ15::ZERO; n];
+                for (k, (symbol, on_air)) in data
+                    .chunks(n_data)
+                    .zip(want.chunks_mut(sym_len))
+                    .enumerate()
+                {
+                    tx.modulate_symbol_into(symbol, first + k, on_air, &mut frame).unwrap();
+                }
+                for frames in [count.min(FFT_LANES), 1, 3, 9] {
+                    let mut scratch = vec![CQ15::ZERO; frames * n];
+                    let mut got = vec![CQ15::ZERO; count * sym_len];
+                    tx.modulate_into(&data, first, &mut got, &mut scratch).unwrap();
+                    assert!(got == want, "n={n} count={count} frames={frames}");
+                }
+                let mut scratch = tx.frame_scratch(count);
+                assert_eq!(scratch.len(), count.min(FFT_LANES) * n);
+                let mut got = vec![CQ15::ZERO; count * sym_len];
+                assert!(matches!(
+                    tx.modulate_into(&data[1..], first, &mut got, &mut scratch),
+                    Err(OfdmError::DataLengthMismatch { .. })
+                ));
+                assert!(matches!(
+                    tx.modulate_into(&data, first, &mut got[1..], &mut scratch),
+                    Err(OfdmError::FrameLengthMismatch { .. })
+                ));
+                assert!(matches!(
+                    tx.modulate_into(&data, first, &mut got, &mut scratch[1..n]),
+                    Err(OfdmError::FrameLengthMismatch { .. })
+                ));
             }
-            let mut got = vec![CQ15::ZERO; FFT_LANES * sym_len];
-            let mut frames = vec![CQ15::ZERO; FFT_LANES * n];
-            let mut lanes = FftLaneScratch::default();
-            tx.modulate_batch_into(&data, first, &mut got, &mut frames, &mut lanes)
-                .unwrap();
-            assert!(got == want, "n={n}");
-            assert!(matches!(
-                tx.modulate_batch_into(&data[1..], first, &mut got, &mut frames, &mut lanes),
-                Err(OfdmError::DataLengthMismatch { .. })
-            ));
-            assert!(matches!(
-                tx.modulate_batch_into(&data, first, &mut got[1..], &mut frames, &mut lanes),
-                Err(OfdmError::FrameLengthMismatch { .. })
-            ));
         }
     }
 

@@ -1,5 +1,5 @@
-//! Per-symbol receive ingest: cyclic-prefix strip + FFT, one OFDM
-//! symbol at a time.
+//! Per-symbol receive ingest: cyclic-prefix strip + FFT of whole OFDM
+//! symbol periods.
 //!
 //! The paper's receive datapath is a streaming pipeline — samples flow
 //! from the ADC through CP removal into the FFT core continuously,
@@ -17,17 +17,17 @@
 use mimo_fixed::CQ15;
 
 use crate::{symbol_len, OfdmError};
-use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
+use mimo_fft::{FixedFft, FFT_LANES};
 
 /// One antenna's symbol-ingest stage: strips the cyclic prefix and
 /// FFTs, emitting one frequency-domain frame per on-air symbol period.
 ///
-/// [`SymbolIngest::ingest_period`] takes a whole `N + N/4`-sample
-/// period without copying it and transforms the body into the stage's
-/// own frame scratch, so the steady state allocates nothing.
-/// [`SymbolIngest::ingest_batch`] does the same for [`FFT_LANES`]
-/// consecutive periods in one lane-parallel FFT; its frames and lane
-/// data are sized on first use.
+/// [`SymbolIngest::ingest_periods`] takes any number of whole
+/// `N + N/4`-sample periods without copying them and transforms the
+/// bodies into the stage's own frame scratch, [`FFT_LANES`] at a time
+/// through one lane-parallel FFT, so the steady state allocates
+/// nothing and the scratch never holds more than [`FFT_LANES`]
+/// frames. [`SymbolIngest::ingest_period`] is its one-period case.
 ///
 /// # Examples
 ///
@@ -51,11 +51,9 @@ use mimo_fft::{FftLaneScratch, FixedFft, FFT_LANES};
 #[derive(Debug, Clone)]
 pub struct SymbolIngest {
     fft: FixedFft,
-    /// FFT output frames: the first serves `ingest_period`, all
-    /// [`FFT_LANES`] (sized on first use) serve `ingest_batch`.
+    /// FFT output frames: one at first, grown on first use to as many
+    /// as one call's runs hold, at most [`FFT_LANES`].
     frames: Vec<CQ15>,
-    /// Lane data of the batch FFT.
-    lanes: FftLaneScratch,
 }
 
 impl SymbolIngest {
@@ -73,7 +71,6 @@ impl SymbolIngest {
         Ok(Self {
             fft,
             frames: vec![CQ15::ZERO; fft_size],
-            lanes: FftLaneScratch::default(),
         })
     }
 
@@ -89,52 +86,61 @@ impl SymbolIngest {
 
     /// Ingests one whole on-air symbol period without copying: the CP
     /// is skipped in place and the body is transformed. Returns the
-    /// frequency-domain frame (valid until the next ingest).
+    /// frequency-domain frame (valid until the next ingest). The
+    /// one-period case of [`SymbolIngest::ingest_periods`].
     ///
     /// # Errors
     ///
     /// Returns [`OfdmError::FrameLengthMismatch`] on a wrong-size
     /// period.
     pub fn ingest_period(&mut self, period: &[CQ15]) -> Result<&[CQ15], OfdmError> {
-        let n = self.fft_size();
-        let body = crate::strip_cyclic_prefix_ref(period, n)?;
-        let frame = &mut self.frames[..n];
-        self.fft.fft_into(body, frame).map_err(|_| {
-            OfdmError::FrameLengthMismatch {
-                expected: n,
-                got: body.len(),
-            }
-        })?;
-        Ok(frame)
+        crate::strip_cyclic_prefix_ref(period, self.fft_size())?;
+        self.ingest_periods(period, |_, _| {})?;
+        Ok(&self.frames[..self.fft_size()])
     }
 
-    /// Ingests [`FFT_LANES`] consecutive on-air periods
-    /// (`FFT_LANES · (N + N/4)` samples, back to back) in one
-    /// lane-parallel FFT. Returns their frequency-domain frames back to
-    /// back (`FFT_LANES · N` bins, valid until the next ingest), frame
-    /// `k` bit-identical to [`SymbolIngest::ingest_period`] on period
-    /// `k`.
+    /// Ingests any number of consecutive on-air periods (`N + N/4`
+    /// samples each, back to back) and hands `each(m, frame)` the
+    /// frequency-domain frame of period `m`, in order. Each run of
+    /// [`FFT_LANES`] periods goes through one lane-parallel FFT and a
+    /// last shorter run one lane per period, all bit-identical to
+    /// transforming each period alone.
     ///
     /// # Errors
     ///
     /// Returns [`OfdmError::FrameLengthMismatch`] unless `periods`
-    /// holds exactly [`FFT_LANES`] periods.
-    pub fn ingest_batch(&mut self, periods: &[CQ15]) -> Result<&[CQ15], OfdmError> {
+    /// holds a whole number of periods.
+    pub fn ingest_periods(
+        &mut self,
+        periods: &[CQ15],
+        mut each: impl FnMut(usize, &[CQ15]),
+    ) -> Result<(), OfdmError> {
         let n = self.fft_size();
         let sym_len = self.symbol_samples();
-        let mismatch = OfdmError::FrameLengthMismatch {
-            expected: FFT_LANES * sym_len,
-            got: periods.len(),
-        };
-        if periods.len() != FFT_LANES * sym_len {
-            return Err(mismatch);
+        let count = periods.len() / sym_len;
+        if periods.len() != count * sym_len {
+            return Err(OfdmError::FrameLengthMismatch {
+                expected: (count + 1) * sym_len,
+                got: periods.len(),
+            });
         }
-        self.frames.resize(FFT_LANES * n, CQ15::ZERO);
-        let bodies = &periods[crate::cp_len(n)..];
-        self.fft
-            .fft_batch_into(bodies, sym_len, &mut self.frames, n, &mut self.lanes)
-            .map_err(|_| mismatch)?;
-        Ok(&self.frames)
+        let run = count.min(FFT_LANES);
+        if self.frames.len() < run * n {
+            self.frames.resize(run * n, CQ15::ZERO);
+        }
+        for (r, group) in periods.chunks(FFT_LANES * sym_len).enumerate() {
+            let frames = group.len() / sym_len;
+            self.fft
+                .fft_batch_into(&group[crate::cp_len(n)..], sym_len, &mut self.frames, n, frames)
+                .map_err(|_| OfdmError::FrameLengthMismatch {
+                    expected: frames * sym_len,
+                    got: group.len(),
+                })?;
+            for (k, frame) in self.frames.chunks_exact(n).take(frames).enumerate() {
+                each(r * FFT_LANES + k, frame);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -199,30 +205,31 @@ mod tests {
         assert_eq!(slow, fast_flat);
     }
 
-    /// Whole batches plus a one-lane tail of 1–7 symbols (never
-    /// padded) give exactly the per-period frames.
+    /// Any period count — whole runs of eight plus a one-lane tail of
+    /// 1–7 periods, never padded — gives exactly the per-period
+    /// frames, in order, and the frame scratch stays at eight frames.
     #[test]
     fn batch_ingest_matches_period_ingest() {
         for n in crate::SUPPORTED_FFT_SIZES {
+            let mut ingest = SymbolIngest::new(n).unwrap();
             for count in 1..=17 {
                 let (on_air, _) = periods(n, count);
-                let flat: Vec<CQ15> = on_air.concat();
                 let mut single = SymbolIngest::new(n).unwrap();
                 let want: Vec<CQ15> = on_air
                     .iter()
                     .flat_map(|p| single.ingest_period(p).unwrap().to_vec())
                     .collect();
-                let mut ingest = SymbolIngest::new(n).unwrap();
-                let sym_len = ingest.symbol_samples();
                 let mut got = Vec::new();
-                let whole = count / FFT_LANES * FFT_LANES;
-                for group in flat[..whole * sym_len].chunks(FFT_LANES * sym_len) {
-                    got.extend_from_slice(ingest.ingest_batch(group).unwrap());
-                }
-                for period in flat[whole * sym_len..].chunks(sym_len) {
-                    got.extend_from_slice(ingest.ingest_period(period).unwrap());
-                }
+                let mut next = 0;
+                ingest
+                    .ingest_periods(&on_air.concat(), |m, frame| {
+                        assert_eq!(m, next);
+                        next += 1;
+                        got.extend_from_slice(frame);
+                    })
+                    .unwrap();
                 assert!(got == want, "n={n} count={count}");
+                assert_eq!(ingest.frames.len(), count.min(FFT_LANES) * n);
             }
         }
     }
@@ -232,6 +239,7 @@ mod tests {
         assert!(SymbolIngest::new(100).is_err());
         let mut ingest = SymbolIngest::new(64).unwrap();
         assert!(ingest.ingest_period(&vec![CQ15::ZERO; 70]).is_err());
-        assert!(ingest.ingest_batch(&vec![CQ15::ZERO; 7 * 80]).is_err());
+        assert!(ingest.ingest_periods(&vec![CQ15::ZERO; 7 * 80 + 1], |_, _| {}).is_err());
+        assert!(ingest.ingest_period(&vec![CQ15::ZERO; 2 * 80]).is_err());
     }
 }

@@ -17,9 +17,16 @@
 //!   (map → IFFT → CP); [`OfdmDemodulator`] holds the receive side's
 //!   FFT core and subcarrier map.
 //! * [`SymbolIngest`] — the receive-side per-symbol stage (CP strip +
-//!   FFT), consuming one whole on-air period at a time without copying
-//!   it, shared by the whole-burst and streaming receivers, or
-//!   [`FFT_LANES`] periods at once through the lane-parallel batch FFT.
+//!   FFT), consuming whole on-air periods without copying them, shared
+//!   by the whole-burst and streaming receivers.
+//!
+//! Both directions take any number of symbols per call
+//! ([`OfdmModulator::modulate_into`], [`SymbolIngest::ingest_periods`])
+//! and run them through the lane-parallel FFT in runs of
+//! [`mimo_fft::FFT_LANES`], so the lane width stays inside this crate
+//! and `mimo_fft`: the transceiver hands over a burst's symbols and
+//! never splits them into groups itself. The frame scratch holds at
+//! most one run, whatever the burst length.
 
 mod cp;
 mod frame;
@@ -30,9 +37,6 @@ mod subcarriers;
 pub use cp::{add_cyclic_prefix, add_cyclic_prefix_into, strip_cyclic_prefix_ref, CpBuffer};
 pub use frame::{OfdmDemodulator, OfdmModulator};
 pub use ingest::SymbolIngest;
-/// The batch width and lane scratch of [`SymbolIngest::ingest_batch`]
-/// and [`OfdmModulator::modulate_batch_into`].
-pub use mimo_fft::{FftLaneScratch, FFT_LANES};
 pub use subcarriers::{OfdmError, SubcarrierMap};
 
 /// Cyclic-prefix fraction of the FFT size (the paper fixes 25 %).

@@ -23,7 +23,7 @@ use mimo_baseband::cordic::Cordic;
 use mimo_baseband::detect::TimingCorrector;
 use mimo_baseband::fixed::{CQ15, Cf64};
 use mimo_baseband::interleave::{BlockInterleaver, FusedDeinterleaver};
-use mimo_baseband::phy::{LinkSimulation, PhyConfig};
+use mimo_baseband::phy::{LinkGeometry, LinkSimulation, PhyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     ablation_cordic_depth();
@@ -142,7 +142,7 @@ fn ablation_soft_vs_hard() -> Result<(), Box<dyn std::error::Error>> {
     for snr in [9.0f64, 10.0, 11.0, 12.0] {
         let mut bers = Vec::new();
         for soft in [true, false] {
-            let cfg = PhyConfig::paper_synthesis().with_soft_decoding(soft);
+            let cfg = PhyConfig::from_geometry(LinkGeometry::mimo().with_soft_decoding(soft));
             let mut link = LinkSimulation::new(cfg, 77)?;
             let mut chan = AwgnChannel::new(4, snr, 555);
             let point = link.run(&mut chan, 150, 10)?;

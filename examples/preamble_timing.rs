@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = PhyConfig::paper_synthesis();
 
     // --- The Fig 2 pattern. ---
-    let sched = PreambleSchedule::new(4, cfg.fft_size());
+    let sched = PreambleSchedule::new(4, cfg.geometry().fft_size());
     println!("== MIMO preamble pattern (Fig 2) ==");
     println!("{:<6}time ->", "");
     for tx in 0..4 {

@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for payload_len in [100usize, 400, 1500, 8000] {
         let payload: Vec<u8> = (0..payload_len).map(|i| i as u8).collect();
         let burst = tx.transmit_burst(&payload)?;
-        let eff = burst_efficiency(4, cfg.fft_size(), burst.n_symbols);
-        let duration = burst.duration_s(cfg.clock_hz());
+        let eff = burst_efficiency(4, cfg.geometry().fft_size(), burst.n_symbols);
+        let duration = burst.duration_s(cfg.geometry().clock_hz());
         let effective = 8.0 * payload_len as f64 / duration;
         println!(
             "{:<12}{:>10}{:>14}{:>15.1}%{:>14.0}",

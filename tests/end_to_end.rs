@@ -3,7 +3,7 @@
 
 use mimo_baseband::channel::{AwgnChannel, ChannelModel, IdealChannel};
 use mimo_baseband::phy::{
-    LinkSimulation, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, PhyError,
+    LinkGeometry, LinkSimulation, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, PhyError,
 };
 
 fn payload(n: usize) -> Vec<u8> {
@@ -30,7 +30,7 @@ fn loopback_configuration_matrix() {
 #[test]
 fn loopback_all_fft_sizes() {
     for n in [64usize, 128, 256, 512] {
-        let cfg = PhyConfig::paper_synthesis().with_fft_size(n);
+        let cfg = PhyConfig::from_geometry(LinkGeometry::mimo().with_fft_size(n));
         let tx = MimoTransmitter::new(cfg.clone()).unwrap();
         let mut rx = MimoReceiver::new(cfg).unwrap();
         let data = payload(64);
@@ -102,12 +102,12 @@ fn soft_decoding_outperforms_hard_at_threshold_snr() {
     let mut soft_errors = 0u64;
     let mut hard_errors = 0u64;
     for seed in 0..6u64 {
-        let cfg_soft = PhyConfig::paper_synthesis().with_soft_decoding(true);
+        let cfg_soft = PhyConfig::from_geometry(LinkGeometry::mimo().with_soft_decoding(true));
         let mut link = LinkSimulation::new(cfg_soft, seed).unwrap();
         let mut chan = AwgnChannel::new(4, snr, 400 + seed);
         soft_errors += link.run(&mut chan, 120, 2).unwrap().bit_errors;
 
-        let cfg_hard = PhyConfig::paper_synthesis().with_soft_decoding(false);
+        let cfg_hard = PhyConfig::from_geometry(LinkGeometry::mimo().with_soft_decoding(false));
         let mut link = LinkSimulation::new(cfg_hard, seed).unwrap();
         let mut chan = AwgnChannel::new(4, snr, 400 + seed);
         hard_errors += link.run(&mut chan, 120, 2).unwrap().bit_errors;

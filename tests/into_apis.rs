@@ -5,9 +5,13 @@
 //! The allocating side survives only where a product root (an example
 //! or a bench) or a test oracle still calls it: the FFT, the mapper,
 //! the interleaver, the Viterbi decoder, puncturing, the cyclic prefix
-//! and the encoder. APIs whose allocating twin is gone (the demapper,
-//! depuncturing, OFDM symbol modulation) are checked by their own
-//! crates' tests instead.
+//! and the encoder. The transceiver runs neither the interleaver nor
+//! puncturing: both link ends route bits through the fused per-rate
+//! bit map. Those two serve the ablations example, the benchmark's
+//! replay and the fused map's scatter and gather tests
+//! (`crates/interleave`), which use them as oracles. APIs
+//! whose allocating twin is gone (the demapper, depuncturing, OFDM
+//! symbol modulation) are checked by their own crates' tests instead.
 
 use mimo_baseband::coding::{
     puncture, puncture_into, CodeRate, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder,
