@@ -23,12 +23,12 @@
 //!   channel estimate once the LTS fields are in, SIGNAL field once
 //!   the first payload symbol is, then every whole payload symbol the
 //!   chunk completed (handed to the OFDM ingest in one call, which
-//!   takes the lane FFT whenever they fill a lane group), and the close
-//!   at the announced length. When it closes or
-//!   fails, the search re-arms at the sample the decoder names — the
-//!   burst end after a close, the first SIGNAL-field sample after a
-//!   failed estimate or decode — so back-to-back bursts in one stream
-//!   decode naturally.
+//!   takes the lane FFT whenever they fill a lane group), and the
+//!   close at the announced length. When it closes or fails, the
+//!   search re-arms at the sample the decoder names — the burst end
+//!   after a close, the first SIGNAL-field sample after a failed
+//!   estimate or decode — so back-to-back bursts in one stream decode
+//!   naturally.
 //!
 //! This module adds only the sample history, the search and the
 //! re-arming, so the emitted bursts are **bit-identical** to

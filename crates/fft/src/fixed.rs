@@ -90,9 +90,8 @@ impl FftScaling {
 /// one transform per call through [`FixedFft::fft_into`] /
 /// [`FixedFft::ifft_into`], or any number through
 /// [`FixedFft::fft_batch_into`] / [`FixedFft::ifft_batch_into`], whole
-/// groups of [`FFT_LANES`] in lockstep. Input
-/// off the 16-bit bus takes the scalar core, which the lanes reproduce
-/// bit for bit.
+/// groups of [`FFT_LANES`] in lockstep. Input off the 16-bit bus takes
+/// the scalar core, which the lanes reproduce bit for bit.
 ///
 /// # Examples
 ///
