@@ -41,6 +41,15 @@ fn bench(c: &mut Criterion) {
         b.iter(|| encoder.encode_terminated(&info))
     });
 
+    // The same 960 bits packed 64 to a word, the transmitter's encoder:
+    // one shifted-word XOR per generator tap.
+    let spec = CodeSpec::ieee80211a();
+    let words = vec![0x5555_5555_5555_5555u64; 960 / 64];
+    let mut streams = Vec::new();
+    c.bench_function("table2/conv_encoder_960b_packed", |b| {
+        b.iter(|| spec.encode_terminated_words(&words, 960, &mut streams))
+    });
+
     let interleaver = BlockInterleaver::new(192, 4).expect("valid geometry");
     let block: Vec<u8> = (0..192).map(|i| (i % 2) as u8).collect();
     c.bench_function("table2/block_interleaver_192b", |b| {

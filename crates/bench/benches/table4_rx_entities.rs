@@ -12,6 +12,7 @@ use mimo_fft::{FixedFft, FFT_LANES};
 use mimo_fixed::{CQ15, Cf64};
 use mimo_fpga::{RxEntity, SynthConfig};
 use mimo_interleave::BlockInterleaver;
+use mimo_modem::{Modulation, SymbolDemapper, SymbolMapper};
 use mimo_ofdm::{preamble, SubcarrierMap};
 use mimo_sync::TimeSynchronizer;
 
@@ -69,6 +70,33 @@ fn bench(c: &mut Criterion) {
     let mut sync = TimeSynchronizer::new(taps, 0.99).expect("valid taps");
     let sample = CQ15::from_f64(0.05, -0.03);
     c.bench_function("table4/timesync_step", |b| b.iter(|| sync.push(sample)));
+
+    // Symbol demapper with the EVM measurement, one 64-QAM symbol's 48
+    // data carriers: the one-pass kernel against the separate soft
+    // demap, hard demap and LUT re-map passes it replaced.
+    let mapper = SymbolMapper::new(Modulation::Qam64).expect("default scale");
+    let demapper = SymbolDemapper::matched_to(&mapper);
+    let carriers: Vec<CQ15> = (0..48)
+        .map(|s| CQ15::from_f64(0.5 * ((s as f64) * 0.61).sin(), 0.5 * ((s as f64) * 0.23).cos()))
+        .collect();
+    let identity: Vec<u32> = (0..288).collect();
+    let mut llr_out = vec![0 as Llr; 288];
+    c.bench_function("table4/demap_evm_48_carriers", |b| {
+        b.iter(|| demapper.demap_scatter_into(&carriers, &identity, true, &mut llr_out))
+    });
+    let mut hard = vec![0u8; 288];
+    let mut points = vec![CQ15::ZERO; 48];
+    c.bench_function("table4/demap_evm_48_carriers_separate_passes", |b| {
+        b.iter(|| {
+            demapper.soft_demap_scatter_into(&carriers, &identity, &mut llr_out);
+            demapper.hard_demap_into(&carriers, &mut hard);
+            mapper.map_bits_into(&hard, &mut points).expect("sized");
+            carriers.iter().zip(&points).fold((0.0, 0.0), |(num, den), (&got, &want)| {
+                let (got, want) = (Cf64::from_fixed(got), Cf64::from_fixed(want));
+                (num + (got - want).norm_sqr(), den + want.norm_sqr())
+            })
+        })
+    });
 
     // Viterbi decoder over one OFDM symbol's worth of soft bits.
     let spec = CodeSpec::ieee80211a();

@@ -1,8 +1,14 @@
 //! Bit/byte packing helpers.
 //!
-//! Bits are carried as `u8` values of 0 or 1 throughout the coding and
-//! modulation stack, least-significant bit of each byte first (the
-//! 802.11a transmission order).
+//! The bit-per-byte APIs (these helpers, [`crate::Scrambler`]'s
+//! bit-serial methods, [`crate::ConvolutionalEncoder`], the Viterbi
+//! output and the SIGNAL field) carry one bit per `u8` of value 0 or 1,
+//! least-significant bit of each byte first (the 802.11a transmission
+//! order). The transmit payload path packs the same order into `u64`
+//! words instead: bit `i` of a stream is bit `i % 64` of word `i / 64`,
+//! which is a little-endian load of the payload bytes
+//! ([`crate::Scrambler::scramble_words`],
+//! [`crate::CodeSpec::encode_terminated_words`]).
 
 /// Unpacks bytes into bits, LSB of each byte first.
 ///

@@ -142,6 +142,62 @@ impl CodeSpec {
         let next_state = reg >> 1;
         (coded, next_state)
     }
+
+    /// Packed terminated encode from the all-zero state: the bits of
+    /// [`ConvolutionalEncoder::encode_terminated`], one packed stream
+    /// per generator. Input bit `i` is bit `i % 64` of `input[i / 64]`;
+    /// bits from `n_bits` on are read as zero, so the `K − 1` flush
+    /// bits need no room of their own. Each stream is
+    /// `stride = ⌈(n_bits + K − 1) / 64⌉` words, generator-major in
+    /// `out` (cleared first): bit `t` of stream `g` (`out[g·stride +
+    /// t / 64]`, bit `t % 64`) is mother bit `t·n + g` of the bit-serial
+    /// encoder, `n` generators, and bits past the flush are zero.
+    /// Returns `stride`.
+    ///
+    /// Per word, every generator tap `d` (input delayed by `d` steps)
+    /// contributes one shifted copy of the input: the register of the
+    /// paper's encoder entity, 64 trellis steps at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `input` holds fewer than `n_bits` bits.
+    // phylint: hot
+    pub fn encode_terminated_words(
+        &self,
+        input: &[u64],
+        n_bits: usize,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        assert!(input.len() * 64 >= n_bits, "input holds fewer than n_bits bits");
+        let k = self.constraint_length;
+        let stride = (n_bits + k - 1).div_ceil(64);
+        out.clear();
+        out.resize(self.generators.len() * stride, 0);
+        let mut prev = 0u64;
+        for w in 0..stride {
+            let lo = 64 * w;
+            let cur = match n_bits.saturating_sub(lo) {
+                0 => 0,
+                left if left < 64 => input[w] & ((1u64 << left) - 1),
+                _ => input[w],
+            };
+            // Bits 64.. hold this word, bits ..64 the previous one, so
+            // `pair >> (64 − d)` is the input delayed by `d` steps.
+            let pair = (u128::from(cur) << 64) | u128::from(prev);
+            for (g, &generator) in self.generators.iter().enumerate() {
+                let mut acc = 0u64;
+                for d in 0..k {
+                    if (generator >> (k - 1 - d)) & 1 == 1 {
+                        acc ^= (pair >> (64 - d)) as u64;
+                    }
+                }
+                out[g * stride + w] = acc;
+            }
+            prev = cur;
+        }
+        stride
+    }
+    // phylint: end-hot
 }
 
 impl Default for CodeSpec {

@@ -9,13 +9,16 @@
 //! 127-periodic polarity sequence.
 //!
 //! * [`ConvolutionalEncoder`] — K=7 industry code by default
-//!   ([`CodeSpec::ieee80211a`]), arbitrary generators supported.
+//!   ([`CodeSpec::ieee80211a`]), arbitrary generators supported;
+//!   [`CodeSpec::encode_terminated_words`] is its packed twin, one
+//!   shifted-word XOR per generator tap over `u64` words.
 //! * [`CodeRate`] + [`puncture`]/[`depuncture`] — the 802.11a r=2/3 and
 //!   r=3/4 puncturing patterns (erasures re-inserted as zero-LLRs).
 //! * [`ViterbiDecoder`] — soft-decision add-compare-select with full
 //!   block traceback; hard decision is the degenerate ±1 case.
-//! * [`Scrambler`] — the x⁷+x⁴+1 LFSR, plus
-//!   [`pilot_polarity`] for the pilot sequence.
+//! * [`Scrambler`] — the x⁷+x⁴+1 LFSR, bit-serial and from one `const`
+//!   keystream table (packed word XOR, byte-wise descramble), plus
+//!   [`pilot_polarity`] for the pilot sequence, a lookup in that table.
 //! * [`bits`] — bit/byte packing helpers shared by the whole stack.
 //!
 //! # The `i16` lane tier

@@ -4,6 +4,53 @@
 //! The receiver "extracts and de-scrambles" the pilot tones (§IV.B):
 //! pilot polarities follow the 127-periodic sequence generated by this
 //! LFSR seeded with all ones.
+//!
+//! Every nonzero 7-bit state lies on the LFSR's one 127-state cycle, so
+//! the keystream from any seed is the all-ones sequence read from that
+//! seed's phase. One `const`-built table of that sequence serves the
+//! packed scramble ([`Scrambler::scramble_words`]), the byte-wise
+//! descramble ([`Scrambler::descramble_into`]) and [`pilot_polarity`];
+//! [`Scrambler::next_bit`] stays the bit-serial definition they are
+//! tested against.
+
+/// Period of the maximal-length x⁷ + x⁴ + 1 keystream.
+const PERIOD: usize = 127;
+
+/// The all-ones-seed keystream `p_0, p_1, …` packed LSB-first, run
+/// past one period so that a 64-bit window from any phase `< PERIOD`
+/// lies inside it (`SEQUENCE` bit `i` is `p_{i mod 127}`); `PHASE[s]`
+/// is the phase at which the all-ones LFSR holds state `s` (1..=127),
+/// and `STATE[p]` the state at phase `p`.
+const SEQUENCE: [u64; 3] = TABLES.0;
+const PHASE: [u8; 128] = TABLES.1;
+const STATE: [u8; PERIOD] = TABLES.2;
+
+const TABLES: ([u64; 3], [u8; 128], [u8; PERIOD]) = {
+    let mut sequence = [0u64; 3];
+    let mut phase = [0u8; 128];
+    let mut state_at = [0u8; PERIOD];
+    let mut state = 0x7Fu8;
+    let mut i = 0;
+    while i < 64 * 3 {
+        if i < PERIOD {
+            phase[state as usize] = i as u8;
+            state_at[i] = state;
+        }
+        let feedback = ((state >> 6) ^ (state >> 3)) & 1;
+        state = ((state << 1) | feedback) & 0x7F;
+        sequence[i / 64] |= (feedback as u64) << (i % 64);
+        i += 1;
+    }
+    (sequence, phase, state_at)
+};
+
+/// The 64 keystream bits from phase `p < PERIOD` on, LSB first.
+#[inline]
+fn window(p: usize) -> u64 {
+    let (q, r) = (p / 64, p % 64);
+    let pair = u128::from(SEQUENCE[q]) | (u128::from(SEQUENCE[q + 1]) << 64);
+    (pair >> r) as u64
+}
 
 /// A self-synchronizing additive scrambler with polynomial
 /// x⁷ + x⁴ + 1 (802.11a §17.3.5.4).
@@ -56,6 +103,51 @@ impl Scrambler {
             *b = (*b & 1) ^ self.next_bit();
         }
     }
+
+    /// Packed [`Scrambler::scramble_in_place`]: XORs the keystream onto
+    /// every bit of `words`, where bit `i` of the stream is bit `i % 64`
+    /// of `words[i / 64]` (so an LSB-first byte stream is a
+    /// little-endian load of its bytes), and advances 64 bits per word.
+    // phylint: hot
+    pub fn scramble_words(&mut self, words: &mut [u64]) {
+        let mut p = PHASE[usize::from(self.state)] as usize;
+        for word in words {
+            *word ^= window(p);
+            p = (p + 64) % PERIOD;
+        }
+        self.state = STATE[p];
+    }
+    // phylint: end-hot
+
+    /// Descrambles a bit-per-byte stream and packs it LSB-first into
+    /// bytes in one pass: the same bytes as
+    /// [`Scrambler::scramble_in_place`] then
+    /// [`bits_to_bytes_into`](crate::bits::bits_to_bytes_into), `out`
+    /// cleared first and a final partial byte zero-padded.
+    // phylint: hot
+    pub fn descramble_into(&mut self, bits: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(bits.len().div_ceil(8));
+        let mut p = PHASE[usize::from(self.state)] as usize;
+        let (chunks, tail) = bits.as_chunks::<8>();
+        for &chunk in chunks {
+            let lanes = u64::from_le_bytes(chunk);
+            // One 0/1 bit per byte lane; the multiply gathers lane `i`'s
+            // bit into bit `56 + i` with no carries between them.
+            let packed = (lanes & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080);
+            let packed = (packed >> 56) as u8;
+            out.push(packed ^ window(p) as u8);
+            p = (p + 8) % PERIOD;
+        }
+        if !tail.is_empty() {
+            let packed = tail.iter().rev().fold(0u8, |byte, &b| (byte << 1) | (b & 1));
+            let mask = (1u8 << tail.len()) - 1;
+            out.push(packed ^ (window(p) as u8 & mask));
+            p = (p + tail.len()) % PERIOD;
+        }
+        self.state = STATE[p];
+    }
+    // phylint: end-hot
 }
 
 impl Default for Scrambler {
@@ -80,14 +172,8 @@ impl Default for Scrambler {
 /// assert_eq!(pilot_polarity(127), pilot_polarity(0)); // 127-periodic
 /// ```
 pub fn pilot_polarity(symbol_index: usize) -> i8 {
-    // Generate the canonical 127-bit sequence once per call; cheap and
-    // allocation-free relative to a lazy static, and trivially correct.
-    let mut s = Scrambler::new(0x7F);
-    let mut bit = 0;
-    for _ in 0..=(symbol_index % 127) {
-        bit = s.next_bit();
-    }
-    if bit == 0 {
+    let p = symbol_index % PERIOD;
+    if (SEQUENCE[p / 64] >> (p % 64)) & 1 == 0 {
         1
     } else {
         -1

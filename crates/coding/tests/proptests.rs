@@ -561,3 +561,107 @@ fn profiled_decode_matches_plain_and_names_its_kernel() {
     assert_eq!(plain, profiled);
     assert_eq!(profile.kernel, dec.kernel_name(&soft));
 }
+
+/// Packs bit-per-byte bits LSB-first into `u64` words, with seeded
+/// garbage in the unused high bits of the last word (the packed encoder
+/// must read them as zero).
+fn pack_with_garbage(bits: &[u8], seed: u64) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &b) in bits.iter().enumerate() {
+        words[i / 64] |= u64::from(b) << (i % 64);
+    }
+    let used = bits.len() % 64;
+    if used != 0 {
+        *words.last_mut().unwrap() |= (Noise(seed | 1).next() >> used) << used;
+    }
+    words
+}
+
+/// Asserts the packed terminated encode of `info` equals the
+/// bit-serial `encode_terminated`, stream by stream, with zeros past
+/// the flush.
+fn assert_packed_encode_matches(spec: &CodeSpec, info: &[u8], seed: u64) -> TestCaseResult {
+    let serial = ConvolutionalEncoder::new(spec.clone()).encode_terminated(info);
+    let mut packed = Vec::new();
+    let words = pack_with_garbage(info, seed);
+    let stride = spec.encode_terminated_words(&words, info.len(), &mut packed);
+    let n = spec.outputs_per_input();
+    prop_assert_eq!(packed.len(), n * stride);
+    for g in 0..n {
+        for t in 0..64 * stride {
+            let got = (packed[g * stride + t / 64] >> (t % 64)) & 1;
+            let want = serial.get(t * n + g).map_or(0, |&b| u64::from(b));
+            prop_assert_eq!(got, want, "len {} generator {} step {}", info.len(), g, t);
+        }
+    }
+    Ok(())
+}
+
+/// The packed encoder equals the bit-serial one for every block length
+/// 0–700, whole words or not.
+#[test]
+fn packed_encoder_matches_encode_terminated_for_every_length() {
+    let spec = CodeSpec::ieee80211a();
+    let mut noise = Noise(0x2545_f491_4f6c_dd1d);
+    for len in 0..=700 {
+        let info: Vec<u8> = (0..len).map(|_| (noise.next() & 1) as u8).collect();
+        assert_packed_encode_matches(&spec, &info, len as u64).unwrap();
+    }
+}
+
+/// The keystream table, read from any seed's phase, is the bit-serial
+/// LFSR: `scramble_words` over zero words yields `next_bit`'s stream
+/// for every seed 1–127 and leaves the same state, and
+/// `pilot_polarity` is the all-ones stream mapped 0 → +1, 1 → −1.
+#[test]
+fn keystream_table_matches_next_bit_for_every_seed() {
+    for seed in 1u8..=127 {
+        let mut serial = mimo_coding::Scrambler::new(seed);
+        let mut packed = mimo_coding::Scrambler::new(seed);
+        let mut words = [0u64; 5];
+        packed.scramble_words(&mut words);
+        for i in 0..64 * words.len() {
+            let bit = (words[i / 64] >> (i % 64)) as u8 & 1;
+            assert_eq!(bit, serial.next_bit(), "seed {seed} bit {i}");
+        }
+        assert_eq!(packed, serial, "seed {seed}");
+    }
+    let mut all_ones = mimo_coding::Scrambler::new(0x7F);
+    for i in 0..3 * 127 {
+        let want = if all_ones.next_bit() == 0 { 1 } else { -1 };
+        assert_eq!(mimo_coding::pilot_polarity(i), want, "index {i}");
+    }
+}
+
+proptest! {
+    /// The packed encoder equals the bit-serial one for random K=7
+    /// generator pairs.
+    #[test]
+    fn packed_encoder_matches_for_random_codes(
+        info in proptest::collection::vec(0u8..2, 0..300),
+        g0 in any::<u64>(),
+        g1 in any::<u64>(),
+    ) {
+        assert_packed_encode_matches(&k7_code(g0, g1), &info, g0 ^ g1)?;
+    }
+
+    /// The one-pass descramble-and-pack equals `scramble_in_place` then
+    /// `bits_to_bytes_into`, partial final bytes included, and leaves
+    /// the scrambler in the same state.
+    #[test]
+    fn byte_descramble_matches_scramble_then_pack(
+        data in proptest::collection::vec(0u8..2, 0..600),
+        seed in 1u8..128,
+    ) {
+        let mut serial = mimo_coding::Scrambler::new(seed);
+        let mut bits = data.clone();
+        serial.scramble_in_place(&mut bits);
+        let mut want = Vec::new();
+        bits::bits_to_bytes_into(&bits, &mut want);
+        let mut one_pass = mimo_coding::Scrambler::new(seed);
+        let mut got = vec![0xAA];
+        one_pass.descramble_into(&data, &mut got);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(one_pass, serial);
+    }
+}

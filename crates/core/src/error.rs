@@ -81,6 +81,26 @@ pub enum PhyError {
         /// Payload bytes the SIGNAL field assigned to the stream.
         announced_bytes: usize,
     },
+    /// The per-symbol core ran past the mother-code LLR buffer reserved
+    /// for the burst's announced symbols (an internal invariant of the
+    /// receiver's bookkeeping; the burst is lost).
+    LlrOverrun {
+        /// End of the region the next symbol would have written.
+        end: usize,
+        /// Length of the reserved LLR buffer.
+        len: usize,
+    },
+    /// A stream's decoded bytes do not fit the round-robin split the
+    /// SIGNAL field's length implies (an internal invariant of the
+    /// reassembly; the burst is lost).
+    StreamSplit {
+        /// The stream that ran out of bytes.
+        stream: usize,
+        /// Bytes that stream decoded.
+        got: usize,
+        /// Bytes the split assigns to it.
+        expected: usize,
+    },
     /// Channel estimation / inversion failed.
     Estimation(String),
     /// Decoding failed (frame fields implausible or coding error).
@@ -167,6 +187,18 @@ impl fmt::Display for PhyError {
             } => write!(
                 f,
                 "stream decoded {decoded_bits} bits, SIGNAL field announced {announced_bytes} bytes"
+            ),
+            PhyError::LlrOverrun { end, len } => write!(
+                f,
+                "symbol pass overran the reserved LLR buffer: region ends at {end}, buffer holds {len}"
+            ),
+            PhyError::StreamSplit {
+                stream,
+                got,
+                expected,
+            } => write!(
+                f,
+                "stream {stream} decoded {got} bytes, the round-robin split assigns it {expected}"
             ),
             PhyError::Estimation(msg) => write!(f, "channel estimation failed: {msg}"),
             PhyError::Decode(msg) => write!(f, "decode failed: {msg}"),
@@ -270,6 +302,12 @@ mod tests {
         let ragged = PhyError::UnequalChunks { antenna: 2, expected: 97, got: 96 };
         assert!(ragged.to_string().contains("antenna 2"), "{ragged}");
         assert!(ragged.to_string().contains("96") && ragged.to_string().contains("97"), "{ragged}");
+        let overrun = PhyError::LlrOverrun { end: 576, len: 480 };
+        let text = overrun.to_string();
+        assert!(text.contains("576") && text.contains("480"), "{overrun}");
+        let split = PhyError::StreamSplit { stream: 3, got: 9, expected: 10 };
+        let text = split.to_string();
+        assert!(text.contains("stream 3") && text.contains('9') && text.contains("10"), "{split}");
         let full = PhyError::QueueFull { capacity: 8 };
         assert!(full.to_string().contains('8'), "{full}");
         assert!(full.to_string().contains("queue full"), "{full}");

@@ -47,12 +47,6 @@ impl RateKit {
         })
     }
 
-    /// Coded bits per OFDM symbol at this kit's rate (the interleaver
-    /// block size).
-    pub(crate) fn coded_bits_per_symbol(&self) -> usize {
-        self.fused.block_size()
-    }
-
     /// Mother-code bits one symbol spans: the region the transmitter
     /// gathers a symbol's coded bits from and the receiver scatters
     /// its LLRs into.
@@ -87,16 +81,6 @@ impl RateTable {
     pub(crate) fn header_kit(&self) -> &RateKit {
         self.kit(Mcs::most_robust())
     }
-
-    /// The largest N_CBPS over the table: the workspace envelope every
-    /// per-symbol bit buffer is sized for.
-    pub(crate) fn max_coded_bits_per_symbol(&self) -> usize {
-        self.kits
-            .iter()
-            .map(RateKit::coded_bits_per_symbol)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +96,7 @@ mod tests {
             assert_eq!(kit.mapper.modulation(), mcs.modulation());
             assert_eq!(kit.demapper.modulation(), mcs.modulation());
             assert_eq!(
-                kit.coded_bits_per_symbol(),
+                kit.fused.block_size(),
                 48 * mcs.bits_per_symbol(),
                 "{mcs}"
             );
@@ -121,12 +105,10 @@ mod tests {
             let keeps = keep.iter().filter(|&&k| k).count();
             assert_eq!(
                 kit.mother_bits_per_symbol(),
-                kit.coded_bits_per_symbol() / keeps * keep.len(),
+                kit.fused.block_size() / keeps * keep.len(),
                 "{mcs}"
             );
         }
-        // Envelope: 64-QAM at 48 carriers.
-        assert_eq!(table.max_coded_bits_per_symbol(), 288);
         assert_eq!(table.header_kit().mcs, Mcs::Bpsk12);
     }
 }

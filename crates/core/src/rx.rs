@@ -35,10 +35,12 @@
 //!    detection (row `k` of `H⁻¹·r`), pilot common-phase and timing
 //!    correction, then one fused demap→deinterleave→depuncture
 //!    scatter that lands the LLRs in mother-code (Viterbi branch)
-//!    order in the stream workspace;
+//!    order in the stream workspace and measures the EVM in the same
+//!    pass;
 //! 4. at the announced length, each stream's Viterbi decode and
-//!    descramble (`RxCore::decode_stream`), the round-robin reassembly
-//!    ([`assemble_payload`]) and the diagnostics ([`finish_result`]).
+//!    byte-wise descramble-and-pack (`RxCore::decode_stream`), the
+//!    round-robin reassembly ([`assemble_payload`]) and the
+//!    diagnostics ([`finish_result`]).
 //!
 //! An `end` flag says no more samples will come: a shortfall is then
 //! [`PhyError::TruncatedBurst`] rather than a pending burst. A stored
@@ -72,9 +74,9 @@
 //! its own rate, a pipeline batch may mix rates freely.
 
 use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
-use mimo_coding::{bits, hard_to_llr, CodeSpec, Scrambler, ViterbiDecoder};
+use mimo_coding::{CodeSpec, Scrambler, ViterbiDecoder};
 use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
-use mimo_fixed::{CQ15, Cf64};
+use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
@@ -98,7 +100,7 @@ use crate::workspace::{RxAntennaWorkspace, RxStreamWorkspace, RxWorkspace};
 pub(crate) const WINDOW_BACKOFF: usize = 6;
 
 /// Finite floor for every reported EVM figure, dB. A burst whose
-/// equalized constellation matches the re-mapped reference exactly
+/// equalized constellation matches its nearest points exactly
 /// (zero error energy, e.g. BPSK through a noiseless wire) reports
 /// this floor instead of `-inf`, so downstream consumers — rate
 /// controllers, JSON snapshots, dB arithmetic — never meet a
@@ -296,12 +298,10 @@ impl RxCore {
         })
     }
 
-    /// A workspace sized for this receiver's carrier geometry at the
-    /// max-MCS envelope.
+    /// A workspace sized for this receiver's carrier geometry.
     pub(crate) fn workspace(&self) -> RxWorkspace {
         RxWorkspace::new(
             self.cfg.geometry(),
-            self.rates.max_coded_bits_per_symbol(),
             self.occupied.len(),
             self.pilot_pos.len(),
         )
@@ -363,8 +363,11 @@ impl RxCore {
     /// symbol's LLRs scattered straight into their mother-code
     /// positions of `ws.stream_llrs` through the kit's fused
     /// deinterleave+depuncture table — demap, de-interleave and
-    /// depuncture in **one pass**, with optional EVM/phase
-    /// diagnostics. `sym` is the absolute symbol index after the LTS
+    /// depuncture in **one pass**, which slices each carrier to its
+    /// nearest constellation point from the same per-axis quotient and
+    /// returns the symbol's EVM sums. `collect_diag` adds them, and the
+    /// pilot phase, to the stream's diagnostics (the SIGNAL-field pass
+    /// leaves it off). `sym` is the absolute symbol index after the LTS
     /// (= pilot polarity index). Zero heap allocation: every buffer
     /// lives in `ws` (sized by `begin_stream_pass` for the burst) and
     /// is reused across symbols and bursts.
@@ -406,36 +409,29 @@ impl RxCore {
             .estimate_tau(&ws.pilots, &ws.signs, &self.pilot_indices);
         self.timing.correct_in_place(&mut ws.eq, &self.occupied, tau);
 
-        // Demap the data carriers at this burst's rate.
+        // Demap the data carriers at this burst's rate: one pass
+        // slices, scatters and measures EVM. The scatter through the
+        // fused demap→deinterleave→depuncture map lands in this
+        // symbol's pre-zeroed mother-code region (punctured positions
+        // are never written, which *is* the zero-LLR erasure).
         for (d, &p) in ws.data.iter_mut().zip(&self.data_pos) {
             *d = ws.eq[p];
         }
+        let mps = kit.mother_bits_per_symbol();
+        let end = ws.pass_fill + mps;
+        let len = ws.stream_llrs.len();
+        let out = ws
+            .stream_llrs
+            .get_mut(end - mps..end)
+            .ok_or(PhyError::LlrOverrun { end, len })?;
+        let (num, den) = kit
+            .demapper
+            .demap_scatter_into(&ws.data, kit.fused.map(), self.soft, out);
         if collect_diag {
-            let (num, den) = evm_contribution(kit, ws)?;
             ws.evm_num += num;
             ws.evm_den += den;
         }
-        // Fused demap→deinterleave→depuncture: one scatter into this
-        // symbol's pre-zeroed mother-code region (punctured positions
-        // are never written, which *is* the zero-LLR erasure).
-        let mps = kit.mother_bits_per_symbol();
-        let out = ws
-            .stream_llrs
-            .get_mut(ws.pass_fill..ws.pass_fill + mps)
-            .ok_or_else(|| {
-                PhyError::Decode("symbol pass overran the reserved LLR buffer".into())
-            })?;
-        if self.soft {
-            kit.demapper
-                .soft_demap_scatter_into(&ws.data, kit.fused.map(), out);
-        } else {
-            let hard = &mut ws.hard_bits[..kit.coded_bits_per_symbol()];
-            kit.demapper.hard_demap_into(&ws.data, hard);
-            for (&bit, &pos) in hard.iter().zip(kit.fused.map()) {
-                out[pos as usize] = hard_to_llr(bit);
-            }
-        }
-        ws.pass_fill += mps;
+        ws.pass_fill = end;
         Ok(())
     }
     // phylint: end-hot
@@ -736,8 +732,8 @@ impl RxCore {
     /// One stream's bit pipeline, inverse of the transmitter's:
     /// Viterbi over the mother-ordered LLR stream (the fused
     /// per-symbol scatter already de-interleaved and depunctured it) →
-    /// descramble → exactly the bytes the SIGNAL field announced for
-    /// this stream, all in workspace buffers.
+    /// descramble and pack exactly the bytes the SIGNAL field announced
+    /// for this stream in one pass, all in workspace buffers.
     fn decode_stream(
         &self,
         expect_bytes: usize,
@@ -745,14 +741,14 @@ impl RxCore {
     ) -> Result<(), PhyError> {
         self.viterbi
             .decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
-        Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut ws.decoded);
         if ws.decoded.len() < 8 * expect_bytes {
             return Err(PhyError::ShortStream {
                 decoded_bits: ws.decoded.len(),
                 announced_bytes: expect_bytes,
             });
         }
-        bits::bits_to_bytes_into(&ws.decoded[..8 * expect_bytes], &mut ws.bytes);
+        let bits = &ws.decoded[..8 * expect_bytes];
+        Scrambler::new(SCRAMBLER_SEED).descramble_into(bits, &mut ws.bytes);
         Ok(())
     }
 }
@@ -848,9 +844,11 @@ fn assemble_payload(
     for i in 0..total {
         let s = i % N_STREAMS;
         let Some(&b) = per_stream_bytes[s].get(cursors[s]) else {
-            return Err(PhyError::Decode(
-                "stream lengths inconsistent with round-robin split".into(),
-            ));
+            return Err(PhyError::StreamSplit {
+                stream: s,
+                got: per_stream_bytes[s].len(),
+                expected: params.stream_bytes(s, N_STREAMS),
+            });
         };
         payload.push(b);
         cursors[s] += 1;
@@ -912,27 +910,6 @@ fn finish_result(
             n_symbols,
         },
     }
-}
-
-/// EVM contribution of the current data symbol in `ws.data`: squared
-/// error vs the nearest constellation point over squared reference
-/// power. Uses the workspace's hard-bit and re-map scratch, so it
-/// allocates nothing.
-fn evm_contribution(kit: &RateKit, ws: &mut RxStreamWorkspace) -> Result<(f64, f64), PhyError> {
-    let nbits = kit.coded_bits_per_symbol();
-    let hard = &mut ws.hard_bits[..nbits];
-    kit.demapper.hard_demap_into(&ws.data, hard);
-    // The hard bits come from this kit's own demapper, so the re-map
-    // can only fail if the workspace desynchronised from the kit — a
-    // typed error, not a panic, since this sits on the payload path.
-    kit.mapper.map_bits_into(hard, &mut ws.evm_points)?;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (&got, &want) in ws.data.iter().zip(&ws.evm_points) {
-        num += (Cf64::from_fixed(got) - Cf64::from_fixed(want)).norm_sqr();
-        den += Cf64::from_fixed(want).norm_sqr();
-    }
-    Ok((num, den))
 }
 
 /// Splits the occupied-carrier order into data and pilot positions.

@@ -9,15 +9,19 @@
 //! the single-rate wrapper using the configuration's default MCS.
 //!
 //! The SIGNAL field and every payload stream go through one routine,
-//! the mirror of the receiver's per-symbol core: info bits → scramble
-//! (payload only) → terminated rate-1/2 encode → each symbol's coded
-//! bits gathered out of the mother-code stream through the rate's bit
-//! map (puncturing and interleaving in one pass — the table the receiver
-//! scatters its LLRs through) → map → OFDM modulation of the whole
-//! run of symbols in one call, which the OFDM layer splits into
-//! lane-parallel IFFT groups.
+//! the mirror of the receiver's per-symbol core, on bits packed 64 to a
+//! `u64` word (bit `i` of a stream is bit `i % 64` of word `i / 64`, so
+//! a stream's payload bytes are simply its little-endian words): info
+//! words → keystream XOR a word at a time (payload only) → terminated
+//! rate-1/2 encode by shifted-word XORs, one packed stream per
+//! generator → each symbol's coded bits gathered out of those streams
+//! through the rate's bit map (puncturing and interleaving in one pass —
+//! the table the receiver scatters its LLRs through) straight into
+//! mapper LUT addresses → OFDM modulation of the whole run of symbols
+//! in one call, which the OFDM layer splits into lane-parallel IFFT
+//! groups.
 
-use mimo_coding::{bits, CodeSpec, ConvolutionalEncoder, Scrambler};
+use mimo_coding::{CodeSpec, Scrambler};
 use mimo_fixed::CQ15;
 use mimo_ofdm::preamble::{lts_time, sts_time, PreambleSchedule, DEFAULT_AMPLITUDE};
 use mimo_ofdm::OfdmModulator;
@@ -27,7 +31,7 @@ use crate::crew::fan_out;
 use crate::error::PhyError;
 use crate::mcs::{BurstParams, Mcs};
 use crate::rates::{RateKit, RateTable};
-use crate::signal::{encode_signal_field, FLUSH_BITS};
+use crate::signal::{encode_signal_field, FLUSH_BITS, SIGNAL_BITS};
 
 /// Scrambler seed shared by transmitter and receiver.
 pub(crate) const SCRAMBLER_SEED: u8 = 0x5D;
@@ -81,12 +85,14 @@ impl TxBurst {
 /// The transmitter holds only immutable tables (rate kits, modulator,
 /// preamble fields), so [`MimoTransmitter::transmit_burst_with`] takes
 /// `&self` and any number of threads may share one transmitter. Each
-/// burst builds its own scratch — one set per spatial channel, at the
-/// burst's MCS — so the per-symbol gather → map → IFFT → CP loop
-/// runs without heap allocation. The four channel pipelines, mirroring
-/// the four parallel hardware chains of Fig 1, run on a crew that
-/// includes the calling thread: one member per host CPU when
-/// [`PhyConfig::parallelism`] is on, the caller alone otherwise.
+/// burst builds its own scratch — per spatial channel the packed info
+/// words, the two packed generator streams, the mapped carriers and the
+/// modulator's frame scratch, at the burst's MCS — so the per-symbol
+/// gather → LUT → IFFT → CP loop runs without heap allocation. The four
+/// channel pipelines, mirroring the four parallel hardware chains of
+/// Fig 1, run on a crew that includes the calling thread: one member
+/// per host CPU when [`PhyConfig::parallelism`] is on, the caller alone
+/// otherwise.
 #[derive(Debug, Clone)]
 pub struct MimoTransmitter {
     cfg: PhyConfig,
@@ -192,10 +198,14 @@ impl MimoTransmitter {
             mcs,
             length: payload.len(),
         };
-        // Round-robin byte split.
-        let mut per_stream: Vec<Vec<u8>> = vec![Vec::new(); N_STREAMS];
+        // Round-robin byte split, each stream's bytes landing straight
+        // in its packed little-endian info words.
+        let mut info: Vec<Vec<u64>> = (0..N_STREAMS)
+            .map(|k| vec![0; params.stream_bytes(k, N_STREAMS).div_ceil(8)])
+            .collect();
         for (i, &b) in payload.iter().enumerate() {
-            per_stream[i % N_STREAMS].push(b);
+            let j = i / N_STREAMS;
+            info[i % N_STREAMS][j / 8] |= u64::from(b) << (8 * (j % 8));
         }
         let n_symbols = params.payload_symbols(geometry);
         let header_symbols = geometry.header_symbols();
@@ -221,22 +231,21 @@ impl MimoTransmitter {
         // MCS, never scrambled, pilot polarity indices 0..header_symbols.
         let mut header = Vec::new();
         encode_signal_field(&params, &mut header)?;
+        let header_word = header.iter().rev().fold(0, |w, &b| (w << 1) | u64::from(b));
         let header_out = &mut streams[0][pre_len..pre_len + header_len];
-        self.modulate_info(self.rates.header_kit(), header, false, 0, header_out)?;
+        self.modulate_info(self.rates.header_kit(), vec![header_word], false, 0, header_out)?;
 
         // Per-stream payload pipeline — "four separate and independent
         // channels", each on its own scratch, split across the crew.
         let kit = self.rates.kit(mcs);
         let width = self.cfg.parallelism().then(host_parallelism).unwrap_or(1);
-        let mut work: Vec<(&mut [CQ15], &[u8])> = streams
+        let mut work: Vec<(&mut [CQ15], Vec<u64>)> = streams
             .iter_mut()
-            .zip(&per_stream)
-            .map(|(stream, bytes)| (&mut stream[pre_len + header_len..], bytes.as_slice()))
+            .zip(info)
+            .map(|(stream, words)| (&mut stream[pre_len + header_len..], words))
             .collect();
-        fan_out(width, &mut work, |_, (out, bytes)| {
-            let mut info = Vec::new();
-            bits::bytes_to_bits_append(bytes, &mut info);
-            self.modulate_info(kit, info, true, header_symbols, out)
+        fan_out(width, &mut work, |_, (out, words)| {
+            self.modulate_info(kit, std::mem::take(words), true, header_symbols, out)
         })?;
 
         Ok(TxBurst {
@@ -249,17 +258,17 @@ impl MimoTransmitter {
     }
 
     /// The one bit-to-sample routine behind the SIGNAL field and every
-    /// payload stream: `info` zero-padded to fill `out`'s symbols (less
-    /// the encoder's flush bits) → scramble (payload only) → terminated
-    /// rate-1/2 encode → per symbol, the coded bits gathered out of the
-    /// mother-code stream through `kit`'s bit map (bit `k` of symbol
-    /// `s` is mother bit `s·M + map[k]`, `M` mother bits per symbol) →
-    /// map → OFDM modulation of every symbol in one call, pilot
-    /// polarity indices from `first_symbol` on.
+    /// payload stream. `info` holds the info bits packed LSB-first,
+    /// zero past the data; they are zero-padded to fill `out`'s symbols
+    /// (less the encoder's flush bits) → keystream-XORed a word at a
+    /// time (payload only) → encoded into one packed stream per
+    /// generator → gathered through `kit`'s bit map into mapper LUT
+    /// addresses ([`map_coded`]) → OFDM modulation of every symbol in
+    /// one call, pilot polarity indices from `first_symbol` on.
     fn modulate_info(
         &self,
         kit: &RateKit,
-        mut info: Vec<u8>,
+        mut info: Vec<u64>,
         scramble: bool,
         first_symbol: usize,
         out: &mut [CQ15],
@@ -267,64 +276,139 @@ impl MimoTransmitter {
         let geometry = self.cfg.geometry();
         let n_symbols = out.len() / geometry.symbol_samples();
         let capacity = n_symbols * kit.mcs.info_bits_per_symbol(geometry) - FLUSH_BITS;
-        debug_assert!(info.len() <= capacity, "symbol count under-provisioned");
-        info.resize(capacity, 0);
+        debug_assert!(info.len() <= capacity.div_ceil(64), "symbol count under-provisioned");
+        info.resize(capacity.div_ceil(64), 0);
         if scramble {
-            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
+            Scrambler::new(SCRAMBLER_SEED).scramble_words(&mut info);
         }
-        let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
-        let (per_symbol, n_data) = (kit.mother_bits_per_symbol(), geometry.data_carriers());
-        debug_assert_eq!(mother.len(), n_symbols * per_symbol);
-        let mut coded = vec![0; kit.coded_bits_per_symbol()];
+        // The encoder reads bits from `capacity` on as zero: the
+        // keystream past the padding never reaches the air.
+        let mut mother = Vec::new();
+        let stride = CodeSpec::ieee80211a().encode_terminated_words(&info, capacity, &mut mother);
+        let n_data = geometry.data_carriers();
         let mut data = vec![CQ15::ZERO; n_symbols * n_data];
-        let symbols = mother.chunks_exact(per_symbol).zip(data.chunks_exact_mut(n_data));
-        for (mother, carriers) in symbols {
-            for (bit, &at) in coded.iter_mut().zip(kit.fused.map()) {
-                *bit = mother[at as usize];
-            }
-            kit.mapper.map_bits_into(&coded, carriers)?;
-        }
+        map_coded(kit, [&mother[..stride], &mother[stride..]], n_data, &mut data);
         let mut frames = self.modulator.frame_scratch(n_symbols);
         self.modulator.modulate_into(&data, first_symbol, out, &mut frames)?;
         Ok(())
     }
 }
 
+/// The transmit gather: for each symbol of `data` (`n_data` carriers
+/// each), every carrier's coded bits read out of the two packed
+/// generator streams through `kit`'s bit map, MSB first, as its mapper
+/// LUT address. Mother bit `m` is bit `m / 2` of generator `m % 2`'s
+/// stream, and symbol `s` starts at mother bit `s·M`.
+// phylint: hot
+fn map_coded(kit: &RateKit, generators: [&[u64]; 2], n_data: usize, data: &mut [CQ15]) {
+    let half = kit.mother_bits_per_symbol() / 2;
+    debug_assert_eq!(2 * half, kit.mother_bits_per_symbol(), "whole trellis steps per symbol");
+    let bps = kit.mcs.bits_per_symbol();
+    let lut = kit.mapper.lut();
+    for (s, carriers) in data.chunks_exact_mut(n_data).enumerate() {
+        let at = kit.fused.map().chunks_exact(bps);
+        for (point, positions) in carriers.iter_mut().zip(at) {
+            let mut addr = 0;
+            for &m in positions {
+                let t = s * half + (m / 2) as usize;
+                let bit = (generators[(m % 2) as usize][t / 64] >> (t % 64)) & 1;
+                addr = (addr << 1) | bit as usize;
+            }
+            *point = lut[addr];
+        }
+    }
+}
+// phylint: end-hot
+
+/// The SIGNAL field rides in one packed info word.
+const _: () = assert!(SIGNAL_BITS <= 64);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimo_coding::ConvolutionalEncoder;
 
-    /// One modulation call over the whole run (the OFDM layer splits it
-    /// into lane groups) equals a symbol-at-a-time chain — gather, map,
-    /// one-symbol modulation — for 1–17 symbols, pilot polarities
-    /// included.
+    /// The bit-per-byte chain the packed path replaces: info bits
+    /// zero-padded to the symbols' capacity → scrambled bit by bit
+    /// (payload only) → `encode_terminated` → per symbol, the coded
+    /// bits gathered through the bit map → `map_bits_into` → one-symbol
+    /// modulation, pilot polarity indices from `first` on.
+    fn bit_serial_chain(
+        tx: &MimoTransmitter,
+        kit: &RateKit,
+        info: &[u8],
+        scramble: bool,
+        n_symbols: usize,
+        first: usize,
+    ) -> Vec<CQ15> {
+        let geometry = tx.cfg.geometry();
+        let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
+        let mut info = info.to_vec();
+        info.resize(n_symbols * kit.mcs.info_bits_per_symbol(geometry) - FLUSH_BITS, 0);
+        if scramble {
+            Scrambler::new(SCRAMBLER_SEED).scramble_in_place(&mut info);
+        }
+        let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
+        let mut on_air = vec![CQ15::ZERO; n_symbols * sym_len];
+        let mut symbols = vec![CQ15::ZERO; geometry.data_carriers()];
+        let mut frame = vec![CQ15::ZERO; n];
+        let per_symbol = mother
+            .chunks(kit.mother_bits_per_symbol())
+            .zip(on_air.chunks_mut(sym_len));
+        for (m, (mother, out)) in per_symbol.enumerate() {
+            let coded: Vec<u8> = kit.fused.map().iter().map(|&at| mother[at as usize]).collect();
+            kit.mapper.map_bits_into(&coded, &mut symbols).unwrap();
+            tx.modulator.modulate_symbol_into(&symbols, first + m, out, &mut frame).unwrap();
+        }
+        on_air
+    }
+
+    /// The packed path — word scramble, word encode, gather into LUT
+    /// addresses, one modulation call over the whole run (the OFDM
+    /// layer splits it into lane groups) — equals the bit-per-byte
+    /// chain: unscrambled for 1–17 symbols (the SIGNAL-field case),
+    /// and scrambled payloads of 0–70 bytes per stream at every MCS.
     #[test]
     fn batched_modulation_matches_symbol_at_a_time() {
         let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
-        let kit = tx.rates.kit(Mcs::Qam64R34);
         let geometry = tx.cfg.geometry();
-        let (sym_len, n) = (geometry.symbol_samples(), geometry.fft_size());
+        let sym_len = geometry.symbol_samples();
+        let kit = tx.rates.kit(Mcs::Qam64R34);
         let ndbps = kit.mcs.info_bits_per_symbol(geometry);
         for n_symbols in 1..=17 {
             let info: Vec<u8> = (0..n_symbols * ndbps - FLUSH_BITS)
                 .map(|i| u8::from((i * 7 + i / 5) % 3 == 0))
                 .collect();
-            let mut got = vec![CQ15::ZERO; n_symbols * sym_len];
-            tx.modulate_info(kit, info.clone(), false, 3, &mut got).unwrap();
-            let mother = ConvolutionalEncoder::new(CodeSpec::ieee80211a()).encode_terminated(&info);
-            let mut want = vec![CQ15::ZERO; n_symbols * sym_len];
-            let mut symbols = vec![CQ15::ZERO; geometry.data_carriers()];
-            let mut frame = vec![CQ15::ZERO; n];
-            let per_symbol = mother
-                .chunks(kit.mother_bits_per_symbol())
-                .zip(want.chunks_mut(sym_len));
-            for (m, (mother, on_air)) in per_symbol.enumerate() {
-                let coded: Vec<u8> =
-                    kit.fused.map().iter().map(|&at| mother[at as usize]).collect();
-                kit.mapper.map_bits_into(&coded, &mut symbols).unwrap();
-                tx.modulator.modulate_symbol_into(&symbols, 3 + m, on_air, &mut frame).unwrap();
+            let mut words = vec![0u64; info.len().div_ceil(64)];
+            for (i, &bit) in info.iter().enumerate() {
+                words[i / 64] |= u64::from(bit) << (i % 64);
             }
+            let mut got = vec![CQ15::ZERO; n_symbols * sym_len];
+            tx.modulate_info(kit, words, false, 3, &mut got).unwrap();
+            let want = bit_serial_chain(&tx, kit, &info, false, n_symbols, 3);
             assert!(got == want, "{n_symbols} symbols");
+        }
+        for mcs in Mcs::ALL {
+            let kit = tx.rates.kit(mcs);
+            let ndbps = mcs.info_bits_per_symbol(geometry);
+            for len in 0..=70usize {
+                let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + len * 11) as u8).collect();
+                // The LSB-first bit order is a little-endian load.
+                let words = bytes
+                    .chunks(8)
+                    .map(|c| {
+                        let mut le = [0u8; 8];
+                        le[..c.len()].copy_from_slice(c);
+                        u64::from_le_bytes(le)
+                    })
+                    .collect();
+                let n_symbols = (8 * len + FLUSH_BITS).div_ceil(ndbps);
+                let mut got = vec![CQ15::ZERO; n_symbols * sym_len];
+                tx.modulate_info(kit, words, true, 2, &mut got).unwrap();
+                let info = mimo_coding::bits::bytes_to_bits(&bytes);
+                let want = bit_serial_chain(&tx, kit, &info, true, n_symbols, 2);
+                assert!(got == want, "{mcs}, {len} bytes");
+            }
         }
     }
 

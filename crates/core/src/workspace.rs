@@ -11,18 +11,19 @@
 //!
 //! * **Receive.** Each receive driver owns its `RxWorkspace`s next to
 //!   one shared set of immutable receiver tables, and keeps them across
-//!   bursts. The per-symbol bit buffers are sized for the **max-MCS
-//!   envelope** (64-QAM's N_CBPS, the widest the SIGNAL field can
-//!   select), and each burst slices them to its own rate, so the
-//!   steady-state payload loops of `receive_burst` perform **zero heap
-//!   allocation** at any MCS. Buffers whose size depends on the burst
-//!   length (accumulated LLRs, gathered frequency-domain carriers) grow
-//!   once per burst via `resize` and keep their capacity.
+//!   bursts. The per-symbol carrier buffers are sized from the
+//!   geometry; the demap pass writes straight into the burst's LLR
+//!   stream, so no per-symbol bit buffer exists and the steady-state
+//!   payload loops of `receive_burst` perform **zero heap allocation**
+//!   at any MCS. Buffers whose size depends on the burst length
+//!   (accumulated LLRs, gathered frequency-domain carriers, decoded
+//!   bits and bytes) grow once per burst via `resize` and keep their
+//!   capacity.
 //! * **Transmit.** `transmit_burst_with` takes `&self` and needs no
 //!   workspace type: each spatial channel (and the SIGNAL header)
-//!   builds its mother-code stream, one symbol's coded-bit buffer, the
-//!   mapped carriers and the modulator's frame scratch per burst at
-//!   that burst's MCS, then runs its symbols without further
+//!   builds its packed info words, its two packed generator streams,
+//!   the mapped carriers and the modulator's frame scratch per burst
+//!   at that burst's MCS, then runs its symbols without further
 //!   allocation. The frame scratch holds at most one lane group of
 //!   frames, however long the burst.
 
@@ -61,10 +62,6 @@ pub(crate) struct RxStreamWorkspace {
     pub signs: Vec<i8>,
     /// One symbol's data carriers.
     pub data: Vec<CQ15>,
-    /// Hard-decision bit scratch (envelope; hard-demap mode and EVM).
-    pub hard_bits: Vec<u8>,
-    /// Re-mapped nearest constellation points for the EVM measurement.
-    pub evm_points: Vec<CQ15>,
     /// The whole burst's mother-code LLR stream, filled symbol by
     /// symbol through the fused demap→deinterleave→depuncture scatter.
     /// Pre-zeroed at pass start, so the erasures of punctured bits are
@@ -75,7 +72,9 @@ pub(crate) struct RxStreamWorkspace {
     pub pass_fill: usize,
     /// Viterbi path metrics and survivor memory.
     pub viterbi: ViterbiWorkspace,
-    /// Decoded (descrambled) info bits.
+    /// Decoded info bits, one per byte as the Viterbi traceback emits
+    /// them (still scrambled: the descramble packs them into
+    /// [`RxStreamWorkspace::bytes`]).
     pub decoded: Vec<u8>,
     /// Recovered payload bytes of this stream.
     pub bytes: Vec<u8>,
@@ -105,7 +104,6 @@ impl RxWorkspace {
     /// link geometry, carrier geometry and max-MCS envelope.
     pub fn new(
         geometry: &LinkGeometry,
-        max_ncbps: usize,
         n_occ: usize,
         n_pilots: usize,
     ) -> Self {
@@ -115,8 +113,6 @@ impl RxWorkspace {
             pilots: vec![CQ15::ZERO; n_pilots],
             signs: vec![0; n_pilots],
             data: vec![CQ15::ZERO; geometry.data_carriers()],
-            hard_bits: vec![0; max_ncbps],
-            evm_points: vec![CQ15::ZERO; geometry.data_carriers()],
             stream_llrs: Vec::new(),
             pass_fill: 0,
             viterbi: ViterbiWorkspace::new(),

@@ -142,7 +142,6 @@ impl SymbolMapper {
 
     /// The ROM contents: `2^bits_per_symbol` I/Q words. Address bits
     /// are the coded bits in transmission order, MSB first.
-    // phylint: allow(test_only_api) -- test support: tests/fpga_model.rs
     pub fn lut(&self) -> &[CQ15] {
         &self.lut
     }
