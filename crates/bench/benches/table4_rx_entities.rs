@@ -5,7 +5,7 @@
 //! kernel behind each.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mimo_chanest::{invert_upper_triangular, CordicQrd, Mat4};
+use mimo_chanest::{invert_upper_triangular, ChannelEstimator, CordicQrd, Mat4};
 use mimo_coding::{hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder};
 use mimo_detect::ZfDetector;
 use mimo_fft::{FixedFft, FFT_LANES};
@@ -34,6 +34,54 @@ fn print_table4() {
         );
     }
     eprintln!("(Anchored row-for-row on the paper's Table 4.)\n");
+}
+
+/// A well-conditioned 4×4 mixing channel, `h[rx][tx]`.
+fn mixing_channel(rx: usize, tx: usize) -> Cf64 {
+    if rx == tx {
+        Cf64::new(0.8, 0.15)
+    } else {
+        Cf64::new(0.1 * (rx as f64 - tx as f64), -0.07 * (rx + tx) as f64)
+    }
+}
+
+/// Four antennas' captures of a preamble (STS + LTS) behind 40 idle
+/// samples and ahead of a low-level tail, each antenna at its own gain.
+fn four_antenna_preamble(fft: &FixedFft, map: &SubcarrierMap) -> Vec<Vec<CQ15>> {
+    let mut burst = preamble::sts_time(fft, map, 0.5).expect("sts");
+    burst.extend(preamble::lts_time(fft, map, 0.5).expect("lts"));
+    (0..4)
+        .map(|a| {
+            let gain = mixing_channel(a, a);
+            let mut s = vec![CQ15::ZERO; 40];
+            s.extend(burst.iter().map(|&x| (gain * Cf64::from_fixed(x)).to_fixed::<15>()));
+            s.extend((0..200).map(|i| CQ15::from_f64(0.02 * ((i * (a + 3)) as f64).sin(), 0.01)));
+            s
+        })
+        .collect()
+}
+
+/// The estimator's input: `blocks[rx][tx]` holds the two LTS
+/// repetitions TX antenna `tx` sends, as RX antenna `rx` receives them
+/// through [`mixing_channel`].
+fn lts_through_mixing_channel(fft: &FixedFft, map: &SubcarrierMap) -> Vec<Vec<Vec<CQ15>>> {
+    let field = preamble::lts_time(fft, map, 0.5).expect("lts");
+    let reps = &field[fft.size() / 2..];
+    (0..4)
+        .map(|rx| {
+            (0..4)
+                .map(|tx| {
+                    reps.iter()
+                        .map(|&s| {
+                            (mixing_channel(rx, tx) * Cf64::from_fixed(s))
+                                .to_fixed::<15>()
+                                .saturate_bits(16)
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
 }
 
 fn bench(c: &mut Criterion) {
@@ -67,9 +115,39 @@ fn bench(c: &mut Criterion) {
     // Time synchroniser: one sliding-window step.
     let map = SubcarrierMap::new(64).expect("valid size");
     let taps = preamble::sync_reference(&fft, &map, 0.5).expect("reference");
-    let mut sync = TimeSynchronizer::new(taps, 0.99).expect("valid taps");
+    let mut sync = TimeSynchronizer::new(taps.clone(), 0.99).expect("valid taps");
     let sample = CQ15::from_f64(0.05, -0.03);
     c.bench_function("table4/timesync_step", |b| b.iter(|| sync.push(sample)));
+
+    // Fine sync as the receiver runs it: the ±48-sample window around
+    // the coarse STS end, scanned on each of four antennas.
+    let scan = TimeSynchronizer::new(taps, mimo_sync::DEFAULT_THRESHOLD_FACTOR)
+        .expect("valid taps");
+    let captures = four_antenna_preamble(&fft, &map);
+    let sts_end = mimo_sync::coarse_sts_end(&captures)
+        .expect("plateau found")
+        .sts_end;
+    c.bench_function("table4/fine_sync_window_4_antennas", |b| {
+        b.iter(|| {
+            captures
+                .iter()
+                .filter_map(|s| scan.scan_peak_window(s, sts_end - 48, sts_end + 48))
+                .max_by_key(|e| e.magnitude)
+        })
+    });
+
+    // Channel estimate from the 16 staggered LTS fields (32 FFTs), then
+    // the whole-burst H⁻¹ over its 52 carriers.
+    let estimator = ChannelEstimator::new(64).expect("supported size");
+    let lts_blocks = lts_through_mixing_channel(&fft, &map);
+    c.bench_function("table4/channel_estimate_16_lts", |b| {
+        b.iter(|| estimator.estimate(&lts_blocks).expect("well-formed"))
+    });
+    let estimate = estimator.estimate(&lts_blocks).expect("well-formed");
+    let inverter = CordicQrd::new();
+    c.bench_function("table4/h_inverse_52_carriers", |b| {
+        b.iter(|| estimate.invert_all(&inverter).expect("nonsingular"))
+    });
 
     // Symbol demapper with the EVM measurement, one 64-QAM symbol's 48
     // data carriers: the one-pass kernel against the separate soft

@@ -18,6 +18,7 @@ use mimo_ofdm::preamble::lts_reference;
 use mimo_ofdm::SubcarrierMap;
 
 use crate::matrix::FxMat4;
+use crate::product::mul_group;
 use crate::rinv::invert_upper_triangular;
 use crate::systolic::{CordicQrd, QrDecomposition};
 use crate::N_ANTENNAS;
@@ -70,7 +71,10 @@ impl fmt::Display for ChanestError {
 impl Error for ChanestError {}
 
 /// Per-subcarrier channel matrices — the "array of 16 memories".
-#[derive(Debug, Clone)]
+///
+/// The default value is empty: a buffer for
+/// [`ChannelEstimator::estimate_into`] to fill.
+#[derive(Debug, Clone, Default)]
 pub struct ChannelEstimate {
     occupied: Vec<i32>,
     h: Vec<FxMat4>,
@@ -94,10 +98,12 @@ impl ChannelEstimate {
     /// QRD → R⁻¹ → R⁻¹·Qᴴ, returning the per-subcarrier `H⁻¹`
     /// ("channel estimate inverted matrices" memories of Fig 5).
     ///
-    /// The QRD runs subcarriers in groups of [`LANES`] on the lane
-    /// CORDIC ([`CordicQrd`] documents the bit-exact contract); R⁻¹
-    /// and the product stay per carrier, in carrier order, so the
-    /// first singular carrier is the one reported.
+    /// Subcarriers run in groups of [`LANES`]: the QRD on the lane
+    /// CORDIC ([`CordicQrd`] documents the bit-exact contract), R⁻¹
+    /// per carrier in carrier order, so the first singular carrier is
+    /// the one reported, then R⁻¹·Qᴴ on carrier lanes whenever every
+    /// word of the group fits an `i32` (per carrier otherwise, with
+    /// the same bits).
     ///
     /// # Errors
     ///
@@ -107,12 +113,16 @@ impl ChannelEstimate {
         // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
         let mut inverses = Vec::with_capacity(self.h.len());
         let mut group = [QrDecomposition::default(); LANES];
+        let mut r_inv = [FxMat4::zero(); LANES];
+        let mut q_h = [FxMat4::zero(); LANES];
         for h in self.h.chunks(LANES) {
+            let n = h.len();
             qrd.decompose_group(h, &mut group);
-            for decomp in &group[..h.len()] {
-                let r_inv = invert_upper_triangular(&decomp.r)?;
-                inverses.push(r_inv.mul_mat(&decomp.q_h));
+            for ((r, q), decomp) in r_inv.iter_mut().zip(&mut q_h).zip(&group[..n]) {
+                *r = invert_upper_triangular(&decomp.r)?;
+                *q = decomp.q_h;
             }
+            mul_group(&r_inv[..n], &q_h[..n], qrd.product_avx2, &mut inverses);
         }
         Ok(inverses)
     }
@@ -125,6 +135,10 @@ impl ChannelEstimate {
 pub struct ChannelEstimator {
     fft: FixedFft,
     map: SubcarrierMap,
+    /// Logical indices of the occupied carriers.
+    occupied: Vec<i32>,
+    /// FFT bin of each occupied carrier.
+    bins: Vec<usize>,
     lts_ref: Vec<i8>,
     /// 1/amplitude of the training symbols (the de-reference multiply).
     inv_amplitude: Q16,
@@ -152,8 +166,11 @@ impl ChannelEstimator {
         let fft =
             FixedFft::new(fft_size).map_err(|_| ChanestError::UnsupportedFftSize(fft_size))?;
         let lts_ref = lts_reference(&map);
+        let occupied = map.occupied_indices();
         Ok(Self {
             fft,
+            bins: occupied.iter().map(|&l| map.bin(l)).collect(),
+            occupied,
             map,
             lts_ref,
             inv_amplitude: Q16::from_f64(1.0 / amplitude),
@@ -173,18 +190,47 @@ impl ChannelEstimator {
     ///
     /// Generic over borrowed views: pass owned `Vec<Vec<Vec<CQ15>>>`
     /// storage or zero-copy `[[&[CQ15]; 4]; 4]` slices into the raw
-    /// receive streams — the receiver hot path uses the latter so no
-    /// LTS samples are ever copied.
+    /// receive streams.
     ///
     /// Per carrier: both repetitions are transformed, averaged with the
     /// adder + right-shift, and divided by the known ±1 training value
     /// (a sign flip and a constant multiply).
+    ///
+    /// The allocating form of [`ChannelEstimator::estimate_into`]; the
+    /// results are equal.
     ///
     /// # Errors
     ///
     /// Returns [`ChanestError::BadSlotShape`]/[`ChanestError::BadBlockLength`]
     /// on malformed input.
     pub fn estimate<R, B>(&self, lts_blocks: &[R]) -> Result<ChannelEstimate, ChanestError>
+    where
+        R: AsRef<[B]>,
+        B: AsRef<[CQ15]>,
+    {
+        let mut out = ChannelEstimate::default();
+        self.estimate_into(lts_blocks, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`ChannelEstimator::estimate`] into caller-owned buffers: `out`
+    /// is overwritten, and `fft_scratch` holds one receive antenna's
+    /// eight LTS half-fields and their spectra at a time. Each
+    /// antenna's eight transforms run in one
+    /// [`FixedFft::fft_batch_into`] call, a whole lane group of the
+    /// lane FFT. Both buffers keep their capacity, so a receiver that
+    /// holds them across bursts estimates without allocating.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChannelEstimator::estimate`]; `out` is unspecified after an
+    /// error.
+    pub fn estimate_into<R, B>(
+        &self,
+        lts_blocks: &[R],
+        fft_scratch: &mut Vec<CQ15>,
+        out: &mut ChannelEstimate,
+    ) -> Result<(), ChanestError>
     where
         R: AsRef<[B]>,
         B: AsRef<[CQ15]>,
@@ -214,58 +260,39 @@ impl ChannelEstimator {
             }
         }
 
-        let occupied = self.map.occupied_indices();
-        // averaged[(rx * 4 + slot) * n_occ + occupied_idx], flat.
-        let n_occ = occupied.len();
-        // phylint: allow(hot_transitive) -- scratch rows sized once per preamble estimate, not per sample
-        let mut averaged = vec![CQ15::ZERO; N_ANTENNAS * N_ANTENNAS * n_occ];
-        // phylint: allow(hot_transitive) -- scratch rows sized once per preamble estimate, not per sample
-        let mut first = vec![CQ15::ZERO; n];
-        // phylint: allow(hot_transitive) -- scratch rows sized once per preamble estimate, not per sample
-        let mut second = vec![CQ15::ZERO; n];
+        // Frame 2·slot is that block's first repetition and frame
+        // 2·slot + 1 its second: the antenna's blocks laid end to end.
+        let frames = 2 * N_ANTENNAS;
+        fft_scratch.resize(2 * frames * n, CQ15::ZERO);
+        let (time, spectra) = fft_scratch.split_at_mut(frames * n);
+        out.occupied.clone_from(&self.occupied);
+        out.h.clear();
+        out.h.resize(self.bins.len(), FxMat4::zero());
         for (rx, per_rx) in lts_blocks.iter().enumerate() {
-            for (slot, block) in per_rx.as_ref().iter().enumerate() {
-                let block = block.as_ref();
-                // Block length was validated to 2·N above; an FFT
-                // length complaint can only mean that check and this
-                // call disagree, which surfaces as the same typed
-                // error instead of a panic.
-                let bad_len = |_| ChanestError::BadBlockLength {
+            for (dst, block) in time.chunks_exact_mut(2 * n).zip(per_rx.as_ref()) {
+                dst.copy_from_slice(block.as_ref());
+            }
+            // Every length was validated above; an FFT length complaint
+            // can only mean that check and this call disagree, which
+            // surfaces as the same typed error instead of a panic.
+            self.fft
+                .fft_batch_into(time, n, spectra, n, frames)
+                .map_err(|_| ChanestError::BadBlockLength {
                     expected: 2 * n,
-                    got: block.len(),
-                };
-                self.fft
-                    .fft_into(&block[..n], &mut first)
-                    .map_err(bad_len)?;
-                self.fft
-                    .fft_into(&block[n..], &mut second)
-                    .map_err(bad_len)?;
-                let base = (rx * N_ANTENNAS + slot) * n_occ;
-                for (s, &l) in occupied.iter().enumerate() {
-                    let bin = self.map.bin(l);
+                    got: 2 * n,
+                })?;
+            for ((h, &bin), &sign) in out.h.iter_mut().zip(&self.bins).zip(&self.lts_ref) {
+                for (tx, first) in spectra.chunks_exact(2 * n).enumerate() {
                     // "averaged using an adder followed by right-shift
                     // logic"
-                    averaged[base + s] = (first[bin] + second[bin]).shr_round(1);
+                    let averaged = (first[bin] + first[n + bin]).shr_round(1);
+                    let y: CFx<16> = averaged.convert();
+                    let v = if sign >= 0 { y } else { -y };
+                    h[(rx, tx)] = v.scale(self.inv_amplitude);
                 }
             }
         }
-
-        let h = (0..n_occ)
-            .map(|s| {
-                FxMat4::from_fn(|rx, tx| {
-                    let y: CFx<16> = averaged[(rx * N_ANTENNAS + tx) * n_occ + s].convert();
-                    let sign = self.lts_ref[s];
-                    let v = if sign >= 0 { y } else { -y };
-                    v.scale(self.inv_amplitude)
-                })
-            })
-            // phylint: allow(hot_transitive) -- gathers the per-burst channel matrix once per preamble
-            .collect();
-
-        Ok(ChannelEstimate {
-            occupied,
-            h,
-        })
+        Ok(())
     }
 }
 
@@ -393,6 +420,76 @@ mod tests {
         ));
     }
 
+    /// The per-frame estimate the batched one replaced: two single
+    /// FFT calls per LTS block.
+    fn per_frame_estimate(est: &ChannelEstimator, blocks: &[Vec<Vec<CQ15>>]) -> Vec<FxMat4> {
+        let n = est.map.fft_size();
+        let (mut first, mut second) = (vec![CQ15::ZERO; n], vec![CQ15::ZERO; n]);
+        let mut averaged = vec![vec![vec![CQ15::ZERO; est.bins.len()]; N_ANTENNAS]; N_ANTENNAS];
+        for (rx, per_rx) in blocks.iter().enumerate() {
+            for (slot, block) in per_rx.iter().enumerate() {
+                est.fft.fft_into(&block[..n], &mut first).unwrap();
+                est.fft.fft_into(&block[n..], &mut second).unwrap();
+                for (s, &bin) in est.bins.iter().enumerate() {
+                    averaged[rx][slot][s] = (first[bin] + second[bin]).shr_round(1);
+                }
+            }
+        }
+        (0..est.bins.len())
+            .map(|s| {
+                FxMat4::from_fn(|rx, tx| {
+                    let y: CFx<16> = averaged[rx][tx][s].convert();
+                    let v = if est.lts_ref[s] >= 0 { y } else { -y };
+                    v.scale(est.inv_amplitude)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_estimate_matches_per_frame_ffts() {
+        // Full-scale blocks with the bus corners, and blocks holding
+        // samples off the 16-bit bus (those frames take the scalar FFT
+        // inside the batch).
+        let raw = |re: i64, im: i64| CFx::new(mimo_fixed::Fx::from_raw(re), mimo_fixed::Fx::from_raw(im));
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            i64::from((state >> 48) as i16)
+        };
+        let mut sample = |i: usize| match i % 13 {
+            0 => raw(-32_768, -32_768),
+            1 => raw(32_767, -32_768),
+            _ => raw(next(), next()),
+        };
+        for fft_size in [64usize, 128] {
+            let est = ChannelEstimator::new(fft_size).unwrap();
+            let mut scratch = Vec::new();
+            let mut out = ChannelEstimate::default();
+            for trial in 0..4 {
+                let mut blocks: Vec<Vec<Vec<CQ15>>> = (0..N_ANTENNAS)
+                    .map(|_| {
+                        (0..N_ANTENNAS)
+                            .map(|_| (0..2 * fft_size).map(&mut sample).collect())
+                            .collect()
+                    })
+                    .collect();
+                if trial % 2 == 1 {
+                    blocks[trial][2][5] = raw(50_000, -1 << 20);
+                    blocks[0][trial][fft_size + 3] = raw(-40_000, 0);
+                }
+                let want = per_frame_estimate(&est, &blocks);
+                assert_eq!(est.estimate(&blocks).unwrap().h_matrices(), want.as_slice());
+                // Reused buffers give the same result as fresh ones.
+                est.estimate_into(&blocks, &mut scratch, &mut out).unwrap();
+                assert_eq!(out.h_matrices(), want.as_slice(), "size {fft_size} trial {trial}");
+                assert_eq!(out.occupied(), est.map.occupied_indices().as_slice());
+            }
+        }
+    }
+
     #[test]
     fn averaging_suppresses_repetition_noise() {
         // Perturb the two repetitions in opposite directions; the
@@ -442,6 +539,8 @@ mod lane_tests {
             .into_iter()
             .map(|lanes| {
                 let mut qrd = CordicQrd::with_cordic(cordic.clone());
+                // The product runs on the same build as the CORDIC.
+                qrd.product_avx2 = lanes.build_name() == "avx2";
                 qrd.lanes = Some(lanes);
                 qrd
             })
@@ -565,6 +664,77 @@ mod lane_tests {
         words[6] = (-(1 << 40), 1 << 33);
         h[9] = raw_matrix(&words);
         check(h);
+    }
+
+    /// An upper-triangular channel whose R⁻¹ holds words past the `i32`
+    /// range: two diagonal entries just above the divider's limit with
+    /// a moderate entry between them, so `R⁻¹(0, 1) = −R(0, 1)/(R(0, 0)·R(1, 1))`
+    /// is large. Its product takes the scalar path.
+    #[test]
+    fn out_of_range_inverse_takes_the_scalar_product() {
+        let tiny = Q16::from_raw(180);
+        let steep = FxMat4::from_fn(|r, c| match (r, c) {
+            (0, 0) | (1, 1) => CFx::new(tiny, Q16::ZERO),
+            (0, 1) => CFx::new(Q16::from_f64(1.5), Q16::from_f64(-0.5)),
+            _ if r == c => CFx::ONE,
+            _ => CFx::ZERO,
+        });
+        let d = CordicQrd::new().decompose(&steep);
+        let r_inv = invert_upper_triangular(&d.r).unwrap();
+        assert!(
+            i32::try_from(r_inv[(0, 1)].re.raw()).is_err(),
+            "R⁻¹ must leave the i32 range: {}",
+            r_inv[(0, 1)].re.raw()
+        );
+        let good = crate::Mat4::identity().to_fixed();
+        // The steep carrier alone, and inside two mixed groups.
+        check(vec![steep]);
+        let mut h = vec![good; 13];
+        h[3] = steep;
+        h[12] = steep;
+        check(h);
+    }
+
+    /// Every group size on both product builds against `mul_mat`, with
+    /// words up to the `i32` limits, and a group holding one word past
+    /// them.
+    #[test]
+    fn lane_product_matches_mul_mat() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // The limits, and ±2¹⁵ beside odd words: their products sit
+            // exactly on a rounding tie.
+            match state % 8 {
+                0 => i64::from(i32::MIN),
+                1 => i64::from(i32::MAX),
+                2 => 32_768,
+                3 => -32_768,
+                4 => (state >> 40) as i64 | 1,
+                5 => -((state >> 44) as i64 | 1),
+                _ => i64::from((state >> 32) as i32),
+            }
+        };
+        let mut random = || FxMat4::from_fn(|_, _| CFx::new(Q16::from_raw(next()), Q16::from_raw(next())));
+        for n in 0..=LANES {
+            let a: Vec<FxMat4> = (0..n).map(|_| random()).collect();
+            let mut b: Vec<FxMat4> = (0..n).map(|_| random()).collect();
+            let want: Vec<FxMat4> = a.iter().zip(&b).map(|(a, b)| a.mul_mat(b)).collect();
+            for avx2 in [true, false] {
+                let mut got = Vec::new();
+                crate::product::mul_group(&a, &b, avx2, &mut got);
+                assert_eq!(got, want, "n {n} avx2 {avx2}");
+            }
+            if n > 0 {
+                b[n - 1][(2, 3)] = CFx::new(Q16::from_raw(1 << 31), Q16::from_raw(-(1 << 40)));
+                let want: Vec<FxMat4> = a.iter().zip(&b).map(|(a, b)| a.mul_mat(b)).collect();
+                let mut got = Vec::new();
+                crate::product::mul_group(&a, &b, true, &mut got);
+                assert_eq!(got, want, "n {n} off range");
+            }
+        }
     }
 
     fn arb_words(limit: i64) -> impl Strategy<Value = Vec<(i64, i64)>> {

@@ -51,6 +51,10 @@ pub struct CordicQrd {
     /// The same CORDIC on [`LANES`] carriers per step; `None` when the
     /// engine's iteration count does not fit the lanes.
     pub(crate) lanes: Option<CordicLanes>,
+    /// Whether the R⁻¹·Qᴴ lane product of
+    /// [`ChannelEstimate::invert_all`](crate::ChannelEstimate::invert_all)
+    /// runs its AVX2 build: when the lane CORDIC does.
+    pub(crate) product_avx2: bool,
 }
 
 impl Default for CordicQrd {
@@ -69,7 +73,12 @@ impl CordicQrd {
     /// count knob used by the accuracy-ablation experiment).
     pub fn with_cordic(cordic: Cordic) -> Self {
         let lanes = CordicLanes::new(&cordic);
-        Self { cordic, lanes }
+        Self {
+            cordic,
+            // The CPU-feature probe behind the CORDIC's build choice.
+            product_avx2: lanes.as_ref().is_some_and(|l| l.build_name() == "avx2"),
+            lanes,
+        }
     }
 
     /// Number of boundary cells (diagonal): 4, each two vectoring
@@ -248,6 +257,10 @@ fn decompose_lanes(lanes: &CordicLanes, h: &[FxMat4], out: &mut [QrDecomposition
         }
         x_re[N_ANTENNAS + i] = [Q16::ONE.raw() as i32; LANES];
 
+        // Q-part columns past N + i are still all zero, in the cells
+        // and in this row: no earlier row carried their identity 1.
+        // Rotating (0, 0) gives (0, 0) exactly, so they are skipped.
+        let live = N_ANTENNAS + i + 1;
         for k in 0..N_ANTENNAS {
             // Boundary cell (k, k): two vectoring CORDICs. The absorbed
             // input x[k] is never read again.
@@ -255,14 +268,14 @@ fn decompose_lanes(lanes: &CordicLanes, h: &[FxMat4], out: &mut [QrDecomposition
             let (r_kk, theta) = lanes.vector(&cell_re[k][k], &magnitude);
             cell_re[k][k] = r_kk;
 
-            // Internal cells (k, k+1..W): de-phase every incoming value
-            // by −φ, then the real Givens by −θ on the (stored,
+            // Internal cells (k, k+1..live): de-phase every incoming
+            // value by −φ, then the real Givens by −θ on the (stored,
             // incoming) re and im pairs.
             let (neg_phi, neg_theta) = (negated(&phi), negated(&theta));
-            let tail = k + 1;
-            lanes.rotate(&neg_phi, &mut x_re[tail..], &mut x_im[tail..]);
-            lanes.rotate(&neg_theta, &mut cell_re[k][tail..], &mut x_re[tail..]);
-            lanes.rotate(&neg_theta, &mut cell_im[k][tail..], &mut x_im[tail..]);
+            let cols = k + 1..live;
+            lanes.rotate(&neg_phi, &mut x_re[cols.clone()], &mut x_im[cols.clone()]);
+            lanes.rotate(&neg_theta, &mut cell_re[k][cols.clone()], &mut x_re[cols.clone()]);
+            lanes.rotate(&neg_theta, &mut cell_im[k][cols.clone()], &mut x_im[cols]);
         }
     }
 

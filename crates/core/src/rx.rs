@@ -89,7 +89,7 @@ use crate::rates::{RateKit, RateTable};
 use crate::signal::parse_signal_field;
 use crate::tx::{MAX_STREAM_BYTES, SCRAMBLER_SEED};
 use crate::stream::ReceivedBurst;
-use crate::workspace::{RxAntennaWorkspace, RxStreamWorkspace, RxWorkspace};
+use crate::workspace::{ChannelScratch, RxAntennaWorkspace, RxStreamWorkspace, RxWorkspace};
 
 /// Samples the demodulation windows retreat into the cyclic
 /// prefix/guard. Multipath makes the correlator lock on the strongest
@@ -120,10 +120,16 @@ pub const EVM_FLOOR_DB: f64 = -80.0;
 /// other three are. Every figure is clamped to the finite
 /// [`EVM_FLOOR_DB`] floor.
 ///
-/// The per-stream vector is built once at burst close (alongside the
-/// payload `Vec`, the receive path's one pre-existing per-burst
-/// allocation) — the per-symbol steady-state loops remain
-/// allocation-free.
+/// The per-stream vector is built once at burst close. On a warm
+/// workspace at fan-out width 1, `receive_burst` still makes six heap
+/// allocations per burst: the batch acquisition's coarse-tracker ring
+/// and sample column (`mimo_sync::coarse_sts_end`), the burst's `H⁻¹`
+/// table (one matrix per occupied carrier, from
+/// `ChannelEstimate::invert_all`), the stream-slice list the
+/// round-robin reassembly borrows, the payload `Vec` and this vector.
+/// A wider fan-out also starts its crew's helper threads. The channel
+/// estimate and its LTS transforms reuse workspace buffers, and the
+/// per-symbol steady-state loops allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuality {
     /// Aggregate error-vector magnitude over all streams, dB (lower is
@@ -332,13 +338,16 @@ impl RxCore {
     }
 
     /// Estimates and inverts the 4×4 channel from the staggered LTS
-    /// views (`lts_views[rx][slot]`, each `2·N` samples).
+    /// views (`lts_views[rx][slot]`, each `2·N` samples), on the
+    /// workspace's estimator buffers.
     fn estimate_channel(
         &self,
         lts_views: &[[&[CQ15]; 4]; 4],
+        scratch: &mut ChannelScratch,
     ) -> Result<Vec<FxMat4>, PhyError> {
-        let estimate = self.estimator.estimate(lts_views)?;
-        Ok(estimate.invert_all(&self.qrd)?)
+        self.estimator
+            .estimate_into(lts_views, &mut scratch.lts_fft, &mut scratch.estimate)?;
+        Ok(scratch.estimate.invert_all(&self.qrd)?)
     }
 
     /// Resets a stream workspace for a fresh accumulation pass of
@@ -575,6 +584,7 @@ impl RxCore {
             antennas,
             streams,
             header,
+            channel,
         } = ws;
 
         if burst.h_inv.is_empty() {
@@ -590,7 +600,7 @@ impl RxCore {
                     &samples[rx].as_ref()[start..start + 2 * n]
                 })
             });
-            burst.h_inv = self.estimate_channel(&lts_views).map_err(failed)?;
+            burst.h_inv = self.estimate_channel(&lts_views, channel).map_err(failed)?;
             burst.needed = data_start + (h + 1) * sym_len;
         }
 

@@ -27,6 +27,7 @@
 //!   allocation. The frame scratch holds at most one lane group of
 //!   frames, however long the burst.
 
+use mimo_chanest::ChannelEstimate;
 use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
 use mimo_ofdm::SymbolIngest;
@@ -88,15 +89,28 @@ pub(crate) struct RxStreamWorkspace {
     pub phase_acc: f64,
 }
 
+/// Channel-estimation scratch: the estimator's LTS transform buffer
+/// and the per-carrier estimate it fills, both reused across bursts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChannelScratch {
+    /// One receive antenna's LTS half-fields and their spectra (see
+    /// [`ChannelEstimator::estimate_into`](mimo_chanest::ChannelEstimator::estimate_into)).
+    pub lts_fft: Vec<CQ15>,
+    /// The last burst's channel matrices, before inversion.
+    pub estimate: ChannelEstimate,
+}
+
 /// Receive workspace: antenna-side and stream-side scratch, split so
 /// the two parallel stages can borrow them independently, plus a
 /// dedicated stream-shaped scratch for decoding the SIGNAL-field
-/// header (stream 0, before the payload fan-out).
+/// header (stream 0, before the payload fan-out) and the channel
+/// estimator's buffers.
 #[derive(Debug, Clone)]
 pub(crate) struct RxWorkspace {
     pub antennas: Vec<RxAntennaWorkspace>,
     pub streams: Vec<RxStreamWorkspace>,
     pub header: RxStreamWorkspace,
+    pub channel: ChannelScratch,
 }
 
 impl RxWorkspace {
@@ -133,6 +147,7 @@ impl RxWorkspace {
                 .collect(),
             streams: (0..n).map(|_| make_stream()).collect(),
             header: make_stream(),
+            channel: ChannelScratch::default(),
         }
     }
 }

@@ -19,22 +19,27 @@ fn narrow(x: Q16, y: Q16) -> CQ15 {
     narrow.saturate_bits(SAMPLE_BITS)
 }
 
+/// Lane groups the common-phase correction rotates per CORDIC call:
+/// a whole symbol up to 512 carriers.
+const PHASE_GROUPS: usize = 64;
+
 // phylint: hot
-/// De-rotates up to [`LANES`] carriers, carrier `k` by the raw Q2.16
-/// angle `angle[k]`, and narrows them back to samples.
+/// De-rotates up to `G·`[`LANES`] carriers, carrier `i` by the raw
+/// Q2.16 angle `angle[i % LANES]`, and narrows them back to samples.
 ///
-/// The group runs on the lane CORDIC when there is one and every
-/// widened sample is inside its admitted range — always true for
-/// 16-bit samples — with a short tail group padded by zero lanes that
-/// are discarded. Otherwise each carrier goes through the scalar
-/// engine. Both paths give the same bits.
-fn rotate_group(
+/// The carriers run on the lane CORDIC in one call, lane group `g`
+/// holding carriers `g·LANES..`, when there is one and every widened
+/// sample is inside its admitted range — always true for 16-bit
+/// samples — with a short tail group padded by zero lanes that are
+/// discarded. Otherwise each carrier goes through the scalar engine.
+/// Both paths give the same bits.
+fn rotate_carriers<const G: usize>(
     cordic: &Cordic,
     lanes: Option<&CordicLanes>,
     carriers: &mut [CQ15],
     angle: &[i64; LANES],
 ) {
-    debug_assert!(carriers.len() <= LANES);
+    debug_assert!(carriers.len() <= G * LANES);
     let widened = |c: &CQ15| -> CFx<16> { c.convert() };
     let admitted = carriers.iter().all(|c| {
         let w = widened(c);
@@ -42,24 +47,25 @@ fn rotate_group(
     });
     match lanes {
         Some(lanes) if admitted => {
-            let (mut x, mut y): (Lanes, Lanes) = ([0; LANES], [0; LANES]);
-            for (k, c) in carriers.iter().enumerate() {
-                let w = widened(c);
-                // Admitted words are below 2²⁴, so they fit an i32 lane.
-                x[k] = w.re.raw() as i32;
-                y[k] = w.im.raw() as i32;
+            let (mut xs, mut ys): ([Lanes; G], [Lanes; G]) = ([[0; LANES]; G], [[0; LANES]; G]);
+            for ((x, y), group) in xs.iter_mut().zip(&mut ys).zip(carriers.chunks(LANES)) {
+                for (k, c) in group.iter().enumerate() {
+                    let w = widened(c);
+                    // Admitted words are below 2²⁴, so they fit an i32 lane.
+                    x[k] = w.re.raw() as i32;
+                    y[k] = w.im.raw() as i32;
+                }
             }
-            lanes.rotate(
-                angle,
-                std::slice::from_mut(&mut x),
-                std::slice::from_mut(&mut y),
-            );
-            for (k, c) in carriers.iter_mut().enumerate() {
-                *c = narrow(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
+            let groups = carriers.len().div_ceil(LANES);
+            lanes.rotate(angle, &mut xs[..groups], &mut ys[..groups]);
+            for ((x, y), group) in xs.iter().zip(&ys).zip(carriers.chunks_mut(LANES)) {
+                for (k, c) in group.iter_mut().enumerate() {
+                    *c = narrow(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
+                }
             }
         }
         _ => {
-            for (c, &a) in carriers.iter_mut().zip(angle) {
+            for (c, &a) in carriers.iter_mut().zip(angle.iter().cycle()) {
                 let w = widened(c);
                 let rotated = cordic.rotate(w.re, w.im, Q16::from_raw(a));
                 *c = narrow(rotated.x, rotated.y);
@@ -67,6 +73,7 @@ fn rotate_group(
         }
     }
 }
+
 // phylint: end-hot
 
 /// Common (symbol-wide) phase correction from the de-scrambled pilot
@@ -123,10 +130,15 @@ impl PilotPhaseCorrector {
     /// In-place [`PilotPhaseCorrector::correct`]: the hot path rotates
     /// the equalized symbol buffer it already owns, allocating nothing,
     /// [`LANES`] carriers per CORDIC step.
+    ///
+    /// Every carrier turns by the same angle, so a whole block of up
+    /// to 512 carriers is widened onto lanes and rotated in one
+    /// [`CordicLanes::rotate`] call, which derives the angle's
+    /// micro-rotation directions once for all of them.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
         let angle = [(-phase).raw(); LANES];
-        for group in carriers.chunks_mut(LANES) {
-            rotate_group(&self.cordic, self.lanes.as_ref(), group, &angle);
+        for block in carriers.chunks_mut(PHASE_GROUPS * LANES) {
+            rotate_carriers::<PHASE_GROUPS>(&self.cordic, self.lanes.as_ref(), block, &angle);
         }
     }
 }
@@ -241,7 +253,7 @@ impl TimingCorrector {
             for (a, &l) in angle.iter_mut().zip(idx) {
                 *a = (-angle_of(l)).raw();
             }
-            rotate_group(&self.cordic, self.lanes.as_ref(), group, &angle);
+            rotate_carriers::<1>(&self.cordic, self.lanes.as_ref(), group, &angle);
         }
     }
 }
@@ -449,6 +461,22 @@ mod tests {
                     phase_c.correct_in_place(&mut got, phase);
                     assert_eq!(got, scalar_rotate(&rx, |_| -phase), "n {n} phase {phase:?}");
                 }
+            }
+        }
+    }
+
+    /// A symbol holding one carrier past the lanes' admitted range
+    /// rotates its block on the scalar engine, with the same bits.
+    #[test]
+    fn phase_block_with_an_unadmitted_carrier_matches_scalar() {
+        let phase = Q16::from_f64(-0.7);
+        for (phase_c, _) in corrector_builds() {
+            for (n, at) in [(52, 0), (52, 51), (600, 17), (600, 530), (8, 3)] {
+                let mut rx = samples(n, n as u64 + at as u64);
+                rx[at] = CFx::new(Fx::from_raw(1 << 30), Fx::from_raw(-(1 << 29)));
+                let mut got = rx.clone();
+                phase_c.correct_in_place(&mut got, phase);
+                assert_eq!(got, scalar_rotate(&rx, |_| -phase), "n {n} at {at}");
             }
         }
     }

@@ -99,7 +99,6 @@ impl<const FRAC: u32> CFx<FRAC> {
     ///
     /// Panics if `bits` is zero or greater than 63.
     #[inline]
-    // phylint: allow(test_only_api) -- test support: crates/core/src/tx.rs
     pub fn fits_bits(self, bits: u32) -> bool {
         self.re.fits_bits(bits) && self.im.fits_bits(bits)
     }

@@ -161,7 +161,6 @@ impl<const FRAC: u32> Fx<FRAC> {
     ///
     /// Panics if `bits` is zero or greater than 63.
     #[inline]
-    // phylint: allow(test_only_api) -- test support: crates/core/src/tx.rs
     pub fn fits_bits(self, bits: u32) -> bool {
         assert!((1..=63).contains(&bits), "bus width out of range: {bits}");
         let max = (1i64 << (bits - 1)) - 1;

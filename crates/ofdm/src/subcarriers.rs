@@ -222,7 +222,6 @@ impl SubcarrierMap {
     /// ascending. Used by the channel estimator, which estimates H on
     /// every occupied carrier.
     pub fn occupied_indices(&self) -> Vec<i32> {
-        // phylint: allow(hot_transitive) -- occupied-carrier list built once per preamble estimate, not per sample
         let mut all: Vec<i32> = self.data.iter().chain(self.pilots.iter()).copied().collect();
         all.sort_unstable();
         all

@@ -7,6 +7,7 @@ use std::fmt;
 use mimo_cordic::Cordic;
 use mimo_fixed::{CFx, CQ15, Q16};
 
+use crate::lanes::{ScanLanes, CHUNK};
 use crate::CORRELATOR_TAPS;
 
 /// Errors from synchroniser construction.
@@ -84,6 +85,9 @@ pub struct TimeSynchronizer {
     /// 32-stage shift register of incoming samples (newest at back).
     window: VecDeque<CQ15>,
     cordic: Cordic,
+    /// The window scan on [`LANES`](mimo_cordic::LANES) positions per
+    /// step; `None` when a tap is off the 16-bit bus.
+    lanes: Option<ScanLanes>,
     /// Detection threshold on the correlation magnitude.
     threshold: Q16,
     /// Samples consumed so far.
@@ -118,10 +122,12 @@ impl TimeSynchronizer {
             })
             .sum();
         let threshold = Q16::from_f64(peak * threshold_factor);
+        let cordic = Cordic::new();
         Ok(Self {
+            lanes: ScanLanes::new(&taps, &cordic),
             taps,
             window: VecDeque::with_capacity(CORRELATOR_TAPS),
-            cordic: Cordic::new(),
+            cordic,
             threshold,
             position: 0,
             locked: None,
@@ -190,19 +196,39 @@ impl TimeSynchronizer {
     /// (see [`coarse_sts_end`](crate::coarse_sts_end)): the coarse
     /// stage is channel-gain invariant but only ±half-symbol accurate;
     /// this pins the boundary to the sample.
+    ///
+    /// The positions run through the lane scan (crate docs) a chunk at
+    /// a time; a chunk that reads a sample off the 16-bit bus runs on
+    /// the scalar correlator instead, with the same result.
     pub fn scan_peak_window(&self, burst: &[CQ15], lo: usize, hi: usize) -> Option<SyncEvent> {
         let hi = hi.min(burst.len());
         let mut best: Option<SyncEvent> = None;
+        let mut magnitudes = [Q16::ZERO; CHUNK];
         // The first evaluable position has a whole window behind it.
-        for index in lo.max(CORRELATOR_TAPS - 1)..hi {
-            let magnitude = self.correlate(&burst[index + 1 - CORRELATOR_TAPS..=index]);
-            if magnitude.raw() > 0 && best.is_none_or(|b| magnitude > b.magnitude) {
-                best = Some(SyncEvent {
-                    peak_index: index,
-                    lts_start: index - 15,
-                    magnitude,
-                });
+        let mut first = lo.max(CORRELATOR_TAPS - 1);
+        while first < hi {
+            let end = hi.min(first + CHUNK);
+            let chunk = &mut magnitudes[..end - first];
+            let windows = &burst[first + 1 - CORRELATOR_TAPS..end];
+            let laned = self
+                .lanes
+                .as_ref()
+                .is_some_and(|lanes| lanes.magnitudes(windows, chunk));
+            if !laned {
+                for (m, window) in chunk.iter_mut().zip(windows.windows(CORRELATOR_TAPS)) {
+                    *m = self.correlate(window);
+                }
             }
+            for (index, &magnitude) in (first..end).zip(chunk.iter()) {
+                if magnitude.raw() > 0 && best.is_none_or(|b| magnitude > b.magnitude) {
+                    best = Some(SyncEvent {
+                        peak_index: index,
+                        lts_start: index - 15,
+                        magnitude,
+                    });
+                }
+            }
+            first = end;
         }
         best
     }
@@ -310,5 +336,225 @@ mod tests {
             TimeSynchronizer::new(vec![CQ15::ZERO; 32], 0.0),
             Err(SyncError::BadThreshold(_))
         ));
+    }
+}
+
+/// Differential tests of the lane scan: `scan_peak_window` on each lane
+/// build against the per-position scalar correlator.
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use mimo_fixed::Fx;
+
+    /// The synchroniser on each lane build this CPU runs: the detected
+    /// one (AVX2 on AVX2 hosts) and the portable one.
+    fn builds(taps: &[CQ15]) -> Vec<TimeSynchronizer> {
+        let detected = TimeSynchronizer::new(taps.to_vec(), crate::DEFAULT_THRESHOLD_FACTOR).unwrap();
+        let lanes = detected.lanes.as_ref().expect("on-bus taps run in the lanes");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(lanes.avx2, std::arch::is_x86_feature_detected!("avx2"));
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!lanes.avx2);
+        let mut portable = detected.clone();
+        let lanes = portable.lanes.as_mut().unwrap();
+        lanes.avx2 = false;
+        lanes.cordic = mimo_cordic::CordicLanes::portable(&Cordic::new()).unwrap();
+        vec![detected, portable]
+    }
+
+    /// The scalar scan the lanes must reproduce: one window at a time.
+    fn oracle(sync: &TimeSynchronizer, burst: &[CQ15], lo: usize, hi: usize) -> Option<SyncEvent> {
+        let hi = hi.min(burst.len());
+        let mut best: Option<SyncEvent> = None;
+        for index in lo.max(CORRELATOR_TAPS - 1)..hi {
+            let magnitude = sync.correlate(&burst[index + 1 - CORRELATOR_TAPS..=index]);
+            if magnitude.raw() > 0 && best.is_none_or(|b| magnitude > b.magnitude) {
+                best = Some(SyncEvent {
+                    peak_index: index,
+                    lts_start: index - 15,
+                    magnitude,
+                });
+            }
+        }
+        best
+    }
+
+    fn check(taps: &[CQ15], burst: &[CQ15], lo: usize, hi: usize) {
+        for (b, sync) in builds(taps).iter().enumerate() {
+            assert_eq!(
+                sync.scan_peak_window(burst, lo, hi),
+                oracle(sync, burst, lo, hi),
+                "build {b}, lo {lo}, hi {hi}, len {}",
+                burst.len()
+            );
+        }
+    }
+
+    fn raw(re: i64, im: i64) -> CQ15 {
+        CFx::new(Fx::from_raw(re), Fx::from_raw(im))
+    }
+
+    /// Deterministic full-scale 16-bit samples, bus corners included.
+    fn full_scale(n: usize, seed: u64) -> Vec<CQ15> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            i64::from((state >> 48) as i16)
+        };
+        (0..n)
+            .map(|i| match i % 11 {
+                0 => raw(-32_768, -32_768),
+                1 => raw(32_767, -32_768),
+                2 => CQ15::ZERO,
+                _ => raw(next(), next()),
+            })
+            .collect()
+    }
+
+    fn preamble_taps() -> Vec<CQ15> {
+        let fft = mimo_fft::FixedFft::new(64).unwrap();
+        let map = mimo_ofdm::SubcarrierMap::new(64).unwrap();
+        mimo_ofdm::preamble::sync_reference(&fft, &map, 0.5).unwrap()
+    }
+
+    /// Every magnitude a lane chunk produces, not just the winning one,
+    /// against the scalar correlator — with taps of ±2¹⁴ and ±2¹³, so
+    /// that odd samples put many products exactly on a rounding tie.
+    #[test]
+    fn lane_magnitudes_match_the_scalar_correlator_at_every_position() {
+        let tie_taps: Vec<CQ15> = (0..CORRELATOR_TAPS as i64)
+            .map(|j| match j % 4 {
+                0 => raw(16_384, -16_384),
+                1 => raw(-16_384, 8_192),
+                2 => raw(-8_192, -32_768),
+                _ => raw(32_767, 16_384),
+            })
+            .collect();
+        let burst = full_scale(CHUNK + CORRELATOR_TAPS - 1 + 40, 17);
+        for taps in [tie_taps, full_scale(CORRELATOR_TAPS, 5), preamble_taps()] {
+            for sync in builds(&taps) {
+                let lanes = sync.lanes.as_ref().unwrap();
+                for (first, len) in [(0, CHUNK), (40, CHUNK), (3, 1), (9, 13), (0, 0)] {
+                    let window = &burst[first..first + len + CORRELATOR_TAPS - 1];
+                    let mut got = [Q16::ZERO; CHUNK];
+                    assert!(lanes.magnitudes(window, &mut got[..len]));
+                    for (p, &m) in got[..len].iter().enumerate() {
+                        let want = sync.correlate(&window[p..p + CORRELATOR_TAPS]);
+                        assert_eq!(m, want, "avx2 {}, chunk at {first}, position {p}", lanes.avx2);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_scale_windows_of_every_width_match_scalar() {
+        let burst = full_scale(260, 3);
+        for taps in [full_scale(CORRELATOR_TAPS, 11), preamble_taps()] {
+            for width in 0..=97 {
+                check(&taps, &burst, 100, 100 + width);
+                check(&taps, &burst, 31 + width, 31 + 2 * width);
+            }
+        }
+        // Every product at its largest: (−2¹⁵)·(−2¹⁵) on both parts.
+        let corner = vec![raw(-32_768, -32_768); CORRELATOR_TAPS];
+        let burst = vec![raw(-32_768, -32_768); 200];
+        check(&corner, &burst, 0, 200);
+        let burst: Vec<CQ15> = (0..200)
+            .map(|i| if i % 2 == 0 { raw(-32_768, 32_767) } else { raw(32_767, -32_768) })
+            .collect();
+        check(&corner, &burst, 0, 200);
+    }
+
+    #[test]
+    fn window_edges_match_scalar() {
+        let taps = preamble_taps();
+        for len in [0, 1, 30, 31, 32, 33, 40, 94, 95, 96, 130, 300] {
+            let burst = full_scale(len, len as u64 + 5);
+            for (lo, hi) in [
+                (0, len),
+                (0, len + 500),
+                (5, 40),
+                (30, 31),
+                (31, 32),
+                (17, usize::MAX),
+                (len.saturating_sub(3), len + 3),
+                (len + 10, len + 20),
+                (50, 20),
+            ] {
+                check(&taps, &burst, lo, hi);
+            }
+            for sync in builds(&taps) {
+                assert_eq!(sync.scan_peak(&burst), oracle(&sync, &burst, 0, len), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_index_wins_ties() {
+        let taps = preamble_taps();
+        // A 16-periodic capture: windows 16 apart are identical, so
+        // every magnitude repeats and the maximum is tied many times.
+        let period = full_scale(16, 9);
+        let burst: Vec<CQ15> = (0..300).map(|i| period[i % 16]).collect();
+        for sync in builds(&taps) {
+            let event = sync.scan_peak_window(&burst, 0, 300).expect("non-zero correlation");
+            let first_max = (CORRELATOR_TAPS - 1..300)
+                .find(|&i| sync.correlate(&burst[i + 1 - CORRELATOR_TAPS..=i]) == event.magnitude)
+                .unwrap();
+            assert_eq!(event.peak_index, first_max);
+            assert!(first_max + 16 < 300, "the maximum repeats later");
+        }
+        check(&taps, &burst, 0, 300);
+        check(&taps, &burst, 40, 137);
+    }
+
+    #[test]
+    fn off_bus_samples_take_the_scalar_path() {
+        let taps = preamble_taps();
+        let clean = full_scale(240, 21);
+        for (at, value) in [
+            (0, raw(32_768, 0)),
+            (35, raw(0, -32_769)),
+            (100, raw(1 << 20, -(1 << 20))),
+            (130, raw(i64::MAX / 4, 5)),
+            (239, raw(-40_000, 40_000)),
+        ] {
+            let mut burst = clean.clone();
+            burst[at] = value;
+            for (lo, hi) in [(0, 240), (at.saturating_sub(50), at + 50), (at + 1, 240)] {
+                check(&taps, &burst, lo, hi);
+            }
+            let sync = &builds(&taps)[0];
+            let lanes = sync.lanes.as_ref().unwrap();
+            // Eight windows whose samples include the off-bus one.
+            let first = at.clamp(CORRELATOR_TAPS - 1, 240 - 8);
+            let mut out = [Q16::ZERO; 8];
+            assert!(!lanes.magnitudes(&burst[first + 1 - CORRELATOR_TAPS..first + 8], &mut out));
+            assert!(lanes.magnitudes(&clean[first + 1 - CORRELATOR_TAPS..first + 8], &mut out));
+        }
+        // Taps off the bus leave the whole scan on the scalar path.
+        let mut wide_taps = taps.clone();
+        wide_taps[4] = raw(40_000, 0);
+        let sync = TimeSynchronizer::new(wide_taps, 0.5).unwrap();
+        assert!(sync.lanes.is_none());
+        assert_eq!(sync.scan_peak(&clean), oracle(&sync, &clean, 0, 240));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random full-scale captures and windows, any length.
+        #[test]
+        fn random_windows_match_scalar(
+            len in 0usize..400,
+            seed in 0u64..1 << 32,
+            lo in 0usize..420,
+            width in 0usize..200,
+        ) {
+            check(&full_scale(CORRELATOR_TAPS, seed ^ 7), &full_scale(len, seed), lo, lo + width);
+        }
     }
 }

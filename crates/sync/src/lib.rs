@@ -25,10 +25,38 @@
 //! [`coarse_sts_end`] is a thin wrapper over the tracker, so batch and
 //! streaming receivers share one acquisition implementation with
 //! bit-identical results.
+//!
+//! # Lane scan
+//!
+//! [`TimeSynchronizer::scan_peak_window`] and
+//! [`TimeSynchronizer::scan_peak`] (and through them [`SyncTracker`]'s
+//! fine stage) correlate eight candidate positions per step, the
+//! software counterpart of the paper's 32 parallel multipliers: the
+//! window's samples are widened onto `i32` lanes, each of the 32 tap
+//! products is rounded exactly as `Fx::mul` rounds it, the sums are
+//! widened to Q2.16 and [`mimo_cordic::CordicLanes::vector`] takes all
+//! eight magnitudes in one call. The best position is then picked in
+//! position order, so the first index wins a tie, as before.
+//!
+//! **Range guard.** The lanes are exact while every tap and sample is
+//! on the 16-bit bus: a product is then at most 2³⁰, a window's sum
+//! below 2²¹ and its Q2.16 form below 2²², well inside the lane
+//! CORDIC's range. Taps off the bus disable the lanes at construction;
+//! a chunk of 64 positions that reads a sample off the bus is
+//! correlated on the scalar path instead.
+//!
+//! **Scalar oracle.** The per-window correlator (`i64` words, the
+//! scalar CORDIC) stays: it is the clocked [`TimeSynchronizer::push`]
+//! model, the fallback of the range guard, and the reference the lane
+//! tests compare every build against. Like the other lane kernels, the
+//! lane body is written once and built twice, inside an `avx2`
+//! target-feature function when the CPU supports it and plain
+//! otherwise, with the same bits.
 
 mod buffer;
 mod coarse;
 mod correlator;
+mod lanes;
 mod tracker;
 
 pub use buffer::CircularBuffer;
