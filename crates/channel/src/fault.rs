@@ -21,14 +21,15 @@
 //! ```
 //! use mimo_channel::{FaultKind, FaultLottery, FaultSchedule};
 //!
-//! let schedule = FaultSchedule::clean().with_drop(0.5).with_duplicate(0.5);
-//! let mut lottery = FaultLottery::new(schedule, 7);
+//! let schedule = FaultSchedule {
+//!     drop: 0.5,
+//!     duplicate: 0.5,
+//!     ..FaultSchedule::clean()
+//! };
+//! let mut lottery = FaultLottery::new(schedule.clone(), 7);
 //! // Every frame draws exactly one verdict; seeded, so reruns agree.
 //! let first: Vec<Option<FaultKind>> = (0..4).map(|_| lottery.draw()).collect();
-//! let mut replay = FaultLottery::new(
-//!     FaultSchedule::clean().with_drop(0.5).with_duplicate(0.5),
-//!     7,
-//! );
+//! let mut replay = FaultLottery::new(schedule, 7);
 //! let second: Vec<Option<FaultKind>> = (0..4).map(|_| replay.draw()).collect();
 //! assert_eq!(first, second);
 //! ```
@@ -110,38 +111,6 @@ impl FaultSchedule {
             stall: per_fault,
             ..Self::clean()
         }
-    }
-
-    /// Sets the drop probability.
-    #[must_use]
-    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop = p;
-        self
-    }
-
-    /// Sets the bit-corruption probability.
-    #[must_use]
-    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt = p;
-        self
-    }
-
-    /// Sets the duplication probability.
-    #[must_use]
-    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
-    pub fn with_duplicate(mut self, p: f64) -> Self {
-        self.duplicate = p;
-        self
-    }
-
-    /// Sets the stall/reorder probability.
-    #[must_use]
-    // phylint: allow(test_only_api) -- test support: crates/transport/src/inject.rs
-    pub fn with_stall(mut self, p: f64) -> Self {
-        self.stall = p;
-        self
     }
 
     /// Total per-frame fault probability (clamped to 1 when drawing).

@@ -79,7 +79,7 @@
 //!   chunk-driven [`SyncTracker`](mimo_sync::SyncTracker) (online
 //!   coarse STS plateau → fine 32-tap correlator window) serves the
 //!   streaming receiver; a stored capture runs the same coarse
-//!   detector through [`coarse_sts_end`](mimo_sync::coarse_sts_end),
+//!   detector through [`CoarseTracker::scan`](mimo_sync::CoarseTracker::scan),
 //!   then the fine window, and falls back to a whole-capture scan when
 //!   no plateau shows.
 //! * After acquisition one crate-private decoder advances a burst over

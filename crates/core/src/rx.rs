@@ -121,15 +121,14 @@ pub const EVM_FLOOR_DB: f64 = -80.0;
 /// [`EVM_FLOOR_DB`] floor.
 ///
 /// The per-stream vector is built once at burst close. On a warm
-/// workspace at fan-out width 1, `receive_burst` still makes six heap
-/// allocations per burst: the batch acquisition's coarse-tracker ring
-/// and sample column (`mimo_sync::coarse_sts_end`), the burst's `H⁻¹`
-/// table (one matrix per occupied carrier, from
-/// `ChannelEstimate::invert_all`), the stream-slice list the
-/// round-robin reassembly borrows, the payload `Vec` and this vector.
-/// A wider fan-out also starts its crew's helper threads. The channel
-/// estimate and its LTS transforms reuse workspace buffers, and the
-/// per-symbol steady-state loops allocate nothing.
+/// workspace at fan-out width 1, `receive_burst` still makes four
+/// heap allocations per burst: the burst's `H⁻¹` table (one matrix
+/// per occupied carrier, from `ChannelEstimate::invert_all`), the
+/// stream-slice list the round-robin reassembly borrows, the payload
+/// `Vec` and this vector. A wider fan-out also starts its crew's
+/// helper threads. The coarse STS tracker, the channel estimate and
+/// its LTS transforms reuse workspace buffers, and the per-symbol
+/// steady-state loops allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuality {
     /// Aggregate error-vector magnitude over all streams, dB (lower is
@@ -472,8 +471,9 @@ impl RxCore {
         // cross-correlator, scanned in a ±48-sample window around the
         // coarse estimate, best antenna wins. The coarse detector is the
         // same online CoarseTracker the streaming receiver runs chunk by
-        // chunk; only a stored capture can fall back to a whole scan.
-        let event = match mimo_sync::coarse_sts_end(streams) {
+        // chunk, kept in the workspace; only a stored capture can fall
+        // back to a whole scan.
+        let event = match workspace.coarse.scan(streams) {
             Some(coarse) => {
                 let lo = coarse.sts_end.saturating_sub(48);
                 let hi = coarse.sts_end + 48;
@@ -585,6 +585,7 @@ impl RxCore {
             streams,
             header,
             channel,
+            ..
         } = ws;
 
         if burst.h_inv.is_empty() {

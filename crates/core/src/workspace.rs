@@ -31,6 +31,7 @@ use mimo_chanest::ChannelEstimate;
 use mimo_coding::{Llr, ViterbiWorkspace};
 use mimo_fixed::CQ15;
 use mimo_ofdm::SymbolIngest;
+use mimo_sync::CoarseTracker;
 
 use crate::config::LinkGeometry;
 
@@ -103,14 +104,16 @@ pub(crate) struct ChannelScratch {
 /// Receive workspace: antenna-side and stream-side scratch, split so
 /// the two parallel stages can borrow them independently, plus a
 /// dedicated stream-shaped scratch for decoding the SIGNAL-field
-/// header (stream 0, before the payload fan-out) and the channel
-/// estimator's buffers.
+/// header (stream 0, before the payload fan-out), the channel
+/// estimator's buffers and the batch acquisition's coarse STS
+/// detector (re-armed by every whole-capture scan).
 #[derive(Debug, Clone)]
 pub(crate) struct RxWorkspace {
     pub antennas: Vec<RxAntennaWorkspace>,
     pub streams: Vec<RxStreamWorkspace>,
     pub header: RxStreamWorkspace,
     pub channel: ChannelScratch,
+    pub coarse: CoarseTracker,
 }
 
 impl RxWorkspace {
@@ -148,6 +151,7 @@ impl RxWorkspace {
             streams: (0..n).map(|_| make_stream()).collect(),
             header: make_stream(),
             channel: ChannelScratch::default(),
+            coarse: CoarseTracker::new(n),
         }
     }
 }

@@ -68,15 +68,6 @@ impl FftScaling {
             inverse_shift: log2.saturating_sub(1),
         }
     }
-
-    /// No scaling at all (wide outputs; only for analysis/tests).
-    // phylint: allow(test_only_api) -- test support: crates/fft/src/fixed.rs
-    pub fn none() -> Self {
-        Self {
-            forward_shift: 0,
-            inverse_shift: 0,
-        }
-    }
 }
 
 /// A fixed-point radix-2 decimation-in-time FFT/IFFT core.
@@ -420,6 +411,12 @@ mod tests {
     use super::*;
     use crate::reference::{fft_f64, ifft_f64};
 
+    /// No scaling at all: wide outputs that saturate on the bus.
+    const UNSCALED: FftScaling = FftScaling {
+        forward_shift: 0,
+        inverse_shift: 0,
+    };
+
     fn to_f64(v: &[CQ15]) -> Vec<Cf64> {
         v.iter().map(|&c| Cf64::from_fixed(c)).collect()
     }
@@ -527,7 +524,7 @@ mod tests {
 
     #[test]
     fn full_scale_input_saturates_not_wraps() {
-        let fft = FixedFft::with_scaling(64, FftScaling::none()).unwrap();
+        let fft = FixedFft::with_scaling(64, UNSCALED).unwrap();
         let x = vec![CQ15::from_f64(0.999, 0.0); 64];
         let y = fft.fft(&x).unwrap();
         // Unscaled DC bin would be ~64; it must clamp to the bus max,
@@ -592,7 +589,7 @@ mod tests {
 
     fn every_core() -> impl Iterator<Item = (usize, FixedFft)> {
         (3..=12).map(|log2| 1usize << log2).flat_map(|n| {
-            [FftScaling::for_size(n), FftScaling::none()]
+            [FftScaling::for_size(n), UNSCALED]
                 .into_iter()
                 .flat_map(move |scaling| builds(n, scaling))
                 .map(move |fft| (n, fft))

@@ -1,5 +1,5 @@
 //! Per-file analysis context: lexes a file and extracts the phylint
-//! marker comments (`hot` regions, `datapath` flag, suppressions),
+//! marker comments (`hot` regions, suppressions),
 //! plus the `#[cfg(test)]` item spans that the panic-path rule must
 //! skip.
 
@@ -58,9 +58,6 @@ pub struct FileAnalysis {
     /// Inclusive line ranges bracketed by `// phylint: hot` …
     /// `// phylint: end-hot`.
     pub hot_regions: Vec<(u32, u32)>,
-    /// File opted into the strict datapath profile
-    /// (`// phylint: datapath`): `[idx]` indexing is denied too.
-    pub datapath: bool,
     /// In-place suppressions found in the file.
     pub suppressions: Vec<Suppression>,
     /// Marker-syntax findings produced while parsing (malformed
@@ -79,7 +76,6 @@ impl FileAnalysis {
             kind,
             test_spans: Vec::new(),
             hot_regions: Vec::new(),
-            datapath: false,
             suppressions: Vec::new(),
             marker_findings: Vec::new(),
         };
@@ -198,7 +194,6 @@ impl FileAnalysis {
                         "`phylint: end-hot` without a matching `phylint: hot`".to_string(),
                     )),
                 },
-                Directive::Datapath => self.datapath = true,
                 Directive::Allow { rule, reason } => match (rule, reason) {
                     (Some(RuleId::TestOnlyApi), Some(reason))
                         if !TEST_ONLY_REASONS.iter().any(|p| reason.starts_with(p)) =>
@@ -307,7 +302,6 @@ impl FileAnalysis {
 enum Directive<'a> {
     Hot,
     EndHot,
-    Datapath,
     Allow {
         rule: Option<RuleId>,
         /// The non-empty justification after `--`, if any.
@@ -328,7 +322,6 @@ fn parse_directive(directive: &str) -> Directive<'_> {
     match directive {
         "hot" => return Directive::Hot,
         "end-hot" => return Directive::EndHot,
-        "datapath" => return Directive::Datapath,
         _ => {}
     }
     if let Some(rest) = directive.strip_prefix("allow(") {

@@ -1,14 +1,13 @@
 //! The workspace walker: discovers crates, lexes every `.rs` source
 //! file, runs the rules, and assembles the [`Report`].
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::analysis::{FileAnalysis, FileKind};
 use crate::callgraph::CallGraph;
-use crate::manifest::{self, CrateFeatures};
 use crate::model::{self, FileModel, Workspace};
 use crate::report::Report;
 use crate::{rules, semantic, wire};
@@ -32,9 +31,9 @@ pub fn run(root: &Path) -> io::Result<Report> {
         ));
     }
 
-    let mut manifests: BTreeMap<PathBuf, CrateFeatures> = BTreeMap::new();
+    let mut crates: BTreeSet<PathBuf> = BTreeSet::new();
     let mut rs_files: Vec<PathBuf> = Vec::new();
-    walk(root, &mut manifests, &mut rs_files)?;
+    walk(root, &mut crates, &mut rs_files)?;
     rs_files.sort();
 
     let mut report = Report::default();
@@ -42,26 +41,20 @@ pub fn run(root: &Path) -> io::Result<Report> {
     // Lex and marker-parse every file up front: the semantic phase
     // needs the whole workspace before any cross-file rule can run.
     let mut fas: Vec<FileAnalysis> = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
     for abs in &rs_files {
         let Ok(src) = fs::read_to_string(abs) else {
             continue; // non-UTF-8 or vanished mid-scan: not lintable
         };
         let rel = abs.strip_prefix(root).unwrap_or(abs).to_path_buf();
-        let crate_dir = owning_crate(root, abs, &manifests);
-        let kind = file_kind(&crate_dir, abs);
+        let kind = file_kind(&owning_crate(root, abs, &crates), abs);
         fas.push(FileAnalysis::new(rel, src, kind));
-        crate_dirs.push(crate_dir);
     }
 
     // Phase 1a: per-file token rules.
-    let empty = CrateFeatures::default();
-    for (fa, crate_dir) in fas.iter().zip(&crate_dirs) {
+    for fa in &fas {
         rules::panic_path(fa, &mut report.findings);
         rules::alloc_hot(fa, &mut report.findings);
         rules::unsafe_safety(fa, &mut report.findings);
-        let features = manifests.get(crate_dir).unwrap_or(&empty);
-        rules::feature_gate(fa, features, &mut report.findings);
         report.findings.extend(fa.marker_findings.iter().cloned());
     }
 
@@ -103,15 +96,15 @@ pub fn run(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Recursive directory walk collecting manifests and `.rs` files.
+/// Recursive directory walk collecting crate directories (those
+/// holding a `Cargo.toml`) and `.rs` files.
 fn walk(
     dir: &Path,
-    manifests: &mut BTreeMap<PathBuf, CrateFeatures>,
+    crates: &mut BTreeSet<PathBuf>,
     rs_files: &mut Vec<PathBuf>,
 ) -> io::Result<()> {
-    let manifest = dir.join("Cargo.toml");
-    if manifest.is_file() {
-        manifests.insert(dir.to_path_buf(), manifest::read_features(&manifest));
+    if dir.join("Cargo.toml").is_file() {
+        crates.insert(dir.to_path_buf());
     }
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -122,7 +115,7 @@ fn walk(
             if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(&path, manifests, rs_files)?;
+            walk(&path, crates, rs_files)?;
         } else if name.ends_with(".rs") {
             rs_files.push(path);
         }
@@ -131,14 +124,10 @@ fn walk(
 }
 
 /// Deepest ancestor directory of `file` holding a `Cargo.toml`.
-fn owning_crate(
-    root: &Path,
-    file: &Path,
-    manifests: &BTreeMap<PathBuf, CrateFeatures>,
-) -> PathBuf {
+fn owning_crate(root: &Path, file: &Path, crates: &BTreeSet<PathBuf>) -> PathBuf {
     let mut dir = file.parent();
     while let Some(d) = dir {
-        if manifests.contains_key(d) {
+        if crates.contains(d) {
             return d.to_path_buf();
         }
         if d == root {

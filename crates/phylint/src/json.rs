@@ -1,16 +1,16 @@
 //! Machine-readable findings: a hand-rolled JSON writer (and a small
 //! parser for the self-check tests). No dependencies, stable schema.
 //!
-//! # Schema (version 2)
+//! # Schema (version 3)
 //!
 //! ```json
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "files_scanned": 123,
 //!   "suppressions_used": 4,
 //!   "counts": {"panic_path": 0, "...": 0},
 //!   "findings": [
-//!     {"rule": "lock_order", "path": "crates/...", "line": 7,
+//!     {"rule": "hot_transitive", "path": "crates/...", "line": 7,
 //!      "msg": "...", "call_path": ["f (a.rs:1)", "g (b.rs:2)"]}
 //!   ]
 //! }
@@ -19,16 +19,17 @@
 //! Each finding is serialised on **one line**, in the report's sorted
 //! (path, line, rule) order, so `diff`/`comm` against a committed
 //! baseline works line-by-line (`scripts/phylint_diff.sh`). Key order
-//! is fixed; adding keys bumps `schema`. Version 2 added the
-//! `test_only_api` count: `counts` carries one key per rule and the
-//! validator requires every one.
+//! is fixed; adding or removing keys bumps `schema`. Version 2 added
+//! the `test_only_api` count; version 3 dropped the `lock_order` and
+//! `feature_gate` counts with their rules. `counts` carries one key
+//! per rule and the validator requires every one.
 
 use std::collections::BTreeMap;
 
 use crate::report::{Finding, Report, ALL_RULES};
 
 /// Current schema version.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Escape a string for a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -354,7 +355,7 @@ fn utf8_len(lead: u8) -> usize {
     }
 }
 
-/// Validate the emitted report against the v1 schema; returns the
+/// Validate the emitted report against the current schema; returns the
 /// parsed value for further assertions.
 pub fn validate_schema(src: &str) -> Result<Value, JsonError> {
     let v = parse(src)?;

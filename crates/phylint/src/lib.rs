@@ -3,9 +3,9 @@
 //!
 //! The codebase's core guarantees — zero-allocation steady state on
 //! the per-symbol/per-chunk hot paths, typed [`PhyError`]s instead of
-//! panics in the datapath, `unsafe` justified in place, feature names
-//! that actually exist, and a wire format whose documentation matches
-//! its constants — are design rules, not style preferences. This
+//! panics in the datapath, `unsafe` justified in place, sound SIMD
+//! dispatch, and a wire format whose documentation matches its
+//! constants — are design rules, not style preferences. This
 //! crate machine-checks them.
 //!
 //! # Rules
@@ -14,10 +14,9 @@
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
-//! | `panic_path` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` in crate source outside tests; `[idx]` indexing additionally denied in `// phylint: datapath` modules |
+//! | `panic_path` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` in crate source outside tests |
 //! | `alloc_hot` | no `vec!` / `format!` / `Vec::new` / `Vec::with_capacity` / `Box::new` / `String::…` / `.to_vec()` / `.to_owned()` / `.to_string()` / `.collect()` inside `// phylint: hot` … `// phylint: end-hot` regions |
 //! | `unsafe_safety` | every `unsafe` carries a `// SAFETY:` comment on the same line or immediately above |
-//! | `feature_gate` | every `feature = "name"` reference names a feature declared in the owning crate's `Cargo.toml` |
 //! | `wire_format` | `crates/transport` frame constants (magic, control-frame size, type-byte range, header field widths) match the wire-format tables documented in its `lib.rs` |
 //! | `marker` | phylint's own markers are well-formed and every suppression is used |
 //!
@@ -28,7 +27,6 @@
 //! |------|------------------|
 //! | `hot_transitive` | functions *reachable* from a `// phylint: hot` region (via the workspace call graph) are allocation-free, not just the literal region text; panic-freedom of reachable code is already guaranteed workspace-wide by `panic_path` |
 //! | `simd_guard` | every `#[target_feature(enable = …)]` fn is declared `unsafe`, and each call site sits in a fn that is itself `#[target_feature]` or contains an `is_x86_feature_detected!` runtime guard |
-//! | `lock_order` | `Mutex`/`RwLock` struct fields have a canonical rank (declaration order, files sorted by path); no call chain may acquire a lower-ranked lock while holding a higher-ranked one, or re-acquire a lock it already holds |
 //! | `error_surface` | public `Result`-returning fns in crate source use typed errors (no `String` / `Box<dyn Error>` / `&str` / `()` payloads), and public `…Error` enums carry `#[non_exhaustive]` |
 //! | `test_only_api` | every plain-`pub` fn, struct, enum and trait in `src/` and `crates/*/src` (bar `phylint`, `bench`, `shims`) is reached from a product root — an example, a bench, `crates/bench/src`, `perfbench/src` or a trait method; tests and doc-tests are not roots. Suppressions must give a `paper §…`, `oracle: <test>` or `test support: <test>` reason |
 //!
@@ -75,7 +73,6 @@ pub mod callgraph;
 pub mod engine;
 pub mod json;
 pub mod lexer;
-pub mod manifest;
 pub mod model;
 pub mod report;
 pub mod rules;

@@ -60,10 +60,10 @@ fn main() -> ExitCode {
                      Scans every .rs file under DIR (default: the current\n\
                      directory, which must hold a Cargo.toml) and reports\n\
                      violations of the token rules (panic-path, hot-allocation,\n\
-                     unsafe-, feature- and wire-format) and the call-graph\n\
-                     semantic rules (hot_transitive, simd_guard, lock_order,\n\
-                     error_surface, test_only_api). --format json emits the\n\
-                     stable schema-v2 report; --out FILE additionally writes\n\
+                     unsafe- and wire-format) and the call-graph semantic\n\
+                     rules (hot_transitive, simd_guard, error_surface,\n\
+                     test_only_api). --format json emits the stable\n\
+                     schema-v3 report; --out FILE additionally writes\n\
                      the JSON report to FILE while stdout keeps the human\n\
                      report. Exit 0 = clean."
                 );

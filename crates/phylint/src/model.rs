@@ -11,12 +11,6 @@
 //!   inside a `// phylint: hot` region;
 //! * allocation and panic sites inside each body (same denylists as
 //!   the token rules);
-//! * lock **fields** — struct fields whose declared type mentions
-//!   `Mutex` or `RwLock` — and lock **acquisitions**
-//!   (`field.lock()` / `.read()` / `.write()`), with an approximation
-//!   of guard lifetime: a `let`-bound guard is held until its
-//!   enclosing block closes, an un-bound (method-chained) guard only
-//!   until its statement's `;`;
 //! * `pub enum …Error` declarations and whether they carry
 //!   `#[non_exhaustive]`;
 //! * `pub fn` `Result` return types, for the error-surface audit;
@@ -27,9 +21,8 @@
 //!   bodies so the calls and names in them are seen.
 //!
 //! Everything here is an **approximation over tokens**, not a type
-//! system: name resolution is by identifier (plus arity), trait
-//! dispatch is invisible, and a shadowed local named like a lock field
-//! would be misattributed. The rules that consume the model are
+//! system: name resolution is by identifier (plus arity) and trait
+//! dispatch is invisible. The rules that consume the model are
 //! written — and documented — around those limits; see
 //! `crates/phylint/README.md`.
 
@@ -65,47 +58,6 @@ pub struct Site {
     pub what: String,
     /// 1-based line.
     pub line: u32,
-}
-
-/// One acquisition of a known lock field inside a function body.
-#[derive(Debug, Clone)]
-pub struct LockAcquire {
-    /// Index into [`Workspace::lock_fields`].
-    pub field: usize,
-    /// 1-based line of the acquisition.
-    pub line: u32,
-    /// Guard lifetime approximation: `let`-bound guards are held to
-    /// the end of their enclosing block; chained temporaries only to
-    /// the end of their statement.
-    pub held_to_block_end: bool,
-    /// Brace depth (within the function body) of the statement, used
-    /// to scope `let`-bound guards.
-    pub depth: usize,
-    /// Ordinal of the token at which the acquisition occurs — used to
-    /// order acquisitions and calls within one body.
-    pub ord: usize,
-    /// Last line on which the guard is considered held: the enclosing
-    /// block's closing brace for a `let`-bound guard, the statement's
-    /// `;` (or the block close, whichever comes first) for a chained
-    /// temporary.
-    pub scope_end_line: u32,
-}
-
-/// A struct field whose type mentions `Mutex` or `RwLock`.
-#[derive(Debug, Clone)]
-pub struct LockField {
-    /// Field name.
-    pub name: String,
-    /// Owning struct name.
-    pub struct_name: String,
-    /// File the declaration lives in (index into the engine's file
-    /// list).
-    pub file: usize,
-    /// 1-based declaration line.
-    pub line: u32,
-    /// True for `RwLock` (acquired via `.read()`/`.write()`),
-    /// false for `Mutex` (acquired via `.lock()`).
-    pub rwlock: bool,
 }
 
 /// A `pub enum` whose name ends in `Error`.
@@ -163,8 +115,6 @@ pub struct FnItem {
     pub alloc_sites: Vec<Site>,
     /// Panic sites in the body (panic-denylist names).
     pub panic_sites: Vec<Site>,
-    /// Lock acquisitions in the body, in source order.
-    pub locks: Vec<LockAcquire>,
     /// Body contains `is_x86_feature_detected!` — a runtime CPU
     /// feature guard.
     pub has_feature_guard: bool,
@@ -219,32 +169,17 @@ pub struct Workspace {
     /// `type Alias = Target<…>;` pairs (alias, target type name), so
     /// `CQ15::from_f64` resolves against `CFx`'s impls.
     pub aliases: Vec<(String, String)>,
-    /// All lock fields, workspace-wide, in (file, line) order — the
-    /// index into this list is the lock's **canonical rank** for the
-    /// lock-order rule.
-    pub lock_fields: Vec<LockField>,
     /// All `pub enum …Error` declarations.
     pub error_enums: Vec<ErrorEnum>,
 }
 
 impl Workspace {
     /// Merge per-file models (in engine file order) into one
-    /// workspace, rebasing each file's local lock-field indices onto
-    /// the global canonical rank list. Files are visited in sorted
-    /// path order, and fields within a file in declaration order, so
-    /// the canonical lock order is deterministic and documented:
-    /// **declaration order, files sorted by path**.
+    /// workspace.
     pub fn assemble(models: Vec<FileModel>) -> Workspace {
         let mut ws = Workspace::default();
         for model in models {
-            let base = ws.lock_fields.len();
-            ws.lock_fields.extend(model.lock_fields);
-            for mut f in model.fns {
-                for l in &mut f.locks {
-                    l.field += base;
-                }
-                ws.fns.push(f);
-            }
+            ws.fns.extend(model.fns);
             ws.error_enums.extend(model.error_enums);
             ws.consts.extend(model.consts);
             ws.types.extend(model.types);
@@ -268,36 +203,19 @@ const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 
 /// Extract the item model of one crate-source file. `file` is the
 /// file's index in the engine's analysis list.
-///
-/// Two passes: declarations first (structs' lock fields, error
-/// enums), then functions — so a body can acquire a lock whose struct
-/// is declared later in the file.
 pub fn extract(fa: &FileAnalysis, file: usize) -> FileModel {
     let mut ex = Extractor {
         fa,
         file,
         toks: &fa.lexed.tokens,
         out: FileModel::default(),
-        mode: Mode::Decls,
     };
-    ex.scan_items(0, fa.lexed.tokens.len(), &mut Vec::new());
-    ex.mode = Mode::Fns;
     ex.scan_items(0, fa.lexed.tokens.len(), &mut Vec::new());
     for f in ex.out.fns.iter_mut().chain(&mut ex.out.consts) {
         f.refs.sort();
         f.refs.dedup();
     }
     ex.out
-}
-
-/// Which item class a scan pass records.
-#[derive(PartialEq, Clone, Copy)]
-enum Mode {
-    /// Structs (lock fields), enums and traits.
-    Decls,
-    /// Functions (which consult the completed lock-field list) and
-    /// `const`/`static`/`type` items.
-    Fns,
 }
 
 /// An enclosing `impl` or `trait` block: the type methods hang off
@@ -312,8 +230,6 @@ struct ImplCtx {
 pub struct FileModel {
     /// Functions declared in the file.
     pub fns: Vec<FnItem>,
-    /// Lock fields declared in the file.
-    pub lock_fields: Vec<LockField>,
     /// `pub enum …Error` declarations in the file.
     pub error_enums: Vec<ErrorEnum>,
     /// `const`/`static`/`type` items in the file.
@@ -329,7 +245,6 @@ struct Extractor<'a> {
     file: usize,
     toks: &'a [Token],
     out: FileModel,
-    mode: Mode,
 }
 
 /// Qualifiers read backwards from an item keyword.
@@ -438,31 +353,19 @@ impl<'a> Extractor<'a> {
                     attrs = PendingAttrs::default();
                 }
                 "struct" => {
-                    i = if self.mode == Mode::Decls {
-                        let end = self.read_struct(i, to);
-                        self.push_type(i, end, &attrs);
-                        end
-                    } else {
-                        self.skip_item(i, to)
-                    };
+                    let end = self.skip_item(i, to);
+                    self.push_type(i, end, &attrs);
+                    i = end;
                     attrs = PendingAttrs::default();
                 }
                 "enum" => {
-                    i = if self.mode == Mode::Decls {
-                        let end = self.read_enum(i, to, &attrs);
-                        self.push_type(i, end, &attrs);
-                        end
-                    } else {
-                        self.skip_item(i, to)
-                    };
+                    let end = self.read_enum(i, to, &attrs);
+                    self.push_type(i, end, &attrs);
+                    i = end;
                     attrs = PendingAttrs::default();
                 }
                 "fn" => {
-                    i = if self.mode == Mode::Fns {
-                        self.read_fn(i, to, impl_stack, &attrs)
-                    } else {
-                        self.skip_item(i, to)
-                    };
+                    i = self.read_fn(i, to, impl_stack, &attrs);
                     attrs = PendingAttrs::default();
                 }
                 // `const`/`static`/`type` items: the initializer (or
@@ -471,11 +374,7 @@ impl<'a> Extractor<'a> {
                 "const" | "static" | "type"
                     if !matches!(self.text(i + 1), "fn" | "unsafe" | "extern" | "async") =>
                 {
-                    i = if self.mode == Mode::Fns {
-                        self.read_const(i, to, impl_stack, &attrs)
-                    } else {
-                        self.skip_item(i, to)
-                    };
+                    i = self.read_const(i, to, impl_stack, &attrs);
                     attrs = PendingAttrs::default();
                 }
                 // `pub`, `unsafe`, `const`, `extern`, `async` pass
@@ -495,7 +394,7 @@ impl<'a> Extractor<'a> {
                     if j < to && self.text(j) == "{" {
                         let end = self.matching(j, "{", "}", to);
                         let name = self.text(i + 1).to_string();
-                        if self.mode == Mode::Decls && self.text(i) == "trait" {
+                        if self.text(i) == "trait" {
                             self.push_type(i, end + 1, &attrs);
                         }
                         impl_stack.push(ImplCtx {
@@ -653,7 +552,6 @@ impl<'a> Extractor<'a> {
             refs: Vec::new(),
             alloc_sites: Vec::new(),
             panic_sites: Vec::new(),
-            locks: Vec::new(),
             has_feature_guard: false,
             result_err: None,
             overlaps_hot: false,
@@ -708,78 +606,6 @@ impl<'a> Extractor<'a> {
             }
             _ => {}
         }
-    }
-
-    /// Parse `struct Name … { fields }`, recording Mutex/RwLock
-    /// fields. Returns the index after the struct item.
-    fn read_struct(&mut self, at: usize, to: usize) -> usize {
-        let mut j = at + 1;
-        let name = if self.kind(j) == Some(TokKind::Ident) {
-            let n = self.text(j).to_string();
-            j += 1;
-            n
-        } else {
-            String::new()
-        };
-        if self.text(j) == "<" {
-            j = self.matching(j, "<", ">", to) + 1;
-        }
-        // Tuple struct / unit struct: no named fields to inspect.
-        while j < to && self.text(j) != "{" && self.text(j) != ";" {
-            if self.text(j) == "(" {
-                j = self.matching(j, "(", ")", to);
-            }
-            j += 1;
-        }
-        if j >= to || self.text(j) != "{" {
-            return j + 1;
-        }
-        let end = self.matching(j, "{", "}", to);
-        // Field grammar: attrs? vis? name `:` type `,`.
-        let mut k = j + 1;
-        while k < end {
-            // Skip field attributes and visibility.
-            while k < end && self.text(k) == "#" && self.text(k + 1) == "[" {
-                k = self.matching(k + 1, "[", "]", end) + 1;
-            }
-            if self.text(k) == "pub" {
-                k += 1;
-                if self.text(k) == "(" {
-                    k = self.matching(k, "(", ")", end) + 1;
-                }
-            }
-            if self.kind(k) != Some(TokKind::Ident) || self.text(k + 1) != ":" {
-                k += 1;
-                continue;
-            }
-            let fname = self.text(k).to_string();
-            let fline = self.toks[k].line;
-            // Type tokens run to the next `,` at bracket depth 0.
-            let mut t = k + 2;
-            let mut lock: Option<bool> = None;
-            while t < end {
-                match self.text(t) {
-                    "," => break,
-                    "<" => {}
-                    "(" => t = self.matching(t, "(", ")", end),
-                    "Mutex" if self.text(t + 1) == "<" => lock = Some(false),
-                    "RwLock" if self.text(t + 1) == "<" => lock = Some(true),
-                    _ => {}
-                }
-                t += 1;
-            }
-            if let Some(rwlock) = lock {
-                self.out.lock_fields.push(LockField {
-                    name: fname,
-                    struct_name: name.clone(),
-                    file: self.file,
-                    line: fline,
-                    rwlock,
-                });
-            }
-            k = t + 1;
-        }
-        end + 1
     }
 
     /// Parse `enum Name …`, recording public `…Error` enums. Returns
@@ -890,7 +716,6 @@ impl<'a> Extractor<'a> {
             refs: Vec::new(),
             alloc_sites: Vec::new(),
             panic_sites: Vec::new(),
-            locks: Vec::new(),
             has_feature_guard: false,
             result_err,
             overlaps_hot: false,
@@ -1004,33 +829,11 @@ impl<'a> Extractor<'a> {
     }
 
     /// Scan one fn body (`open`..=`close` are the brace token
-    /// indices): calls, alloc/panic sites, lock acquisitions, feature
-    /// guards.
+    /// indices): calls, alloc/panic sites, feature guards.
     fn scan_body(&mut self, open: usize, close: usize, item: &mut FnItem) {
-        let lock_names: Vec<(String, bool)> = self
-            .out
-            .lock_fields
-            .iter()
-            .map(|l| (l.name.clone(), l.rwlock))
-            .collect();
-        let mut depth = 0usize;
-        // Stack of open-brace token indices, innermost last — used to
-        // find the enclosing block close of a `let`-bound guard.
-        let mut braces: Vec<usize> = Vec::new();
         let mut i = open;
         while i <= close {
             let text = self.text(i);
-            match text {
-                "{" => {
-                    depth += 1;
-                    braces.push(i);
-                }
-                "}" => {
-                    depth = depth.saturating_sub(1);
-                    braces.pop();
-                }
-                _ => {}
-            }
             let Some(tok) = self.toks.get(i) else { break };
             if tok.kind == TokKind::Ident {
                 let line = tok.line;
@@ -1092,41 +895,6 @@ impl<'a> Extractor<'a> {
                         line,
                     });
                 }
-                // Lock acquisition: `field . lock ( )` etc.
-                if prev_dot
-                    && matches!(text, "lock" | "read" | "write")
-                    && next_is("(")
-                    && self.kind(i - 2) == Some(TokKind::Ident)
-                {
-                    let field_name = self.text(i - 2);
-                    let matched = lock_names.iter().enumerate().find(|(_, (n, rw))| {
-                        n == field_name
-                            && if *rw {
-                                text == "read" || text == "write"
-                            } else {
-                                text == "lock"
-                            }
-                    });
-                    if let Some((fi, _)) = matched {
-                        let let_bound = self.stmt_is_let_bound(open, i);
-                        let scope_end_line = if let_bound {
-                            // Held to the enclosing block's close.
-                            let enclosing = braces.last().copied().unwrap_or(open);
-                            let end = self.matching(enclosing, "{", "}", close + 1);
-                            self.toks.get(end).map(|t| t.line).unwrap_or(line)
-                        } else {
-                            self.stmt_end_line(i, close)
-                        };
-                        item.locks.push(LockAcquire {
-                            field: fi, // file-local index; engine rebases
-                            line,
-                            held_to_block_end: let_bound,
-                            depth,
-                            ord: i,
-                            scope_end_line,
-                        });
-                    }
-                }
                 // Call sites; any other name is a reference.
                 if let Some(call) = self.read_call(i, close) {
                     item.calls.push(call);
@@ -1156,49 +924,6 @@ impl<'a> Extractor<'a> {
         let field = i > 0 && self.text(i - 1) == ".";
         let binding = after(1) == ":" && after(2) != ":";
         !field && !binding && after(1) != "!"
-    }
-
-    /// Line of the `;` that ends the statement containing token `i`
-    /// (at the statement's own brace depth), or of the `}` that closes
-    /// its enclosing block if that comes first — the lifetime end of a
-    /// chained temporary guard.
-    fn stmt_end_line(&self, i: usize, close: usize) -> u32 {
-        let mut delta = 0i32;
-        let mut j = i;
-        while j <= close {
-            match self.text(j) {
-                "{" | "(" | "[" => delta += 1,
-                ";" if delta == 0 => {
-                    return self.toks.get(j).map(|t| t.line).unwrap_or(0);
-                }
-                "}" | ")" | "]" => {
-                    delta -= 1;
-                    if delta < 0 {
-                        return self.toks.get(j).map(|t| t.line).unwrap_or(0);
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        self.toks.get(close).map(|t| t.line).unwrap_or(0)
-    }
-
-    /// Whether the statement containing token `i` starts with `let`
-    /// (or `else` after a let-else) — the guard returned by the
-    /// acquisition outlives the statement.
-    fn stmt_is_let_bound(&self, body_open: usize, i: usize) -> bool {
-        let mut b = i;
-        while b > body_open {
-            b -= 1;
-            match self.text(b) {
-                ";" | "{" | "}" => {
-                    return matches!(self.text(b + 1), "let" | "while");
-                }
-                _ => {}
-            }
-        }
-        false
     }
 
     /// Parse a call at ident token `i` if one starts there. Shapes:

@@ -9,8 +9,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     /// Panic-path audit: `unwrap`/`expect`/`panic!`/`todo!`/
-    /// `unimplemented!` (and `[idx]` in `datapath`-marked modules)
-    /// outside test code.
+    /// `unimplemented!` outside test code.
     PanicPath,
     /// Allocation inside a `// phylint: hot` region.
     AllocHot,
@@ -23,18 +22,12 @@ pub enum RuleId {
     /// their call sites must sit in runtime-feature-guarded (or
     /// equally gated) dispatch functions.
     SimdGuard,
-    /// Locks acquired against the canonical declaration order, or the
-    /// same lock acquired twice along one call chain.
-    LockOrder,
     /// Public `Result` APIs with stringly error payloads, or public
     /// error enums missing `#[non_exhaustive]`.
     ErrorSurface,
     /// Public items that no product root (example, bench, perfbench)
     /// reaches: API that only tests call.
     TestOnlyApi,
-    /// `cfg(feature = "…")` naming a feature the owning crate does
-    /// not declare.
-    FeatureGate,
     /// Wire-format constants diverging from the documented tables.
     WireFormat,
     /// Malformed/unused phylint markers and suppressions.
@@ -42,16 +35,14 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 11] = [
+pub const ALL_RULES: [RuleId; 9] = [
     RuleId::PanicPath,
     RuleId::AllocHot,
     RuleId::HotTransitive,
     RuleId::UnsafeSafety,
     RuleId::SimdGuard,
-    RuleId::LockOrder,
     RuleId::ErrorSurface,
     RuleId::TestOnlyApi,
-    RuleId::FeatureGate,
     RuleId::WireFormat,
     RuleId::Marker,
 ];
@@ -65,10 +56,8 @@ impl RuleId {
             RuleId::HotTransitive => "hot_transitive",
             RuleId::UnsafeSafety => "unsafe_safety",
             RuleId::SimdGuard => "simd_guard",
-            RuleId::LockOrder => "lock_order",
             RuleId::ErrorSurface => "error_surface",
             RuleId::TestOnlyApi => "test_only_api",
-            RuleId::FeatureGate => "feature_gate",
             RuleId::WireFormat => "wire_format",
             RuleId::Marker => "marker",
         }

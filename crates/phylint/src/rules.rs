@@ -1,19 +1,11 @@
 //! The token-stream rules: panic-path audit, hot-region allocation
-//! audit, `unsafe` hygiene, and feature-gate hygiene. Each rule walks
+//! audit and `unsafe` hygiene. Each rule walks
 //! the flat token stream of one [`FileAnalysis`] and reports findings
 //! through the file's suppression filter.
 
 use crate::analysis::{FileAnalysis, FileKind};
 use crate::lexer::{comment_text, TokKind, Token};
-use crate::manifest::CrateFeatures;
 use crate::report::{Finding, RuleId};
-
-/// Keywords after which a `[` opens an array/slice literal or type,
-/// never an index expression.
-const NON_POSTFIX_KEYWORDS: [&str; 18] = [
-    "as", "box", "break", "const", "dyn", "else", "in", "impl", "let", "match", "mut", "ref",
-    "return", "static", "unsafe", "use", "where", "yield",
-];
 
 fn text<'a>(fa: &'a FileAnalysis, tok: &Token) -> &'a str {
     fa.src.get(tok.start..tok.end).unwrap_or("")
@@ -28,71 +20,39 @@ fn is(fa: &FileAnalysis, i: usize, what: &str) -> bool {
 
 /// Panic-path audit. In crate source (not tests/benches/examples, not
 /// `#[cfg(test)]` items): no `.unwrap()`, `.expect(…)`, `panic!`,
-/// `todo!`, `unimplemented!`. In modules additionally marked
-/// `// phylint: datapath`, `[idx]` index expressions are denied too
-/// (indexing panics on out-of-bounds; the strict profile demands
-/// iterator/`get` access instead).
+/// `todo!`, `unimplemented!`.
 pub fn panic_path(fa: &FileAnalysis, out: &mut Vec<Finding>) {
     if fa.kind != FileKind::CrateSrc {
         return;
     }
-    let toks = &fa.lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if fa.in_test_span(tok.start) {
+    for (i, tok) in fa.lexed.tokens.iter().enumerate() {
+        if tok.kind != TokKind::Ident || fa.in_test_span(tok.start) {
             continue;
         }
-        match tok.kind {
-            TokKind::Ident => {
-                let name = text(fa, tok);
-                match name {
-                    "unwrap" | "expect" => {
-                        let postfix = i > 0 && is(fa, i - 1, ".");
-                        let called = is(fa, i + 1, "(");
-                        if postfix && called {
-                            fa.push_finding(
-                                out,
-                                RuleId::PanicPath,
-                                tok.line,
-                                format!(
-                                    ".{name}() in datapath code — return a typed error \
-                                     (PhyError) or justify with `phylint: allow(panic_path)`"
-                                ),
-                            );
-                        }
-                    }
-                    "panic" | "todo" | "unimplemented" if is(fa, i + 1, "!") => {
-                        fa.push_finding(
-                            out,
-                            RuleId::PanicPath,
-                            tok.line,
-                            format!("{name}! in datapath code — no panic paths"),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            TokKind::Punct if fa.datapath && text(fa, tok) == "[" => {
-                // Postfix `[` = index expression: previous token ends
-                // an operand (identifier, `)`, `]`, or a literal).
-                let Some(prev) = i.checked_sub(1).and_then(|p| toks.get(p)) else {
-                    continue;
-                };
-                let postfix = match prev.kind {
-                    TokKind::Ident => !NON_POSTFIX_KEYWORDS.contains(&text(fa, prev)),
-                    TokKind::Punct => matches!(text(fa, prev), ")" | "]"),
-                    TokKind::Number | TokKind::Str | TokKind::Char => true,
-                    TokKind::Lifetime => false,
-                };
-                if postfix {
+        let name = text(fa, tok);
+        match name {
+            "unwrap" | "expect" => {
+                let postfix = i > 0 && is(fa, i - 1, ".");
+                let called = is(fa, i + 1, "(");
+                if postfix && called {
                     fa.push_finding(
                         out,
                         RuleId::PanicPath,
                         tok.line,
-                        "[idx] indexing in a `phylint: datapath` module — use \
-                         `.get(..)`/iterators, or justify with `phylint: allow(panic_path)`"
-                            .to_string(),
+                        format!(
+                            ".{name}() in datapath code — return a typed error \
+                             (PhyError) or justify with `phylint: allow(panic_path)`"
+                        ),
                     );
                 }
+            }
+            "panic" | "todo" | "unimplemented" if is(fa, i + 1, "!") => {
+                fa.push_finding(
+                    out,
+                    RuleId::PanicPath,
+                    tok.line,
+                    format!("{name}! in datapath code — no panic paths"),
+                );
             }
             _ => {}
         }
@@ -197,36 +157,5 @@ fn has_safety_comment(fa: &FileAnalysis, line: u32) -> bool {
             return false;
         }
         want = c.line - 1;
-    }
-}
-
-/// Feature-gate hygiene: every `feature = "name"` reference (inside
-/// `cfg(…)` / `cfg_attr(…)` / `cfg!(…)` / `doc(cfg(…))`) must name a
-/// feature the owning crate's `Cargo.toml` declares.
-pub fn feature_gate(fa: &FileAnalysis, features: &CrateFeatures, out: &mut Vec<Finding>) {
-    let toks = &fa.lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.kind != TokKind::Ident || text(fa, tok) != "feature" {
-            continue;
-        }
-        if !is(fa, i + 1, "=") {
-            continue;
-        }
-        let Some(lit) = toks.get(i + 2).filter(|t| t.kind == TokKind::Str) else {
-            continue;
-        };
-        let name = text(fa, lit).trim_matches('"');
-        if features.contains(name) {
-            continue;
-        }
-        fa.push_finding(
-            out,
-            RuleId::FeatureGate,
-            tok.line,
-            format!(
-                "cfg(feature = \"{name}\") but the owning crate's Cargo.toml \
-                 declares no such feature"
-            ),
-        );
     }
 }

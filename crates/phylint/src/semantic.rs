@@ -1,4 +1,4 @@
-//! Phase 2 of the workspace analyzer: the five semantic rules that
+//! Phase 2 of the workspace analyzer: the four semantic rules that
 //! run over the assembled [`Workspace`] model and its [`CallGraph`].
 //!
 //! * `hot_transitive` — functions *reachable* from a
@@ -15,10 +15,6 @@
 //!   `is_x86_feature_detected!` runtime guard. Dispatch that proves
 //!   the feature at *construction* time instead needs a justified
 //!   suppression spelling out the invariant.
-//! * `lock_order` — lock fields have a canonical rank (declaration
-//!   order, files sorted by path). While a guard is held, no lock of
-//!   equal or lower rank may be acquired — directly, or transitively
-//!   through any call made inside the guard's scope.
 //! * `error_surface` — public `Result`-returning fns in crate
 //!   source must use typed errors (no `String` / `Box<dyn Error>` /
 //!   `&str` / `()` payloads), and public `…Error` enums must carry
@@ -33,7 +29,7 @@
 //! Findings land on a concrete source line and honour in-place
 //! suppressions at that line, exactly like token-rule findings.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
 
 use crate::analysis::{FileAnalysis, FileKind};
@@ -41,7 +37,7 @@ use crate::callgraph::CallGraph;
 use crate::model::{FnId, FnItem, Workspace};
 use crate::report::{Finding, RuleId};
 
-/// Run all five semantic rules. `files` is the engine's full analysis
+/// Run all four semantic rules. `files` is the engine's full analysis
 /// list; `FnItem::file` indexes into it. `roots` models the example
 /// and bench files, which are not part of `ws`.
 pub fn check(
@@ -53,7 +49,6 @@ pub fn check(
 ) {
     hot_transitive(ws, cg, files, out);
     simd_guard(ws, cg, files, out);
-    lock_order(ws, cg, files, out);
     error_surface(ws, files, out);
     test_only_api(ws, roots, cg, files, out);
 }
@@ -187,200 +182,6 @@ fn simd_guard(
                     ),
                     call_path,
                 );
-            }
-        }
-    }
-}
-
-/// A witness that some fn (transitively) acquires a lock field: the
-/// call hops from that fn down to the acquiring fn, plus the
-/// acquisition line.
-#[derive(Clone)]
-struct LockWitness {
-    hops: Vec<crate::callgraph::Hop>,
-    acquirer: FnId,
-    line: u32,
-}
-
-/// Canonical-order audit over direct and call-transitive acquisitions.
-fn lock_order(
-    ws: &Workspace,
-    cg: &CallGraph<'_>,
-    files: &[FileAnalysis],
-    out: &mut Vec<Finding>,
-) {
-    if ws.lock_fields.is_empty() {
-        return;
-    }
-    let paths: Vec<std::path::PathBuf> = files.iter().map(|f| f.path.clone()).collect();
-    let lock_name = |rank: usize| {
-        let lf = &ws.lock_fields[rank];
-        format!("{}.{}", lf.struct_name, lf.name)
-    };
-
-    // Resolve every call once: fn → [(line, callees)].
-    let edges: Vec<Vec<(u32, Vec<FnId>)>> = ws
-        .fns
-        .iter()
-        .map(|f| {
-            f.calls
-                .iter()
-                .map(|c| (c.line, cg.resolve(f, c)))
-                .collect()
-        })
-        .collect();
-
-    // Fixpoint lock closure: rank → first witness, per fn.
-    let mut closure: Vec<BTreeMap<usize, LockWitness>> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .map(|(id, f)| {
-            f.locks
-                .iter()
-                .map(|l| {
-                    (
-                        l.field,
-                        LockWitness {
-                            hops: Vec::new(),
-                            acquirer: id,
-                            line: l.line,
-                        },
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for id in 0..ws.fns.len() {
-            for (line, callees) in &edges[id] {
-                for &callee in callees {
-                    if callee == id {
-                        continue;
-                    }
-                    let add: Vec<(usize, LockWitness)> = closure[callee]
-                        .iter()
-                        .filter(|(rank, _)| !closure[id].contains_key(rank))
-                        .map(|(rank, w)| {
-                            let mut hops = vec![crate::callgraph::Hop {
-                                caller: id,
-                                line: *line,
-                                callee,
-                            }];
-                            hops.extend(w.hops.iter().cloned());
-                            (
-                                *rank,
-                                LockWitness {
-                                    hops,
-                                    acquirer: w.acquirer,
-                                    line: w.line,
-                                },
-                            )
-                        })
-                        .collect();
-                    if !add.is_empty() {
-                        changed = true;
-                        closure[id].extend(add);
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Per-fn scan: while a guard is held, no equal-or-lower rank may
-    // be acquired, directly or through a call.
-    for (id, f) in ws.fns.iter().enumerate() {
-        if f.cfg_test {
-            continue;
-        }
-        let mut seen: Vec<(usize, usize)> = Vec::new(); // (held, acquired) pairs reported
-        // Direct-vs-direct.
-        for b in &f.locks {
-            for a in &f.locks {
-                if a.ord >= b.ord || b.line > a.scope_end_line {
-                    continue; // a not held at b
-                }
-                if b.field > a.field || seen.contains(&(a.field, b.field)) {
-                    continue;
-                }
-                seen.push((a.field, b.field));
-                let msg = if a.field == b.field {
-                    format!(
-                        "`{}` re-acquires `{}` (locked at line {}) while the \
-                         first guard is still held — self-deadlock",
-                        f.display_name(),
-                        lock_name(a.field),
-                        a.line
-                    )
-                } else {
-                    format!(
-                        "`{}` acquires `{}` (rank {}) while holding `{}` \
-                         (rank {}, locked at line {}) — violates the canonical \
-                         lock order (declaration order, files sorted by path)",
-                        f.display_name(),
-                        lock_name(b.field),
-                        b.field,
-                        lock_name(a.field),
-                        a.field,
-                        a.line
-                    )
-                };
-                emit(files, out, RuleId::LockOrder, f.file, b.line, msg, Vec::new());
-            }
-        }
-        // Direct-vs-transitive: calls made inside a guard's scope.
-        for (line, callees) in &edges[id] {
-            for a in &f.locks {
-                if *line < a.line || *line > a.scope_end_line {
-                    continue; // guard not held at this call
-                }
-                for &callee in callees {
-                    for (&rank, w) in &closure[callee] {
-                        if rank > a.field || seen.contains(&(a.field, rank)) {
-                            continue;
-                        }
-                        seen.push((a.field, rank));
-                        let mut hops = vec![crate::callgraph::Hop {
-                            caller: id,
-                            line: *line,
-                            callee,
-                        }];
-                        hops.extend(w.hops.iter().cloned());
-                        let rendered = cg.render_path(&paths, &hops);
-                        let msg = if rank == a.field {
-                            format!(
-                                "`{}` holds `{}` (locked at line {}) across a \
-                                 call chain that re-acquires it in `{}` (line \
-                                 {}) — self-deadlock",
-                                f.display_name(),
-                                lock_name(a.field),
-                                a.line,
-                                ws.fns[w.acquirer].display_name(),
-                                w.line
-                            )
-                        } else {
-                            format!(
-                                "`{}` holds `{}` (rank {}, locked at line {}) \
-                                 across a call chain that acquires `{}` (rank \
-                                 {}) in `{}` (line {}) — violates the \
-                                 canonical lock order",
-                                f.display_name(),
-                                lock_name(a.field),
-                                a.field,
-                                a.line,
-                                lock_name(rank),
-                                rank,
-                                ws.fns[w.acquirer].display_name(),
-                                w.line
-                            )
-                        };
-                        emit(files, out, RuleId::LockOrder, f.file, *line, msg, rendered);
-                    }
-                }
             }
         }
     }

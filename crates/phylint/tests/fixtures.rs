@@ -66,18 +66,18 @@ fn clean_fixture_is_clean() {
 fn panic_path_fixture_finds_every_construct_with_spans() {
     let report = fixture("panic_path");
     let found = rule_findings(&report, RuleId::PanicPath);
-    assert_eq!(found.len(), 5, "unwrap, expect, panic!, todo!, [idx]: {found:?}");
+    assert_eq!(found.len(), 4, "unwrap, expect, panic!, todo!: {found:?}");
     for (path, _, _) in &found {
         assert_eq!(path, "src/lib.rs", "tests/itest.rs must never be flagged");
     }
-    for needle in ["v.unwrap()", "v.expect(\"boom\")", "panic!(\"bad\")", "todo!()", "xs[0]"] {
+    for needle in ["v.unwrap()", "v.expect(\"boom\")", "panic!(\"bad\")", "todo!()"] {
         let want = line_of("panic_path", "src/lib.rs", needle);
         assert!(
             found.iter().any(|(_, line, _)| *line == want),
             "no finding at line {want} ({needle}): {found:?}"
         );
     }
-    assert_eq!(report.count(RuleId::Marker), 0, "datapath marker is well-formed");
+    assert_eq!(report.findings.len(), 4, "only panic_path fires here");
 }
 
 #[test]
@@ -117,22 +117,21 @@ fn unsafe_fixture_requires_safety_comments() {
 }
 
 #[test]
-fn feature_gate_fixture_flags_undeclared_feature() {
-    let report = fixture("feature_gate");
-    let found = rule_findings(&report, RuleId::FeatureGate);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].1, line_of("feature_gate", "src/lib.rs", "imaginary"));
-    assert!(found[0].2.contains("imaginary"));
-}
-
-#[test]
 fn marker_fixture_flags_stale_and_malformed_markers() {
     let report = fixture("unused_allow");
     let found = rule_findings(&report, RuleId::Marker);
-    assert_eq!(found.len(), 3, "{found:?}");
+    assert_eq!(found.len(), 4, "{found:?}");
     assert!(found.iter().any(|(_, _, m)| m.contains("unused suppression")));
     assert!(found.iter().any(|(_, _, m)| m.contains("unrecognised")));
     assert!(found.iter().any(|(_, _, m)| m.contains("justification")));
+    // The retired `datapath` marker is just another unknown directive.
+    let retired = line_of("unused_allow", "src/lib.rs", "phylint: datapath");
+    assert!(
+        found
+            .iter()
+            .any(|(_, line, m)| *line == retired && m.contains("unrecognised phylint marker")),
+        "{found:?}"
+    );
 }
 
 #[test]
@@ -213,48 +212,6 @@ fn simd_guard_fixture_flags_decl_and_unguarded_call() {
     assert_eq!(call.call_path.len(), 2, "{:?}", call.call_path);
     assert!(call.call_path[0].contains("unguarded"), "{:?}", call.call_path);
     assert!(call.call_path[1].contains("kernel"), "{:?}", call.call_path);
-}
-
-#[test]
-fn lock_order_fixture_flags_direct_and_transitive_inversions() {
-    let report = fixture("lock_order");
-    let found = full_findings(&report, RuleId::LockOrder);
-    assert_eq!(report.findings.len(), 2, "only lock_order fires here");
-    assert_eq!(found.len(), 2, "{found:?}");
-    // Direct inversion: `a` taken while `b` is held, both in one body.
-    let direct = found
-        .iter()
-        .find(|f| f.call_path.is_empty())
-        .expect("direct inversion finding");
-    assert_eq!(
-        direct.line,
-        line_of("lock_order", "src/lib.rs", "let Ok(inner) = self.a.lock()")
-    );
-    assert!(direct.msg.contains("Shared.a"), "{}", direct.msg);
-    assert!(direct.msg.contains("Shared.b"), "{}", direct.msg);
-    assert!(direct.msg.contains("rank 0"), "{}", direct.msg);
-    assert!(direct.msg.contains("rank 1"), "{}", direct.msg);
-    // Transitive inversion: the acquisition hides behind a call.
-    let transitive = found
-        .iter()
-        .find(|f| !f.call_path.is_empty())
-        .expect("transitive inversion finding");
-    assert_eq!(
-        transitive.line,
-        line_of("lock_order", "src/lib.rs", "self.helper_locks_a()")
-    );
-    assert_eq!(transitive.call_path.len(), 2, "{:?}", transitive.call_path);
-    assert!(
-        transitive.call_path[0].contains("inverted_via_call"),
-        "{:?}",
-        transitive.call_path
-    );
-    assert!(
-        transitive.call_path[1].contains("helper_locks_a"),
-        "{:?}",
-        transitive.call_path
-    );
-    // `in_order` and `scoped_reacquire` stayed silent (count == 2 above).
 }
 
 #[test]

@@ -1,6 +1,4 @@
-//! Strict datapath module: opted into the `[idx]` denial and clean
-//! under it — access is via `.get`/iterators only.
-// phylint: datapath
+//! A second clean module: slice access is via `.get`/iterators only.
 
 /// Head element without indexing.
 pub fn head(xs: &[i32]) -> i32 {

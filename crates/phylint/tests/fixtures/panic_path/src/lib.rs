@@ -1,6 +1,4 @@
-//! Deliberately dirty: naked panic paths in crate source, in a module
-//! that also opted into the strict `[idx]` denial.
-// phylint: datapath
+//! Deliberately dirty: naked panic paths in crate source.
 
 pub fn naked_unwrap(v: Option<u8>) -> u8 {
     v.unwrap()
@@ -16,8 +14,4 @@ pub fn panics() {
 
 pub fn stub() {
     todo!()
-}
-
-pub fn index(xs: &[u8]) -> u8 {
-    xs[0]
 }

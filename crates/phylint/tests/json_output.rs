@@ -1,4 +1,4 @@
-//! The machine-readable leg: the schema-v2 JSON report must
+//! The machine-readable leg: the schema-v3 JSON report must
 //! round-trip through phylint's own parser/validator, both in-process
 //! and through the binary `--format json` / `--out` paths CI uses.
 
@@ -16,20 +16,21 @@ fn fixture(name: &str) -> Report {
 
 #[test]
 fn report_round_trips_through_the_schema_validator() {
-    let report = fixture("lock_order");
-    assert_eq!(report.findings.len(), 2, "fixture precondition");
+    let report = fixture("hot_transitive");
+    assert_eq!(report.findings.len(), 1, "fixture precondition");
+    assert!(!report.findings[0].call_path.is_empty(), "fixture precondition");
     let text = json::report_to_json(&report);
-    let v = json::validate_schema(&text).expect("emitted JSON matches schema v2");
+    let v = json::validate_schema(&text).expect("emitted JSON matches schema v3");
 
-    assert_eq!(v.get("schema").and_then(Value::as_num), Some(2.0));
+    assert_eq!(v.get("schema").and_then(Value::as_num), Some(3.0));
     assert_eq!(
         v.get("files_scanned").and_then(Value::as_num),
         Some(report.files_scanned as f64)
     );
     let counts = v.get("counts").expect("counts object");
     assert_eq!(
-        counts.get("lock_order").and_then(Value::as_num),
-        Some(2.0),
+        counts.get("hot_transitive").and_then(Value::as_num),
+        Some(1.0),
         "per-rule counts survive serialisation"
     );
     assert_eq!(
@@ -79,7 +80,7 @@ fn findings_serialise_one_per_line_for_baseline_diffing() {
 #[test]
 fn escaping_survives_a_round_trip() {
     let mut f = Finding::new(
-        RuleId::LockOrder,
+        RuleId::HotTransitive,
         Path::new("crates/x/src/lib.rs").into(),
         7,
         "quotes \" backslash \\ newline \n tab \t control \u{1} done".to_string(),
@@ -114,13 +115,18 @@ fn parser_rejects_malformed_documents() {
         "wrong schema version must be rejected"
     );
     assert!(
-        json::validate_schema("{\"schema\":2,\"files_scanned\":1}").is_err(),
+        json::validate_schema("{\"schema\":3,\"files_scanned\":1}").is_err(),
         "missing required keys must be rejected"
     );
-    // A schema-1 report predates the `test_only_api` count.
-    let v1 = "{\"schema\":1,\"files_scanned\":1,\"suppressions_used\":0,\
-              \"counts\":{},\"findings\":[]}";
-    assert!(json::validate_schema(v1).is_err(), "schema 1 is rejected");
+    // Schema 1 predates the `test_only_api` count; schema 2 still
+    // carried the `lock_order` and `feature_gate` counts.
+    for old in [1, 2] {
+        let doc = format!(
+            "{{\"schema\":{old},\"files_scanned\":1,\"suppressions_used\":0,\
+             \"counts\":{{}},\"findings\":[]}}"
+        );
+        assert!(json::validate_schema(&doc).is_err(), "schema {old} is rejected");
+    }
 }
 
 #[test]
@@ -134,7 +140,7 @@ fn binary_json_format_carries_findings_and_exit_code() {
         .expect("phylint binary runs");
     assert_eq!(out.status.code(), Some(1), "findings still exit 1 in JSON mode");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    let v = json::validate_schema(&stdout).expect("binary output matches schema v2");
+    let v = json::validate_schema(&stdout).expect("binary output matches schema v3");
     let counts = v.get("counts").expect("counts");
     assert_eq!(counts.get("simd_guard").and_then(Value::as_num), Some(2.0));
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
@@ -193,7 +199,7 @@ fn out_flag_archives_json_while_stdout_stays_human() {
     );
     let archived = std::fs::read_to_string(&out_path).expect("--out wrote the file");
     let _ = std::fs::remove_file(&out_path);
-    let v = json::validate_schema(&archived).expect("archived JSON matches schema v2");
+    let v = json::validate_schema(&archived).expect("archived JSON matches schema v3");
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
     assert!(findings.is_empty(), "clean tree archives an empty findings array");
 }
@@ -212,7 +218,7 @@ fn workspace_json_self_check_is_clean_and_valid() {
         .output()
         .expect("phylint binary runs");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    let v = json::validate_schema(&stdout).expect("workspace report matches schema v2");
+    let v = json::validate_schema(&stdout).expect("workspace report matches schema v3");
     let findings = v.get("findings").and_then(Value::as_arr).expect("findings");
     assert!(
         findings.is_empty(),

@@ -16,11 +16,12 @@
 //! correlator then pins down exactly.
 //!
 //! The detector itself is the **online**
-//! [`CoarseTracker`](crate::CoarseTracker): [`coarse_sts_end`] is a
-//! thin whole-capture wrapper that feeds the tracker one sample column
-//! per position and applies the end-of-buffer rule, so the batch and
-//! chunk-driven receivers share a single implementation (and therefore
-//! a single answer) for every input.
+//! [`CoarseTracker`](crate::CoarseTracker): its
+//! [`scan`](crate::CoarseTracker::scan) feeds a whole capture one
+//! sample column per position and applies the end-of-buffer rule, so
+//! the batch and chunk-driven receivers share a single implementation
+//! (and therefore a single answer) for every input. [`coarse_sts_end`]
+//! is the allocating wrapper over a fresh tracker.
 
 use mimo_fixed::CQ15;
 
@@ -57,7 +58,9 @@ pub struct CoarseSts {
 /// every antenna's correlation and energy, so a single faded path
 /// cannot defeat it).
 ///
-/// Returns `None` when no plateau of sufficient length exists.
+/// Returns `None` when no plateau of sufficient length exists. A
+/// fresh [`CoarseTracker`] per call; a receiver decoding many captures
+/// keeps one and calls [`CoarseTracker::scan`].
 ///
 /// # Examples
 ///
@@ -77,21 +80,7 @@ pub struct CoarseSts {
 /// # }
 /// ```
 pub fn coarse_sts_end<S: AsRef<[CQ15]>>(streams: &[S]) -> Option<CoarseSts> {
-    if streams.is_empty() {
-        return None;
-    }
-    let len = streams.iter().map(|s| s.as_ref().len()).min()?;
-    let mut tracker = CoarseTracker::new(streams.len());
-    let mut column = vec![CQ15::ZERO; streams.len()];
-    for j in 0..len {
-        for (slot, s) in column.iter_mut().zip(streams) {
-            *slot = s.as_ref()[j];
-        }
-        if let Some(coarse) = tracker.push_column(&column) {
-            return Some(coarse);
-        }
-    }
-    tracker.finish()
+    CoarseTracker::new(streams.len()).scan(streams)
 }
 
 #[cfg(test)]
@@ -171,6 +160,43 @@ mod tests {
     fn short_input_returns_none() {
         assert!(coarse_sts_end(&[vec![CQ15::ZERO; 10]]).is_none());
         assert!(coarse_sts_end::<Vec<CQ15>>(&[]).is_none());
+    }
+
+    #[test]
+    fn reused_tracker_scans_like_fresh_wrapper_calls() {
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let burst = preamble_burst();
+        let truncated = burst[..150].to_vec();
+        let noise: Vec<CQ15> = (0..2000)
+            .map(|_| CQ15::from_f64(rng.gen_range(-0.2..0.2), rng.gen_range(-0.2..0.2)))
+            .collect();
+        let silence = vec![CQ15::ZERO; 2000];
+        let faded: Vec<CQ15> = burst.iter().map(|s| s.shr_round(6)).collect();
+
+        // Latched, end-of-buffer and empty outcomes in every order, so
+        // each scan starts from the previous one's leftover state.
+        let mut one = CoarseTracker::new(1);
+        let sequence = [&burst, &truncated, &noise, &burst, &silence, &truncated, &noise];
+        for capture in sequence {
+            let want = coarse_sts_end(&[capture]);
+            assert_eq!(one.scan(&[capture]), want, "capture of {}", capture.len());
+        }
+        assert!(one.scan(&[&burst]).is_some());
+
+        let mut two = CoarseTracker::new(2);
+        let pairs = [
+            [&faded, &burst],
+            [&noise, &silence],
+            [&faded, &burst],
+            [&truncated, &truncated],
+        ];
+        for pair in pairs {
+            assert_eq!(two.scan(&pair), coarse_sts_end(&pair));
+        }
+        assert!(two.scan(&[&faded, &burst]).is_some());
+        assert_eq!(two.scan(&[&burst]), None, "stream count must match the antennas");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! (gain-invariant, all antennas combined) and [`SyncTracker`]
 //! composes it with the fine cross-correlator into a
 //! consume-any-chunk-size state machine. The whole-capture entry point
-//! [`coarse_sts_end`] is a thin wrapper over the tracker, so batch and
-//! streaming receivers share one acquisition implementation with
-//! bit-identical results.
+//! [`CoarseTracker::scan`] (and [`coarse_sts_end`], its allocating
+//! wrapper) runs the same tracker, so batch and streaming receivers
+//! share one acquisition implementation with bit-identical results.
 //!
 //! # Lane scan
 //!

@@ -149,9 +149,41 @@ impl CoarseTracker {
     /// Panics when `column.len()` differs from the antenna count.
     pub fn push_column(&mut self, column: &[CQ15]) -> Option<CoarseSts> {
         assert_eq!(column.len(), self.n_ant, "coarse tracker column width");
-        let j = self.count;
-        let base = (j & (RING - 1)) * self.n_ant;
+        let base = (self.count & (RING - 1)) * self.n_ant;
         self.ring[base..base + self.n_ant].copy_from_slice(column);
+        self.advance()
+    }
+
+    /// Scans a whole capture from a fresh start: resets the tracker,
+    /// writes each column of `streams` straight into the ring, and
+    /// applies the end-of-stream rule if no plateau closed first. The
+    /// whole-capture detector without any allocation, so one tracker
+    /// can serve every burst of a receiver.
+    ///
+    /// Returns `None` when the stream count differs from the antenna
+    /// count, or when no plateau of sufficient length exists.
+    pub fn scan<S: AsRef<[CQ15]>>(&mut self, streams: &[S]) -> Option<CoarseSts> {
+        if streams.len() != self.n_ant {
+            return None;
+        }
+        self.reset();
+        let len = streams.iter().map(|s| s.as_ref().len()).min()?;
+        for j in 0..len {
+            let base = (j & (RING - 1)) * self.n_ant;
+            for (slot, s) in self.ring[base..base + self.n_ant].iter_mut().zip(streams) {
+                *slot = s.as_ref()[j];
+            }
+            if let Some(coarse) = self.advance() {
+                return Some(coarse);
+            }
+        }
+        self.finish()
+    }
+
+    /// Runs the detector on the column just written at ring slot
+    /// `count`.
+    fn advance(&mut self) -> Option<CoarseSts> {
+        let j = self.count;
         self.count += 1;
         if self.best.is_some() {
             return None;

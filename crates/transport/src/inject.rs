@@ -193,7 +193,10 @@ mod tests {
     #[test]
     fn stall_reorders_but_never_loses() {
         // Only stalls: every frame must still arrive, just shuffled.
-        let schedule = FaultSchedule::clean().with_stall(0.5);
+        let schedule = FaultSchedule {
+            stall: 0.5,
+            ..FaultSchedule::clean()
+        };
         let frames: Vec<Vec<u8>> = (0..50).map(|i| vec![i as u8]).collect();
         let views: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         let (got, counts) = wire(schedule, 7, &views);
@@ -209,9 +212,17 @@ mod tests {
     fn duplicates_and_drops_change_the_frame_count() {
         let frames: Vec<Vec<u8>> = (0..100).map(|i| vec![i as u8]).collect();
         let views: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let (got, counts) = wire(FaultSchedule::clean().with_drop(0.2), 3, &views);
+        let drop = FaultSchedule {
+            drop: 0.2,
+            ..FaultSchedule::clean()
+        };
+        let (got, counts) = wire(drop, 3, &views);
         assert_eq!(got.len(), 100 - counts.dropped as usize);
-        let (got, counts) = wire(FaultSchedule::clean().with_duplicate(0.2), 3, &views);
+        let duplicate = FaultSchedule {
+            duplicate: 0.2,
+            ..FaultSchedule::clean()
+        };
+        let (got, counts) = wire(duplicate, 3, &views);
         assert_eq!(got.len(), 100 + counts.duplicated as usize);
     }
 
@@ -219,7 +230,11 @@ mod tests {
     fn corruption_flips_bits_but_keeps_length() {
         let frame = vec![0u8; 64];
         let views: Vec<&[u8]> = vec![&frame; 20];
-        let (got, counts) = wire(FaultSchedule::clean().with_corrupt(0.5), 11, &views);
+        let corrupt = FaultSchedule {
+            corrupt: 0.5,
+            ..FaultSchedule::clean()
+        };
+        let (got, counts) = wire(corrupt, 11, &views);
         assert_eq!(got.len(), 20 * 64);
         assert!(counts.corrupted > 2);
         assert!(got.iter().any(|&b| b != 0), "some bit must have flipped");

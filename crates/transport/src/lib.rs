@@ -106,7 +106,7 @@
 //! // Fault the sender's side of the wire: ~30% of frames vanish.
 //! let faulty = FaultInjector::new(
 //!     wire_tx,
-//!     FaultLottery::new(FaultSchedule::clean().with_drop(0.3), 0xBAD),
+//!     FaultLottery::new(FaultSchedule { drop: 0.3, ..FaultSchedule::clean() }, 0xBAD),
 //! );
 //! let mut tx = SampleSender::new(
 //!     StreamingTransmitter::from_geometry(LinkGeometry::mimo())?,
