@@ -7,9 +7,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mimo_chanest::{invert_upper_triangular, ChannelEstimator, CordicQrd, Mat4};
 use mimo_coding::{hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder};
-use mimo_detect::ZfDetector;
+use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
 use mimo_fft::{FixedFft, FFT_LANES};
-use mimo_fixed::{CQ15, Cf64};
+use mimo_fixed::{CQ15, Cf64, Q16};
 use mimo_fpga::{RxEntity, SynthConfig};
 use mimo_interleave::BlockInterleaver;
 use mimo_modem::{Modulation, SymbolDemapper, SymbolMapper};
@@ -173,6 +173,31 @@ fn bench(c: &mut Criterion) {
                 let (got, want) = (Cf64::from_fixed(got), Cf64::from_fixed(want));
                 (num + (got - want).norm_sqr(), den + want.norm_sqr())
             })
+        })
+    });
+
+    // Pilot common-phase and timing de-rotation of one 64-point
+    // symbol's 52 equalized carriers: the one lane pass the receiver
+    // runs against the two whole-symbol passes it replaced.
+    let occupied: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
+    let symbol: Vec<CQ15> = occupied
+        .iter()
+        .map(|&l| Cf64::from_polar(0.4, 0.7 + 0.012 * f64::from(l)).to_fixed::<15>())
+        .collect();
+    let (phase, timing) = (PilotPhaseCorrector::new(), TimingCorrector::new());
+    let (phi, tau) = (Q16::from_f64(0.7), 0.012);
+    let mut eq = symbol.clone();
+    c.bench_function("table4/pilot_derotation_52_carriers", |b| {
+        b.iter(|| {
+            eq.copy_from_slice(&symbol);
+            timing.correct_with_phase_in_place(&mut eq, &occupied, phi, tau);
+        })
+    });
+    c.bench_function("table4/pilot_derotation_52_carriers_two_passes", |b| {
+        b.iter(|| {
+            eq.copy_from_slice(&symbol);
+            phase.correct_in_place(&mut eq, phi);
+            timing.correct_in_place(&mut eq, &occupied, tau);
         })
     });
 

@@ -12,7 +12,7 @@ pub(crate) const PI_Q16: i32 = 205_887;
 
 /// π/2 in Q2.16 radians (truncating halving of [`PI_Q16`], as the
 /// hardware's one-bit shift).
-const HALF_PI_Q16: i32 = PI_Q16 / 2;
+pub(crate) const HALF_PI_Q16: i32 = PI_Q16 / 2;
 
 /// A CORDIC datapath word: `i64` in the scalar engine, `i32` in the
 /// lanes.

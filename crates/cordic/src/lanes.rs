@@ -32,6 +32,20 @@
 //! lanes run at most 31 micro-rotations, so every shift of an `i32`
 //! lane stays defined.
 //!
+//! # The per-symbol de-rotation block
+//!
+//! [`CordicLanes::derotate_bus`] runs the receiver's two pilot
+//! de-rotations of a symbol back to back on 16-bit bus words: the
+//! shared `−φ` rotation, whose wrap, quadrant and micro-rotation
+//! directions are derived once per call, the narrow onto the bus and
+//! back, then each carrier's own `−l·τ` rotation, whose directions
+//! each lane derives as it goes, and a last narrow. It loads up to
+//! seven lane groups (a 64-point symbol's 52 carriers) into a local
+//! block and steps the loops micro-rotation-outer: every group takes
+//! micro-rotation `i` before any takes `i + 1`, so the groups' serial
+//! dependency chains overlap instead of running one after another.
+//! Bus words are at most 2¹⁶ once widened, far inside the lane bound.
+//!
 //! # Builds
 //!
 //! The lane body is written once, as plain fixed-width array
@@ -40,7 +54,7 @@
 //! reports support, and once plain for every other host. Both builds
 //! give the same bits.
 
-use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle};
+use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle, HALF_PI_Q16};
 use crate::Cordic;
 
 /// Carriers per lane step — one AVX2 register of `i32`.
@@ -59,6 +73,15 @@ const MAX_ITERATIONS: usize = 31;
 
 /// Per-operation bound on lane components (module docs).
 const OP_LIMIT: u32 = 1 << 28;
+
+/// Lane groups [`CordicLanes::derotate_bus`] steps through each
+/// micro-rotation together: a 64-point symbol's 52 carriers. Callers
+/// that stage a symbol on the stack hand it over in blocks this size.
+pub const DEROTATE_GROUPS: usize = 7;
+
+/// The 16-bit sample bus, in raw Q1.15.
+const BUS_MIN: i32 = -(1 << 15);
+const BUS_MAX: i32 = (1 << 15) - 1;
 
 /// Which build of the lane body backs a [`CordicLanes`], fixed at
 /// construction from run-time CPU-feature detection.
@@ -187,6 +210,44 @@ impl CordicLanes {
             LaneBuild::Portable => rotate_lanes(self, angle, xs, ys),
         }
     }
+
+    /// Both per-symbol de-rotations of the pilot corrections in one
+    /// pass over 16-bit bus samples.
+    ///
+    /// `xs`/`ys` hold raw Q1.15 bus words (at most 2¹⁵ in magnitude),
+    /// lane group `g` carrying carriers `g·LANES..`. Every carrier is
+    /// widened to Q2.16, rotated by the raw Q2.16 angle `phase`,
+    /// narrowed back onto the bus, widened again, rotated by its own
+    /// `ramp[g][k]`, and narrowed once more, in place. Lane for lane
+    /// this equals two [`Cordic::rotate`] calls with the bus narrow
+    /// (round half away from zero to Q1.15, then saturation to 16 bits)
+    /// after each — the common-phase correction followed by the timing
+    /// correction. Angles may be any `i64`.
+    ///
+    /// The shared angle's wrap, quadrant and micro-rotation directions
+    /// are derived once per call; each ramp lane derives its own while
+    /// it rotates. Blocks of up to [`DEROTATE_GROUPS`] lane groups run
+    /// each micro-rotation back to back (module docs).
+    #[inline]
+    pub fn derotate_bus(
+        &self,
+        phase: i64,
+        ramp: &[[i64; LANES]],
+        xs: &mut [Lanes],
+        ys: &mut [Lanes],
+    ) {
+        debug_assert_eq!(xs.len(), ys.len());
+        debug_assert_eq!(xs.len(), ramp.len());
+        match self.build {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Avx2` build is only constructed after
+            // `is_x86_feature_detected!("avx2")` reported support on
+            // this CPU, so the target-feature contract holds.
+            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
+            LaneBuild::Avx2 => unsafe { derotate_bus_avx2(self, phase, ramp, xs, ys) },
+            LaneBuild::Portable => derotate_bus_lanes(self, phase, ramp, xs, ys),
+        }
+    }
     // phylint: end-hot
 }
 
@@ -216,15 +277,18 @@ fn debug_check(v: &Lanes) {
 }
 
 /// Gain compensation: `v · (1/K)` rounded half away from zero, as
-/// `Q16::mul`. `inv_gain > 0`, so the product has the sign of `v`.
+/// `Q16::mul`. `inv_gain > 0`, so the product has the sign of `v`: the
+/// magnitude is scaled as an unsigned 32×32→64-bit product (one vector
+/// multiply per lane pair) and the sign put back.
 #[inline(always)]
 fn compensate(v: &Lanes, inv_gain: i32) -> Lanes {
+    let gain = u64::from(inv_gain.unsigned_abs());
     let mut out = [0; LANES];
     for (o, &c) in out.iter_mut().zip(v) {
-        let s = i64::from(c >> 31);
-        let magnitude = ((i64::from(c) * i64::from(inv_gain)) ^ s) - s;
-        let rounded = (magnitude + (1 << 15)) >> 16;
-        *o = ((rounded ^ s) - s) as i32;
+        let magnitude = u64::from(c.unsigned_abs()) * gain;
+        // |v| < 2³⁰ and 1/K < 1, so the rounded magnitude fits `i32`.
+        let rounded = ((magnitude + (1 << 15)) >> 16) as i32;
+        *o = negate_if(rounded, c >> 31);
     }
     out
 }
@@ -291,6 +355,193 @@ fn rotate_lanes(t: &CordicLanes, angle: &[i64; LANES], xs: &mut [Lanes], ys: &mu
     }
 }
 
+/// Q2.16 → Q1.15 on the 16-bit sample bus: halve with round half away
+/// from zero (`Fx::convert`), then saturate (`Fx::saturate_bits(16)`).
+#[inline(always)]
+fn narrow_to_bus(v: &Lanes) -> Lanes {
+    let mut out = [0; LANES];
+    for (o, &c) in out.iter_mut().zip(v) {
+        let s = c >> 31;
+        let halved = negate_if((negate_if(c, s) + 1) >> 1, s);
+        *o = halved.clamp(BUS_MIN, BUS_MAX);
+    }
+    out
+}
+
+/// [`rotate_quadrant`] on a lane group, each lane by its own residual
+/// angle, with masks for branches so the lanes stay in vectors.
+#[inline(always)]
+fn rotate_quadrant_lanes(x: &mut Lanes, y: &mut Lanes, z: &mut Lanes) {
+    for k in 0..LANES {
+        // −1 where the angle is past +π/2 (turn by +π/2), resp. −π/2.
+        let up = (HALF_PI_Q16 - z[k]) >> 31;
+        let down = (z[k] + HALF_PI_Q16) >> 31;
+        let turn = up | down;
+        let (tx, ty) = (negate_if(y[k], up), negate_if(x[k], down));
+        x[k] = (x[k] & !turn) | (tx & turn);
+        y[k] = (y[k] & !turn) | (ty & turn);
+        z[k] += (HALF_PI_Q16 & down) - (HALF_PI_Q16 & up);
+    }
+}
+
+/// [`CordicLanes::derotate_bus`] on one block of [`DEROTATE_GROUPS`]
+/// lane groups, held in local arrays: every micro-rotation steps
+/// through all of them before the next, so their dependency chains
+/// overlap.
+#[inline(always)]
+fn derotate_block(
+    t: &CordicLanes,
+    phase: &PhaseSteps,
+    zs: &mut [Lanes; DEROTATE_GROUPS],
+    xs: &mut [Lanes; DEROTATE_GROUPS],
+    ys: &mut [Lanes; DEROTATE_GROUPS],
+) {
+    let atan = &t.atan[..t.iterations];
+    // Widen onto Q2.16 and take the shared quadrant pre-rotation.
+    for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+        for k in 0..LANES {
+            (x[k], y[k], _) = rotate_quadrant(x[k] << 1, y[k] << 1, phase.wrapped);
+        }
+    }
+    // One direction for every lane: a branch per micro-rotation, not a
+    // mask per lane.
+    for (i, &d) in phase.dirs[..t.iterations].iter().enumerate() {
+        if d == 0 {
+            shared_micro_rotation(xs, ys, i, true);
+        } else {
+            shared_micro_rotation(xs, ys, i, false);
+        }
+    }
+    // Back onto the bus between the passes and widened again, then
+    // the ramp's own quadrant pre-rotation lane by lane.
+    for ((x, y), z) in xs.iter_mut().zip(ys.iter_mut()).zip(zs.iter_mut()) {
+        *x = narrow_to_bus(&compensate(x, t.inv_gain));
+        *y = narrow_to_bus(&compensate(y, t.inv_gain));
+        for k in 0..LANES {
+            x[k] <<= 1;
+            y[k] <<= 1;
+        }
+        rotate_quadrant_lanes(x, y, z);
+    }
+    for (i, &a) in atan.iter().enumerate() {
+        for ((x, y), z) in xs.iter_mut().zip(ys.iter_mut()).zip(zs.iter_mut()) {
+            for k in 0..LANES {
+                // 0 where z ≥ 0 (counter-clockwise), −1 where z < 0.
+                let d = z[k] >> 31;
+                let (dx, dy) = (x[k] >> i, y[k] >> i);
+                x[k] -= negate_if(dy, d);
+                y[k] += negate_if(dx, d);
+                z[k] -= negate_if(a, d);
+            }
+        }
+    }
+    for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+        *x = narrow_to_bus(&compensate(x, t.inv_gain));
+        *y = narrow_to_bus(&compensate(y, t.inv_gain));
+    }
+}
+
+/// Micro-rotation `i` of every group in one direction: counter-clockwise
+/// (`x −= y·2⁻ⁱ`, `y += x·2⁻ⁱ`) when `ccw`, clockwise otherwise. Each
+/// call site passes a constant `ccw`, so each is branch-free.
+#[inline(always)]
+fn shared_micro_rotation(
+    xs: &mut [Lanes; DEROTATE_GROUPS],
+    ys: &mut [Lanes; DEROTATE_GROUPS],
+    i: usize,
+    ccw: bool,
+) {
+    for (x, y) in xs.iter_mut().zip(ys.iter_mut()) {
+        for k in 0..LANES {
+            let (dx, dy) = (x[k] >> i, y[k] >> i);
+            if ccw {
+                x[k] -= dy;
+                y[k] += dx;
+            } else {
+                x[k] += dy;
+                y[k] -= dx;
+            }
+        }
+    }
+}
+
+/// The shared angle's path through the micro-rotations: its wrap, and
+/// one direction mask per iteration (0 counter-clockwise, −1
+/// clockwise) after the quadrant pre-rotation.
+struct PhaseSteps {
+    wrapped: i32,
+    dirs: [i32; MAX_ITERATIONS],
+}
+
+impl PhaseSteps {
+    #[inline(always)]
+    fn new(t: &CordicLanes, phase: i64) -> Self {
+        // |wrapped| ≤ π fits `i32`.
+        let wrapped = wrap_angle(phase) as i32;
+        let mut z = rotate_quadrant(0, 0, wrapped).2;
+        let mut dirs = [0; MAX_ITERATIONS];
+        for (d, &a) in dirs.iter_mut().zip(&t.atan[..t.iterations]) {
+            *d = z >> 31;
+            z -= negate_if(a, *d);
+        }
+        Self { wrapped, dirs }
+    }
+}
+
+/// The two-de-rotation lane body: whole blocks of [`DEROTATE_GROUPS`]
+/// groups in place, a short tail through a zero-padded block.
+#[inline(always)]
+fn derotate_bus_lanes(
+    t: &CordicLanes,
+    phase: i64,
+    ramp: &[[i64; LANES]],
+    xs: &mut [Lanes],
+    ys: &mut [Lanes],
+) {
+    let phase = PhaseSteps::new(t, phase);
+    let blocks = xs
+        .chunks_mut(DEROTATE_GROUPS)
+        .zip(ys.chunks_mut(DEROTATE_GROUPS))
+        .zip(ramp.chunks(DEROTATE_GROUPS));
+    for ((x, y), r) in blocks {
+        debug_check_bus(x);
+        debug_check_bus(y);
+        let (mut bx, mut by, mut bz) = (
+            [[0; LANES]; DEROTATE_GROUPS],
+            [[0; LANES]; DEROTATE_GROUPS],
+            [[0; LANES]; DEROTATE_GROUPS],
+        );
+        for ((((bx, by), bz), (x, y)), r) in bx
+            .iter_mut()
+            .zip(&mut by)
+            .zip(&mut bz)
+            .zip(x.iter().zip(y.iter()))
+            .zip(r)
+        {
+            (*bx, *by) = (*x, *y);
+            for k in 0..LANES {
+                // Wrapped angles fit `i32`: |z| ≤ π.
+                bz[k] = wrap_angle(r[k]) as i32;
+            }
+        }
+        derotate_block(t, &phase, &mut bz, &mut bx, &mut by);
+        for ((x, y), (bx, by)) in x.iter_mut().zip(y.iter_mut()).zip(bx.iter().zip(&by)) {
+            (*x, *y) = (*bx, *by);
+        }
+    }
+}
+
+/// Debug-build check that a lane group holds 16-bit bus words.
+#[inline(always)]
+fn debug_check_bus(v: &[Lanes]) {
+    debug_assert!(
+        v.iter()
+            .flatten()
+            .all(|&c| (BUS_MIN..=BUS_MAX).contains(&c)),
+        "derotate_bus input off the 16-bit bus: {v:?}"
+    );
+}
+
 /// [`vector_lanes`] built with AVX2 enabled.
 ///
 /// # Safety
@@ -317,6 +568,26 @@ unsafe fn vector_avx2(t: &CordicLanes, x: &Lanes, y: &Lanes) -> (Lanes, Lanes) {
 // positive `is_x86_feature_detected!`). The body is safe code.
 unsafe fn rotate_avx2(t: &CordicLanes, angle: &[i64; LANES], xs: &mut [Lanes], ys: &mut [Lanes]) {
     rotate_lanes(t, angle, xs, ys)
+}
+
+/// [`derotate_bus_lanes`] built with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must have verified AVX2 support at run time
+// (enforced by construction — `LaneBuild::Avx2` exists only behind a
+// positive `is_x86_feature_detected!`). The body is safe code.
+unsafe fn derotate_bus_avx2(
+    t: &CordicLanes,
+    phase: i64,
+    ramp: &[[i64; LANES]],
+    xs: &mut [Lanes],
+    ys: &mut [Lanes],
+) {
+    derotate_bus_lanes(t, phase, ramp, xs, ys)
 }
 // phylint: end-hot
 
@@ -532,6 +803,143 @@ mod tests {
         assert!(!CordicLanes::accepts(i64::MIN));
     }
 
+    /// The scalar model of [`CordicLanes::derotate_bus`] on one bus
+    /// word pair: rotate, narrow to the bus, rotate, narrow.
+    fn derotate_scalar(cordic: &Cordic, x: i32, y: i32, phase: i64, ramp: i64) -> (i32, i32) {
+        let narrow = |v: Q16| -> i32 {
+            let bus: mimo_fixed::Q15 = v.convert();
+            bus.saturate_bits(16).raw() as i32
+        };
+        let widen = |v: i32| Q16::from_raw(i64::from(v) << 1);
+        let r = cordic.rotate(widen(x), widen(y), Q16::from_raw(phase));
+        let (x, y) = (narrow(r.x), narrow(r.y));
+        let r = cordic.rotate(widen(x), widen(y), Q16::from_raw(ramp));
+        (narrow(r.x), narrow(r.y))
+    }
+
+    fn check_derotate(
+        cordic: &Cordic,
+        phase: i64,
+        ramp: &[[i64; LANES]],
+        pairs: &[(Lanes, Lanes)],
+    ) {
+        for lanes in builds(cordic) {
+            let mut xs: Vec<Lanes> = pairs.iter().map(|p| p.0).collect();
+            let mut ys: Vec<Lanes> = pairs.iter().map(|p| p.1).collect();
+            lanes.derotate_bus(phase, ramp, &mut xs, &mut ys);
+            for (g, &(x, y)) in pairs.iter().enumerate() {
+                for k in 0..LANES {
+                    assert_eq!(
+                        (xs[g][k], ys[g][k]),
+                        derotate_scalar(cordic, x[k], y[k], phase, ramp[g][k]),
+                        "{} derotate_bus({}, {}, {phase}, {}) group {g} of {}",
+                        lanes.build_name(),
+                        x[k],
+                        y[k],
+                        ramp[g][k],
+                        pairs.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Deterministic bus words, the ±2¹⁵ corners included.
+    fn bus_groups(groups: usize, seed: u32) -> Vec<(Lanes, Lanes)> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            (state >> 16) as u16 as i16 as i32
+        };
+        (0..groups)
+            .map(|g| {
+                let mut x: Lanes = std::array::from_fn(|_| next());
+                let y: Lanes = std::array::from_fn(|_| next());
+                if g % 3 == 0 {
+                    x[..4].copy_from_slice(&[BUS_MIN, BUS_MAX, BUS_MIN, BUS_MAX]);
+                }
+                (x, y)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn derotate_bus_matches_two_scalar_rotations() {
+        let c = Cordic::new();
+        let corners = [
+            (
+                [BUS_MIN, BUS_MAX, BUS_MIN, BUS_MAX, 0, 1, -1, BUS_MIN],
+                [BUS_MIN, BUS_MIN, BUS_MAX, BUS_MAX, BUS_MIN, 0, 0, 0],
+            ),
+            ([0; LANES], [0; LANES]),
+        ];
+        let phases = [
+            0,
+            PI,
+            -PI,
+            HALF_PI,
+            -HALF_PI,
+            HALF_PI + 1,
+            -HALF_PI - 1,
+            PI + 1,
+            5 * PI,
+            i64::MIN,
+            i64::MAX,
+        ];
+        for phase in phases {
+            // Ramps across the quadrant edges and past ±π.
+            let ramp: Vec<[i64; LANES]> = (0..corners.len())
+                .map(|g| std::array::from_fn(|k| (g * LANES + k) as i64 * 61_000 - 4 * PI))
+                .collect();
+            check_derotate(&c, phase, &ramp, &corners);
+        }
+        // Every group count through three blocks, a wrapping ramp.
+        for groups in 1..=3 * DEROTATE_GROUPS + 1 {
+            let pairs = bus_groups(groups, groups as u32);
+            let ramp: Vec<[i64; LANES]> = (0..groups)
+                .map(|g| std::array::from_fn(|k| ((g * LANES + k) as i64 - 100) * 9_001))
+                .collect();
+            check_derotate(&c, -HALF_PI, &ramp, &pairs);
+            check_derotate(&c, 77_777, &ramp, &pairs);
+        }
+    }
+
+    #[test]
+    fn derotate_bus_at_every_iteration_count() {
+        for n in 1..=MAX_ITERATIONS as u32 {
+            let c = Cordic::with_iterations(n);
+            let pairs = bus_groups(DEROTATE_GROUPS + 2, n);
+            let ramp: Vec<[i64; LANES]> = (0..pairs.len())
+                .map(|g| std::array::from_fn(|k| (g * LANES + k) as i64 * 7_919 - 250_000))
+                .collect();
+            check_derotate(&c, PI - 3, &ramp, &pairs);
+        }
+    }
+
+    #[test]
+    fn masked_quadrant_matches_rotate_quadrant() {
+        let mut zs: Vec<i32> = (-4..=4)
+            .flat_map(|m| (-3..=3).map(move |d| m * (HALF_PI as i32) + d))
+            .collect();
+        zs.extend([PI as i32, -(PI as i32), 0]);
+        for chunk in zs.chunks(LANES) {
+            let mut z = [0; LANES];
+            z[..chunk.len()].copy_from_slice(chunk);
+            let (mut x, mut y) = (
+                [BUS_MAX, -5, 0, 1 << 16, -(1 << 16), 3, BUS_MIN, 9],
+                [7, BUS_MIN, -1, 0, 1 << 16, -3, BUS_MAX, -9],
+            );
+            let want: Vec<(i32, i32, i32)> = (0..LANES)
+                .map(|k| rotate_quadrant(x[k], y[k], z[k]))
+                .collect();
+            rotate_quadrant_lanes(&mut x, &mut y, &mut z);
+            let got: Vec<(i32, i32, i32)> = (0..LANES).map(|k| (x[k], y[k], z[k])).collect();
+            assert_eq!(got, want);
+        }
+    }
+
     fn lanes_of(v: Vec<i32>) -> Lanes {
         v.try_into().unwrap()
     }
@@ -562,6 +970,27 @@ mod tests {
             let c = Cordic::new();
             check_rotate(&c, small.try_into().unwrap(), &pairs);
             check_rotate(&c, wide.try_into().unwrap(), &pairs);
+        }
+
+        #[test]
+        fn random_derotations_match_scalar(
+            pairs in proptest::collection::vec(
+                (proptest::collection::vec(BUS_MIN..BUS_MAX + 1, LANES),
+                 proptest::collection::vec(BUS_MIN..BUS_MAX + 1, LANES)),
+                1..20,
+            ),
+            phase in any::<i64>(),
+            small_phase in -4 * PI..4 * PI,
+            tau in -40_000i64..40_000,
+        ) {
+            let pairs: Vec<(Lanes, Lanes)> =
+                pairs.into_iter().map(|(x, y)| (lanes_of(x), lanes_of(y))).collect();
+            let ramp: Vec<[i64; LANES]> = (0..pairs.len())
+                .map(|g| std::array::from_fn(|k| -tau * ((g * LANES + k) as i64 - 40)))
+                .collect();
+            let c = Cordic::new();
+            check_derotate(&c, phase, &ramp, &pairs);
+            check_derotate(&c, small_phase, &ramp, &pairs);
         }
     }
 }

@@ -43,7 +43,7 @@ mod lanes;
 mod pipeline;
 
 pub use engine::{Cordic, Rotated, Vectored};
-pub use lanes::{CordicLanes, Lanes, LANES, LANE_INPUT_LIMIT};
+pub use lanes::{CordicLanes, Lanes, DEROTATE_GROUPS, LANES, LANE_INPUT_LIMIT};
 pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
 /// Pipeline latency, in clock cycles, of each CORDIC element in the

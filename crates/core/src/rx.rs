@@ -33,7 +33,8 @@
 //!    occupied carriers of each frame; and
 //!    `RxCore::process_symbol` runs each stream: zero-forcing
 //!    detection (row `k` of `H⁻¹·r`), pilot common-phase and timing
-//!    correction, then one fused demap→deinterleave→depuncture
+//!    correction (one lane pass over the symbol), then one fused
+//!    demap→deinterleave→depuncture
 //!    scatter that lands the LLRs in mother-code (Viterbi branch)
 //!    order in the stream workspace and measures the EVM in the same
 //!    pass;
@@ -366,8 +367,10 @@ impl RxCore {
 
     /// One stream × one symbol of the per-symbol core: row `k` of the
     /// zero-forcing detection over this symbol's gathered carriers
-    /// (`rx_occ[a]` = antenna `a`'s occupied carriers), pilot
-    /// common-phase and feed-forward timing correction, then this
+    /// (`rx_occ[a]` = antenna `a`'s occupied carriers); the pilot
+    /// common phase φ, then the pilots alone phase-corrected for the
+    /// feed-forward timing τ, then both de-rotations of the whole symbol
+    /// (`−φ`, then `−l·τ`) in one lane pass; then this
     /// symbol's LLRs scattered straight into their mother-code
     /// positions of `ws.stream_llrs` through the kit's fused
     /// deinterleave+depuncture table — demap, de-interleave and
@@ -403,19 +406,22 @@ impl RxCore {
             *pilot = ws.eq[p];
         }
         let phi = self.phase.estimate_phase(&ws.pilots, &ws.signs);
-        self.phase.correct_in_place(&mut ws.eq, phi);
         if collect_diag {
             ws.phase_acc += phi.to_f64();
         }
 
-        // Feed-forward timing (tau) from the corrected pilots.
-        for (pilot, &p) in ws.pilots.iter_mut().zip(&self.pilot_pos) {
-            *pilot = ws.eq[p];
-        }
+        // Feed-forward timing (tau) from the phase-corrected pilots.
+        // Every carrier rotates on its own, so correcting the pilots
+        // alone gives the bits the whole-symbol pass would.
+        self.phase.correct_in_place(&mut ws.pilots, phi);
         let tau = self
             .timing
             .estimate_tau(&ws.pilots, &ws.signs, &self.pilot_indices);
-        self.timing.correct_in_place(&mut ws.eq, &self.occupied, tau);
+
+        // Both de-rotations of the whole symbol, −φ then −l·τ, in one
+        // lane pass.
+        self.timing
+            .correct_with_phase_in_place(&mut ws.eq, &self.occupied, phi, tau);
 
         // Demap the data carriers at this burst's rate: one pass
         // slices, scatters and measures EVM. The scatter through the

@@ -12,7 +12,10 @@
 //! * [`PilotPhaseCorrector`] — pilot extraction, de-scrambling,
 //!   averaging and common phase correction.
 //! * [`TimingCorrector`] — the feed-forward timing (tau) estimator and
-//!   the running-adder per-subcarrier correction.
+//!   the running-adder per-subcarrier correction; its
+//!   [`correct_with_phase_in_place`](TimingCorrector::correct_with_phase_in_place)
+//!   runs the common-phase and timing de-rotations of a symbol in one
+//!   lane pass.
 
 mod equalize;
 mod pilots;

@@ -9,9 +9,19 @@
 //! used [so that] as the time correction is performed on each
 //! incrementing subcarrier, the Tau value is also incremented using a
 //! feedback adder." (§IV.B)
+//!
+//! The receiver runs them in this order per symbol: it estimates the
+//! common phase φ from the pilots, phase-corrects the four pilots alone
+//! ([`PilotPhaseCorrector::correct_in_place`] on the pilot buffer),
+//! estimates τ from them, and then makes one pass over the whole symbol
+//! ([`TimingCorrector::correct_with_phase_in_place`]) that rotates every
+//! carrier by `−φ`, narrows it to the sample bus, and rotates it by
+//! `−l·τ`. Each carrier's rotation is independent of the others, so the
+//! bits are those of a whole-symbol phase pass followed by a
+//! whole-symbol timing pass, which both stay public as the oracle.
 
-use mimo_cordic::{Cordic, CordicLanes, Lanes, LANES};
-use mimo_fixed::{CFx, CQ15, Cf64, Q16, SAMPLE_BITS};
+use mimo_cordic::{Cordic, CordicLanes, Lanes, DEROTATE_GROUPS, LANES};
+use mimo_fixed::{CFx, CQ15, Cf64, Fx, Q16, SAMPLE_BITS};
 
 /// Narrows a rotated Q2.16 pair back onto the 16-bit sample bus.
 fn narrow(x: Q16, y: Q16) -> CQ15 {
@@ -136,10 +146,21 @@ impl PilotPhaseCorrector {
     /// [`CordicLanes::rotate`] call, which derives the angle's
     /// micro-rotation directions once for all of them.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
-        let angle = [(-phase).raw(); LANES];
-        for block in carriers.chunks_mut(PHASE_GROUPS * LANES) {
-            rotate_carriers::<PHASE_GROUPS>(&self.cordic, self.lanes.as_ref(), block, &angle);
-        }
+        correct_phase(&self.cordic, self.lanes.as_ref(), carriers, phase);
+    }
+}
+
+/// The body of [`PilotPhaseCorrector::correct_in_place`] on a given
+/// engine, shared with the one-pass fallback.
+fn correct_phase(cordic: &Cordic, lanes: Option<&CordicLanes>, carriers: &mut [CQ15], phase: Q16) {
+    let angle = [(-phase).raw(); LANES];
+    // A symbol's pilots fit one lane group: skip staging 64 of them.
+    if carriers.len() <= LANES {
+        rotate_carriers::<1>(cordic, lanes, carriers, &angle);
+        return;
+    }
+    for block in carriers.chunks_mut(PHASE_GROUPS * LANES) {
+        rotate_carriers::<PHASE_GROUPS>(cordic, lanes, block, &angle);
     }
 }
 
@@ -233,9 +254,9 @@ impl TimingCorrector {
         let n = indices.len().min(carriers.len());
         let carriers = &mut carriers[..n];
         let tau_q = Q16::from_f64(tau);
-        // Running adder: angle = l · tau accumulated in Q2.16.
-        let angle_of = |l: i32| Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
         if self.small_angle {
+            // Running adder: angle = l · tau accumulated in Q2.16.
+            let angle_of = |l: i32| Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
             for (c, &l) in carriers.iter_mut().zip(indices) {
                 let angle = angle_of(l);
                 let wide: CFx<16> = c.convert();
@@ -251,11 +272,82 @@ impl TimingCorrector {
         for (group, idx) in carriers.chunks_mut(LANES).zip(indices.chunks(LANES)) {
             let mut angle = [0; LANES];
             for (a, &l) in angle.iter_mut().zip(idx) {
-                *a = (-angle_of(l)).raw();
+                *a = ramp_angle(tau_q, l);
             }
             rotate_carriers::<1>(&self.cordic, self.lanes.as_ref(), group, &angle);
         }
     }
+
+    /// The common-phase correction by `phase` followed by this timing
+    /// correction, in one pass: bit for bit
+    /// [`PilotPhaseCorrector::correct_in_place`]`(carriers, phase)` then
+    /// [`TimingCorrector::correct_in_place`]`(carriers, indices, tau)`.
+    ///
+    /// In the exact mode, with one index per carrier and every carrier
+    /// on the 16-bit sample bus (always true of the ZF output), a block
+    /// of up to [`DEROTATE_GROUPS`] lane groups at a time runs
+    /// both rotations, and the narrow to the bus between them, in one
+    /// [`CordicLanes::derotate_bus`] call. The `−φ` micro-rotation
+    /// directions are derived once per block and every carrier's `−l·τ`
+    /// rotation follows while its lane group is still loaded. Anything
+    /// else takes the two passes.
+    pub fn correct_with_phase_in_place(
+        &self,
+        carriers: &mut [CQ15],
+        indices: &[i32],
+        phase: Q16,
+        tau: f64,
+    ) {
+        let on_bus = |c: &CQ15| c.re.fits_bits(SAMPLE_BITS) && c.im.fits_bits(SAMPLE_BITS);
+        let lanes = match &self.lanes {
+            Some(lanes)
+                if !self.small_angle
+                    && carriers.len() == indices.len()
+                    && carriers.iter().all(on_bus) =>
+            {
+                lanes
+            }
+            _ => {
+                correct_phase(&self.cordic, self.lanes.as_ref(), carriers, phase);
+                self.correct_in_place(carriers, indices, tau);
+                return;
+            }
+        };
+        let tau_q = Q16::from_f64(tau);
+        let block = DEROTATE_GROUPS * LANES;
+        for (chunk, idx) in carriers.chunks_mut(block).zip(indices.chunks(block)) {
+            let mut xs = [[0; LANES]; DEROTATE_GROUPS];
+            let mut ys = [[0; LANES]; DEROTATE_GROUPS];
+            let mut ramp = [[0; LANES]; DEROTATE_GROUPS];
+            let staged = xs.iter_mut().zip(&mut ys).zip(&mut ramp);
+            for (((x, y), r), (cs, ls)) in staged.zip(chunk.chunks(LANES).zip(idx.chunks(LANES))) {
+                let cells = x.iter_mut().zip(y.iter_mut()).zip(r.iter_mut());
+                for (((x, y), r), (c, &l)) in cells.zip(cs.iter().zip(ls)) {
+                    // On-bus words fit an i32 lane.
+                    (*x, *y) = (c.re.raw() as i32, c.im.raw() as i32);
+                    *r = ramp_angle(tau_q, l);
+                }
+            }
+            let groups = chunk.len().div_ceil(LANES);
+            lanes.derotate_bus(
+                (-phase).raw(),
+                &ramp[..groups],
+                &mut xs[..groups],
+                &mut ys[..groups],
+            );
+            for ((x, y), cs) in xs.iter().zip(&ys).zip(chunk.chunks_mut(LANES)) {
+                for ((&x, &y), c) in x.iter().zip(y).zip(cs) {
+                    *c = CFx::new(Fx::from_raw(x.into()), Fx::from_raw(y.into()));
+                }
+            }
+        }
+    }
+}
+
+/// The raw Q2.16 de-rotation of carrier `l`: `−(l·τ)`, the running
+/// adder's angle saturated to `i64`, negated.
+fn ramp_angle(tau_q: Q16, l: i32) -> i64 {
+    (-Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)))).raw()
 }
 
 #[cfg(test)]
@@ -498,6 +590,170 @@ mod tests {
                         -Q16::from_raw(tau_q.raw().saturating_mul(i64::from(indices[k])))
                     });
                     assert_eq!(got, want, "n {n} tau {tau}");
+                }
+            }
+        }
+    }
+
+    /// The two passes the one-pass correction must equal.
+    fn two_passes(
+        phase_c: &PilotPhaseCorrector,
+        timing: &TimingCorrector,
+        rx: &[CQ15],
+        indices: &[i32],
+        phi: Q16,
+        tau: f64,
+    ) -> Vec<CQ15> {
+        let mut want = rx.to_vec();
+        phase_c.correct_in_place(&mut want, phi);
+        timing.correct_in_place(&mut want, indices, tau);
+        want
+    }
+
+    fn check_one_pass(
+        (phase_c, timing): &(PilotPhaseCorrector, TimingCorrector),
+        rx: &[CQ15],
+        indices: &[i32],
+        phi: Q16,
+        tau: f64,
+    ) {
+        let mut got = rx.to_vec();
+        timing.correct_with_phase_in_place(&mut got, indices, phi, tau);
+        assert_eq!(
+            got,
+            two_passes(phase_c, timing, rx, indices, phi, tau),
+            "n {} phi {phi:?} tau {tau} lanes {:?} small_angle {}",
+            rx.len(),
+            timing.lanes.as_ref().map(CordicLanes::build_name),
+            timing.small_angle
+        );
+    }
+
+    /// Raw Q2.16 phases at ±π, the ±π/2 quadrant edges and between.
+    fn edge_phases() -> Vec<Q16> {
+        let pi = Q16::from_f64(std::f64::consts::PI).raw();
+        let half = pi / 2;
+        [
+            0,
+            pi,
+            -pi,
+            half,
+            -half,
+            half + 1,
+            -half - 1,
+            half - 1,
+            -half + 1,
+            20_000,
+            -77_777,
+        ]
+        .into_iter()
+        .map(Q16::from_raw)
+        .collect()
+    }
+
+    /// Carrier counts 1–512: every count to 64, a stride beyond, and
+    /// the block and FFT-size edges.
+    fn carrier_counts() -> Vec<usize> {
+        let mut n: Vec<usize> = (1..=64).chain((65..=512).step_by(29)).collect();
+        n.extend([7, 8, 9, 52, 55, 56, 57, 104, 112, 208, 416, 511, 512]);
+        n
+    }
+
+    #[test]
+    fn one_pass_matches_two_passes_at_every_carrier_count() {
+        // Residual taus, and taus whose `l·τ` wraps past ±π.
+        let taus = [0.0, 0.012, -0.03, 0.2, -1.7, 1e13, f64::MIN];
+        let phases = edge_phases();
+        for builds in corrector_builds() {
+            for n in carrier_counts() {
+                let indices: Vec<i32> = (0..n as i32).map(|k| k - n as i32 / 2).collect();
+                let rx = samples(n, n as u64 * 31);
+                for (t, &tau) in taus.iter().enumerate() {
+                    check_one_pass(&builds, &rx, &indices, phases[(n + t) % phases.len()], tau);
+                }
+            }
+            // The receiver's maps skip DC.
+            for m in [1, 2, 4, 8] {
+                let edge = 26 * m;
+                let indices: Vec<i32> = (-edge..=edge).filter(|&l| l != 0).collect();
+                let rx = samples(indices.len(), m as u64);
+                for &phi in &phases {
+                    check_one_pass(&builds, &rx, &indices, phi, 0.05);
+                }
+            }
+        }
+    }
+
+    /// Full-scale bus corners on every lane of a symbol.
+    #[test]
+    fn one_pass_matches_two_passes_at_full_scale() {
+        let corners = [
+            (-32_768, -32_768),
+            (-32_768, 32_767),
+            (32_767, -32_768),
+            (32_767, 32_767),
+        ];
+        let rx: Vec<CQ15> = (0..56)
+            .map(|i| {
+                let (re, im) = corners[i % 4];
+                CFx::new(Fx::from_raw(re), Fx::from_raw(im))
+            })
+            .collect();
+        let indices: Vec<i32> = (-28..28).collect();
+        for builds in corrector_builds() {
+            for &phi in &edge_phases() {
+                for tau in [0.0, 0.11, -0.4] {
+                    check_one_pass(&builds, &rx, &indices, phi, tau);
+                }
+            }
+        }
+    }
+
+    /// A symbol with a carrier off the 16-bit bus takes the two passes,
+    /// with the same bits.
+    #[test]
+    fn off_bus_symbols_take_the_two_passes() {
+        let phi = Q16::from_f64(-2.2);
+        for builds in corrector_builds() {
+            for (n, at, value) in [
+                (52, 0, 1 << 15),
+                (52, 51, -(1 << 15) - 1),
+                (104, 60, 1 << 30),
+                (8, 3, 1 << 20),
+            ] {
+                let mut rx = samples(n, n as u64 + at as u64);
+                rx[at] = CFx::new(Fx::from_raw(value), Fx::from_raw(-1));
+                let indices: Vec<i32> = (0..n as i32).map(|k| k - 26).collect();
+                check_one_pass(&builds, &rx, &indices, phi, 0.3);
+            }
+        }
+    }
+
+    /// Zero pilots give φ = τ = 0; the small-angle mode and a
+    /// corrector without lanes take the two passes.
+    #[test]
+    fn zero_pilots_small_angle_and_no_lanes_match_two_passes() {
+        let indices: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
+        let rx = samples(52, 9);
+        let pilots = [CQ15::ZERO; 4];
+        let signs = [1, 1, 1, -1];
+        for (phase_c, timing) in corrector_builds() {
+            let phi = phase_c.estimate_phase(&pilots, &signs);
+            let tau = timing.estimate_tau(&pilots, &signs, &[-21, -7, 7, 21]);
+            assert_eq!((phi, tau), (Q16::ZERO, 0.0));
+            let small = TimingCorrector {
+                small_angle: true,
+                ..timing.clone()
+            };
+            let bare = TimingCorrector {
+                lanes: None,
+                ..timing.clone()
+            };
+            for t in [timing, small, bare] {
+                let builds = (phase_c.clone(), t);
+                check_one_pass(&builds, &rx, &indices, phi, tau);
+                for &phi in &edge_phases() {
+                    check_one_pass(&builds, &rx, &indices, phi, 0.004);
                 }
             }
         }

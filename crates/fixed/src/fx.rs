@@ -215,12 +215,16 @@ impl<const FRAC: u32> Fx<FRAC> {
     #[allow(clippy::should_implement_trait)] // deliberate: panics like a hardware divider, no `Div` impl exists
     pub fn div(self, rhs: Self) -> Self {
         assert!(rhs.raw != 0, "fixed-point division by zero");
-        let num = (self.raw as i128) << (FRAC + 1);
-        let den = rhs.raw as i128;
-        let q2 = num / den;
-        // Round-half-away-from-zero on the extra bit.
-        let rounded = if q2 >= 0 { (q2 + 1) >> 1 } else { -((-q2 + 1) >> 1) };
-        Self::from_raw(clamp_i128(rounded))
+        // `raw << (FRAC + 1)` fits an `i64` strictly inside ±2⁶³ when
+        // |raw| < 2^(62 − FRAC): the `i64` quotient, and its rounding,
+        // are then those of the wide division, with no overflow even
+        // for a divisor of −1.
+        if FRAC < 62 && self.raw.unsigned_abs() < 1 << 62u32.saturating_sub(FRAC) {
+            let q2 = (self.raw << (FRAC + 1)) / rhs.raw;
+            // Round-half-away-from-zero on the extra bit.
+            return Self::from_raw(if q2 >= 0 { (q2 + 1) >> 1 } else { -((-q2 + 1) >> 1) });
+        }
+        Self::from_raw(div_wide(self.raw, rhs.raw, FRAC))
     }
 
     /// Absolute value (saturating at `i64::MAX`).
@@ -269,6 +273,16 @@ fn round_shift_right_i128(value: i128, shift: u32) -> i64 {
         -(((-value) + half) >> shift)
     };
     clamp_i128(shifted)
+}
+
+/// [`Fx::div`] on `i128` words, for numerators whose shifted value
+/// leaves the `i64` range; the result saturates to `i64`.
+#[inline(never)]
+fn div_wide(num: i64, den: i64, frac: u32) -> i64 {
+    let q2 = (i128::from(num) << (frac + 1)) / i128::from(den);
+    // Round-half-away-from-zero on the extra bit.
+    let rounded = if q2 >= 0 { (q2 + 1) >> 1 } else { -((-q2 + 1) >> 1) };
+    clamp_i128(rounded)
 }
 
 #[inline]
@@ -447,6 +461,70 @@ mod tests {
         let a = Q16::from_f64(0.75);
         let b = Q16::from_f64(1.5);
         assert!((a.div(b).to_f64() - 0.5).abs() < 1e-4);
+    }
+
+    /// Numerators around the `i64` fit boundary of `F`, both signs,
+    /// plus zero and the extremes.
+    fn boundary_numerators<const F: u32>() -> Vec<i64> {
+        let edge = 1i64 << (62 - F);
+        let mut out = vec![0, 1, -1, i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 1];
+        for d in [-2, -1, 0, 1, 2] {
+            out.extend([edge + d, -(edge + d)]);
+        }
+        out
+    }
+
+    #[test]
+    fn narrow_divide_matches_wide_at_the_boundary() {
+        let dens = [
+            1,
+            -1,
+            2,
+            -2,
+            3,
+            -7,
+            65_536,
+            -65_536,
+            1 << 40,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        for &num in &boundary_numerators::<16>() {
+            for &den in &dens {
+                assert_eq!(
+                    Q16::from_raw(num).div(Q16::from_raw(den)).raw(),
+                    div_wide(num, den, 16),
+                    "{num}/{den}"
+                );
+            }
+        }
+        for &num in &boundary_numerators::<15>() {
+            for &den in &dens {
+                assert_eq!(
+                    Q15::from_raw(num).div(Q15::from_raw(den)).raw(),
+                    div_wide(num, den, 15),
+                    "{num}/{den}"
+                );
+            }
+        }
+    }
+
+    /// Raw words spread over every magnitude, both signs.
+    fn any_magnitude() -> impl proptest::Strategy<Value = i64> {
+        use proptest::prelude::*;
+        (any::<i64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn narrow_divide_matches_wide(num in any_magnitude(), den in any_magnitude()) {
+            proptest::prop_assume!(den != 0);
+            proptest::prop_assert_eq!(Q16::from_raw(num).div(Q16::from_raw(den)).raw(), div_wide(num, den, 16));
+            proptest::prop_assert_eq!(Q15::from_raw(num).div(Q15::from_raw(den)).raw(), div_wide(num, den, 15));
+        }
     }
 
     #[test]
