@@ -10,7 +10,8 @@
 //!   table-default `RateController`), warmed briefly at each point the
 //!   way a live link tracks a slowly varying channel.
 //!
-//! The snapshot `BENCH_link_adapt.json` records, per SNR point, the
+//! The snapshot `BENCH_link_adapt.json` (written by full runs only,
+//! not under `QUICK_BENCH=1`) records, per SNR point, the
 //! adaptive goodput against the best fixed rate and the ratio between
 //! them — the acceptance figure for the EVM-driven controller (the
 //! ratio should stay ≥ 0.9 everywhere: the loop must neither under-
@@ -149,7 +150,9 @@ fn bench(c: &mut Criterion) {
         trace.bursts_ok(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_link_adapt.json");
-    if let Err(e) = std::fs::write(path, json) {
+    if quick {
+        eprintln!("quick mode: {path} not rewritten");
+    } else if let Err(e) = std::fs::write(path, json) {
         eprintln!("warning: could not write {path}: {e}");
     } else {
         eprintln!("snapshot written to {path} ({:.1} s total)", start.elapsed().as_secs_f64());

@@ -3,7 +3,8 @@
 //! Decoded information bits per second of the two Viterbi tiers — the
 //! reference `i64` scalar kernel and the `i16` lane tier (a whole
 //! block's forward pass on sixteen-bit wrapping metrics, the 64-state
-//! row in four AVX2 registers, `u64` survivor bitmasks) — on
+//! row in two AVX-512BW registers or four AVX2 registers, `u64`
+//! survivor bitmasks) — on
 //! terminated K=7 blocks at burst-representative sizes, with hard
 //! (±`HARD_LLR`) and noisy soft inputs.
 //!
@@ -13,9 +14,10 @@
 //! (`perfbench/`) rides on. The run also reports the ACS/traceback phase
 //! split (via `decode_terminated_profiled`) and which kernel the
 //! decoder's auto dispatch actually selected on this machine. Alongside
-//! the criterion timings, the run writes a `BENCH_viterbi_acs.json`
-//! snapshot at the repo root so successive PRs can track the kernels in
-//! isolation.
+//! the criterion timings, a full run writes a `BENCH_viterbi_acs.json`
+//! snapshot at the repo root so successive changes can track the
+//! kernels in isolation; a quick run (`QUICK_BENCH=1`) leaves it as it
+//! is.
 
 use std::time::{Duration, Instant};
 
@@ -119,7 +121,7 @@ fn bench(c: &mut Criterion) {
     let dec = ViterbiDecoder::new(CodeSpec::ieee80211a());
 
     // What the decoder's automatic dispatch picks on this machine for
-    // demapper-scale soft inputs (records e.g. "simd-avx2" vs the
+    // demapper-scale soft inputs (records e.g. "simd-avx512bw" vs the
     // portable-array tier).
     let dispatch = dec.kernel_name(&[hard_to_llr(0), hard_to_llr(1)]);
     eprintln!("\n=== F10: Viterbi ACS kernel throughput (decoded info bits/sec) ===");
@@ -142,7 +144,11 @@ fn bench(c: &mut Criterion) {
             eprintln!("{line}");
         }
     }
-    write_snapshot(dispatch, &rows);
+    if quick {
+        eprintln!("quick mode: BENCH_viterbi_acs.json not rewritten");
+    } else {
+        write_snapshot(dispatch, &rows);
+    }
 
     // ACS vs traceback phase split of the auto-dispatched kernel.
     {

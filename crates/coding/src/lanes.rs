@@ -1,18 +1,36 @@
 //! The `i16` lane tier: a whole block's forward pass on sixteen-bit
-//! wrapping path metrics, register-resident on AVX2.
+//! wrapping path metrics, register-resident on AVX-512BW or AVX2.
 //!
 //! The paper's Viterbi core reaches its rate by replicating the ACS
 //! butterfly in fabric; this module is the software analogue of that
 //! lane replication for the 64-state, two-output shape of
 //! [`CodeSpec::ieee80211a`](crate::CodeSpec::ieee80211a) (any
-//! generator pair). The 64-state metric row is four AVX2 registers of
-//! sixteen `i16` lanes, and it stays in them for the whole block: one
-//! [`LaneTrellis::forward`] call runs every trellis step and writes one
-//! survivor word per step, in the state order of
-//! [`ButterflyTrellis::acs_step`], so the butterfly traceback reads the
-//! words unchanged.
+//! generator pair). The 64-state metric row is two AVX-512 registers
+//! of thirty-two `i16` lanes (four AVX2 registers of sixteen), and it
+//! stays in them for the whole block: one [`LaneTrellis::forward`] call
+//! runs every trellis step and writes one survivor word per step, in
+//! the state order of [`ButterflyTrellis::acs_step`], so the butterfly
+//! traceback reads the words unchanged.
 //!
-//! # One step
+//! # One step on AVX-512BW
+//!
+//! * **De-interleave.** Butterfly `j` reads predecessors `2j`/`2j+1`.
+//!   States 0–31 and 32–63 sit in two registers; two `vpermt2w` over
+//!   the pair, with constant even and odd index vectors, yield `m0`
+//!   (all thirty-two `2j`) and `m1` (all thirty-two `2j+1`).
+//! * **Branch metrics.** A two-output label `c` correlates to one of
+//!   `[p, −q, q, −p][c]` with `p = l0 + l1`, `q = l0 − l1`. That
+//!   four-entry table is broadcast per step, and one `vpermw` per
+//!   transition slot, indexed by the code's label vector for the slot
+//!   (built once per code), gives the slot's thirty-two branch metrics.
+//! * **Compare-select.** `a = m0 + bm`, `b = m1 + bm'` wrap;
+//!   `d = b − a` is the exact difference, the successor is
+//!   `a + max(d, 0)` and `cmpgt(d, 0)` writes the decisions straight
+//!   into a `__mmask32`, so `2j` wins ties as in the scalar kernel.
+//! * **Decisions.** The two masks, states 0–31 and 32–63, are the
+//!   step's `u64` survivor word as they stand: `k₀ | k₁ << 32`.
+//!
+//! # One step on AVX2
 //!
 //! * **De-interleave.** Butterfly `j` reads predecessors `2j`/`2j+1`.
 //!   Per register of sixteen states, a `pshufb` gathers the even
@@ -60,10 +78,12 @@
 //!
 //! # Builds
 //!
-//! The AVX2 build runs when `is_x86_feature_detected!` reports it at
-//! construction; elsewhere a portable `[i16; 64]` lane body with
-//! `wrapping_*` arithmetic runs the same algorithm (and stays exact
-//! with overflow checks on).
+//! Construction picks the first build `is_x86_feature_detected!`
+//! reports: AVX-512BW (`"simd-avx512bw"`), then AVX2 (`"simd-avx2"`);
+//! elsewhere a portable `[i16; 64]` lane body with `wrapping_*`
+//! arithmetic (`"simd-portable"`) runs the AVX2 algorithm and stays
+//! exact with overflow checks on. All three write the same survivor
+//! words.
 
 use crate::butterfly::ButterflyTrellis;
 use crate::{CodeSpec, Llr};
@@ -71,7 +91,7 @@ use crate::{CodeSpec, Llr};
 /// Constraint length of the one code shape the lanes take.
 pub(crate) const K: usize = 7;
 
-/// Trellis states: the four-register metric row.
+/// Trellis states: the two- or four-register metric row.
 pub(crate) const STATES: usize = 1 << (K - 1);
 
 /// Butterflies per step.
@@ -95,6 +115,9 @@ const _: () = assert!((K * 2 * OUTPUTS) as i64 * LANE_LLR_MAX as i64 <= i16::MAX
 /// construction from run-time CPU-feature detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneBuild {
+    /// AVX-512BW intrinsics (x86-64 with run-time `avx512bw` support).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
     /// AVX2 intrinsics (x86-64 with run-time `avx2` support).
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -111,9 +134,31 @@ pub(crate) struct LaneTrellis {
     /// `±1` label vectors, `signs[OUTPUTS * slot + i][j]`: output bit `i` of
     /// transition `slot` of butterfly `j` is 0 (`+1`) or 1 (`−1`).
     signs: [[i16; HALF]; SLOTS * OUTPUTS],
+    /// Coded label of each transition as a lane index, `labels[slot][j]`
+    /// = `coded[j][slot]`: which entry of the step's four-entry branch
+    /// metric table (`[p, −q, q, −p]`, `p = l0 + l1`, `q = l0 − l1`)
+    /// transition `slot` of butterfly `j` takes. Read by the AVX-512BW
+    /// build only.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    labels: [[i16; HALF]; SLOTS],
     /// The lane build selected at construction.
     build: LaneBuild,
 }
+
+/// Lane indices that gather the predecessors of every butterfly from
+/// the two-register row: `DEINTERLEAVE[p][j] = 2j + p` (a `vpermt2w`
+/// index reads lane `i & 31` of register `i >> 5`).
+#[cfg(target_arch = "x86_64")]
+const DEINTERLEAVE: [[i16; HALF]; 2] = {
+    let mut idx = [[0; HALF]; 2];
+    let mut j = 0;
+    while j < HALF {
+        idx[0][j] = 2 * j as i16;
+        idx[1][j] = 2 * j as i16 + 1;
+        j += 1;
+    }
+    idx
+};
 
 impl LaneTrellis {
     /// Builds the tables on the fastest build this CPU runs, or `None`
@@ -124,16 +169,19 @@ impl LaneTrellis {
 
     fn with_build(trellis: ButterflyTrellis, build: LaneBuild) -> Self {
         let mut signs = [[0i16; HALF]; SLOTS * OUTPUTS];
+        let mut labels = [[0i16; HALF]; SLOTS];
         for (j, coded) in trellis.labels().iter().enumerate() {
             for (slot, &c) in coded.iter().enumerate() {
                 for i in 0..OUTPUTS {
                     signs[OUTPUTS * slot + i][j] = if (c >> i) & 1 == 0 { 1 } else { -1 };
                 }
+                labels[slot][j] = i16::from(c);
             }
         }
         Self {
             trellis,
             signs,
+            labels,
             build,
         }
     }
@@ -147,6 +195,8 @@ impl LaneTrellis {
     /// record so numbers from different hosts are comparable.
     pub(crate) fn name(&self) -> &'static str {
         match self.build {
+            #[cfg(target_arch = "x86_64")]
+            LaneBuild::Avx512 => "simd-avx512bw",
             #[cfg(target_arch = "x86_64")]
             LaneBuild::Avx2 => "simd-avx2",
             LaneBuild::Portable => "simd-portable",
@@ -176,6 +226,12 @@ impl LaneTrellis {
             *lane = m as i16;
         }
         match self.build {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Avx512` variant is only constructed after
+            // `is_x86_feature_detected!("avx512bw")` reported support on
+            // this CPU, so the target-feature contract holds.
+            // phylint: allow(simd_guard) -- the `Avx512` build variant is only constructed after `is_x86_feature_detected!("avx512bw")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
+            LaneBuild::Avx512 => unsafe { self.forward_avx512(&lanes, soft, masks) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the `Avx2` variant is only constructed after
             // `is_x86_feature_detected!("avx2")` reported support on
@@ -290,11 +346,62 @@ impl LaneTrellis {
             *word = u64::from(lo) | u64::from(hi) << 32;
         }
     }
+
+    /// AVX-512BW lane body: the row lives in two registers for the
+    /// whole block. See the module docs for the per-step choreography.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512bw")]
+    // SAFETY: callers must have verified AVX-512BW support at run time
+    // (enforced by construction — `LaneBuild::Avx512` exists only
+    // behind a positive `is_x86_feature_detected!`). Every load reads
+    // 32 `i16` at offset 0 or 32 of a 64-element row or from a
+    // 32-element index vector, so all of them stay in bounds; there are
+    // no stores through pointers.
+    unsafe fn forward_avx512(&self, row: &[i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+        use std::arch::x86_64::*;
+        let load = |v: &[i16; HALF]| _mm512_loadu_si512(v.as_ptr().cast());
+        // lo: states 0..32, hi: states 32..64.
+        let mut lo = _mm512_loadu_si512(row.as_ptr().cast());
+        let mut hi = _mm512_loadu_si512(row.as_ptr().add(HALF).cast());
+        let (even, odd) = (load(&DEINTERLEAVE[0]), load(&DEINTERLEAVE[1]));
+        let labels = self.labels.each_ref().map(load);
+        let zero = _mm512_setzero_si512();
+        for (branch, word) in soft.chunks_exact(OUTPUTS).zip(masks.iter_mut()) {
+            // Branch metric of label c: [p, −q, q, −p][c]. Every term is
+            // at most 2L < 2¹⁵ in magnitude, so the `u16` casts are exact.
+            let (p, q) = (branch[0] + branch[1], branch[0] - branch[1]);
+            let table = [p, -q, q, -p]
+                .iter()
+                .rev()
+                .fold(0u64, |t, &v| t << 16 | u64::from(v as u16));
+            let table = _mm512_set1_epi64(table as i64);
+            let bm = |slot: usize| _mm512_permutexvar_epi16(labels[slot], table);
+            // m0 / m1: predecessors 2j / 2j + 1 of butterfly j.
+            let m0 = _mm512_permutex2var_epi16(lo, even, hi);
+            let m1 = _mm512_permutex2var_epi16(lo, odd, hi);
+            // Successor register `input` holds states input·32 .. +32.
+            let mut sel = [0u32; 2];
+            let mut next = [zero; 2];
+            for input in 0..2 {
+                let a = _mm512_add_epi16(m0, bm(2 * input));
+                let b = _mm512_add_epi16(m1, bm(2 * input + 1));
+                let d = _mm512_sub_epi16(b, a);
+                next[input] = _mm512_add_epi16(a, _mm512_max_epi16(d, zero));
+                sel[input] = _mm512_cmpgt_epi16_mask(d, zero);
+            }
+            [lo, hi] = next;
+            *word = u64::from(sel[0]) | u64::from(sel[1]) << 32;
+        }
+    }
     // phylint: end-hot
 }
 
 /// Run-time CPU-feature probe, evaluated once per decoder construction.
 fn pick_build() -> LaneBuild {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512bw") {
+        return LaneBuild::Avx512;
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         return LaneBuild::Avx2;
@@ -304,14 +411,18 @@ fn pick_build() -> LaneBuild {
 
 #[cfg(test)]
 impl LaneTrellis {
-    /// Every lane build this CPU runs: portable always, AVX2 when
-    /// detected.
+    /// Every lane build this CPU runs: portable always, AVX2 and
+    /// AVX-512BW when detected.
     pub(crate) fn builds(spec: &CodeSpec) -> Vec<Self> {
         let trellis = ButterflyTrellis::new(spec).expect("a 64-state rate-1/2 code");
         let mut out = vec![Self::with_build(trellis.clone(), LaneBuild::Portable)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Self::with_build(trellis, LaneBuild::Avx2));
+            out.push(Self::with_build(trellis.clone(), LaneBuild::Avx2));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            out.push(Self::with_build(trellis, LaneBuild::Avx512));
         }
         out
     }

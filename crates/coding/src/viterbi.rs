@@ -16,8 +16,9 @@
 //!   ([`HARD_LLR`](crate::HARD_LLR)): the first `K − 1` branches on the
 //!   `i32` butterfly step ([`crate::butterfly`]), then the whole rest
 //!   of the block's forward pass on wrapping sixteen-bit metrics, the
-//!   64-state row held in four AVX2 registers (a portable `[i16; 64]`
-//!   lane body on CPUs without AVX2). No renormalization runs; the
+//!   64-state row held in two AVX-512BW registers, or four AVX2
+//!   registers on CPUs without AVX-512BW (a portable `[i16; 64]` lane
+//!   body on CPUs with neither). No renormalization runs; the
 //!   module docs prove that the wrapping difference of two candidates
 //!   is exact. One bit per state per branch goes to a `u64` survivor
 //!   word, and traceback is a shift-and-mask walk.
@@ -163,8 +164,9 @@ pub struct ViterbiDecoder {
 /// | `simd`   | 64 states and 2 outputs/input (K = 7, rate 1/2, any          |
 /// |          | generator pair), every LLR magnitude at most                 |
 /// |          | `⌊i16::MAX / (2·2·7)⌋ = 1170` (`i16` metrics, exact by the   |
-/// |          | bound proved in the lane module); AVX2 at run time picks the |
-/// |          | intrinsic build, else the portable lanes                     |
+/// |          | bound proved in the lane module); run-time detection picks   |
+/// |          | the AVX-512BW build, else the AVX2 build, else the portable  |
+/// |          | lanes                                                        |
 /// | `scalar` | anything (`i64` metrics)                                     |
 ///
 /// `Auto` takes the first row whose needs the code and the block's
@@ -191,8 +193,8 @@ pub struct DecodeProfile {
     pub acs: Duration,
     /// Backward pass: survivor traceback (and output assembly).
     pub traceback: Duration,
-    /// The kernel tier dispatched: `"scalar"`, `"simd-portable"` or
-    /// `"simd-avx2"`.
+    /// The kernel tier dispatched: `"scalar"`, `"simd-portable"`,
+    /// `"simd-avx2"` or `"simd-avx512bw"`.
     pub kernel: &'static str,
 }
 
@@ -246,9 +248,9 @@ impl ViterbiDecoder {
     }
 
     /// Name of the kernel tier [`ViterbiKernel::Auto`] would dispatch
-    /// for `soft` on this CPU: `"scalar"`, `"simd-portable"` or
-    /// `"simd-avx2"`. Benches record this so numbers from different
-    /// hosts are interpretable.
+    /// for `soft` on this CPU: `"scalar"`, `"simd-portable"`,
+    /// `"simd-avx2"` or `"simd-avx512bw"`. Benches record this so
+    /// numbers from different hosts are interpretable.
     pub fn kernel_name(&self, soft: &[Llr]) -> &'static str {
         self.tier(ViterbiKernel::Auto, soft).name()
     }
@@ -507,6 +509,7 @@ impl ViterbiDecoder {
 mod tests {
     use super::*;
     use crate::{hard_to_llr, ConvolutionalEncoder, HARD_LLR};
+    use proptest::prelude::*;
 
     fn roundtrip(info: &[u8]) -> Vec<u8> {
         let spec = CodeSpec::ieee80211a();
@@ -656,6 +659,84 @@ mod tests {
             .collect()
     }
 
+    /// Decodes `soft` on the scalar kernel and on every lane build this
+    /// CPU runs, and checks that each build's output (or error) equals
+    /// the scalar one and that its survivor words equal the scalar
+    /// kernel's decisions from branch K − 1 on.
+    fn check_lane_builds(spec: &CodeSpec, soft: &[Llr]) -> TestCaseResult {
+        let reference = ViterbiDecoder::new(spec.clone());
+        let mut ws = ViterbiWorkspace::new();
+        let (mut scalar, mut lanes) = (Vec::new(), Vec::new());
+        let scalar_result =
+            reference.decode_terminated_with(ViterbiKernel::Scalar, soft, &mut ws, &mut scalar);
+        // The scalar kernel's decision bits in the lanes' survivor word
+        // layout: bit `s` is set when state `s`'s survivor came from the
+        // odd predecessor `2j + 1`. From step K − 1 on every state is
+        // live in both kernels; the steps before that run on the shared
+        // butterfly warm-up step.
+        let words: Vec<u64> = ws
+            .survivors
+            .chunks_exact(STATES)
+            .map(|step| {
+                step.iter().enumerate().fold(0, |word, (s, &packed)| {
+                    word | ((unpack_survivor(packed).0 as u64 & 1) << s)
+                })
+            })
+            .collect();
+        let warm_up = LaneTrellis::WARM_UP.min(words.len());
+        let decoders = lane_decoders(spec.clone());
+        for dec in &decoders {
+            let name = dec.kernel_name(soft);
+            prop_assert!(name.starts_with("simd-"), "got {}", name);
+            let result = dec.decode_terminated_with(ViterbiKernel::Auto, soft, &mut ws, &mut lanes);
+            prop_assert!(
+                ws.masks[warm_up..] == words[warm_up..],
+                "{}: survivor words differ from the scalar kernel's decisions",
+                name
+            );
+            prop_assert_eq!(&result, &scalar_result, "{}", name);
+            if result.is_ok() {
+                prop_assert_eq!(&lanes, &scalar, "{} vs scalar", name);
+            }
+        }
+        prop_assert_eq!(decoders[0].kernel_name(soft), "simd-portable");
+        Ok(())
+    }
+
+    #[test]
+    fn lane_builds_are_portable_plus_every_detected_simd_build() {
+        let spec = CodeSpec::ieee80211a();
+        let names: Vec<_> = LaneTrellis::builds(&spec)
+            .iter()
+            .map(LaneTrellis::name)
+            .collect();
+        #[allow(unused_mut)]
+        let mut expected = vec!["simd-portable"];
+        #[cfg(target_arch = "x86_64")]
+        for (feature, detected, name) in [
+            (
+                "avx2",
+                std::arch::is_x86_feature_detected!("avx2"),
+                "simd-avx2",
+            ),
+            (
+                "avx512bw",
+                std::arch::is_x86_feature_detected!("avx512bw"),
+                "simd-avx512bw",
+            ),
+        ] {
+            if detected {
+                expected.push(name);
+            } else {
+                eprintln!("lane build {name} not tested: this CPU lacks {feature}");
+            }
+        }
+        assert_eq!(names, expected);
+        // Auto dispatch takes the widest build the CPU runs.
+        let auto = ViterbiDecoder::new(spec).kernel_name(&[0, 0]);
+        assert_eq!(Some(&auto), expected.last());
+    }
+
     #[test]
     fn every_lane_build_matches_butterfly_and_scalar() {
         let bound = crate::lanes::LANE_LLR_MAX;
@@ -676,7 +757,7 @@ mod tests {
         for n_branches in 6..10 {
             cases.push((stock.clone(), random_llrs(2 * n_branches, n_branches as u64, l, 10)));
         }
-        for (g0, g1) in [(0o171, 0o133), (0o1, 0o177), (0o100, 0o77), (0o55, 0o55)] {
+        for (g0, g1) in OTHER_GENERATORS {
             let spec = CodeSpec::new(7, vec![g0, g1]).unwrap();
             cases.push((spec, random_llrs(2 * 2000, u64::from(g0 ^ g1), l, 5)));
         }
@@ -692,41 +773,52 @@ mod tests {
                 .collect();
             cases.push((stock, soft));
         }
-        let warm_up = LaneTrellis::WARM_UP;
         for (spec, soft) in cases {
-            let reference = ViterbiDecoder::new(spec.clone());
-            let mut ws = ViterbiWorkspace::new();
-            let (mut scalar, mut lanes) = (Vec::new(), Vec::new());
-            reference
-                .decode_terminated_with(ViterbiKernel::Scalar, &soft, &mut ws, &mut scalar)
-                .unwrap();
-            // The scalar kernel's decision bits in the lanes' survivor
-            // word layout: bit `s` is set when state `s`'s survivor came
-            // from the odd predecessor `2j + 1`. From step K − 1 on
-            // every state is live in both kernels; the steps before
-            // that run on the shared butterfly warm-up step.
-            let words: Vec<u64> = ws
-                .survivors
-                .chunks_exact(STATES)
-                .map(|step| {
-                    step.iter().enumerate().fold(0, |word, (s, &packed)| {
-                        word | ((unpack_survivor(packed).0 as u64 & 1) << s)
-                    })
+            check_lane_builds(&spec, &soft).unwrap();
+        }
+    }
+
+    /// K = 7 generator pairs other than 802.11a's, each a different
+    /// label layout for the lanes' tables.
+    const OTHER_GENERATORS: [(u32, u32); 4] =
+        [(0o171, 0o133), (0o1, 0o177), (0o100, 0o77), (0o55, 0o55)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// Every lane build against the scalar kernel on short blocks
+        /// (1 to K + 70 branches, across the K − 1 warm-up), half of
+        /// whose LLRs sit at ±`LANE_LLR_MAX`, where the wrapping
+        /// difference is widest, and a quarter at 0, where candidates
+        /// tie, on 802.11a's code and the four other generator pairs.
+        #[test]
+        fn every_lane_build_matches_scalar_at_the_llr_bound(
+            code in 0usize..OTHER_GENERATORS.len() + 1,
+            n_branches in 1usize..crate::lanes::K + 71,
+            draws in proptest::collection::vec(
+                (0u8..4, -crate::lanes::LANE_LLR_MAX..crate::lanes::LANE_LLR_MAX + 1),
+                2 * (crate::lanes::K + 70),
+            ),
+        ) {
+            let bound = crate::lanes::LANE_LLR_MAX;
+            let spec = match code.checked_sub(1) {
+                None => CodeSpec::ieee80211a(),
+                Some(i) => {
+                    let (g0, g1) = OTHER_GENERATORS[i];
+                    CodeSpec::new(7, vec![g0, g1]).unwrap()
+                }
+            };
+            let soft: Vec<Llr> = draws[..2 * n_branches]
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => -bound,
+                    1 => bound,
+                    // Erasures make candidates tie.
+                    2 => 0,
+                    _ => v,
                 })
                 .collect();
-            let decoders = lane_decoders(spec);
-            for dec in &decoders {
-                let name = dec.kernel_name(&soft);
-                assert!(name.starts_with("simd-"), "got {name}");
-                dec.decode_terminated_with(ViterbiKernel::Auto, &soft, &mut ws, &mut lanes)
-                    .unwrap();
-                assert!(
-                    ws.masks[warm_up..] == words[warm_up..],
-                    "{name}: survivor words differ from the scalar kernel's decisions"
-                );
-                assert_eq!(lanes, scalar, "{name} vs scalar");
-            }
-            assert_eq!(decoders[0].kernel_name(&soft), "simd-portable");
+            check_lane_builds(&spec, &soft)?;
         }
     }
 

@@ -29,10 +29,6 @@ fn narrow(x: Q16, y: Q16) -> CQ15 {
     narrow.saturate_bits(SAMPLE_BITS)
 }
 
-/// Lane groups the common-phase correction rotates per CORDIC call:
-/// a whole symbol up to 512 carriers.
-const PHASE_GROUPS: usize = 64;
-
 // phylint: hot
 /// De-rotates up to `G·`[`LANES`] carriers, carrier `i` by the raw
 /// Q2.16 angle `angle[i % LANES]`, and narrows them back to samples.
@@ -141,10 +137,11 @@ impl PilotPhaseCorrector {
     /// the equalized symbol buffer it already owns, allocating nothing,
     /// [`LANES`] carriers per CORDIC step.
     ///
-    /// Every carrier turns by the same angle, so a whole block of up
-    /// to 512 carriers is widened onto lanes and rotated in one
-    /// [`CordicLanes::rotate`] call, which derives the angle's
-    /// micro-rotation directions once for all of them.
+    /// Every carrier turns by the same angle, so a block of up to
+    /// [`DEROTATE_GROUPS`] lane groups (a whole 52-carrier symbol) is
+    /// widened onto lanes and rotated in one [`CordicLanes::rotate`]
+    /// call, which derives the angle's micro-rotation directions once
+    /// for all of them.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
         correct_phase(&self.cordic, self.lanes.as_ref(), carriers, phase);
     }
@@ -154,13 +151,13 @@ impl PilotPhaseCorrector {
 /// engine, shared with the one-pass fallback.
 fn correct_phase(cordic: &Cordic, lanes: Option<&CordicLanes>, carriers: &mut [CQ15], phase: Q16) {
     let angle = [(-phase).raw(); LANES];
-    // A symbol's pilots fit one lane group: skip staging 64 of them.
+    // A symbol's pilots fit one lane group: stage only that one.
     if carriers.len() <= LANES {
         rotate_carriers::<1>(cordic, lanes, carriers, &angle);
         return;
     }
-    for block in carriers.chunks_mut(PHASE_GROUPS * LANES) {
-        rotate_carriers::<PHASE_GROUPS>(cordic, lanes, block, &angle);
+    for block in carriers.chunks_mut(DEROTATE_GROUPS * LANES) {
+        rotate_carriers::<DEROTATE_GROUPS>(cordic, lanes, block, &angle);
     }
 }
 
