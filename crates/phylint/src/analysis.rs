@@ -1,7 +1,7 @@
 //! Per-file analysis context: lexes a file and extracts the phylint
-//! marker comments (`hot` regions, suppressions),
-//! plus the `#[cfg(test)]` item spans that the panic-path rule must
-//! skip.
+//! marker comments (`hot` regions, suppressions), plus the
+//! `#[cfg(test)]` item spans — the one test-code detector, read by the
+//! panic-path rule and the item model alike.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -176,6 +176,14 @@ impl FileAnalysis {
             }
             match parse_directive(directive) {
                 Directive::Hot => {
+                    if self.kind != FileKind::CrateSrc {
+                        findings.push(self.marker_finding(
+                            c.line,
+                            "`phylint: hot` outside crate source — the allocation \
+                             model covers `src/` only, so this region checks nothing"
+                                .to_string(),
+                        ));
+                    }
                     if open_hot.is_some() {
                         findings.push(self.marker_finding(
                             c.line,
@@ -245,8 +253,8 @@ impl FileAnalysis {
                 from,
                 "`phylint: hot` region never closed — add `phylint: end-hot`".to_string(),
             ));
-            // Treat the unterminated region as running to EOF so the
-            // alloc rule still applies while the author fixes it.
+            // Treat the unterminated region as running to EOF so
+            // hot_transitive still applies while the author fixes it.
             regions.push((from, u32::MAX));
         }
 
@@ -273,8 +281,8 @@ impl FileAnalysis {
 
     /// Locate `#[cfg(test)]` attributes and span the item that
     /// follows each (a `mod … { … }` block, a function, or a
-    /// semicolon-terminated item), so the panic-path rule can ignore
-    /// unit tests embedded in crate source.
+    /// semicolon-terminated item), so the rules can ignore unit tests
+    /// embedded in crate source.
     fn find_test_spans(&mut self) {
         let toks = &self.lexed.tokens;
         let mut spans = Vec::new();
@@ -404,11 +412,8 @@ fn match_cfg_test(src: &str, toks: &[Token], i: usize) -> Option<usize> {
 }
 
 /// Byte offset just past the item starting at token `i`: the matching
-/// close brace of its first `{ … }` block, or the first `;` at
-/// nesting depth zero (attributes and the item header pass through
-/// untouched — they contain neither braces nor top-level semicolons
-/// in the grammar subset this tool faces, except `#[…]` brackets,
-/// which hold no braces).
+/// close brace of its first `{ … }` block, or the first `;` outside
+/// every bracket (a `;` inside `[u8; 4]` ends no item).
 fn item_end(src: &str, toks: &[Token], i: usize) -> usize {
     let mut depth = 0usize;
     for t in toks.iter().skip(i) {
@@ -416,10 +421,10 @@ fn item_end(src: &str, toks: &[Token], i: usize) -> usize {
             continue;
         }
         match src.get(t.start..t.end) {
-            Some("{") => depth += 1,
-            Some("}") => {
+            Some("{" | "[" | "(") => depth += 1,
+            Some(close @ ("}" | "]" | ")")) => {
                 depth = depth.saturating_sub(1);
-                if depth == 0 {
+                if depth == 0 && close == "}" {
                     return t.end;
                 }
             }

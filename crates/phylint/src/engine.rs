@@ -53,7 +53,6 @@ pub fn run(root: &Path) -> io::Result<Report> {
     // Phase 1a: per-file token rules.
     for fa in &fas {
         rules::panic_path(fa, &mut report.findings);
-        rules::alloc_hot(fa, &mut report.findings);
         rules::unsafe_safety(fa, &mut report.findings);
         report.findings.extend(fa.marker_findings.iter().cloned());
     }

@@ -15,24 +15,21 @@
 //! | rule | what it enforces |
 //! |------|------------------|
 //! | `panic_path` | no `.unwrap()` / `.expect()` / `panic!` / `todo!` / `unimplemented!` in crate source outside tests |
-//! | `alloc_hot` | no `vec!` / `format!` / `Vec::new` / `Vec::with_capacity` / `Box::new` / `String::…` / `.to_vec()` / `.to_owned()` / `.to_string()` / `.collect()` inside `// phylint: hot` … `// phylint: end-hot` regions |
 //! | `unsafe_safety` | every `unsafe` carries a `// SAFETY:` comment on the same line or immediately above |
 //! | `wire_format` | `crates/transport` frame constants (magic, control-frame size, type-byte range, header field widths) match the wire-format tables documented in its `lib.rs` |
-//! | `marker` | phylint's own markers are well-formed and every suppression is used |
+//! | `marker` | phylint's own markers are well-formed, hot regions sit in crate source, and every suppression is used |
 //!
 //! Semantic rules (workspace call graph, v2 — see [`model`] and
 //! [`callgraph`] for the approximation):
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
-//! | `hot_transitive` | functions *reachable* from a `// phylint: hot` region (via the workspace call graph) are allocation-free, not just the literal region text; panic-freedom of reachable code is already guaranteed workspace-wide by `panic_path` |
+//! | `hot_transitive` | no `vec!` / `format!` / `Vec::new` / `Vec::with_capacity` / `Box::new` / `String::…` / `.to_vec()` / `.to_owned()` / `.to_string()` / `.collect()` inside a `// phylint: hot` … `// phylint: end-hot` region, nor in any function *reachable* from a call made in one (via the workspace call graph); panic-freedom of reachable code is already guaranteed workspace-wide by `panic_path` |
 //! | `simd_guard` | every `#[target_feature(enable = …)]` fn is declared `unsafe`, and each call site sits in a fn that is itself `#[target_feature]` or contains an `is_x86_feature_detected!` runtime guard |
 //! | `error_surface` | public `Result`-returning fns in crate source use typed errors (no `String` / `Box<dyn Error>` / `&str` / `()` payloads), and public `…Error` enums carry `#[non_exhaustive]` |
 //! | `test_only_api` | every plain-`pub` fn, struct, enum and trait in `src/` and `crates/*/src` (bar `phylint`, `bench`, `shims`) is reached from a product root — an example, a bench, `crates/bench/src`, `perfbench/src` or a trait method; tests and doc-tests are not roots. Suppressions must give a `paper §…`, `oracle: <test>` or `test support: <test>` reason |
 //!
-//! Cross-function findings carry the **call path** that proves them, and the
-//! binary can emit the whole report as line-oriented JSON
-//! (`--format json`) with a stable schema (see [`json`]).
+//! Cross-function findings carry the **call path** that proves them.
 //!
 //! # Suppressions
 //!
@@ -71,7 +68,6 @@
 pub mod analysis;
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod model;
 pub mod report;

@@ -5,12 +5,13 @@
 //! about across file boundaries:
 //!
 //! * function items — name, owning `impl` type, visibility, unsafety,
-//!   `#[target_feature(enable = …)]`, parameter arity, body span;
+//!   `#[target_feature(enable = …)]`, parameter arity;
 //! * call sites inside each body — callee name, path qualifier,
 //!   method-vs-path shape, argument count, and whether the call sits
 //!   inside a `// phylint: hot` region;
-//! * allocation and panic sites inside each body (same denylists as
-//!   the token rules);
+//! * allocation sites inside each body — the one allocation denylist,
+//!   read by `hot_transitive` both in hot regions and in their
+//!   callees;
 //! * `pub enum …Error` declarations and whether they carry
 //!   `#[non_exhaustive]`;
 //! * `pub fn` `Result` return types, for the error-surface audit;
@@ -51,10 +52,10 @@ pub struct CallSite {
     pub in_hot_region: bool,
 }
 
-/// An allocation or panic site inside a function body.
+/// An allocation site inside a function body.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// What was found (`Vec::new`, `format!`, `.unwrap()`, …).
+    /// What was found (`Vec::new`, `format!`, `.collect()`, …).
     pub what: String,
     /// 1-based line.
     pub line: u32,
@@ -74,7 +75,7 @@ pub struct ErrorEnum {
 }
 
 /// One function item.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnItem {
     /// Function name.
     pub name: String,
@@ -103,8 +104,6 @@ pub struct FnItem {
     pub target_feature: Option<String>,
     /// The fn (or an enclosing item) is `#[cfg(test)]`-gated.
     pub cfg_test: bool,
-    /// Body byte span; `None` for bodiless trait signatures.
-    pub body: Option<(usize, usize)>,
     /// Calls made in the body, in source order.
     pub calls: Vec<CallSite>,
     /// Identifiers the signature and body name outside call position
@@ -113,16 +112,12 @@ pub struct FnItem {
     pub refs: Vec<String>,
     /// Allocation sites in the body (alloc-denylist names).
     pub alloc_sites: Vec<Site>,
-    /// Panic sites in the body (panic-denylist names).
-    pub panic_sites: Vec<Site>,
     /// Body contains `is_x86_feature_detected!` — a runtime CPU
     /// feature guard.
     pub has_feature_guard: bool,
     /// Error-type tokens of a `Result<_, E>` return type, normalised
     /// to space-joined tokens (`String`, `Box < dyn Error >`, …).
     pub result_err: Option<String>,
-    /// Any body line overlaps a `// phylint: hot` region.
-    pub overlaps_hot: bool,
 }
 
 impl FnItem {
@@ -194,12 +189,11 @@ const NON_CALL_KEYWORDS: [&str; 10] = [
     "if", "while", "for", "match", "return", "loop", "fn", "let", "in", "move",
 ];
 
-/// Names that allocate — the hot-path denylist, shared in spirit with
-/// `rules::alloc_hot` (method names checked for `.x()` shape, macro
-/// names for `x!`, and the `Type::ctor` pairs handled separately).
+/// Names that allocate — the hot-path denylist (method names checked
+/// for `.x()` shape, macro names for `x!`, and the `Type::ctor` pairs
+/// handled separately).
 const ALLOC_METHODS: [&str; 4] = ["to_vec", "to_owned", "to_string", "collect"];
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 
 /// Extract the item model of one crate-source file. `file` is the
 /// file's index in the engine's analysis list.
@@ -209,8 +203,15 @@ pub fn extract(fa: &FileAnalysis, file: usize) -> FileModel {
         file,
         toks: &fa.lexed.tokens,
         out: FileModel::default(),
+        loose: FnItem {
+            file,
+            ..FnItem::default()
+        },
     };
     ex.scan_items(0, fa.lexed.tokens.len(), &mut Vec::new());
+    if !ex.loose.alloc_sites.is_empty() {
+        ex.out.consts.push(ex.loose);
+    }
     for f in ex.out.fns.iter_mut().chain(&mut ex.out.consts) {
         f.refs.sort();
         f.refs.dedup();
@@ -245,6 +246,10 @@ struct Extractor<'a> {
     file: usize,
     toks: &'a [Token],
     out: FileModel,
+    /// Allocation sites among tokens no modelled item owns (item-level
+    /// macros, `#[cfg(test)]` modules), kept as a bodiless const so a
+    /// hot region around them is still checked.
+    loose: FnItem,
 }
 
 /// Qualifiers read backwards from an item keyword.
@@ -258,12 +263,13 @@ struct Qualifiers {
     is_unsafe: bool,
 }
 
-/// Attributes gathered while scanning up to an item keyword.
+/// Attributes gathered while scanning up to an item keyword. Test
+/// gating is not among them: [`FileAnalysis::in_test_span`] decides
+/// it.
 #[derive(Default, Clone)]
 struct PendingAttrs {
     target_feature: Option<String>,
     non_exhaustive: bool,
-    cfg_test: bool,
 }
 
 impl<'a> Extractor<'a> {
@@ -342,8 +348,9 @@ impl<'a> Extractor<'a> {
                     }
                     if j < to && self.text(j) == "{" {
                         let end = self.matching(j, "{", "}", to);
-                        let gated = attrs.cfg_test;
-                        if !gated {
+                        if self.fa.in_test_span(self.toks[i].start) {
+                            self.scan_loose(j, end + 1);
+                        } else {
                             self.scan_items(j + 1, end, impl_stack);
                         }
                         i = end + 1;
@@ -354,13 +361,13 @@ impl<'a> Extractor<'a> {
                 }
                 "struct" => {
                     let end = self.skip_item(i, to);
-                    self.push_type(i, end, &attrs);
+                    self.push_type(i, end);
                     i = end;
                     attrs = PendingAttrs::default();
                 }
                 "enum" => {
                     let end = self.read_enum(i, to, &attrs);
-                    self.push_type(i, end, &attrs);
+                    self.push_type(i, end);
                     i = end;
                     attrs = PendingAttrs::default();
                 }
@@ -374,7 +381,7 @@ impl<'a> Extractor<'a> {
                 "const" | "static" | "type"
                     if !matches!(self.text(i + 1), "fn" | "unsafe" | "extern" | "async") =>
                 {
-                    i = self.read_const(i, to, impl_stack, &attrs);
+                    i = self.read_const(i, to, impl_stack);
                     attrs = PendingAttrs::default();
                 }
                 // `pub`, `unsafe`, `const`, `extern`, `async` pass
@@ -395,7 +402,7 @@ impl<'a> Extractor<'a> {
                         let end = self.matching(j, "{", "}", to);
                         let name = self.text(i + 1).to_string();
                         if self.text(i) == "trait" {
-                            self.push_type(i, end + 1, &attrs);
+                            self.push_type(i, end + 1);
                         }
                         impl_stack.push(ImplCtx {
                             ty: name.clone(),
@@ -410,14 +417,16 @@ impl<'a> Extractor<'a> {
                     attrs = PendingAttrs::default();
                 }
                 _ => {
-                    // Any other token at item level (use/static/type/
-                    // macro invocations…): skip to the end of the
-                    // item-ish statement, ignoring attribute state.
-                    if self.text(i) == "{" {
-                        i = self.matching(i, "{", "}", to) + 1;
+                    // Any other token at item level (use lists, macro
+                    // definitions and invocations…): skip it, or the
+                    // whole `{ … }` it opens, ignoring attribute state.
+                    let end = if self.text(i) == "{" {
+                        self.matching(i, "{", "}", to) + 1
                     } else {
-                        i += 1;
-                    }
+                        i + 1
+                    };
+                    self.scan_loose(i, end);
+                    i = end;
                     attrs = PendingAttrs::default();
                 }
             }
@@ -490,7 +499,7 @@ impl<'a> Extractor<'a> {
 
     /// Record the `struct`/`enum`/`trait` whose keyword sits at `at`
     /// and whose item ends before token `end`.
-    fn push_type(&mut self, at: usize, end: usize, attrs: &PendingAttrs) {
+    fn push_type(&mut self, at: usize, end: usize) {
         if self.kind(at + 1) != Some(TokKind::Ident) {
             return;
         }
@@ -506,7 +515,7 @@ impl<'a> Extractor<'a> {
             file: self.file,
             line: self.toks[at].line,
             exported,
-            cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
+            cfg_test: self.fa.in_test_span(self.toks[at].start),
             mentions: self.idents(at + 2, end.min(self.toks.len())),
         });
     }
@@ -514,13 +523,7 @@ impl<'a> Extractor<'a> {
     /// Parse a `const`/`static`/`type` item at its keyword into a
     /// bodied [`FnItem`] (calls and names of the initializer). Returns
     /// the index after the item's `;`.
-    fn read_const(
-        &mut self,
-        at: usize,
-        to: usize,
-        impl_stack: &[ImplCtx],
-        attrs: &PendingAttrs,
-    ) -> usize {
+    fn read_const(&mut self, at: usize, to: usize, impl_stack: &[ImplCtx]) -> usize {
         let mut end = at + 1;
         while end < to && self.text(end) != ";" {
             match self.text(end) {
@@ -542,19 +545,8 @@ impl<'a> Extractor<'a> {
             line: self.toks[at].line,
             is_pub: q.is_pub,
             exported: q.exported,
-            is_unsafe: false,
-            has_self: false,
-            arity: 0,
-            target_feature: None,
-            cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
-            body: None,
-            calls: Vec::new(),
-            refs: Vec::new(),
-            alloc_sites: Vec::new(),
-            panic_sites: Vec::new(),
-            has_feature_guard: false,
-            result_err: None,
-            overlaps_hot: false,
+            cfg_test: self.fa.in_test_span(self.toks[at].start),
+            ..FnItem::default()
         };
         self.scan_body(at + 2, end, &mut item);
         if self.text(at) == "type" {
@@ -588,22 +580,6 @@ impl<'a> Extractor<'a> {
                 }
             }
             "non_exhaustive" => attrs.non_exhaustive = true,
-            "cfg" => {
-                // Mirror analysis::match_cfg_test's `not()`-aware scan.
-                let mut j = from + 1;
-                while j < end {
-                    match self.text(j) {
-                        "not" if self.text(j + 1) == "(" => {
-                            j = self.matching(j + 1, "(", ")", end);
-                        }
-                        "test" if self.kind(j) == Some(TokKind::Ident) => {
-                            attrs.cfg_test = true;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
             _ => {}
         }
     }
@@ -710,25 +686,16 @@ impl<'a> Extractor<'a> {
             has_self,
             arity,
             target_feature: attrs.target_feature.clone(),
-            cfg_test: attrs.cfg_test || self.fa.in_test_span(self.toks[at].start),
-            body: None,
-            calls: Vec::new(),
-            refs: Vec::new(),
-            alloc_sites: Vec::new(),
-            panic_sites: Vec::new(),
-            has_feature_guard: false,
+            cfg_test: self.fa.in_test_span(self.toks[at].start),
             result_err,
-            overlaps_hot: false,
+            ..FnItem::default()
         };
 
         // Names in the signature (parameter and return types).
         self.scan_refs(name_i + 1, k, &mut item);
         let after = if k < to && self.text(k) == "{" {
             let end = self.matching(k, "{", "}", to);
-            item.body = Some((self.toks[k].start, self.toks[end].end));
             self.scan_body(k, end, &mut item);
-            item.overlaps_hot = (self.toks[k].line..=self.toks[end].line)
-                .any(|l| self.fa.in_hot_region(l));
             end + 1
         } else {
             k + 1
@@ -829,71 +796,30 @@ impl<'a> Extractor<'a> {
     }
 
     /// Scan one fn body (`open`..=`close` are the brace token
-    /// indices): calls, alloc/panic sites, feature guards.
+    /// indices): calls, allocation sites, feature guards.
     fn scan_body(&mut self, open: usize, close: usize, item: &mut FnItem) {
         let mut i = open;
         while i <= close {
             let text = self.text(i);
             let Some(tok) = self.toks.get(i) else { break };
             if tok.kind == TokKind::Ident {
-                let line = tok.line;
-                let next_is = |s: &str| self.text(i + 1) == s;
+                let site = self.alloc_at(i);
                 // Macros.
-                if next_is("!") {
-                    if text == "is_x86_feature_detected" {
-                        item.has_feature_guard = true;
-                    }
-                    if ALLOC_MACROS.contains(&text) {
-                        item.alloc_sites.push(Site {
-                            what: format!("{text}!"),
-                            line,
-                        });
-                    }
-                    if PANIC_MACROS.contains(&text) {
-                        item.panic_sites.push(Site {
-                            what: format!("{text}!"),
-                            line,
-                        });
-                    }
+                if self.text(i + 1) == "!" {
+                    item.has_feature_guard |= text == "is_x86_feature_detected";
+                    item.alloc_sites.extend(site);
                     i += 1;
                     continue;
                 }
-                // `Vec::new` / `Vec::with_capacity` / `Box::new` /
-                // `String::…` ctors.
-                if matches!(text, "Vec" | "Box" | "String")
-                    && next_is(":")
-                    && self.text(i + 2) == ":"
-                {
-                    let ctor = self.text(i + 3);
-                    let allocating = match text {
-                        "Vec" | "Box" => matches!(ctor, "new" | "with_capacity"),
-                        "String" => true,
-                        _ => false,
-                    };
-                    if allocating {
-                        item.alloc_sites.push(Site {
-                            what: format!("{text}::{ctor}"),
-                            line,
-                        });
+                if let Some(site) = site {
+                    // A `Vec::new(…)`-style ctor calls into std: its
+                    // path is no workspace call or name.
+                    let ctor = !site.what.starts_with('.');
+                    item.alloc_sites.push(site);
+                    if ctor {
                         i += 4;
                         continue;
                     }
-                }
-                // Method-shaped denylist entries and panics. The
-                // alloc methods match on `.name` alone so turbofish
-                // forms (`.collect::<Vec<_>>()`) are not missed.
-                let prev_dot = i > 0 && self.text(i - 1) == ".";
-                if prev_dot && ALLOC_METHODS.contains(&text) {
-                    item.alloc_sites.push(Site {
-                        what: format!(".{text}()"),
-                        line,
-                    });
-                }
-                if prev_dot && next_is("(") && matches!(text, "unwrap" | "expect") {
-                    item.panic_sites.push(Site {
-                        what: format!(".{text}()"),
-                        line,
-                    });
                 }
                 // Call sites; any other name is a reference.
                 if let Some(call) = self.read_call(i, close) {
@@ -904,6 +830,43 @@ impl<'a> Extractor<'a> {
             }
             i += 1;
         }
+    }
+
+    /// Record the allocation sites among tokens `[from, to)` as loose.
+    fn scan_loose(&mut self, from: usize, to: usize) {
+        for k in from..to {
+            if let Some(site) = self.alloc_at(k) {
+                self.loose.alloc_sites.push(site);
+            }
+        }
+    }
+
+    /// The allocation site at token `i`, if the denylist names one:
+    /// `vec!` / `format!`, the methods matched on `.name` alone (so
+    /// turbofish forms like `.collect::<Vec<_>>()` are not missed), or
+    /// the `Vec::new` / `Vec::with_capacity` / `Box::new` /
+    /// `String::…` ctors.
+    fn alloc_at(&self, i: usize) -> Option<Site> {
+        let tok = self.toks.get(i).filter(|t| t.kind == TokKind::Ident)?;
+        let text = self.text(i);
+        let what = if self.text(i + 1) == "!" {
+            ALLOC_MACROS.contains(&text).then(|| format!("{text}!"))?
+        } else if i > 0 && self.text(i - 1) == "." && ALLOC_METHODS.contains(&text) {
+            format!(".{text}()")
+        } else if self.text(i + 1) == ":" && self.text(i + 2) == ":" {
+            let ctor = self.text(i + 3);
+            match text {
+                "Vec" | "Box" if matches!(ctor, "new" | "with_capacity") => format!("{text}::{ctor}"),
+                "String" => format!("String::{ctor}"),
+                _ => return None,
+            }
+        } else {
+            return None;
+        };
+        Some(Site {
+            what,
+            line: tok.line,
+        })
     }
 
     /// Push the names in tokens `[from, to)` that [`is_ref`](Self::is_ref)

@@ -1,4 +1,4 @@
-//! Rule identifiers, findings, and the machine-readable report.
+//! Rule identifiers, findings, and the report.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -11,10 +11,8 @@ pub enum RuleId {
     /// Panic-path audit: `unwrap`/`expect`/`panic!`/`todo!`/
     /// `unimplemented!` outside test code.
     PanicPath,
-    /// Allocation inside a `// phylint: hot` region.
-    AllocHot,
-    /// Allocation in a function transitively reachable from a
-    /// `// phylint: hot` region via the workspace call graph.
+    /// Allocation inside a `// phylint: hot` region, or in a function
+    /// reachable from a call made in one via the workspace call graph.
     HotTransitive,
     /// `unsafe` without an immediately preceding `// SAFETY:` comment.
     UnsafeSafety,
@@ -35,9 +33,8 @@ pub enum RuleId {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 9] = [
+pub const ALL_RULES: [RuleId; 8] = [
     RuleId::PanicPath,
-    RuleId::AllocHot,
     RuleId::HotTransitive,
     RuleId::UnsafeSafety,
     RuleId::SimdGuard,
@@ -52,7 +49,6 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::PanicPath => "panic_path",
-            RuleId::AllocHot => "alloc_hot",
             RuleId::HotTransitive => "hot_transitive",
             RuleId::UnsafeSafety => "unsafe_safety",
             RuleId::SimdGuard => "simd_guard",
@@ -150,25 +146,6 @@ impl Report {
     /// True when the run found nothing.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Count of findings for one rule.
-    pub fn count(&self, rule: RuleId) -> usize {
-        self.findings.iter().filter(|f| f.rule == rule).count()
-    }
-
-    /// One-line machine-readable summary (JSON object, stable key
-    /// order) for CI log diffing.
-    pub fn json_summary(&self) -> String {
-        let mut s = String::from("{");
-        for (rule, n) in self.counts() {
-            s.push_str(&format!("\"{}\":{},", rule.name(), n));
-        }
-        s.push_str(&format!(
-            "\"files_scanned\":{},\"suppressions_used\":{}}}",
-            self.files_scanned, self.suppressions_used
-        ));
-        s
     }
 
     /// Sort findings by path then line then rule for stable output.

@@ -1,7 +1,6 @@
-//! The token-stream rules: panic-path audit, hot-region allocation
-//! audit and `unsafe` hygiene. Each rule walks
-//! the flat token stream of one [`FileAnalysis`] and reports findings
-//! through the file's suppression filter.
+//! The token-stream rules: panic-path audit and `unsafe` hygiene.
+//! Each rule walks the flat token stream of one [`FileAnalysis`] and
+//! reports findings through the file's suppression filter.
 
 use crate::analysis::{FileAnalysis, FileKind};
 use crate::lexer::{comment_text, TokKind, Token};
@@ -53,56 +52,6 @@ pub fn panic_path(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                     tok.line,
                     format!("{name}! in datapath code — no panic paths"),
                 );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Names that allocate, denied inside `// phylint: hot` regions.
-/// The list is deliberately the one from the zero-allocation
-/// steady-state contract: constructors that take heap memory on the
-/// per-symbol / per-chunk path.
-pub fn alloc_hot(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    if fa.hot_regions.is_empty() {
-        return;
-    }
-    let toks = &fa.lexed.tokens;
-    let deny = |out: &mut Vec<Finding>, line: u32, what: &str| {
-        fa.push_finding(
-            out,
-            RuleId::AllocHot,
-            line,
-            format!(
-                "{what} inside a `phylint: hot` region — hot paths are \
-                 zero-allocation; reuse workspace buffers"
-            ),
-        );
-    };
-    for (i, tok) in toks.iter().enumerate() {
-        if !fa.in_hot_region(tok.line) || tok.kind != TokKind::Ident {
-            continue;
-        }
-        let name = text(fa, tok);
-        match name {
-            "vec" | "format" if is(fa, i + 1, "!") => {
-                deny(out, tok.line, &format!("{name}!"));
-            }
-            "Vec" | "Box"
-                if is(fa, i + 1, ":")
-                    && is(fa, i + 2, ":")
-                    && toks
-                        .get(i + 3)
-                        .is_some_and(|t| matches!(text(fa, t), "new" | "with_capacity")) =>
-            {
-                let ctor = text(fa, &toks[i + 3]);
-                deny(out, tok.line, &format!("{name}::{ctor}"));
-            }
-            "String" if is(fa, i + 1, ":") && is(fa, i + 2, ":") => {
-                deny(out, tok.line, "String::…");
-            }
-            "to_vec" | "to_owned" | "to_string" | "collect" if i > 0 && is(fa, i - 1, ".") => {
-                deny(out, tok.line, &format!(".{name}()"));
             }
             _ => {}
         }

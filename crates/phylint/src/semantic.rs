@@ -1,9 +1,11 @@
 //! Phase 2 of the workspace analyzer: the four semantic rules that
 //! run over the assembled [`Workspace`] model and its [`CallGraph`].
 //!
-//! * `hot_transitive` — functions *reachable* from a
-//!   `// phylint: hot` region must be allocation-free, not just the
-//!   literal region text. Panic-freedom of reachable code is already
+//! * `hot_transitive` — a `// phylint: hot` region is
+//!   allocation-free, and so is every function *reachable* from a
+//!   call made in one. This is the one allocation check: it reads the
+//!   model's allocation sites, whether they sit in the region text or
+//!   in a callee. Panic-freedom of reachable code is already
 //!   guaranteed workspace-wide by the `panic_path` token rule (which
 //!   covers all crate source, a strict superset of any reachability
 //!   set), so this rule reports allocation sites only — one rule per
@@ -67,9 +69,10 @@ fn emit(
     files[file].push_finding_with_path(out, rule, line, msg, call_path);
 }
 
-/// Allocation sites in any function reachable from a hot-region call
-/// site. The literal region text is already covered by `alloc_hot`,
-/// so sites that themselves sit inside a hot region are skipped here.
+/// Allocation sites inside a hot region, and in every function
+/// reachable from a call made in one. A site in the region text is
+/// reported once, without a call path, even when its fn is also
+/// reached.
 fn hot_transitive(
     ws: &Workspace,
     cg: &CallGraph<'_>,
@@ -86,27 +89,30 @@ fn hot_transitive(
         }
     }
     let reached = cg.reach(&roots);
-    for (&id, hops) in &reached {
-        let f = &ws.fns[id];
-        let rendered = cg.render_path(&paths, hops);
+    // Consts are no call targets, but their initializers may sit in a
+    // region.
+    let items = ws.fns.iter().enumerate().map(|(id, f)| (f, reached.get(&id)));
+    for (f, hops) in items.chain(ws.consts.iter().map(|c| (c, None))) {
         for site in &f.alloc_sites {
-            if files[f.file].in_hot_region(site.line) {
-                continue; // alloc_hot already owns this site
-            }
-            emit(
-                files,
-                out,
-                RuleId::HotTransitive,
-                f.file,
-                site.line,
-                format!(
+            let (msg, call_path) = if files[f.file].in_hot_region(site.line) {
+                let msg = format!(
+                    "{} inside a `phylint: hot` region — hot paths are \
+                     zero-allocation; reuse workspace buffers",
+                    site.what
+                );
+                (msg, Vec::new())
+            } else if let Some(hops) = hops {
+                let msg = format!(
                     "allocation (`{}`) in `{}`, which is reachable from a \
                      `phylint: hot` region",
                     site.what,
                     f.display_name()
-                ),
-                rendered.clone(),
-            );
+                );
+                (msg, cg.render_path(&paths, hops))
+            } else {
+                continue;
+            };
+            emit(files, out, RuleId::HotTransitive, f.file, site.line, msg, call_path);
         }
     }
 }

@@ -60,5 +60,11 @@ mod tests {
     }
 }
 
+/// A `;` inside the signature's brackets does not end the test item.
+#[cfg(test)]
+fn first_of(x: [u8; 4]) -> u8 {
+    x.first().copied().unwrap()
+}
+
 #[cfg(not(test))]
 pub fn compiled_outside_tests() {}

@@ -25,7 +25,3 @@ RUSTFLAGS="-D unexpected_cfgs" cargo build --release --offline \
 echo
 echo "== phylint (PHY invariants) =="
 cargo run -p phylint --release
-
-echo
-echo "== phylint (JSON baseline diff) =="
-scripts/phylint_diff.sh
