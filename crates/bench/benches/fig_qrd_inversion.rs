@@ -124,9 +124,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     let estimate = estimate_from_lts(11);
-    if let Some(lanes) = mimo_cordic::CordicLanes::new(&mimo_cordic::Cordic::new()) {
-        eprintln!("invert_all lane build: {}", lanes.build_name());
-    }
+    eprintln!("invert_all lane build: {}", mimo_fixed::Isa::detected().name());
     assert_eq!(estimate.h_matrices().len(), 52);
     assert!(
         estimate.invert_all(&qrd).is_ok(),

@@ -1,37 +1,26 @@
 //! **Experiment F1 — the 1 Gbps headline.**
 //!
-//! Regenerates the throughput arithmetic for every modulation × rate
-//! pair at the 100 MHz clock, and measures the software model's
-//! simulated sample throughput.
+//! Prints the line rate of every row of the MCS table at the 100 MHz
+//! clock, and measures the software model's simulated sample
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mimo_coding::CodeRate;
-use mimo_core::{MimoTransmitter, PhyConfig};
-use mimo_fpga::timing::data_rate_bps;
-use mimo_modem::Modulation;
+use mimo_core::{LinkGeometry, Mcs, MimoTransmitter, PhyConfig};
 
 fn print_throughput_table() {
-    eprintln!("\n=== F1: Information throughput @ 100 MHz, 4x4, 64-pt OFDM ===");
-    eprintln!("{:<10}{:>8}{:>8}{:>8}", "", "r=1/2", "r=2/3", "r=3/4");
-    for m in Modulation::ALL {
-        let row: Vec<f64> = CodeRate::ALL
-            .iter()
-            .map(|r| {
-                data_rate_bps(4, 64, m.bits_per_symbol(), r.numerator(), r.denominator()) / 1e6
-            })
-            .collect();
-        eprintln!(
-            "{:<10}{:>7.0}M{:>7.0}M{:>7.0}M",
-            m.to_string(),
-            row[0],
-            row[1],
-            row[2]
-        );
-    }
-    let headline = data_rate_bps(4, 64, 6, 3, 4);
+    let geom = LinkGeometry::mimo();
     eprintln!(
-        "Headline: 64-QAM r=3/4 -> {:.2} Gbps (paper claims 1 Gbps)\n",
-        headline / 1e9
+        "\n=== F1: Information throughput @ {:.0} MHz, 4x4, {}-pt OFDM ===",
+        geom.clock_hz() / 1e6,
+        geom.fft_size()
+    );
+    for mcs in Mcs::ALL {
+        eprintln!("{:<14}{:>7.0}M", mcs.to_string(), mcs.data_rate_bps(&geom) / 1e6);
+    }
+    eprintln!(
+        "Headline: {} -> {:.2} Gbps (paper claims 1 Gbps)\n",
+        Mcs::Qam64R34,
+        Mcs::Qam64R34.data_rate_bps(&geom) / 1e9
     );
 }
 

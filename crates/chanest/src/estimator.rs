@@ -122,7 +122,7 @@ impl ChannelEstimate {
                 *r = invert_upper_triangular(&decomp.r)?;
                 *q = decomp.q_h;
             }
-            mul_group(&r_inv[..n], &q_h[..n], qrd.product_avx2, &mut inverses);
+            mul_group(&r_inv[..n], &q_h[..n], qrd.isa, &mut inverses);
         }
         Ok(inverses)
     }
@@ -523,28 +523,14 @@ mod tests {
 mod lane_tests {
     use super::*;
     use mimo_cordic::{Cordic, CordicLanes};
+    use mimo_fixed::Isa;
     use proptest::prelude::*;
 
-    /// The array on each lane build this CPU runs: the detected one
-    /// (AVX2 on AVX2 hosts) and the portable one.
-    fn qrds() -> Vec<CordicQrd> {
-        let cordic = Cordic::new();
-        let detected = CordicLanes::new(&cordic).unwrap();
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(detected.build_name(), "avx2");
-        }
-        let portable = CordicLanes::portable(&cordic).unwrap();
-        [detected, portable]
-            .into_iter()
-            .map(|lanes| {
-                let mut qrd = CordicQrd::with_cordic(cordic.clone());
-                // The product runs on the same build as the CORDIC.
-                qrd.product_avx2 = lanes.build_name() == "avx2";
-                qrd.lanes = Some(lanes);
-                qrd
-            })
-            .collect()
+    /// The array on every tier this CPU runs.
+    fn qrds() -> impl Iterator<Item = CordicQrd> {
+        Isa::tiers()
+            .iter()
+            .map(|&isa| CordicQrd::with_isa(Cordic::new(), isa))
     }
 
     fn estimate(h: Vec<FxMat4>) -> ChannelEstimate {
@@ -568,7 +554,7 @@ mod lane_tests {
     fn check(h: Vec<FxMat4>) {
         let ce = estimate(h);
         for qrd in qrds() {
-            let name = qrd.lanes.as_ref().unwrap().build_name();
+            let name = qrd.isa.name();
             let mut group = [QrDecomposition::default(); LANES];
             for (g, chunk) in ce.h.chunks(LANES).enumerate() {
                 qrd.decompose_group(chunk, &mut group);
@@ -722,16 +708,16 @@ mod lane_tests {
             let a: Vec<FxMat4> = (0..n).map(|_| random()).collect();
             let mut b: Vec<FxMat4> = (0..n).map(|_| random()).collect();
             let want: Vec<FxMat4> = a.iter().zip(&b).map(|(a, b)| a.mul_mat(b)).collect();
-            for avx2 in [true, false] {
+            for &isa in Isa::tiers() {
                 let mut got = Vec::new();
-                crate::product::mul_group(&a, &b, avx2, &mut got);
-                assert_eq!(got, want, "n {n} avx2 {avx2}");
+                crate::product::mul_group(&a, &b, isa, &mut got);
+                assert_eq!(got, want, "n {n} {}", isa.name());
             }
             if n > 0 {
                 b[n - 1][(2, 3)] = CFx::new(Q16::from_raw(1 << 31), Q16::from_raw(-(1 << 40)));
                 let want: Vec<FxMat4> = a.iter().zip(&b).map(|(a, b)| a.mul_mat(b)).collect();
                 let mut got = Vec::new();
-                crate::product::mul_group(&a, &b, true, &mut got);
+                crate::product::mul_group(&a, &b, Isa::detected(), &mut got);
                 assert_eq!(got, want, "n {n} off range");
             }
         }

@@ -41,7 +41,8 @@
 //! scalar array. R⁻¹ stays per carrier, in carrier order; the group's
 //! R⁻¹·Qᴴ products then run on `i64` carrier lanes whenever every word
 //! fits an `i32`, and through [`FxMat4::mul_mat`] otherwise, with the
-//! same bits.
+//! same bits. Both lane kernels run the build of the array's
+//! [`mimo_fixed::Isa`] tier.
 //!
 //! [`ChannelEstimator::estimate_into`] transforms each receive
 //! antenna's eight LTS half-fields in one lane group of the FFT

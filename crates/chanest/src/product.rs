@@ -10,12 +10,12 @@
 //! the scalar bits. Any other group multiplies on the scalar path.
 //!
 //! The lane body is written once and built twice, like the other lane
-//! kernels: inside an `avx2` target-feature function when the CPU
-//! reports support, and plain otherwise. Both builds give the same
-//! bits.
+//! kernels: inside an `avx2` target-feature function and plain, the
+//! one that runs picked by the caller's [`Isa`] tier. Both builds give
+//! the same bits.
 
 use mimo_cordic::LANES;
-use mimo_fixed::{CFx, Q16};
+use mimo_fixed::{CFx, Isa, Q16};
 
 use crate::matrix::FxMat4;
 use crate::N_ANTENNAS;
@@ -35,10 +35,10 @@ fn admitted(m: &FxMat4) -> bool {
 
 // phylint: hot
 /// Appends `a[s]·b[s]` to `out` for every carrier `s` of one group of at
-/// most [`LANES`], in carrier order: on the lanes (the AVX2 build when
-/// `avx2` is set and the CPU supports it) when every word of the group
-/// is admitted, with [`FxMat4::mul_mat`] otherwise.
-pub(crate) fn mul_group(a: &[FxMat4], b: &[FxMat4], avx2: bool, out: &mut Vec<FxMat4>) {
+/// most [`LANES`], in carrier order: on the lanes (the build of tier
+/// `isa`) when every word of the group is admitted, with
+/// [`FxMat4::mul_mat`] otherwise.
+pub(crate) fn mul_group(a: &[FxMat4], b: &[FxMat4], isa: Isa, out: &mut Vec<FxMat4>) {
     debug_assert!(a.len() <= LANES && a.len() == b.len());
     if !a.iter().chain(b).all(admitted) {
         out.extend(a.iter().zip(b).map(|(a, b)| a.mul_mat(b)));
@@ -50,22 +50,23 @@ pub(crate) fn mul_group(a: &[FxMat4], b: &[FxMat4], avx2: bool, out: &mut Vec<Fx
         [[[0; LANES]; N_ANTENNAS]; N_ANTENNAS],
         [[[0; LANES]; N_ANTENNAS]; N_ANTENNAS],
     );
-    #[cfg(target_arch = "x86_64")]
-    if avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was detected on this CPU just above.
-        unsafe { mul_avx2(&a, &b, &mut product) };
-    } else {
-        mul_lanes(&a, &b, &mut product);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = avx2;
-        mul_lanes(&a, &b, &mut product);
-    }
+    lanes_product(&a, &b, isa, &mut product);
     let (re, im) = &product;
     out.extend((0..n).map(|s| {
         FxMat4::from_fn(|r, c| CFx::new(Q16::from_raw(re[r][c][s]), Q16::from_raw(im[r][c][s])))
     }));
+}
+
+/// [`mul_lanes`] on the build of tier `isa`.
+#[inline]
+fn lanes_product(a: &Parts<i32>, b: &Parts<i32>, isa: Isa, out: &mut Parts<i64>) {
+    #[cfg(target_arch = "x86_64")]
+    if isa.avx2() {
+        // SAFETY: an `Isa` answers `avx2()` only where the probe
+        // detected AVX2 on this CPU (the tier invariant).
+        return unsafe { mul_avx2(a, b, out) };
+    }
+    mul_lanes(a, b, out)
 }
 
 /// Moves up to [`LANES`] admitted matrices onto `i32` carrier lanes;
@@ -126,8 +127,8 @@ fn mul_lanes(a: &Parts<i32>, b: &Parts<i32>, out: &mut Parts<i64>) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: callers must have verified AVX2 support at run time
-// (`mul_group` checks `is_x86_feature_detected!` before every call).
-// The body is safe code.
+// (`lanes_product` calls this only when its `Isa` answers `avx2()`,
+// the tier invariant). The body is safe code.
 unsafe fn mul_avx2(a: &Parts<i32>, b: &Parts<i32>, out: &mut Parts<i64>) {
     mul_lanes(a, b, out)
 }

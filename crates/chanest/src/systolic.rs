@@ -13,7 +13,7 @@
 //! of H have entered, the cells hold `U·[H | I] = [R | Qᴴ]`.
 
 use mimo_cordic::{Cordic, CordicLanes, Lanes, LANES};
-use mimo_fixed::{CFx, CQ16, Q16};
+use mimo_fixed::{CFx, Isa, CQ16, Q16};
 
 use crate::matrix::FxMat4;
 use crate::N_ANTENNAS;
@@ -51,10 +51,9 @@ pub struct CordicQrd {
     /// The same CORDIC on [`LANES`] carriers per step; `None` when the
     /// engine's iteration count does not fit the lanes.
     pub(crate) lanes: Option<CordicLanes>,
-    /// Whether the R⁻¹·Qᴴ lane product of
-    /// [`ChannelEstimate::invert_all`](crate::ChannelEstimate::invert_all)
-    /// runs its AVX2 build: when the lane CORDIC does.
-    pub(crate) product_avx2: bool,
+    /// The CPU tier of the lane CORDIC and of the R⁻¹·Qᴴ lane product
+    /// of [`ChannelEstimate::invert_all`](crate::ChannelEstimate::invert_all).
+    pub(crate) isa: Isa,
 }
 
 impl Default for CordicQrd {
@@ -72,12 +71,15 @@ impl CordicQrd {
     /// Creates the array with custom CORDIC precision (the iteration
     /// count knob used by the accuracy-ablation experiment).
     pub fn with_cordic(cordic: Cordic) -> Self {
-        let lanes = CordicLanes::new(&cordic);
+        Self::with_isa(cordic, Isa::detected())
+    }
+
+    /// As [`CordicQrd::with_cordic`], on the lane builds of tier `isa`.
+    pub(crate) fn with_isa(cordic: Cordic, isa: Isa) -> Self {
         Self {
+            lanes: CordicLanes::with_isa(&cordic, isa),
             cordic,
-            // The CPU-feature probe behind the CORDIC's build choice.
-            product_avx2: lanes.as_ref().is_some_and(|l| l.build_name() == "avx2"),
-            lanes,
+            isa,
         }
     }
 

@@ -78,12 +78,14 @@
 //!
 //! # Builds
 //!
-//! Construction picks the first build `is_x86_feature_detected!`
-//! reports: AVX-512BW (`"simd-avx512bw"`), then AVX2 (`"simd-avx2"`);
-//! elsewhere a portable `[i16; 64]` lane body with `wrapping_*`
-//! arithmetic (`"simd-portable"`) runs the AVX2 algorithm and stays
-//! exact with overflow checks on. All three write the same survivor
-//! words.
+//! The trellis runs the widest build its [`Isa`] tier answers for
+//! (`mimo_fixed`'s tier docs): AVX-512BW (`"simd-avx512bw"`), then
+//! AVX2 (`"simd-avx2"`); on the portable tier a `[i16; 64]` lane body
+//! with `wrapping_*` arithmetic (`"simd-portable"`) runs the AVX2
+//! algorithm and stays exact with overflow checks on. All three write
+//! the same survivor words.
+
+use mimo_fixed::Isa;
 
 use crate::butterfly::ButterflyTrellis;
 use crate::{CodeSpec, Llr};
@@ -111,20 +113,6 @@ pub(crate) const LANE_LLR_MAX: Llr = (i16::MAX as usize / (2 * OUTPUTS * K)) as 
 // difference must represent.
 const _: () = assert!((K * 2 * OUTPUTS) as i64 * LANE_LLR_MAX as i64 <= i16::MAX as i64);
 
-/// Which lane build backs [`LaneTrellis::forward`], fixed at
-/// construction from run-time CPU-feature detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneBuild {
-    /// AVX-512BW intrinsics (x86-64 with run-time `avx512bw` support).
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    /// AVX2 intrinsics (x86-64 with run-time `avx2` support).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// The portable `[i16; 64]` lane body.
-    Portable,
-}
-
 /// The 64-state, rate-1/2 trellis on `i16` lanes, with the
 /// [`ButterflyTrellis`] that runs its warm-up and traceback.
 #[derive(Debug, Clone)]
@@ -141,8 +129,8 @@ pub(crate) struct LaneTrellis {
     /// build only.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     labels: [[i16; HALF]; SLOTS],
-    /// The lane build selected at construction.
-    build: LaneBuild,
+    /// The CPU tier [`LaneTrellis::forward`] dispatches on.
+    isa: Isa,
 }
 
 /// Lane indices that gather the predecessors of every butterfly from
@@ -161,13 +149,10 @@ const DEINTERLEAVE: [[i16; HALF]; 2] = {
 };
 
 impl LaneTrellis {
-    /// Builds the tables on the fastest build this CPU runs, or `None`
+    /// Builds the tables for the lane build of tier `isa`, or `None`
     /// unless the code has 64 states and two outputs per input.
-    pub(crate) fn new(spec: &CodeSpec) -> Option<Self> {
-        Some(Self::with_build(ButterflyTrellis::new(spec)?, pick_build()))
-    }
-
-    fn with_build(trellis: ButterflyTrellis, build: LaneBuild) -> Self {
+    pub(crate) fn new(spec: &CodeSpec, isa: Isa) -> Option<Self> {
+        let trellis = ButterflyTrellis::new(spec)?;
         let mut signs = [[0i16; HALF]; SLOTS * OUTPUTS];
         let mut labels = [[0i16; HALF]; SLOTS];
         for (j, coded) in trellis.labels().iter().enumerate() {
@@ -178,12 +163,12 @@ impl LaneTrellis {
                 labels[slot][j] = i16::from(c);
             }
         }
-        Self {
+        Some(Self {
             trellis,
             signs,
             labels,
-            build,
-        }
+            isa,
+        })
     }
 
     /// The butterfly tables behind the warm-up and the traceback.
@@ -194,12 +179,12 @@ impl LaneTrellis {
     /// Name of the lane build actually selected — what the benches
     /// record so numbers from different hosts are comparable.
     pub(crate) fn name(&self) -> &'static str {
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            LaneBuild::Avx512 => "simd-avx512bw",
-            #[cfg(target_arch = "x86_64")]
-            LaneBuild::Avx2 => "simd-avx2",
-            LaneBuild::Portable => "simd-portable",
+        if self.isa.avx512bw() {
+            "simd-avx512bw"
+        } else if self.isa.avx2() {
+            "simd-avx2"
+        } else {
+            "simd-portable"
         }
     }
 
@@ -225,21 +210,17 @@ impl LaneTrellis {
             debug_assert!(i16::try_from(m).is_ok(), "warm-up metric {m} exceeds i16");
             *lane = m as i16;
         }
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Avx512` variant is only constructed after
-            // `is_x86_feature_detected!("avx512bw")` reported support on
-            // this CPU, so the target-feature contract holds.
-            // phylint: allow(simd_guard) -- the `Avx512` build variant is only constructed after `is_x86_feature_detected!("avx512bw")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
-            LaneBuild::Avx512 => unsafe { self.forward_avx512(&lanes, soft, masks) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Avx2` variant is only constructed after
-            // `is_x86_feature_detected!("avx2")` reported support on
-            // this CPU, so the target-feature contract holds.
-            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
-            LaneBuild::Avx2 => unsafe { self.forward_avx2(&lanes, soft, masks) },
-            LaneBuild::Portable => self.forward_portable(lanes, soft, masks),
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx512bw() {
+            // SAFETY: an `Isa` answers `avx512bw()` only where the probe
+            // detected AVX-512BW on this CPU (the tier invariant).
+            return unsafe { self.forward_avx512(&lanes, soft, masks) };
+        } else if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { self.forward_avx2(&lanes, soft, masks) };
         }
+        self.forward_portable(lanes, soft, masks)
     }
 
     /// Portable lane body: the AVX2 algorithm on a `[i16; 64]` row.
@@ -275,8 +256,8 @@ impl LaneTrellis {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     // SAFETY: callers must have verified AVX2 support at run time
-    // (enforced by construction — `LaneBuild::Avx2` exists only behind
-    // a positive `is_x86_feature_detected!`). Every load reads 16 `i16`
+    // (`forward` calls this only when its `Isa` answers `avx2()`, the
+    // tier invariant). Every load reads 16 `i16`
     // at offset 0 or 16 of a 64-element row or a 32-element label
     // vector, so all of them stay in bounds; there are no stores
     // through pointers.
@@ -352,8 +333,8 @@ impl LaneTrellis {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512bw")]
     // SAFETY: callers must have verified AVX-512BW support at run time
-    // (enforced by construction — `LaneBuild::Avx512` exists only
-    // behind a positive `is_x86_feature_detected!`). Every load reads
+    // (`forward` calls this only when its `Isa` answers `avx512bw()`,
+    // the tier invariant). Every load reads
     // 32 `i16` at offset 0 or 32 of a 64-element row or from a
     // 32-element index vector, so all of them stay in bounds; there are
     // no stores through pointers.
@@ -394,36 +375,4 @@ impl LaneTrellis {
         }
     }
     // phylint: end-hot
-}
-
-/// Run-time CPU-feature probe, evaluated once per decoder construction.
-fn pick_build() -> LaneBuild {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512bw") {
-        return LaneBuild::Avx512;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return LaneBuild::Avx2;
-    }
-    LaneBuild::Portable
-}
-
-#[cfg(test)]
-impl LaneTrellis {
-    /// Every lane build this CPU runs: portable always, AVX2 and
-    /// AVX-512BW when detected.
-    pub(crate) fn builds(spec: &CodeSpec) -> Vec<Self> {
-        let trellis = ButterflyTrellis::new(spec).expect("a 64-state rate-1/2 code");
-        let mut out = vec![Self::with_build(trellis.clone(), LaneBuild::Portable)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Self::with_build(trellis.clone(), LaneBuild::Avx2));
-        }
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            out.push(Self::with_build(trellis, LaneBuild::Avx512));
-        }
-        out
-    }
 }

@@ -53,9 +53,9 @@
 //! `i64` scalar kernel makes. The demapper clamps its soft output to
 //! [`LLR_MAX`] `= 1024` and hard decisions are ±[`HARD_LLR`] `= 64`,
 //! both inside that bound (`const` asserts pin them), so every burst
-//! decode runs on the lanes. CPUs without AVX2 run a portable
-//! `[i16; 64]` lane body with `wrapping_*` arithmetic, the same
-//! algorithm.
+//! decode runs on the lanes. The build that runs (AVX-512BW, AVX2, or
+//! a portable `[i16; 64]` lane body with `wrapping_*` arithmetic, the
+//! same algorithm) is the decoder's [`mimo_fixed::Isa`] tier.
 //!
 //! # Kernel selection
 //!

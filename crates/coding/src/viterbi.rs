@@ -31,6 +31,8 @@
 //! outputs are bit-identical — pinned by the crate's property suite.
 
 use crate::butterfly::{fill_bm_table, ButterflyTrellis, NEG_INF_I32};
+use mimo_fixed::Isa;
+
 use crate::lanes::{LaneTrellis, OUTPUTS, STATES};
 use crate::{CodeSpec, CodingError, Llr};
 use std::time::{Duration, Instant};
@@ -157,16 +159,16 @@ pub struct ViterbiDecoder {
 /// `decode_terminated_with` entry point takes one explicitly;
 /// everything else uses [`ViterbiKernel::Auto`].
 ///
-/// Selection table (run-time CPU detection × code shape × LLRs):
+/// Selection table (CPU tier × code shape × LLRs):
 ///
 /// | tier     | needs                                                        |
 /// |----------|--------------------------------------------------------------|
 /// | `simd`   | 64 states and 2 outputs/input (K = 7, rate 1/2, any          |
 /// |          | generator pair), every LLR magnitude at most                 |
 /// |          | `⌊i16::MAX / (2·2·7)⌋ = 1170` (`i16` metrics, exact by the   |
-/// |          | bound proved in the lane module); run-time detection picks   |
-/// |          | the AVX-512BW build, else the AVX2 build, else the portable  |
-/// |          | lanes                                                        |
+/// |          | bound proved in the lane module); the decoder's `Isa` tier   |
+/// |          | picks the AVX-512BW build, else the AVX2 build, else the     |
+/// |          | portable lanes                                               |
 /// | `scalar` | anything (`i64` metrics)                                     |
 ///
 /// `Auto` takes the first row whose needs the code and the block's
@@ -223,7 +225,7 @@ impl ViterbiDecoder {
         let transitions = (0..n_states as u32)
             .map(|s| [spec.step(s, 0), spec.step(s, 1)])
             .collect();
-        let lanes = LaneTrellis::new(&spec);
+        let lanes = LaneTrellis::new(&spec, Isa::detected());
         Self {
             spec,
             transitions,
@@ -629,13 +631,13 @@ mod tests {
         assert_eq!(fast, reference, "kernels disagree");
     }
 
-    /// The decoder once per lane build this CPU runs.
+    /// The decoder once per tier this CPU runs.
     fn lane_decoders(spec: CodeSpec) -> Vec<ViterbiDecoder> {
         let dec = ViterbiDecoder::new(spec.clone());
-        LaneTrellis::builds(&spec)
-            .into_iter()
-            .map(|lanes| ViterbiDecoder {
-                lanes: Some(lanes),
+        Isa::tiers()
+            .iter()
+            .map(|&isa| ViterbiDecoder {
+                lanes: LaneTrellis::new(&spec, isa),
                 ..dec.clone()
             })
             .collect()
@@ -706,35 +708,19 @@ mod tests {
     #[test]
     fn lane_builds_are_portable_plus_every_detected_simd_build() {
         let spec = CodeSpec::ieee80211a();
-        let names: Vec<_> = LaneTrellis::builds(&spec)
+        let names: Vec<_> = lane_decoders(spec.clone())
             .iter()
-            .map(LaneTrellis::name)
+            .map(|dec| dec.kernel_name(&[0, 0]))
             .collect();
-        #[allow(unused_mut)]
-        let mut expected = vec!["simd-portable"];
-        #[cfg(target_arch = "x86_64")]
-        for (feature, detected, name) in [
-            (
-                "avx2",
-                std::arch::is_x86_feature_detected!("avx2"),
-                "simd-avx2",
-            ),
-            (
-                "avx512bw",
-                std::arch::is_x86_feature_detected!("avx512bw"),
-                "simd-avx512bw",
-            ),
-        ] {
-            if detected {
-                expected.push(name);
-            } else {
-                eprintln!("lane build {name} not tested: this CPU lacks {feature}");
-            }
-        }
+        // One lane build per tier, named after it.
+        let expected: Vec<_> = Isa::tiers()
+            .iter()
+            .map(|isa| format!("simd-{}", isa.name()))
+            .collect();
         assert_eq!(names, expected);
         // Auto dispatch takes the widest build the CPU runs.
         let auto = ViterbiDecoder::new(spec).kernel_name(&[0, 0]);
-        assert_eq!(Some(&auto), expected.last());
+        assert_eq!(Some(auto), expected.last().map(String::as_str));
     }
 
     #[test]

@@ -49,10 +49,12 @@
 //! # Builds
 //!
 //! The lane body is written once, as plain fixed-width array
-//! arithmetic, and built twice: once inside an `avx2` target-feature
-//! function, selected at construction when `is_x86_feature_detected!`
-//! reports support, and once plain for every other host. Both builds
-//! give the same bits.
+//! arithmetic, and built twice: inside an `avx2` target-feature
+//! function and plain. The engine runs the one its [`Isa`] tier
+//! answers for (`mimo_fixed`'s tier docs). Both builds give the same
+//! bits.
+
+use mimo_fixed::Isa;
 
 use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle, HALF_PI_Q16};
 use crate::Cordic;
@@ -83,17 +85,6 @@ pub const DEROTATE_GROUPS: usize = 7;
 const BUS_MIN: i32 = -(1 << 15);
 const BUS_MAX: i32 = (1 << 15) - 1;
 
-/// Which build of the lane body backs a [`CordicLanes`], fixed at
-/// construction from run-time CPU-feature detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneBuild {
-    /// Built with `avx2` enabled (x86-64 with run-time support).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// Built for the baseline target.
-    Portable,
-}
-
 /// The lane-parallel CORDIC engine: [`Cordic::vector`] and
 /// [`Cordic::rotate`] on [`LANES`] carriers per call, bit-identical to
 /// the scalar engine it is built from.
@@ -120,7 +111,8 @@ pub struct CordicLanes {
     /// 1/K in Q2.16.
     inv_gain: i32,
     iterations: usize,
-    build: LaneBuild,
+    /// The CPU tier the engine dispatches on.
+    isa: Isa,
 }
 
 impl CordicLanes {
@@ -129,17 +121,11 @@ impl CordicLanes {
     /// micro-rotations than the lanes hold (over 31); such engines stay
     /// on the scalar path.
     pub fn new(cordic: &Cordic) -> Option<Self> {
-        Self::with_build(cordic, pick_build())
+        Self::with_isa(cordic, Isa::detected())
     }
 
-    /// As [`CordicLanes::new`], but always on the portable build — the
-    /// reference the AVX2 build is compared against.
-    // phylint: allow(test_only_api) -- test support: crates/cordic/src/lanes.rs
-    pub fn portable(cordic: &Cordic) -> Option<Self> {
-        Self::with_build(cordic, LaneBuild::Portable)
-    }
-
-    fn with_build(cordic: &Cordic, build: LaneBuild) -> Option<Self> {
+    /// As [`CordicLanes::new`], on the build of tier `isa`.
+    pub fn with_isa(cordic: &Cordic, isa: Isa) -> Option<Self> {
         let iterations = cordic.iterations() as usize;
         if iterations > MAX_ITERATIONS {
             return None;
@@ -152,18 +138,8 @@ impl CordicLanes {
             atan,
             inv_gain: i32::try_from(cordic.inv_gain.raw()).ok()?,
             iterations,
-            build,
+            isa,
         })
-    }
-
-    /// Name of the build selected at construction: `"avx2"` or
-    /// `"portable"`.
-    pub fn build_name(&self) -> &'static str {
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            LaneBuild::Avx2 => "avx2",
-            LaneBuild::Portable => "portable",
-        }
     }
 
     /// Whether a raw Q2.16 word may enter the lanes (its magnitude is
@@ -178,15 +154,13 @@ impl CordicLanes {
     /// 2²⁸ in magnitude (module docs).
     #[inline]
     pub fn vector(&self, x: &Lanes, y: &Lanes) -> (Lanes, Lanes) {
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Avx2` build is only constructed after
-            // `is_x86_feature_detected!("avx2")` reported support on
-            // this CPU, so the target-feature contract holds.
-            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
-            LaneBuild::Avx2 => unsafe { vector_avx2(self, x, y) },
-            LaneBuild::Portable => vector_lanes(self, x, y),
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { vector_avx2(self, x, y) };
         }
+        vector_lanes(self, x, y)
     }
 
     /// Rotation mode: rotates every pair `(xs[p], ys[p])` in place, lane
@@ -200,15 +174,13 @@ impl CordicLanes {
     #[inline]
     pub fn rotate(&self, angle: &[i64; LANES], xs: &mut [Lanes], ys: &mut [Lanes]) {
         debug_assert_eq!(xs.len(), ys.len());
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Avx2` build is only constructed after
-            // `is_x86_feature_detected!("avx2")` reported support on
-            // this CPU, so the target-feature contract holds.
-            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
-            LaneBuild::Avx2 => unsafe { rotate_avx2(self, angle, xs, ys) },
-            LaneBuild::Portable => rotate_lanes(self, angle, xs, ys),
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { rotate_avx2(self, angle, xs, ys) };
         }
+        rotate_lanes(self, angle, xs, ys)
     }
 
     /// Both per-symbol de-rotations of the pilot corrections in one
@@ -238,26 +210,15 @@ impl CordicLanes {
     ) {
         debug_assert_eq!(xs.len(), ys.len());
         debug_assert_eq!(xs.len(), ramp.len());
-        match self.build {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Avx2` build is only constructed after
-            // `is_x86_feature_detected!("avx2")` reported support on
-            // this CPU, so the target-feature contract holds.
-            // phylint: allow(simd_guard) -- the `Avx2` build variant is only constructed after `is_x86_feature_detected!("avx2")` succeeded in `pick_build`, so this dispatch site is feature-guarded at construction time
-            LaneBuild::Avx2 => unsafe { derotate_bus_avx2(self, phase, ramp, xs, ys) },
-            LaneBuild::Portable => derotate_bus_lanes(self, phase, ramp, xs, ys),
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { derotate_bus_avx2(self, phase, ramp, xs, ys) };
         }
+        derotate_bus_lanes(self, phase, ramp, xs, ys)
     }
     // phylint: end-hot
-}
-
-/// Run-time CPU-feature probe, evaluated once per construction.
-fn pick_build() -> LaneBuild {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return LaneBuild::Avx2;
-    }
-    LaneBuild::Portable
 }
 
 // phylint: hot
@@ -549,9 +510,9 @@ fn debug_check_bus(v: &[Lanes]) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers must have verified AVX2 support at run time
-// (enforced by construction — `LaneBuild::Avx2` exists only behind a
-// positive `is_x86_feature_detected!`). The body is safe code.
+// SAFETY: callers must have verified AVX2 support at run time (the
+// engine calls this only when its `Isa` answers `avx2()`, the tier
+// invariant). The body is safe code.
 unsafe fn vector_avx2(t: &CordicLanes, x: &Lanes, y: &Lanes) -> (Lanes, Lanes) {
     vector_lanes(t, x, y)
 }
@@ -563,9 +524,9 @@ unsafe fn vector_avx2(t: &CordicLanes, x: &Lanes, y: &Lanes) -> (Lanes, Lanes) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers must have verified AVX2 support at run time
-// (enforced by construction — `LaneBuild::Avx2` exists only behind a
-// positive `is_x86_feature_detected!`). The body is safe code.
+// SAFETY: callers must have verified AVX2 support at run time (the
+// engine calls this only when its `Isa` answers `avx2()`, the tier
+// invariant). The body is safe code.
 unsafe fn rotate_avx2(t: &CordicLanes, angle: &[i64; LANES], xs: &mut [Lanes], ys: &mut [Lanes]) {
     rotate_lanes(t, angle, xs, ys)
 }
@@ -577,9 +538,9 @@ unsafe fn rotate_avx2(t: &CordicLanes, angle: &[i64; LANES], xs: &mut [Lanes], y
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: callers must have verified AVX2 support at run time
-// (enforced by construction — `LaneBuild::Avx2` exists only behind a
-// positive `is_x86_feature_detected!`). The body is safe code.
+// SAFETY: callers must have verified AVX2 support at run time (the
+// engine calls this only when its `Isa` answers `avx2()`, the tier
+// invariant). The body is safe code.
 unsafe fn derotate_bus_avx2(
     t: &CordicLanes,
     phase: i64,
@@ -598,18 +559,9 @@ mod tests {
     use mimo_fixed::Q16;
     use proptest::prelude::*;
 
-    /// Every build this CPU runs: portable always, AVX2 when detected.
-    fn builds(cordic: &Cordic) -> Vec<CordicLanes> {
-        let mut out = vec![CordicLanes::portable(cordic).unwrap()];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(CordicLanes::with_build(cordic, LaneBuild::Avx2).unwrap());
-        }
-        out
-    }
-
     fn check_vector(cordic: &Cordic, x: Lanes, y: Lanes) {
-        for lanes in builds(cordic) {
+        for &isa in Isa::tiers() {
+            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
             let (mag, angle) = lanes.vector(&x, &y);
             for k in 0..LANES {
                 let s = cordic.vector(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
@@ -617,7 +569,7 @@ mod tests {
                     (i64::from(mag[k]), i64::from(angle[k])),
                     (s.magnitude.raw(), s.angle.raw()),
                     "{} vector({}, {})",
-                    lanes.build_name(),
+                    isa.name(),
                     x[k],
                     y[k]
                 );
@@ -626,7 +578,8 @@ mod tests {
     }
 
     fn check_rotate(cordic: &Cordic, angle: [i64; LANES], pairs: &[(Lanes, Lanes)]) {
-        for lanes in builds(cordic) {
+        for &isa in Isa::tiers() {
+            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
             let mut xs: Vec<Lanes> = pairs.iter().map(|p| p.0).collect();
             let mut ys: Vec<Lanes> = pairs.iter().map(|p| p.1).collect();
             lanes.rotate(&angle, &mut xs, &mut ys);
@@ -641,7 +594,7 @@ mod tests {
                         (i64::from(xs[p][k]), i64::from(ys[p][k])),
                         (s.x.raw(), s.y.raw()),
                         "{} rotate({}, {}, {})",
-                        lanes.build_name(),
+                        isa.name(),
                         x[k],
                         y[k],
                         angle[k]
@@ -657,13 +610,16 @@ mod tests {
 
     #[test]
     fn both_builds_present_on_avx2_hosts() {
-        let n = builds(&Cordic::new()).len();
+        let c = Cordic::new();
+        assert_eq!(CordicLanes::new(&c).unwrap().isa, Isa::detected());
+        for &isa in Isa::tiers() {
+            assert_eq!(CordicLanes::with_isa(&c, isa).unwrap().isa, isa);
+        }
         #[cfg(target_arch = "x86_64")]
         assert_eq!(
-            n,
-            1 + usize::from(std::arch::is_x86_feature_detected!("avx2"))
+            Isa::tiers().len() > 1,
+            std::arch::is_x86_feature_detected!("avx2")
         );
-        assert!(n >= 1);
     }
 
     #[test]
@@ -823,7 +779,8 @@ mod tests {
         ramp: &[[i64; LANES]],
         pairs: &[(Lanes, Lanes)],
     ) {
-        for lanes in builds(cordic) {
+        for &isa in Isa::tiers() {
+            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
             let mut xs: Vec<Lanes> = pairs.iter().map(|p| p.0).collect();
             let mut ys: Vec<Lanes> = pairs.iter().map(|p| p.1).collect();
             lanes.derotate_bus(phase, ramp, &mut xs, &mut ys);
@@ -833,7 +790,7 @@ mod tests {
                         (xs[g][k], ys[g][k]),
                         derotate_scalar(cordic, x[k], y[k], phase, ramp[g][k]),
                         "{} derotate_bus({}, {}, {phase}, {}) group {g} of {}",
-                        lanes.build_name(),
+                        isa.name(),
                         x[k],
                         y[k],
                         ramp[g][k],

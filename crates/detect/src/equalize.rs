@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use mimo_chanest::FxMat4;
-use mimo_fixed::{CFx, Fx, CQ15, CQ16, SAMPLE_BITS};
+use mimo_fixed::{CFx, Fx, Isa, CQ15, CQ16, SAMPLE_BITS};
 
 /// Errors from the detection stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,8 @@ const ZF_RX_BITS: u32 = 31;
 /// The one kernel, [`ZfDetector::detect_stream_into`], computes one
 /// row of `y = H⁻¹·r` for every carrier, so each spatial channel's
 /// worker computes exactly its own stream. It runs eight carriers per
-/// step on `i32` lanes with `i64` products (built for AVX2 when this
-/// CPU has it, portable otherwise), bit-identical to the scalar
+/// step on `i32` lanes with `i64` products (the build of the
+/// detector's [`Isa`] tier), bit-identical to the scalar
 /// per-carrier loop it is checked against. That loop also serves any
 /// eight-carrier step whose `H⁻¹` row holds an entry outside the `i32`
 /// range (at or above 2³¹, or below −2³¹), or whose received values
@@ -81,9 +81,8 @@ const ZF_RX_BITS: u32 = 31;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZfDetector {
-    /// Whether the AVX2 build of the lane body runs, from detection at
-    /// construction.
-    avx2: bool,
+    /// The CPU tier the lane body dispatches on.
+    isa: Isa,
 }
 
 impl Default for ZfDetector {
@@ -95,11 +94,9 @@ impl Default for ZfDetector {
 impl ZfDetector {
     /// Creates the detector on the fastest lane build this CPU runs.
     pub fn new() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        Self { avx2 }
+        Self {
+            isa: Isa::detected(),
+        }
     }
 
     /// Detects a single transmit stream — row `stream` of the
@@ -137,8 +134,9 @@ impl ZfDetector {
             });
         }
         #[cfg(target_arch = "x86_64")]
-        if self.avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was detected on this CPU just above.
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
             unsafe { detect_avx2(h_inv, rx, stream, out) };
             return Ok(());
         }
@@ -245,8 +243,8 @@ fn detect_lanes(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [C
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: callers must have verified AVX2 support at run time
-// (`detect_stream_into` checks `is_x86_feature_detected!` before every
-// call). The body is safe code.
+// (`detect_stream_into` calls this only when its `Isa` answers
+// `avx2()`, the tier invariant). The body is safe code.
 unsafe fn detect_avx2(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
     detect_lanes(h_inv, rx, stream, out)
 }
@@ -354,17 +352,6 @@ mod tests {
         ));
     }
 
-    /// Every lane build this CPU runs: portable always, AVX2 when
-    /// detected.
-    fn builds() -> Vec<ZfDetector> {
-        let detected = ZfDetector::new();
-        let mut out = vec![ZfDetector { avx2: false }];
-        if detected.avx2 {
-            out.push(detected);
-        }
-        out
-    }
-
     /// Deterministic xorshift words in `[-limit, limit)`.
     fn words(seed: u64, limit: i64) -> impl FnMut() -> i64 {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -426,13 +413,14 @@ mod tests {
 
     fn assert_lanes_match_scalar(h_inv: &[FxMat4], rx: &[Vec<CQ15>], what: &str) {
         let views: [&[CQ15]; 4] = std::array::from_fn(|a| rx[a].as_slice());
-        for det in builds() {
+        for &isa in Isa::tiers() {
+            let det = ZfDetector { isa };
             for stream in 0..4 {
                 let mut want = vec![CQ15::ZERO; h_inv.len()];
                 detect_scalar(h_inv, &views, stream, &mut want);
                 let mut got = vec![CQ15::ZERO; h_inv.len()];
                 det.detect_stream_into(h_inv, &views, stream, &mut got).unwrap();
-                assert_eq!(got, want, "{what}, stream {stream}, avx2 {}", det.avx2);
+                assert_eq!(got, want, "{what}, stream {stream}, {}", isa.name());
             }
         }
     }

@@ -350,7 +350,7 @@ fn ramp_angle(tau_q: Q16, l: i32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimo_fixed::Fx;
+    use mimo_fixed::{Fx, Isa};
 
     fn rotate_all(carriers: &[CQ15], phase: f64) -> Vec<CQ15> {
         carriers
@@ -472,18 +472,12 @@ mod tests {
         assert!(tau.abs() < 1e-9);
     }
 
-    /// Both correctors on each lane build this CPU runs: the detected
-    /// one (AVX2 on AVX2 hosts) and the portable one.
+    /// Both correctors on every tier this CPU runs.
     fn corrector_builds() -> Vec<(PilotPhaseCorrector, TimingCorrector)> {
-        let cordic = Cordic::new();
-        let detected = CordicLanes::new(&cordic).unwrap();
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(detected.build_name(), "avx2");
-        }
-        [detected, CordicLanes::portable(&cordic).unwrap()]
-            .into_iter()
-            .map(|lanes| {
+        Isa::tiers()
+            .iter()
+            .map(|&isa| {
+                let lanes = CordicLanes::with_isa(&Cordic::new(), isa).unwrap();
                 let phase = PilotPhaseCorrector {
                     lanes: Some(lanes.clone()),
                     ..PilotPhaseCorrector::new()
@@ -621,7 +615,7 @@ mod tests {
             two_passes(phase_c, timing, rx, indices, phi, tau),
             "n {} phi {phi:?} tau {tau} lanes {:?} small_angle {}",
             rx.len(),
-            timing.lanes.as_ref().map(CordicLanes::build_name),
+            timing.lanes,
             timing.small_angle
         );
     }

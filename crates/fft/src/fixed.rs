@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use mimo_fixed::{CQ15, Cf64, SAMPLE_BITS};
+use mimo_fixed::{Cf64, Isa, CQ15, SAMPLE_BITS};
 
 use crate::lanes::{on_bus, LaneIo, LaneTables, FFT_LANES};
 
@@ -138,7 +138,7 @@ impl FixedFft {
                 Cf64::from_polar(1.0, ang).to_fixed::<15>().saturate_bits(SAMPLE_BITS)
             })
             .collect::<Vec<_>>();
-        let lanes = LaneTables::new(&twiddles);
+        let lanes = LaneTables::new(&twiddles, Isa::detected());
         Ok(Self {
             size: n,
             scaling,
@@ -533,19 +533,6 @@ mod tests {
         assert_eq!(y[0].re.raw(), (1 << 15) - 1);
     }
 
-    /// Every lane build this CPU runs: portable always, the detected
-    /// one (AVX2 where present) as well when it differs.
-    fn builds(n: usize, scaling: FftScaling) -> Vec<FixedFft> {
-        let detected = FixedFft::with_scaling(n, scaling).unwrap();
-        let mut portable = detected.clone();
-        portable.lanes.avx2 = false;
-        let mut out = vec![portable];
-        if detected.lanes.avx2 {
-            out.push(detected);
-        }
-        out
-    }
-
     /// Deterministic xorshift bus samples.
     fn random_block(n: usize, seed: u64) -> Vec<CQ15> {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -591,7 +578,14 @@ mod tests {
         (3..=12).map(|log2| 1usize << log2).flat_map(|n| {
             [FftScaling::for_size(n), UNSCALED]
                 .into_iter()
-                .flat_map(move |scaling| builds(n, scaling))
+                .flat_map(move |scaling| {
+                    let fft = FixedFft::with_scaling(n, scaling).unwrap();
+                    Isa::tiers().iter().map(move |&isa| {
+                        let mut fft = fft.clone();
+                        fft.lanes.isa = isa;
+                        fft
+                    })
+                })
                 .map(move |fft| (n, fft))
         })
     }
@@ -605,8 +599,8 @@ mod tests {
                     fft.transform_into(&input, &mut got, inverse).unwrap();
                     assert!(
                         got == oracle(&fft, &input, inverse),
-                        "n={n} inverse={inverse} avx2={} {:?}",
-                        fft.lanes.avx2,
+                        "n={n} inverse={inverse} {} {:?}",
+                        fft.lanes.isa.name(),
                         fft.scaling()
                     );
                 }
@@ -640,8 +634,8 @@ mod tests {
                     for (k, s) in symbols.iter().enumerate() {
                         assert!(
                             out[k * out_stride..k * out_stride + n] == oracle(&fft, s, inverse)[..],
-                            "n={n} frames={frames} symbol {k} inverse={inverse} avx2={} {:?}",
-                            fft.lanes.avx2,
+                            "n={n} frames={frames} symbol {k} inverse={inverse} {} {:?}",
+                            fft.lanes.isa.name(),
                             fft.scaling()
                         );
                     }

@@ -8,7 +8,7 @@
 //! stack, one lane for a single transform and [`FFT_LANES`] for a
 //! whole group of a batch.
 
-use mimo_fixed::{Fx, CQ15, SAMPLE_BITS};
+use mimo_fixed::{Fx, Isa, CQ15, SAMPLE_BITS};
 
 /// Symbols per batch transform: one AVX2 register of `i32` per bin.
 pub const FFT_LANES: usize = 8;
@@ -59,8 +59,8 @@ pub(crate) struct LaneTables {
     tw_im: Vec<i32>,
     /// `tw_im` negated: the inverse transform's conjugate twiddles.
     tw_im_conj: Vec<i32>,
-    /// Whether the AVX2 build runs, from detection at construction.
-    pub(crate) avx2: bool,
+    /// The CPU tier [`LaneTables::transform`] dispatches on.
+    pub(crate) isa: Isa,
 }
 
 /// Where a transform reads and writes: [`LaneTables::transform`] at
@@ -76,9 +76,8 @@ pub(crate) struct LaneIo<'a> {
 
 impl LaneTables {
     /// Builds the tables from the scalar core's Q1.15 twiddles
-    /// (`e^{-j2πk/n}` for `k < n/2`), on the fastest build this CPU
-    /// runs.
-    pub(crate) fn new(twiddles: &[CQ15]) -> Self {
+    /// (`e^{-j2πk/n}` for `k < n/2`), for the build of tier `isa`.
+    pub(crate) fn new(twiddles: &[CQ15], isa: Isa) -> Self {
         let n = 2 * twiddles.len();
         let log2 = n.trailing_zeros();
         let bitrev = (0..n)
@@ -99,12 +98,13 @@ impl LaneTables {
             tw_re: part(|c| c.re.raw()),
             tw_im: part(|c| c.im.raw()),
             tw_im_conj: part(|c| -c.im.raw()),
-            avx2: avx2_detected(),
+            isa,
         }
     }
 
     // phylint: hot
-    /// Runs the lane body at `W` lanes on the selected build. `re` and
+    /// Runs the lane body at `W` lanes on the build of the tables'
+    /// tier. `re` and
     /// `im` hold `n` bins each; every lane input must be on the 16-bit
     /// bus (an off-bus lane yields unspecified values, never a panic).
     #[inline]
@@ -117,26 +117,15 @@ impl LaneTables {
         shift: u32,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was detected on this CPU just above.
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
             unsafe { transform_avx2(self, re, im, io, inverse, shift) };
             return;
         }
         transform_lanes(self, re, im, io, inverse, shift);
     }
     // phylint: end-hot
-}
-
-/// Run-time CPU-feature probe, evaluated once per construction.
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 // phylint: hot
@@ -271,8 +260,8 @@ fn transform_lanes<const W: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: callers must have verified AVX2 support at run time
-// (`LaneTables::transform` checks `is_x86_feature_detected!` before
-// every call). The body is safe code.
+// (`LaneTables::transform` calls this only when its `Isa` answers
+// `avx2()`, the tier invariant). The body is safe code.
 unsafe fn transform_avx2<const W: usize>(
     t: &LaneTables,
     re: &mut [[i32; W]],

@@ -57,11 +57,10 @@
 //!
 //! # Builds
 //!
-//! The lane body is built once inside an `avx2` target-feature
-//! function, picked at construction when `is_x86_feature_detected!`
-//! reports support (and re-checked at every dispatch), and once as
-//! plain portable code for every other host. Both builds give the
-//! same bits.
+//! The lane body is built twice, inside an `avx2` target-feature
+//! function and as plain portable code; a core runs the one its
+//! [`mimo_fixed::Isa`] tier answers for. Both builds give the same
+//! bits.
 
 mod fixed;
 mod lanes;

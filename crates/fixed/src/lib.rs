@@ -11,6 +11,8 @@
 //! * Explicit width saturation ([`Fx::saturate_bits`]) so each hardware
 //!   bus width in the paper (16-bit samples, 18-bit CORDIC words) can be
 //!   enforced exactly where the RTL would clamp.
+//! * [`Isa`] — the CPU tier every lane kernel of the workspace is
+//!   built for, probed once per process.
 //!
 //! # Examples
 //!
@@ -27,10 +29,12 @@
 mod complex;
 mod float;
 mod fx;
+mod isa;
 
 pub use complex::CFx;
 pub use float::Cf64;
 pub use fx::{Fx, FxError};
+pub use isa::Isa;
 
 /// Q1.15: the paper's 16-bit sample format (range [-1, 1)).
 pub type Q15 = Fx<15>;

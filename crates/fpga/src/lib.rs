@@ -16,8 +16,9 @@
 //!   parametric resource formulas.
 //! * [`SynthesisReport`] — regenerates Table 1/2 (transmitter) and
 //!   Table 3/4 (receiver), including the derived §V claims.
-//! * [`timing`] — the 100 MHz clock model, the 440-cycle QRD latency,
-//!   channel-estimation latency and the 1 Gbps throughput arithmetic.
+//! * [`timing`] — the 440-cycle QRD latency, channel-estimation
+//!   latency and burst efficiency (the clock and line rate are
+//!   `mimo_core`'s `LinkGeometry::clock_hz` and `Mcs::data_rate_bps`).
 
 mod device;
 mod entities;

@@ -1,9 +1,7 @@
-//! Clock, latency and throughput model — the arithmetic behind the
-//! paper's 100 MHz clock, 440-cycle QRD latency and 1 Gbps headline.
-
-/// The clock frequency both the transmitter and receiver achieve
-/// ("A clock frequency of 100 MHz is achieved").
-pub const CLOCK_HZ: f64 = 100.0e6;
+//! Latency and burst-efficiency model — the arithmetic behind the
+//! paper's 440-cycle QRD latency. The 100 MHz clock and the 1 Gbps
+//! line rate have one owner, the product's rate table:
+//! `LinkGeometry::clock_hz` and `Mcs::data_rate_bps` in `mimo_core`.
 
 /// CORDIC element pipeline latency in cycles.
 pub const CORDIC_LATENCY: u32 = 20;
@@ -53,32 +51,6 @@ pub fn channel_estimation_latency_cycles(fft_size: usize) -> u64 {
         + u64::from(QR_MULTIPLY_LATENCY)
 }
 
-/// Information throughput in bits/second for a configuration:
-/// `streams × data_carriers × bits_per_carrier × code_rate` per OFDM
-/// symbol of `1.25·N` samples at [`CLOCK_HZ`].
-///
-/// # Examples
-///
-/// ```
-/// use mimo_fpga::timing::data_rate_bps;
-///
-/// // The headline: 4 streams, 64-QAM, rate 3/4 = 1.08 Gbps.
-/// let rate = data_rate_bps(4, 64, 6, 3, 4);
-/// assert!(rate > 1.0e9);
-/// ```
-pub fn data_rate_bps(
-    n_streams: usize,
-    fft_size: usize,
-    bits_per_carrier: usize,
-    rate_num: usize,
-    rate_den: usize,
-) -> f64 {
-    let data_carriers = 48 * fft_size / 64;
-    let info_bits = n_streams * data_carriers * bits_per_carrier * rate_num / rate_den;
-    let symbol_s = (fft_size + fft_size / 4) as f64 / CLOCK_HZ;
-    info_bits as f64 / symbol_s
-}
-
 /// Burst efficiency: fraction of on-air time carrying payload, for a
 /// burst of `n_symbols` data symbols behind the `(1 + n_tx)`-slot
 /// preamble.
@@ -95,28 +67,6 @@ mod tests {
     #[test]
     fn qrd_latency_is_440_for_4x4() {
         assert_eq!(qrd_latency_cycles(4), 440);
-    }
-
-    #[test]
-    fn headline_is_1_08_gbps() {
-        let bps = data_rate_bps(4, 64, 6, 3, 4);
-        assert!((bps - 1.08e9).abs() < 1e3, "got {bps}");
-        // And invariant to FFT size.
-        assert!((data_rate_bps(4, 512, 6, 3, 4) - bps).abs() < 1e3);
-    }
-
-    #[test]
-    fn paper_synthesis_config_rate() {
-        // 16-QAM r=1/2: 4 × 48 × 4 × 1/2 / 800ns = 480 Mbps.
-        let bps = data_rate_bps(4, 64, 4, 1, 2);
-        assert!((bps - 480.0e6).abs() < 1e3);
-    }
-
-    #[test]
-    fn siso_is_quarter_of_mimo() {
-        let mimo = data_rate_bps(4, 64, 6, 3, 4);
-        let siso = data_rate_bps(1, 64, 6, 3, 4);
-        assert!((mimo / siso - 4.0).abs() < 1e-9);
     }
 
     #[test]

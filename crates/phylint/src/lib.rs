@@ -25,7 +25,7 @@
 //! | rule | what it enforces |
 //! |------|------------------|
 //! | `hot_transitive` | no `vec!` / `format!` / `Vec::new` / `Vec::with_capacity` / `Box::new` / `String::…` / `.to_vec()` / `.to_owned()` / `.to_string()` / `.collect()` inside a `// phylint: hot` … `// phylint: end-hot` region, nor in any function *reachable* from a call made in one (via the workspace call graph); panic-freedom of reachable code is already guaranteed workspace-wide by `panic_path` |
-//! | `simd_guard` | every `#[target_feature(enable = …)]` fn is declared `unsafe`, and each call site sits in a fn that is itself `#[target_feature]` or contains an `is_x86_feature_detected!` runtime guard |
+//! | `simd_guard` | every `#[target_feature(enable = …)]` fn is declared `unsafe`, and each call site sits in a fn that is itself `#[target_feature]` or asks a `mimo_fixed::Isa` tier for the feature (`.avx2()` / `.avx512bw()`), the only run-time guard accepted |
 //! | `error_surface` | public `Result`-returning fns in crate source use typed errors (no `String` / `Box<dyn Error>` / `&str` / `()` payloads), and public `…Error` enums carry `#[non_exhaustive]` |
 //! | `test_only_api` | every plain-`pub` fn, struct, enum and trait in `src/` and `crates/*/src` (bar `phylint`, `bench`, `shims`) is reached from a product root — an example, a bench, `crates/bench/src`, `perfbench/src` or a trait method; tests and doc-tests are not roots. Suppressions must give a `paper §…`, `oracle: <test>` or `test support: <test>` reason |
 //!

@@ -112,8 +112,9 @@ pub struct FnItem {
     pub refs: Vec<String>,
     /// Allocation sites in the body (alloc-denylist names).
     pub alloc_sites: Vec<Site>,
-    /// Body contains `is_x86_feature_detected!` — a runtime CPU
-    /// feature guard.
+    /// Body asks a CPU tier for a feature (`.avx2()` / `.avx512bw()`,
+    /// the `mimo_fixed::Isa` queries) — the one runtime guard of a
+    /// `#[target_feature]` call.
     pub has_feature_guard: bool,
     /// Error-type tokens of a `Result<_, E>` return type, normalised
     /// to space-joined tokens (`String`, `Box < dyn Error >`, …).
@@ -194,6 +195,10 @@ const NON_CALL_KEYWORDS: [&str; 10] = [
 /// handled separately).
 const ALLOC_METHODS: [&str; 4] = ["to_vec", "to_owned", "to_string", "collect"];
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
+
+/// The `mimo_fixed::Isa` tier queries: argument-free method calls named
+/// after the target feature they prove.
+const TIER_QUERIES: [&str; 2] = ["avx2", "avx512bw"];
 
 /// Extract the item model of one crate-source file. `file` is the
 /// file's index in the engine's analysis list.
@@ -806,7 +811,6 @@ impl<'a> Extractor<'a> {
                 let site = self.alloc_at(i);
                 // Macros.
                 if self.text(i + 1) == "!" {
-                    item.has_feature_guard |= text == "is_x86_feature_detected";
                     item.alloc_sites.extend(site);
                     i += 1;
                     continue;
@@ -823,6 +827,8 @@ impl<'a> Extractor<'a> {
                 }
                 // Call sites; any other name is a reference.
                 if let Some(call) = self.read_call(i, close) {
+                    item.has_feature_guard |=
+                        call.is_method && call.args == 0 && TIER_QUERIES.contains(&text);
                     item.calls.push(call);
                 } else if self.is_ref(i) {
                     item.refs.push(text.to_string());

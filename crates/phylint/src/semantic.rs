@@ -13,10 +13,10 @@
 //! * `simd_guard` — every `#[target_feature(enable = …)]` fn must
 //!   be declared `unsafe` (its `// SAFETY:` comment is enforced by the
 //!   `unsafe_safety` token rule), and every call site must sit in a fn
-//!   that is itself `#[target_feature]` or textually contains an
-//!   `is_x86_feature_detected!` runtime guard. Dispatch that proves
-//!   the feature at *construction* time instead needs a justified
-//!   suppression spelling out the invariant.
+//!   that is itself `#[target_feature]` or asks a `mimo_fixed::Isa`
+//!   tier for the feature (`.avx2()` / `.avx512bw()`). Only the tier
+//!   probe may query the CPU, so a kernel that runs its own
+//!   `is_x86_feature_detected!` check is flagged.
 //! * `error_surface` — public `Result`-returning fns in crate
 //!   source must use typed errors (no `String` / `Box<dyn Error>` /
 //!   `&str` / `()` payloads), and public `…Error` enums must carry
@@ -149,8 +149,7 @@ fn simd_guard(
         }
     }
     // Call-site check: the enclosing fn must prove the feature — by
-    // being target_feature itself, or by containing a runtime
-    // `is_x86_feature_detected!` guard.
+    // being target_feature itself, or by asking its CPU tier.
     for (id, caller) in ws.fns.iter().enumerate() {
         if caller.cfg_test {
             continue;
@@ -180,9 +179,9 @@ fn simd_guard(
                     call.line,
                     format!(
                         "`{}` calls #[target_feature(enable = \"{feat}\")] fn \
-                         `{}` without an `is_x86_feature_detected!` guard in \
-                         scope — dispatch guarded elsewhere needs a justified \
-                         suppression stating the invariant",
+                         `{}` without asking a CPU tier in scope — dispatch \
+                         on a `mimo_fixed::Isa` query (`.avx2()` / \
+                         `.avx512bw()`)",
                         caller.display_name(),
                         callee.display_name()
                     ),

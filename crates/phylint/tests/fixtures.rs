@@ -225,8 +225,8 @@ fn hot_transitive_fixture_proves_the_smuggled_allocation() {
 fn simd_guard_fixture_flags_decl_and_unguarded_call() {
     let report = fixture("simd_guard");
     let found = full_findings(&report, RuleId::SimdGuard);
-    assert_eq!(report.findings.len(), 2, "only simd_guard fires here");
-    assert_eq!(found.len(), 2, "{found:?}");
+    assert_eq!(report.findings.len(), 3, "only simd_guard fires here");
+    assert_eq!(found.len(), 3, "{found:?}");
     let decl = found
         .iter()
         .find(|f| f.msg.contains("not declared"))
@@ -236,18 +236,22 @@ fn simd_guard_fixture_flags_decl_and_unguarded_call() {
         line_of("simd_guard", "src/lib.rs", "pub fn sneaky_kernel")
     );
     assert!(decl.msg.contains("sneaky_kernel"), "{}", decl.msg);
-    let call = found
-        .iter()
-        .find(|f| f.msg.contains("guard"))
-        .expect("unguarded call-site finding");
-    assert_eq!(
-        call.line,
-        line_of("simd_guard", "src/lib.rs", "unsafe { kernel(xs) };"),
-        "the guarded dispatch must stay silent; only `unguarded` is flagged"
-    );
-    assert_eq!(call.call_path.len(), 2, "{:?}", call.call_path);
-    assert!(call.call_path[0].contains("unguarded"), "{:?}", call.call_path);
-    assert!(call.call_path[1].contains("kernel"), "{:?}", call.call_path);
+    // The tier-guarded `dispatch` stays silent; a call guarded by
+    // nothing and one guarded only by the caller's own CPU probe are
+    // both flagged.
+    for (caller, needle) in [
+        ("unguarded", "unsafe { kernel(xs) };"),
+        ("self_probing", "unsafe { kernel(&mut xs[1..]) };"),
+    ] {
+        let call = found
+            .iter()
+            .find(|f| f.call_path.first().is_some_and(|hop| hop.contains(caller)))
+            .unwrap_or_else(|| panic!("no call-site finding in `{caller}`: {found:?}"));
+        assert_eq!(call.line, line_of("simd_guard", "src/lib.rs", needle));
+        assert!(call.msg.contains("CPU tier"), "{}", call.msg);
+        assert_eq!(call.call_path.len(), 2, "{:?}", call.call_path);
+        assert!(call.call_path[1].contains("kernel"), "{:?}", call.call_path);
+    }
 }
 
 #[test]

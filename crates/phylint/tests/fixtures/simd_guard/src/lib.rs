@@ -1,6 +1,17 @@
 //! Deliberately dirty: one unguarded call to a `#[target_feature]`
-//! kernel, and one kernel that hides its precondition by not being
-//! `unsafe`. The guarded dispatcher is the negative case.
+//! kernel, one call guarded only by the kernel's own CPU probe, and one
+//! kernel that hides its precondition by not being `unsafe`. The
+//! dispatch on a CPU tier query is the negative case.
+
+/// Stand-in for the workspace's CPU tier.
+#[derive(Clone, Copy)]
+pub struct Isa(u8);
+
+impl Isa {
+    pub fn avx2(self) -> bool {
+        self.0 >= 1
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -18,10 +29,17 @@ pub fn sneaky_kernel(xs: &mut [u32]) {
     }
 }
 
-pub fn dispatch(xs: &mut [u32]) {
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the branch above proved AVX2 support.
+pub fn dispatch(isa: Isa, xs: &mut [u32]) {
+    if isa.avx2() {
+        // SAFETY: the tier above answers for AVX2.
         unsafe { kernel(xs) }
+    }
+}
+
+pub fn self_probing(xs: &mut [u32]) {
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: none — a kernel's own probe is no tier query.
+        unsafe { kernel(&mut xs[1..]) };
     }
 }
 

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use mimo_cordic::Cordic;
-use mimo_fixed::{CFx, CQ15, Q16};
+use mimo_fixed::{CFx, Isa, CQ15, Q16};
 
 use crate::lanes::{ScanLanes, CHUNK};
 use crate::CORRELATOR_TAPS;
@@ -124,7 +124,7 @@ impl TimeSynchronizer {
         let threshold = Q16::from_f64(peak * threshold_factor);
         let cordic = Cordic::new();
         Ok(Self {
-            lanes: ScanLanes::new(&taps, &cordic),
+            lanes: ScanLanes::new(&taps, &cordic, Isa::detected()),
             taps,
             window: VecDeque::with_capacity(CORRELATOR_TAPS),
             cordic,
@@ -346,20 +346,16 @@ mod lane_tests {
     use super::*;
     use mimo_fixed::Fx;
 
-    /// The synchroniser on each lane build this CPU runs: the detected
-    /// one (AVX2 on AVX2 hosts) and the portable one.
+    /// The synchroniser on every tier this CPU runs.
     fn builds(taps: &[CQ15]) -> Vec<TimeSynchronizer> {
-        let detected = TimeSynchronizer::new(taps.to_vec(), crate::DEFAULT_THRESHOLD_FACTOR).unwrap();
-        let lanes = detected.lanes.as_ref().expect("on-bus taps run in the lanes");
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(lanes.avx2, std::arch::is_x86_feature_detected!("avx2"));
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(!lanes.avx2);
-        let mut portable = detected.clone();
-        let lanes = portable.lanes.as_mut().unwrap();
-        lanes.avx2 = false;
-        lanes.cordic = mimo_cordic::CordicLanes::portable(&Cordic::new()).unwrap();
-        vec![detected, portable]
+        let sync = TimeSynchronizer::new(taps.to_vec(), crate::DEFAULT_THRESHOLD_FACTOR).unwrap();
+        Isa::tiers()
+            .iter()
+            .map(|&isa| TimeSynchronizer {
+                lanes: ScanLanes::new(taps, &sync.cordic, isa),
+                ..sync.clone()
+            })
+            .collect()
     }
 
     /// The scalar scan the lanes must reproduce: one window at a time.
@@ -442,7 +438,7 @@ mod lane_tests {
                     assert!(lanes.magnitudes(window, &mut got[..len]));
                     for (p, &m) in got[..len].iter().enumerate() {
                         let want = sync.correlate(&window[p..p + CORRELATOR_TAPS]);
-                        assert_eq!(m, want, "avx2 {}, chunk at {first}, position {p}", lanes.avx2);
+                        assert_eq!(m, want, "{}, chunk at {first}, position {p}", lanes.isa.name());
                     }
                 }
             }

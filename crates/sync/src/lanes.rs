@@ -8,7 +8,7 @@
 //! positions at a time.
 
 use mimo_cordic::{Cordic, CordicLanes, Lanes, LANES};
-use mimo_fixed::{CQ15, Q16, SAMPLE_BITS};
+use mimo_fixed::{Isa, CQ15, Q16, SAMPLE_BITS};
 
 use crate::CORRELATOR_TAPS;
 
@@ -30,21 +30,21 @@ pub(crate) struct ScanLanes {
     /// Imaginary parts, laid out as `tap_re`.
     tap_im: [i32; CORRELATOR_TAPS],
     /// The magnitude CORDIC on [`LANES`] positions per call.
-    pub(crate) cordic: CordicLanes,
-    /// Whether the AVX2 build runs, from detection at construction.
-    pub(crate) avx2: bool,
+    cordic: CordicLanes,
+    /// The CPU tier the correlation dispatches on (the CORDIC's too).
+    pub(crate) isa: Isa,
 }
 
 impl ScanLanes {
-    /// Builds the lane tables for the 32 `taps` and `cordic`, on the
-    /// fastest build this CPU runs. Returns `None` when a tap is off
-    /// the 16-bit bus or the engine has no lane build; such
-    /// synchronisers scan on the scalar correlator only.
-    pub(crate) fn new(taps: &[CQ15], cordic: &Cordic) -> Option<Self> {
+    /// Builds the lane tables for the 32 `taps` and `cordic`, for the
+    /// build of tier `isa`. Returns `None` when a tap is off the 16-bit
+    /// bus or the engine has no lane build; such synchronisers scan on
+    /// the scalar correlator only.
+    pub(crate) fn new(taps: &[CQ15], cordic: &Cordic, isa: Isa) -> Option<Self> {
         if !on_bus(taps) {
             return None;
         }
-        let cordic = CordicLanes::new(cordic)?;
+        let cordic = CordicLanes::with_isa(cordic, isa)?;
         let mut tap_re = [0; CORRELATOR_TAPS];
         let mut tap_im = [0; CORRELATOR_TAPS];
         for ((re, im), t) in tap_re.iter_mut().zip(&mut tap_im).zip(taps) {
@@ -55,9 +55,8 @@ impl ScanLanes {
         Some(Self {
             tap_re,
             tap_im,
-            // The CPU-feature probe behind the CORDIC's build choice.
-            avx2: cordic.build_name() == "avx2",
             cordic,
+            isa,
         })
     }
 
@@ -76,17 +75,7 @@ impl ScanLanes {
         let groups = out.len().div_ceil(LANES);
         let mut xs = [[0; LANES]; GROUPS];
         let mut ys = [[0; LANES]; GROUPS];
-        let (xs_used, ys_used) = (&mut xs[..groups], &mut ys[..groups]);
-        #[cfg(target_arch = "x86_64")]
-        let laned = if self.avx2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was detected on this CPU just above.
-            unsafe { correlate_avx2(self, samples, xs_used, ys_used) }
-        } else {
-            correlate_lanes(self, samples, xs_used, ys_used)
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let laned = correlate_lanes(self, samples, xs_used, ys_used);
-        if !laned {
+        if !self.correlate(samples, &mut xs[..groups], &mut ys[..groups]) {
             return false;
         }
         for ((x, y), dst) in xs.iter().zip(&ys).zip(out.chunks_mut(LANES)) {
@@ -96,6 +85,18 @@ impl ScanLanes {
             }
         }
         true
+    }
+
+    /// [`correlate_lanes`] on the build of the scan's tier.
+    #[inline]
+    fn correlate(&self, samples: &[CQ15], xs: &mut [Lanes], ys: &mut [Lanes]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { correlate_avx2(self, samples, xs, ys) };
+        }
+        correlate_lanes(self, samples, xs, ys)
     }
 }
 
@@ -158,8 +159,8 @@ fn correlate_lanes(t: &ScanLanes, samples: &[CQ15], xs: &mut [Lanes], ys: &mut [
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: callers must have verified AVX2 support at run time
-// (`ScanLanes::magnitudes` checks `is_x86_feature_detected!` before
-// every call). The body is safe code.
+// (`ScanLanes::correlate` calls this only when its `Isa` answers
+// `avx2()`, the tier invariant). The body is safe code.
 unsafe fn correlate_avx2(
     t: &ScanLanes,
     samples: &[CQ15],

@@ -50,8 +50,8 @@
 //! model, the fallback of the range guard, and the reference the lane
 //! tests compare every build against. Like the other lane kernels, the
 //! lane body is written once and built twice, inside an `avx2`
-//! target-feature function when the CPU supports it and plain
-//! otherwise, with the same bits.
+//! target-feature function and plain, with the same bits; the
+//! synchroniser runs the one its [`mimo_fixed::Isa`] tier answers for.
 
 mod buffer;
 mod coarse;

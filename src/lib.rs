@@ -103,10 +103,10 @@
 //!
 //! * **Viterbi kernel tier.** Two tiers, like every other lane kernel:
 //!   the `i16` lane tier, a whole block's forward pass on sixteen-bit
-//!   wrapping metrics for the K=7 rate-1/2 code (AVX2 behind run-time
-//!   CPU detection, a portable lane body elsewhere), which every burst
-//!   decode takes because every demapper output and hard decision fits
-//!   its LLR bound; and the `i64` scalar reference kernel, the oracle
+//!   wrapping metrics for the K=7 rate-1/2 code (AVX-512BW, AVX2 or a
+//!   portable lane body: the build of the decoder's [`fixed::Isa`]
+//!   tier), which every burst decode takes because every demapper
+//!   output and hard decision fits its LLR bound; and the `i64` scalar reference kernel, the oracle
 //!   and the fallback for any other code or LLR magnitude. Both are
 //!   decode-for-decode bit-identical; [`coding::ViterbiKernel`] pins
 //!   the scalar one for differential runs through

@@ -70,15 +70,6 @@ fn data_rate_bps(cfg: &PhyConfig) -> f64 {
 }
 
 #[test]
-fn throughput_model_matches_phy_config() {
-    // The fpga timing model and the Mcs rate arithmetic must agree.
-    let model = timing::data_rate_bps(4, 64, 6, 3, 4);
-    assert!((data_rate_bps(&PhyConfig::gigabit()) - model).abs() < 1.0);
-    let model = timing::data_rate_bps(4, 64, 4, 1, 2);
-    assert!((data_rate_bps(&PhyConfig::paper_synthesis()) - model).abs() < 1.0);
-}
-
-#[test]
 fn headline_claim_holds() {
     // The reason the paper is called "1Gbps": 64-QAM r=3/4 on 4
     // streams at the achieved 100 MHz clock.
