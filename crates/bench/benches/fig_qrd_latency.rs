@@ -2,23 +2,26 @@
 //!
 //! The paper: "Each CORDIC element has a latency of 20 clock cycles
 //! ... The QRD circuit therefore has a data-path latency of 440 clock
-//! cycles." Regenerates both the analytic model and the event-driven
-//! measurement, plus the channel-estimation latency budget.
+//! cycles." Prints the closed-form model next to the clocked
+//! `SystolicQrdArray`'s measured cycles, plus the channel-estimation
+//! latency budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mimo_chanest::{qrd_datapath_latency_cycles, CordicQrd, QrdScheduler};
+use mimo_chanest::{
+    channel_estimation_latency_cycles, qrd_datapath_latency_cycles, Mat4, QrdScheduler,
+    SystolicQrdArray,
+};
 use mimo_cordic::{Cordic, CORDIC_LATENCY_CYCLES};
-use mimo_fixed::Q16;
-use mimo_fpga::timing;
+use mimo_fixed::{Cf64, Q16};
+use mimo_ofdm::SubcarrierMap;
 
-fn print_latency_report() {
-    let qrd = CordicQrd::new();
+fn print_latency_report(h: &Mat4) {
+    let (_, measured) = SystolicQrdArray::new().run(&h.to_fixed());
     eprintln!("\n=== F7: Latency claims ===");
     eprintln!("CORDIC element latency: {CORDIC_LATENCY_CYCLES} cycles (paper: 20)");
     eprintln!(
-        "QRD datapath latency: model {} cycles, event-driven measurement {} cycles (paper: 440)",
+        "QRD datapath latency: model {} cycles, clocked array {measured} cycles (paper: 440)",
         qrd_datapath_latency_cycles(4, CORDIC_LATENCY_CYCLES),
-        qrd.measured_latency_cycles()
     );
     let sched = QrdScheduler::new(52);
     eprintln!(
@@ -26,18 +29,20 @@ fn print_latency_report() {
         sched.total_ingest_cycles(),
         sched.burst_len()
     );
-    for n in [64usize, 512] {
+    for n in [64usize, 128, 256, 512] {
+        let map = SubcarrierMap::new(n).expect("supported FFT size");
+        let cycles = channel_estimation_latency_cycles(&map);
         eprintln!(
-            "Channel-estimation total latency, {n}-pt: {} cycles ({:.1} us @ 100 MHz)",
-            timing::channel_estimation_latency_cycles(n),
-            timing::channel_estimation_latency_cycles(n) as f64 / 100.0
+            "Channel-estimation total latency, {n}-pt: {cycles} cycles ({:.1} us @ 100 MHz)",
+            cycles as f64 / 100.0
         );
     }
     eprintln!();
 }
 
 fn bench(c: &mut Criterion) {
-    print_latency_report();
+    let h = Mat4::from_fn(|r, col| Cf64::new(0.1 * (r as f64 + 1.0), -0.07 * col as f64));
+    print_latency_report(&h);
 
     let cordic = Cordic::new();
     let (x, y) = (Q16::from_f64(0.6), Q16::from_f64(0.8));
@@ -46,10 +51,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| cordic.rotate(x, y, Q16::from_f64(1.1)))
     });
 
-    let qrd = CordicQrd::new();
-    c.bench_function("fig7/qrd_latency_model", |b| {
-        b.iter(|| qrd.measured_latency_cycles())
-    });
+    let mut array = SystolicQrdArray::new();
+    let h = h.to_fixed();
+    c.bench_function("fig7/qrd_latency_model", |b| b.iter(|| array.run(&h).1));
 
     let sched = QrdScheduler::new(512);
     c.bench_function("fig7/scheduler_512sc_column", |b| {

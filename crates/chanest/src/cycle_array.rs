@@ -9,9 +9,11 @@
 //!
 //! Because both models run the identical CORDIC operations in the
 //! identical per-cell order, the clocked array must produce
-//! **bit-identical** `[R | Qᴴ]` to the functional model — and its
-//! measured completion time independently reproduces the paper's
-//! 440-cycle datapath latency. Both properties are asserted in tests.
+//! **bit-identical** `[R | Qᴴ]` to the functional model. Its completion
+//! time is the one measurement of the QRD latency: it reproduces the
+//! closed form [`qrd_datapath_latency_cycles`](crate::qrd_datapath_latency_cycles),
+//! the paper's 440-cycle datapath. Both properties are asserted in
+//! tests, as are the Fig 7 cell counts of its cell vectors.
 
 use std::collections::VecDeque;
 
@@ -336,6 +338,21 @@ mod tests {
             let (_, cycles) = array.run(&h);
             assert_eq!(cycles, 440, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn cell_counts_match_paper() {
+        // Fig 7: "four boundary cells and six internal cells" for R,
+        // then the appended 4×4 grid of internal cells for Qᴴ.
+        let array = SystolicQrdArray::new();
+        let columns = |k: usize| (k + 1..).take(array.internal[k].len());
+        let internal: Vec<usize> = (0..N_ANTENNAS).flat_map(columns).collect();
+        let r_cells = internal.iter().filter(|&&j| j < N_ANTENNAS).count();
+        let q_cells = internal.len() - r_cells;
+        assert_eq!((array.boundary.len(), r_cells, q_cells), (4, 6, 16));
+        // Two vectoring CORDICs per boundary cell, three rotation
+        // CORDICs per internal cell: 74 engines.
+        assert_eq!(2 * array.boundary.len() + 3 * internal.len(), 74);
     }
 
     #[test]

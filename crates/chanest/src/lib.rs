@@ -16,8 +16,12 @@
 //! * [`CordicQrd`] — the three-angle complex-rotation systolic array
 //!   (4 boundary cells × 2 vectoring CORDICs, 6+16 internal cells × 3
 //!   rotation CORDICs), functionally bit-accurate; plus the Fig 8
-//!   [`QrdScheduler`] and the latency model (Experiment F7: 20-cycle
-//!   CORDICs → 440-cycle datapath).
+//!   [`QrdScheduler`].
+//! * [`SystolicQrdArray`] — the same array clocked cell by cell, the
+//!   one measurement of the QRD latency (Experiment F7: 20-cycle
+//!   CORDICs → 440-cycle datapath), against the closed form
+//!   [`qrd_datapath_latency_cycles`]; [`channel_estimation_latency_cycles`]
+//!   composes the whole estimation budget from each block's cycles.
 //! * [`invert_upper_triangular`] — the R⁻¹ back-substitution block,
 //!   implementing the paper's ten equations verbatim.
 //! * [`ChannelEstimator`] — LTS averaging (`+ ÷2`), per-subcarrier H
@@ -57,6 +61,7 @@ mod product;
 mod qr_float;
 mod rinv;
 mod systolic;
+mod timing;
 
 pub use cycle_array::SystolicQrdArray;
 pub use estimator::{ChanestError, ChannelEstimate, ChannelEstimator};
@@ -65,6 +70,7 @@ pub use matrix::{FxMat4, Mat4};
 pub use qr_float::qr_givens_f64;
 pub use rinv::invert_upper_triangular;
 pub use systolic::{CordicQrd, QrDecomposition, QrdScheduler, ScheduledRead};
+pub use timing::channel_estimation_latency_cycles;
 
 /// Antennas on each side of the link (the paper's 4×4 system).
 pub const N_ANTENNAS: usize = 4;

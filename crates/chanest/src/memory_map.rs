@@ -5,8 +5,11 @@
 //! four S-entry regions, Ĥᵢ₀ at addresses 0…S−1, Ĥᵢ₁ at S…2S−1, Ĥᵢ₂ at
 //! 2S…3S−1, Ĥᵢ₃ at 3S…4S−1 (Fig 5 draws S = 512). The inverted
 //! estimates live in an identically-shaped array. This module makes
-//! that address map executable so the scheduler, estimator and FPGA
-//! memory accounting all agree on one layout.
+//! that address map executable as a standalone Fig 5 model: neither
+//! the [`QrdScheduler`](crate::QrdScheduler), the estimator nor the
+//! FPGA memory accounting reads it yet. It waits for a cycle-stepped
+//! receiver that composes the clocked block models, where the
+//! scheduler's reads would be addressed through it.
 
 use crate::N_ANTENNAS;
 

@@ -20,6 +20,11 @@ use mimo_fixed::{CFx, Isa, Q16};
 use crate::matrix::FxMat4;
 use crate::N_ANTENNAS;
 
+/// Pipeline latency of the paper's 4×4 matrix multiplier, in clock
+/// cycles: four multiply-accumulate stages of a 5-stage pipelined
+/// multiplier.
+pub(crate) const PRODUCT_LATENCY_CYCLES: u32 = 20;
+
 /// A 4×4 matrix of carrier lanes: `[row][col]`, lane `s` = carrier `s`.
 type MatLanes<T> = [[[T; LANES]; N_ANTENNAS]; N_ANTENNAS];
 

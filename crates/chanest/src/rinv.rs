@@ -24,6 +24,12 @@ use mimo_fixed::{CFx, Q16};
 use crate::estimator::ChanestError;
 use crate::matrix::FxMat4;
 
+/// Pipeline latency of the block, in clock cycles: the longest
+/// dependency chain of the equations is R⁻¹(0,3), three levels of
+/// multiply-accumulate (3 × 5-stage pipelined complex multiplier)
+/// behind the reciprocal unit (20).
+pub(crate) const RINV_LATENCY_CYCLES: u32 = 35;
+
 /// Smallest diagonal magnitude the divider accepts; below this the
 /// channel matrix is reported singular (a hardware implementation
 /// would flag the same condition off the reciprocal unit's range).

@@ -48,9 +48,8 @@ pub struct QrDecomposition {
 #[derive(Debug, Clone)]
 pub struct CordicQrd {
     cordic: Cordic,
-    /// The same CORDIC on [`LANES`] carriers per step; `None` when the
-    /// engine's iteration count does not fit the lanes.
-    pub(crate) lanes: Option<CordicLanes>,
+    /// The same CORDIC on [`LANES`] carriers per step.
+    lanes: CordicLanes,
     /// The CPU tier of the lane CORDIC and of the R⁻¹·Qᴴ lane product
     /// of [`ChannelEstimate::invert_all`](crate::ChannelEstimate::invert_all).
     pub(crate) isa: Isa,
@@ -81,32 +80,6 @@ impl CordicQrd {
             cordic,
             isa,
         }
-    }
-
-    /// Number of boundary cells (diagonal): 4, each two vectoring
-    /// CORDICs — "This array consists of four boundary cells and six
-    /// internal cells" for the R factor.
-    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
-    pub fn boundary_cells(&self) -> usize {
-        N_ANTENNAS
-    }
-
-    /// Internal cells in the R array (strictly-upper triangle): 6.
-    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
-    pub fn r_internal_cells(&self) -> usize {
-        N_ANTENNAS * (N_ANTENNAS - 1) / 2
-    }
-
-    /// Internal cells in the Q array (Fig 7): a full 4×4 grid.
-    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
-    pub fn q_internal_cells(&self) -> usize {
-        N_ANTENNAS * N_ANTENNAS
-    }
-
-    /// Total CORDIC engines: 2 per boundary + 3 per internal cell.
-    // phylint: allow(test_only_api) -- paper Fig 7: the systolic QRD array cell counts
-    pub fn total_cordics(&self) -> usize {
-        2 * self.boundary_cells() + 3 * (self.r_internal_cells() + self.q_internal_cells())
     }
 
     /// Decomposes a channel matrix. Always succeeds: rank-deficient
@@ -166,7 +139,7 @@ impl CordicQrd {
     /// spare lanes at a zero channel and discards them. The result is
     /// bit-identical to [`CordicQrd::decompose`] per carrier, which is
     /// also the path taken when any element of the group is outside
-    /// the lanes' admitted range or the engine has no lane build.
+    /// the lanes' admitted range.
     pub(crate) fn decompose_group(&self, h: &[FxMat4], out: &mut [QrDecomposition; LANES]) {
         debug_assert!(h.len() <= LANES);
         let admitted = h.iter().all(|m| {
@@ -177,60 +150,13 @@ impl CordicQrd {
                 })
             })
         });
-        match &self.lanes {
-            Some(lanes) if admitted => decompose_lanes(lanes, h, out),
-            _ => {
-                for (d, m) in out.iter_mut().zip(h) {
-                    *d = self.decompose(m);
-                }
+        if admitted {
+            decompose_lanes(&self.lanes, h, out);
+        } else {
+            for (d, m) in out.iter_mut().zip(h) {
+                *d = self.decompose(m);
             }
         }
-    }
-
-    /// Event-driven latency measurement of the pipelined array, in
-    /// clock cycles: every CORDIC is 20 cycles, matrix elements enter
-    /// on the Fig 8 diagonal wavefront (one beat apart), the identity
-    /// trails H by the array width, and angle buses are pipelined
-    /// alongside the data. This is the "measured" counterpart of
-    /// [`crate::qrd_datapath_latency_cycles`].
-    pub fn measured_latency_cycles(&self) -> u32 {
-        let beat = self.cordic.latency_cycles();
-        let boundary_latency = 2 * beat; // two serial vectoring CORDICs
-        let internal_latency = 2 * beat; // phase CORDIC + parallel Givens pair
-        let n = N_ANTENNAS;
-        let w = 2 * n;
-
-        // arrive[i][j]: time element j of input row i reaches the
-        // current array row. Entry follows the Fig 8 diagonal
-        // wavefront: element (i, j) of [H | I] enters at beat·(i + j).
-        let mut arrive = vec![vec![0u32; w]; n];
-        for (i, row) in arrive.iter_mut().enumerate() {
-            for (j, t) in row.iter_mut().enumerate() {
-                *t = beat * (i + j) as u32;
-            }
-        }
-        let mut latest = 0u32;
-        for k in 0..n {
-            // Array row k: boundary cell on (absolute) column k,
-            // internal cells on columns k+1..w.
-            let mut boundary_free = 0u32;
-            let mut cell_free = vec![0u32; w];
-            #[allow(clippy::needless_range_loop)] // `i` walks rows of `arrive` while mutating later rows
-            for i in 0..n {
-                let start_b = arrive[i][k].max(boundary_free);
-                let fin_b = start_b + boundary_latency;
-                boundary_free = fin_b;
-                latest = latest.max(fin_b);
-                for j in (k + 1)..w {
-                    let start = fin_b.max(arrive[i][j]).max(cell_free[j]);
-                    let fin = start + internal_latency;
-                    cell_free[j] = fin;
-                    arrive[i][j] = fin; // south input to array row k+1
-                    latest = latest.max(fin);
-                }
-            }
-        }
-        latest
     }
 }
 
@@ -456,22 +382,6 @@ mod tests {
         let err_r = result.r.to_f64().max_distance(&Mat4::identity());
         let err_q = result.q_h.to_f64().max_distance(&Mat4::identity());
         assert!(err_r < 5e-3 && err_q < 5e-3, "R err {err_r}, Q err {err_q}");
-    }
-
-    #[test]
-    fn cell_counts_match_paper() {
-        let qrd = CordicQrd::new();
-        assert_eq!(qrd.boundary_cells(), 4);
-        assert_eq!(qrd.r_internal_cells(), 6);
-        assert_eq!(qrd.q_internal_cells(), 16);
-        // 2*4 + 3*22 = 74 CORDIC engines.
-        assert_eq!(qrd.total_cordics(), 74);
-    }
-
-    #[test]
-    fn measured_latency_matches_paper_440() {
-        let qrd = CordicQrd::new();
-        assert_eq!(qrd.measured_latency_cycles(), 440);
     }
 
     #[test]

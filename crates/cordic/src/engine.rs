@@ -3,7 +3,15 @@
 use mimo_fixed::Q16;
 
 use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle};
+use crate::lanes::MAX_ITERATIONS;
 use crate::CORDIC_ITERATIONS;
+
+/// Clock cycles of a hardware CORDIC element running `iterations`
+/// micro-rotations: one input register, one stage per micro-rotation
+/// and one gain-compensation stage.
+pub(crate) const fn pipeline_latency(iterations: u32) -> u32 {
+    iterations + 2
+}
 
 /// Result of a vectoring-mode CORDIC operation: the input vector rotated
 /// onto the positive x-axis.
@@ -73,10 +81,11 @@ impl Cordic {
     ///
     /// # Panics
     ///
-    /// Panics if `iterations` is zero or greater than 40.
+    /// Panics if `iterations` is zero or greater than 31, the most the
+    /// lane engine ([`crate::CordicLanes`]) shifts an `i32` lane by.
     pub fn with_iterations(iterations: u32) -> Self {
         assert!(
-            (1..=40).contains(&iterations),
+            (1..=MAX_ITERATIONS as u32).contains(&iterations),
             "iteration count out of range: {iterations}"
         );
         let atan_table = (0..iterations)
@@ -100,7 +109,7 @@ impl Cordic {
     /// Pipeline latency of the equivalent hardware element, in cycles:
     /// one input register + `iterations` + one gain-compensation stage.
     pub fn latency_cycles(&self) -> u32 {
-        self.iterations + 2
+        pipeline_latency(self.iterations)
     }
 
     /// Vectoring mode: rotates `(x, y)` onto the positive x-axis,

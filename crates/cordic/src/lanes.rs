@@ -28,9 +28,10 @@
 //! ([`CordicLanes::accepts`]): a QRD over a 4×4 matrix of such
 //! elements keeps its values within the column norms of `[H | I]`,
 //! at most `√8·2²⁴ ≈ 2^25.5`, which leaves a factor of five to the
-//! per-operation limit. Anything else goes to the scalar engine. The
-//! lanes run at most 31 micro-rotations, so every shift of an `i32`
-//! lane stays defined.
+//! per-operation limit. Anything else goes to the scalar engine. An
+//! engine runs at most 31 micro-rotations
+//! ([`Cordic::with_iterations`]), so every shift of an `i32` lane stays
+//! defined and every engine has lanes.
 //!
 //! # The per-symbol de-rotation block
 //!
@@ -69,9 +70,9 @@ pub type Lanes = [i32; LANES];
 /// magnitude (see the module docs for the headroom argument).
 pub const LANE_INPUT_LIMIT: i64 = 1 << 24;
 
-/// Largest micro-rotation count the lanes run: every `x >> i` on an
-/// `i32` lane stays a defined shift.
-const MAX_ITERATIONS: usize = 31;
+/// Largest micro-rotation count of any engine: every `x >> i` on an
+/// `i32` lane stays a defined shift, so every [`Cordic`] has lanes.
+pub(crate) const MAX_ITERATIONS: usize = 31;
 
 /// Per-operation bound on lane components (module docs).
 const OP_LIMIT: u32 = 1 << 28;
@@ -96,7 +97,7 @@ const BUS_MAX: i32 = (1 << 15) - 1;
 /// use mimo_fixed::Q16;
 ///
 /// let cordic = Cordic::new();
-/// let lanes = CordicLanes::new(&cordic).expect("18 iterations fit the lanes");
+/// let lanes = CordicLanes::new(&cordic);
 /// let x = [Q16::from_f64(0.6).raw() as i32; LANES];
 /// let y = [Q16::from_f64(0.8).raw() as i32; LANES];
 /// let (magnitude, angle) = lanes.vector(&x, &y);
@@ -117,29 +118,24 @@ pub struct CordicLanes {
 
 impl CordicLanes {
     /// Builds the lane tables for `cordic`, on the fastest build this
-    /// CPU runs. Returns `None` when the engine runs more
-    /// micro-rotations than the lanes hold (over 31); such engines stay
-    /// on the scalar path.
-    pub fn new(cordic: &Cordic) -> Option<Self> {
+    /// CPU runs.
+    pub fn new(cordic: &Cordic) -> Self {
         Self::with_isa(cordic, Isa::detected())
     }
 
     /// As [`CordicLanes::new`], on the build of tier `isa`.
-    pub fn with_isa(cordic: &Cordic, isa: Isa) -> Option<Self> {
-        let iterations = cordic.iterations() as usize;
-        if iterations > MAX_ITERATIONS {
-            return None;
-        }
+    pub fn with_isa(cordic: &Cordic, isa: Isa) -> Self {
+        // atan(2^-i) ≤ π/4 and 1/K < 1: both are below 2¹⁷ in Q2.16.
         let mut atan = [0; MAX_ITERATIONS];
         for (lane, &wide) in atan.iter_mut().zip(&cordic.atan_table) {
-            *lane = i32::try_from(wide).ok()?;
+            *lane = wide as i32;
         }
-        Some(Self {
+        Self {
             atan,
-            inv_gain: i32::try_from(cordic.inv_gain.raw()).ok()?,
-            iterations,
+            inv_gain: cordic.inv_gain.raw() as i32,
+            iterations: cordic.iterations() as usize,
             isa,
-        })
+        }
     }
 
     /// Whether a raw Q2.16 word may enter the lanes (its magnitude is
@@ -561,7 +557,7 @@ mod tests {
 
     fn check_vector(cordic: &Cordic, x: Lanes, y: Lanes) {
         for &isa in Isa::tiers() {
-            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
+            let lanes = CordicLanes::with_isa(cordic, isa);
             let (mag, angle) = lanes.vector(&x, &y);
             for k in 0..LANES {
                 let s = cordic.vector(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
@@ -579,7 +575,7 @@ mod tests {
 
     fn check_rotate(cordic: &Cordic, angle: [i64; LANES], pairs: &[(Lanes, Lanes)]) {
         for &isa in Isa::tiers() {
-            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
+            let lanes = CordicLanes::with_isa(cordic, isa);
             let mut xs: Vec<Lanes> = pairs.iter().map(|p| p.0).collect();
             let mut ys: Vec<Lanes> = pairs.iter().map(|p| p.1).collect();
             lanes.rotate(&angle, &mut xs, &mut ys);
@@ -611,9 +607,9 @@ mod tests {
     #[test]
     fn both_builds_present_on_avx2_hosts() {
         let c = Cordic::new();
-        assert_eq!(CordicLanes::new(&c).unwrap().isa, Isa::detected());
+        assert_eq!(CordicLanes::new(&c).isa, Isa::detected());
         for &isa in Isa::tiers() {
-            assert_eq!(CordicLanes::with_isa(&c, isa).unwrap().isa, isa);
+            assert_eq!(CordicLanes::with_isa(&c, isa).isa, isa);
         }
         #[cfg(target_arch = "x86_64")]
         assert_eq!(
@@ -721,9 +717,12 @@ mod tests {
                 )],
             );
         }
-        for n in MAX_ITERATIONS as u32 + 1..=40 {
-            assert!(CordicLanes::new(&Cordic::with_iterations(n)).is_none());
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "iteration count out of range")]
+    fn engines_past_the_lane_shift_are_rejected() {
+        let _ = Cordic::with_iterations(MAX_ITERATIONS as u32 + 1);
     }
 
     #[test]
@@ -780,7 +779,7 @@ mod tests {
         pairs: &[(Lanes, Lanes)],
     ) {
         for &isa in Isa::tiers() {
-            let lanes = CordicLanes::with_isa(cordic, isa).unwrap();
+            let lanes = CordicLanes::with_isa(cordic, isa);
             let mut xs: Vec<Lanes> = pairs.iter().map(|p| p.0).collect();
             let mut ys: Vec<Lanes> = pairs.iter().map(|p| p.1).collect();
             lanes.derotate_bus(phase, ramp, &mut xs, &mut ys);

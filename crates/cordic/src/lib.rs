@@ -46,10 +46,11 @@ pub use engine::{Cordic, Rotated, Vectored};
 pub use lanes::{CordicLanes, Lanes, DEROTATE_GROUPS, LANES, LANE_INPUT_LIMIT};
 pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
-/// Pipeline latency, in clock cycles, of each CORDIC element in the
-/// paper ("Each CORDIC element has a latency of 20 clock cycles").
-pub const CORDIC_LATENCY_CYCLES: u32 = 20;
-
-/// Number of micro-rotation iterations: 20-cycle latency minus the
-/// input register and the gain-compensation multiply stage.
+/// Number of micro-rotation iterations of the paper's CORDIC element.
 pub const CORDIC_ITERATIONS: u32 = 18;
+
+/// Pipeline latency, in clock cycles, of each CORDIC element in the
+/// paper ("Each CORDIC element has a latency of 20 clock cycles"): the
+/// [`CORDIC_ITERATIONS`] micro-rotations behind an input register and
+/// ahead of the gain-compensation multiply stage.
+pub const CORDIC_LATENCY_CYCLES: u32 = engine::pipeline_latency(CORDIC_ITERATIONS);

@@ -56,12 +56,21 @@ pub struct TxBurst {
     pub mcs: Mcs,
     /// Payload bytes carried.
     pub payload_len: usize,
+    /// Samples per OFDM symbol, cyclic prefix included.
+    pub symbol_samples: usize,
 }
 
 impl TxBurst {
     /// Total burst length in samples (identical across streams).
     pub fn len_samples(&self) -> usize {
         self.streams.first().map_or(0, Vec::len)
+    }
+
+    /// The share of the burst's samples that carry payload symbols:
+    /// what the preamble and the SIGNAL-field header leave of the air
+    /// time.
+    pub fn payload_share(&self) -> f64 {
+        (self.n_symbols * self.symbol_samples) as f64 / self.len_samples() as f64
     }
 
     /// Burst duration in seconds at a given clock.
@@ -254,6 +263,7 @@ impl MimoTransmitter {
             header_symbols,
             mcs,
             payload_len: payload.len(),
+            symbol_samples: sym_len,
         })
     }
 
@@ -410,6 +420,21 @@ mod tests {
                 assert!(got == want, "{mcs}, {len} bytes");
             }
         }
+    }
+
+    /// The payload share counts the SIGNAL header as overhead: a
+    /// 100-byte 64-QAM r=3/4 burst is one payload symbol of 80 samples
+    /// behind 800 preamble and 160 header samples.
+    #[test]
+    fn payload_share_counts_preamble_and_header() {
+        let tx = MimoTransmitter::new(PhyConfig::gigabit()).unwrap();
+        let burst = tx.transmit_burst(&[0; 100]).unwrap();
+        let preamble = tx.preamble_schedule().data_offset();
+        let header = burst.header_symbols * burst.symbol_samples;
+        let payload = burst.n_symbols * burst.symbol_samples;
+        assert_eq!((preamble, header, payload), (800, 160, 80));
+        assert_eq!(preamble + header + payload, burst.len_samples());
+        assert_eq!(burst.payload_share(), 80.0 / 1040.0);
     }
 
     #[test]

@@ -34,14 +34,14 @@ fn narrow(x: Q16, y: Q16) -> CQ15 {
 /// Q2.16 angle `angle[i % LANES]`, and narrows them back to samples.
 ///
 /// The carriers run on the lane CORDIC in one call, lane group `g`
-/// holding carriers `g·LANES..`, when there is one and every widened
-/// sample is inside its admitted range — always true for 16-bit
-/// samples — with a short tail group padded by zero lanes that are
-/// discarded. Otherwise each carrier goes through the scalar engine.
-/// Both paths give the same bits.
+/// holding carriers `g·LANES..`, when every widened sample is inside
+/// its admitted range — always true for 16-bit samples — with a short
+/// tail group padded by zero lanes that are discarded. Otherwise each
+/// carrier goes through the scalar engine. Both paths give the same
+/// bits.
 fn rotate_carriers<const G: usize>(
     cordic: &Cordic,
-    lanes: Option<&CordicLanes>,
+    lanes: &CordicLanes,
     carriers: &mut [CQ15],
     angle: &[i64; LANES],
 ) {
@@ -51,31 +51,28 @@ fn rotate_carriers<const G: usize>(
         let w = widened(c);
         CordicLanes::accepts(w.re.raw()) && CordicLanes::accepts(w.im.raw())
     });
-    match lanes {
-        Some(lanes) if admitted => {
-            let (mut xs, mut ys): ([Lanes; G], [Lanes; G]) = ([[0; LANES]; G], [[0; LANES]; G]);
-            for ((x, y), group) in xs.iter_mut().zip(&mut ys).zip(carriers.chunks(LANES)) {
-                for (k, c) in group.iter().enumerate() {
-                    let w = widened(c);
-                    // Admitted words are below 2²⁴, so they fit an i32 lane.
-                    x[k] = w.re.raw() as i32;
-                    y[k] = w.im.raw() as i32;
-                }
-            }
-            let groups = carriers.len().div_ceil(LANES);
-            lanes.rotate(angle, &mut xs[..groups], &mut ys[..groups]);
-            for ((x, y), group) in xs.iter().zip(&ys).zip(carriers.chunks_mut(LANES)) {
-                for (k, c) in group.iter_mut().enumerate() {
-                    *c = narrow(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
-                }
-            }
+    if !admitted {
+        for (c, &a) in carriers.iter_mut().zip(angle.iter().cycle()) {
+            let w = widened(c);
+            let rotated = cordic.rotate(w.re, w.im, Q16::from_raw(a));
+            *c = narrow(rotated.x, rotated.y);
         }
-        _ => {
-            for (c, &a) in carriers.iter_mut().zip(angle.iter().cycle()) {
-                let w = widened(c);
-                let rotated = cordic.rotate(w.re, w.im, Q16::from_raw(a));
-                *c = narrow(rotated.x, rotated.y);
-            }
+        return;
+    }
+    let (mut xs, mut ys): ([Lanes; G], [Lanes; G]) = ([[0; LANES]; G], [[0; LANES]; G]);
+    for ((x, y), group) in xs.iter_mut().zip(&mut ys).zip(carriers.chunks(LANES)) {
+        for (k, c) in group.iter().enumerate() {
+            let w = widened(c);
+            // Admitted words are below 2²⁴, so they fit an i32 lane.
+            x[k] = w.re.raw() as i32;
+            y[k] = w.im.raw() as i32;
+        }
+    }
+    let groups = carriers.len().div_ceil(LANES);
+    lanes.rotate(angle, &mut xs[..groups], &mut ys[..groups]);
+    for ((x, y), group) in xs.iter().zip(&ys).zip(carriers.chunks_mut(LANES)) {
+        for (k, c) in group.iter_mut().enumerate() {
+            *c = narrow(Q16::from_raw(x[k].into()), Q16::from_raw(y[k].into()));
         }
     }
 }
@@ -88,7 +85,7 @@ fn rotate_carriers<const G: usize>(
 pub struct PilotPhaseCorrector {
     cordic: Cordic,
     /// The de-rotation CORDIC on [`LANES`] carriers per step.
-    lanes: Option<CordicLanes>,
+    lanes: CordicLanes,
 }
 
 impl Default for PilotPhaseCorrector {
@@ -143,13 +140,13 @@ impl PilotPhaseCorrector {
     /// call, which derives the angle's micro-rotation directions once
     /// for all of them.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
-        correct_phase(&self.cordic, self.lanes.as_ref(), carriers, phase);
+        correct_phase(&self.cordic, &self.lanes, carriers, phase);
     }
 }
 
 /// The body of [`PilotPhaseCorrector::correct_in_place`] on a given
 /// engine, shared with the one-pass fallback.
-fn correct_phase(cordic: &Cordic, lanes: Option<&CordicLanes>, carriers: &mut [CQ15], phase: Q16) {
+fn correct_phase(cordic: &Cordic, lanes: &CordicLanes, carriers: &mut [CQ15], phase: Q16) {
     let angle = [(-phase).raw(); LANES];
     // A symbol's pilots fit one lane group: stage only that one.
     if carriers.len() <= LANES {
@@ -172,7 +169,7 @@ fn correct_phase(cordic: &Cordic, lanes: Option<&CordicLanes>, carriers: &mut [C
 pub struct TimingCorrector {
     cordic: Cordic,
     /// The de-rotation CORDIC on [`LANES`] carriers per step.
-    lanes: Option<CordicLanes>,
+    lanes: CordicLanes,
     /// Replicate the paper's small-angle add/sub correction instead of
     /// an exact rotation.
     small_angle: bool,
@@ -271,7 +268,7 @@ impl TimingCorrector {
             for (a, &l) in angle.iter_mut().zip(idx) {
                 *a = ramp_angle(tau_q, l);
             }
-            rotate_carriers::<1>(&self.cordic, self.lanes.as_ref(), group, &angle);
+            rotate_carriers::<1>(&self.cordic, &self.lanes, group, &angle);
         }
     }
 
@@ -296,20 +293,11 @@ impl TimingCorrector {
         tau: f64,
     ) {
         let on_bus = |c: &CQ15| c.re.fits_bits(SAMPLE_BITS) && c.im.fits_bits(SAMPLE_BITS);
-        let lanes = match &self.lanes {
-            Some(lanes)
-                if !self.small_angle
-                    && carriers.len() == indices.len()
-                    && carriers.iter().all(on_bus) =>
-            {
-                lanes
-            }
-            _ => {
-                correct_phase(&self.cordic, self.lanes.as_ref(), carriers, phase);
-                self.correct_in_place(carriers, indices, tau);
-                return;
-            }
-        };
+        if self.small_angle || carriers.len() != indices.len() || !carriers.iter().all(on_bus) {
+            correct_phase(&self.cordic, &self.lanes, carriers, phase);
+            self.correct_in_place(carriers, indices, tau);
+            return;
+        }
         let tau_q = Q16::from_f64(tau);
         let block = DEROTATE_GROUPS * LANES;
         for (chunk, idx) in carriers.chunks_mut(block).zip(indices.chunks(block)) {
@@ -326,7 +314,7 @@ impl TimingCorrector {
                 }
             }
             let groups = chunk.len().div_ceil(LANES);
-            lanes.derotate_bus(
+            self.lanes.derotate_bus(
                 (-phase).raw(),
                 &ramp[..groups],
                 &mut xs[..groups],
@@ -477,13 +465,13 @@ mod tests {
         Isa::tiers()
             .iter()
             .map(|&isa| {
-                let lanes = CordicLanes::with_isa(&Cordic::new(), isa).unwrap();
+                let lanes = CordicLanes::with_isa(&Cordic::new(), isa);
                 let phase = PilotPhaseCorrector {
-                    lanes: Some(lanes.clone()),
+                    lanes: lanes.clone(),
                     ..PilotPhaseCorrector::new()
                 };
                 let timing = TimingCorrector {
-                    lanes: Some(lanes),
+                    lanes,
                     ..TimingCorrector::new()
                 };
                 (phase, timing)
@@ -720,10 +708,10 @@ mod tests {
         }
     }
 
-    /// Zero pilots give φ = τ = 0; the small-angle mode and a
-    /// corrector without lanes take the two passes.
+    /// Zero pilots give φ = τ = 0; the small-angle mode takes the two
+    /// passes.
     #[test]
-    fn zero_pilots_small_angle_and_no_lanes_match_two_passes() {
+    fn zero_pilots_and_small_angle_match_two_passes() {
         let indices: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
         let rx = samples(52, 9);
         let pilots = [CQ15::ZERO; 4];
@@ -736,11 +724,7 @@ mod tests {
                 small_angle: true,
                 ..timing.clone()
             };
-            let bare = TimingCorrector {
-                lanes: None,
-                ..timing.clone()
-            };
-            for t in [timing, small, bare] {
+            for t in [timing, small] {
                 let builds = (phase_c.clone(), t);
                 check_one_pass(&builds, &rx, &indices, phi, tau);
                 for &phi in &edge_phases() {

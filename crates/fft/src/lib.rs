@@ -70,7 +70,7 @@ mod streaming;
 pub use fixed::{FftError, FftScaling, FixedFft};
 pub use lanes::FFT_LANES;
 pub use reference::{fft_f64, ifft_f64};
-pub use streaming::StreamingFft;
+pub use streaming::{streaming_latency_cycles, StreamingFft};
 
 /// Returns `true` if `n` is a supported transform size (power of two,
 /// at least 8, at most 4096).

@@ -13,6 +13,13 @@ use mimo_fixed::CQ15;
 
 use crate::fixed::{FftError, FixedFft};
 
+/// Clock cycles from a frame's first input sample to its first output
+/// sample in an `n`-point streaming core: the input reorder buffer (`n`)
+/// plus `2·log₂n + 4` butterfly pipeline stages.
+pub fn streaming_latency_cycles(n: usize) -> u32 {
+    n as u32 + 2 * n.trailing_zeros() + 4
+}
+
 /// Direction of a streaming transform instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Direction {
@@ -25,8 +32,7 @@ enum Direction {
 /// latency, one sample per clock.
 ///
 /// Latency model: a frame's first output appears
-/// `N + 2·log2(N) + 4` clocks after its first input — the input
-/// reorder buffer (N) plus butterfly pipeline stages — matching the
+/// [`streaming_latency_cycles`] clocks after its first input, the
 /// ballpark of vendor streaming FFT cores at 1 sample/cycle.
 ///
 /// # Examples
@@ -110,8 +116,7 @@ impl StreamingFft {
     /// Clock cycles from a frame's first input sample to its first
     /// output sample.
     pub fn latency_cycles(&self) -> u32 {
-        let n = self.core.size() as u32;
-        n + 2 * n.trailing_zeros() + 4
+        streaming_latency_cycles(self.core.size())
     }
 
     /// Advances one clock cycle, optionally consuming an input sample,

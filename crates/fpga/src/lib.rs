@@ -1,4 +1,4 @@
-//! FPGA synthesis-resource and timing model (§V of the paper).
+//! FPGA synthesis-resource model (§V of the paper).
 //!
 //! The paper's evaluation is a set of Quartus synthesis tables on a
 //! Stratix-IV-class device (424,960 ALUTs) plus an achieved 100 MHz
@@ -16,15 +16,18 @@
 //!   parametric resource formulas.
 //! * [`SynthesisReport`] — regenerates Table 1/2 (transmitter) and
 //!   Table 3/4 (receiver), including the derived §V claims.
-//! * [`timing`] — the 440-cycle QRD latency, channel-estimation
-//!   latency and burst efficiency (the clock and line rate are
-//!   `mimo_core`'s `LinkGeometry::clock_hz` and `Mcs::data_rate_bps`).
+//!
+//! Timing is not modelled here: each block states its own cycles.
+//! The 20-cycle CORDIC element is `mimo_cordic::CORDIC_LATENCY_CYCLES`,
+//! the 440-cycle QRD datapath and the channel-estimation total are
+//! `mimo_chanest`'s (measured by its clocked `SystolicQrdArray`), the
+//! FFT latency is `mimo_fft`'s, and the clock and line rate are
+//! `mimo_core`'s `LinkGeometry::clock_hz` and `Mcs::data_rate_bps`.
 
 mod device;
 mod entities;
 mod report;
 mod resources;
-pub mod timing;
 
 pub use device::Device;
 pub use entities::{RxEntity, SynthConfig, TxEntity};

@@ -38,13 +38,12 @@ pub(crate) struct ScanLanes {
 impl ScanLanes {
     /// Builds the lane tables for the 32 `taps` and `cordic`, for the
     /// build of tier `isa`. Returns `None` when a tap is off the 16-bit
-    /// bus or the engine has no lane build; such synchronisers scan on
-    /// the scalar correlator only.
+    /// bus; such synchronisers scan on the scalar correlator only.
     pub(crate) fn new(taps: &[CQ15], cordic: &Cordic, isa: Isa) -> Option<Self> {
         if !on_bus(taps) {
             return None;
         }
-        let cordic = CordicLanes::with_isa(cordic, isa)?;
+        let cordic = CordicLanes::with_isa(cordic, isa);
         let mut tap_re = [0; CORRELATOR_TAPS];
         let mut tap_im = [0; CORRELATOR_TAPS];
         for ((re, im), t) in tap_re.iter_mut().zip(&mut tap_im).zip(taps) {

@@ -1,9 +1,12 @@
-//! Coherence between the FPGA resource/timing model and the functional
-//! implementations — the model must describe the system we actually
-//! built (Experiments T1–T4, F1, F7, F8).
+//! Coherence between the FPGA resource model, the blocks' latency
+//! models and the functional implementations — the models must
+//! describe the system we actually built (Experiments T1–T4, F1, F7,
+//! F8).
 
-use mimo_baseband::chanest::CordicQrd;
-use mimo_baseband::fpga::{timing, ResourceUsage, RxEntity, SynthConfig, SynthesisReport, TxEntity};
+use mimo_baseband::chanest::{qrd_datapath_latency_cycles, Mat4, SystolicQrdArray};
+use mimo_baseband::cordic::Cordic;
+use mimo_baseband::fixed::Cf64;
+use mimo_baseband::fpga::{ResourceUsage, RxEntity, SynthConfig, SynthesisReport, TxEntity};
 use mimo_baseband::modem::{Modulation, SymbolMapper};
 use mimo_baseband::ofdm::CpBuffer;
 use mimo_baseband::phy::PhyConfig;
@@ -26,10 +29,15 @@ fn time_sync_dsp_count_matches_functional_model() {
 
 #[test]
 fn qrd_latency_model_matches_cycle_measurement() {
-    assert_eq!(
-        timing::qrd_latency_cycles(4),
-        CordicQrd::new().measured_latency_cycles()
-    );
+    // The closed form's 22 CORDIC stages hold at every element depth,
+    // not only the paper's 20-cycle element.
+    let h = Mat4::from_fn(|r, c| Cf64::new(0.3 - 0.1 * r as f64, 0.05 * (c as f64 - r as f64)));
+    for iterations in [6, 12, 18, 24] {
+        let cordic = Cordic::with_iterations(iterations);
+        let model = qrd_datapath_latency_cycles(4, cordic.latency_cycles());
+        let (_, measured) = SystolicQrdArray::with_cordic(cordic).run(&h.to_fixed());
+        assert_eq!(measured, u64::from(model), "{iterations} iterations");
+    }
 }
 
 #[test]
