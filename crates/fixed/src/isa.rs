@@ -13,9 +13,11 @@
 //!
 //! The field of [`Isa`] is private, so [`Isa::tiers`] is the only
 //! source of values. An `Isa` therefore answers `avx2()` only on a CPU
-//! where the probe detected AVX2, and `avx512bw()` only where it
-//! detected both AVX2 and AVX-512BW. Every `unsafe` call of a
-//! `#[target_feature]` lane body rests on this.
+//! where the probe detected AVX2 and PCLMULQDQ (carry-less multiply,
+//! which the transport's CRC-32 folds with), and `avx512bw()` only
+//! where it detected those and AVX-512BW too. Every `unsafe` call of a
+//! `#[target_feature]` body rests on this. Every AVX2 CPU shipped has
+//! PCLMULQDQ, so the second feature moves no CPU off the AVX2 tier.
 
 use std::sync::OnceLock;
 
@@ -63,7 +65,8 @@ impl Isa {
         tiers[tiers.len() - 1]
     }
 
-    /// Whether kernels of this tier may run AVX2 code.
+    /// Whether kernels of this tier may run AVX2 code (PCLMULQDQ
+    /// included).
     #[inline]
     pub fn avx2(self) -> bool {
         self.0 >= Tier::Avx2
@@ -85,8 +88,9 @@ impl Isa {
     }
 }
 
-/// The CPU probe: how many entries of [`ALL`] this CPU runs. The
-/// AVX-512BW tier needs AVX2 as well, since it includes the AVX2 one.
+/// The CPU probe: how many entries of [`ALL`] this CPU runs. The AVX2
+/// tier needs AVX2 and PCLMULQDQ; the AVX-512BW tier needs both as
+/// well, since it includes the AVX2 one.
 fn probe() -> usize {
     #[cfg(target_arch = "x86_64")]
     {
@@ -96,7 +100,7 @@ fn probe() -> usize {
                 std::arch::is_x86_feature_detected!($feature)
             };
         }
-        if cpu_has!("avx2") {
+        if cpu_has!("avx2") && cpu_has!("pclmulqdq") {
             return 2 + usize::from(cpu_has!("avx512bw"));
         }
     }
@@ -136,15 +140,23 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let pclmulqdq = std::arch::is_x86_feature_detected!("pclmulqdq");
             let avx512bw = std::arch::is_x86_feature_detected!("avx512bw");
-            assert_eq!(names.contains(&"avx2"), avx2);
-            assert_eq!(names.contains(&"avx512bw"), avx2 && avx512bw);
-            if Isa::detected().avx512bw() {
-                assert!(avx2 && avx512bw);
+            assert_eq!(names.contains(&"avx2"), avx2 && pclmulqdq);
+            assert_eq!(names.contains(&"avx512bw"), avx2 && pclmulqdq && avx512bw);
+            if Isa::detected().avx2() {
+                assert!(avx2 && pclmulqdq);
             }
-            for (feature, found) in [("avx2", avx2), ("avx512bw", avx512bw)] {
+            if Isa::detected().avx512bw() {
+                assert!(avx2 && pclmulqdq && avx512bw);
+            }
+            for (feature, found) in [
+                ("avx2", avx2),
+                ("pclmulqdq", pclmulqdq),
+                ("avx512bw", avx512bw),
+            ] {
                 if !found {
-                    eprintln!("tier {feature} not tested: this CPU lacks it");
+                    eprintln!("{feature} absent on this CPU: the tiers needing it went untested");
                 }
             }
         }

@@ -43,6 +43,14 @@
 //! * `crc32` — IEEE CRC-32 over everything after the magic, so any bit
 //!   flip in header, payload or control value is caught.
 //!
+//! [`crc32`] runs on the CPU's [`Isa`] tier. From the AVX2 tier up
+//! (whose probe also requires PCLMULQDQ), bodies of 128 B or more —
+//! every data frame of 31 samples or more, all streams counted — fold
+//! 64 bytes per step by carry-less multiplication. The portable tier,
+//! control frames and other short bodies run a one-byte-per-step
+//! table loop, which is also the oracle the folding body is tested
+//! against.
+//!
 //! The decoder ([`FrameDecoder`]) is a resynchronising scanner: bytes
 //! go in via [`FrameDecoder::push`] in arbitrary slices (carriers make
 //! no framing promises), events come out of
@@ -53,7 +61,7 @@
 //! a coincidental magic and scanned past one byte at a time, so the
 //! decoder can never be wedged by hostile input.
 
-use mimo_fixed::{Fx, CQ15};
+use mimo_fixed::{Fx, Isa, CQ15};
 
 use crate::error::TransportError;
 
@@ -110,13 +118,129 @@ const fn make_crc_table() -> [u32; 256] {
 
 const CRC_TABLE: [u32; 256] = make_crc_table();
 
-/// IEEE CRC-32 (the zlib/Ethernet polynomial, reflected).
+/// Shortest input the folding body takes: two fold-by-4 blocks. Control
+/// frames and shorter bodies stay on the byte loop.
+const FOLD_MIN: usize = 128;
+
+/// IEEE CRC-32 (the zlib/Ethernet polynomial, reflected) on this CPU's
+/// widest tier, [`Isa::detected`]: [`crc32_with`] says which body runs.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_with(Isa::detected(), bytes)
+}
+
+/// [`crc32`] on the body of tier `isa`.
+///
+/// * AVX2 tier (and above), inputs of 128 B or more: carry-less
+///   multiplication (PCLMULQDQ) folds four 128-bit lanes 64 bytes at a
+///   time, then one lane 16 bytes at a time, then reduces the last 128
+///   bits to the CRC by a Barrett reduction; the byte loop finishes the
+///   tail under 16 B.
+/// * Portable tier, and inputs under 128 B on any tier: a
+///   one-byte-per-step table loop, which is also the tests' oracle.
+///
+/// Every tier gives the same CRC for the same bytes.
+pub fn crc32_with(isa: Isa, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if isa.avx2() && bytes.len() >= FOLD_MIN {
+        // SAFETY: an `Isa` answers `avx2()` only where the probe
+        // detected AVX2 and PCLMULQDQ on this CPU (the tier invariant).
+        return !unsafe { crc32_fold(!0, bytes) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    !crc32_bytes(!0, bytes)
+}
+
+/// Runs the CRC register `c` (pre-inversion) over `bytes`, one table
+/// lookup per byte.
+fn crc32_bytes(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = (c >> 8) ^ CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize];
     }
-    !c
+    c
+}
+
+/// Runs the CRC register `c` over `bytes` (at least [`FOLD_MIN`] long)
+/// by carry-less folding, in the bit-reflected domain of the IEEE
+/// polynomial P = 0x1_04C1_1DB7. The constants are those of zlib's and
+/// crc32fast's PCLMULQDQ bodies (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009):
+/// `K1`/`K2` (x^(512±32) mod P) fold a lane 64 bytes on, `K3`/`K4`
+/// (x^(128±32) mod P) fold 16 bytes on and `K5` (x^64 mod P) takes 96
+/// bits to 64, each bit-reflected and shifted left by one; `P_X` and
+/// `MU` are the reflected P and ⌊x^64 / P⌋ of the Barrett step to 32
+/// bits.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and PCLMULQDQ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,pclmulqdq")]
+// SAFETY: callers must have verified AVX2 and PCLMULQDQ support at run
+// time (`crc32_with` calls this only when its `Isa` answers `avx2()`,
+// the tier invariant). Every load reads 16 bytes of a slice that is
+// at least 16 bytes long.
+unsafe fn crc32_fold(c: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    let load = |block: &[u8]| _mm_loadu_si128(block[..16].as_ptr().cast());
+    // `acc` · x^(distance) mod P, added into `next`: the low and high
+    // halves of `acc` multiplied by their constants in `k`.
+    let fold = |acc: __m128i, next: __m128i, k: __m128i| {
+        _mm_xor_si128(
+            _mm_xor_si128(next, _mm_clmulepi64_si128(acc, k, 0x00)),
+            _mm_clmulepi64_si128(acc, k, 0x11),
+        )
+    };
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let low32 = _mm_set_epi32(0, 0, 0, !0);
+
+    // Four lanes, 64 bytes per step; the register enters the first.
+    let (head, rest) = bytes.split_at(64);
+    let mut lanes = [0, 16, 32, 48].map(|at| load(&head[at..]));
+    lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(c as i32));
+    let mut quads = rest.chunks_exact(64);
+    for quad in &mut quads {
+        for (at, lane) in [0, 16, 32, 48].into_iter().zip(&mut lanes) {
+            *lane = fold(*lane, load(&quad[at..]), k1k2);
+        }
+    }
+    // Fold the lanes into one, then the remaining 16-byte blocks.
+    let mut acc = fold(
+        fold(fold(lanes[0], lanes[1], k3k4), lanes[2], k3k4),
+        lanes[3],
+        k3k4,
+    );
+    let mut blocks = quads.remainder().chunks_exact(16);
+    for block in &mut blocks {
+        acc = fold(acc, load(block), k3k4);
+    }
+
+    // 128 → 96 → 64 bits.
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128(acc, k3k4, 0x10),
+        _mm_srli_si128(acc, 8),
+    );
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+        _mm_srli_si128(x, 4),
+    );
+    // Barrett reduction, 64 → 32 bits; the reflected result sits in the
+    // second 32-bit word.
+    let pu = _mm_set_epi64x(MU, P_X);
+    let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+    let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+    let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+    crc32_bytes(c, blocks.remainder())
 }
 
 /// Encodes one multi-stream sample chunk as a frame, **appending** the
@@ -157,23 +281,28 @@ pub fn encode_frame<S: AsRef<[CQ15]>>(
 
     // phylint: hot
     let start = out.len();
-    out.reserve(frame_len(n_streams, len));
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.push(n_streams as u8);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    for chunk in chunks {
-        for s in chunk.as_ref() {
-            let re = s.re.raw().clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
-            let im = s.im.raw().clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16;
-            out.extend_from_slice(&re.to_le_bytes());
-            out.extend_from_slice(&im.to_le_bytes());
-        }
+    out.resize(start + frame_len(n_streams, len), 0);
+    let frame = &mut out[start..];
+    let (body, crc_field) = frame.split_at_mut(frame.len() - CRC_LEN);
+    let (header, payload) = body.split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&seq.to_le_bytes());
+    header[8] = n_streams as u8;
+    header[9..].copy_from_slice(&(len as u16).to_le_bytes());
+    let samples = chunks.iter().flat_map(AsRef::as_ref);
+    for (word, s) in payload.chunks_exact_mut(BYTES_PER_SAMPLE).zip(samples) {
+        word[..2].copy_from_slice(&bus_word(s.re).to_le_bytes());
+        word[2..].copy_from_slice(&bus_word(s.im).to_le_bytes());
     }
-    let crc = crc32(&out[start + MAGIC.len()..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    crc_field.copy_from_slice(&crc32(&body[MAGIC.len()..]).to_le_bytes());
     Ok(())
     // phylint: end-hot
+}
+
+/// One sample component as its saturated `i16` bus word.
+#[inline]
+fn bus_word(x: Fx<15>) -> i16 {
+    x.raw().clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16
 }
 
 /// A control-plane message: the non-sample frames that make the link
@@ -568,11 +697,90 @@ mod tests {
         std::iter::from_fn(|| dec.next_event()).collect()
     }
 
+    /// The byte loop alone: the oracle every tier is held to.
+    fn crc32_oracle(bytes: &[u8]) -> u32 {
+        !crc32_bytes(!0, bytes)
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32 test vector.
+        // The canonical CRC-32 test vector, on every tier.
+        for &isa in Isa::tiers() {
+            assert_eq!(crc32_with(isa, b"123456789"), 0xCBF4_3926, "{}", isa.name());
+            assert_eq!(crc32_with(isa, b""), 0, "{}", isa.name());
+        }
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn every_tier_matches_the_byte_loop_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..4096 + 16u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for offset in 0..16 {
+            let bytes = &buf[offset..offset + 4096];
+            // The oracle's register, advanced one byte per length.
+            let mut c = !0u32;
+            for len in 0..=bytes.len() {
+                for &isa in Isa::tiers() {
+                    assert_eq!(
+                        crc32_with(isa, &bytes[..len]),
+                        !c,
+                        "{} at offset {offset}, length {len}",
+                        isa.name()
+                    );
+                }
+                if len < bytes.len() {
+                    c = crc32_bytes(c, &bytes[len..=len]);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_tier_matches_the_byte_loop_on_random_buffers(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..9000),
+            offset in 0usize..16,
+        ) {
+            let bytes = &bytes[offset.min(bytes.len())..];
+            let want = crc32_oracle(bytes);
+            for &isa in Isa::tiers() {
+                proptest::prop_assert_eq!(crc32_with(isa, bytes), want, "{}", isa.name());
+            }
+        }
+    }
+
+    #[test]
+    fn known_answer_frame_pins_the_wire_bytes() {
+        let sample = |re: i64, im: i64| CQ15 {
+            re: Fx::from_raw(re),
+            im: Fx::from_raw(im),
+        };
+        let chunks = [
+            [
+                sample(1, -1),
+                sample(0x1234, -0x1234),
+                sample(32767, -32768),
+            ],
+            // The first sample saturates to the bus range.
+            [sample(40_000, -40_000), sample(0, 0), sample(-2, 3)],
+        ];
+        let mut out = vec![0xEE]; // encode appends
+        encode_frame(0x0102_0304, &chunks, &mut out).unwrap();
+        #[rustfmt::skip]
+        let want: [u8; 40] = [
+            0xEE,
+            0x43, 0x51, 0x31, 0x35, // "CQ15"
+            0x04, 0x03, 0x02, 0x01, // seq
+            0x02, 0x03, 0x00,       // 2 streams × 3 samples
+            0x01, 0x00, 0xFF, 0xFF, 0x34, 0x12, 0xCC, 0xED, 0xFF, 0x7F, 0x00, 0x80,
+            0xFF, 0x7F, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0xFE, 0xFF, 0x03, 0x00,
+            0xA1, 0x38, 0x61, 0x60, // CRC-32 0x6061_38A1
+        ];
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -214,9 +214,9 @@ pub use carrier::{Carrier, MemoryDuplex, StreamCarrier};
 pub use error::TransportError;
 pub use flow::{CreditGrantor, CreditWindow};
 pub use frame::{
-    crc32, encode_control, encode_frame, frame_len, ControlFrame, ControlMsg, DecodeEvent,
-    FrameDecoder, SampleFrame, BYTES_PER_SAMPLE, CONTROL_FRAME_LEN, HEADER_LEN, MAGIC,
-    MAX_FRAME_SAMPLES, MAX_STREAMS,
+    crc32, crc32_with, encode_control, encode_frame, frame_len, ControlFrame, ControlMsg,
+    DecodeEvent, FrameDecoder, SampleFrame, BYTES_PER_SAMPLE, CONTROL_FRAME_LEN, HEADER_LEN,
+    MAGIC, MAX_FRAME_SAMPLES, MAX_STREAMS,
 };
 pub use inject::{FaultCounts, FaultInjector};
 pub use link::{LinkEvent, LinkFault, LinkStats, SampleReceiver, SampleSender, SenderStats};
