@@ -1,19 +1,11 @@
 //! Rayleigh fading MIMO channels: flat and frequency-selective.
 
 use mimo_fixed::{CQ15, Cf64};
-use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::gaussian::complex_gaussian;
 use crate::ChannelModel;
-
-fn complex_gaussian(rng: &mut ChaCha8Rng, sigma2: f64) -> Cf64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let r = (-2.0 * u1.ln()).sqrt() * (sigma2 / 2.0).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    Cf64::from_polar(r, theta)
-}
 
 /// A flat (frequency-nonselective) Rayleigh MIMO channel: one random
 /// complex gain per TX/RX antenna pair, constant for the life of the
@@ -55,8 +47,13 @@ impl FlatRayleighMimo {
     /// Draws a random channel with a chosen average `|h|²` per path.
     pub fn with_path_power(n_tx: usize, n_rx: usize, power: f64, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let scale = (power / 2.0).sqrt();
         let h = (0..n_rx)
-            .map(|_| (0..n_tx).map(|_| complex_gaussian(&mut rng, power)).collect())
+            .map(|_| {
+                (0..n_tx)
+                    .map(|_| complex_gaussian(&mut rng, scale))
+                    .collect()
+            })
             .collect();
         Self { n_tx, n_rx, h }
     }
@@ -141,7 +138,7 @@ impl MultipathMimo {
                     .map(|_| {
                         profile
                             .iter()
-                            .map(|&p| complex_gaussian(&mut rng, p * scale))
+                            .map(|&p| complex_gaussian(&mut rng, (p * scale / 2.0).sqrt()))
                             .collect()
                     })
                     .collect()
@@ -254,5 +251,18 @@ mod tests {
         let tx = vec![vec![CQ15::from_f64(0.1, 0.0); 10]];
         let rx = chan.propagate(&tx);
         assert_eq!(rx[0].len(), 13);
+    }
+
+    /// The seeded channel draws are pinned bit for bit (fingerprints
+    /// taken before the Box–Muller draw was shared).
+    #[test]
+    fn seeded_draws_are_pinned() {
+        use crate::fingerprint;
+        let flat = FlatRayleighMimo::new(4, 4, 11);
+        let got = fingerprint::complex(flat.matrix().iter().flatten().copied());
+        assert_eq!(got, 0x688c_3233_9c09_36e2, "flat: {got:#018x}");
+        let multi = MultipathMimo::new(4, 4, 5, 12);
+        let got = fingerprint::complex(multi.taps().iter().flatten().flatten().copied());
+        assert_eq!(got, 0x42fd_abf0_90c1_fafe, "multipath: {got:#018x}");
     }
 }

@@ -30,10 +30,20 @@
 //!
 //! All models process the fixed-point sample streams in `f64` and
 //! re-quantize to Q1.15 at the output — the ADC model.
+//!
+//! Seeded output is part of the workspace's bit-identity contract: a
+//! model built with the same seed and fed the same streams returns the
+//! same samples, bit for bit, across releases. Seeded tests, golden
+//! vectors and the benchmark's decode-quality figures all rest on it,
+//! so a speed-up of a model must leave its output unchanged; the
+//! `seeded_*_is_pinned` tests hold fingerprints of the AWGN, fading
+//! and phase-noise output. Every Gaussian comes from one crate-private
+//! Box–Muller draw.
 
 mod chain;
 mod fading;
 mod fault;
+mod gaussian;
 mod noise;
 
 pub use chain::{ChannelChain, CfoImpairment, PhaseNoise, TimingOffset};
@@ -108,6 +118,61 @@ pub fn average_power(streams: &[Vec<CQ15>]) -> f64 {
         0.0
     } else {
         acc / count as f64
+    }
+}
+
+/// Bit-exact fingerprints of seeded model output, for the tests that
+/// pin it.
+#[cfg(test)]
+pub(crate) mod fingerprint {
+    use mimo_fixed::{CQ15, Cf64, Fx};
+
+    /// FNV-1a over the bytes of every word.
+    pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Fingerprint of sample streams: each sample's raw I then Q,
+    /// stream after stream.
+    pub fn streams(streams: &[Vec<CQ15>]) -> u64 {
+        fnv1a(
+            streams
+                .iter()
+                .flatten()
+                .flat_map(|s| [s.re.raw() as u64, s.im.raw() as u64]),
+        )
+    }
+
+    /// Fingerprint of `f64` complex values by their bit patterns.
+    pub fn complex(values: impl IntoIterator<Item = Cf64>) -> u64 {
+        fnv1a(
+            values
+                .into_iter()
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+        )
+    }
+
+    /// `n` streams of `len` deterministic samples spread over the Q15
+    /// range (a stand-in for a burst, built without any rounding).
+    pub fn signal(n: usize, len: usize) -> Vec<Vec<CQ15>> {
+        (0..n)
+            .map(|a| {
+                (0..len)
+                    .map(|i| {
+                        let k = ((a * len + i) as u32).wrapping_mul(2_654_435_761);
+                        let re = i64::from((k >> 16) as u16 as i16) / 3;
+                        let im = i64::from(k as u16 as i16) / 3;
+                        CQ15::new(Fx::from_raw(re), Fx::from_raw(im))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 

@@ -95,17 +95,11 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// ```
     #[inline]
     pub fn from_f64(value: f64) -> Self {
-        match Self::try_from_f64(value) {
-            Ok(v) => v,
-            Err(FxError::NotANumber) => Self::ZERO,
-            Err(FxError::Overflow { .. }) => {
-                if value > 0.0 {
-                    Self::from_raw(i64::MAX)
-                } else {
-                    Self::from_raw(i64::MIN)
-                }
-            }
-        }
+        // Where `try_from_f64` fails, the saturating rounding it applies
+        // in range already gives the documented result. Both arms are
+        // then one expression, and the compiler drops the checks.
+        let saturated = Self::from_raw(round_ties_away(value * (1i64 << FRAC) as f64));
+        Self::try_from_f64(value).unwrap_or(saturated)
     }
 
     /// Converts from `f64`, rounding to nearest (ties away from zero).
@@ -121,11 +115,12 @@ impl<const FRAC: u32> Fx<FRAC> {
             return Err(FxError::NotANumber);
         }
         let scaled = value * (1i64 << FRAC) as f64;
-        let rounded = scaled.round();
-        if !(rounded >= i64::MIN as f64 && rounded <= i64::MAX as f64) {
+        // Every `f64` of magnitude 2⁵² or more is an integer, so testing
+        // `scaled` is testing its rounding.
+        if !(scaled >= i64::MIN as f64 && scaled <= i64::MAX as f64) {
             return Err(FxError::Overflow { bits: 64, raw: 0 });
         }
-        Ok(Self::from_raw(rounded as i64))
+        Ok(Self::from_raw(round_ties_away(scaled)))
     }
 
     /// Converts to `f64`.
@@ -245,6 +240,22 @@ impl<const FRAC: u32> Fx<FRAC> {
     pub fn shr_round(self, shift: u32) -> Self {
         Self::from_raw(round_shift_right(self.raw, shift))
     }
+}
+
+/// `x` rounded to the nearest integer, ties away from zero, as a
+/// saturating `i64` (±inf to `i64::MAX`/`MIN`, NaN to 0).
+///
+/// Adding the largest `f64` below one half, `0.5 − 2⁻⁵⁴`, with the sign
+/// of `x`, carries the sum past the next integer exactly when `|x|`'s
+/// fraction is one half or more: a fraction of exactly one half leaves
+/// the sum 2⁻⁵⁴ short of that integer, closer than half an ulp, so the
+/// addition rounds it up. Truncation toward zero then finishes the
+/// rounding, and Rust's saturating `as` the range and NaN rules, with
+/// no branch.
+#[inline]
+fn round_ties_away(x: f64) -> i64 {
+    const JUST_BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
+    (x + JUST_BELOW_HALF.copysign(x)) as i64
 }
 
 /// Rounding arithmetic shift right (round half away from zero).
@@ -378,6 +389,117 @@ mod tests {
 
     type Q15 = Fx<15>;
     type Q16 = Fx<16>;
+
+    /// The quantizer as it was before [`round_ties_away`]: a NaN test,
+    /// `f64::round`, and a range test on the rounded value.
+    fn oracle_try_from_f64<const F: u32>(value: f64) -> Result<i64, FxError> {
+        if value.is_nan() {
+            return Err(FxError::NotANumber);
+        }
+        let rounded = (value * (1i64 << F) as f64).round();
+        if !(rounded >= i64::MIN as f64 && rounded <= i64::MAX as f64) {
+            return Err(FxError::Overflow { bits: 64, raw: 0 });
+        }
+        Ok(rounded as i64)
+    }
+
+    fn oracle_from_f64<const F: u32>(value: f64) -> i64 {
+        match oracle_try_from_f64::<F>(value) {
+            Ok(raw) => raw,
+            Err(FxError::NotANumber) => 0,
+            Err(FxError::Overflow { .. }) if value > 0.0 => i64::MAX,
+            Err(FxError::Overflow { .. }) => i64::MIN,
+        }
+    }
+
+    /// Both conversions agree with the oracle on `value`, at `F`.
+    fn check_against_oracle<const F: u32>(value: f64) {
+        assert_eq!(
+            Fx::<F>::from_f64(value).raw(),
+            oracle_from_f64::<F>(value),
+            "from_f64 at Q{F}: {value:e} ({:#018x})",
+            value.to_bits()
+        );
+        assert_eq!(
+            Fx::<F>::try_from_f64(value).map(Fx::raw),
+            oracle_try_from_f64::<F>(value),
+            "try_from_f64 at Q{F}: {value:e} ({:#018x})",
+            value.to_bits()
+        );
+    }
+
+    fn check_every_format(value: f64) {
+        check_against_oracle::<0>(value);
+        check_against_oracle::<15>(value);
+        check_against_oracle::<16>(value);
+        check_against_oracle::<30>(value);
+    }
+
+    #[test]
+    fn quantizer_matches_the_round_oracle_on_the_half_lsb_grid() {
+        // Every Q15 half LSB and integer LSB over four times the 16-bit
+        // bus range, and each one's neighbouring `f64`s.
+        let lsb = 1.0 / (1i64 << 15) as f64;
+        for k in -(1i64 << 17)..(1i64 << 17) {
+            for point in [k as f64 * lsb, (k as f64 + 0.5) * lsb] {
+                for value in [point.next_down(), point, point.next_up()] {
+                    check_against_oracle::<15>(value);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantizer_matches_the_round_oracle_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two63 = 2f64.powi(63);
+        let mut specials = vec![
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.5,
+            1.5,
+            2.5,
+            two52,
+            two52 - 0.5,
+            two52 + 1.0,
+            two52 / 2.0 + 0.5,
+            two63,
+            two63 / (1u64 << 15) as f64,
+            two63 / (1u64 << 16) as f64,
+            two63 / (1u64 << 30) as f64,
+        ];
+        for s in specials.clone() {
+            specials.extend([s.next_down(), s.next_up()]);
+        }
+        for s in specials {
+            check_every_format(s);
+            check_every_format(-s);
+        }
+        assert_eq!(Q15::from_f64(-0.0).raw(), 0);
+        assert_eq!(Q15::try_from_f64(f64::NAN), Err(FxError::NotANumber));
+    }
+
+    #[test]
+    fn quantizer_matches_the_round_oracle_on_random_inputs() {
+        // SplitMix64: a million raw bit patterns (every exponent, NaN
+        // payloads, infinities) and a million values inside ±4.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            check_every_format(f64::from_bits(next()));
+            check_every_format((next() as i64 >> 9) as f64 / (1u64 << 52) as f64);
+        }
+    }
 
     #[test]
     fn roundtrip_exact_powers() {

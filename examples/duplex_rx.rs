@@ -11,6 +11,11 @@
 //! plan actually contains, and the link survives whatever the fault
 //! schedule and any sender reconnects throw at it.
 //!
+//! `--progress-after K` prints one `PROGRESS bursts=K` line once the
+//! first K bursts are decoded, so a harness can act on the run's
+//! progress (the soak's fault leg kills the receiver there) rather
+//! than on a clock.
+//!
 //! Exits 0 on success, 1 on verification failure, 2 on deadline.
 
 #[path = "common/duplex_plan.rs"]
@@ -60,6 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "127.0.0.1:5555".into());
     let bursts: usize = arg_value(&args, "--bursts").map_or(24, |v| v.parse().unwrap());
     let fault_mode = arg_value(&args, "--mode").as_deref() == Some("fault");
+    let progress_after: Option<usize> =
+        arg_value(&args, "--progress-after").map(|v| v.parse().unwrap());
     let deadline = Duration::from_secs(
         arg_value(&args, "--deadline-secs").map_or(60, |v| v.parse().unwrap()),
     );
@@ -113,6 +120,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     );
                 }
                 decoded.push(b);
+                if Some(decoded.len()) == progress_after {
+                    println!("PROGRESS bursts={}", decoded.len());
+                }
                 last_event = now;
             }
             Some(_) => last_event = now,

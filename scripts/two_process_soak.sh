@@ -9,24 +9,37 @@
 #     must be identical across both runs (seed-replayable).
 #   Leg 2 (fault + kill): a seeded fault schedule corrupts the wire
 #     AND the receiver process is SIGKILLed mid-run and restarted on
-#     the same port. The sender's supervisor must bridge the outage
-#     (at least one reconnect) and both processes must exit 0.
+#     the same port. The kill follows the receiver's progress (its
+#     PROGRESS line after its first 200 bursts), not a clock.
+#     The sender's supervisor must bridge the outage (at least one
+#     reconnect) and both processes must exit 0.
 #
 # Usage: scripts/two_process_soak.sh [port-base]
-# Requires: cargo build --release --examples  (done here if missing).
+# Builds the examples first (`cargo build --release --examples`, a
+# no-op when they are fresh), so it never soaks stale binaries.
 set -euo pipefail
 
 PORT_BASE="${1:-5710}"
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BIN="$REPO/target/release/examples"
 LOGDIR="$(mktemp -d)"
-trap 'rm -rf "$LOGDIR"' EXIT
+# A failing leg exits with its peers still running: stop them too.
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$LOGDIR"' EXIT
 
-if [[ ! -x "$BIN/duplex_tx" || ! -x "$BIN/duplex_rx" ]]; then
-    (cd "$REPO" && cargo build --release --examples)
-fi
+(cd "$REPO" && cargo build --release --examples)
 
 fail() { echo "two_process_soak: $*" >&2; exit 1; }
+
+# Waits until the receiver <pid> has written its PROGRESS line to
+# <log>; fails if the receiver exits first.
+wait_for_progress() {
+    local pid="$1" log="$2"
+    until grep -q '^PROGRESS' "$log"; do
+        kill -0 "$pid" 2>/dev/null \
+            || fail "fault leg: receiver exited before its PROGRESS line"
+        sleep 0.02
+    done
+}
 
 # --- Leg 1: clean link, run twice, diff the canonical ledgers. ---
 clean_leg() {
@@ -53,18 +66,20 @@ echo "clean ledgers identical across runs"
 # --- Leg 2: seeded faults + mid-run receiver kill/restart. ---
 echo "== fault leg: seeded wire faults + receiver SIGKILL mid-run =="
 PORT=$((PORT_BASE + 2))
-# 4000 bursts keep the run in flight for several seconds even on a
-# fast machine, so the kill below lands mid-stream.
+# The receiver is killed once it has decoded the first KILL_AFTER of
+# the 4000 bursts, so the kill lands mid-stream however fast the host.
+KILL_AFTER=200
 "$BIN/duplex_rx" "127.0.0.1:$PORT" --bursts 4000 --mode fault --deadline-secs 120 \
-    > "$LOGDIR/rx_fault_1.log" 2>&1 &
+    --progress-after "$KILL_AFTER" > "$LOGDIR/rx_fault_1.log" 2>&1 &
 RX1=$!
 sleep 0.3
 "$BIN/duplex_tx" "127.0.0.1:$PORT" --bursts 4000 --fault-rate 0.02 --seed 777 \
     --deadline-secs 120 --expect-reconnect > "$LOGDIR/tx_fault.log" 2>&1 &
 TX=$!
-sleep 2
+wait_for_progress "$RX1" "$LOGDIR/rx_fault_1.log"
 kill -9 "$RX1" 2>/dev/null || fail "receiver finished before the kill; raise --bursts"
-echo "receiver killed mid-run; restarting on the same port"
+wait "$RX1" 2>/dev/null || true
+echo "receiver killed after $KILL_AFTER bursts; restarting on the same port"
 sleep 1
 "$BIN/duplex_rx" "127.0.0.1:$PORT" --bursts 4000 --mode fault --deadline-secs 120 \
     > "$LOGDIR/rx_fault_2.log" 2>&1 &
