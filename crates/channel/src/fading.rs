@@ -47,13 +47,8 @@ impl FlatRayleighMimo {
     /// Draws a random channel with a chosen average `|h|²` per path.
     pub fn with_path_power(n_tx: usize, n_rx: usize, power: f64, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let scale = (power / 2.0).sqrt();
         let h = (0..n_rx)
-            .map(|_| {
-                (0..n_tx)
-                    .map(|_| complex_gaussian(&mut rng, scale))
-                    .collect()
-            })
+            .map(|_| (0..n_tx).map(|_| complex_gaussian(&mut rng, power)).collect())
             .collect();
         Self { n_tx, n_rx, h }
     }
@@ -138,7 +133,7 @@ impl MultipathMimo {
                     .map(|_| {
                         profile
                             .iter()
-                            .map(|&p| complex_gaussian(&mut rng, (p * scale / 2.0).sqrt()))
+                            .map(|&p| complex_gaussian(&mut rng, p * scale))
                             .collect()
                     })
                     .collect()

@@ -14,10 +14,9 @@ pub(crate) fn radius_angle(rng: &mut ChaCha8Rng) -> (f64, f64) {
     ((-2.0 * u1.ln()).sqrt(), 2.0 * std::f64::consts::PI * u2)
 }
 
-/// Draws one zero-mean complex Gaussian of variance `σ²`, given the
-/// per-component standard deviation `scale = √(σ²/2)` (callers compute
-/// it once per burst, not per sample).
-pub(crate) fn complex_gaussian(rng: &mut ChaCha8Rng, scale: f64) -> Cf64 {
+/// Draws one zero-mean complex Gaussian of variance `σ²` (`sigma2`),
+/// `σ²/2` per component.
+pub(crate) fn complex_gaussian(rng: &mut ChaCha8Rng, sigma2: f64) -> Cf64 {
     let (radius, angle) = radius_angle(rng);
-    Cf64::from_polar(radius * scale, angle)
+    Cf64::from_polar(radius * (sigma2 / 2.0).sqrt(), angle)
 }

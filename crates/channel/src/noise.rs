@@ -51,13 +51,12 @@ impl AwgnChannel {
 fn add_awgn(rng: &mut ChaCha8Rng, tx: &[Vec<CQ15>], snr_db: f64) -> Vec<Vec<CQ15>> {
     let signal_power = average_power(tx);
     let noise_power = signal_power / 10f64.powf(snr_db / 10.0);
-    let scale = (noise_power / 2.0).sqrt();
     tx.iter()
         .map(|stream| {
             stream
                 .iter()
                 .map(|&s| {
-                    let noisy = Cf64::from_fixed(s) + complex_gaussian(rng, scale);
+                    let noisy = Cf64::from_fixed(s) + complex_gaussian(rng, noise_power);
                     noisy.to_fixed::<15>().saturate_bits(16)
                 })
                 .collect()

@@ -95,11 +95,8 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// ```
     #[inline]
     pub fn from_f64(value: f64) -> Self {
-        // Where `try_from_f64` fails, the saturating rounding it applies
-        // in range already gives the documented result. Both arms are
-        // then one expression, and the compiler drops the checks.
-        let saturated = Self::from_raw(round_ties_away(value * (1i64 << FRAC) as f64));
-        Self::try_from_f64(value).unwrap_or(saturated)
+        // The saturating `as` in the rounding gives the non-finite rules.
+        Self::from_raw(round_ties_away(value * (1i64 << FRAC) as f64))
     }
 
     /// Converts from `f64`, rounding to nearest (ties away from zero).
@@ -110,6 +107,7 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// [`FxError::Overflow`] when the scaled value exceeds the `i64`
     /// backing range.
     #[inline]
+    // phylint: allow(test_only_api) -- test support: crates/fixed/src/fx.rs
     pub fn try_from_f64(value: f64) -> Result<Self, FxError> {
         if value.is_nan() {
             return Err(FxError::NotANumber);

@@ -13,6 +13,10 @@
 //! word: blocks are emitted in counter order, and each lane carries its
 //! own 64-bit block counter. The tests hold both row types to a scalar
 //! one-block oracle, across refills and a counter crossing 2³².
+//!
+//! The SSE2 rows are this project's own `unsafe` code, not vendored:
+//! phylint skips `crates/shims/`, so its `unsafe_safety` rule does not
+//! check them. Every `unsafe` block here states its own `// SAFETY:`.
 
 use rand::RngCore;
 
@@ -94,29 +98,33 @@ trait Row: Copy {
 impl Row for std::arch::x86_64::__m128i {
     #[inline(always)]
     fn splat(word: u32) -> Self {
-        // SAFETY: SSE2 is part of the x86_64 baseline (likewise below).
+        // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { std::arch::x86_64::_mm_set1_epi32(word as i32) }
     }
 
     #[inline(always)]
     fn from_lanes(lanes: [u32; 4]) -> Self {
         let [a, b, c, d] = lanes.map(|w| w as i32);
+        // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { std::arch::x86_64::_mm_set_epi32(d, c, b, a) }
     }
 
     #[inline(always)]
     fn add(self, other: Self) -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { std::arch::x86_64::_mm_add_epi32(self, other) }
     }
 
     #[inline(always)]
     fn xor(self, other: Self) -> Self {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { std::arch::x86_64::_mm_xor_si128(self, other) }
     }
 
     #[inline(always)]
     fn rotl<const L: i32, const R: i32>(self) -> Self {
         use std::arch::x86_64::{_mm_or_si128, _mm_slli_epi32, _mm_srli_epi32};
+        // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { _mm_or_si128(_mm_slli_epi32::<L>(self), _mm_srli_epi32::<R>(self)) }
     }
 

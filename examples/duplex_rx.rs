@@ -11,10 +11,10 @@
 //! plan actually contains, and the link survives whatever the fault
 //! schedule and any sender reconnects throw at it.
 //!
-//! `--progress-after K` prints one `PROGRESS bursts=K` line once the
-//! first K bursts are decoded, so a harness can act on the run's
-//! progress (the soak's fault leg kills the receiver there) rather
-//! than on a clock.
+//! Once the first [`PROGRESS_BURSTS`] bursts are decoded it prints one
+//! `PROGRESS bursts=…` line, so a harness can act on the run's progress
+//! (the soak's fault leg kills the receiver there) rather than on a
+//! clock. Runs of fewer bursts never print it.
 //!
 //! Exits 0 on success, 1 on verification failure, 2 on deadline.
 
@@ -31,6 +31,9 @@ use mimo_baseband::phy::{
 use mimo_baseband::transport::{
     LinkEvent, SampleReceiver, StreamCarrier, SupervisedReceiver, SupervisorConfig,
 };
+
+/// Decoded bursts after which the receiver prints its `PROGRESS` line.
+const PROGRESS_BURSTS: usize = 200;
 
 /// Decodes the plan by direct `push_samples` of identically paced
 /// chunks — the transport-free reference for clean-mode bit-identity.
@@ -65,8 +68,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| "127.0.0.1:5555".into());
     let bursts: usize = arg_value(&args, "--bursts").map_or(24, |v| v.parse().unwrap());
     let fault_mode = arg_value(&args, "--mode").as_deref() == Some("fault");
-    let progress_after: Option<usize> =
-        arg_value(&args, "--progress-after").map(|v| v.parse().unwrap());
     let deadline = Duration::from_secs(
         arg_value(&args, "--deadline-secs").map_or(60, |v| v.parse().unwrap()),
     );
@@ -120,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     );
                 }
                 decoded.push(b);
-                if Some(decoded.len()) == progress_after {
+                if decoded.len() == PROGRESS_BURSTS {
                     println!("PROGRESS bursts={}", decoded.len());
                 }
                 last_event = now;

@@ -66,11 +66,10 @@ echo "clean ledgers identical across runs"
 # --- Leg 2: seeded faults + mid-run receiver kill/restart. ---
 echo "== fault leg: seeded wire faults + receiver SIGKILL mid-run =="
 PORT=$((PORT_BASE + 2))
-# The receiver is killed once it has decoded the first KILL_AFTER of
-# the 4000 bursts, so the kill lands mid-stream however fast the host.
-KILL_AFTER=200
+# The receiver is killed once it prints PROGRESS (after its first 200
+# of the 4000 bursts), so the kill lands mid-stream however fast the host.
 "$BIN/duplex_rx" "127.0.0.1:$PORT" --bursts 4000 --mode fault --deadline-secs 120 \
-    --progress-after "$KILL_AFTER" > "$LOGDIR/rx_fault_1.log" 2>&1 &
+    > "$LOGDIR/rx_fault_1.log" 2>&1 &
 RX1=$!
 sleep 0.3
 "$BIN/duplex_tx" "127.0.0.1:$PORT" --bursts 4000 --fault-rate 0.02 --seed 777 \
@@ -79,7 +78,7 @@ TX=$!
 wait_for_progress "$RX1" "$LOGDIR/rx_fault_1.log"
 kill -9 "$RX1" 2>/dev/null || fail "receiver finished before the kill; raise --bursts"
 wait "$RX1" 2>/dev/null || true
-echo "receiver killed after $KILL_AFTER bursts; restarting on the same port"
+echo "receiver killed after its $(grep '^PROGRESS' "$LOGDIR/rx_fault_1.log"); restarting on the same port"
 sleep 1
 "$BIN/duplex_rx" "127.0.0.1:$PORT" --bursts 4000 --mode fault --deadline-secs 120 \
     > "$LOGDIR/rx_fault_2.log" 2>&1 &
