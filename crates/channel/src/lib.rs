@@ -36,9 +36,20 @@
 //! same samples, bit for bit, across releases. Seeded tests, golden
 //! vectors and the benchmark's decode-quality figures all rest on it,
 //! so a speed-up of a model must leave its output unchanged; the
-//! `seeded_*_is_pinned` tests hold fingerprints of the AWGN, fading
-//! and phase-noise output. Every Gaussian comes from one crate-private
-//! Box–Muller draw.
+//! `seeded_*_is_pinned` tests hold fingerprints of the AWGN (fixed and
+//! scheduled SNR), fading and phase-noise output.
+//!
+//! Every Gaussian comes from one Box–Muller formula in two bodies. The
+//! libm body draws one sample at a time; it is the fading and
+//! phase-noise draw and the oracle. The AWGN channels run the lane
+//! body: blocks of 16 samples on `f64` lanes (polynomial `ln`,
+//! `sin`, `cos`) on the CPU tier of [`mimo_fixed::Isa`], each sample
+//! taking the same four keystream words as the libm body. The lanes
+//! differ from libm by a derived bound, not bit for bit, so a sample
+//! whose value lands within a margin (2¹¹ times that bound) of a Q15
+//! rounding tie is recomputed on the libm body. Away from a tie both
+//! bodies round to the same word, so the channel output is the libm
+//! body's, bit for bit.
 
 mod chain;
 mod fading;

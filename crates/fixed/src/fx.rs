@@ -1,36 +1,7 @@
 //! Signed fixed-point scalar with const-generic fraction width.
 
-use std::error::Error;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Shl, Shr, Sub, SubAssign};
-
-/// Error type for fallible fixed-point conversions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FxError {
-    /// The source floating-point value was NaN.
-    NotANumber,
-    /// The value does not fit the requested bus width without saturation.
-    Overflow {
-        /// Requested bus width in bits (including sign).
-        bits: u32,
-        /// Raw value that failed to fit.
-        raw: i64,
-    },
-}
-
-impl fmt::Display for FxError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FxError::NotANumber => write!(f, "source value was NaN"),
-            FxError::Overflow { bits, raw } => {
-                write!(f, "raw value {raw} does not fit a signed {bits}-bit bus")
-            }
-        }
-    }
-}
-
-impl Error for FxError {}
 
 /// A signed fixed-point number with `FRAC` fraction bits.
 ///
@@ -85,8 +56,7 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// Converts from `f64`, rounding to nearest (ties away from zero).
     ///
     /// Non-finite inputs saturate: `+inf` becomes the largest `i64`
-    /// raw value, `-inf` the smallest, and NaN becomes zero. Use
-    /// [`Fx::try_from_f64`] to detect those cases instead.
+    /// raw value, `-inf` the smallest, and NaN becomes zero.
     ///
     /// ```
     /// use mimo_fixed::Fx;
@@ -97,28 +67,6 @@ impl<const FRAC: u32> Fx<FRAC> {
     pub fn from_f64(value: f64) -> Self {
         // The saturating `as` in the rounding gives the non-finite rules.
         Self::from_raw(round_ties_away(value * (1i64 << FRAC) as f64))
-    }
-
-    /// Converts from `f64`, rounding to nearest (ties away from zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FxError::NotANumber`] for NaN and
-    /// [`FxError::Overflow`] when the scaled value exceeds the `i64`
-    /// backing range.
-    #[inline]
-    // phylint: allow(test_only_api) -- test support: crates/fixed/src/fx.rs
-    pub fn try_from_f64(value: f64) -> Result<Self, FxError> {
-        if value.is_nan() {
-            return Err(FxError::NotANumber);
-        }
-        let scaled = value * (1i64 << FRAC) as f64;
-        // Every `f64` of magnitude 2⁵² or more is an integer, so testing
-        // `scaled` is testing its rounding.
-        if !(scaled >= i64::MIN as f64 && scaled <= i64::MAX as f64) {
-            return Err(FxError::Overflow { bits: 64, raw: 0 });
-        }
-        Ok(Self::from_raw(round_ties_away(scaled)))
     }
 
     /// Converts to `f64`.
@@ -388,40 +336,29 @@ mod tests {
     type Q15 = Fx<15>;
     type Q16 = Fx<16>;
 
-    /// The quantizer as it was before [`round_ties_away`]: a NaN test,
-    /// `f64::round`, and a range test on the rounded value.
-    fn oracle_try_from_f64<const F: u32>(value: f64) -> Result<i64, FxError> {
+    /// The quantizer as it was before [`round_ties_away`]: `f64::round`,
+    /// with NaN mapped to zero and values whose rounding leaves the
+    /// `i64` range saturated.
+    fn oracle_from_f64<const F: u32>(value: f64) -> i64 {
         if value.is_nan() {
-            return Err(FxError::NotANumber);
+            return 0;
         }
         let rounded = (value * (1i64 << F) as f64).round();
-        if !(rounded >= i64::MIN as f64 && rounded <= i64::MAX as f64) {
-            return Err(FxError::Overflow { bits: 64, raw: 0 });
-        }
-        Ok(rounded as i64)
-    }
-
-    fn oracle_from_f64<const F: u32>(value: f64) -> i64 {
-        match oracle_try_from_f64::<F>(value) {
-            Ok(raw) => raw,
-            Err(FxError::NotANumber) => 0,
-            Err(FxError::Overflow { .. }) if value > 0.0 => i64::MAX,
-            Err(FxError::Overflow { .. }) => i64::MIN,
+        if rounded >= i64::MIN as f64 && rounded <= i64::MAX as f64 {
+            rounded as i64
+        } else if value > 0.0 {
+            i64::MAX
+        } else {
+            i64::MIN
         }
     }
 
-    /// Both conversions agree with the oracle on `value`, at `F`.
+    /// The conversion agrees with the oracle on `value`, at `F`.
     fn check_against_oracle<const F: u32>(value: f64) {
         assert_eq!(
             Fx::<F>::from_f64(value).raw(),
             oracle_from_f64::<F>(value),
             "from_f64 at Q{F}: {value:e} ({:#018x})",
-            value.to_bits()
-        );
-        assert_eq!(
-            Fx::<F>::try_from_f64(value).map(Fx::raw),
-            oracle_try_from_f64::<F>(value),
-            "try_from_f64 at Q{F}: {value:e} ({:#018x})",
             value.to_bits()
         );
     }
@@ -478,7 +415,6 @@ mod tests {
             check_every_format(-s);
         }
         assert_eq!(Q15::from_f64(-0.0).raw(), 0);
-        assert_eq!(Q15::try_from_f64(f64::NAN), Err(FxError::NotANumber));
     }
 
     #[test]
@@ -524,9 +460,8 @@ mod tests {
     }
 
     #[test]
-    fn nan_becomes_zero_and_try_errors() {
+    fn nan_becomes_zero() {
         assert_eq!(Q15::from_f64(f64::NAN), Q15::ZERO);
-        assert_eq!(Q15::try_from_f64(f64::NAN), Err(FxError::NotANumber));
     }
 
     #[test]
@@ -552,13 +487,6 @@ mod tests {
         assert!(!Q15::from_raw(1 << 15).fits_bits(16));
         assert!(Q15::from_raw(-(1 << 15)).fits_bits(16));
         assert!(!Q15::from_raw(-(1 << 15) - 1).fits_bits(16));
-    }
-
-    #[test]
-    fn overflow_error_reports_the_bus_width() {
-        let err = Q15::try_from_f64(1e30).unwrap_err();
-        assert_eq!(err, FxError::Overflow { bits: 64, raw: 0 });
-        assert!(err.to_string().contains("64-bit"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ mod isa;
 
 pub use complex::CFx;
 pub use float::Cf64;
-pub use fx::{Fx, FxError};
+pub use fx::Fx;
 pub use isa::Isa;
 
 /// Q1.15: the paper's 16-bit sample format (range [-1, 1)).
