@@ -110,8 +110,26 @@ impl ChannelEstimate {
     /// Returns [`ChanestError::SingularChannel`] if any subcarrier's
     /// matrix cannot be inverted.
     pub fn invert_all(&self, qrd: &CordicQrd) -> Result<Vec<FxMat4>, ChanestError> {
-        // phylint: allow(hot_transitive) -- matrix inversion runs once per burst preamble, never in the per-sample steady state
         let mut inverses = Vec::with_capacity(self.h.len());
+        self.invert_all_into(qrd, &mut inverses)?;
+        Ok(inverses)
+    }
+
+    /// [`ChannelEstimate::invert_all`] into a caller-owned buffer, which
+    /// is cleared first and keeps its capacity: a receiver that reuses
+    /// one buffer inverts every burst without allocating. On error the
+    /// buffer holds the inverses of the carriers before the singular
+    /// group.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChannelEstimate::invert_all`].
+    pub fn invert_all_into(
+        &self,
+        qrd: &CordicQrd,
+        inverses: &mut Vec<FxMat4>,
+    ) -> Result<(), ChanestError> {
+        inverses.clear();
         let mut group = [QrDecomposition::default(); LANES];
         let mut r_inv = [FxMat4::zero(); LANES];
         let mut q_h = [FxMat4::zero(); LANES];
@@ -122,9 +140,9 @@ impl ChannelEstimate {
                 *r = invert_upper_triangular(&decomp.r)?;
                 *q = decomp.q_h;
             }
-            mul_group(&r_inv[..n], &q_h[..n], qrd.isa, &mut inverses);
+            mul_group(&r_inv[..n], &q_h[..n], qrd.isa, inverses);
         }
-        Ok(inverses)
+        Ok(())
     }
 }
 

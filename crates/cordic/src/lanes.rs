@@ -55,16 +55,11 @@
 //! answers for (`mimo_fixed`'s tier docs). Both builds give the same
 //! bits.
 
+pub use mimo_fixed::{Lanes, LANES};
 use mimo_fixed::Isa;
 
 use crate::angle::{rotate_quadrant, vector_quadrant, wrap_angle, HALF_PI_Q16};
 use crate::Cordic;
-
-/// Carriers per lane step — one AVX2 register of `i32`.
-pub const LANES: usize = 8;
-
-/// One `i32` word per carrier: a lane vector.
-pub type Lanes = [i32; LANES];
 
 /// Inputs enter the lanes only when every raw Q2.16 word is below this
 /// magnitude (see the module docs for the headroom argument).

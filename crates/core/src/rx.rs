@@ -30,14 +30,23 @@
 //!    the workspace) strips the CP and FFTs every symbol at hand in one
 //!    call, which runs them through the lane-parallel FFT in groups
 //!    the OFDM layer chooses; `RxCore::gather_occ` pulls out the
-//!    occupied carriers of each frame; and
-//!    `RxCore::process_symbol` runs each stream: zero-forcing
-//!    detection (row `k` of `H⁻¹·r`), pilot common-phase and timing
-//!    correction (one lane pass over the symbol), then one fused
-//!    demap→deinterleave→depuncture
-//!    scatter that lands the LLRs in mother-code (Viterbi branch)
-//!    order in the stream workspace and measures the EVM in the same
-//!    pass;
+//!    occupied carriers of each frame straight into 16-bit bus words
+//!    on `i32` lane groups ([`mimo_fixed::BusLanes`]); and
+//!    `RxCore::process_symbol` runs each stream on those lane groups
+//!    from end to end, one lane kernel per stage: zero-forcing
+//!    detection (row `k` of `H⁻¹·r`, [`ZfDetector::detect_bus`]) against
+//!    the burst's `H⁻¹` lane table, staged and range-checked once when
+//!    the channel was inverted; the pilot common phase and timing read
+//!    from the pilots' lanes and both de-rotations run in place on the
+//!    symbol's groups ([`TimingCorrector::correct_bus_in_place`]); then
+//!    one fused demap→deinterleave→depuncture scatter on `f64` lanes
+//!    ([`SymbolDemapper::demap_bus_scatter_into`](mimo_modem::SymbolDemapper::demap_bus_scatter_into))
+//!    that lands the LLRs in mother-code (Viterbi branch) order in the
+//!    stream workspace and measures the EVM in the same pass. No stage
+//!    converts a symbol to `CQ15` and back; the `CQ15` entry points of
+//!    the three kernels (`detect_stream_into`,
+//!    `correct_with_phase_in_place`, `demap_scatter_into`) stay as
+//!    wrappers that stage onto the same kernels;
 //! 4. at the announced length, each stream's Viterbi decode and
 //!    byte-wise descramble-and-pack (`RxCore::decode_stream`), the
 //!    round-robin reassembly ([`assemble_payload`]) and the
@@ -74,10 +83,10 @@
 //! are ingested and decoded on the caller. Since every burst announces
 //! its own rate, a pipeline batch may mix rates freely.
 
-use mimo_chanest::{ChannelEstimator, CordicQrd, FxMat4};
+use mimo_chanest::{ChannelEstimator, CordicQrd};
 use mimo_coding::{CodeSpec, Scrambler, ViterbiDecoder};
-use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
-use mimo_fixed::CQ15;
+use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector, ZfTable};
+use mimo_fixed::{bus_carrier, lane_groups, BusLanes, Lanes, CQ15, LANES};
 use mimo_ofdm::preamble::{sync_reference, DEFAULT_AMPLITUDE};
 use mimo_ofdm::{OfdmDemodulator, SubcarrierMap};
 use mimo_sync::{SyncEvent, TimeSynchronizer, DEFAULT_THRESHOLD_FACTOR};
@@ -122,13 +131,12 @@ pub const EVM_FLOOR_DB: f64 = -80.0;
 /// [`EVM_FLOOR_DB`] floor.
 ///
 /// The per-stream vector is built once at burst close. On a warm
-/// workspace at fan-out width 1, `receive_burst` still makes four
-/// heap allocations per burst: the burst's `H⁻¹` table (one matrix
-/// per occupied carrier, from `ChannelEstimate::invert_all`), the
-/// stream-slice list the round-robin reassembly borrows, the payload
-/// `Vec` and this vector. A wider fan-out also starts its crew's
-/// helper threads. The coarse STS tracker, the channel estimate and
-/// its LTS transforms reuse workspace buffers, and the per-symbol
+/// workspace at fan-out width 1, `receive_burst` makes two heap
+/// allocations per burst: the payload `Vec` and this vector
+/// (`tests/alloc_steady_state.rs` counts them). A wider fan-out also
+/// starts its crew's helper threads. The coarse STS tracker, the
+/// channel estimate, its LTS transforms, the inverted matrices and
+/// their lane table reuse workspace buffers, and the per-symbol
 /// steady-state loops allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelQuality {
@@ -212,9 +220,9 @@ pub(crate) struct BurstState {
     /// burst. A shortfall at end of input reports it as
     /// [`PhyError::TruncatedBurst`]'s `needed`.
     needed: usize,
-    /// Inverted channel matrices, one per occupied carrier; empty until
-    /// the LTS fields are buffered.
-    h_inv: Vec<FxMat4>,
+    /// Whether the channel is estimated and inverted: the workspace's
+    /// `H⁻¹` lane table then belongs to this burst.
+    estimated: bool,
     /// The SIGNAL field and its payload symbol count, once parsed.
     params: Option<(BurstParams, usize)>,
     /// First sample of the next symbol the per-symbol core has not run.
@@ -225,7 +233,7 @@ impl BurstState {
     /// The first sample the burst will still read: samples before it
     /// may be dropped.
     pub(crate) fn keep_from(&self) -> usize {
-        if self.h_inv.is_empty() {
+        if !self.estimated {
             self.lts
         } else {
             self.next
@@ -328,26 +336,42 @@ impl RxCore {
         self.occupied.len()
     }
 
+    /// Lane groups of one symbol's occupied carriers.
+    fn occ_groups(&self) -> usize {
+        lane_groups(self.n_occupied())
+    }
+
     /// Gathers the occupied carriers out of one FFT frame, in the
-    /// canonical occupied order — the single gather map every receive
-    /// mode uses.
-    fn gather_occ(&self, frame: &[CQ15], dst: &mut [CQ15]) {
-        for (d, &bin) in dst.iter_mut().zip(&self.occ_bins) {
-            *d = frame[bin];
+    /// canonical occupied order, straight into bus-word lane groups —
+    /// the single gather map every receive mode uses. The FFT saturates
+    /// its output onto the 16-bit bus, so every word fits its lane;
+    /// padding lanes are left as they are (zero).
+    fn gather_occ(&self, frame: &[CQ15], re: &mut [Lanes], im: &mut [Lanes]) {
+        let groups = re.iter_mut().zip(im.iter_mut());
+        for ((re, im), bins) in groups.zip(self.occ_bins.chunks(LANES)) {
+            for (k, &bin) in bins.iter().enumerate() {
+                let c = frame[bin];
+                debug_assert!(mimo_fixed::on_bus(c), "FFT output {c:?} off the bus");
+                re[k] = c.re.raw() as i32;
+                im[k] = c.im.raw() as i32;
+            }
         }
     }
 
     /// Estimates and inverts the 4×4 channel from the staggered LTS
     /// views (`lts_views[rx][slot]`, each `2·N` samples), on the
-    /// workspace's estimator buffers.
+    /// workspace's estimator buffers, and loads the inverses into the
+    /// workspace's `H⁻¹` lane table.
     fn estimate_channel(
         &self,
         lts_views: &[[&[CQ15]; 4]; 4],
         scratch: &mut ChannelScratch,
-    ) -> Result<Vec<FxMat4>, PhyError> {
+    ) -> Result<(), PhyError> {
         self.estimator
             .estimate_into(lts_views, &mut scratch.lts_fft, &mut scratch.estimate)?;
-        Ok(scratch.estimate.invert_all(&self.qrd)?)
+        scratch.estimate.invert_all_into(&self.qrd, &mut scratch.h_inv)?;
+        scratch.zf.load(&scratch.h_inv);
+        Ok(())
     }
 
     /// Resets a stream workspace for a fresh accumulation pass of
@@ -365,37 +389,43 @@ impl RxCore {
         ws.stream_llrs.resize(n_syms * kit.mother_bits_per_symbol(), 0);
     }
 
-    /// One stream × one symbol of the per-symbol core: row `k` of the
-    /// zero-forcing detection over this symbol's gathered carriers
-    /// (`rx_occ[a]` = antenna `a`'s occupied carriers); the pilot
-    /// common phase φ, then the pilots alone phase-corrected for the
-    /// feed-forward timing τ, then both de-rotations of the whole symbol
-    /// (`−φ`, then `−l·τ`) in one lane pass; then this
+    /// One stream × one symbol of the per-symbol core, on bus-word
+    /// lane groups from end to end: row `k` of the zero-forcing
+    /// detection over this symbol's gathered carriers (`rx_re[a]`,
+    /// `rx_im[a]` = antenna `a`'s occupied carriers) against the
+    /// burst's `H⁻¹` lane table; the pilot common phase φ from the
+    /// pilots read out of the lanes, then the pilots alone
+    /// phase-corrected for the feed-forward timing τ, then both
+    /// de-rotations of the whole symbol (`−φ`, then `−l·τ`) in place on
+    /// its lane groups; then the data carriers' lanes gathered and this
     /// symbol's LLRs scattered straight into their mother-code
     /// positions of `ws.stream_llrs` through the kit's fused
     /// deinterleave+depuncture table — demap, de-interleave and
-    /// depuncture in **one pass**, which slices each carrier to its
-    /// nearest constellation point from the same per-axis quotient and
-    /// returns the symbol's EVM sums. `collect_diag` adds them, and the
-    /// pilot phase, to the stream's diagnostics (the SIGNAL-field pass
-    /// leaves it off). `sym` is the absolute symbol index after the LTS
-    /// (= pilot polarity index). Zero heap allocation: every buffer
-    /// lives in `ws` (sized by `begin_stream_pass` for the burst) and
-    /// is reused across symbols and bursts.
+    /// depuncture in **one pass** on `f64` lanes, which slices each
+    /// carrier to its nearest constellation point from the same
+    /// per-axis quotient and returns the symbol's EVM sums.
+    /// `collect_diag` adds them, and the pilot phase, to the stream's
+    /// diagnostics (the SIGNAL-field pass leaves it off). `sym` is the
+    /// absolute symbol index after the LTS (= pilot polarity index).
+    /// Zero heap allocation: every buffer lives in `ws` (sized by
+    /// `begin_stream_pass` for the burst) and is reused across symbols
+    /// and bursts.
     // phylint: hot
     #[allow(clippy::too_many_arguments)] // one argument per pipeline input
     fn process_symbol(
         &self,
         k: usize,
         ws: &mut RxStreamWorkspace,
-        rx_occ: &[&[CQ15]; 4],
-        h_inv: &[FxMat4],
+        rx_re: &[&[Lanes]; 4],
+        rx_im: &[&[Lanes]; 4],
+        zf: &ZfTable,
         kit: &RateKit,
         sym: usize,
         collect_diag: bool,
     ) -> Result<(), PhyError> {
+        let eq = &mut ws.eq;
         self.detector
-            .detect_stream_into(h_inv, rx_occ, k, &mut ws.eq)?;
+            .detect_bus(zf, rx_re, rx_im, k, &mut eq.re, &mut eq.im)?;
 
         // Common phase from the de-scrambled pilot average.
         let polarity = mimo_coding::pilot_polarity(sym);
@@ -403,7 +433,7 @@ impl RxCore {
             *sign = base * polarity;
         }
         for (pilot, &p) in ws.pilots.iter_mut().zip(&self.pilot_pos) {
-            *pilot = ws.eq[p];
+            *pilot = bus_carrier(&eq.re, &eq.im, p);
         }
         let phi = self.phase.estimate_phase(&ws.pilots, &ws.signs);
         if collect_diag {
@@ -421,15 +451,18 @@ impl RxCore {
         // Both de-rotations of the whole symbol, −φ then −l·τ, in one
         // lane pass.
         self.timing
-            .correct_with_phase_in_place(&mut ws.eq, &self.occupied, phi, tau);
+            .correct_bus_in_place(&mut eq.re, &mut eq.im, &self.occupied, phi, tau);
 
         // Demap the data carriers at this burst's rate: one pass
         // slices, scatters and measures EVM. The scatter through the
         // fused demap→deinterleave→depuncture map lands in this
         // symbol's pre-zeroed mother-code region (punctured positions
         // are never written, which *is* the zero-LLR erasure).
-        for (d, &p) in ws.data.iter_mut().zip(&self.data_pos) {
-            *d = ws.eq[p];
+        let data = &mut ws.data;
+        for (i, &p) in self.data_pos.iter().enumerate() {
+            let ((dg, dk), (g, k)) = ((i / LANES, i % LANES), (p / LANES, p % LANES));
+            data.re[dg][dk] = eq.re[g][k];
+            data.im[dg][dk] = eq.im[g][k];
         }
         let mps = kit.mother_bits_per_symbol();
         let end = ws.pass_fill + mps;
@@ -438,9 +471,14 @@ impl RxCore {
             .stream_llrs
             .get_mut(end - mps..end)
             .ok_or(PhyError::LlrOverrun { end, len })?;
-        let (num, den) = kit
-            .demapper
-            .demap_scatter_into(&ws.data, kit.fused.map(), self.soft, out);
+        let (num, den) = kit.demapper.demap_bus_scatter_into(
+            &data.re,
+            &data.im,
+            self.data_pos.len(),
+            kit.fused.map(),
+            self.soft,
+            out,
+        );
         if collect_diag {
             ws.evm_num += num;
             ws.evm_den += den;
@@ -517,8 +555,7 @@ impl RxCore {
             lts: lts0 + n / 2,
             data_start,
             needed: data_start,
-            // phylint: allow(hot_transitive) -- an empty Vec does not allocate; the channel estimate replaces it once per burst
-            h_inv: Vec::new(),
+            estimated: false,
             params: None,
             next: data_start,
         }
@@ -594,7 +631,7 @@ impl RxCore {
             ..
         } = ws;
 
-        if burst.h_inv.is_empty() {
+        if !burst.estimated {
             if available < burst.needed {
                 return short(burst.needed);
             }
@@ -607,7 +644,8 @@ impl RxCore {
                     &samples[rx].as_ref()[start..start + 2 * n]
                 })
             });
-            burst.h_inv = self.estimate_channel(&lts_views, channel).map_err(failed)?;
+            self.estimate_channel(&lts_views, channel).map_err(failed)?;
+            burst.estimated = true;
             burst.needed = data_start + (h + 1) * sym_len;
         }
 
@@ -620,9 +658,9 @@ impl RxCore {
                 let kit = self.rates.header_kit();
                 self.ingest_rows(antennas, samples, data_start - base, h, 1)
                     .map_err(failed)?;
-                let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
+                let freq: [&BusLanes; 4] = std::array::from_fn(|a| &antennas[a].freq_occ);
                 Self::begin_stream_pass(header, h, kit);
-                self.run_rows(0, header, &freq, &burst.h_inv, kit, 0, false)
+                self.run_rows(0, header, &freq, &channel.zf, kit, 0, false)
                     .map_err(failed)?;
                 let params = self.parse_header(header).map_err(failed)?;
                 let n_symbols = params.payload_symbols(geometry);
@@ -649,11 +687,11 @@ impl RxCore {
         let resume = if closing { burst_end } else { data_start };
         self.ingest_rows(antennas, samples, burst.next - base, count, width)
             .map_err(|e| (e, resume))?;
-        let freq: [&[CQ15]; 4] = std::array::from_fn(|a| antennas[a].freq_occ.as_slice());
+        let freq: [&BusLanes; 4] = std::array::from_fn(|a| &antennas[a].freq_occ);
         let kit = self.rates.kit(params.mcs);
-        let h_inv = &burst.h_inv;
+        let zf = &channel.zf;
         let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
-            self.run_rows(k, ws, &freq, h_inv, kit, first, true)?;
+            self.run_rows(k, ws, &freq, zf, kit, first, true)?;
             if closing {
                 self.decode_stream(params.stream_bytes(k, N_STREAMS), ws)?;
             }
@@ -675,7 +713,7 @@ impl RxCore {
     /// index `lo` of `samples[a]`, into the rows of that antenna's
     /// `freq_occ`: one [`SymbolIngest`](mimo_ofdm::SymbolIngest) call
     /// strips the CPs and FFTs them all, and each frame's occupied
-    /// carriers are gathered into its row. The antennas fan out on a
+    /// carriers are gathered into its row of lane groups. The antennas fan out on a
     /// crew of `width`.
     fn ingest_rows<S>(
         &self,
@@ -689,13 +727,14 @@ impl RxCore {
         S: AsRef<[CQ15]> + Sync,
     {
         let sym_len = self.cfg.geometry().symbol_samples();
-        let n_occ = self.n_occupied();
+        let groups = self.occ_groups();
         let run_antenna = |a: usize, ws: &mut RxAntennaWorkspace| -> Result<(), PhyError> {
             let RxAntennaWorkspace { ingest, freq_occ } = ws;
-            freq_occ.resize(count * n_occ, CQ15::ZERO);
+            freq_occ.resize(count * groups);
             let periods = &samples[a].as_ref()[lo..lo + count * sym_len];
             ingest.ingest_periods(periods, |m, frame| {
-                self.gather_occ(frame, &mut freq_occ[m * n_occ..(m + 1) * n_occ]);
+                let row = m * groups..(m + 1) * groups;
+                self.gather_occ(frame, &mut freq_occ.re[row.clone()], &mut freq_occ.im[row]);
             })?;
             Ok(())
         };
@@ -703,8 +742,8 @@ impl RxCore {
     }
 
     /// Runs every row of `freq` (`freq[a]` = antenna `a`'s gathered
-    /// carriers, symbol-major) through the per-symbol core for stream
-    /// `k` at `kit`'s rate. Row `m` is after-LTS symbol `first + m`,
+    /// carriers, one row of lane groups per symbol) through the
+    /// per-symbol core for stream `k` at `kit`'s rate. Row `m` is after-LTS symbol `first + m`,
     /// which is also its pilot polarity index (the SIGNAL field takes
     /// the first `header_symbols` positions of the 802.11a numbering).
     #[allow(clippy::too_many_arguments)] // one argument per pipeline input
@@ -712,17 +751,18 @@ impl RxCore {
         &self,
         k: usize,
         ws: &mut RxStreamWorkspace,
-        freq: &[&[CQ15]; 4],
-        h_inv: &[FxMat4],
+        freq: &[&BusLanes; 4],
+        zf: &ZfTable,
         kit: &RateKit,
         first: usize,
         collect_diag: bool,
     ) -> Result<(), PhyError> {
-        let n_occ = self.n_occupied();
-        for m in 0..freq[0].len() / n_occ {
-            let rx_occ: [&[CQ15]; 4] =
-                std::array::from_fn(|a| &freq[a][m * n_occ..(m + 1) * n_occ]);
-            self.process_symbol(k, ws, &rx_occ, h_inv, kit, first + m, collect_diag)?;
+        let groups = self.occ_groups();
+        for m in 0..freq[0].re.len() / groups {
+            let row = m * groups..(m + 1) * groups;
+            let rx_re: [&[Lanes]; 4] = std::array::from_fn(|a| &freq[a].re[row.clone()]);
+            let rx_im: [&[Lanes]; 4] = std::array::from_fn(|a| &freq[a].im[row.clone()]);
+            self.process_symbol(k, ws, &rx_re, &rx_im, zf, kit, first + m, collect_diag)?;
         }
         Ok(())
     }
@@ -851,8 +891,7 @@ fn assemble_payload(
     params: &BurstParams,
     stream_ws: &[RxStreamWorkspace],
 ) -> Result<Vec<u8>, PhyError> {
-    // phylint: allow(hot_transitive) -- borrows per-stream slices once per completed burst, not per sample
-    let per_stream_bytes: Vec<&[u8]> = stream_ws.iter().map(|ws| ws.bytes.as_slice()).collect();
+    let per_stream_bytes: [&[u8]; N_STREAMS] = std::array::from_fn(|s| stream_ws[s].bytes.as_slice());
     let total: usize = per_stream_bytes.iter().map(|b| b.len()).sum();
     debug_assert_eq!(total, params.length);
     // phylint: allow(hot_transitive) -- sizes the output payload once per completed burst

@@ -11,14 +11,20 @@
 //!
 //! * **Receive.** Each receive driver owns its `RxWorkspace`s next to
 //!   one shared set of immutable receiver tables, and keeps them across
-//!   bursts. The per-symbol carrier buffers are sized from the
-//!   geometry; the demap pass writes straight into the burst's LLR
-//!   stream, so no per-symbol bit buffer exists and the steady-state
-//!   payload loops of `receive_burst` perform **zero heap allocation**
-//!   at any MCS. Buffers whose size depends on the burst length
-//!   (accumulated LLRs, gathered frequency-domain carriers, decoded
-//!   bits and bytes) grow once per burst via `resize` and keep their
-//!   capacity.
+//!   bursts. One lane chain runs through them: the gathered carriers,
+//!   the equalized symbol and its data carriers are 16-bit bus words
+//!   on `i32` lane groups ([`BusLanes`]), which the ZF, pilot and
+//!   demap kernels read and write as they stand, and the burst's
+//!   `H⁻¹` is held once as the ZF's lane table. The per-symbol carrier
+//!   buffers are sized from the geometry; the demap pass writes
+//!   straight into the burst's LLR stream, so no per-symbol bit buffer
+//!   exists and the steady-state payload loops of `receive_burst`
+//!   perform **zero heap allocation** at any MCS. Buffers whose size
+//!   depends on the burst (accumulated LLRs, gathered carriers, the
+//!   inverses and their table, decoded bits and bytes) grow on the
+//!   first burst of a shape via `resize` and keep their capacity, so
+//!   a warm width-1 burst allocates only its result (the payload and
+//!   the per-stream EVM list).
 //! * **Transmit.** `transmit_burst_with` takes `&self` and needs no
 //!   workspace type: each spatial channel (and the SIGNAL header)
 //!   builds its packed info words, its two packed generator streams,
@@ -27,9 +33,10 @@
 //!   allocation. The frame scratch holds at most one lane group of
 //!   frames, however long the burst.
 
-use mimo_chanest::ChannelEstimate;
+use mimo_chanest::{ChannelEstimate, FxMat4};
 use mimo_coding::{Llr, ViterbiWorkspace};
-use mimo_fixed::CQ15;
+use mimo_detect::ZfTable;
+use mimo_fixed::{lane_groups, BusLanes, CQ15};
 use mimo_ofdm::SymbolIngest;
 use mimo_sync::CoarseTracker;
 
@@ -44,26 +51,31 @@ use crate::config::LinkGeometry;
 pub(crate) struct RxAntennaWorkspace {
     /// CP strip + FFT stage (owns the frame scratch).
     pub ingest: SymbolIngest,
-    /// Gathered occupied carriers of the symbols being decoded, flat
-    /// `symbol-major`: `freq_occ[m * n_occ + s]`. A stored capture
-    /// fills the SIGNAL-field rows, then every payload row at once; the
-    /// streaming receiver fills the rows one chunk brings. It grows to
-    /// the most rows one call decodes and keeps its capacity.
-    pub freq_occ: Vec<CQ15>,
+    /// Gathered occupied carriers of the symbols being decoded, as
+    /// bus-word lane groups, one row of `⌈n_occ / 8⌉` groups per
+    /// symbol: carrier `s` of symbol `m` is lane `s % 8` of group
+    /// `m·⌈n_occ / 8⌉ + s / 8`. A stored capture fills the SIGNAL-field
+    /// rows, then every payload row at once; the streaming receiver
+    /// fills the rows one chunk brings. It grows to the most rows one
+    /// call decodes and keeps its capacity.
+    pub freq_occ: BusLanes,
 }
 
 /// Per-stream receive scratch (stage 2: detect → corrections → demap →
 /// deinterleave → Viterbi).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RxStreamWorkspace {
-    /// One symbol's equalized occupied carriers.
-    pub eq: Vec<CQ15>,
-    /// Pilot values gathered from the equalized symbol.
+    /// One symbol's equalized occupied carriers as bus-word lane
+    /// groups: the ZF writes them, the pilot de-rotations turn them in
+    /// place.
+    pub eq: BusLanes,
+    /// Pilot values read out of the equalized symbol.
     pub pilots: Vec<CQ15>,
     /// Expected pilot signs for the current symbol.
     pub signs: Vec<i8>,
-    /// One symbol's data carriers.
-    pub data: Vec<CQ15>,
+    /// One symbol's corrected data carriers as bus-word lane groups,
+    /// the demapper's input.
+    pub data: BusLanes,
     /// The whole burst's mother-code LLR stream, filled symbol by
     /// symbol through the fused demap→deinterleave→depuncture scatter.
     /// Pre-zeroed at pass start, so the erasures of punctured bits are
@@ -90,8 +102,9 @@ pub(crate) struct RxStreamWorkspace {
     pub phase_acc: f64,
 }
 
-/// Channel-estimation scratch: the estimator's LTS transform buffer
-/// and the per-carrier estimate it fills, both reused across bursts.
+/// Channel-estimation scratch: the estimator's LTS transform buffer,
+/// the per-carrier estimate it fills, the inverses and their lane
+/// table, all reused across bursts.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChannelScratch {
     /// One receive antenna's LTS half-fields and their spectra (see
@@ -99,6 +112,12 @@ pub(crate) struct ChannelScratch {
     pub lts_fft: Vec<CQ15>,
     /// The last burst's channel matrices, before inversion.
     pub estimate: ChannelEstimate,
+    /// The last burst's `H⁻¹`, one matrix per occupied carrier (see
+    /// [`ChannelEstimate::invert_all_into`]).
+    pub h_inv: Vec<FxMat4>,
+    /// The same inverses staged for the zero-forcing lanes, range-checked
+    /// once per burst; every stream's per-symbol core reads it.
+    pub zf: ZfTable,
 }
 
 /// Receive workspace: antenna-side and stream-side scratch, split so
@@ -126,10 +145,10 @@ impl RxWorkspace {
     ) -> Self {
         let n = geometry.n_streams();
         let make_stream = || RxStreamWorkspace {
-            eq: vec![CQ15::ZERO; n_occ],
+            eq: BusLanes::zeroed(lane_groups(n_occ)),
             pilots: vec![CQ15::ZERO; n_pilots],
             signs: vec![0; n_pilots],
-            data: vec![CQ15::ZERO; geometry.data_carriers()],
+            data: BusLanes::zeroed(lane_groups(geometry.data_carriers())),
             stream_llrs: Vec::new(),
             pass_fill: 0,
             viterbi: ViterbiWorkspace::new(),
@@ -145,7 +164,7 @@ impl RxWorkspace {
                     ingest: SymbolIngest::new(geometry.fft_size())
                         // phylint: allow(panic_path) -- the geometry's FFT size was validated before any workspace is built, so `SymbolIngest::new` cannot reject it
                         .expect("geometry validated before workspace construction"),
-                    freq_occ: Vec::new(),
+                    freq_occ: BusLanes::default(),
                 })
                 .collect(),
             streams: (0..n).map(|_| make_stream()).collect(),

@@ -4,7 +4,10 @@ use std::error::Error;
 use std::fmt;
 
 use mimo_chanest::FxMat4;
-use mimo_fixed::{CFx, Fx, Isa, CQ15, CQ16, SAMPLE_BITS};
+use mimo_fixed::{
+    bus_carrier, lane_groups, set_bus_carrier, stage_bus, unstage_bus, CFx, Isa, Lanes, CQ15, CQ16,
+    LANES, SAMPLE_BITS,
+};
 
 /// Errors from the detection stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,30 +39,103 @@ impl fmt::Display for DetectError {
 
 impl Error for DetectError {}
 
-/// Carriers per ZF lane step — one AVX2 register of `i32`.
-const ZF_LANES: usize = 8;
-
 /// Signed width `H⁻¹` entries (raw Q.16) must fit to enter the lanes:
 /// an `i32`.
 const ZF_H_BITS: u32 = 32;
 
-/// Signed width received values (raw Q1.15) must fit to enter the
-/// lanes: 31 bits, so the Q1.15 → Q.16 widening fits an `i32`.
-const ZF_RX_BITS: u32 = 31;
+/// Row `k` of `H⁻¹` for one lane group: `re[j][l]`/`im[j][l]` hold
+/// entry `(k, j)` of carrier `g·LANES + l`, raw Q.16.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RowGroup {
+    re: [Lanes; 4],
+    im: [Lanes; 4],
+}
+
+/// The per-burst `H⁻¹` lane table the zero-forcing lanes read: every
+/// row of every carrier's inverse, staged as `i32` lane groups and
+/// range-checked once per burst by [`ZfTable::load`] instead of once
+/// per symbol and stream.
+///
+/// A carrier with an entry outside the `i32` range (at or above 2³¹,
+/// or below −2³¹) is flagged when the table is loaded: its lanes stay
+/// zero, and [`ZfDetector::detect_bus`] computes it on the scalar path
+/// from the matrix the table keeps for it.
+#[derive(Debug, Clone, Default)]
+pub struct ZfTable {
+    carriers: usize,
+    /// Row `k` of lane group `g` at `rows[k · groups + g]`.
+    rows: Vec<RowGroup>,
+    /// The flagged carriers, ascending, with their inverses.
+    scalar: Vec<(usize, FxMat4)>,
+}
+
+impl ZfTable {
+    /// An empty table, to be filled by [`ZfTable::load`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stages one inverse per carrier, in carrier order, replacing the
+    /// table's contents. The buffers keep their capacity, so a
+    /// receiver that reuses one table loads every burst without
+    /// allocating once the first has sized it.
+    pub fn load(&mut self, h_inv: &[FxMat4]) {
+        let groups = lane_groups(h_inv.len());
+        self.carriers = h_inv.len();
+        self.rows.clear();
+        self.rows.resize(4 * groups, RowGroup::default());
+        self.scalar.clear();
+        for (c, inv) in h_inv.iter().enumerate() {
+            let (g, lane) = (c / LANES, c % LANES);
+            let mut admitted = true;
+            for k in 0..4 {
+                admitted &= stage_row(inv, k, &mut self.rows[k * groups + g], lane);
+            }
+            if !admitted {
+                for k in 0..4 {
+                    let row = &mut self.rows[k * groups + g];
+                    for j in 0..4 {
+                        (row.re[j][lane], row.im[j][lane]) = (0, 0);
+                    }
+                }
+                self.scalar.push((c, *inv));
+            }
+        }
+    }
+}
+
+/// Row `k` of `inv` into lane `lane` of `row`. Returns whether every
+/// entry of the row fits [`ZF_H_BITS`] signed bits; the lane holds the
+/// row's words only then.
+#[inline]
+fn stage_row(inv: &FxMat4, k: usize, row: &mut RowGroup, lane: usize) -> bool {
+    let mut spread = 0u64;
+    for j in 0..4 {
+        let h = inv[(k, j)];
+        spread |= biased(h.re.raw(), ZF_H_BITS) | biased(h.im.raw(), ZF_H_BITS);
+        row.re[j][lane] = h.re.raw() as i32;
+        row.im[j][lane] = h.im.raw() as i32;
+    }
+    spread >> ZF_H_BITS == 0
+}
 
 /// The zero-forcing MIMO decoder: per subcarrier, the received vector
 /// (one value per RX antenna) is multiplied by the pre-computed `H⁻¹`
 /// — "equalization is performed on a carrier-per-carrier basis".
 ///
-/// The one kernel, [`ZfDetector::detect_stream_into`], computes one
-/// row of `y = H⁻¹·r` for every carrier, so each spatial channel's
-/// worker computes exactly its own stream. It runs eight carriers per
-/// step on `i32` lanes with `i64` products (the build of the
-/// detector's [`Isa`] tier), bit-identical to the scalar
-/// per-carrier loop it is checked against. That loop also serves any
-/// eight-carrier step whose `H⁻¹` row holds an entry outside the `i32`
-/// range (at or above 2³¹, or below −2³¹), or whose received values
-/// leave `[−2³⁰, 2³⁰)`; the range is checked on every call.
+/// The one kernel, [`ZfDetector::detect_bus`], computes one row of
+/// `y = H⁻¹·r` for every carrier of a symbol held as bus-word lane
+/// groups ([`mimo_fixed::BusLanes`]), reading `H⁻¹` from the burst's
+/// [`ZfTable`], so each spatial channel's worker computes exactly its
+/// own stream. It runs eight carriers per step on `i32` lanes with
+/// `i64` products (the build of the detector's [`Isa`] tier),
+/// bit-identical to the scalar per-carrier loop it is checked against,
+/// which also computes the carriers the table flagged.
+///
+/// [`ZfDetector::detect_stream_into`] is the same kernel on [`CQ15`]
+/// slices: it stages `H⁻¹` and the received values of each lane group
+/// on the stack, runs the lanes and unstages the result. A received
+/// value off the 16-bit bus sends its lane group to the scalar loop.
 ///
 /// # Examples
 ///
@@ -119,49 +195,111 @@ impl ZfDetector {
         if stream >= 4 {
             return Err(DetectError::BadStreamIndex(stream));
         }
-        for antenna in rx {
-            if antenna.len() != h_inv.len() {
+        for got in rx.iter().map(|a| a.len()).chain([out.len()]) {
+            if got != h_inv.len() {
                 return Err(DetectError::CarrierMismatch {
                     expected: h_inv.len(),
-                    got: antenna.len(),
+                    got,
                 });
             }
-        }
-        if out.len() != h_inv.len() {
-            return Err(DetectError::CarrierMismatch {
-                expected: h_inv.len(),
-                got: out.len(),
-            });
         }
         #[cfg(target_arch = "x86_64")]
         if self.isa.avx2() {
             // SAFETY: an `Isa` answers `avx2()` only where the probe
             // detected AVX2 on this CPU (the tier invariant).
-            unsafe { detect_avx2(h_inv, rx, stream, out) };
+            unsafe { staged_avx2(h_inv, rx, stream, out) };
             return Ok(());
         }
-        detect_lanes(h_inv, rx, stream, out);
+        detect_staged(h_inv, rx, stream, out);
         Ok(())
+    }
+
+    /// Row `stream` of `y = H⁻¹·r` for every carrier of one symbol on
+    /// bus-word lane groups: `rx_re[j]`/`rx_im[j]` hold antenna `j`'s
+    /// carriers and `out_re`/`out_im` receive the stream's, one lane
+    /// group per [`LANES`] carriers of `table`. The arithmetic is that
+    /// of [`ZfDetector::detect_stream_into`]. Allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectError::BadStreamIndex`] for a stream beyond 3,
+    /// and [`DetectError::CarrierMismatch`], in lane groups, when a
+    /// buffer does not hold the table's lane groups.
+    pub fn detect_bus(
+        &self,
+        table: &ZfTable,
+        rx_re: &[&[Lanes]; 4],
+        rx_im: &[&[Lanes]; 4],
+        stream: usize,
+        out_re: &mut [Lanes],
+        out_im: &mut [Lanes],
+    ) -> Result<(), DetectError> {
+        if stream >= 4 {
+            return Err(DetectError::BadStreamIndex(stream));
+        }
+        let groups = lane_groups(table.carriers);
+        let lens = rx_re.iter().chain(rx_im).map(|a| a.len());
+        for got in lens.chain([out_re.len(), out_im.len()]) {
+            if got != groups {
+                return Err(DetectError::CarrierMismatch {
+                    expected: groups,
+                    got,
+                });
+            }
+        }
+        let rows = &table.rows[stream * groups..(stream + 1) * groups];
+        self.lanes(rows, rx_re, rx_im, out_re, out_im);
+        for (c, inv) in &table.scalar {
+            let y = detect_carrier(inv, |j| bus_carrier(rx_re[j], rx_im[j], *c), stream);
+            set_bus_carrier(out_re, out_im, *c, y);
+        }
+        Ok(())
+    }
+
+    /// [`zf_lanes`] on the build of the detector's tier.
+    #[inline]
+    fn lanes(
+        &self,
+        rows: &[RowGroup],
+        rx_re: &[&[Lanes]; 4],
+        rx_im: &[&[Lanes]; 4],
+        out_re: &mut [Lanes],
+        out_im: &mut [Lanes],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            unsafe { zf_avx2(rows, rx_re, rx_im, out_re, out_im) };
+            return;
+        }
+        zf_lanes(rows, rx_re, rx_im, out_re, out_im);
     }
 }
 
+/// Row `stream` of `inv · r` for one carrier, `r(j)` its value at
+/// antenna `j`: the scalar oracle of the lanes.
+#[inline]
+fn detect_carrier(inv: &FxMat4, r: impl Fn(usize) -> CQ15, stream: usize) -> CQ15 {
+    let mut acc: CQ16 = CFx::ZERO;
+    for j in 0..4 {
+        let r: CQ16 = r(j).convert();
+        acc += inv[(stream, j)] * r;
+    }
+    let narrow: CFx<15> = acc.convert();
+    narrow.saturate_bits(SAMPLE_BITS)
+}
+
 /// The scalar per-carrier loop: the oracle the lanes are checked
-/// against, and the path for inputs beyond the lane limits.
+/// against, and the path for received values off the bus.
 fn detect_scalar(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
-    for (s, inv) in h_inv.iter().enumerate() {
-        let mut acc: CQ16 = CFx::ZERO;
-        for (j, antenna) in rx.iter().enumerate() {
-            let r: CQ16 = antenna[s].convert();
-            acc += inv[(stream, j)] * r;
-        }
-        let narrow: CFx<15> = acc.convert();
-        out[s] = narrow.saturate_bits(SAMPLE_BITS);
+    for (s, (inv, o)) in h_inv.iter().zip(out).enumerate() {
+        *o = detect_carrier(inv, |j| rx[j][s], stream);
     }
 }
 
 /// `raw` offset by half the range of a signed `bits`-wide word: below
-/// `2^bits` exactly when `raw` fits that word, so an OR over many
-/// offsets checks them all at once.
+/// `2^bits` exactly when `raw` fits that word.
 #[inline(always)]
 fn biased(raw: i64, bits: u32) -> u64 {
     (raw as u64).wrapping_add(1 << (bits - 1))
@@ -179,63 +317,78 @@ fn round_q16(p: i64) -> i64 {
     (((q as u64) ^ (1 << 63)) >> 16) as i64 - (1 << 47)
 }
 
-/// The lane body: row `stream` of `H⁻¹·r` for [`ZF_LANES`] carriers
-/// per step. Each step gathers its inputs into `i32` lanes and checks
-/// their range on the way; a step with an `H⁻¹` entry outside
-/// [`ZF_H_BITS`] signed bits (at or above 2³¹, or below −2³¹) or a
-/// received value outside [`ZF_RX_BITS`] runs the scalar loop
-/// instead. Within range every product is at most 2⁶² in magnitude
-/// and fits an `i64`, and so does the sum of eight rounded products.
-/// A last partial step runs on zero-filled lanes and writes back only
-/// its carriers.
+/// The lane body: one row of `H⁻¹·r` for [`LANES`] carriers per step,
+/// `rows[g]` against lane group `g` of every antenna. Table entries fit
+/// `i32` and received bus words widen to Q.16 below 2¹⁷, so every
+/// product is below 2⁴⁸ and the sum of eight rounded products fits an
+/// `i64` with room to spare.
 #[inline(always)]
-fn detect_lanes(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
-    for (step, (invs, dst)) in h_inv.chunks(ZF_LANES).zip(out.chunks_mut(ZF_LANES)).enumerate() {
-        let first = step * ZF_LANES;
-        let rx: [&[CQ15]; 4] = std::array::from_fn(|j| &rx[j][first..first + invs.len()]);
-        let (mut hr, mut hi) = ([[0i32; ZF_LANES]; 4], [[0i32; ZF_LANES]; 4]);
-        let (mut rr, mut ri) = ([[0i32; ZF_LANES]; 4], [[0i32; ZF_LANES]; 4]);
-        let (mut h_spread, mut r_spread) = (0u64, 0u64);
-        // The casts are exact once the spreads pass the range check
-        // below; `<< 1` is the Q1.15 → Q.16 widening.
-        for (k, inv) in invs.iter().enumerate() {
-            for j in 0..4 {
-                let h = inv[(stream, j)];
-                h_spread |= biased(h.re.raw(), ZF_H_BITS) | biased(h.im.raw(), ZF_H_BITS);
-                hr[j][k] = h.re.raw() as i32;
-                hi[j][k] = h.im.raw() as i32;
-            }
-        }
-        for (j, antenna) in rx.iter().enumerate() {
-            for (k, r) in antenna.iter().enumerate() {
-                r_spread |= biased(r.re.raw(), ZF_RX_BITS) | biased(r.im.raw(), ZF_RX_BITS);
-                rr[j][k] = (r.re.raw() << 1) as i32;
-                ri[j][k] = (r.im.raw() << 1) as i32;
-            }
-        }
-        if h_spread >> ZF_H_BITS != 0 || r_spread >> ZF_RX_BITS != 0 {
-            detect_scalar(invs, &rx, stream, dst);
-            continue;
-        }
-        let (mut acc_re, mut acc_im) = ([0i64; ZF_LANES], [0i64; ZF_LANES]);
+fn zf_lanes(
+    rows: &[RowGroup],
+    rx_re: &[&[Lanes]; 4],
+    rx_im: &[&[Lanes]; 4],
+    out_re: &mut [Lanes],
+    out_im: &mut [Lanes],
+) {
+    let n = rows.len();
+    let rx_re: [&[Lanes]; 4] = std::array::from_fn(|j| &rx_re[j][..n]);
+    let rx_im: [&[Lanes]; 4] = std::array::from_fn(|j| &rx_im[j][..n]);
+    let bus = 1i64 << (SAMPLE_BITS - 1);
+    for (g, (row, (o_re, o_im))) in rows.iter().zip(out_re.iter_mut().zip(out_im.iter_mut())).enumerate() {
+        let (mut acc_re, mut acc_im) = ([0i64; LANES], [0i64; LANES]);
         for j in 0..4 {
-            for k in 0..ZF_LANES {
-                let (a, b) = (i64::from(hr[j][k]), i64::from(hi[j][k]));
-                let (c, d) = (i64::from(rr[j][k]), i64::from(ri[j][k]));
+            let (rr, ri) = (&rx_re[j][g], &rx_im[j][g]);
+            for k in 0..LANES {
+                let (a, b) = (i64::from(row.re[j][k]), i64::from(row.im[j][k]));
+                // `<< 1` is the Q1.15 → Q.16 widening.
+                let (c, d) = (i64::from(rr[k]) << 1, i64::from(ri[k]) << 1);
                 acc_re[k] += round_q16(a * c) - round_q16(b * d);
                 acc_im[k] += round_q16(a * d) + round_q16(b * c);
             }
         }
-        let bus = 1i64 << (SAMPLE_BITS - 1);
         // Q.16 → Q1.15 with half-away rounding, then the 16-bit bus.
-        let narrow = |v: i64| Fx::from_raw(((v + 1 + (v >> 63)) >> 1).clamp(-bus, bus - 1));
-        for (k, o) in dst.iter_mut().enumerate() {
-            *o = CFx::new(narrow(acc_re[k]), narrow(acc_im[k]));
+        let narrow = |v: i64| ((v + 1 + (v >> 63)) >> 1).clamp(-bus, bus - 1) as i32;
+        for k in 0..LANES {
+            o_re[k] = narrow(acc_re[k]);
+            o_im[k] = narrow(acc_im[k]);
         }
     }
 }
 
-/// [`detect_lanes`] built with AVX2 enabled.
+/// The [`CQ15`] entry point's body: each lane group's received values
+/// and `H⁻¹` row staged on the stack, [`zf_lanes`] on them, the result
+/// unstaged. A group with a received value off the bus runs the scalar
+/// loop; a carrier whose row leaves the lanes' range is computed on the
+/// lanes from wrapped words, then overwritten by the scalar loop.
+#[inline(always)]
+fn detect_staged(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
+    for (step, (invs, dst)) in h_inv.chunks(LANES).zip(out.chunks_mut(LANES)).enumerate() {
+        let first = step * LANES;
+        let rx: [&[CQ15]; 4] = std::array::from_fn(|j| &rx[j][first..first + invs.len()]);
+        let (mut rx_re, mut rx_im) = ([[[0; LANES]; 1]; 4], [[[0; LANES]; 1]; 4]);
+        if !(0..4).all(|j| stage_bus(rx[j], &mut rx_re[j], &mut rx_im[j])) {
+            detect_scalar(invs, &rx, stream, dst);
+            continue;
+        }
+        let mut row = [RowGroup::default()];
+        let mut flagged = 0u8;
+        for (c, inv) in invs.iter().enumerate() {
+            if !stage_row(inv, stream, &mut row[0], c) {
+                flagged |= 1 << c;
+            }
+        }
+        let (mut out_re, mut out_im) = ([[0; LANES]], [[0; LANES]]);
+        let rx_re: [&[Lanes]; 4] = std::array::from_fn(|j| rx_re[j].as_slice());
+        let rx_im: [&[Lanes]; 4] = std::array::from_fn(|j| rx_im[j].as_slice());
+        zf_lanes(&row, &rx_re, &rx_im, &mut out_re, &mut out_im);
+        unstage_bus(&out_re, &out_im, dst);
+        for (c, o) in dst.iter_mut().enumerate().filter(|&(c, _)| flagged >> c & 1 != 0) {
+            *o = detect_carrier(&invs[c], |j| rx[j][c], stream);
+        }
+    }
+}
+
+/// [`detect_staged`] built with AVX2 enabled.
 ///
 /// # Safety
 ///
@@ -245,8 +398,28 @@ fn detect_lanes(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [C
 // SAFETY: callers must have verified AVX2 support at run time
 // (`detect_stream_into` calls this only when its `Isa` answers
 // `avx2()`, the tier invariant). The body is safe code.
-unsafe fn detect_avx2(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
-    detect_lanes(h_inv, rx, stream, out)
+unsafe fn staged_avx2(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &mut [CQ15]) {
+    detect_staged(h_inv, rx, stream, out)
+}
+
+/// [`zf_lanes`] built with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: callers must have verified AVX2 support at run time
+// (`ZfDetector::lanes` calls this only when its `Isa` answers `avx2()`,
+// the tier invariant). The body is safe code.
+unsafe fn zf_avx2(
+    rows: &[RowGroup],
+    rx_re: &[&[Lanes]; 4],
+    rx_im: &[&[Lanes]; 4],
+    out_re: &mut [Lanes],
+    out_im: &mut [Lanes],
+) {
+    zf_lanes(rows, rx_re, rx_im, out_re, out_im)
 }
 // phylint: end-hot
 
@@ -254,7 +427,7 @@ unsafe fn detect_avx2(h_inv: &[FxMat4], rx: &[&[CQ15]; 4], stream: usize, out: &
 mod tests {
     use super::*;
     use mimo_chanest::{CordicQrd, Mat4};
-    use mimo_fixed::Cf64;
+    use mimo_fixed::{BusLanes, Cf64, Fx};
 
     /// All four streams through `detect_stream_into`, `[tx_stream][s]`.
     fn detect_all(h_inv: &[FxMat4], rx: &[Vec<CQ15>]) -> Vec<Vec<CQ15>> {
@@ -333,6 +506,31 @@ mod tests {
     }
 
     #[test]
+    fn lane_entry_shape_errors() {
+        let det = ZfDetector::new();
+        let mut table = ZfTable::new();
+        table.load(&vec![Mat4::identity().to_fixed(); 9]);
+        assert_eq!(table.carriers, 9);
+        let (two, one) = (BusLanes::zeroed(2), BusLanes::zeroed(1));
+        let rx = [two.re.as_slice(); 4];
+        let mut out = BusLanes::zeroed(2);
+        assert_eq!(
+            det.detect_bus(&table, &rx, &rx, 4, &mut out.re, &mut out.im),
+            Err(DetectError::BadStreamIndex(4))
+        );
+        let short = [two.re.as_slice(), one.re.as_slice(), two.re.as_slice(), two.re.as_slice()];
+        assert_eq!(
+            det.detect_bus(&table, &short, &rx, 0, &mut out.re, &mut out.im),
+            Err(DetectError::CarrierMismatch { expected: 2, got: 1 })
+        );
+        let mut narrow = BusLanes::zeroed(1);
+        assert_eq!(
+            det.detect_bus(&table, &rx, &rx, 0, &mut narrow.re, &mut narrow.im),
+            Err(DetectError::CarrierMismatch { expected: 2, got: 1 })
+        );
+    }
+
+    #[test]
     fn shape_errors() {
         let det = ZfDetector::new();
         let h_inv = vec![Mat4::identity().to_fixed(); 2];
@@ -393,7 +591,7 @@ mod tests {
             range.contains(&c.re.raw()) && range.contains(&c.im.raw())
         };
         h_inv.iter().all(|inv| (0..4).all(|j| fits(inv[(stream, j)], ZF_H_BITS)))
-            && rx.iter().flatten().all(|&c| fits(c.convert(), ZF_RX_BITS + 1))
+            && rx.iter().flatten().all(|&c| mimo_fixed::on_bus(c))
     }
 
     /// `H⁻¹` entries that are odd multiples of 2¹⁴: against an odd
@@ -411,8 +609,22 @@ mod tests {
         (h_inv, rx)
     }
 
+    /// Both entry points on every tier against the scalar loop: the
+    /// [`CQ15`] one always, the lane one through a loaded [`ZfTable`]
+    /// whenever the received values are bus words.
     fn assert_lanes_match_scalar(h_inv: &[FxMat4], rx: &[Vec<CQ15>], what: &str) {
         let views: [&[CQ15]; 4] = std::array::from_fn(|a| rx[a].as_slice());
+        let groups = lane_groups(h_inv.len());
+        let mut table = ZfTable::new();
+        table.load(h_inv);
+        let bus: Vec<BusLanes> = rx
+            .iter()
+            .map(|a| {
+                let mut lanes = BusLanes::zeroed(groups);
+                stage_bus(a, &mut lanes.re, &mut lanes.im).then_some(lanes)
+            })
+            .collect::<Option<_>>()
+            .unwrap_or_default();
         for &isa in Isa::tiers() {
             let det = ZfDetector { isa };
             for stream in 0..4 {
@@ -421,6 +633,22 @@ mod tests {
                 let mut got = vec![CQ15::ZERO; h_inv.len()];
                 det.detect_stream_into(h_inv, &views, stream, &mut got).unwrap();
                 assert_eq!(got, want, "{what}, stream {stream}, {}", isa.name());
+                if bus.is_empty() {
+                    continue;
+                }
+                let rx_re: [&[Lanes]; 4] = std::array::from_fn(|a| bus[a].re.as_slice());
+                let rx_im: [&[Lanes]; 4] = std::array::from_fn(|a| bus[a].im.as_slice());
+                let mut out = BusLanes::zeroed(groups);
+                det.detect_bus(&table, &rx_re, &rx_im, stream, &mut out.re, &mut out.im)
+                    .unwrap();
+                unstage_bus(&out.re, &out.im, &mut got);
+                assert_eq!(got, want, "{what}, lanes, stream {stream}, {}", isa.name());
+                // Padding lanes stay zero for the next stage.
+                let tail = h_inv.len() % LANES;
+                if tail != 0 {
+                    assert_eq!(out.re[groups - 1][tail..], out.im[groups - 1][tail..]);
+                    assert!(out.re[groups - 1][tail..].iter().all(|&w| w == 0), "{what}");
+                }
             }
         }
     }
@@ -458,6 +686,10 @@ mod tests {
         for carriers in [1, 9, 48] {
             let (h_inv, rx) = case(carriers, 99 + carriers as u64, 1 << 31);
             assert!((0..4).all(|k| !within_limits(&h_inv, &rx, k)));
+            let mut table = ZfTable::new();
+            table.load(&h_inv);
+            let flagged: Vec<usize> = table.scalar.iter().map(|&(c, _)| c).collect();
+            assert_eq!(flagged, (0..carriers).step_by(3).collect::<Vec<_>>());
             assert_lanes_match_scalar(&h_inv, &rx, &format!("2^31 entry, {carriers} carriers"));
             let (h_inv, mut rx) = case(carriers, 7, 1 << 20);
             rx[2][carriers / 2] = cfx(1 << 30, 5);

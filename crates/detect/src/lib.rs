@@ -8,17 +8,24 @@
 //!
 //! * [`ZfDetector`] — the per-subcarrier `y = H⁻¹·r` zero-forcing
 //!   MIMO decoder (the "MIMO decoder" entity of Table 4), one stream
-//!   row per call, eight carriers per `i32`/`i64` lane step.
+//!   row per call, eight carriers per `i32`/`i64` lane step, reading
+//!   `H⁻¹` from the burst's [`ZfTable`].
 //! * [`PilotPhaseCorrector`] — pilot extraction, de-scrambling,
 //!   averaging and common phase correction.
 //! * [`TimingCorrector`] — the feed-forward timing (tau) estimator and
 //!   the running-adder per-subcarrier correction; its
-//!   [`correct_with_phase_in_place`](TimingCorrector::correct_with_phase_in_place)
+//!   [`correct_bus_in_place`](TimingCorrector::correct_bus_in_place)
 //!   runs the common-phase and timing de-rotations of a symbol in one
 //!   lane pass.
+//!
+//! The receiver's per-symbol core calls the bus-word lane entries
+//! ([`ZfDetector::detect_bus`],
+//! [`TimingCorrector::correct_bus_in_place`]) on symbols held as
+//! [`mimo_fixed::BusLanes`]; the `CQ15` entries stage onto the same
+//! kernels.
 
 mod equalize;
 mod pilots;
 
-pub use equalize::{DetectError, ZfDetector};
+pub use equalize::{DetectError, ZfDetector, ZfTable};
 pub use pilots::{PilotPhaseCorrector, TimingCorrector};

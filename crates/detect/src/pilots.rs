@@ -21,7 +21,10 @@
 //! whole-symbol timing pass, which both stay public as the oracle.
 
 use mimo_cordic::{Cordic, CordicLanes, Lanes, DEROTATE_GROUPS, LANES};
-use mimo_fixed::{CFx, CQ15, Cf64, Fx, Q16, SAMPLE_BITS};
+use mimo_fixed::{
+    bus_carrier, lane_groups, set_bus_carrier, stage_bus, unstage_bus, CFx, Cf64, CQ15, Q16,
+    SAMPLE_BITS,
+};
 
 /// Narrows a rotated Q2.16 pair back onto the 16-bit sample bus.
 fn narrow(x: Q16, y: Q16) -> CQ15 {
@@ -249,17 +252,8 @@ impl TimingCorrector {
         let carriers = &mut carriers[..n];
         let tau_q = Q16::from_f64(tau);
         if self.small_angle {
-            // Running adder: angle = l · tau accumulated in Q2.16.
-            let angle_of = |l: i32| Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
             for (c, &l) in carriers.iter_mut().zip(indices) {
-                let angle = angle_of(l);
-                let wide: CFx<16> = c.convert();
-                // Paper's approximation: re += angle·im-ish terms
-                // reduce to adding tau_l to I and subtracting from
-                // Q scaled by the component magnitudes.
-                let re = wide.re + wide.im.mul(angle);
-                let im = wide.im - wide.re.mul(angle);
-                *c = narrow(re, im);
+                *c = small_angle_carrier(*c, tau_q, l);
             }
             return;
         }
@@ -277,14 +271,12 @@ impl TimingCorrector {
     /// [`PilotPhaseCorrector::correct_in_place`]`(carriers, phase)` then
     /// [`TimingCorrector::correct_in_place`]`(carriers, indices, tau)`.
     ///
-    /// In the exact mode, with one index per carrier and every carrier
-    /// on the 16-bit sample bus (always true of the ZF output), a block
-    /// of up to [`DEROTATE_GROUPS`] lane groups at a time runs
-    /// both rotations, and the narrow to the bus between them, in one
-    /// [`CordicLanes::derotate_bus`] call. The `−φ` micro-rotation
-    /// directions are derived once per block and every carrier's `−l·τ`
-    /// rotation follows while its lane group is still loaded. Anything
-    /// else takes the two passes.
+    /// In the exact mode, with one index per carrier, this stages
+    /// blocks of up to [`DEROTATE_GROUPS`] lane groups on the stack and
+    /// runs [`TimingCorrector::correct_bus_in_place`] on each. A block
+    /// with a carrier off the 16-bit sample bus (never true of the ZF
+    /// output), and anything else, takes the two passes; every carrier
+    /// rotates on its own, so the bits are the same.
     pub fn correct_with_phase_in_place(
         &self,
         carriers: &mut [CQ15],
@@ -292,41 +284,88 @@ impl TimingCorrector {
         phase: Q16,
         tau: f64,
     ) {
-        let on_bus = |c: &CQ15| c.re.fits_bits(SAMPLE_BITS) && c.im.fits_bits(SAMPLE_BITS);
-        if self.small_angle || carriers.len() != indices.len() || !carriers.iter().all(on_bus) {
+        let two_passes = |carriers: &mut [CQ15], indices: &[i32]| {
             correct_phase(&self.cordic, &self.lanes, carriers, phase);
             self.correct_in_place(carriers, indices, tau);
+        };
+        if self.small_angle || carriers.len() != indices.len() {
+            two_passes(carriers, indices);
             return;
         }
-        let tau_q = Q16::from_f64(tau);
         let block = DEROTATE_GROUPS * LANES;
         for (chunk, idx) in carriers.chunks_mut(block).zip(indices.chunks(block)) {
-            let mut xs = [[0; LANES]; DEROTATE_GROUPS];
-            let mut ys = [[0; LANES]; DEROTATE_GROUPS];
-            let mut ramp = [[0; LANES]; DEROTATE_GROUPS];
-            let staged = xs.iter_mut().zip(&mut ys).zip(&mut ramp);
-            for (((x, y), r), (cs, ls)) in staged.zip(chunk.chunks(LANES).zip(idx.chunks(LANES))) {
-                let cells = x.iter_mut().zip(y.iter_mut()).zip(r.iter_mut());
-                for (((x, y), r), (c, &l)) in cells.zip(cs.iter().zip(ls)) {
-                    // On-bus words fit an i32 lane.
-                    (*x, *y) = (c.re.raw() as i32, c.im.raw() as i32);
-                    *r = ramp_angle(tau_q, l);
-                }
+            let (mut re, mut im) = ([[0; LANES]; DEROTATE_GROUPS], [[0; LANES]; DEROTATE_GROUPS]);
+            if !stage_bus(chunk, &mut re, &mut im) {
+                two_passes(chunk, idx);
+                continue;
             }
-            let groups = chunk.len().div_ceil(LANES);
-            self.lanes.derotate_bus(
-                (-phase).raw(),
-                &ramp[..groups],
-                &mut xs[..groups],
-                &mut ys[..groups],
-            );
-            for ((x, y), cs) in xs.iter().zip(&ys).zip(chunk.chunks_mut(LANES)) {
-                for ((&x, &y), c) in x.iter().zip(y).zip(cs) {
-                    *c = CFx::new(Fx::from_raw(x.into()), Fx::from_raw(y.into()));
-                }
-            }
+            let groups = lane_groups(chunk.len());
+            self.correct_bus_in_place(&mut re[..groups], &mut im[..groups], idx, phase, tau);
+            unstage_bus(&re, &im, chunk);
         }
     }
+
+    // phylint: hot
+    /// [`TimingCorrector::correct_with_phase_in_place`] on a symbol held
+    /// as bus-word lane groups ([`mimo_fixed::BusLanes`]): carrier `c`,
+    /// of logical index `indices[c]`, in lane `c % LANES` of group
+    /// `c / LANES` of `re`/`im`, which hold
+    /// [`lane_groups`]`(indices.len())` groups each. Padding lanes past
+    /// the last carrier turn by `−φ` alone, so zero padding stays zero.
+    ///
+    /// In the exact mode, blocks of up to [`DEROTATE_GROUPS`] lane
+    /// groups run both rotations, and the narrow to the bus between
+    /// them, in one [`CordicLanes::derotate_bus`] call, straight on the
+    /// caller's groups: the `−φ` micro-rotation directions are derived
+    /// once per block and every carrier's `−l·τ` rotation follows while
+    /// its group is still loaded. The small-angle mode corrects carrier
+    /// by carrier on the scalar engine, with the same bits as its two
+    /// passes. Allocation-free.
+    pub fn correct_bus_in_place(
+        &self,
+        re: &mut [Lanes],
+        im: &mut [Lanes],
+        indices: &[i32],
+        phase: Q16,
+        tau: f64,
+    ) {
+        debug_assert_eq!(re.len(), lane_groups(indices.len()));
+        debug_assert_eq!(im.len(), re.len());
+        let tau_q = Q16::from_f64(tau);
+        if self.small_angle {
+            for (c, &l) in indices.iter().enumerate() {
+                let w: CFx<16> = bus_carrier(re, im, c).convert();
+                let turned = self.cordic.rotate(w.re, w.im, -phase);
+                let v = small_angle_carrier(narrow(turned.x, turned.y), tau_q, l);
+                set_bus_carrier(re, im, c, v);
+            }
+            return;
+        }
+        let block = DEROTATE_GROUPS * LANES;
+        let groups = re.chunks_mut(DEROTATE_GROUPS).zip(im.chunks_mut(DEROTATE_GROUPS));
+        for ((re, im), idx) in groups.zip(indices.chunks(block)) {
+            let mut ramp = [[0; LANES]; DEROTATE_GROUPS];
+            for (c, &l) in idx.iter().enumerate() {
+                ramp[c / LANES][c % LANES] = ramp_angle(tau_q, l);
+            }
+            let n = re.len();
+            self.lanes.derotate_bus((-phase).raw(), &ramp[..n], re, im);
+        }
+    }
+    // phylint: end-hot
+}
+
+/// The paper's small-angle timing correction of one carrier at logical
+/// index `l`: the running adder's angle `l·τ` in Q2.16, then "time
+/// corrected by adding the relevant Tau value to the real component
+/// and by subtracting it from the imaginary component", each scaled by
+/// the other component.
+fn small_angle_carrier(c: CQ15, tau_q: Q16, l: i32) -> CQ15 {
+    let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
+    let wide: CFx<16> = c.convert();
+    let re = wide.re + wide.im.mul(angle);
+    let im = wide.im - wide.re.mul(angle);
+    narrow(re, im)
 }
 
 /// The raw Q2.16 de-rotation of carrier `l`: `−(l·τ)`, the running
@@ -338,7 +377,7 @@ fn ramp_angle(tau_q: Q16, l: i32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimo_fixed::{Fx, Isa};
+    use mimo_fixed::{BusLanes, Fx, Isa};
 
     fn rotate_all(carriers: &[CQ15], phase: f64) -> Vec<CQ15> {
         carriers
@@ -596,16 +635,28 @@ mod tests {
         phi: Q16,
         tau: f64,
     ) {
-        let mut got = rx.to_vec();
-        timing.correct_with_phase_in_place(&mut got, indices, phi, tau);
-        assert_eq!(
-            got,
-            two_passes(phase_c, timing, rx, indices, phi, tau),
+        let want = two_passes(phase_c, timing, rx, indices, phi, tau);
+        let what = format!(
             "n {} phi {phi:?} tau {tau} lanes {:?} small_angle {}",
             rx.len(),
             timing.lanes,
             timing.small_angle
         );
+        let mut got = rx.to_vec();
+        timing.correct_with_phase_in_place(&mut got, indices, phi, tau);
+        assert_eq!(got, want, "{what}");
+        // The lane entry, wherever the symbol is on the bus.
+        let mut lanes = BusLanes::zeroed(lane_groups(rx.len()));
+        if rx.len() == indices.len() && stage_bus(rx, &mut lanes.re, &mut lanes.im) {
+            timing.correct_bus_in_place(&mut lanes.re, &mut lanes.im, indices, phi, tau);
+            unstage_bus(&lanes.re, &lanes.im, &mut got);
+            assert_eq!(got, want, "lane entry, {what}");
+            let tail = rx.len() % LANES;
+            if tail != 0 {
+                let last = lanes.re.len() - 1;
+                assert!(lanes.re[last][tail..].iter().chain(&lanes.im[last][tail..]).all(|&w| w == 0));
+            }
+        }
     }
 
     /// Raw Q2.16 phases at ±π, the ±π/2 quadrant edges and between.

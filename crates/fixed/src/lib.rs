@@ -13,6 +13,9 @@
 //!   enforced exactly where the RTL would clamp.
 //! * [`Isa`] — the CPU tier every lane kernel of the workspace is
 //!   built for, probed once per process.
+//! * [`BusLanes`] — carriers as 16-bit bus words on `i32` lane groups
+//!   of [`LANES`], the form the receiver's per-symbol core keeps a
+//!   symbol in from the carrier gather to the LLR scatter.
 //!
 //! # Examples
 //!
@@ -26,11 +29,16 @@
 //! assert!((sum.to_f64() - 0.25).abs() < 1e-4);
 //! ```
 
+mod bus;
 mod complex;
 mod float;
 mod fx;
 mod isa;
 
+pub use bus::{
+    bus_carrier, lane_groups, on_bus, set_bus_carrier, stage_bus, unstage_bus, BusLanes, Lanes,
+    LANES,
+};
 pub use complex::CFx;
 pub use float::Cf64;
 pub use fx::Fx;

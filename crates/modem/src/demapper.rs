@@ -1,7 +1,7 @@
 //! The decoder-multiplexer symbol demapper (hard and soft).
 
 use mimo_coding::{Llr, HARD_LLR, LLR_MAX};
-use mimo_fixed::{CQ15, Cf64};
+use mimo_fixed::{bus_carrier, lane_groups, stage_bus, Cf64, Isa, Lanes, CQ15, LANES};
 
 use crate::mapper::SymbolMapper;
 use crate::modulation::Modulation;
@@ -9,6 +9,9 @@ use crate::modulation::Modulation;
 /// LLR units produced per constellation-unit of distance: a symbol one
 /// level-spacing away from a decision boundary yields ±2·this.
 const LLR_UNIT: f64 = 16.0;
+
+/// Lane groups the [`CQ15`] entry points stage on the stack at a time.
+const STAGE_GROUPS: usize = 8;
 
 /// The receiver's symbol demapper.
 ///
@@ -18,11 +21,24 @@ const LLR_UNIT: f64 = 16.0;
 /// (the standard simplification that hardware soft demappers use for
 /// Gray-mapped QAM).
 ///
-/// The receiver's payload pass, [`SymbolDemapper::demap_scatter_into`],
-/// does both in one walk: each axis is divided by the level unit once,
-/// and that quotient yields the soft (or hard) LLRs, the nearest level
-/// and, from it, the error-vector sums — no second slice and no
-/// re-mapping of hard bits.
+/// The receiver's payload pass does both in one walk: each axis is
+/// divided by the level unit once, and that quotient yields the soft
+/// (or hard) LLRs, the nearest level and, from it, the error-vector
+/// sums — no second slice and no re-mapping of hard bits.
+///
+/// One kernel runs that pass, [`SymbolDemapper::demap_bus_scatter_into`],
+/// on a symbol held as bus-word lane groups
+/// ([`mimo_fixed::BusLanes`]). It dispatches on the demapper's [`Isa`]
+/// tier: the AVX2 body computes `raw·2⁻¹⁵ / unit`, the clamped
+/// half-away LLR rounds and the nearest level four carriers at a time
+/// on `f64` lanes, looks the points up by gather and forms each
+/// carrier's error and point energy there too; the plain body runs the
+/// same arithmetic carrier by carrier. Both then add the energies in
+/// carrier order and scatter the LLRs, so every tier gives the same
+/// bits. [`SymbolDemapper::demap_scatter_into`] and
+/// [`SymbolDemapper::soft_demap_scatter_into`] are the same kernel on
+/// [`CQ15`] slices: they stage the carriers on the stack (a block with
+/// a carrier off the 16-bit bus goes to the plain body).
 ///
 /// # Examples
 ///
@@ -52,6 +68,11 @@ pub struct SymbolDemapper {
     /// The same for the Q coordinate (entry 0 only, and zero, for
     /// BPSK).
     im_points: [f64; 8],
+    /// The hard LLRs of level index `i` of one axis, MSB first: the
+    /// Gray bits of `i` as ±[`HARD_LLR`].
+    hard: [[Llr; 3]; 8],
+    /// The CPU tier the lane kernel dispatches on.
+    isa: Isa,
 }
 
 impl SymbolDemapper {
@@ -72,11 +93,25 @@ impl SymbolDemapper {
                 im_points[i] = Cf64::from_fixed(lut[gray]).im;
             }
         }
+        let b = modulation.bits_per_axis();
+        let mut hard = [[0; 3]; 8];
+        for (i, llrs) in hard.iter_mut().enumerate().take(modulation.levels_per_axis()) {
+            let gray = i ^ (i >> 1);
+            for (k, l) in llrs[..b].iter_mut().enumerate() {
+                *l = if (gray >> (b - 1 - k)) & 1 == 0 {
+                    HARD_LLR
+                } else {
+                    -HARD_LLR
+                };
+            }
+        }
         Self {
             modulation,
             unit: mapper.scale() / modulation.norm_factor().sqrt(),
             re_points,
             im_points,
+            hard,
+            isa: Isa::detected(),
         }
     }
 
@@ -152,10 +187,36 @@ impl SymbolDemapper {
         self.scatter_pass::<true>(symbols, map, soft, out)
     }
 
-    /// The one demap kernel behind both scatter entry points; `EVM`
-    /// adds the nearest-point error sums (hard LLRs always slice). One
-    /// monomorphized body per modulation, so the per-axis bit loops
-    /// unroll.
+    /// The demap pass on a symbol held as bus-word lane groups:
+    /// carrier `c` of the `n` in lane `c % LANES` of group `c / LANES`
+    /// of `re`/`im`. Otherwise as
+    /// [`SymbolDemapper::demap_scatter_into`], with the same bits. Runs
+    /// the AVX2 body on that tier and the plain body otherwise (type
+    /// docs). Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `map` covers exactly `n * bits_per_symbol`
+    /// demapped bits and `re`/`im` hold the `n` carriers, or when a map
+    /// entry falls outside `out`.
+    pub fn demap_bus_scatter_into(
+        &self,
+        re: &[Lanes],
+        im: &[Lanes],
+        n: usize,
+        map: &[u32],
+        soft: bool,
+        out: &mut [Llr],
+    ) -> (f64, f64) {
+        self.bus_pass::<true>(re, im, n, map, soft, out, (0.0, 0.0))
+    }
+
+    /// The [`CQ15`] entry points' staging: blocks of up to
+    /// [`STAGE_GROUPS`] lane groups through [`SymbolDemapper::bus_pass`],
+    /// the error sums carried from block to block in carrier order. A
+    /// block with a symbol off the 16-bit bus takes the plain body on
+    /// the samples as they stand; every carrier's values are the same
+    /// on both, so the sums are too.
     fn scatter_pass<const EVM: bool>(
         &self,
         symbols: &[CQ15],
@@ -163,38 +224,224 @@ impl SymbolDemapper {
         soft: bool,
         out: &mut [Llr],
     ) -> (f64, f64) {
-        match self.modulation {
-            Modulation::Bpsk => self.scatter_axes::<EVM, 1, false>(symbols, map, soft, out),
-            Modulation::Qpsk => self.scatter_axes::<EVM, 1, true>(symbols, map, soft, out),
-            Modulation::Qam16 => self.scatter_axes::<EVM, 2, true>(symbols, map, soft, out),
-            Modulation::Qam64 => self.scatter_axes::<EVM, 3, true>(symbols, map, soft, out),
+        let bps = self.modulation.bits_per_symbol();
+        assert_eq!(map.len(), symbols.len() * bps, "scatter map size");
+        let block = STAGE_GROUPS * LANES;
+        let mut sums = (0.0, 0.0);
+        for (chunk, map) in symbols.chunks(block).zip(map.chunks(block * bps)) {
+            let (mut re, mut im) = ([[0; LANES]; STAGE_GROUPS], [[0; LANES]; STAGE_GROUPS]);
+            sums = if stage_bus(chunk, &mut re, &mut im) {
+                self.bus_pass::<EVM>(&re, &im, chunk.len(), map, soft, out, sums)
+            } else {
+                let carrier = |c: usize| Cf64::from_fixed(chunk[c]);
+                match self.modulation {
+                    Modulation::Bpsk => self.plain::<EVM, 1, false>(carrier, map, soft, out, sums),
+                    Modulation::Qpsk => self.plain::<EVM, 1, true>(carrier, map, soft, out, sums),
+                    Modulation::Qam16 => self.plain::<EVM, 2, true>(carrier, map, soft, out, sums),
+                    Modulation::Qam64 => self.plain::<EVM, 3, true>(carrier, map, soft, out, sums),
+                }
+            };
         }
+        sums
     }
 
-    /// [`SymbolDemapper::scatter_pass`] at `B` bits per axis, with a Q
-    /// axis when `IQ` is set.
-    // phylint: hot
-    fn scatter_axes<const EVM: bool, const B: usize, const IQ: bool>(
+    /// The lane kernel at this demapper's modulation: `n` carriers of
+    /// `re`/`im`, error sums added onto `sums`.
+    #[allow(clippy::too_many_arguments)] // one argument per pass input
+    fn bus_pass<const EVM: bool>(
         &self,
-        symbols: &[CQ15],
+        re: &[Lanes],
+        im: &[Lanes],
+        n: usize,
         map: &[u32],
         soft: bool,
         out: &mut [Llr],
+        sums: (f64, f64),
+    ) -> (f64, f64) {
+        let bps = self.modulation.bits_per_symbol();
+        assert_eq!(map.len(), n * bps, "scatter map size");
+        let groups = lane_groups(n);
+        let (re, im) = (&re[..groups], &im[..groups]);
+        match self.modulation {
+            Modulation::Bpsk => self.bus_axes::<EVM, 1, false>(re, im, map, soft, out, sums),
+            Modulation::Qpsk => self.bus_axes::<EVM, 1, true>(re, im, map, soft, out, sums),
+            Modulation::Qam16 => self.bus_axes::<EVM, 2, true>(re, im, map, soft, out, sums),
+            Modulation::Qam64 => self.bus_axes::<EVM, 3, true>(re, im, map, soft, out, sums),
+        }
+    }
+
+    // phylint: hot
+    /// [`SymbolDemapper::bus_pass`] at `B` bits per axis, with a Q axis
+    /// when `IQ` is set, on the build of the demapper's tier. `map`
+    /// holds the carriers' bit positions, `bps` per carrier.
+    #[inline]
+    fn bus_axes<const EVM: bool, const B: usize, const IQ: bool>(
+        &self,
+        re: &[Lanes],
+        im: &[Lanes],
+        map: &[u32],
+        soft: bool,
+        out: &mut [Llr],
+        sums: (f64, f64),
+    ) -> (f64, f64) {
+        #[cfg(target_arch = "x86_64")]
+        if self.isa.avx2() {
+            // SAFETY: an `Isa` answers `avx2()` only where the probe
+            // detected AVX2 on this CPU (the tier invariant).
+            return unsafe { self.bus_avx2::<EVM, B, IQ>(re, im, map, soft, out, sums) };
+        }
+        let carrier = |c: usize| {
+            let v = bus_carrier(re, im, c);
+            Cf64::from_fixed(v)
+        };
+        self.plain::<EVM, B, IQ>(carrier, map, soft, out, sums)
+    }
+
+    /// The plain body: carrier `c` is `carrier(c)`; its LLRs (soft, or
+    /// hard from the nearest point's Gray bits) land at its `bps`
+    /// positions of `map`, and with `EVM` its error and point energy
+    /// are added onto `sums` in carrier order. One monomorphized body
+    /// per modulation, so the per-axis bit loops unroll.
+    #[inline(always)]
+    fn plain<const EVM: bool, const B: usize, const IQ: bool>(
+        &self,
+        carrier: impl Fn(usize) -> Cf64,
+        map: &[u32],
+        soft: bool,
+        out: &mut [Llr],
+        (mut num, mut den): (f64, f64),
     ) -> (f64, f64) {
         let bps = if IQ { 2 * B } else { B };
         debug_assert_eq!(bps, self.modulation.bits_per_symbol());
-        assert_eq!(map.len(), symbols.len() * bps, "scatter map size");
-        let (mut num, mut den) = (0.0, 0.0);
         let mut llrs = [0 as Llr; 8];
-        for (&sym, positions) in symbols.iter().zip(map.chunks_exact(bps)) {
-            let c = Cf64::from_fixed(sym);
-            let nearest = self.demap_symbol::<B, IQ>(c, soft, EVM || !soft, &mut llrs);
+        for (c, positions) in map.chunks_exact(bps).enumerate() {
+            let x = carrier(c);
+            let nearest = self.demap_symbol::<B, IQ>(x, soft, EVM || !soft, &mut llrs);
             if EVM {
-                num += (c - nearest).norm_sqr();
+                num += (x - nearest).norm_sqr();
                 den += nearest.norm_sqr();
             }
             for (&pos, &l) in positions.iter().zip(&llrs[..bps]) {
                 out[pos as usize] = l;
+            }
+        }
+        (num, den)
+    }
+
+    /// The AVX2 body: per lane group, two halves of four carriers on
+    /// `f64` lanes compute `n = raw·2⁻¹⁵ / unit` per axis, the max-log
+    /// LLR recursion with its clamp and half-away rounding, the nearest
+    /// level (`(n + L − 1)·½` clamped and rounded), the points by
+    /// gather and each carrier's `|x − p̂|²` and `|p̂|²`. Every lane
+    /// operation is the IEEE operation the plain body makes (`·½` is
+    /// exactly `/2`, and the two clamps agree on every value they can
+    /// meet), so the lanes hold the plain body's values. The energies
+    /// are then added and the LLRs scattered carrier by carrier.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: callers must have verified AVX2 support at run time
+    // (`bus_axes` calls this only when its `Isa` answers `avx2()`, the
+    // tier invariant). Every load reads four `i32` at offset 0 or 4 of
+    // an eight-lane group, every store writes four words at offset 0 or
+    // 4 of an eight-word local array, and every gather index is a level
+    // clamped to `0..L` of an eight-entry point table: all in bounds.
+    unsafe fn bus_avx2<const EVM: bool, const B: usize, const IQ: bool>(
+        &self,
+        re: &[Lanes],
+        im: &[Lanes],
+        map: &[u32],
+        soft: bool,
+        out: &mut [Llr],
+        (mut num, mut den): (f64, f64),
+    ) -> (f64, f64) {
+        use std::arch::x86_64::*;
+        const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+        let bps = if IQ { 2 * B } else { B };
+        let axes = if IQ { 2 } else { 1 };
+        let levels = 1usize << B;
+        let scale = _mm256_set1_pd(1.0 / 32768.0);
+        let unit = _mm256_set1_pd(self.unit);
+        let sign = _mm256_set1_pd(-0.0);
+        let (half, neg_half) = (_mm256_set1_pd(0.5), _mm256_set1_pd(-0.5));
+        let (zero, one) = (_mm256_setzero_pd(), _mm256_set1_pd(1.0));
+        let (llr_max, llr_unit) = (_mm256_set1_pd(LLR_MAX_F64), _mm256_set1_pd(LLR_UNIT));
+        let top = _mm256_set1_pd((levels - 1) as f64);
+        let points = [&self.re_points, &self.im_points];
+        let im_point = _mm256_set1_pd(self.im_points[0]);
+        // `round_half_away` on four lanes of `|v| < 2³¹`.
+        let round = |v: __m256d| {
+            let t = _mm256_round_pd::<TRUNC>(v);
+            let frac = _mm256_sub_pd(v, t);
+            let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(frac, half), one);
+            let down = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(frac, neg_half), one);
+            _mm256_cvtpd_epi32(_mm256_sub_pd(_mm256_add_pd(t, up), down))
+        };
+        for ((r, i), positions) in re.iter().zip(im).zip(map.chunks(LANES * bps)) {
+            let mut llr = [[0i32; LANES]; 6];
+            let mut index = [[0i32; LANES]; 2];
+            let (mut err, mut energy) = ([0f64; LANES], [0f64; LANES]);
+            for h in (0..LANES).step_by(4) {
+                let load = |w: &Lanes| {
+                    let words = _mm_loadu_si128(w[h..].as_ptr().cast());
+                    _mm256_mul_pd(_mm256_cvtepi32_pd(words), scale)
+                };
+                let x = [load(r), load(i)];
+                let mut p = [zero, im_point];
+                for a in 0..axes {
+                    let n = _mm256_div_pd(x[a], unit);
+                    if soft {
+                        let mut m = _mm256_xor_pd(n, sign);
+                        for k in 0..B {
+                            if k > 0 {
+                                let step = _mm256_set1_pd((levels >> k) as f64);
+                                m = _mm256_sub_pd(_mm256_andnot_pd(sign, m), step);
+                            }
+                            let v = _mm256_mul_pd(m, llr_unit);
+                            let v = _mm256_max_pd(_mm256_min_pd(v, llr_max), _mm256_xor_pd(llr_max, sign));
+                            _mm_storeu_si128(llr[a * B + k][h..].as_mut_ptr().cast(), round(v));
+                        }
+                    }
+                    if EVM || !soft {
+                        let s = _mm256_mul_pd(_mm256_add_pd(n, top), half);
+                        let s = _mm256_max_pd(_mm256_min_pd(s, top), zero);
+                        let t = _mm256_round_pd::<TRUNC>(s);
+                        let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(s, t), half), one);
+                        let level = _mm256_cvttpd_epi32(_mm256_add_pd(t, up));
+                        _mm_storeu_si128(index[a][h..].as_mut_ptr().cast(), level);
+                        if EVM {
+                            p[a] = _mm256_i32gather_pd::<8>(points[a].as_ptr(), level);
+                        }
+                    }
+                }
+                if EVM {
+                    let (dr, di) = (_mm256_sub_pd(x[0], p[0]), _mm256_sub_pd(x[1], p[1]));
+                    let e = _mm256_add_pd(_mm256_mul_pd(dr, dr), _mm256_mul_pd(di, di));
+                    let q = _mm256_add_pd(_mm256_mul_pd(p[0], p[0]), _mm256_mul_pd(p[1], p[1]));
+                    _mm256_storeu_pd(err[h..].as_mut_ptr(), e);
+                    _mm256_storeu_pd(energy[h..].as_mut_ptr(), q);
+                }
+            }
+            for (c, pos) in positions.chunks_exact(bps).enumerate() {
+                if EVM {
+                    num += err[c];
+                    den += energy[c];
+                }
+                if soft {
+                    for (k, &at) in pos.iter().enumerate() {
+                        out[at as usize] = llr[k][c];
+                    }
+                } else {
+                    for (a, pos) in pos.chunks_exact(B).enumerate() {
+                        let hard = &self.hard[index[a][c] as usize];
+                        for (&at, &l) in pos.iter().zip(hard) {
+                            out[at as usize] = l;
+                        }
+                    }
+                }
             }
         }
         (num, den)
@@ -299,7 +546,7 @@ fn round_half_away(v: f64) -> i32 {
 mod tests {
     use super::*;
     use mimo_coding::hard_to_llr;
-    use mimo_fixed::Q15;
+    use mimo_fixed::{BusLanes, Q15};
 
     fn hard_demap(demapper: &SymbolDemapper, symbols: &[CQ15]) -> Vec<u8> {
         let mut out = vec![0u8; symbols.len() * demapper.modulation().bits_per_symbol()];
@@ -454,18 +701,13 @@ mod tests {
     /// LLRs, hard LLRs, the nearest point and the EVM sums, bit for bit.
     #[test]
     fn one_pass_demap_matches_the_separate_passes_on_every_axis_value() {
-        let symbols: Vec<CQ15> = (0..=u16::MAX)
-            .map(|r| {
-                let q = r.wrapping_mul(40_503).wrapping_add(12_345);
-                CQ15::new(
-                    Q15::from_raw(i64::from(r as i16)),
-                    Q15::from_raw(i64::from(q as i16)),
-                )
-            })
-            .collect();
-        for m in Modulation::ALL {
+        let symbols = every_axis_value();
+        for (m, &isa) in Modulation::ALL.into_iter().flat_map(|m| Isa::tiers().iter().map(move |i| (m, i))) {
             let mapper = SymbolMapper::new(m).unwrap();
-            let d = SymbolDemapper::matched_to(&mapper);
+            let d = SymbolDemapper {
+                isa,
+                ..SymbolDemapper::matched_to(&mapper)
+            };
             let bps = m.bits_per_symbol();
             let hard = hard_demap(&d, &symbols);
             let mut llrs = [0 as Llr; 8];
@@ -497,7 +739,172 @@ mod tests {
                 let hard_bits = hard_demap(&d, block);
                 let want: Vec<Llr> = hard_bits.iter().map(|&b| hard_to_llr(b)).collect();
                 assert_eq!(hard_pass, want, "{m}");
+                // The lane entry on the same block.
+                let lanes = staged(block);
+                for (soft, want) in [(true, &one_pass), (false, &hard_pass)] {
+                    let mut got = vec![0 as Llr; n];
+                    let sums = d.demap_bus_scatter_into(&lanes.re, &lanes.im, block.len(), &identity, soft, &mut got);
+                    assert_eq!(&got, want, "{m} {} soft {soft}", isa.name());
+                    assert_eq!(sums.0.to_bits(), num.to_bits(), "{m} {}", isa.name());
+                    assert_eq!(sums.1.to_bits(), den.to_bits(), "{m} {}", isa.name());
+                }
             }
+        }
+    }
+
+    /// `symbols` as bus-word lane groups.
+    fn staged(symbols: &[CQ15]) -> BusLanes {
+        let mut lanes = BusLanes::zeroed(lane_groups(symbols.len()));
+        assert!(stage_bus(symbols, &mut lanes.re, &mut lanes.im));
+        lanes
+    }
+
+    /// Deterministic xorshift words.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// A random scatter map of `n` bits into `2n` slots (a permutation
+    /// of the even slots; odd slots are never written).
+    fn random_map(n: usize, seed: u64) -> Vec<u32> {
+        let mut next = xorshift(seed);
+        let mut map: Vec<u32> = (0..n as u32).map(|k| 2 * k).collect();
+        for k in (1..n).rev() {
+            map.swap(k, (next() % (k as u64 + 1)) as usize);
+        }
+        map
+    }
+
+    /// The lane kernel on every tier against the plain body on the
+    /// samples as they stand (`Cf64::from_fixed` per carrier), at every
+    /// modulation, soft and hard: the LLRs through a random map and the
+    /// bits of both error sums. `d` may carry any level unit.
+    fn assert_lane_kernel_matches_plain(d: &SymbolDemapper, symbols: &[CQ15], seed: u64, what: &str) {
+        let bps = d.modulation.bits_per_symbol();
+        let n = symbols.len() * bps;
+        let map = random_map(n, seed);
+        let lanes = staged(symbols);
+        for soft in [true, false] {
+            let mut want = vec![0 as Llr; 2 * n];
+            let carrier = |c: usize| Cf64::from_fixed(symbols[c]);
+            let zero = (0.0, 0.0);
+            let want_sums = match d.modulation {
+                Modulation::Bpsk => d.plain::<true, 1, false>(carrier, &map, soft, &mut want, zero),
+                Modulation::Qpsk => d.plain::<true, 1, true>(carrier, &map, soft, &mut want, zero),
+                Modulation::Qam16 => d.plain::<true, 2, true>(carrier, &map, soft, &mut want, zero),
+                Modulation::Qam64 => d.plain::<true, 3, true>(carrier, &map, soft, &mut want, zero),
+            };
+            for &isa in Isa::tiers() {
+                let lane_d = SymbolDemapper { isa, ..d.clone() };
+                let tier = isa.name();
+                let mut got = vec![0 as Llr; 2 * n];
+                let sums = lane_d.demap_bus_scatter_into(&lanes.re, &lanes.im, symbols.len(), &map, soft, &mut got);
+                assert_eq!(got, want, "{what}, {tier}, soft {soft}");
+                assert_eq!(sums.0.to_bits(), want_sums.0.to_bits(), "{what}, {tier}, soft {soft}");
+                assert_eq!(sums.1.to_bits(), want_sums.1.to_bits(), "{what}, {tier}, soft {soft}");
+                // The CQ15 entry points stage onto the same kernel.
+                let mut wrapped = vec![0 as Llr; 2 * n];
+                let wrapped_sums = lane_d.demap_scatter_into(symbols, &map, soft, &mut wrapped);
+                assert_eq!(wrapped, want, "{what}, {tier}, soft {soft}, CQ15 entry");
+                assert_eq!(wrapped_sums.0.to_bits(), want_sums.0.to_bits(), "{what}, {tier}");
+                if soft {
+                    let mut soft_only = vec![0 as Llr; 2 * n];
+                    lane_d.soft_demap_scatter_into(symbols, &map, &mut soft_only);
+                    assert_eq!(soft_only, want, "{what}, {tier}, soft-only entry");
+                }
+            }
+        }
+    }
+
+    /// Every raw bus word on the I axis (the Q axis permuted), from
+    /// −32768 to 32767, in 48-carrier symbols and a last partial lane
+    /// group, through the lane kernel at the matched level unit.
+    #[test]
+    fn lane_kernel_matches_the_plain_body_on_every_bus_word() {
+        let symbols = every_axis_value();
+        for m in Modulation::ALL {
+            let d = SymbolDemapper::matched_to(&SymbolMapper::new(m).unwrap());
+            for (b, block) in symbols.chunks(48).enumerate().step_by(7) {
+                assert_lane_kernel_matches_plain(&d, block, b as u64, &format!("{m} block {b}"));
+            }
+            let tail = &symbols[symbols.len() - 13..];
+            assert_lane_kernel_matches_plain(&d, tail, 5, &format!("{m} 13 carriers"));
+            let rails = [(-32_768, 32_767), (32_767, -32_768), (-32_768, -32_768), (32_767, 32_767), (0, 0)]
+                .map(|(r, q)| CQ15::new(Q15::from_raw(r), Q15::from_raw(q)));
+            assert_lane_kernel_matches_plain(&d, &rails, 6, &format!("{m} bus rails"));
+        }
+    }
+
+    /// A level unit of 2⁻¹⁰ makes `n = raw / 32` exact: odd raw words
+    /// put the LLR `16·m` exactly on a half, multiples of 64 put the
+    /// level `(n + L − 1)·½` exactly on a half, and words beyond ±2048
+    /// push the LLRs past ±[`LLR_MAX`] into the clamp.
+    #[test]
+    fn lane_kernel_matches_the_plain_body_at_ties_and_the_llr_bound() {
+        let symbols = every_axis_value();
+        for m in Modulation::ALL {
+            let d = SymbolDemapper {
+                unit: 1.0 / 1024.0,
+                ..SymbolDemapper::matched_to(&SymbolMapper::new(m).unwrap())
+            };
+            let mut llrs = [0 as Llr; 8];
+            let top = (d.modulation.levels_per_axis() - 1) as f64;
+            let (mut clamped, mut llr_ties, mut level_ties) = (0, 0, 0);
+            for &c in &symbols {
+                let x = Cf64::from_fixed(c);
+                demap_one(&d, x, true, &mut llrs);
+                clamped += llrs.iter().filter(|l| l.abs() == LLR_MAX).count();
+                let n = x.re / d.unit;
+                llr_ties += usize::from((16.0 * n).fract().abs() == 0.5);
+                level_ties += usize::from(((n + top) / 2.0).fract() == 0.5 && n.abs() < top);
+            }
+            // Every interior level boundary is hit exactly once on I.
+            assert!(clamped > 1000 && llr_ties > 1000, "{m}: {clamped} clamped, {llr_ties} LLR ties");
+            assert_eq!(level_ties, top as usize, "{m}: level ties");
+            for (b, block) in symbols.chunks(48).enumerate() {
+                assert_lane_kernel_matches_plain(&d, block, b as u64, &format!("{m} unit 2^-10 block {b}"));
+            }
+        }
+    }
+
+    /// Every raw 16-bit value on the I axis, each also once on the Q
+    /// axis (an odd multiplier permutes the values).
+    fn every_axis_value() -> Vec<CQ15> {
+        (0..=u16::MAX)
+            .map(|r| {
+                let q = r.wrapping_mul(40_503).wrapping_add(12_345);
+                CQ15::new(
+                    Q15::from_raw(i64::from(r as i16)),
+                    Q15::from_raw(i64::from(q as i16)),
+                )
+            })
+            .collect()
+    }
+
+    /// Symbols off the 16-bit bus take the plain body through the
+    /// [`CQ15`] entry points, with the bits of the oracle passes.
+    #[test]
+    fn off_bus_symbols_take_the_plain_body() {
+        let mapper = SymbolMapper::new(Modulation::Qam16).unwrap();
+        let d = SymbolDemapper::matched_to(&mapper);
+        // One block, and the second of three staging blocks.
+        for (len, at) in [(40, 17), (150, 70)] {
+            let mut symbols = every_axis_value()[..len].to_vec();
+            symbols[at] = CQ15::new(Q15::from_raw(1 << 16), Q15::from_raw(-(1 << 20)));
+            let n = symbols.len() * 4;
+            let identity: Vec<u32> = (0..n as u32).collect();
+            let mut got = vec![0 as Llr; n];
+            let (num, den) = d.demap_scatter_into(&symbols, &identity, true, &mut got);
+            let want: Vec<Llr> = symbols.iter().flat_map(|&c| oracle_soft_llrs(&d, Cf64::from_fixed(c))).collect();
+            assert_eq!(got, want, "{len} symbols");
+            let (want_num, want_den) = oracle_evm(&mapper, &d, &symbols);
+            assert_eq!((num.to_bits(), den.to_bits()), (want_num.to_bits(), want_den.to_bits()));
         }
     }
 

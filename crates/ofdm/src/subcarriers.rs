@@ -132,7 +132,6 @@ impl SubcarrierMap {
     }
 
     /// Logical indices of data carriers, ascending.
-    // phylint: allow(test_only_api) -- test support: crates/ofdm/tests/proptests.rs
     pub fn data_indices(&self) -> &[i32] {
         &self.data
     }
