@@ -9,7 +9,7 @@ use mimo_chanest::{invert_upper_triangular, ChannelEstimator, CordicQrd, Mat4};
 use mimo_coding::{hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder};
 use mimo_detect::{PilotPhaseCorrector, TimingCorrector, ZfDetector};
 use mimo_fft::{FixedFft, FFT_LANES};
-use mimo_fixed::{CQ15, Cf64, Q16};
+use mimo_fixed::{lane_groups, stage_bus, BusLanes, CQ15, Cf64, Q16};
 use mimo_fpga::{RxEntity, SynthConfig};
 use mimo_interleave::BlockInterleaver;
 use mimo_modem::{Modulation, SymbolDemapper, SymbolMapper};
@@ -34,6 +34,13 @@ fn print_table4() {
         );
     }
     eprintln!("(Anchored row-for-row on the paper's Table 4.)\n");
+}
+
+/// `carriers` as bus-word lane groups.
+fn staged(carriers: &[CQ15]) -> BusLanes {
+    let mut lanes = BusLanes::zeroed(lane_groups(carriers.len()));
+    assert!(stage_bus(carriers, &mut lanes.re, &mut lanes.im), "16-bit samples");
+    lanes
 }
 
 /// A well-conditioned 4×4 mixing channel, `h[rx][tx]`.
@@ -150,17 +157,28 @@ fn bench(c: &mut Criterion) {
     });
 
     // Symbol demapper with the EVM measurement, one 64-QAM symbol's 48
-    // data carriers: the one-pass kernel against the separate soft
-    // demap, hard demap and LUT re-map passes it replaced.
+    // data carriers: the receiver's one-pass lane kernel, on carriers
+    // staged onto bus-word lanes once, against the separate soft demap,
+    // hard demap and LUT re-map passes it replaced.
     let mapper = SymbolMapper::new(Modulation::Qam64).expect("default scale");
     let demapper = SymbolDemapper::matched_to(&mapper);
     let carriers: Vec<CQ15> = (0..48)
         .map(|s| CQ15::from_f64(0.5 * ((s as f64) * 0.61).sin(), 0.5 * ((s as f64) * 0.23).cos()))
         .collect();
+    let carrier_lanes = staged(&carriers);
     let identity: Vec<u32> = (0..288).collect();
     let mut llr_out = vec![0 as Llr; 288];
     c.bench_function("table4/demap_evm_48_carriers", |b| {
-        b.iter(|| demapper.demap_scatter_into(&carriers, &identity, true, &mut llr_out))
+        b.iter(|| {
+            demapper.demap_bus_scatter_into(
+                &carrier_lanes.re,
+                &carrier_lanes.im,
+                carriers.len(),
+                &identity,
+                true,
+                &mut llr_out,
+            )
+        })
     });
     let mut hard = vec![0u8; 288];
     let mut points = vec![CQ15::ZERO; 48];
@@ -178,7 +196,9 @@ fn bench(c: &mut Criterion) {
 
     // Pilot common-phase and timing de-rotation of one 64-point
     // symbol's 52 equalized carriers: the one lane pass the receiver
-    // runs against the two whole-symbol passes it replaced.
+    // runs, on carriers staged onto bus-word lanes once (each call
+    // restores the seven lane groups), against the two whole-symbol
+    // passes it replaced.
     let occupied: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
     let symbol: Vec<CQ15> = occupied
         .iter()
@@ -186,13 +206,15 @@ fn bench(c: &mut Criterion) {
         .collect();
     let (phase, timing) = (PilotPhaseCorrector::new(), TimingCorrector::new());
     let (phi, tau) = (Q16::from_f64(0.7), 0.012);
-    let mut eq = symbol.clone();
+    let symbol_lanes = staged(&symbol);
+    let mut eq_lanes = symbol_lanes.clone();
     c.bench_function("table4/pilot_derotation_52_carriers", |b| {
         b.iter(|| {
-            eq.copy_from_slice(&symbol);
-            timing.correct_with_phase_in_place(&mut eq, &occupied, phi, tau);
+            eq_lanes.clone_from(&symbol_lanes);
+            timing.correct_bus_in_place(&mut eq_lanes.re, &mut eq_lanes.im, &occupied, phi, tau);
         })
     });
+    let mut eq = symbol.clone();
     c.bench_function("table4/pilot_derotation_52_carriers_two_passes", |b| {
         b.iter(|| {
             eq.copy_from_slice(&symbol);

@@ -10,10 +10,12 @@
 //!   cells run three *rotation* CORDICs (Figs 6–7), each with a
 //!   **20-clock-cycle latency**.
 //!
-//! This crate provides the iterative fixed-point engine ([`Cordic`]),
-//! and cycle-accurate pipelined wrappers ([`PipelinedVectoring`],
-//! [`PipelinedRotator`]) whose latency matches the paper's 20 cycles
-//! (18 micro-rotations + input register + gain-compensation stage).
+//! This crate provides the iterative fixed-point engine ([`Cordic`]).
+//! Its timing is one number: [`Cordic::latency_cycles`], the paper's
+//! 20 cycles at the default 18 micro-rotations
+//! ([`CORDIC_LATENCY_CYCLES`]: input register + micro-rotations +
+//! gain-compensation stage), which is the cell delay the clocked QRD
+//! array (`mimo_chanest::SystolicQrdArray`) is built from.
 //!
 //! [`CordicLanes`] is the software counterpart of the Fig 8 scheduler,
 //! which streams 20 subcarriers back to back through each CORDIC
@@ -40,11 +42,9 @@
 mod angle;
 mod engine;
 mod lanes;
-mod pipeline;
 
 pub use engine::{Cordic, Rotated, Vectored};
 pub use lanes::{CordicLanes, Lanes, DEROTATE_GROUPS, LANES, LANE_INPUT_LIMIT};
-pub use pipeline::{PipelinedRotator, PipelinedVectoring};
 
 /// Number of micro-rotation iterations of the paper's CORDIC element.
 pub const CORDIC_ITERATIONS: u32 = 18;

@@ -43,10 +43,10 @@
 //!    ([`SymbolDemapper::demap_bus_scatter_into`](mimo_modem::SymbolDemapper::demap_bus_scatter_into))
 //!    that lands the LLRs in mother-code (Viterbi branch) order in the
 //!    stream workspace and measures the EVM in the same pass. No stage
-//!    converts a symbol to `CQ15` and back; the `CQ15` entry points of
-//!    the three kernels (`detect_stream_into`,
-//!    `correct_with_phase_in_place`, `demap_scatter_into`) stay as
-//!    wrappers that stage onto the same kernels;
+//!    converts a symbol to `CQ15` and back. The `CQ15` entry points
+//!    that remain (`detect_stream_into`, the two `correct_in_place`
+//!    passes, `soft_demap_scatter_into`) are the tests' oracles and the
+//!    stage-by-stage replay's calls, not a second receive path;
 //! 4. at the announced length, each stream's Viterbi decode and
 //!    byte-wise descramble-and-pack (`RxCore::decode_stream`), the
 //!    round-robin reassembly ([`assemble_payload`]) and the

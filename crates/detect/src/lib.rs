@@ -17,15 +17,20 @@
 //!   [`correct_bus_in_place`](TimingCorrector::correct_bus_in_place)
 //!   runs the common-phase and timing de-rotations of a symbol in one
 //!   lane pass.
+//! * [`small_angle_correct`] — the paper's small-angle timing
+//!   shortcut, a model for the ablation study.
 //!
 //! The receiver's per-symbol core calls the bus-word lane entries
 //! ([`ZfDetector::detect_bus`],
 //! [`TimingCorrector::correct_bus_in_place`]) on symbols held as
-//! [`mimo_fixed::BusLanes`]; the `CQ15` entries stage onto the same
-//! kernels.
+//! [`mimo_fixed::BusLanes`]. The `CQ15` entries are their oracles and
+//! the stage-by-stage replay's calls:
+//! [`ZfDetector::detect_stream_into`] stages each lane group onto the
+//! same ZF kernel, and the two `correct_in_place` passes give the bits
+//! the one-pass de-rotation must equal.
 
 mod equalize;
 mod pilots;
 
 pub use equalize::{DetectError, ZfDetector, ZfTable};
-pub use pilots::{PilotPhaseCorrector, TimingCorrector};
+pub use pilots::{small_angle_correct, PilotPhaseCorrector, TimingCorrector};

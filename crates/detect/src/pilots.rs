@@ -13,18 +13,21 @@
 //! The receiver runs them in this order per symbol: it estimates the
 //! common phase φ from the pilots, phase-corrects the four pilots alone
 //! ([`PilotPhaseCorrector::correct_in_place`] on the pilot buffer),
-//! estimates τ from them, and then makes one pass over the whole symbol
-//! ([`TimingCorrector::correct_with_phase_in_place`]) that rotates every
+//! estimates τ from them, and then makes one pass over the whole symbol,
+//! held as bus-word lane groups
+//! ([`TimingCorrector::correct_bus_in_place`]), that rotates every
 //! carrier by `−φ`, narrows it to the sample bus, and rotates it by
 //! `−l·τ`. Each carrier's rotation is independent of the others, so the
 //! bits are those of a whole-symbol phase pass followed by a
-//! whole-symbol timing pass, which both stay public as the oracle.
+//! whole-symbol timing pass: the two `CQ15` `correct_in_place` entries,
+//! which stay public as the oracle.
+//!
+//! The paper's own timing correction is a small-angle shortcut
+//! ([`small_angle_correct`]); the receiver rotates exactly, and the
+//! shortcut stays as a model for the ablation study.
 
 use mimo_cordic::{Cordic, CordicLanes, Lanes, DEROTATE_GROUPS, LANES};
-use mimo_fixed::{
-    bus_carrier, lane_groups, set_bus_carrier, stage_bus, unstage_bus, CFx, Cf64, CQ15, Q16,
-    SAMPLE_BITS,
-};
+use mimo_fixed::{lane_groups, CFx, Cf64, CQ15, Q16, SAMPLE_BITS};
 
 /// Narrows a rotated Q2.16 pair back onto the 16-bit sample bus.
 fn narrow(x: Q16, y: Q16) -> CQ15 {
@@ -126,16 +129,8 @@ impl PilotPhaseCorrector {
         self.cordic.vector(wide.re, wide.im).angle
     }
 
-    /// Rotates every carrier of a symbol by `-phase` (the correction).
-    pub fn correct(&self, carriers: &[CQ15], phase: Q16) -> Vec<CQ15> {
-        let mut out = carriers.to_vec();
-        self.correct_in_place(&mut out, phase);
-        out
-    }
-
-    /// In-place [`PilotPhaseCorrector::correct`]: the hot path rotates
-    /// the equalized symbol buffer it already owns, allocating nothing,
-    /// [`LANES`] carriers per CORDIC step.
+    /// Rotates every carrier of a symbol by `-phase` (the correction)
+    /// in place, allocating nothing, [`LANES`] carriers per CORDIC step.
     ///
     /// Every carrier turns by the same angle, so a block of up to
     /// [`DEROTATE_GROUPS`] lane groups (a whole 52-carrier symbol) is
@@ -143,21 +138,15 @@ impl PilotPhaseCorrector {
     /// call, which derives the angle's micro-rotation directions once
     /// for all of them.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], phase: Q16) {
-        correct_phase(&self.cordic, &self.lanes, carriers, phase);
-    }
-}
-
-/// The body of [`PilotPhaseCorrector::correct_in_place`] on a given
-/// engine, shared with the one-pass fallback.
-fn correct_phase(cordic: &Cordic, lanes: &CordicLanes, carriers: &mut [CQ15], phase: Q16) {
-    let angle = [(-phase).raw(); LANES];
-    // A symbol's pilots fit one lane group: stage only that one.
-    if carriers.len() <= LANES {
-        rotate_carriers::<1>(cordic, lanes, carriers, &angle);
-        return;
-    }
-    for block in carriers.chunks_mut(DEROTATE_GROUPS * LANES) {
-        rotate_carriers::<DEROTATE_GROUPS>(cordic, lanes, block, &angle);
+        let angle = [(-phase).raw(); LANES];
+        // A symbol's pilots fit one lane group: stage only that one.
+        if carriers.len() <= LANES {
+            rotate_carriers::<1>(&self.cordic, &self.lanes, carriers, &angle);
+            return;
+        }
+        for block in carriers.chunks_mut(DEROTATE_GROUPS * LANES) {
+            rotate_carriers::<DEROTATE_GROUPS>(&self.cordic, &self.lanes, block, &angle);
+        }
     }
 }
 
@@ -167,15 +156,13 @@ fn correct_phase(cordic: &Cordic, lanes: &CordicLanes, carriers: &mut [CQ15], ph
 /// domain as a per-carrier phase ramp `e^{-j2πlδ/N}`. Tau is the ramp
 /// slope (radians per carrier index), estimated from the
 /// (phase-corrected) pilots; the correction de-rotates carrier `l` by
-/// `l·τ` using a running adder for the angle.
+/// `l·τ` using a running adder for the angle, as an exact CORDIC
+/// rotation.
 #[derive(Debug, Clone)]
 pub struct TimingCorrector {
     cordic: Cordic,
     /// The de-rotation CORDIC on [`LANES`] carriers per step.
     lanes: CordicLanes,
-    /// Replicate the paper's small-angle add/sub correction instead of
-    /// an exact rotation.
-    small_angle: bool,
 }
 
 impl Default for TimingCorrector {
@@ -191,17 +178,6 @@ impl TimingCorrector {
         Self {
             lanes: CordicLanes::new(&cordic),
             cordic,
-            small_angle: false,
-        }
-    }
-
-    /// Creates a corrector using the paper's small-angle approximation:
-    /// "time corrected by adding the relevant Tau value to the real
-    /// component and by subtracting it from the imaginary component".
-    pub fn small_angle() -> Self {
-        Self {
-            small_angle: true,
-            ..Self::new()
         }
     }
 
@@ -234,29 +210,15 @@ impl TimingCorrector {
         }
     }
 
-    /// Corrects a symbol's occupied carriers: carrier with logical
-    /// index `l` is de-rotated by `l·tau`. The per-carrier angle is
-    /// produced by a running adder exactly as in the hardware.
-    pub fn correct(&self, carriers: &[CQ15], indices: &[i32], tau: f64) -> Vec<CQ15> {
-        let mut out = carriers.to_vec();
-        self.correct_in_place(&mut out, indices, tau);
-        out
-    }
-
-    /// In-place [`TimingCorrector::correct`] for the allocation-free
-    /// hot path. The exact mode de-rotates [`LANES`] carriers per
-    /// CORDIC step.
+    /// Corrects a symbol's occupied carriers in place: carrier with
+    /// logical index `l` is de-rotated by `l·tau`, [`LANES`] carriers
+    /// per CORDIC step. The per-carrier angle is produced by a running
+    /// adder exactly as in the hardware.
     pub fn correct_in_place(&self, carriers: &mut [CQ15], indices: &[i32], tau: f64) {
         debug_assert_eq!(carriers.len(), indices.len());
         let n = indices.len().min(carriers.len());
         let carriers = &mut carriers[..n];
         let tau_q = Q16::from_f64(tau);
-        if self.small_angle {
-            for (c, &l) in carriers.iter_mut().zip(indices) {
-                *c = small_angle_carrier(*c, tau_q, l);
-            }
-            return;
-        }
         for (group, idx) in carriers.chunks_mut(LANES).zip(indices.chunks(LANES)) {
             let mut angle = [0; LANES];
             for (a, &l) in angle.iter_mut().zip(idx) {
@@ -266,61 +228,23 @@ impl TimingCorrector {
         }
     }
 
+    // phylint: hot
     /// The common-phase correction by `phase` followed by this timing
-    /// correction, in one pass: bit for bit
+    /// correction, in one pass, on a symbol held as bus-word lane groups
+    /// ([`mimo_fixed::BusLanes`]): bit for bit
     /// [`PilotPhaseCorrector::correct_in_place`]`(carriers, phase)` then
     /// [`TimingCorrector::correct_in_place`]`(carriers, indices, tau)`.
-    ///
-    /// In the exact mode, with one index per carrier, this stages
-    /// blocks of up to [`DEROTATE_GROUPS`] lane groups on the stack and
-    /// runs [`TimingCorrector::correct_bus_in_place`] on each. A block
-    /// with a carrier off the 16-bit sample bus (never true of the ZF
-    /// output), and anything else, takes the two passes; every carrier
-    /// rotates on its own, so the bits are the same.
-    pub fn correct_with_phase_in_place(
-        &self,
-        carriers: &mut [CQ15],
-        indices: &[i32],
-        phase: Q16,
-        tau: f64,
-    ) {
-        let two_passes = |carriers: &mut [CQ15], indices: &[i32]| {
-            correct_phase(&self.cordic, &self.lanes, carriers, phase);
-            self.correct_in_place(carriers, indices, tau);
-        };
-        if self.small_angle || carriers.len() != indices.len() {
-            two_passes(carriers, indices);
-            return;
-        }
-        let block = DEROTATE_GROUPS * LANES;
-        for (chunk, idx) in carriers.chunks_mut(block).zip(indices.chunks(block)) {
-            let (mut re, mut im) = ([[0; LANES]; DEROTATE_GROUPS], [[0; LANES]; DEROTATE_GROUPS]);
-            if !stage_bus(chunk, &mut re, &mut im) {
-                two_passes(chunk, idx);
-                continue;
-            }
-            let groups = lane_groups(chunk.len());
-            self.correct_bus_in_place(&mut re[..groups], &mut im[..groups], idx, phase, tau);
-            unstage_bus(&re, &im, chunk);
-        }
-    }
-
-    // phylint: hot
-    /// [`TimingCorrector::correct_with_phase_in_place`] on a symbol held
-    /// as bus-word lane groups ([`mimo_fixed::BusLanes`]): carrier `c`,
-    /// of logical index `indices[c]`, in lane `c % LANES` of group
-    /// `c / LANES` of `re`/`im`, which hold
+    /// Carrier `c`, of logical index `indices[c]`, is in lane `c % LANES`
+    /// of group `c / LANES` of `re`/`im`, which hold
     /// [`lane_groups`]`(indices.len())` groups each. Padding lanes past
     /// the last carrier turn by `−φ` alone, so zero padding stays zero.
     ///
-    /// In the exact mode, blocks of up to [`DEROTATE_GROUPS`] lane
-    /// groups run both rotations, and the narrow to the bus between
-    /// them, in one [`CordicLanes::derotate_bus`] call, straight on the
-    /// caller's groups: the `−φ` micro-rotation directions are derived
-    /// once per block and every carrier's `−l·τ` rotation follows while
-    /// its group is still loaded. The small-angle mode corrects carrier
-    /// by carrier on the scalar engine, with the same bits as its two
-    /// passes. Allocation-free.
+    /// Blocks of up to [`DEROTATE_GROUPS`] lane groups run both
+    /// rotations, and the narrow to the bus between them, in one
+    /// [`CordicLanes::derotate_bus`] call, straight on the caller's
+    /// groups: the `−φ` micro-rotation directions are derived once per
+    /// block and every carrier's `−l·τ` rotation follows while its group
+    /// is still loaded. Allocation-free.
     pub fn correct_bus_in_place(
         &self,
         re: &mut [Lanes],
@@ -332,15 +256,6 @@ impl TimingCorrector {
         debug_assert_eq!(re.len(), lane_groups(indices.len()));
         debug_assert_eq!(im.len(), re.len());
         let tau_q = Q16::from_f64(tau);
-        if self.small_angle {
-            for (c, &l) in indices.iter().enumerate() {
-                let w: CFx<16> = bus_carrier(re, im, c).convert();
-                let turned = self.cordic.rotate(w.re, w.im, -phase);
-                let v = small_angle_carrier(narrow(turned.x, turned.y), tau_q, l);
-                set_bus_carrier(re, im, c, v);
-            }
-            return;
-        }
         let block = DEROTATE_GROUPS * LANES;
         let groups = re.chunks_mut(DEROTATE_GROUPS).zip(im.chunks_mut(DEROTATE_GROUPS));
         for ((re, im), idx) in groups.zip(indices.chunks(block)) {
@@ -355,17 +270,25 @@ impl TimingCorrector {
     // phylint: end-hot
 }
 
-/// The paper's small-angle timing correction of one carrier at logical
-/// index `l`: the running adder's angle `l·τ` in Q2.16, then "time
-/// corrected by adding the relevant Tau value to the real component
-/// and by subtracting it from the imaginary component", each scaled by
-/// the other component.
-fn small_angle_carrier(c: CQ15, tau_q: Q16, l: i32) -> CQ15 {
-    let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
-    let wide: CFx<16> = c.convert();
-    let re = wide.re + wide.im.mul(angle);
-    let im = wide.im - wide.re.mul(angle);
-    narrow(re, im)
+/// The paper's small-angle timing correction, in place: carrier `c`,
+/// of logical index `indices[c]`, gets the running adder's angle
+/// `l·τ` in Q2.16 and is then "time corrected by adding the relevant
+/// Tau value to the real component and by subtracting it from the
+/// imaginary component" (§IV.B), each scaled by the other component.
+///
+/// A first-order model of the exact de-rotation
+/// [`TimingCorrector::correct_in_place`], close to it only while
+/// `|l·τ|` is small; the receiver does not use it.
+pub fn small_angle_correct(carriers: &mut [CQ15], indices: &[i32], tau: f64) {
+    debug_assert_eq!(carriers.len(), indices.len());
+    let tau_q = Q16::from_f64(tau);
+    for (c, &l) in carriers.iter_mut().zip(indices) {
+        let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
+        let wide: CFx<16> = c.convert();
+        let re = wide.re + wide.im.mul(angle);
+        let im = wide.im - wide.re.mul(angle);
+        *c = narrow(re, im);
+    }
 }
 
 /// The raw Q2.16 de-rotation of carrier `l`: `−(l·τ)`, the running
@@ -377,7 +300,7 @@ fn ramp_angle(tau_q: Q16, l: i32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimo_fixed::{BusLanes, Fx, Isa};
+    use mimo_fixed::{stage_bus, unstage_bus, BusLanes, Fx, Isa};
 
     fn rotate_all(carriers: &[CQ15], phase: f64) -> Vec<CQ15> {
         carriers
@@ -410,7 +333,8 @@ mod tests {
                 "phase {phase}: est {}",
                 est.to_f64()
             );
-            let fixed = corrector.correct(&rx, est);
+            let mut fixed = rx.clone();
+            corrector.correct_in_place(&mut fixed, est);
             for (f, c) in fixed.iter().zip(&clean) {
                 let err = (Cf64::from_fixed(*f) - Cf64::from_fixed(*c)).norm();
                 assert!(err < 5e-3, "phase {phase}: err {err}");
@@ -456,7 +380,8 @@ mod tests {
             .iter()
             .map(|&l| (Cf64::from_polar(0.3, slope * l as f64)).to_fixed::<15>())
             .collect();
-        let out = corrector.correct(&rx, &indices, slope);
+        let mut out = rx.clone();
+        corrector.correct_in_place(&mut out, &indices, slope);
         for (o, &l) in out.iter().zip(&indices) {
             let v = Cf64::from_fixed(*o);
             assert!(
@@ -471,19 +396,42 @@ mod tests {
     #[test]
     fn small_angle_model_close_to_exact_for_small_tau() {
         let exact = TimingCorrector::new();
-        let approx = TimingCorrector::small_angle();
         let indices: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
         let slope = 0.002; // small residual, the regime the paper targets
         let rx: Vec<CQ15> = indices
             .iter()
             .map(|&l| Cf64::from_polar(0.3, slope * l as f64).to_fixed::<15>())
             .collect();
-        let a = exact.correct(&rx, &indices, slope);
-        let b = approx.correct(&rx, &indices, slope);
+        let (mut a, mut b) = (rx.clone(), rx);
+        exact.correct_in_place(&mut a, &indices, slope);
+        small_angle_correct(&mut b, &indices, slope);
         for (x, y) in a.iter().zip(&b) {
             let err = (Cf64::from_fixed(*x) - Cf64::from_fixed(*y)).norm();
             assert!(err < 5e-3, "small-angle deviation {err}");
         }
+    }
+
+    /// Pins the bits of [`small_angle_correct`]: an FNV-1a hash of its
+    /// output over full-scale samples (bus corners included), 1–208
+    /// carriers and residual to wrapping taus, taken from the
+    /// small-angle mode of the timing corrector it replaced.
+    #[test]
+    fn small_angle_fingerprint() {
+        let taus = [0.0, 0.002, -0.004, 0.015, -0.03, 0.2, -1.7, 3.0];
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for n in [1usize, 7, 8, 9, 52, 56, 104, 208] {
+            let indices: Vec<i32> = (0..n as i32).map(|k| k - n as i32 / 2).collect();
+            for (t, &tau) in taus.iter().enumerate() {
+                let mut got = samples(n, (n * 17 + t) as u64);
+                small_angle_correct(&mut got, &indices, tau);
+                for c in &got {
+                    for w in [c.re.raw(), c.im.raw()] {
+                        hash = (hash ^ w as u64).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0xdf58_e7bb_91b4_1523);
     }
 
     #[test]
@@ -628,6 +576,8 @@ mod tests {
         want
     }
 
+    /// The lane entry on `rx` staged onto the bus against the two
+    /// passes, and zero padding lanes still zero after it.
     fn check_one_pass(
         (phase_c, timing): &(PilotPhaseCorrector, TimingCorrector),
         rx: &[CQ15],
@@ -636,26 +586,17 @@ mod tests {
         tau: f64,
     ) {
         let want = two_passes(phase_c, timing, rx, indices, phi, tau);
-        let what = format!(
-            "n {} phi {phi:?} tau {tau} lanes {:?} small_angle {}",
-            rx.len(),
-            timing.lanes,
-            timing.small_angle
-        );
-        let mut got = rx.to_vec();
-        timing.correct_with_phase_in_place(&mut got, indices, phi, tau);
-        assert_eq!(got, want, "{what}");
-        // The lane entry, wherever the symbol is on the bus.
+        let what = format!("n {} phi {phi:?} tau {tau} lanes {:?}", rx.len(), timing.lanes);
         let mut lanes = BusLanes::zeroed(lane_groups(rx.len()));
-        if rx.len() == indices.len() && stage_bus(rx, &mut lanes.re, &mut lanes.im) {
-            timing.correct_bus_in_place(&mut lanes.re, &mut lanes.im, indices, phi, tau);
-            unstage_bus(&lanes.re, &lanes.im, &mut got);
-            assert_eq!(got, want, "lane entry, {what}");
-            let tail = rx.len() % LANES;
-            if tail != 0 {
-                let last = lanes.re.len() - 1;
-                assert!(lanes.re[last][tail..].iter().chain(&lanes.im[last][tail..]).all(|&w| w == 0));
-            }
+        assert!(stage_bus(rx, &mut lanes.re, &mut lanes.im), "{what}");
+        timing.correct_bus_in_place(&mut lanes.re, &mut lanes.im, indices, phi, tau);
+        let mut got = rx.to_vec();
+        unstage_bus(&lanes.re, &lanes.im, &mut got);
+        assert_eq!(got, want, "{what}");
+        let tail = rx.len() % LANES;
+        if tail != 0 {
+            let last = lanes.re.len() - 1;
+            assert!(lanes.re[last][tail..].iter().chain(&lanes.im[last][tail..]).all(|&w| w == 0));
         }
     }
 
@@ -739,48 +680,21 @@ mod tests {
         }
     }
 
-    /// A symbol with a carrier off the 16-bit bus takes the two passes,
-    /// with the same bits.
+    /// Zero pilots give φ = τ = 0, which the one pass corrects as the
+    /// two passes do.
     #[test]
-    fn off_bus_symbols_take_the_two_passes() {
-        let phi = Q16::from_f64(-2.2);
-        for builds in corrector_builds() {
-            for (n, at, value) in [
-                (52, 0, 1 << 15),
-                (52, 51, -(1 << 15) - 1),
-                (104, 60, 1 << 30),
-                (8, 3, 1 << 20),
-            ] {
-                let mut rx = samples(n, n as u64 + at as u64);
-                rx[at] = CFx::new(Fx::from_raw(value), Fx::from_raw(-1));
-                let indices: Vec<i32> = (0..n as i32).map(|k| k - 26).collect();
-                check_one_pass(&builds, &rx, &indices, phi, 0.3);
-            }
-        }
-    }
-
-    /// Zero pilots give φ = τ = 0; the small-angle mode takes the two
-    /// passes.
-    #[test]
-    fn zero_pilots_and_small_angle_match_two_passes() {
+    fn zero_pilots_match_two_passes() {
         let indices: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
         let rx = samples(52, 9);
         let pilots = [CQ15::ZERO; 4];
         let signs = [1, 1, 1, -1];
-        for (phase_c, timing) in corrector_builds() {
-            let phi = phase_c.estimate_phase(&pilots, &signs);
-            let tau = timing.estimate_tau(&pilots, &signs, &[-21, -7, 7, 21]);
+        for builds in corrector_builds() {
+            let phi = builds.0.estimate_phase(&pilots, &signs);
+            let tau = builds.1.estimate_tau(&pilots, &signs, &[-21, -7, 7, 21]);
             assert_eq!((phi, tau), (Q16::ZERO, 0.0));
-            let small = TimingCorrector {
-                small_angle: true,
-                ..timing.clone()
-            };
-            for t in [timing, small] {
-                let builds = (phase_c.clone(), t);
-                check_one_pass(&builds, &rx, &indices, phi, tau);
-                for &phi in &edge_phases() {
-                    check_one_pass(&builds, &rx, &indices, phi, 0.004);
-                }
+            check_one_pass(&builds, &rx, &indices, phi, tau);
+            for &phi in &edge_phases() {
+                check_one_pass(&builds, &rx, &indices, phi, 0.004);
             }
         }
     }

@@ -10,7 +10,8 @@ use crate::modulation::Modulation;
 /// level-spacing away from a decision boundary yields ±2·this.
 const LLR_UNIT: f64 = 16.0;
 
-/// Lane groups the [`CQ15`] entry points stage on the stack at a time.
+/// Lane groups [`SymbolDemapper::soft_demap_scatter_into`] stages on
+/// the stack at a time.
 const STAGE_GROUPS: usize = 8;
 
 /// The receiver's symbol demapper.
@@ -35,10 +36,10 @@ const STAGE_GROUPS: usize = 8;
 /// carrier's error and point energy there too; the plain body runs the
 /// same arithmetic carrier by carrier. Both then add the energies in
 /// carrier order and scatter the LLRs, so every tier gives the same
-/// bits. [`SymbolDemapper::demap_scatter_into`] and
-/// [`SymbolDemapper::soft_demap_scatter_into`] are the same kernel on
-/// [`CQ15`] slices: they stage the carriers on the stack (a block with
-/// a carrier off the 16-bit bus goes to the plain body).
+/// bits. [`SymbolDemapper::soft_demap_scatter_into`] is the same
+/// kernel's soft, no-EVM pass on [`CQ15`] slices: it stages the
+/// carriers on the stack (a block with a carrier off the 16-bit bus
+/// goes to the plain body).
 ///
 /// # Examples
 ///
@@ -153,7 +154,8 @@ impl SymbolDemapper {
     /// demap→deinterleave→depuncture walk into one pass. Positions of
     /// `out` that `map` never names are left untouched, so a pre-zeroed
     /// buffer keeps zero-LLR puncture erasures for free. The soft,
-    /// no-EVM case of [`SymbolDemapper::demap_scatter_into`].
+    /// no-EVM case of [`SymbolDemapper::demap_bus_scatter_into`] on
+    /// [`CQ15`] slices, with the same LLRs.
     ///
     /// # Panics
     ///
@@ -162,37 +164,38 @@ impl SymbolDemapper {
     /// entry falls outside `out` (the workspace sizes both from the
     /// operating point).
     pub fn soft_demap_scatter_into(&self, symbols: &[CQ15], map: &[u32], out: &mut [Llr]) {
-        self.scatter_pass::<false>(symbols, map, true, out);
+        let bps = self.modulation.bits_per_symbol();
+        assert_eq!(map.len(), symbols.len() * bps, "scatter map size");
+        let block = STAGE_GROUPS * LANES;
+        let zero = (0.0, 0.0);
+        for (chunk, map) in symbols.chunks(block).zip(map.chunks(block * bps)) {
+            let (mut re, mut im) = ([[0; LANES]; STAGE_GROUPS], [[0; LANES]; STAGE_GROUPS]);
+            if stage_bus(chunk, &mut re, &mut im) {
+                self.bus_pass::<false>(&re, &im, chunk.len(), map, true, out, zero);
+                continue;
+            }
+            let carrier = |c: usize| Cf64::from_fixed(chunk[c]);
+            match self.modulation {
+                Modulation::Bpsk => self.plain::<false, 1, false>(carrier, map, true, out, zero),
+                Modulation::Qpsk => self.plain::<false, 1, true>(carrier, map, true, out, zero),
+                Modulation::Qam16 => self.plain::<false, 2, true>(carrier, map, true, out, zero),
+                Modulation::Qam64 => self.plain::<false, 3, true>(carrier, map, true, out, zero),
+            };
+        }
     }
 
-    /// The receiver's one-pass demap: each symbol's LLRs — max-log soft
+    /// The receiver's one-pass demap, on a symbol held as bus-word lane
+    /// groups: carrier `c` of the `n` in lane `c % LANES` of group
+    /// `c / LANES` of `re`/`im`. Each carrier's LLRs — max-log soft
     /// values, or ±[`HARD_LLR`] from the nearest point's Gray bits when
-    /// `soft` is off — scattered through `map` as in
-    /// [`SymbolDemapper::soft_demap_scatter_into`], plus the symbols'
-    /// error-vector sums against their nearest constellation points,
-    /// accumulated in symbol order from zero:
+    /// `soft` is off — are scattered through `map` as in
+    /// [`SymbolDemapper::soft_demap_scatter_into`], and the carriers'
+    /// error-vector sums against their nearest constellation points are
+    /// accumulated in carrier order from zero and returned:
     /// `(Σ |x − p̂|², Σ |p̂|²)`. The nearest point is the mapper LUT
     /// entry that [`SymbolDemapper::hard_demap_into`]'s bits address.
-    ///
-    /// # Panics
-    ///
-    /// As [`SymbolDemapper::soft_demap_scatter_into`].
-    pub fn demap_scatter_into(
-        &self,
-        symbols: &[CQ15],
-        map: &[u32],
-        soft: bool,
-        out: &mut [Llr],
-    ) -> (f64, f64) {
-        self.scatter_pass::<true>(symbols, map, soft, out)
-    }
-
-    /// The demap pass on a symbol held as bus-word lane groups:
-    /// carrier `c` of the `n` in lane `c % LANES` of group `c / LANES`
-    /// of `re`/`im`. Otherwise as
-    /// [`SymbolDemapper::demap_scatter_into`], with the same bits. Runs
-    /// the AVX2 body on that tier and the plain body otherwise (type
-    /// docs). Allocation-free.
+    /// Runs the AVX2 body on that tier and the plain body otherwise
+    /// (type docs). Allocation-free.
     ///
     /// # Panics
     ///
@@ -209,40 +212,6 @@ impl SymbolDemapper {
         out: &mut [Llr],
     ) -> (f64, f64) {
         self.bus_pass::<true>(re, im, n, map, soft, out, (0.0, 0.0))
-    }
-
-    /// The [`CQ15`] entry points' staging: blocks of up to
-    /// [`STAGE_GROUPS`] lane groups through [`SymbolDemapper::bus_pass`],
-    /// the error sums carried from block to block in carrier order. A
-    /// block with a symbol off the 16-bit bus takes the plain body on
-    /// the samples as they stand; every carrier's values are the same
-    /// on both, so the sums are too.
-    fn scatter_pass<const EVM: bool>(
-        &self,
-        symbols: &[CQ15],
-        map: &[u32],
-        soft: bool,
-        out: &mut [Llr],
-    ) -> (f64, f64) {
-        let bps = self.modulation.bits_per_symbol();
-        assert_eq!(map.len(), symbols.len() * bps, "scatter map size");
-        let block = STAGE_GROUPS * LANES;
-        let mut sums = (0.0, 0.0);
-        for (chunk, map) in symbols.chunks(block).zip(map.chunks(block * bps)) {
-            let (mut re, mut im) = ([[0; LANES]; STAGE_GROUPS], [[0; LANES]; STAGE_GROUPS]);
-            sums = if stage_bus(chunk, &mut re, &mut im) {
-                self.bus_pass::<EVM>(&re, &im, chunk.len(), map, soft, out, sums)
-            } else {
-                let carrier = |c: usize| Cf64::from_fixed(chunk[c]);
-                match self.modulation {
-                    Modulation::Bpsk => self.plain::<EVM, 1, false>(carrier, map, soft, out, sums),
-                    Modulation::Qpsk => self.plain::<EVM, 1, true>(carrier, map, soft, out, sums),
-                    Modulation::Qam16 => self.plain::<EVM, 2, true>(carrier, map, soft, out, sums),
-                    Modulation::Qam64 => self.plain::<EVM, 3, true>(carrier, map, soft, out, sums),
-                }
-            };
-        }
-        sums
     }
 
     /// The lane kernel at this demapper's modulation: `n` carriers of
@@ -723,30 +692,22 @@ mod tests {
                 let hard_llrs: Vec<Llr> = bits.iter().map(|&b| hard_to_llr(b)).collect();
                 assert_eq!(llrs[..bps], hard_llrs[..], "{m} {sym:?}");
             }
-            // Whole 48-carrier symbols through the scatter entry points.
+            // Whole 48-carrier symbols through the lane entry, soft and
+            // hard, against the soft pass, the hard pass and the EVM
+            // re-map.
             for block in symbols.chunks(48) {
                 let n = block.len() * bps;
                 let identity: Vec<u32> = (0..n as u32).collect();
-                let mut one_pass = vec![0 as Llr; n];
-                let (num, den) = d.demap_scatter_into(block, &identity, true, &mut one_pass);
                 let (want_num, want_den) = oracle_evm(&mapper, &d, block);
-                assert_eq!(num.to_bits(), want_num.to_bits(), "{m}");
-                assert_eq!(den.to_bits(), want_den.to_bits(), "{m}");
-                assert_eq!(one_pass, soft_demap(&d, block), "{m}");
-                let mut hard_pass = vec![0 as Llr; n];
-                let sums = d.demap_scatter_into(block, &identity, false, &mut hard_pass);
-                assert_eq!(sums, (num, den), "{m}");
                 let hard_bits = hard_demap(&d, block);
-                let want: Vec<Llr> = hard_bits.iter().map(|&b| hard_to_llr(b)).collect();
-                assert_eq!(hard_pass, want, "{m}");
-                // The lane entry on the same block.
+                let hard_llrs: Vec<Llr> = hard_bits.iter().map(|&b| hard_to_llr(b)).collect();
                 let lanes = staged(block);
-                for (soft, want) in [(true, &one_pass), (false, &hard_pass)] {
+                for (soft, want) in [(true, soft_demap(&d, block)), (false, hard_llrs)] {
                     let mut got = vec![0 as Llr; n];
                     let sums = d.demap_bus_scatter_into(&lanes.re, &lanes.im, block.len(), &identity, soft, &mut got);
-                    assert_eq!(&got, want, "{m} {} soft {soft}", isa.name());
-                    assert_eq!(sums.0.to_bits(), num.to_bits(), "{m} {}", isa.name());
-                    assert_eq!(sums.1.to_bits(), den.to_bits(), "{m} {}", isa.name());
+                    assert_eq!(got, want, "{m} {} soft {soft}", isa.name());
+                    assert_eq!(sums.0.to_bits(), want_num.to_bits(), "{m} {}", isa.name());
+                    assert_eq!(sums.1.to_bits(), want_den.to_bits(), "{m} {}", isa.name());
                 }
             }
         }
@@ -808,11 +769,7 @@ mod tests {
                 assert_eq!(got, want, "{what}, {tier}, soft {soft}");
                 assert_eq!(sums.0.to_bits(), want_sums.0.to_bits(), "{what}, {tier}, soft {soft}");
                 assert_eq!(sums.1.to_bits(), want_sums.1.to_bits(), "{what}, {tier}, soft {soft}");
-                // The CQ15 entry points stage onto the same kernel.
-                let mut wrapped = vec![0 as Llr; 2 * n];
-                let wrapped_sums = lane_d.demap_scatter_into(symbols, &map, soft, &mut wrapped);
-                assert_eq!(wrapped, want, "{what}, {tier}, soft {soft}, CQ15 entry");
-                assert_eq!(wrapped_sums.0.to_bits(), want_sums.0.to_bits(), "{what}, {tier}");
+                // The CQ15 entry stages onto the same kernel.
                 if soft {
                     let mut soft_only = vec![0 as Llr; 2 * n];
                     lane_d.soft_demap_scatter_into(symbols, &map, &mut soft_only);
@@ -888,23 +845,16 @@ mod tests {
     }
 
     /// Symbols off the 16-bit bus take the plain body through the
-    /// [`CQ15`] entry points, with the bits of the oracle passes.
+    /// [`CQ15`] entry, with the LLRs of the oracle pass.
     #[test]
     fn off_bus_symbols_take_the_plain_body() {
-        let mapper = SymbolMapper::new(Modulation::Qam16).unwrap();
-        let d = SymbolDemapper::matched_to(&mapper);
+        let d = SymbolDemapper::matched_to(&SymbolMapper::new(Modulation::Qam16).unwrap());
         // One block, and the second of three staging blocks.
         for (len, at) in [(40, 17), (150, 70)] {
             let mut symbols = every_axis_value()[..len].to_vec();
             symbols[at] = CQ15::new(Q15::from_raw(1 << 16), Q15::from_raw(-(1 << 20)));
-            let n = symbols.len() * 4;
-            let identity: Vec<u32> = (0..n as u32).collect();
-            let mut got = vec![0 as Llr; n];
-            let (num, den) = d.demap_scatter_into(&symbols, &identity, true, &mut got);
             let want: Vec<Llr> = symbols.iter().flat_map(|&c| oracle_soft_llrs(&d, Cf64::from_fixed(c))).collect();
-            assert_eq!(got, want, "{len} symbols");
-            let (want_num, want_den) = oracle_evm(&mapper, &d, &symbols);
-            assert_eq!((num.to_bits(), den.to_bits()), (want_num.to_bits(), want_den.to_bits()));
+            assert_eq!(soft_demap(&d, &symbols), want, "{len} symbols");
         }
     }
 

@@ -25,7 +25,13 @@
 //!   crate source must be reached from a product root: a fn in
 //!   `examples/`, a bench, `crates/bench/src` or `perfbench/src`, or
 //!   a trait method (trait dispatch draws no call edge). Tests and
-//!   doc-tests are not roots.
+//!   doc-tests are not roots. Two approximations let dead API pass:
+//!   - method calls resolve by name and arity
+//!     ([`callgraph`](crate::callgraph)), so a live `.clock(x)` on one
+//!     type reaches every one-argument `clock` method in the workspace;
+//!   - every trait impl fn is a root whether or not its type is live,
+//!     so an inherent fn that only the type's own `Default` or
+//!     `Display` impl calls counts as reached.
 //!
 //! Every cross-function finding carries the call path that proves it.
 //! Findings land on a concrete source line and honour in-place

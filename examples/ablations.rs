@@ -20,7 +20,7 @@ use mimo_baseband::coding::{
     ViterbiWorkspace,
 };
 use mimo_baseband::cordic::Cordic;
-use mimo_baseband::detect::TimingCorrector;
+use mimo_baseband::detect::{small_angle_correct, TimingCorrector};
 use mimo_baseband::fixed::{CQ15, Cf64};
 use mimo_baseband::interleave::{BlockInterleaver, FusedDeinterleaver};
 use mimo_baseband::phy::{LinkGeometry, LinkSimulation, PhyConfig};
@@ -162,7 +162,6 @@ fn ablation_timing_correction() {
         "residual tau (rad/sc)", "rms err exact", "rms err small-angle"
     );
     let exact = TimingCorrector::new();
-    let approx = TimingCorrector::small_angle();
     let indices: Vec<i32> = (-26..=26).filter(|&l| l != 0).collect();
     for tau in [0.001f64, 0.005, 0.02, 0.05] {
         let rx: Vec<CQ15> = indices
@@ -176,8 +175,10 @@ fn ablation_timing_correction() {
                 .sum();
             (e / out.len() as f64).sqrt()
         };
-        let a = rms(&exact.correct(&rx, &indices, tau));
-        let b = rms(&approx.correct(&rx, &indices, tau));
+        let (mut a, mut b) = (rx.clone(), rx);
+        exact.correct_in_place(&mut a, &indices, tau);
+        small_angle_correct(&mut b, &indices, tau);
+        let (a, b) = (rms(&a), rms(&b));
         println!("{:<22}{:>18.5}{:>18.5}", tau, a, b);
     }
     println!("(The paper's shortcut is exact enough only for small residuals —");
