@@ -53,6 +53,10 @@
 //! ([`mimo_fft::FixedFft::fft_batch_into`]), on scratch the caller
 //! keeps across bursts.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod cycle_array;
 mod estimator;
 mod matrix;

@@ -390,7 +390,10 @@ mod tests {
         let col0 = sched.column_schedule(0);
         let col1 = sched.column_schedule(1);
         // First 20 reads: H00 addresses 0..19 into column 0.
-        #[allow(clippy::needless_range_loop)] // `a` is both index and expected address
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`a` is both index and expected address"
+        )]
         for a in 0..20 {
             assert_eq!(col0[a].memory, (0, 0));
             assert_eq!(col0[a].subcarrier, a);

@@ -204,8 +204,11 @@ impl std::fmt::Debug for ChannelChain {
 }
 
 impl ChannelModel for ChannelChain {
+    #[expect(
+        clippy::expect_used,
+        reason = "`ChannelChain::new` asserts the stage list is non-empty (documented constructor contract), so `last()` always holds a stage"
+    )]
     fn n_rx(&self) -> usize {
-        // phylint: allow(panic_path) -- `ChannelChain::new` asserts the stage list is non-empty (documented constructor contract), so `last()` always holds a stage
         self.stages.last().expect("nonempty by construction").n_rx()
     }
 

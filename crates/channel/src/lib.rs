@@ -51,6 +51,10 @@
 //! bodies round to the same word, so the channel output is the libm
 //! body's, bit for bit.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod chain;
 mod fading;
 mod fault;

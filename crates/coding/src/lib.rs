@@ -71,6 +71,10 @@
 //! dispatch. [`ViterbiDecoder::decode_terminated_batch`] decodes
 //! several blocks through one shared workspace, block by block.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 pub mod bits;
 mod butterfly;
 mod conv;

@@ -39,6 +39,10 @@
 //! assert!((v.angle.to_f64() - 0.8f64.atan2(0.6)).abs() < 1e-3);
 //! ```
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod angle;
 mod engine;
 mod lanes;

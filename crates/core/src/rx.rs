@@ -411,7 +411,7 @@ impl RxCore {
     /// `begin_stream_pass` for the burst) and is reused across symbols
     /// and bursts.
     // phylint: hot
-    #[allow(clippy::too_many_arguments)] // one argument per pipeline input
+    #[expect(clippy::too_many_arguments, reason = "one argument per pipeline input")]
     fn process_symbol(
         &self,
         k: usize,
@@ -746,7 +746,7 @@ impl RxCore {
     /// per-symbol core for stream `k` at `kit`'s rate. Row `m` is after-LTS symbol `first + m`,
     /// which is also its pilot polarity index (the SIGNAL field takes
     /// the first `header_symbols` positions of the 802.11a numbering).
-    #[allow(clippy::too_many_arguments)] // one argument per pipeline input
+    #[expect(clippy::too_many_arguments, reason = "one argument per pipeline input")]
     fn run_rows(
         &self,
         k: usize,

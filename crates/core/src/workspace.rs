@@ -158,15 +158,17 @@ impl RxWorkspace {
             evm_den: 0.0,
             phase_acc: 0.0,
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "the geometry's FFT size was validated before any workspace is built, so `SymbolIngest::new` cannot reject it"
+        )]
+        let make_antenna = || RxAntennaWorkspace {
+            ingest: SymbolIngest::new(geometry.fft_size())
+                .expect("geometry validated before workspace construction"),
+            freq_occ: BusLanes::default(),
+        };
         Self {
-            antennas: (0..n)
-                .map(|_| RxAntennaWorkspace {
-                    ingest: SymbolIngest::new(geometry.fft_size())
-                        // phylint: allow(panic_path) -- the geometry's FFT size was validated before any workspace is built, so `SymbolIngest::new` cannot reject it
-                        .expect("geometry validated before workspace construction"),
-                    freq_occ: BusLanes::default(),
-                })
-                .collect(),
+            antennas: (0..n).map(|_| make_antenna()).collect(),
             streams: (0..n).map(|_| make_stream()).collect(),
             header: make_stream(),
             channel: ChannelScratch::default(),

@@ -29,6 +29,10 @@
 //! same ZF kernel, and the two `correct_in_place` passes give the bits
 //! the one-pass de-rotation must equal.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod equalize;
 mod pilots;
 

@@ -278,12 +278,20 @@ impl TimingCorrector {
 ///
 /// A first-order model of the exact de-rotation
 /// [`TimingCorrector::correct_in_place`], close to it only while
-/// `|l·τ|` is small; the receiver does not use it.
+/// `|l·τ|` is small; the receiver does not use it. Like the exact
+/// path, it always returns bus samples: a huge angle drives each
+/// output to the rail the unbounded arithmetic would clip it to.
 pub fn small_angle_correct(carriers: &mut [CQ15], indices: &[i32], tau: f64) {
+    // 2²⁰ rad in Q2.16. Any nonzero component (≥ 2⁻¹⁵) times an angle
+    // this large is far past the bus, so clamping the angle here
+    // changes no output, and it keeps every product and sum below
+    // 2³⁷, clear of the `i64` rails the narrowing would overflow at.
+    const ANGLE_BOUND: i64 = 1 << 36;
     debug_assert_eq!(carriers.len(), indices.len());
     let tau_q = Q16::from_f64(tau);
     for (c, &l) in carriers.iter_mut().zip(indices) {
-        let angle = Q16::from_raw(tau_q.raw().saturating_mul(i64::from(l)));
+        let angle = tau_q.raw().saturating_mul(i64::from(l));
+        let angle = Q16::from_raw(angle.clamp(-ANGLE_BOUND, ANGLE_BOUND));
         let wide: CFx<16> = c.convert();
         let re = wide.re + wide.im.mul(angle);
         let im = wide.im - wide.re.mul(angle);
@@ -432,6 +440,37 @@ mod tests {
             }
         }
         assert_eq!(hash, 0xdf58_e7bb_91b4_1523);
+    }
+
+    /// A huge `τ` saturates the angle `l·τ`; every carrier must still
+    /// come back on the 16-bit bus, at the rail the unbounded
+    /// arithmetic would clip to (or unchanged where it adds zero).
+    #[test]
+    fn small_angle_saturates_at_huge_tau() {
+        let indices: Vec<i32> = (-26..=26).collect();
+        let input = samples(indices.len(), 5);
+        let rail = |x: i64, dir: i64| match dir.signum() {
+            1 => 32_767,
+            -1 => -32_768,
+            _ => x,
+        };
+        for tau in [1e13, f64::MAX, -1e13, f64::MIN] {
+            let mut got = input.clone();
+            small_angle_correct(&mut got, &indices, tau);
+            for ((c, x), &l) in got.iter().zip(&input).zip(&indices) {
+                let s = i64::from(l.signum()) * tau.signum() as i64;
+                assert_eq!(
+                    c.re.raw(),
+                    rail(x.re.raw(), x.im.raw() * s),
+                    "l {l}, τ {tau}"
+                );
+                assert_eq!(
+                    c.im.raw(),
+                    rail(x.im.raw(), -x.re.raw() * s),
+                    "l {l}, τ {tau}"
+                );
+            }
+        }
     }
 
     #[test]

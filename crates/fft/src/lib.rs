@@ -62,6 +62,10 @@
 //! [`mimo_fixed::Isa`] tier answers for. Both builds give the same
 //! bits.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod fixed;
 mod lanes;
 mod reference;

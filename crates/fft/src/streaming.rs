@@ -135,19 +135,25 @@ impl StreamingFft {
                 // allocation happens per frame.
                 let mut transformed = self.pool.pop().unwrap_or_else(|| vec![CQ15::ZERO; n]);
                 transformed.resize(n, CQ15::ZERO);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`collecting.len() == n` was checked two lines up and `transformed` was resized to `n`, the exact lengths `fft_into` requires"
+                )]
                 match self.direction {
                     Direction::Forward => self.core.fft_into(&self.collecting, &mut transformed),
                     Direction::Inverse => self.core.ifft_into(&self.collecting, &mut transformed),
                 }
-                // phylint: allow(panic_path) -- `collecting.len() == n` was checked two lines up and `transformed` was resized to `n`, the exact lengths `fft_into` requires
                 .expect("frame length enforced by collection");
                 self.collecting.clear();
                 // Attach result to the oldest un-filled in-flight slot.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "an empty slot is pushed when a frame's first sample arrives and filled exactly once when its last sample arrives, so one empty slot always exists here"
+                )]
                 let slot = self
                     .in_flight
                     .iter_mut()
                     .find(|(_, data)| data.is_empty())
-                    // phylint: allow(panic_path) -- an empty slot is pushed when a frame's first sample arrives and filled exactly once when its last sample arrives, so one empty slot always exists here
                     .expect("slot was pushed at frame start");
                 slot.1 = transformed;
             }

@@ -179,7 +179,7 @@ impl Mul<f64> for Cf64 {
 impl Div for Cf64 {
     type Output = Self;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z / w = z * w^-1
+    #[expect(clippy::suspicious_arithmetic_impl, reason = "z / w = z * w^-1")]
     fn div(self, rhs: Self) -> Self {
         self * rhs.inv()
     }

@@ -139,7 +139,10 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// assert_eq!(a.mul(b).to_f64(), 0.25);
     /// ```
     #[inline]
-    #[allow(clippy::should_implement_trait)] // `Mul` is also implemented; the named form reads better in DSP chains
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "`Mul` is also implemented; the named form reads better in DSP chains"
+    )]
     pub fn mul(self, rhs: Self) -> Self {
         let wide = self.raw as i128 * rhs.raw as i128;
         Self::from_raw(round_shift_right_i128(wide, FRAC))
@@ -153,7 +156,10 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// Panics if `rhs` is zero. The channel-estimation pipeline guards
     /// divisors (the R-matrix diagonal) before dividing.
     #[inline]
-    #[allow(clippy::should_implement_trait)] // deliberate: panics like a hardware divider, no `Div` impl exists
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "deliberate: panics like a hardware divider, no `Div` impl exists"
+    )]
     pub fn div(self, rhs: Self) -> Self {
         assert!(rhs.raw != 0, "fixed-point division by zero");
         // `raw << (FRAC + 1)` fits an `i64` strictly inside ±2⁶³ when

@@ -29,6 +29,10 @@
 //! assert!((sum.to_f64() - 0.25).abs() < 1e-4);
 //! ```
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod bus;
 mod complex;
 mod float;

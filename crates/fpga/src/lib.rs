@@ -24,6 +24,10 @@
 //! FFT latency is `mimo_fft`'s, and the clock and line rate are
 //! `mimo_core`'s `LinkGeometry::clock_hz` and `Mcs::data_rate_bps`.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod device;
 mod entities;
 mod report;

@@ -17,6 +17,10 @@
 //!   pass) and the transmitter gathers its coded bits through it
 //!   (puncture→interleave in one pass).
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod fused;
 mod permutation;
 

@@ -122,7 +122,10 @@ impl BlockInterleaver {
         let s = (n_bpsc / 2).max(1);
         let mut forward = vec![0; n_cbps];
         let mut inverse = vec![0; n_cbps];
-        #[allow(clippy::needless_range_loop)] // `k` is the permutation formula's variable
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`k` is the permutation formula's variable"
+        )]
         for k in 0..n_cbps {
             // First permutation: adjacent coded bits onto non-adjacent
             // subcarriers.

@@ -216,7 +216,7 @@ impl SymbolDemapper {
 
     /// The lane kernel at this demapper's modulation: `n` carriers of
     /// `re`/`im`, error sums added onto `sums`.
-    #[allow(clippy::too_many_arguments)] // one argument per pass input
+    #[expect(clippy::too_many_arguments, reason = "one argument per pass input")]
     fn bus_pass<const EVM: bool>(
         &self,
         re: &[Lanes],

@@ -15,6 +15,10 @@
 //! * [`SymbolDemapper`] — threshold-based hard slicing (the
 //!   decoder-mux) and max-log piecewise-linear soft LLRs.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod demapper;
 mod mapper;
 mod modulation;

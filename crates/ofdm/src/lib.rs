@@ -28,6 +28,10 @@
 //! never splits them into groups itself. The frame scratch holds at
 //! most one run, whatever the burst length.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod cp;
 mod frame;
 mod ingest;

@@ -1,7 +1,7 @@
 //! Per-file analysis context: lexes a file and extracts the phylint
 //! marker comments (`hot` regions, suppressions), plus the
 //! `#[cfg(test)]` item spans — the one test-code detector, read by the
-//! panic-path rule and the item model alike.
+//! item model and the test-only-API audit alike.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -10,8 +10,7 @@ use crate::lexer::{self, Comment, Lexed, TokKind, Token};
 use crate::report::{Finding, RuleId};
 
 /// Which kind of target a source file belongs to. Rules use this to
-/// scope themselves: the panic-path audit only fires on crate source
-/// proper.
+/// scope themselves: only crate source proper enters the item model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/` of some crate: datapath code, all rules apply.

@@ -10,7 +10,7 @@ use crate::analysis::{FileAnalysis, FileKind};
 use crate::callgraph::CallGraph;
 use crate::model::{self, FileModel, Workspace};
 use crate::report::Report;
-use crate::{rules, semantic, wire};
+use crate::{rules, semantic};
 
 /// Directory names never descended into: build output, VCS metadata,
 /// vendored third-party shims (not held to PHY invariants), and the
@@ -21,8 +21,7 @@ const SKIP_DIRS: [&str; 5] = ["target", ".git", "shims", "fixtures", "node_modul
 ///
 /// `root` must contain a `Cargo.toml`. Every `.rs` file reachable
 /// outside the skip list (`target/`, `.git/`, `shims/`, `fixtures/`)
-/// is lexed and checked; the wire-format rule additionally
-/// cross-checks `crates/transport` when present.
+/// is lexed and checked.
 pub fn run(root: &Path) -> io::Result<Report> {
     if !root.join("Cargo.toml").is_file() {
         return Err(io::Error::new(
@@ -52,7 +51,6 @@ pub fn run(root: &Path) -> io::Result<Report> {
 
     // Phase 1a: per-file token rules.
     for fa in &fas {
-        rules::panic_path(fa, &mut report.findings);
         rules::unsafe_safety(fa, &mut report.findings);
         report.findings.extend(fa.marker_findings.iter().cloned());
     }
@@ -90,7 +88,6 @@ pub fn run(root: &Path) -> io::Result<Report> {
         report.files_scanned += 1;
     }
 
-    wire::check(root, &mut report.findings);
     report.sort();
     Ok(report)
 }

@@ -5,6 +5,10 @@
 //! block. The exit code is the gate: 0 = clean, 1 = findings,
 //! 2 = usage/IO error.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -28,10 +32,10 @@ fn main() -> ExitCode {
                      \n\
                      Scans every .rs file under DIR (default: the current\n\
                      directory, which must hold a Cargo.toml) and reports\n\
-                     violations of the token rules (panic-path, unsafe- and\n\
-                     wire-format) and the call-graph semantic rules\n\
-                     (hot_transitive, simd_guard, error_surface,\n\
-                     test_only_api). Exit 0 = clean, 1 = findings."
+                     violations of the token rules (unsafe_safety, marker)\n\
+                     and the call-graph semantic rules (hot_transitive,\n\
+                     simd_guard, error_surface, test_only_api).\n\
+                     Exit 0 = clean, 1 = findings."
                 );
                 return ExitCode::SUCCESS;
             }

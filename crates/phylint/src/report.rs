@@ -8,9 +8,6 @@ use std::path::PathBuf;
 /// [`RuleId::Marker`], which polices the marker comments themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Panic-path audit: `unwrap`/`expect`/`panic!`/`todo!`/
-    /// `unimplemented!` outside test code.
-    PanicPath,
     /// Allocation inside a `// phylint: hot` region, or in a function
     /// reachable from a call made in one via the workspace call graph.
     HotTransitive,
@@ -26,21 +23,17 @@ pub enum RuleId {
     /// Public items that no product root (example, bench, perfbench)
     /// reaches: API that only tests call.
     TestOnlyApi,
-    /// Wire-format constants diverging from the documented tables.
-    WireFormat,
     /// Malformed/unused phylint markers and suppressions.
     Marker,
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [RuleId; 8] = [
-    RuleId::PanicPath,
+pub const ALL_RULES: [RuleId; 6] = [
     RuleId::HotTransitive,
     RuleId::UnsafeSafety,
     RuleId::SimdGuard,
     RuleId::ErrorSurface,
     RuleId::TestOnlyApi,
-    RuleId::WireFormat,
     RuleId::Marker,
 ];
 
@@ -48,13 +41,11 @@ impl RuleId {
     /// Stable machine name, as used in `allow(...)` suppressions.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::PanicPath => "panic_path",
             RuleId::HotTransitive => "hot_transitive",
             RuleId::UnsafeSafety => "unsafe_safety",
             RuleId::SimdGuard => "simd_guard",
             RuleId::ErrorSurface => "error_surface",
             RuleId::TestOnlyApi => "test_only_api",
-            RuleId::WireFormat => "wire_format",
             RuleId::Marker => "marker",
         }
     }

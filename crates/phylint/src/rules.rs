@@ -1,61 +1,13 @@
-//! The token-stream rules: panic-path audit and `unsafe` hygiene.
-//! Each rule walks the flat token stream of one [`FileAnalysis`] and
-//! reports findings through the file's suppression filter.
+//! The token-stream rule: `unsafe` hygiene. It walks the flat token
+//! stream of one [`FileAnalysis`] and reports findings through the
+//! file's suppression filter.
 
-use crate::analysis::{FileAnalysis, FileKind};
+use crate::analysis::FileAnalysis;
 use crate::lexer::{comment_text, TokKind, Token};
 use crate::report::{Finding, RuleId};
 
 fn text<'a>(fa: &'a FileAnalysis, tok: &Token) -> &'a str {
     fa.src.get(tok.start..tok.end).unwrap_or("")
-}
-
-fn is(fa: &FileAnalysis, i: usize, what: &str) -> bool {
-    fa.lexed
-        .tokens
-        .get(i)
-        .is_some_and(|t| text(fa, t) == what)
-}
-
-/// Panic-path audit. In crate source (not tests/benches/examples, not
-/// `#[cfg(test)]` items): no `.unwrap()`, `.expect(…)`, `panic!`,
-/// `todo!`, `unimplemented!`.
-pub fn panic_path(fa: &FileAnalysis, out: &mut Vec<Finding>) {
-    if fa.kind != FileKind::CrateSrc {
-        return;
-    }
-    for (i, tok) in fa.lexed.tokens.iter().enumerate() {
-        if tok.kind != TokKind::Ident || fa.in_test_span(tok.start) {
-            continue;
-        }
-        let name = text(fa, tok);
-        match name {
-            "unwrap" | "expect" => {
-                let postfix = i > 0 && is(fa, i - 1, ".");
-                let called = is(fa, i + 1, "(");
-                if postfix && called {
-                    fa.push_finding(
-                        out,
-                        RuleId::PanicPath,
-                        tok.line,
-                        format!(
-                            ".{name}() in datapath code — return a typed error \
-                             (PhyError) or justify with `phylint: allow(panic_path)`"
-                        ),
-                    );
-                }
-            }
-            "panic" | "todo" | "unimplemented" if is(fa, i + 1, "!") => {
-                fa.push_finding(
-                    out,
-                    RuleId::PanicPath,
-                    tok.line,
-                    format!("{name}! in datapath code — no panic paths"),
-                );
-            }
-            _ => {}
-        }
-    }
 }
 
 /// `unsafe` hygiene: every `unsafe` token must carry a `// SAFETY:`

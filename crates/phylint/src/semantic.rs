@@ -5,11 +5,11 @@
 //!   allocation-free, and so is every function *reachable* from a
 //!   call made in one. This is the one allocation check: it reads the
 //!   model's allocation sites, whether they sit in the region text or
-//!   in a callee. Panic-freedom of reachable code is already
-//!   guaranteed workspace-wide by the `panic_path` token rule (which
-//!   covers all crate source, a strict superset of any reachability
-//!   set), so this rule reports allocation sites only — one rule per
-//!   defect, no double reports.
+//!   in a callee. Panic sites are left to clippy's panic lints, which
+//!   check every lib and bin target outside `#[cfg(test)]` as compiled
+//!   for x86_64 with default features (code behind other `cfg`s is not
+//!   audited), so this rule reports allocation sites only — one rule
+//!   per defect, no double reports.
 //! * `simd_guard` — every `#[target_feature(enable = …)]` fn must
 //!   be declared `unsafe` (its `// SAFETY:` comment is enforced by the
 //!   `unsafe_safety` token rule), and every call site must sit in a fn

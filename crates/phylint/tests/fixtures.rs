@@ -58,26 +58,8 @@ fn clean_fixture_is_clean() {
     assert_eq!(report.files_scanned, 2, "lib.rs + no_index.rs");
     assert_eq!(
         report.suppressions_used, 1,
-        "the one trailing allow(panic_path) must count as used"
+        "the one trailing allow(hot_transitive) must count as used"
     );
-}
-
-#[test]
-fn panic_path_fixture_finds_every_construct_with_spans() {
-    let report = fixture("panic_path");
-    let found = rule_findings(&report, RuleId::PanicPath);
-    assert_eq!(found.len(), 4, "unwrap, expect, panic!, todo!: {found:?}");
-    for (path, _, _) in &found {
-        assert_eq!(path, "src/lib.rs", "tests/itest.rs must never be flagged");
-    }
-    for needle in ["v.unwrap()", "v.expect(\"boom\")", "panic!(\"bad\")", "todo!()"] {
-        let want = line_of("panic_path", "src/lib.rs", needle);
-        assert!(
-            found.iter().any(|(_, line, _)| *line == want),
-            "no finding at line {want} ({needle}): {found:?}"
-        );
-    }
-    assert_eq!(report.findings.len(), 4, "only panic_path fires here");
 }
 
 #[test]
@@ -121,8 +103,8 @@ fn unsafe_fixture_requires_safety_comments() {
 fn marker_fixture_flags_stale_and_malformed_markers() {
     let report = fixture("unused_allow");
     let found = rule_findings(&report, RuleId::Marker);
-    assert_eq!(found.len(), 6, "{found:?}");
-    assert_eq!(report.findings.len(), 6, "only marker fires here");
+    assert_eq!(found.len(), 8, "{found:?}");
+    assert_eq!(report.findings.len(), 8, "only marker fires here");
     let lib = |needle: &str| line_of("unused_allow", "src/lib.rs", needle);
     let at = |line: u32, what: &str| {
         assert!(
@@ -135,8 +117,14 @@ fn marker_fixture_flags_stale_and_malformed_markers() {
     at(lib("this is stale"), "unused suppression");
     at(lib("phylint: frobnicate"), "unrecognised phylint marker");
     at(lib("pub fn third") - 1, "justification");
-    // The retired `alloc_hot` rule is an unknown name, justified or not.
-    at(lib("allow(alloc_hot)"), "unknown rule in suppression");
+    // A retired rule is an unknown name, justified or not.
+    for retired in [
+        "allow(alloc_hot)",
+        "allow(panic_path)",
+        "allow(wire_format)",
+    ] {
+        at(lib(retired), "unknown rule in suppression");
+    }
     // The retired `datapath` marker is just another unknown directive.
     at(lib("phylint: datapath"), "unrecognised phylint marker");
     // A hot region the allocation model cannot see is an error, not a
@@ -148,20 +136,6 @@ fn marker_fixture_flags_stale_and_malformed_markers() {
             && m.contains("outside crate source")),
         "{found:?}"
     );
-}
-
-#[test]
-fn wire_fixture_catches_control_length_drift() {
-    let report = fixture("wire_bad");
-    let found = rule_findings(&report, RuleId::WireFormat);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].0, "crates/transport/src/lib.rs");
-    assert_eq!(
-        found[0].1,
-        line_of("wire_bad", "crates/transport/src/lib.rs", "fixed 22 bytes")
-    );
-    assert!(found[0].2.contains("22"), "{}", found[0].2);
-    assert!(found[0].2.contains("21"), "{}", found[0].2);
 }
 
 #[test]
@@ -343,19 +317,25 @@ fn binary_exit_codes_gate_ci() {
     };
     let clean = status("clean");
     assert_eq!(clean.status.code(), Some(0), "clean tree exits 0");
-    let dirty = status("panic_path");
+    let dirty = status("unsafe_safety");
     assert_eq!(dirty.status.code(), Some(1), "findings exit 1");
     let stdout = String::from_utf8_lossy(&dirty.stdout);
     assert!(
-        stdout.contains("src/lib.rs:") && stdout.contains("[panic_path]"),
+        stdout.contains("src/lib.rs:") && stdout.contains("[unsafe_safety]"),
         "diagnostics carry file:line spans and the rule name:\n{stdout}"
     );
     for rule in phylint::ALL_RULES {
-        let want = if rule == RuleId::PanicPath { 4 } else { 0 };
+        let want = if rule == RuleId::UnsafeSafety { 2 } else { 0 };
         let line = format!("phylint: {:<15} {want} finding(s)", format!("{rule}:"));
-        assert!(stdout.contains(&line), "count block carries {line:?}:\n{stdout}");
+        assert!(
+            stdout.contains(&line),
+            "count block carries {line:?}:\n{stdout}"
+        );
     }
-    assert!(stdout.contains("phylint: scanned 2 files, 0 suppression(s) in use"), "{stdout}");
+    assert!(
+        stdout.contains("phylint: scanned 1 files, 0 suppression(s) in use"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -1,18 +1,7 @@
 //! Clean fixture: every construct in this tree is legal under every
 //! rule, including the lexer traps — denied names inside strings,
-//! comments, raw strings and nested block comments must not fire.
-
-/// Strings are not code: the denied names below are literal text.
-pub const DOC: &str = "call .unwrap() or panic! — this is a string";
-/// Raw strings with embedded quotes are one token.
-pub const RAW: &str = r#"raw string with "quotes" and .expect("msg")"#;
-/// Byte strings too.
-pub const BYTES: &[u8] = b"bytes with .unwrap()";
-
-// A line comment mentioning .unwrap(), vec! and todo! is just prose.
-/* block comment: .expect("nope")
-   /* nested block comment: panic!("still a comment") */
-   todo!() in prose */
+//! comments, raw strings and nested block comments of a hot region
+//! must not fire.
 
 /// Char literals and lifetimes must not confuse the lexer.
 pub fn lifetimes<'a>(s: &'a str) -> (&'a str, char) {
@@ -23,11 +12,28 @@ pub fn lifetimes<'a>(s: &'a str) -> (&'a str, char) {
 pub fn gated() {}
 
 // phylint: hot
+/// Strings are not code: the denied names below are literal text.
+pub const DOC: &str = "call vec![] or format! — this is a string";
+/// Raw strings with embedded quotes are one token.
+pub const RAW: &str = r#"raw string with "quotes" and .to_string()"#;
+/// Byte strings too.
+pub const BYTES: &[u8] = b"bytes with Box::new(0)";
+
+// A line comment mentioning .collect(), vec! and format! is just prose.
+/* block comment: Vec::new()
+   /* nested block comment: .to_vec() */
+   String::new() in prose */
+
 /// Steady-state loop: slices, arithmetic, no allocation.
 pub fn accumulate(xs: &[i32], out: &mut [i32]) {
     for (o, x) in out.iter_mut().zip(xs) {
         *o += *x;
     }
+}
+
+/// A justified suppression: trailing form covers its own line.
+pub fn justified() -> Vec<i32> {
+    Vec::new() // phylint: allow(hot_transitive) -- fixture pins the trailing-suppression form
 }
 // phylint: end-hot
 
@@ -42,11 +48,6 @@ pub fn allocate(xs: &[i32]) -> Vec<i32> {
 /// the caller contract stated on the function.
 pub unsafe fn read_raw(p: *const i32) -> i32 {
     unsafe { *p } // SAFETY: caller contract upheld, see above
-}
-
-/// A justified suppression: trailing form covers its own line.
-pub fn justified(opt: Option<u8>) -> u8 {
-    opt.unwrap() // phylint: allow(panic_path) -- fixture pins the trailing-suppression form
 }
 
 #[cfg(test)]

@@ -53,6 +53,10 @@
 //! target-feature function and plain, with the same bits; the
 //! synchroniser runs the one its [`mimo_fixed::Isa`] tier answers for.
 
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 mod buffer;
 mod coarse;
 mod correlator;

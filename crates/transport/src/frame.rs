@@ -95,6 +95,16 @@ const TYPE_HELLO: u8 = 0xC3;
 const TYPE_RESET: u8 = 0xC4;
 const TYPE_BYE: u8 = 0xC5;
 
+// The scanner admits control frames by the one range
+// `TYPE_CREDIT..=TYPE_BYE`: it must hold every tag and no stream count.
+const _: () = assert!(
+    TYPE_HEARTBEAT == TYPE_CREDIT + 1
+        && TYPE_HELLO == TYPE_CREDIT + 2
+        && TYPE_RESET == TYPE_CREDIT + 3
+        && TYPE_BYE == TYPE_CREDIT + 4
+);
+const _: () = assert!(TYPE_CREDIT as usize > MAX_STREAMS);
+
 /// Total encoded size of a frame with the given geometry.
 pub fn frame_len(n_streams: usize, samples: usize) -> usize {
     HEADER_LEN + n_streams * samples * BYTES_PER_SAMPLE + CRC_LEN
@@ -645,7 +655,10 @@ fn decode_control_verified(frame: &[u8]) -> ControlFrame {
     let value = le_u64_at(frame, 9);
     // The scanner only classifies known tags as control frames, so
     // this cannot be None.
-    // phylint: allow(panic_path) -- the scanner admits only dispatch bytes in TYPE_CREDIT..=TYPE_BYE before classifying a frame as control, exactly the tags `from_wire` accepts
+    #[expect(
+        clippy::expect_used,
+        reason = "the scanner admits only dispatch bytes in TYPE_CREDIT..=TYPE_BYE before classifying a frame as control, exactly the tags `from_wire` accepts"
+    )]
     let msg = ControlMsg::from_wire(frame[8], value).expect("scanner vetted the tag");
     ControlFrame { seq, msg }
 }
@@ -1001,5 +1014,100 @@ mod tests {
         };
         assert_eq!(f.streams[0][0], extremes[0][0]);
         assert_eq!(f.streams[0][1].re.raw(), i64::from(i16::MAX));
+    }
+
+    /// Leading decimal integer of a doc-table cell (`4·n·s` → 4).
+    fn leading_int(cell: &str) -> Option<usize> {
+        let end = cell
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(cell.len());
+        cell[..end].parse().ok()
+    }
+
+    /// The crate docs' line that starts with `heading`, and the
+    /// `| offset | size | field |` rows of the table that follows it.
+    fn doc_table<'a>(lib: &'a str, heading: &str) -> (&'a str, Vec<[&'a str; 3]>) {
+        let mut docs = lib
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .map(str::trim);
+        let head = docs.find(|l| l.starts_with(heading)).unwrap();
+        let rows = docs
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2) // the header and separator rows
+            .map(|l| {
+                let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+                [cells[0], cells[1], cells[2]]
+            })
+            .collect();
+        (head, rows)
+    }
+
+    /// Walks the fixed-size rows from the top, asserting that each
+    /// starts where the previous one ended; returns the first offset
+    /// not covered and the number of rows walked.
+    fn fixed_rows(rows: &[[&str; 3]]) -> (usize, usize) {
+        let mut at = 0;
+        let mut walked = 0;
+        for [offset, size, field] in rows {
+            let Ok(size) = size.parse::<usize>() else {
+                break;
+            };
+            assert_eq!(offset.parse(), Ok(at), "offset of {field:?}");
+            at += size;
+            walked += 1;
+        }
+        (at, walked)
+    }
+
+    /// The wire-format tables in the crate docs describe these
+    /// constants: a second implementation written from the docs must
+    /// interoperate with this one.
+    #[test]
+    fn wire_format_docs_match_the_frame_constants() {
+        let lib = include_str!("lib.rs");
+        let magic = format!("\"{}\"", std::str::from_utf8(&MAGIC).unwrap());
+        let (_, data) = doc_table(lib, "**Data frame**");
+        let (heading, control) = doc_table(lib, "**Control frame**");
+        assert!(data[0][2].contains(&magic), "{:?}", data[0]);
+        assert!(control[0][2].contains(&magic), "{:?}", control[0]);
+
+        // Data: the header rows end at HEADER_LEN, where the payload
+        // row starts, `BYTES_PER_SAMPLE·n·s` bytes long.
+        let (header, walked) = fixed_rows(&data);
+        assert_eq!(header, HEADER_LEN);
+        let payload = data[walked];
+        assert_eq!(payload[0].parse(), Ok(HEADER_LEN), "{payload:?}");
+        assert_eq!(
+            leading_int(payload[1]),
+            Some(BYTES_PER_SAMPLE),
+            "{payload:?}"
+        );
+
+        // Control: every row is fixed-size, and the rows and the
+        // heading's `fixed N bytes` both total CONTROL_FRAME_LEN.
+        assert_eq!(fixed_rows(&control), (CONTROL_FRAME_LEN, control.len()));
+        let fixed = heading.split("fixed ").nth(1).and_then(leading_int);
+        assert_eq!(fixed, Some(CONTROL_FRAME_LEN), "{heading}");
+
+        // The offset-8 row lists exactly the tags the decoder accepts,
+        // which are the scanner's range, and the prose states that
+        // range and the disjoint stream-count range.
+        let tag_row = control.iter().find(|r| r[0] == "8").unwrap();
+        let tags: Vec<u8> = tag_row[2]
+            .split("0x")
+            .skip(1)
+            .map(|hex| u8::from_str_radix(&hex[..2], 16).unwrap())
+            .collect();
+        let decoded: Vec<u8> = (0..=u8::MAX)
+            .filter(|&t| ControlMsg::from_wire(t, 0).is_some())
+            .collect();
+        assert_eq!(tags, decoded);
+        assert_eq!(decoded, (TYPE_CREDIT..=TYPE_BYE).collect::<Vec<_>>());
+        let range = format!("`{TYPE_CREDIT:#04X}..={TYPE_BYE:#04X}`");
+        assert!(lib.contains(&range), "the docs never state {range}");
+        let streams = format!("`1..={MAX_STREAMS}`");
+        assert!(lib.contains(&streams), "the docs never state {streams}");
     }
 }

@@ -3,8 +3,10 @@
 //! plan from the same arguments, so the receiver can verify payloads
 //! without any side channel.
 
-// Each binary uses its own subset of these items.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "duplex_tx and duplex_rx each use a different subset of the plan"
+)]
 
 use mimo_baseband::phy::Mcs;
 

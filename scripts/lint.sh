@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Local mirror of CI's lint gates: clippy (deny warnings), rustdoc
-# (deny warnings), the perfbench build with rustc's `unexpected_cfgs`
-# lint fatal, and phylint, the PHY-invariant static analyzer. Run from
+# Local mirror of CI's lint gates: clippy (deny warnings; with the
+# panic lints each crate root enables outside unit tests, this is also
+# the panic audit), the same panic audit over perfbench, rustdoc (deny
+# warnings), the perfbench build with rustc's `unexpected_cfgs` lint
+# fatal, and phylint, the PHY-invariant static analyzer. Run from
 # anywhere in the repo.
 set -euo pipefail
 
@@ -9,6 +11,15 @@ cd "$(dirname "$0")/.."
 
 echo "== clippy (deny warnings) =="
 cargo clippy --all-targets -- -D warnings
+
+echo
+echo "== perfbench panic audit (clippy) =="
+# perfbench is its own workspace, so the step above does not compile
+# it; the panic lints come from the command line, and `--bins` leaves
+# #[cfg(test)] code exempt.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --bins -- \
+  -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
+  -D clippy::todo -D clippy::unimplemented
 
 echo
 echo "== rustdoc (deny warnings) =="

@@ -116,6 +116,10 @@
 //!   CPU, the calling thread included (auto: on exactly when the host
 //!   has more than one CPU); `with_parallelism(false)` is a crew of
 //!   one, the caller alone, and stays bit-identical.
+
+// Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo, clippy::unimplemented))]
 pub use mimo_fixed as fixed;
 
 /// CORDIC rotation/vectoring engines with the paper's 20-cycle pipeline.
