@@ -12,8 +12,13 @@
 //! software model, so this microbench isolates the kernel that the
 //! end-to-end `gigabit_bulk` workload of the repository benchmark
 //! (`perfbench/`) rides on. The run also reports the ACS/traceback phase
-//! split (via `decode_terminated_profiled`) and which kernel the
-//! decoder's auto dispatch actually selected on this machine. Alongside
+//! split (via `decode_terminated_profiled`, in µs per block and as
+//! shares), which kernel the decoder's auto dispatch actually selected
+//! on this machine, and the per-call overhead of the resumable forward
+//! pass: one 16,384-bit block run through `forward_pass` in 216-branch
+//! chunks (one 64-QAM r=3/4 symbol's LLRs per call, as the streaming
+//! receiver runs it) and closed by `finish_terminated_into`, next to
+//! the one-call decode of the same block. Alongside
 //! the criterion timings, a full run writes a `BENCH_viterbi_acs.json`
 //! snapshot at the repo root so successive changes can track the
 //! kernels in isolation; a quick run (`QUICK_BENCH=1`) leaves it as it
@@ -26,6 +31,7 @@ use mimo_coding::{
     hard_to_llr, CodeSpec, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel,
     ViterbiWorkspace,
 };
+use mimo_fixed::Isa;
 use rand::Rng;
 use rand_chacha::{rand_core::SeedableRng, ChaCha8Rng};
 
@@ -33,6 +39,14 @@ use rand_chacha::{rand_core::SeedableRng, ChaCha8Rng};
 /// per-stream burst block (2 KiB payload per stream at the gigabit
 /// operating point).
 const BLOCK_BITS: [usize; 2] = [1152, 16384];
+
+/// Branches per `forward_pass` call in the per-call overhead row: one
+/// 64-QAM r=3/4 symbol's mother-code LLRs (48 carriers × 6 coded bits,
+/// depunctured 4 → 6 to 432 mother bits, two per branch).
+const CHUNK_BRANCHES: usize = 216;
+
+/// Decodes summed into the ACS / traceback phase split.
+const PROFILE_DECODES: u32 = 50;
 
 /// Deterministic info bits.
 fn info_bits(n: usize) -> Vec<u8> {
@@ -87,6 +101,49 @@ fn run_kernel(
     out: &mut Vec<u8>,
 ) {
     dec.decode_terminated_with(kernel, soft, ws, out).expect("decode");
+}
+
+/// Decodes `soft` as the streaming receiver does: the forward pass one
+/// `chunk`-branch call at a time as if the LLRs were landing, then the
+/// close.
+fn decode_in_chunks(
+    dec: &ViterbiDecoder,
+    soft: &[Llr],
+    chunk: usize,
+    ws: &mut ViterbiWorkspace,
+    out: &mut Vec<u8>,
+) {
+    ws.reset();
+    for end in (2 * chunk..soft.len()).step_by(2 * chunk) {
+        dec.forward_pass(&soft[..end], ws);
+    }
+    dec.finish_terminated_into(soft, ws, out).expect("decode");
+}
+
+/// Median over `rounds` alternating rounds of the µs per block of each
+/// decode in `runs`, each round ~`budget / rounds` per decode.
+fn alternating_us_per_block<const N: usize>(
+    runs: &mut [&mut dyn FnMut(); N],
+    rounds: usize,
+    budget: Duration,
+) -> [f64; N] {
+    let slice = budget / rounds as u32;
+    let mut samples = vec![Vec::new(); N];
+    for _ in 0..rounds {
+        for (run, samples) in runs.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            let mut n = 0u32;
+            while start.elapsed() < slice || n < 3 {
+                run();
+                n += 1;
+            }
+            samples.push(start.elapsed().as_secs_f64() * 1e6 / f64::from(n));
+        }
+    }
+    std::array::from_fn(|i| {
+        samples[i].sort_by(f64::total_cmp);
+        samples[i][rounds / 2]
+    })
 }
 
 /// Writes the JSON snapshot consumed by future PRs' trajectory checks.
@@ -158,7 +215,7 @@ fn bench(c: &mut Criterion) {
         let mut out = Vec::new();
         let (mut acs, mut tb) = (Duration::ZERO, Duration::ZERO);
         let mut kernel = "";
-        for _ in 0..5 {
+        for _ in 0..PROFILE_DECODES {
             let p = dec
                 .decode_terminated_profiled(&soft, &mut ws, &mut out)
                 .expect("profiled decode");
@@ -168,10 +225,43 @@ fn bench(c: &mut Criterion) {
         }
         let total = (acs + tb).as_secs_f64().max(1e-12);
         eprintln!(
-            "phase split ({kernel}, {}-bit blocks): ACS {:.1}% | traceback {:.1}%",
+            "phase split ({kernel}, {}-bit blocks): ACS {:.2} us ({:.1}%) | \
+             traceback {:.2} us ({:.1}%)",
             BLOCK_BITS[1],
+            acs.as_secs_f64() * 1e6 / f64::from(PROFILE_DECODES),
             100.0 * acs.as_secs_f64() / total,
+            tb.as_secs_f64() * 1e6 / f64::from(PROFILE_DECODES),
             100.0 * tb.as_secs_f64() / total,
+        );
+    }
+
+    // Per-call overhead of the resumable forward pass: the same block
+    // in one call and in one call per 64-QAM r=3/4 symbol, on every
+    // lane build this CPU runs.
+    let info = info_bits(BLOCK_BITS[1]);
+    let soft = coded_llrs(&info, true);
+    for &isa in Isa::tiers() {
+        let dec = ViterbiDecoder::with_isa(CodeSpec::ieee80211a(), isa);
+        let (mut ws_one, mut ws_chunks) = (ViterbiWorkspace::new(), ViterbiWorkspace::new());
+        let (mut one, mut chunked) = (Vec::new(), Vec::new());
+        decode_in_chunks(&dec, &soft, CHUNK_BRANCHES, &mut ws_chunks, &mut chunked);
+        assert_eq!(ws_chunks.forward_branches(), soft.len() / 2, "chunks skipped");
+        run_kernel(&dec, &soft, ViterbiKernel::Auto, &mut ws_one, &mut one);
+        assert_eq!(chunked, one, "chunked decode differs from one call");
+        let [one_call, per_symbol] = alternating_us_per_block(
+            &mut [
+                &mut || run_kernel(&dec, &soft, ViterbiKernel::Auto, &mut ws_one, &mut one),
+                &mut || decode_in_chunks(&dec, &soft, CHUNK_BRANCHES, &mut ws_chunks, &mut chunked),
+            ],
+            7,
+            budget,
+        );
+        eprintln!(
+            "resumable forward pass ({}, {}-bit block, median of 7 rounds): one call \
+             {one_call:.2} us | {CHUNK_BRANCHES}-branch calls {per_symbol:.2} us ({:+.1}%)",
+            dec.kernel_name(&soft),
+            BLOCK_BITS[1],
+            100.0 * (per_symbol / one_call - 1.0),
         );
     }
 

@@ -6,11 +6,15 @@
 //! lane replication for the 64-state, two-output shape of
 //! [`CodeSpec::ieee80211a`](crate::CodeSpec::ieee80211a) (any
 //! generator pair). The 64-state metric row is two AVX-512 registers
-//! of thirty-two `i16` lanes (four AVX2 registers of sixteen), and it
-//! stays in them for the whole block: one [`LaneTrellis::forward`] call
-//! runs every trellis step and writes one survivor word per step, in
-//! the state order of [`ButterflyTrellis::acs_step`], so the butterfly
-//! traceback reads the words unchanged.
+//! of thirty-two `i16` lanes (four AVX2 registers of sixteen): one
+//! [`LaneTrellis::forward`] call loads it from the decoder's workspace,
+//! keeps it in those registers for every trellis step of the branches
+//! it is given, and stores it back, so a block's forward pass runs in
+//! one call or in one call per chunk of branches (the streaming
+//! receiver's, one per symbol's LLRs), with the same decisions. Each
+//! step writes one survivor word, in the state order of
+//! [`ButterflyTrellis::acs_step`], so the butterfly traceback reads the
+//! words unchanged.
 //!
 //! # One step on AVX-512BW
 //!
@@ -198,33 +202,30 @@ impl LaneTrellis {
     /// over: `K − 1`, after which every state is reachable.
     pub(crate) const WARM_UP: usize = K - 1;
 
-    /// Forward pass from branch [`Self::WARM_UP`] on: `row` is the
-    /// `i32` butterfly row after the warm-up, `soft` the remaining
-    /// LLRs (two per branch, every `|LLR| ≤` [`LANE_LLR_MAX`]) and
-    /// `masks` receives one survivor word per branch.
+    /// Forward pass over the branches of `soft` (two LLRs per branch,
+    /// every `|LLR| ≤` [`LANE_LLR_MAX`]), from branch [`Self::WARM_UP`]
+    /// of a block or later: `row` holds the wrapping metric row before
+    /// the first of them and receives the row after the last, and
+    /// `masks` receives one survivor word per branch. A block's forward
+    /// pass may therefore run in any number of calls.
     // phylint: hot
-    pub(crate) fn forward(&self, row: &[i32; STATES], soft: &[Llr], masks: &mut [u64]) {
-        let mut lanes = [0i16; STATES];
-        for (lane, &m) in lanes.iter_mut().zip(row) {
-            // Exact: every metric is a sum of K − 1 branch metrics.
-            debug_assert!(i16::try_from(m).is_ok(), "warm-up metric {m} exceeds i16");
-            *lane = m as i16;
-        }
+    pub(crate) fn forward(&self, row: &mut [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
         #[cfg(target_arch = "x86_64")]
         if self.isa.avx512bw() {
             // SAFETY: an `Isa` answers `avx512bw()` only where the probe
             // detected AVX-512BW on this CPU (the tier invariant).
-            return unsafe { self.forward_avx512(&lanes, soft, masks) };
+            return unsafe { self.forward_avx512(row, soft, masks) };
         } else if self.isa.avx2() {
             // SAFETY: an `Isa` answers `avx2()` only where the probe
             // detected AVX2 on this CPU (the tier invariant).
-            return unsafe { self.forward_avx2(&lanes, soft, masks) };
+            return unsafe { self.forward_avx2(row, soft, masks) };
         }
-        self.forward_portable(lanes, soft, masks)
+        self.forward_portable(row, soft, masks)
     }
 
     /// Portable lane body: the AVX2 algorithm on a `[i16; 64]` row.
-    fn forward_portable(&self, mut row: [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+    fn forward_portable(&self, state: &mut [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+        let mut row = *state;
         for (branch, word) in soft.chunks_exact(OUTPUTS).zip(masks.iter_mut()) {
             let (l0, l1) = (branch[0] as i16, branch[1] as i16);
             let mut bm = [[0i16; HALF]; SLOTS];
@@ -249,19 +250,20 @@ impl LaneTrellis {
             row = next;
             *word = bits;
         }
+        *state = row;
     }
 
     /// AVX2 lane body: the row lives in four registers for the whole
-    /// block. See the module docs for the per-step choreography.
+    /// call. See the module docs for the per-step choreography.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     // SAFETY: callers must have verified AVX2 support at run time
     // (`forward` calls this only when its `Isa` answers `avx2()`, the
-    // tier invariant). Every load reads 16 `i16`
-    // at offset 0 or 16 of a 64-element row or a 32-element label
-    // vector, so all of them stay in bounds; there are no stores
-    // through pointers.
-    unsafe fn forward_avx2(&self, row: &[i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+    // tier invariant). Every load reads 16 `i16` at offset 0 or 16 of
+    // a 32-element label vector or at offset 0, 16, 32 or 48 of the
+    // 64-element row, and every store writes 16 `i16` at one of those
+    // row offsets, so all of them stay in bounds.
+    unsafe fn forward_avx2(&self, row: &mut [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
         use std::arch::x86_64::*;
         let zero = _mm256_setzero_si256();
         let mut r = [zero; 4];
@@ -326,19 +328,22 @@ impl LaneTrellis {
             let hi = _mm256_movemask_epi8(hi) as u32;
             *word = u64::from(lo) | u64::from(hi) << 32;
         }
+        for (k, v) in r.iter().enumerate() {
+            _mm256_storeu_si256(row.as_mut_ptr().add(16 * k).cast(), *v);
+        }
     }
 
     /// AVX-512BW lane body: the row lives in two registers for the
-    /// whole block. See the module docs for the per-step choreography.
+    /// whole call. See the module docs for the per-step choreography.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512bw")]
     // SAFETY: callers must have verified AVX-512BW support at run time
     // (`forward` calls this only when its `Isa` answers `avx512bw()`,
-    // the tier invariant). Every load reads
-    // 32 `i16` at offset 0 or 32 of a 64-element row or from a
-    // 32-element index vector, so all of them stay in bounds; there are
-    // no stores through pointers.
-    unsafe fn forward_avx512(&self, row: &[i16; STATES], soft: &[Llr], masks: &mut [u64]) {
+    // the tier invariant). Every load reads 32 `i16` at offset 0 or 32
+    // of the 64-element row or from a 32-element index vector, and the
+    // two stores write 32 `i16` at offset 0 and 32 of the row, so all
+    // of them stay in bounds.
+    unsafe fn forward_avx512(&self, row: &mut [i16; STATES], soft: &[Llr], masks: &mut [u64]) {
         use std::arch::x86_64::*;
         let load = |v: &[i16; HALF]| _mm512_loadu_si512(v.as_ptr().cast());
         // lo: states 0..32, hi: states 32..64.
@@ -373,6 +378,8 @@ impl LaneTrellis {
             [lo, hi] = next;
             *word = u64::from(sel[0]) | u64::from(sel[1]) << 32;
         }
+        _mm512_storeu_si512(row.as_mut_ptr().cast(), lo);
+        _mm512_storeu_si512(row.as_mut_ptr().add(HALF).cast(), hi);
     }
     // phylint: end-hot
 }

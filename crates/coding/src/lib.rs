@@ -35,7 +35,8 @@
 //!   per step, one walk over the state pairs `2j`/`2j+1` → `j`,
 //!   `j + 32` on `i32` rows. From there every state is reachable, and
 //!   the row narrows to `i16` exactly and stays in four AVX2 registers
-//!   to the end of the block.
+//!   for every branch of one call (the workspace holds it between
+//!   calls, so a block's forward pass may run in pieces).
 //! * Per step, a `pshufb`/`vpermq`/`vperm2i128` de-interleave forms the
 //!   `2j`/`2j+1` vectors, branch metrics are `sign_epi16` of the two
 //!   broadcast LLRs against `±1` label vectors, the compare is a signed
@@ -70,6 +71,22 @@
 //! build, and `ViterbiDecoder::kernel_name` reports what `Auto` would
 //! dispatch. [`ViterbiDecoder::decode_terminated_batch`] decodes
 //! several blocks through one shared workspace, block by block.
+//!
+//! # Decoding as the LLRs land
+//!
+//! Every decode entry is "reset the [`ViterbiWorkspace`], forward pass
+//! over the whole block, traceback from state 0" on one forward
+//! implementation. A receiver that gets a block's LLRs a symbol at a
+//! time runs the same pass in pieces instead:
+//! [`ViterbiWorkspace::reset`] at the block's start,
+//! [`ViterbiDecoder::forward_pass`] over the LLRs so far after each
+//! symbol (it runs only the whole branches it has not run yet), and
+//! [`ViterbiDecoder::finish_terminated_into`] at the end, which runs
+//! what is left and traces back. The workspace keeps the metric row and
+//! the survivor words between calls, so the decisions, and the bits,
+//! are those of the one-call decode wherever the block is cut. A piece
+//! with an LLR beyond the lanes' bound stops the lane pass, and the
+//! close decodes the whole block on the scalar kernel.
 
 // Panic audit (unit tests exempt): CI runs clippy with `-D warnings`.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

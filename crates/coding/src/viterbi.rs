@@ -14,8 +14,9 @@
 //!   every `|LLR| ≤ 1170`, which covers every demapper output
 //!   ([`LLR_MAX`](crate::LLR_MAX)) and every hard decision
 //!   ([`HARD_LLR`](crate::HARD_LLR)): the first `K − 1` branches on the
-//!   `i32` butterfly step ([`crate::butterfly`]), then the whole rest
-//!   of the block's forward pass on wrapping sixteen-bit metrics, the
+//!   `i32` butterfly step ([`crate::butterfly`]), then the rest of the
+//!   block's forward pass, in one call or in pieces
+//!   ([`ViterbiDecoder::forward_pass`]), on wrapping sixteen-bit metrics, the
 //!   64-state row held in two AVX-512BW registers, or four AVX2
 //!   registers on CPUs without AVX-512BW (a portable `[i16; 64]` lane
 //!   body on CPUs with neither). No renormalization runs; the
@@ -37,12 +38,24 @@ use crate::lanes::{LaneTrellis, OUTPUTS, STATES};
 use crate::{CodeSpec, CodingError, Llr};
 use std::time::{Duration, Instant};
 
-/// Preallocated working state for [`ViterbiDecoder`] — the scalar
-/// kernel's metric rows and both tiers' survivor memory. One workspace per decoding thread
-/// lets the burst hot path decode with zero steady-state heap
-/// allocation: buffers grow to the largest block seen and are reused
-/// thereafter.
-#[derive(Debug, Clone, Default)]
+/// Preallocated working state for [`ViterbiDecoder`]: the scalar
+/// kernel's metric rows and both tiers' survivor memory, plus the
+/// resumable state of the lane tier's forward pass — the branches of
+/// the current block it has run and the metric row after the last of
+/// them (the `i32` warm-up row for the first `K − 1` branches, then the
+/// `i16` lane row).
+///
+/// A block decodes in one call ([`ViterbiDecoder::decode_terminated_into`]
+/// and its siblings reset the workspace themselves), or in pieces:
+/// [`ViterbiWorkspace::reset`], then [`ViterbiDecoder::forward_pass`]
+/// as the block's LLRs arrive, then
+/// [`ViterbiDecoder::finish_terminated_into`] with the whole block. The
+/// two are bit-identical for every cut.
+///
+/// One workspace per decoding thread lets the burst hot path decode
+/// with zero steady-state heap allocation: buffers grow to the largest
+/// block seen and are reused thereafter.
+#[derive(Debug, Clone)]
 pub struct ViterbiWorkspace {
     /// Scalar kernel: path metrics for the current branch.
     metrics: Vec<i64>,
@@ -54,12 +67,65 @@ pub struct ViterbiWorkspace {
     survivors: Vec<u32>,
     /// Lane tier: one survivor bitmask word per branch.
     masks: Vec<u64>,
+    /// Lane tier: branches of the current block the forward pass has
+    /// run (`masks[..branches]` are final).
+    branches: usize,
+    /// The current block decodes on the scalar kernel at close: it was
+    /// asked for, the code has no lanes, or a chunk held an LLR beyond
+    /// the lanes' bound. The lane forward pass then stops.
+    on_scalar: bool,
+    /// Lane tier: the `i32` butterfly row while `branches < K − 1`.
+    warm_row: [i32; STATES],
+    /// Lane tier: the wrapping `i16` row once `branches ≥ K − 1`.
+    lane_row: [i16; STATES],
+}
+
+/// The warm-up row at a block's start: the trellis is in state 0.
+const START_ROW: [i32; STATES] = {
+    let mut row = [NEG_INF_I32; STATES];
+    row[0] = 0;
+    row
+};
+
+impl Default for ViterbiWorkspace {
+    fn default() -> Self {
+        Self {
+            metrics: Vec::new(),
+            next_metrics: Vec::new(),
+            survivors: Vec::new(),
+            masks: Vec::new(),
+            branches: 0,
+            on_scalar: false,
+            warm_row: START_ROW,
+            lane_row: [0; STATES],
+        }
+    }
 }
 
 impl ViterbiWorkspace {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Starts a new block: forgets the branches the forward pass has
+    /// run and puts the trellis back in state 0. Buffers keep their
+    /// capacity.
+    pub fn reset(&mut self) {
+        self.branches = 0;
+        self.on_scalar = false;
+        self.warm_row = START_ROW;
+    }
+
+    /// Branches of the current block the lane forward pass has run
+    /// since the last [`ViterbiWorkspace::reset`] (0 for a block that
+    /// decodes on the scalar kernel).
+    pub fn forward_branches(&self) -> usize {
+        if self.on_scalar {
+            0
+        } else {
+            self.branches
+        }
     }
 
     /// Ensures scalar-kernel capacity for `n_branches × n_states`.
@@ -200,32 +266,22 @@ pub struct DecodeProfile {
     pub kernel: &'static str,
 }
 
-/// The tier one decode resolved to (see [`ViterbiKernel`]).
-#[derive(Clone, Copy)]
-enum Tier<'a> {
-    /// `i16` lanes after a butterfly warm-up of `K − 1` branches.
-    Lanes(&'a LaneTrellis),
-    /// The `i64` reference kernel.
-    Scalar,
-}
-
-impl Tier<'_> {
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Lanes(lanes) => lanes.name(),
-            Tier::Scalar => "scalar",
-        }
-    }
-}
-
 impl ViterbiDecoder {
-    /// Builds the decoder trellis for a code.
+    /// Builds the decoder trellis for a code, its lane tier at the
+    /// host's CPU tier ([`Isa::detected`]).
     pub fn new(spec: CodeSpec) -> Self {
+        Self::with_isa(spec, Isa::detected())
+    }
+
+    /// [`ViterbiDecoder::new`] with the lane tier built for CPU tier
+    /// `isa`, one of [`Isa::tiers`]: how the benches and the
+    /// differential suites run every lane build the host has.
+    pub fn with_isa(spec: CodeSpec, isa: Isa) -> Self {
         let n_states = spec.num_states();
         let transitions = (0..n_states as u32)
             .map(|s| [spec.step(s, 0), spec.step(s, 1)])
             .collect();
-        let lanes = LaneTrellis::new(&spec, Isa::detected());
+        let lanes = LaneTrellis::new(&spec, isa);
         Self {
             spec,
             transitions,
@@ -238,23 +294,23 @@ impl ViterbiDecoder {
         &self.spec
     }
 
-    /// Resolves a kernel request for `soft` (see [`ViterbiKernel`]).
-    #[inline]
-    fn tier(&self, kernel: ViterbiKernel, soft: &[Llr]) -> Tier<'_> {
-        match &self.lanes {
-            Some(lanes) if kernel == ViterbiKernel::Auto && LaneTrellis::accepts(soft) => {
-                Tier::Lanes(lanes)
-            }
-            _ => Tier::Scalar,
-        }
-    }
-
     /// Name of the kernel tier [`ViterbiKernel::Auto`] would dispatch
     /// for `soft` on this CPU: `"scalar"`, `"simd-portable"`,
     /// `"simd-avx2"` or `"simd-avx512bw"`. Benches record this so
     /// numbers from different hosts are interpretable.
     pub fn kernel_name(&self, soft: &[Llr]) -> &'static str {
-        self.tier(ViterbiKernel::Auto, soft).name()
+        match &self.lanes {
+            Some(lanes) if LaneTrellis::accepts(soft) => lanes.name(),
+            _ => "scalar",
+        }
+    }
+
+    /// Name of the tier the block in `ws` runs on.
+    fn tier_name(&self, ws: &ViterbiWorkspace) -> &'static str {
+        match &self.lanes {
+            Some(lanes) if !ws.on_scalar => lanes.name(),
+            _ => "scalar",
+        }
     }
 
     /// Decodes a zero-terminated block (encoded with
@@ -304,9 +360,10 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<(), CodingError> {
         let n_branches = self.validate_block(soft)?;
-        let tier = self.tier(kernel, soft);
-        self.acs_pass(tier, soft, ws);
-        self.traceback(tier, n_branches, ws, out);
+        ws.reset();
+        ws.on_scalar = kernel == ViterbiKernel::Scalar;
+        self.forward_all(soft, ws);
+        self.traceback(n_branches, ws, out);
         self.strip_flush(soft.len(), out)
     }
 
@@ -325,18 +382,100 @@ impl ViterbiDecoder {
         out: &mut Vec<u8>,
     ) -> Result<DecodeProfile, CodingError> {
         let n_branches = self.validate_block(soft)?;
-        let tier = self.tier(ViterbiKernel::Auto, soft);
+        ws.reset();
         let t0 = Instant::now();
-        self.acs_pass(tier, soft, ws);
+        self.forward_all(soft, ws);
         let acs = t0.elapsed();
         let t1 = Instant::now();
-        self.traceback(tier, n_branches, ws, out);
+        self.traceback(n_branches, ws, out);
         self.strip_flush(soft.len(), out)?;
         Ok(DecodeProfile {
             acs,
             traceback: t1.elapsed(),
-            kernel: tier.name(),
+            kernel: self.tier_name(ws),
         })
+    }
+
+    /// Runs the [`ViterbiKernel::Auto`] forward pass of the block being
+    /// decoded in `ws` over the whole branches of `soft` it has not run
+    /// yet. `soft` holds the block's LLRs so far: every call passes the
+    /// same block from its first LLR, extended (a trailing half branch
+    /// waits for the next call). Start each block with
+    /// [`ViterbiWorkspace::reset`] and close it with
+    /// [`ViterbiDecoder::finish_terminated_into`].
+    ///
+    /// On the lane tier each call runs only its new branches, and the
+    /// decisions equal those of one call over the whole block. If the
+    /// code has no lanes or the new branches hold an LLR beyond the
+    /// lanes' bound, the pass stops, and the close decodes the whole
+    /// block on the scalar kernel.
+    pub fn forward_pass(&self, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+        let Some(lanes) = self.lanes.as_ref().filter(|_| !ws.on_scalar) else {
+            ws.on_scalar = true;
+            return;
+        };
+        let n_branches = soft.len() / OUTPUTS;
+        if n_branches <= ws.branches {
+            return;
+        }
+        if !LaneTrellis::accepts(&soft[ws.branches * OUTPUTS..n_branches * OUTPUTS]) {
+            ws.on_scalar = true;
+            return;
+        }
+        // Every word from `branches` on is written below.
+        ws.masks.resize(n_branches, 0);
+        let mut t = ws.branches;
+        // The first K − 1 branches of a block run on the `i32` butterfly
+        // step from the single live state 0.
+        if t < LaneTrellis::WARM_UP {
+            let bf = lanes.trellis();
+            let mut next = [0i32; STATES];
+            let mut bm = [0i32; 4];
+            while t < n_branches.min(LaneTrellis::WARM_UP) {
+                fill_bm_table(&soft[t * OUTPUTS..(t + 1) * OUTPUTS], &mut bm);
+                ws.masks[t] = bf.acs_step(&bm, &ws.warm_row, &mut next);
+                std::mem::swap(&mut ws.warm_row, &mut next);
+                t += 1;
+            }
+            if t == LaneTrellis::WARM_UP {
+                for (lane, &m) in ws.lane_row.iter_mut().zip(&ws.warm_row) {
+                    // Exact: every metric is a sum of K − 1 branch metrics.
+                    debug_assert!(i16::try_from(m).is_ok(), "warm-up metric {m} exceeds i16");
+                    *lane = m as i16;
+                }
+            }
+        }
+        if t < n_branches {
+            lanes.forward(
+                &mut ws.lane_row,
+                &soft[t * OUTPUTS..n_branches * OUTPUTS],
+                &mut ws.masks[t..n_branches],
+            );
+        }
+        ws.branches = n_branches;
+    }
+
+    /// Closes a zero-terminated block whose forward pass
+    /// [`ViterbiDecoder::forward_pass`] has been running in `ws`: runs
+    /// the branches of `soft` (the whole block) it has not run yet,
+    /// traces back from state 0 and strips the `K-1` flush bits into
+    /// `out` (cleared first). The bits equal
+    /// [`ViterbiDecoder::decode_terminated_into`]'s on the same block,
+    /// wherever the earlier calls cut it.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`ViterbiDecoder::decode_terminated`].
+    pub fn finish_terminated_into(
+        &self,
+        soft: &[Llr],
+        ws: &mut ViterbiWorkspace,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodingError> {
+        let n_branches = self.validate_block(soft)?;
+        self.forward_all(soft, ws);
+        self.traceback(n_branches, ws, out);
+        self.strip_flush(soft.len(), out)
     }
 
     /// Decodes a batch of independent zero-terminated blocks of this
@@ -391,58 +530,29 @@ impl ViterbiDecoder {
         Ok(soft.len() / n_out)
     }
 
-    /// Forward pass on the resolved tier. `soft` must already be
-    /// validated.
-    fn acs_pass(&self, tier: Tier<'_>, soft: &[Llr], ws: &mut ViterbiWorkspace) {
-        match tier {
-            Tier::Lanes(lanes) => Self::lane_acs_pass(lanes, soft, ws),
-            Tier::Scalar => self.scalar_acs_pass(soft, ws),
+    /// Completes the forward pass of the validated block `soft`: the
+    /// lanes over the branches not yet run, or the whole block on the
+    /// scalar kernel when the lanes did not take it.
+    fn forward_all(&self, soft: &[Llr], ws: &mut ViterbiWorkspace) {
+        self.forward_pass(soft, ws);
+        if ws.on_scalar {
+            self.scalar_acs_pass(soft, ws);
         }
     }
 
     /// Backward pass from state 0 (blocks are terminated) on the tier
     /// the forward pass ran.
-    fn traceback(
-        &self,
-        tier: Tier<'_>,
-        n_branches: usize,
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
-    ) {
-        match tier {
-            Tier::Lanes(_) => Self::lane_traceback(n_branches, ws, out),
-            Tier::Scalar => self.scalar_traceback(n_branches, ws, out),
-        }
-    }
-
-    /// Forward pass of a lane-tier block decode into the workspace's
-    /// survivor words: the `K − 1`-branch warm-up on the `i32`
-    /// butterfly step, then the lanes for the rest of the block.
-    fn lane_acs_pass(lanes: &LaneTrellis, soft: &[Llr], ws: &mut ViterbiWorkspace) {
-        let n_branches = soft.len() / OUTPUTS;
-        let warm_up = n_branches.min(LaneTrellis::WARM_UP);
-        // Every word is overwritten below.
-        ws.masks.resize(n_branches, 0);
-
-        let bf = lanes.trellis();
-        let mut row = [NEG_INF_I32; STATES];
-        row[0] = 0;
-        let mut next = [0i32; STATES];
-        let mut bm = [0i32; 4];
-        for (branch, word) in soft.chunks_exact(OUTPUTS).zip(&mut ws.masks[..warm_up]) {
-            fill_bm_table(branch, &mut bm);
-            *word = bf.acs_step(&bm, &row, &mut next);
-            std::mem::swap(&mut row, &mut next);
-        }
-        // A block of at most K − 1 branches ends inside the warm-up.
-        if warm_up < n_branches {
-            lanes.forward(&row, &soft[warm_up * OUTPUTS..], &mut ws.masks[warm_up..]);
+    fn traceback(&self, n_branches: usize, ws: &ViterbiWorkspace, out: &mut Vec<u8>) {
+        if ws.on_scalar {
+            self.scalar_traceback(n_branches, ws, out);
+        } else {
+            Self::lane_traceback(n_branches, ws, out);
         }
     }
 
     /// Backward pass of a lane-tier block decode: one survivor bit per
     /// step selects the predecessor.
-    fn lane_traceback(n_branches: usize, ws: &mut ViterbiWorkspace, out: &mut Vec<u8>) {
+    fn lane_traceback(n_branches: usize, ws: &ViterbiWorkspace, out: &mut Vec<u8>) {
         let mut state = 0usize;
         out.clear();
         out.resize(n_branches, 0);
@@ -494,7 +604,7 @@ impl ViterbiDecoder {
     }
 
     /// Backward pass of a scalar-kernel block decode.
-    fn scalar_traceback(&self, n_branches: usize, ws: &mut ViterbiWorkspace, out: &mut Vec<u8>) {
+    fn scalar_traceback(&self, n_branches: usize, ws: &ViterbiWorkspace, out: &mut Vec<u8>) {
         let n_states = self.spec.num_states();
         let mut state = 0usize;
         out.clear();
@@ -633,13 +743,9 @@ mod tests {
 
     /// The decoder once per tier this CPU runs.
     fn lane_decoders(spec: CodeSpec) -> Vec<ViterbiDecoder> {
-        let dec = ViterbiDecoder::new(spec.clone());
         Isa::tiers()
             .iter()
-            .map(|&isa| ViterbiDecoder {
-                lanes: LaneTrellis::new(&spec, isa),
-                ..dec.clone()
-            })
+            .map(|&isa| ViterbiDecoder::with_isa(spec.clone(), isa))
             .collect()
     }
 

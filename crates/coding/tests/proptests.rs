@@ -7,6 +7,7 @@ use mimo_coding::{
     CodingError, ConvolutionalEncoder, Llr, ViterbiDecoder, ViterbiKernel, ViterbiWorkspace,
     LLR_MAX,
 };
+use mimo_fixed::Isa;
 use proptest::prelude::*;
 
 /// The lane tier's LLR bound for the K=7 rate-1/2 code,
@@ -453,6 +454,169 @@ proptest! {
         soft.truncate(2 * LONG_BRANCHES);
         prop_assert!(dec.kernel_name(&soft).starts_with("simd-"));
         assert_auto_matches_scalar(&dec, &soft)?;
+    }
+}
+
+/// The decoder once per lane build this CPU runs (portable first).
+fn lane_decoders(spec: &CodeSpec) -> Vec<ViterbiDecoder> {
+    Isa::tiers()
+        .iter()
+        .map(|&isa| ViterbiDecoder::with_isa(spec.clone(), isa))
+        .collect()
+}
+
+/// Decodes `soft` as a streaming receiver does, on `ws`: a reset, then
+/// `forward_pass` over the block's first `cut` branches for each cut in
+/// order (`half` adds the first LLR of the next branch to every
+/// prefix, which must wait for the next call), then the close.
+fn decode_in_pieces(
+    dec: &ViterbiDecoder,
+    soft: &[Llr],
+    cuts: &[usize],
+    half: bool,
+    ws: &mut ViterbiWorkspace,
+) -> Result<Vec<u8>, CodingError> {
+    ws.reset();
+    for &cut in cuts {
+        let end = (2 * cut + usize::from(half)).min(soft.len());
+        dec.forward_pass(&soft[..end], ws);
+    }
+    let mut out = vec![0xAA; 3];
+    dec.finish_terminated_into(soft, ws, &mut out).map(|()| out)
+}
+
+/// The one-call `decode_terminated_with` on a fresh workspace.
+fn decode_once(
+    dec: &ViterbiDecoder,
+    kernel: ViterbiKernel,
+    soft: &[Llr],
+) -> Result<Vec<u8>, CodingError> {
+    let mut out = Vec::new();
+    dec.decode_terminated_with(kernel, soft, &mut ViterbiWorkspace::new(), &mut out)
+        .map(|()| out)
+}
+
+/// Sorted branch cuts of an `n_branches` block: every branch of the
+/// `K − 1` warm-up and the two after it as a one-branch chunk when
+/// `warm_up_singles`, plus `random` cuts, each either inside the
+/// warm-up region (`true`) or anywhere in the block.
+fn branch_cuts(n_branches: usize, warm_up_singles: bool, random: &[(bool, usize)]) -> Vec<usize> {
+    let mut cuts: Vec<usize> = random
+        .iter()
+        .map(|&(early, at)| at % (if early { 9 } else { n_branches + 1 }).min(n_branches + 1))
+        .collect();
+    if warm_up_singles {
+        cuts.extend(1..=8.min(n_branches));
+    }
+    cuts.sort_unstable();
+    cuts
+}
+
+proptest! {
+    /// The forward pass run in pieces — random cuts at branch
+    /// boundaries, one-branch chunks and cuts inside the `K − 1`
+    /// warm-up, prefixes ending in half a branch — then closed, decodes
+    /// every block to the bits (or the error) of the one-call decode,
+    /// on every lane build, and has run every branch it was given.
+    #[test]
+    fn forward_pass_in_pieces_matches_one_call_decode(
+        n_branches in 1usize..400,
+        seed in any::<u64>(),
+        scale_idx in 0usize..4,
+        warm_up_singles in any::<bool>(),
+        half in any::<bool>(),
+        random in proptest::collection::vec((any::<bool>(), any::<usize>()), 0..24),
+    ) {
+        let scale = [1i64, 64, LLR_MAX as i64, LANE_BOUND as i64][scale_idx];
+        let mut noise = Noise(seed | 1);
+        let soft: Vec<Llr> = (0..2 * n_branches).map(|_| noise.llr(scale)).collect();
+        let cuts = branch_cuts(n_branches, warm_up_singles, &random);
+        for dec in lane_decoders(&CodeSpec::ieee80211a()) {
+            let name = dec.kernel_name(&soft);
+            prop_assert!(name.starts_with("simd-"), "got {}", name);
+            let want = decode_once(&dec, ViterbiKernel::Auto, &soft);
+            let mut ws = ViterbiWorkspace::new();
+            ws.reset();
+            for &cut in &cuts {
+                dec.forward_pass(&soft[..2 * cut], &mut ws);
+                prop_assert_eq!(ws.forward_branches(), cut, "{}", name);
+            }
+            let got = decode_in_pieces(&dec, &soft, &cuts, half, &mut ws);
+            prop_assert_eq!(&got, &want, "{}", name);
+            prop_assert_eq!(ws.forward_branches(), n_branches, "{}", name);
+        }
+    }
+
+    /// An LLR beyond the lanes' bound that shows up only in a late
+    /// piece stops the lane forward pass, and the close decodes the
+    /// whole block on the scalar kernel: the bits still equal the
+    /// one-call decode, on every lane build.
+    #[test]
+    fn late_out_of_bound_llr_falls_back_to_scalar(
+        n_branches in 8usize..300,
+        seed in any::<u64>(),
+        first_cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        passed_to_forward in any::<bool>(),
+    ) {
+        let mut noise = Noise(seed | 1);
+        let mut soft: Vec<Llr> =
+            (0..2 * n_branches).map(|_| noise.llr(LANE_BOUND as i64)).collect();
+        // The lanes run the first `first_cut` branches; the over-bound
+        // LLR sits after them.
+        let first_cut = 1 + first_cut.index(n_branches - 1);
+        let at = 2 * first_cut + at.index(2 * (n_branches - first_cut));
+        soft[at] = if at % 2 == 0 { LANE_BOUND + 1 } else { -(1 << 20) };
+        let scalar = ViterbiDecoder::new(CodeSpec::ieee80211a());
+        let want = decode_once(&scalar, ViterbiKernel::Scalar, &soft);
+        prop_assert!(want.is_ok());
+        for dec in lane_decoders(&CodeSpec::ieee80211a()) {
+            let mut ws = ViterbiWorkspace::new();
+            ws.reset();
+            dec.forward_pass(&soft[..2 * first_cut], &mut ws);
+            prop_assert_eq!(ws.forward_branches(), first_cut);
+            if passed_to_forward {
+                dec.forward_pass(&soft, &mut ws);
+                prop_assert_eq!(ws.forward_branches(), 0, "the lanes took an over-bound LLR");
+            }
+            let mut out = Vec::new();
+            let got = dec.finish_terminated_into(&soft, &mut ws, &mut out).map(|()| out);
+            prop_assert_eq!(&got, &want, "{}", dec.kernel_name(&soft[..2 * first_cut]));
+            prop_assert_eq!(&decode_once(&dec, ViterbiKernel::Auto, &soft), &want);
+        }
+    }
+
+    /// One workspace carried across blocks of different lengths, each
+    /// decoded in pieces or in one call, some falling back to the
+    /// scalar kernel: every block decodes as on a fresh workspace,
+    /// because every block starts with a reset.
+    #[test]
+    fn reused_workspace_is_reset_between_blocks(
+        blocks in proptest::collection::vec(
+            (1usize..200, any::<u64>(), any::<bool>(), any::<bool>(), any::<usize>()),
+            1..8,
+        ),
+    ) {
+        for dec in lane_decoders(&CodeSpec::ieee80211a()) {
+            let mut ws = ViterbiWorkspace::new();
+            for &(n_branches, seed, in_pieces, over_bound, cut) in &blocks {
+                let mut noise = Noise(seed | 1);
+                let mut soft: Vec<Llr> =
+                    (0..2 * n_branches).map(|_| noise.llr(LANE_BOUND as i64)).collect();
+                if over_bound {
+                    let at = seed as usize % soft.len();
+                    soft[at] = -(LANE_BOUND + 1);
+                }
+                let want = decode_once(&dec, ViterbiKernel::Scalar, &soft);
+                let got = if in_pieces {
+                    decode_in_pieces(&dec, &soft, &[cut % (n_branches + 1)], false, &mut ws)
+                } else {
+                    let mut out = Vec::new();
+                    dec.decode_terminated_into(&soft, &mut ws, &mut out).map(|()| out)
+                };
+                prop_assert_eq!(&got, &want, "{} branches, in pieces {}", n_branches, in_pieces);
+            }
+        }
     }
 }
 

@@ -46,11 +46,25 @@
 //!    converts a symbol to `CQ15` and back. The `CQ15` entry points
 //!    that remain (`detect_stream_into`, the two `correct_in_place`
 //!    passes, `soft_demap_scatter_into`) are the tests' oracles and the
-//!    stage-by-stage replay's calls, not a second receive path;
-//! 4. at the announced length, each stream's Viterbi decode and
-//!    byte-wise descramble-and-pack (`RxCore::decode_stream`), the
-//!    round-robin reassembly ([`assemble_payload`]) and the
-//!    diagnostics ([`finish_result`]).
+//!    stage-by-stage replay's calls, not a second receive path. Symbol
+//!    `s` fills mother bits `[s·M, (s+1)·M)` of its stream, so once
+//!    the symbols at hand have run, every branch before the fill point
+//!    is final, and the stream's Viterbi forward pass
+//!    ([`ViterbiDecoder::forward_pass`]) runs over the branches they
+//!    completed, in the same crew member; the decoder keeps the metric
+//!    row and the survivor words in the stream workspace between calls;
+//! 4. at the announced length, each stream's Viterbi close — the last
+//!    symbols' branches, then the traceback from state 0
+//!    ([`ViterbiDecoder::finish_terminated_into`]) — and byte-wise
+//!    descramble-and-pack (`RxCore::decode_stream`), the round-robin
+//!    reassembly ([`assemble_payload`]) and the diagnostics
+//!    ([`finish_result`]).
+//!
+//! A stored capture runs steps 3 and 4 in one call, so there the
+//! forward pass runs over the whole block at once; the streaming
+//! receiver runs step 3 on every chunk, so the push that closes a
+//! burst pays for its own chunk's branches and the traceback only. The
+//! decisions are the same wherever the forward pass is cut.
 //!
 //! An `end` flag says no more samples will come: a shortfall is then
 //! [`PhyError::TruncatedBurst`] rather than a pending burst. A stored
@@ -71,7 +85,8 @@
 //! # Fan-out
 //!
 //! The payload's per-antenna ingest and its per-stream work (the
-//! per-symbol core, then Viterbi at close) are embarrassingly parallel
+//! per-symbol core and the Viterbi forward pass, then the Viterbi close)
+//! are embarrassingly parallel
 //! across the four channels, so each runs on a crew of `width` members
 //! that includes the calling thread; every member owns a contiguous
 //! run of the channel workspaces. `receive_burst` uses one member per
@@ -376,10 +391,11 @@ impl RxCore {
 
     /// Resets a stream workspace for a fresh accumulation pass of
     /// `n_syms` symbols at `kit`'s rate: zeroes the diagnostics
-    /// accumulators and sizes + pre-zeroes the mother-code LLR stream
+    /// accumulators, sizes + pre-zeroes the mother-code LLR stream
     /// the fused per-symbol scatter fills (the zero fill is the
     /// depuncturer's erasure insertion — see
-    /// [`mimo_interleave::FusedDeinterleaver`]).
+    /// [`mimo_interleave::FusedDeinterleaver`]) and starts a new block
+    /// in the Viterbi workspace.
     fn begin_stream_pass(ws: &mut RxStreamWorkspace, n_syms: usize, kit: &RateKit) {
         ws.evm_num = 0.0;
         ws.evm_den = 0.0;
@@ -387,6 +403,7 @@ impl RxCore {
         ws.pass_fill = 0;
         ws.stream_llrs.clear();
         ws.stream_llrs.resize(n_syms * kit.mother_bits_per_symbol(), 0);
+        ws.viterbi.reset();
     }
 
     /// One stream × one symbol of the per-symbol core, on bus-word
@@ -570,12 +587,13 @@ impl RxCore {
     /// 2. once `header_symbols + 1` whole symbols follow the LTS,
     ///    ingest the SIGNAL-field symbols, run them through the
     ///    per-symbol core (stream 0, BPSK r=1/2) and parse the header;
-    /// 3. ingest every whole payload symbol buffered so far and run it
+    /// 3. ingest every whole payload symbol buffered so far, run it
     ///    through the per-symbol core on all four streams at the
-    ///    announced rate;
-    /// 4. after the last payload symbol, run each stream's Viterbi
-    ///    decode and descramble, reassemble the payload and return the
-    ///    closed burst.
+    ///    announced rate, and run each stream's Viterbi forward pass
+    ///    over the branches those symbols completed;
+    /// 4. after the last payload symbol, close each stream's Viterbi
+    ///    decode (traceback) and descramble, reassemble the payload and
+    ///    return the closed burst.
     ///
     /// The per-antenna ingest and the per-stream work each fan out on
     /// a crew of `width`.
@@ -692,6 +710,11 @@ impl RxCore {
         let zf = &channel.zf;
         let run_stream = |k: usize, ws: &mut RxStreamWorkspace| -> Result<(), PhyError> {
             self.run_rows(k, ws, &freq, zf, kit, first, true)?;
+            // Symbol `s` scattered mother bits `[s·M, (s+1)·M)`, so every
+            // branch before `pass_fill` is final: run the forward pass
+            // over the ones these symbols completed.
+            self.viterbi
+                .forward_pass(&ws.stream_llrs[..ws.pass_fill], &mut ws.viterbi);
             if closing {
                 self.decode_stream(params.stream_bytes(k, N_STREAMS), ws)?;
             }
@@ -786,18 +809,21 @@ impl RxCore {
         Ok(params)
     }
 
-    /// One stream's bit pipeline, inverse of the transmitter's:
-    /// Viterbi over the mother-ordered LLR stream (the fused
-    /// per-symbol scatter already de-interleaved and depunctured it) →
-    /// descramble and pack exactly the bytes the SIGNAL field announced
-    /// for this stream in one pass, all in workspace buffers.
+    /// One stream's bit pipeline at burst close, inverse of the
+    /// transmitter's: the Viterbi close over the mother-ordered LLR
+    /// stream (the fused per-symbol scatter already de-interleaved and
+    /// depunctured it, and `advance` has run the forward pass over each
+    /// chunk's branches as they landed, so only the traceback from
+    /// state 0 remains) → descramble and pack exactly the bytes the
+    /// SIGNAL field announced for this stream in one pass, all in
+    /// workspace buffers.
     fn decode_stream(
         &self,
         expect_bytes: usize,
         ws: &mut RxStreamWorkspace,
     ) -> Result<(), PhyError> {
         self.viterbi
-            .decode_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
+            .finish_terminated_into(&ws.stream_llrs, &mut ws.viterbi, &mut ws.decoded)?;
         if ws.decoded.len() < 8 * expect_bytes {
             return Err(PhyError::ShortStream {
                 decoded_bits: ws.decoded.len(),

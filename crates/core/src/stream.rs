@@ -23,8 +23,15 @@
 //!   channel estimate once the LTS fields are in, SIGNAL field once
 //!   the first payload symbol is, then every whole payload symbol the
 //!   chunk completed (handed to the OFDM ingest in one call, which
-//!   takes the lane FFT whenever they fill a lane group), and the
-//!   close at the announced length. When it closes or fails, the
+//!   takes the lane FFT whenever they fill a lane group) through the
+//!   per-symbol core and, per stream, the Viterbi forward pass over the
+//!   branches those symbols completed, and the close at the announced
+//!   length. The push that closes a burst therefore runs only its own
+//!   symbols, their branches, the traceback, the descramble and the
+//!   reassembly: decoding keeps pace with the samples, as in the
+//!   paper's datapath, instead of starting at the burst's end
+//!   (`tests::viterbi_forward_pass_keeps_pace_with_the_chunks` pins
+//!   it). When it closes or fails, the
 //!   search re-arms at the sample the decoder names — the burst end
 //!   after a close, the first SIGNAL-field sample after a failed
 //!   estimate or decode — so back-to-back bursts in one stream decode
@@ -41,10 +48,13 @@
 //!
 //! Steady-state processing allocates nothing: the decode scratch is
 //! the same `RxWorkspace` type the batch path uses (its gathered
-//! carrier rows hold the symbols decoded from the current chunk), the
-//! receiver buffers its own per-antenna sample history and hands the
-//! decoder views of it, and the history buffers retain their capacity
-//! across bursts, compacting amortized-O(1) per sample.
+//! carrier rows hold the symbols decoded from the current chunk, its
+//! Viterbi workspaces the forward pass so far), the receiver buffers
+//! its own per-antenna sample history and hands the decoder views of
+//! it, and the history buffers retain their capacity across bursts,
+//! compacting amortized-O(1) per sample. Once warm, a push allocates
+//! only when it closes a burst, and then only the burst's result
+//! (`tests/alloc_steady_state.rs` counts it).
 //!
 //! One deliberate divergence: the batch path falls back to a
 //! whole-capture cross-correlation scan when the coarse detector finds
@@ -371,6 +381,7 @@ impl StreamingReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcs::Mcs;
     use crate::rx::WINDOW_BACKOFF;
     use crate::tx::MimoTransmitter;
 
@@ -496,6 +507,46 @@ mod tests {
         assert_eq!(got.result.payload, payload);
         // Absolute numbering stayed monotonic across the gap.
         assert!(got.burst_end > cut + 1064);
+    }
+
+    #[test]
+    fn viterbi_forward_pass_keeps_pace_with_the_chunks() {
+        // No bit-identity test can see where the forward pass runs: pin
+        // that each push of a 64-QAM burst has already run every
+        // branch its symbols finalized, so the closing push is left
+        // with only its own chunk's branches and the traceback.
+        let tx = MimoTransmitter::new(PhyConfig::paper_synthesis()).unwrap();
+        let mut rx = StreamingReceiver::from_geometry(LinkGeometry::mimo()).unwrap();
+        let payload: Vec<u8> = (0..2000).map(|i| (i * 19 + 5) as u8).collect();
+        let burst = tx.transmit_burst_with(Mcs::Qam64R34, &payload).unwrap();
+        let len = burst.streams[0].len();
+        let (mut at, mut mid_burst, mut closed) = (0, 0, None);
+        while at < len && closed.is_none() {
+            let end = (at + 160).min(len);
+            let views: Vec<&[CQ15]> = burst.streams.iter().map(|s| &s[at..end]).collect();
+            closed = rx.push_samples(&views).unwrap();
+            if closed.is_none() {
+                for (k, ws) in rx.ws.streams.iter().enumerate() {
+                    assert_eq!(
+                        ws.viterbi.forward_branches(),
+                        ws.pass_fill / 2,
+                        "stream {k} after the chunk at {at}"
+                    );
+                }
+                mid_burst += usize::from(rx.ws.streams[0].pass_fill > 0);
+            }
+            at = end;
+        }
+        let closed = closed.expect("the burst closes");
+        assert_eq!(closed.result.payload, payload);
+        // A 160-sample chunk completes two payload symbols, so every
+        // chunk but the last ran a forward pass.
+        let n_symbols = closed.result.diagnostics.n_symbols;
+        assert!(n_symbols >= 10, "{n_symbols} symbols");
+        assert!(
+            mid_burst + 1 >= n_symbols / 2,
+            "{mid_burst} of {n_symbols} symbols ran early"
+        );
     }
 
     #[test]

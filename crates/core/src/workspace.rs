@@ -84,7 +84,9 @@ pub(crate) struct RxStreamWorkspace {
     /// Next write offset into [`RxStreamWorkspace::stream_llrs`]
     /// (advances one `mother_bits_per_symbol` region per symbol).
     pub pass_fill: usize,
-    /// Viterbi path metrics and survivor memory.
+    /// Viterbi path metrics and survivor memory, and how far the
+    /// burst's forward pass has run: `advance` runs it over each
+    /// chunk's symbols as they land, the close traces back.
     pub viterbi: ViterbiWorkspace,
     /// Decoded info bits, one per byte as the Viterbi traceback emits
     /// them (still scrambled: the descramble packs them into

@@ -4,18 +4,31 @@
 //! keeps every per-burst buffer in the receiver's workspace. Once a
 //! workspace has decoded a burst of some shape, decoding it again at
 //! fan-out width 1 allocates exactly twice: the returned payload and
-//! the per-stream EVM list of its diagnostics. This suite counts every
-//! allocation the decoding thread makes, at every MCS, with soft and
-//! hard demapping.
+//! the per-stream EVM list of its diagnostics. The streaming receiver
+//! spreads the same decode over its pushes: a warm one allocates
+//! nothing on a push that closes no burst and the same two allocations
+//! on the push that does. This suite counts every allocation the
+//! decoding thread makes, at every MCS, with soft and hard demapping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mimo_baseband::phy::{LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig};
+use mimo_baseband::fixed::CQ15;
+use mimo_baseband::phy::{
+    LinkGeometry, Mcs, MimoReceiver, MimoTransmitter, PhyConfig, StreamingReceiver,
+};
 
-/// Allocations a warm width-1 `receive_burst` makes: the payload `Vec`
-/// and `ChannelQuality::per_stream_evm_db`.
+/// Allocations a warm width-1 `receive_burst` (or the closing push of a
+/// warm `StreamingReceiver`) makes: the payload `Vec` and
+/// `ChannelQuality::per_stream_evm_db`.
 const ALLOCATIONS_PER_BURST: usize = 2;
+
+/// Samples per push in the streaming case: one transport frame of
+/// the repository benchmark's `stream_framed` workload.
+const CHUNK: usize = 160;
+
+/// Bursts a streaming receiver decodes at one MCS before it is warm.
+const WARM_UP_BURSTS: usize = 3;
 
 thread_local! {
     /// Allocations made on this thread (const-initialised, so reading it
@@ -95,6 +108,68 @@ fn warm_receive_burst_allocates_only_its_result() {
                 n, ALLOCATIONS_PER_BURST,
                 "{mcs}, soft {soft}: a warm burst made {n} allocations"
             );
+        }
+    }
+}
+
+/// Pushes `streams` into `rx` in `CHUNK`-sample chunks and returns, per
+/// push, whether it emitted a burst (checked against `payload`) and
+/// how many allocations it made.
+fn push_in_chunks(
+    rx: &mut StreamingReceiver,
+    streams: &[Vec<CQ15>],
+    payload: &[u8],
+) -> Vec<(bool, usize)> {
+    let len = streams[0].len();
+    (0..len)
+        .step_by(CHUNK)
+        .map(|at| {
+            let end = (at + CHUNK).min(len);
+            let views: [&[CQ15]; 4] = std::array::from_fn(|a| &streams[a][at..end]);
+            let (pushed, n) = allocations(|| rx.push_samples(&views));
+            let closed = pushed.unwrap().map(|b| b.result.payload);
+            if let Some(got) = &closed {
+                assert_eq!(got, payload);
+            }
+            (closed.is_some(), n)
+        })
+        .collect()
+}
+
+#[test]
+fn warm_streaming_receiver_allocates_only_on_the_closing_push() {
+    for soft in [true, false] {
+        let geometry = LinkGeometry::mimo().with_soft_decoding(soft);
+        let cfg = PhyConfig::from_geometry(geometry);
+        let tx = MimoTransmitter::new(cfg.clone()).unwrap();
+        let mut rx = StreamingReceiver::new(cfg).unwrap();
+        for mcs in Mcs::ALL {
+            let payload: Vec<u8> = (0..1500).map(|i| (i * 37 + 11) as u8).collect();
+            let burst = tx.transmit_burst_with(mcs, &payload).unwrap();
+            // The first bursts size the workspace and the sample history,
+            // whose amortized compaction needs a few bursts to reach its
+            // high-water mark.
+            for _ in 0..WARM_UP_BURSTS {
+                let cold = push_in_chunks(&mut rx, &burst.streams, &payload);
+                assert_eq!(
+                    cold.iter().filter(|&&(closed, _)| closed).count(),
+                    1,
+                    "{mcs}, soft {soft}"
+                );
+            }
+            let warm = push_in_chunks(&mut rx, &burst.streams, &payload);
+            assert_eq!(
+                warm.iter().filter(|&&(closed, _)| closed).count(),
+                1,
+                "{mcs}, soft {soft}"
+            );
+            for (i, &(closed, n)) in warm.iter().enumerate() {
+                let want = if closed { ALLOCATIONS_PER_BURST } else { 0 };
+                assert_eq!(
+                    n, want,
+                    "{mcs}, soft {soft}: warm push {i} (closing: {closed}) made {n} allocations"
+                );
+            }
         }
     }
 }
